@@ -8,7 +8,7 @@
 // Usage:
 //
 //	curl -s http://127.0.0.1:9178/metrics | obscheck
-//	obscheck -require elastisimd_jobs,elastisim_sim_events_total metrics.txt
+//	obscheck -require elastisimd_tasks,elastisim_sim_events_total metrics.txt
 package main
 
 import (

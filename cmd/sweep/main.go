@@ -35,8 +35,8 @@
 //	sweep -connect http://127.0.0.1:9180 -worker-name w1 &
 //	sweep -connect http://127.0.0.1:9180 -worker-name w2 &
 //
-// The coordinator also serves GET /metrics (sweep_cell_claims_total,
-// sweep_cell_steals_total, sweep_lease_expirations_total, ...).
+// The coordinator also serves GET /metrics (sweep_task_claims_total,
+// sweep_task_steals_total, sweep_lease_expirations_total, ...).
 //
 // # Million-cell grids
 //
@@ -48,8 +48,8 @@
 // batches fsyncs into one flush per window (appends are still written
 // through, so a process kill loses nothing), and workers pass
 // -lease-batch N to claim/heartbeat/finish N cells per HTTP round-trip
-// with per-item settlement. All default off; -resume migrates a journal
-// between layouts and refuses a journal written for a different grid.
+// with per-item settlement. -resume re-shards a journal to the requested
+// count and refuses a journal written for a different grid.
 package main
 
 import (
@@ -314,8 +314,8 @@ loop:
 
 	fmt.Fprintf(os.Stderr, "sweep: coordinator settled: cells=%d claims=%d steals=%d lease_expirations=%d\n",
 		grid.Size(),
-		reg.Counter("sweep_cell_claims_total").Value(),
-		reg.Counter("sweep_cell_steals_total").Value(),
+		reg.Counter("sweep_task_claims_total").Value(),
+		reg.Counter("sweep_task_steals_total").Value(),
 		reg.Counter("sweep_lease_expirations_total").Value())
 	if waitErr != nil {
 		if ctx.Err() != nil {
@@ -330,10 +330,10 @@ loop:
 // returns results, heartbeating at a third of the coordinator's lease.
 // It exits when the coordinator reports the grid settled, keeps polling
 // through empty claims, and tolerates an unreachable coordinator only
-// before first contact (it retries ~10s, then gives up). With batch > 1
-// it leases batch cells per round trip and settles them with one
-// finish-batch request — the amortized protocol for grids whose cells
-// are much shorter than a network round trip.
+// before first contact (it retries ~10s, then gives up). It leases batch
+// cells per round trip and settles them with one finish-batch request —
+// raise batch for grids whose cells are much shorter than a network
+// round trip.
 func runWorker(ctx context.Context, base, name string, batch int) error {
 	if name == "" {
 		name = fmt.Sprintf("worker-%d", os.Getpid())
@@ -349,21 +349,7 @@ func runWorker(ctx context.Context, base, name string, batch int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var (
-			tasks   []distwork.Task[experiments.GridCell]
-			settled bool
-			lease   time.Duration
-			err     error
-		)
-		if batch > 1 {
-			tasks, settled, lease, err = client.ClaimBatch(ctx, name, batch)
-		} else {
-			var task *distwork.Task[experiments.GridCell]
-			task, settled, lease, err = client.Claim(ctx, name)
-			if task != nil {
-				tasks = []distwork.Task[experiments.GridCell]{*task}
-			}
-		}
+		tasks, settled, lease, err := client.ClaimBatch(ctx, name, batch)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -393,17 +379,10 @@ func runWorker(ctx context.Context, base, name string, batch int) error {
 			}
 			continue
 		}
-		if batch > 1 {
-			n, err := runClaimedBatch(ctx, client, name, tasks, lease)
-			cells += n
-			if err != nil {
-				return err
-			}
-		} else {
-			if err := runClaimedCell(ctx, client, name, tasks[0], lease); err != nil {
-				return err
-			}
-			cells++
+		n, err := runClaimedBatch(ctx, client, name, tasks, lease)
+		cells += n
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -500,67 +479,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-time.After(d):
 		return true
 	}
-}
-
-// runClaimedCell executes one leased cell: heartbeat in the background,
-// simulate, settle. On shutdown mid-cell the claim is released so
-// another worker picks it up immediately instead of waiting out the
-// lease.
-func runClaimedCell(ctx context.Context, client *httpapi.LeaseClient[experiments.GridCell], name string, task distwork.Task[experiments.GridCell], lease time.Duration) error {
-	hbCtx, stopHB := context.WithCancel(context.Background())
-	defer stopHB()
-	go func() {
-		tick := time.NewTicker(lease / 3)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbCtx.Done():
-				return
-			case <-tick.C:
-				if err := client.Heartbeat(hbCtx, task.ID, name); err != nil {
-					return // lease lost: the coordinator gave the cell away
-				}
-			}
-		}
-	}()
-	pt, err := experiments.RunCell(ctx, task.Payload)
-	stopHB()
-	if err != nil {
-		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			relCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			_ = client.Release(relCtx, task.ID, name, fmt.Sprintf("worker %s interrupted; requeued", name))
-			return ctx.Err()
-		}
-		// Cell-level failure: settle it as failed and keep claiming —
-		// other cells may still succeed, and the coordinator surfaces the
-		// error after the grid settles.
-		finCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if ferr := client.Finish(finCtx, task.ID, name, "", err.Error()); ferr != nil {
-			var st *httpapi.LeaseStatusError
-			if !errors.As(ferr, &st) || st.Status != http.StatusConflict {
-				return ferr
-			}
-		}
-		return nil
-	}
-	enc, err := experiments.EncodeCellResult(pt)
-	if err != nil {
-		return err
-	}
-	// Settle with a fresh context: if shutdown raced the finish, the
-	// result is already computed and worth delivering.
-	finCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := client.Finish(finCtx, task.ID, name, enc, ""); err != nil {
-		var st *httpapi.LeaseStatusError
-		if errors.As(err, &st) && st.Status == http.StatusConflict {
-			return nil // lease expired mid-run and the cell was stolen; the newer claim wins
-		}
-		return err
-	}
-	return nil
 }
 
 func progHook(prog *telemetry.CellProgress) func() {

@@ -2,9 +2,9 @@
 // payload-generic task store with lease+heartbeat claiming, a journaled
 // (JSONL) lifecycle with compaction and torn-tail tolerance, and a
 // fixed-size worker pool. It is the one machinery under both execution
-// engines in the repo — the elastisimd job queue (internal/jobqueue is a
-// thin json.RawMessage specialization with a legacy journal codec) and
-// the distributed, resumable sweep grids of internal/experiments.
+// engines in the repo — the elastisimd job queue (internal/jobqueue
+// names the json.RawMessage instantiation) and the distributed,
+// resumable sweep grids of internal/experiments.
 //
 // The lifecycle is a small state machine:
 //
@@ -21,16 +21,17 @@
 // transition is journaled; Open replays the journal, requeues tasks that
 // were mid-flight when the previous process died, keeps terminal tasks
 // (and their result pointers) without re-running them, and compacts the
-// file to one line per task.
+// journal to one line per task.
 package distwork
 
 import (
 	"container/heap"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -90,10 +91,12 @@ var (
 	ErrNotOwner = errors.New("distwork: task not owned by worker")
 	// ErrClosed reports an operation on a closed store.
 	ErrClosed = errors.New("distwork: store is closed")
+	// ErrMetaMismatch reports a journal whose stored Options.Meta
+	// fingerprint differs from the one Open was given.
+	ErrMetaMismatch = errors.New("distwork: journal was written for a different work set")
 )
 
-// NotFoundError is the concrete ErrNotFound: it carries the id so
-// specializations can rephrase the message in their own vocabulary.
+// NotFoundError is the concrete ErrNotFound, carrying the id.
 type NotFoundError struct{ ID string }
 
 func (e *NotFoundError) Error() string { return fmt.Sprintf("distwork: no task %s", e.ID) }
@@ -162,39 +165,30 @@ type Options[P any] struct {
 	// state (callback gauges over the live store), submission/claim/steal/
 	// lease counters, and journal fsync latency, compactions, and write
 	// errors. Flight, when set, records every journaled state transition
-	// into the crash flight recorder. Both nil (the default) detach
-	// observability at zero cost.
+	// into the crash flight recorder under the topic MetricPrefix. Both
+	// nil (the default) detach observability at zero cost.
 	Metrics *obs.Registry
 	Flight  *obs.FlightRecorder
-	// MetricPrefix and Noun shape the series names: "<prefix>_<noun>s",
-	// "<prefix>_<noun>_claims_total", ... The jobqueue specialization uses
-	// ("elastisimd", "job") to keep its historical names; defaults are
-	// ("distwork", "task").
+	// MetricPrefix names the series: "<prefix>_tasks",
+	// "<prefix>_task_claims_total", ... (default "distwork"; the daemon
+	// uses "elastisimd", sweep grids "sweep").
 	MetricPrefix string
-	Noun         string
-	// FlightTopic is the flight-recorder category for journaled
-	// transitions (default: MetricPrefix).
-	FlightTopic string
 	// IDPrefix prefixes generated task ids (default "t").
 	IDPrefix string
-	// Codec encodes journal records (default: JSON of Task[P]). The
-	// jobqueue specialization plugs in its legacy record shape here so
-	// pre-existing daemon journals replay byte-compatibly.
-	Codec Codec[P]
 	// Shards splits the journal into N hash-sharded files (shard 0 at
-	// path, shard k at path.s00k, each with a layout header line). 0
-	// keeps the legacy single-file format byte-identical. Reopening with
-	// a different count re-shards during the compaction rewrite.
+	// path, shard k at path.s00k, each with a layout header line); 0
+	// means 1. Reopening with a different count re-shards during the
+	// compaction rewrite.
 	Shards int
 	// GroupCommit batches journal fsyncs: appends are flushed to the OS
 	// per transition (a killed process loses nothing) but fsynced once
 	// per window by a background syncer, amortizing the dominant
-	// per-settlement cost. 0 fsyncs every append (legacy).
+	// per-settlement cost. 0 fsyncs every append.
 	GroupCommit time.Duration
-	// Meta is an opaque fingerprint of the work set stored in sharded
-	// journal headers. Open refuses a journal whose stored meta differs —
-	// the guard that keeps a resumed sweep from silently continuing a
-	// different grid.
+	// Meta is an opaque fingerprint of the work set stored in the
+	// journal's shard headers. Open refuses a journal whose stored meta
+	// differs (ErrMetaMismatch) — the guard that keeps a resumed sweep
+	// from silently continuing a different grid.
 	Meta string
 	// Source, when set, feeds the task sequence lazily instead of
 	// explicit Submits (which are then rejected): the store asks for the
@@ -229,61 +223,44 @@ func (o Options[P]) withDefaults() Options[P] {
 	if o.MetricPrefix == "" {
 		o.MetricPrefix = "distwork"
 	}
-	if o.Noun == "" {
-		o.Noun = "task"
-	}
-	if o.FlightTopic == "" {
-		o.FlightTopic = o.MetricPrefix
-	}
 	if o.IDPrefix == "" {
 		o.IDPrefix = "t"
-	}
-	if o.Codec == nil {
-		o.Codec = JSONCodec[P]{}
 	}
 	return o
 }
 
-// pendEntry is one claimable task in the pending heap, keyed by its
-// arrival order so claims always pick the oldest pending task — exactly
+// seqHeap is the pending set: the sequence numbers of claimable tasks as
+// a min-heap, so claims always pick the oldest pending task — exactly
 // the semantics of a linear submission-order scan, at O(log n) per claim.
 // Entries are lazily invalidated: a task that left pending (claimed,
 // cancelled) is skipped when popped, and a requeued task is re-pushed
-// with its original key so it does not lose its place in line.
-type pendEntry struct {
-	key uint64
-	id  string
-}
+// under its own sequence number so it does not lose its place in line.
+type seqHeap []uint64
 
-type pendHeap []pendEntry
-
-func (h pendHeap) Len() int           { return len(h) }
-func (h pendHeap) Less(i, j int) bool { return h[i].key < h[j].key }
-func (h pendHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pendHeap) Push(x any)        { *h = append(*h, x.(pendEntry)) }
-func (h *pendHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h pendHeap) peek() pendEntry    { return h[0] }
+func (h seqHeap) Len() int           { return len(h) }
+func (h seqHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h seqHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *seqHeap) Push(x any)        { *h = append(*h, x.(uint64)) }
+func (h *seqHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // Store is an in-memory task store with optional journal persistence. All
 // methods are safe for concurrent use; hundreds of submitters and a
 // worker pool can share one Store.
 type Store[P any] struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	tasks   map[string]*Task[P]
-	order   []string            // submission order (not kept in source/evict mode)
-	okey    map[string]uint64   // id → arrival-order key (claim priority)
-	active  map[string]struct{} // tasks currently under a lease
-	pending pendHeap            // claimable tasks, oldest first
-	nextKey uint64
-	seq     uint64 // highest sequence number assigned (or fed from Source)
+	mu   sync.Mutex
+	cond *sync.Cond
+	// tasks holds the resident tasks by sequence number — the number every
+	// id carries, which is also arrival order and claim priority.
+	tasks   map[uint64]*Task[P]
+	active  map[uint64]struct{} // tasks currently under a lease
+	pending seqHeap             // claimable tasks, oldest first
+	seq     uint64              // highest sequence number assigned (or fed from Source)
 	journal *journal
 	opts    Options[P]
 	closed  bool
 	m       storeMetrics
 
-	prevMeta   string // meta found in the journal before this open
-	sourceDone bool   // Source returned ok=false; the work set is complete
+	sourceDone bool // Source returned ok=false; the work set is complete
 	// settledSeqs is the evicted-terminal bitmap (bit seq-1): the
 	// exactly-once memory of tasks whose records now live only in the
 	// journal.
@@ -294,9 +271,8 @@ type Store[P any] struct {
 // New creates a memory-only store (no journal).
 func New[P any](opts Options[P]) *Store[P] {
 	s := &Store[P]{
-		tasks:   make(map[string]*Task[P]),
-		okey:    make(map[string]uint64),
-		active:  make(map[string]struct{}),
+		tasks:   make(map[uint64]*Task[P]),
+		active:  make(map[uint64]struct{}),
 		evicted: make(map[State]uint64),
 		opts:    opts.withDefaults(),
 	}
@@ -311,14 +287,12 @@ func New[P any](opts Options[P]) *Store[P] {
 // never re-run; tasks that were claimed, running, or paused when the
 // previous process died return to pending. The journal is compacted on
 // open (counted by the <prefix>_journal_compactions_total metric) into
-// the layout opts requests — Shards=0 keeps the legacy single file;
-// otherwise the rewrite hash-shards (or re-shards) the records.
+// opts.Shards files, re-sharding the records when the count changed.
 //
-// With Options.Evict the replay itself streams: terminal tasks are
-// never materialized — their compacted records' locations go to
-// OnSettled and their sequence numbers into the settled bitmap — so
-// open memory is O(non-terminal tasks + one location per settled task),
-// not O(tasks).
+// With Options.Evict terminal tasks are never materialized — their
+// compacted records' locations go to OnSettled and their sequence
+// numbers into the settled bitmap — so open memory is O(non-terminal
+// tasks + one location per settled task), not O(tasks).
 func Open[P any](path string, opts Options[P]) (*Store[P], error) {
 	s := New(opts)
 	s.opts.Evict = opts.Evict // New strips it; with a journal it is legal
@@ -327,29 +301,18 @@ func Open[P any](path string, opts Options[P]) (*Store[P], error) {
 		return nil, err
 	}
 	if lay.meta != "" && s.opts.Meta != "" && lay.meta != s.opts.Meta {
-		return nil, fmt.Errorf("distwork: journal %s was written for a different work set", path)
-	}
-	s.prevMeta = lay.meta
-	meta := s.opts.Meta
-	if meta == "" {
-		meta = lay.meta // carry an existing fingerprint forward
+		return nil, fmt.Errorf("%w (%s)", ErrMetaMismatch, path)
 	}
 	cfg := journalConfig{
-		path:    path,
-		sharded: s.opts.Shards > 0,
-		nsh:     s.opts.Shards,
-		meta:    meta,
-		group:   s.opts.GroupCommit,
+		path:  path,
+		nsh:   max(s.opts.Shards, 1),
+		meta:  s.opts.Meta,
+		group: s.opts.GroupCommit,
 	}
-	if cfg.nsh < 1 {
-		cfg.nsh = 1
+	if cfg.meta == "" {
+		cfg.meta = lay.meta // carry an existing fingerprint forward
 	}
-	var jr *journal
-	if s.opts.Evict {
-		jr, err = s.replayStreaming(path, lay, cfg)
-	} else {
-		jr, err = s.replayResident(path, lay, cfg)
-	}
+	jr, err := s.replay(lay, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -363,74 +326,34 @@ func Open[P any](path string, opts Options[P]) (*Store[P], error) {
 	return s, nil
 }
 
-// replayResident is the classic open: every journaled task is rebuilt
-// in memory, then the journal is compacted to one record per task.
-func (s *Store[P]) replayResident(path string, lay journalLayout, cfg journalConfig) (*journal, error) {
-	tasks, maxSeq, err := replayJournal(path, lay, s.opts.Codec, s.opts.IDPrefix)
-	if err != nil {
-		return nil, err
+// replay rebuilds the store from the journal lay describes and compacts
+// it into cfg's layout. One pass indexes the last record per sequence
+// number, keeping the decoded task only while it must stay resident
+// (non-terminal, or terminal without Evict); a second pass writes the
+// compacted journal in sequence order — a fresh record for each task the
+// dead process still owned (requeued), the authoritative bytes copied
+// from the old files for everything else, so evicted results never live
+// on the heap.
+func (s *Store[P]) replay(lay journalLayout, cfg journalConfig) (*journal, error) {
+	type last struct {
+		loc   RecLoc
+		state State // "" = no record for this sequence number
 	}
-	for _, t := range tasks {
-		s.tasks[t.ID] = t
-		s.order = append(s.order, t.ID)
-	}
-	sort.Slice(s.order, func(i, k int) bool {
-		return s.tasks[s.order[i]].Submitted.Before(s.tasks[s.order[k]].Submitted) ||
-			(s.tasks[s.order[i]].Submitted.Equal(s.tasks[s.order[k]].Submitted) &&
-				s.order[i] < s.order[k])
-	})
-	for _, id := range s.order {
-		s.okey[id] = s.nextKey
-		s.nextKey++
-		if s.tasks[id].State == StatePending {
-			heap.Push(&s.pending, pendEntry{s.okey[id], id})
-		}
-	}
-	s.seq = maxSeq
-	ids := make([]string, 0, len(s.order))
-	records := make([][]byte, 0, len(s.order))
-	for _, id := range s.order {
-		rec, err := s.opts.Codec.Encode(s.tasks[id])
-		if err != nil {
-			return nil, fmt.Errorf("distwork: encoding journal record for %s: %w", id, err)
-		}
-		ids = append(ids, id)
-		records = append(records, rec)
-	}
-	return newJournal(cfg, ids, records)
-}
-
-// replayStreaming is the evicting open: one pass indexes the last
-// record per sequence number (decoded tasks are retained only while
-// non-terminal), a second pass streams the authoritative bytes of
-// terminal records from the old files into the compacted layout —
-// terminal results never live on the heap.
-func (s *Store[P]) replayStreaming(path string, lay journalLayout, cfg journalConfig) (*journal, error) {
-	type rmeta struct {
-		loc      RecLoc
-		state    State
-		terminal bool
-	}
-	var metas []rmeta // indexed seq-1; zero-length loc = never journaled
+	var index []last // by seq-1
 	resident := make(map[uint64]*Task[P])
-	var maxSeq uint64
-	err := replayLayout(path, lay, s.opts.Codec, func(t Task[P], loc RecLoc) error {
+	err := replayLayout(cfg.path, lay, func(t Task[P], loc RecLoc) error {
 		seq, ok := parseSeq(t.ID, s.opts.IDPrefix)
 		if !ok || seq == 0 {
-			return fmt.Errorf("distwork: journal %s: id %q has no sequence number; streaming replay requires dense ids", path, t.ID)
+			return fmt.Errorf("distwork: journal %s: id %q is not %q plus a sequence number", cfg.path, t.ID, s.opts.IDPrefix)
 		}
-		for uint64(len(metas)) < seq {
-			metas = append(metas, rmeta{})
+		for uint64(len(index)) < seq {
+			index = append(index, last{})
 		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		metas[seq-1] = rmeta{loc: loc, state: t.State, terminal: t.State.Terminal()}
-		if t.State.Terminal() {
+		index[seq-1] = last{loc: loc, state: t.State}
+		if s.opts.Evict && t.State.Terminal() {
 			delete(resident, seq)
 		} else {
-			cp := t
-			resident[seq] = &cp
+			resident[seq] = &t
 		}
 		return nil
 	})
@@ -438,8 +361,6 @@ func (s *Store[P]) replayStreaming(path string, lay journalLayout, cfg journalCo
 		return nil, err
 	}
 
-	// Stream the compaction: fresh records for resident (requeued)
-	// tasks, verbatim bytes for terminal ones.
 	comp, err := newCompactor(cfg)
 	if err != nil {
 		return nil, err
@@ -458,80 +379,99 @@ func (s *Store[P]) replayStreaming(path string, lay journalLayout, cfg journalCo
 		loc RecLoc
 	}
 	var settled []settledCB
-	for seq := uint64(1); seq <= maxSeq; seq++ {
-		m := metas[seq-1]
-		if m.loc.Len == 0 && m.state == "" {
+	for i, m := range index {
+		seq := uint64(i) + 1
+		if m.state == "" {
+			if s.opts.Source == nil {
+				// A submitted task whose every record was lost (a torn tail,
+				// an unsynced shard): nothing to recover, so the id answers
+				// NotFound — but say so in the postmortem ring.
+				s.m.flight.Recordf(s.opts.MetricPrefix, "journal has no record for %s; task dropped", s.id(seq))
+				continue
+			}
+			// Resume restarts the source cursor past the highest journaled
+			// sequence, so a gap below it would never be fed again.
 			comp.abort()
-			return nil, fmt.Errorf("distwork: journal %s: no record for sequence %d (hole)", path, seq)
+			return nil, fmt.Errorf("distwork: journal %s: no record for sequence %d (hole)", cfg.path, seq)
 		}
-		id := fmt.Sprintf("%s%06d", s.opts.IDPrefix, seq)
-		if t, ok := resident[seq]; ok {
-			if t.State.Active() {
-				t.State = StatePending
-				t.Worker = ""
-				t.Lease = time.Time{}
-				t.Note = "recovered after restart; requeued"
+		t := resident[seq]
+		var rec []byte
+		if t != nil && t.State.Active() {
+			t.State = StatePending
+			t.Worker = ""
+			t.Lease = time.Time{}
+			t.Note = "recovered after restart; requeued"
+			rec, err = json.Marshal(t)
+		} else {
+			if readers[m.loc.Shard] == nil {
+				if readers[m.loc.Shard], err = os.Open(shardPath(cfg.path, m.loc.Shard)); err != nil {
+					comp.abort()
+					return nil, err
+				}
 			}
-			rec, err := s.opts.Codec.Encode(t)
-			if err != nil {
-				comp.abort()
-				return nil, fmt.Errorf("distwork: encoding journal record for %s: %w", id, err)
-			}
-			if _, err := comp.add(id, rec); err != nil {
-				comp.abort()
-				return nil, err
-			}
-			continue
+			rec = make([]byte, m.loc.Len)
+			_, err = readers[m.loc.Shard].ReadAt(rec, m.loc.Off)
 		}
-		if readers[m.loc.Shard] == nil {
-			f, err := os.Open(shardPath(path, m.loc.Shard))
-			if err != nil {
-				comp.abort()
-				return nil, err
-			}
-			readers[m.loc.Shard] = f
-		}
-		raw := make([]byte, m.loc.Len)
-		if _, err := readers[m.loc.Shard].ReadAt(raw, m.loc.Off); err != nil {
+		if err != nil {
 			comp.abort()
-			return nil, fmt.Errorf("distwork: re-reading journal record for %s: %w", id, err)
+			return nil, fmt.Errorf("distwork: compacting journal record for %s: %w", s.id(seq), err)
 		}
-		loc, err := comp.add(id, raw)
+		loc, err := comp.add(s.id(seq), rec)
 		if err != nil {
 			comp.abort()
 			return nil, err
 		}
-		s.setSettledBit(seq)
-		s.evicted[m.state]++
-		settled = append(settled, settledCB{seq: seq, st: m.state, loc: loc})
+		if t == nil {
+			s.setSettledBit(seq)
+			s.evicted[m.state]++
+			settled = append(settled, settledCB{seq: seq, st: m.state, loc: loc})
+			continue
+		}
+		s.tasks[seq] = t
+		if t.State == StatePending {
+			s.pending = append(s.pending, seq) // ascending: already a heap
+		}
 	}
 	jr, err := comp.finish()
 	if err != nil {
 		return nil, err
 	}
-	// Rebuild the resident (non-terminal) set in sequence order, which
-	// is arrival order for source-fed stores.
-	seqs := make([]uint64, 0, len(resident))
-	for seq := range resident {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, k int) bool { return seqs[i] < seqs[k] })
-	for _, seq := range seqs {
-		t := resident[seq]
-		s.tasks[t.ID] = t
-		s.okey[t.ID] = s.nextKey
-		s.nextKey++
-		if t.State == StatePending {
-			heap.Push(&s.pending, pendEntry{s.okey[t.ID], t.ID})
-		}
-	}
-	s.seq = maxSeq
+	s.seq = uint64(len(index))
 	if s.opts.OnSettled != nil {
 		for _, c := range settled {
 			s.opts.OnSettled(c.seq, c.st, c.loc)
 		}
 	}
 	return jr, nil
+}
+
+// id formats the task id for a sequence number.
+func (s *Store[P]) id(seq uint64) string { return fmt.Sprintf("%s%06d", s.opts.IDPrefix, seq) }
+
+// lookup finds the resident task with the given id. The sequence number
+// is reported whenever id parses, resident or not, so callers can
+// consult the settled bitmap for evicted tasks. Callers hold s.mu.
+func (s *Store[P]) lookup(id string) (t *Task[P], seq uint64) {
+	seq, ok := parseSeq(id, s.opts.IDPrefix)
+	if !ok {
+		return nil, 0
+	}
+	if t = s.tasks[seq]; t != nil && t.ID != id {
+		t = nil // an alias spelling of the number ("t1" for "t000001")
+	}
+	return t, seq
+}
+
+// begin locks the store for an operation that mutates tasks or appends
+// to the journal. On a closed store it returns ErrClosed with the lock
+// released; otherwise the caller unlocks s.mu.
+func (s *Store[P]) begin() error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
+	return nil
 }
 
 // setSettledBit marks seq as settled-and-evicted. Callers hold s.mu (or
@@ -552,24 +492,22 @@ func (s *Store[P]) settledBit(seq uint64) bool {
 	return i < uint64(len(s.settledSeqs)) && s.settledSeqs[i]&(1<<((seq-1)%64)) != 0
 }
 
-// PrevJournalMeta reports the work-set fingerprint found in the journal
-// before this open ("" for a fresh or legacy journal).
-func (s *Store[P]) PrevJournalMeta() string { return s.prevMeta }
-
 // ReadRecord decodes the journal record at loc — the way a consumer of
 // OnSettled streams evicted results back out of the compacted journal.
 func (s *Store[P]) ReadRecord(loc RecLoc) (Task[P], error) {
 	s.mu.Lock()
 	jr := s.journal
 	s.mu.Unlock()
+	var t Task[P]
 	if jr == nil {
-		return Task[P]{}, fmt.Errorf("distwork: store has no journal")
+		return t, fmt.Errorf("distwork: store has no journal")
 	}
 	raw, err := jr.readRecord(loc)
 	if err != nil {
-		return Task[P]{}, err
+		return t, err
 	}
-	return s.opts.Codec.Decode(raw)
+	err = json.Unmarshal(raw, &t)
+	return t, err
 }
 
 // Lease reports the configured lease duration — the heartbeat contract a
@@ -584,7 +522,7 @@ func (s *Store[P]) record(t *Task[P]) (RecLoc, bool) {
 	var loc RecLoc
 	var ok bool
 	if s.journal != nil {
-		rec, err := s.opts.Codec.Encode(t)
+		rec, err := json.Marshal(t)
 		if err != nil {
 			s.journal.fail(err)
 		} else {
@@ -593,12 +531,28 @@ func (s *Store[P]) record(t *Task[P]) (RecLoc, bool) {
 	}
 	if s.m.flight != nil {
 		if t.Worker != "" {
-			s.m.flight.Recordf(s.opts.FlightTopic, "%s -> %s (%s, attempt %d)", t.ID, t.State, t.Worker, t.Attempts)
+			s.m.flight.Recordf(s.opts.MetricPrefix, "%s -> %s (%s, attempt %d)", t.ID, t.State, t.Worker, t.Attempts)
 		} else {
-			s.m.flight.Recordf(s.opts.FlightTopic, "%s -> %s", t.ID, t.State)
+			s.m.flight.Recordf(s.opts.MetricPrefix, "%s -> %s", t.ID, t.State)
 		}
 	}
 	return loc, ok
+}
+
+// enqueueLocked assigns the next sequence number to a new pending task.
+// Callers hold s.mu.
+func (s *Store[P]) enqueueLocked(payload P) *Task[P] {
+	s.seq++
+	t := &Task[P]{
+		ID:        s.id(s.seq),
+		State:     StatePending,
+		Payload:   payload,
+		Submitted: s.opts.Now(),
+	}
+	s.tasks[s.seq] = t
+	heap.Push(&s.pending, s.seq)
+	s.m.submitted.Inc()
+	return t
 }
 
 // feedLocked pulls tasks from Options.Source until the pending heap
@@ -619,18 +573,7 @@ func (s *Store[P]) feedLocked(want int) {
 			s.cond.Broadcast()
 			return
 		}
-		s.seq++
-		t := &Task[P]{
-			ID:        fmt.Sprintf("%s%06d", s.opts.IDPrefix, s.seq),
-			State:     StatePending,
-			Payload:   p,
-			Submitted: s.opts.Now(),
-		}
-		s.tasks[t.ID] = t
-		s.okey[t.ID] = s.nextKey
-		s.nextKey++
-		heap.Push(&s.pending, pendEntry{s.okey[t.ID], t.ID})
-		s.m.submitted.Inc()
+		s.enqueueLocked(p)
 	}
 }
 
@@ -638,29 +581,14 @@ func (s *Store[P]) feedLocked(want int) {
 // Stores with a Source reject external submissions — the source owns
 // the sequence.
 func (s *Store[P]) Submit(payload P) (Task[P], error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return Task[P]{}, ErrClosed
+	if err := s.begin(); err != nil {
+		return Task[P]{}, err
 	}
+	defer s.mu.Unlock()
 	if s.opts.Source != nil {
 		return Task[P]{}, fmt.Errorf("distwork: store is source-fed; external submit not allowed")
 	}
-	s.seq++
-	t := &Task[P]{
-		ID:        fmt.Sprintf("%s%06d", s.opts.IDPrefix, s.seq),
-		State:     StatePending,
-		Payload:   payload,
-		Submitted: s.opts.Now(),
-	}
-	s.tasks[t.ID] = t
-	if !s.opts.Evict {
-		s.order = append(s.order, t.ID)
-	}
-	s.okey[t.ID] = s.nextKey
-	s.nextKey++
-	heap.Push(&s.pending, pendEntry{s.okey[t.ID], t.ID})
-	s.m.submitted.Inc()
+	t := s.enqueueLocked(payload)
 	s.record(t)
 	s.cond.Broadcast()
 	return *t, nil
@@ -670,43 +598,50 @@ func (s *Store[P]) Submit(payload P) (Task[P], error) {
 func (s *Store[P]) Get(id string) (Task[P], bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t, ok := s.tasks[id]
-	if !ok {
+	t, _ := s.lookup(id)
+	if t == nil {
 		return Task[P]{}, false
 	}
 	return *t, true
 }
 
-// List returns copies of all resident tasks in submission order. In
-// source/evict mode that is the non-terminal working set — evicted
-// terminal tasks live only in the journal (ReadRecord).
+// residentSeqsLocked lists the sequence numbers of the resident tasks
+// accepted by keep, ascending. Callers hold s.mu.
+func (s *Store[P]) residentSeqsLocked(keep func(seq uint64, t *Task[P]) bool) []uint64 {
+	var seqs []uint64
+	for seq, t := range s.tasks {
+		if keep(seq, t) {
+			seqs = append(seqs, seq)
+		}
+	}
+	slices.Sort(seqs)
+	return seqs
+}
+
+// List returns copies of all resident tasks in submission order. With
+// Evict that is the non-terminal working set — evicted terminal tasks
+// live only in the journal (ReadRecord).
 func (s *Store[P]) List() []Task[P] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.order != nil {
-		out := make([]Task[P], 0, len(s.order))
-		for _, id := range s.order {
-			out = append(out, *s.tasks[id])
-		}
-		return out
+	seqs := s.residentSeqsLocked(func(uint64, *Task[P]) bool { return true })
+	out := make([]Task[P], len(seqs))
+	for i, seq := range seqs {
+		out[i] = *s.tasks[seq]
 	}
-	out := make([]Task[P], 0, len(s.tasks))
-	for _, t := range s.tasks {
-		out = append(out, *t)
-	}
-	sort.Slice(out, func(i, k int) bool { return s.okey[out[i].ID] < s.okey[out[k].ID] })
 	return out
 }
 
-// requeueLocked returns a task to pending (lease expiry, restart,
-// release) and re-arms its claimability. Callers hold s.mu.
-func (s *Store[P]) requeueLocked(t *Task[P], note string) {
+// requeueLocked returns a task to pending (lease expiry, release) and
+// re-arms its claimability. Callers hold s.mu.
+func (s *Store[P]) requeueLocked(seq uint64, note string) {
+	t := s.tasks[seq]
 	t.State = StatePending
 	t.Worker = ""
 	t.Lease = time.Time{}
 	t.Note = note
-	delete(s.active, t.ID)
-	heap.Push(&s.pending, pendEntry{s.okey[t.ID], t.ID})
+	delete(s.active, seq)
+	heap.Push(&s.pending, seq)
 	s.record(t)
 }
 
@@ -716,24 +651,21 @@ func (s *Store[P]) requeueLocked(t *Task[P], note string) {
 // as terminal tasks accumulate over a long daemon lifetime. Callers hold
 // s.mu.
 func (s *Store[P]) expireLocked(now time.Time) int {
-	var lapsed []string
-	for id := range s.active {
-		t := s.tasks[id]
-		if t.State.Active() && now.After(t.Lease) {
-			lapsed = append(lapsed, id)
+	var lapsed []uint64
+	for seq := range s.active {
+		if t := s.tasks[seq]; t.State.Active() && now.After(t.Lease) {
+			lapsed = append(lapsed, seq)
 		}
 	}
-	sort.Slice(lapsed, func(i, k int) bool { return s.okey[lapsed[i]] < s.okey[lapsed[k]] })
-	n := 0
-	for _, id := range lapsed {
-		s.requeueLocked(s.tasks[id], "lease expired; requeued")
-		n++
+	slices.Sort(lapsed)
+	for _, seq := range lapsed {
+		s.requeueLocked(seq, "lease expired; requeued")
 	}
-	if n > 0 {
-		s.m.expirations.Add(uint64(n))
+	if len(lapsed) > 0 {
+		s.m.expirations.Add(uint64(len(lapsed)))
 		s.cond.Broadcast()
 	}
-	return n
+	return len(lapsed)
 }
 
 // ExpireLeases requeues every active task whose lease has lapsed (the
@@ -741,7 +673,9 @@ func (s *Store[P]) expireLocked(now time.Time) int {
 // coordinator calls this on a timer; the expired tasks are then claimed —
 // stolen — by whichever worker asks next.
 func (s *Store[P]) ExpireLeases() int {
-	s.mu.Lock()
+	if s.begin() != nil {
+		return 0
+	}
 	defer s.mu.Unlock()
 	return s.expireLocked(s.opts.Now())
 }
@@ -750,7 +684,9 @@ func (s *Store[P]) ExpireLeases() int {
 // available. Expired leases are collected first, so a crashed worker's
 // tasks become claimable here.
 func (s *Store[P]) TryClaim(worker string) (Task[P], bool) {
-	s.mu.Lock()
+	if s.begin() != nil {
+		return Task[P]{}, false
+	}
 	defer s.mu.Unlock()
 	return s.tryClaimLocked(worker)
 }
@@ -770,9 +706,8 @@ func (s *Store[P]) claimOneLocked(worker string, now time.Time) (Task[P], bool) 
 		if s.pending.Len() == 0 {
 			return Task[P]{}, false
 		}
-		e := s.pending.peek()
-		t := s.tasks[e.id]
-		heap.Pop(&s.pending)
+		seq := heap.Pop(&s.pending).(uint64)
+		t := s.tasks[seq]
 		if t == nil || t.State != StatePending {
 			continue // lazily dropped: claimed or cancelled since it was pushed
 		}
@@ -786,7 +721,7 @@ func (s *Store[P]) claimOneLocked(worker string, now time.Time) (Task[P], bool) 
 		t.Lease = now.Add(s.opts.Lease)
 		t.Attempts++
 		t.Note = ""
-		s.active[t.ID] = struct{}{}
+		s.active[seq] = struct{}{}
 		s.m.claims.Inc()
 		s.record(t)
 		return *t, true
@@ -794,18 +729,17 @@ func (s *Store[P]) claimOneLocked(worker string, now time.Time) (Task[P], bool) 
 }
 
 // TryClaimBatch claims up to max pending tasks for worker in one lock
-// acquisition — the server side of the batch lease protocol, amortizing
-// lock traffic and (with group commit) journal fsyncs over the batch.
-// Steal and exactly-once semantics are per task, identical to TryClaim.
+// acquisition — the server side of the lease protocol, amortizing lock
+// traffic and (with group commit) journal fsyncs over the batch. Steal
+// and exactly-once semantics are per task, identical to TryClaim.
 func (s *Store[P]) TryClaimBatch(worker string, max int) []Task[P] {
 	if max < 1 {
 		max = 1
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	if s.begin() != nil {
 		return nil
 	}
+	defer s.mu.Unlock()
 	now := s.opts.Now()
 	s.expireLocked(now)
 	var out []Task[P]
@@ -851,54 +785,55 @@ func (s *Store[P]) Claim(ctx context.Context, worker string) (Task[P], error) {
 // (settled, journal-only) id reports ErrNotOwner — the stale worker's
 // late transition loses to the settled record, preserving exactly-once
 // even though the task left memory. Callers hold s.mu.
-func (s *Store[P]) owned(id, worker string) (*Task[P], error) {
-	t, ok := s.tasks[id]
-	if !ok {
-		if seq, k := parseSeq(id, s.opts.IDPrefix); k && s.settledBit(seq) {
-			return nil, &NotOwnerError{ID: id, State: StateDone, Claimant: worker}
+func (s *Store[P]) owned(id, worker string) (*Task[P], uint64, error) {
+	t, seq := s.lookup(id)
+	if t == nil {
+		if s.settledBit(seq) {
+			return nil, 0, &NotOwnerError{ID: id, State: StateDone, Claimant: worker}
 		}
-		return nil, &NotFoundError{ID: id}
+		return nil, 0, &NotFoundError{ID: id}
 	}
 	if !t.State.Active() || t.Worker != worker {
-		return nil, &NotOwnerError{ID: id, State: t.State, Worker: t.Worker, Claimant: worker}
+		return nil, 0, &NotOwnerError{ID: id, State: t.State, Worker: t.Worker, Claimant: worker}
 	}
-	return t, nil
+	return t, seq, nil
 }
 
 // Heartbeat renews worker's lease on the task.
 func (s *Store[P]) Heartbeat(id, worker string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.heartbeatLocked(id, worker)
-}
-
-func (s *Store[P]) heartbeatLocked(id, worker string) error {
-	t, err := s.owned(id, worker)
-	if err != nil {
-		return err
-	}
-	t.Lease = s.opts.Now().Add(s.opts.Lease)
-	s.m.heartbeats.Inc()
-	return nil
+	return s.HeartbeatBatch(worker, []string{id})[0]
 }
 
 // HeartbeatBatch renews worker's lease on every id in one lock
 // acquisition, reporting per-id errors positionally (nil = renewed).
 func (s *Store[P]) HeartbeatBatch(worker string, ids []string) []error {
 	out := make([]error, len(ids))
-	s.mu.Lock()
+	if err := s.begin(); err != nil {
+		for i := range out {
+			out[i] = err
+		}
+		return out
+	}
 	defer s.mu.Unlock()
 	for i, id := range ids {
-		out[i] = s.heartbeatLocked(id, worker)
+		t, _, err := s.owned(id, worker)
+		if err != nil {
+			out[i] = err
+			continue
+		}
+		t.Lease = s.opts.Now().Add(s.opts.Lease)
+		s.m.heartbeats.Inc()
 	}
 	return out
 }
 
 // setState moves an owned task to the given active state.
 func (s *Store[P]) setState(id, worker string, st State) error {
-	s.mu.Lock()
+	if err := s.begin(); err != nil {
+		return err
+	}
 	defer s.mu.Unlock()
-	t, err := s.owned(id, worker)
+	t, _, err := s.owned(id, worker)
 	if err != nil {
 		return err
 	}
@@ -945,7 +880,9 @@ func (s *Store[P]) FinishCancelled(id, worker, result string) error {
 }
 
 func (s *Store[P]) finish(id, worker string, st State, result, errMsg string) error {
-	s.mu.Lock()
+	if err := s.begin(); err != nil {
+		return err
+	}
 	defer s.mu.Unlock()
 	err := s.finishLocked(id, worker, st, result, errMsg)
 	s.cond.Broadcast()
@@ -953,7 +890,7 @@ func (s *Store[P]) finish(id, worker string, st State, result, errMsg string) er
 }
 
 func (s *Store[P]) finishLocked(id, worker string, st State, result, errMsg string) error {
-	t, err := s.owned(id, worker)
+	t, seq, err := s.owned(id, worker)
 	if err != nil {
 		return err
 	}
@@ -963,20 +900,17 @@ func (s *Store[P]) finishLocked(id, worker string, st State, result, errMsg stri
 	t.Finished = s.opts.Now()
 	t.Result = result
 	t.Error = errMsg
-	delete(s.active, id)
+	delete(s.active, seq)
 	s.m.finished[st].Inc()
 	loc, journaled := s.record(t)
-	if s.opts.Evict && s.journal != nil {
-		if seq, ok := parseSeq(id, s.opts.IDPrefix); ok {
-			// The journal record is now the authoritative copy; drop the
-			// task from memory and remember only that its sequence settled.
-			s.setSettledBit(seq)
-			s.evicted[st]++
-			delete(s.tasks, id)
-			delete(s.okey, id)
-			if s.opts.OnSettled != nil && journaled {
-				s.opts.OnSettled(seq, st, loc)
-			}
+	if s.opts.Evict {
+		// The journal record is now the authoritative copy; drop the task
+		// from memory and remember only that its sequence settled.
+		s.setSettledBit(seq)
+		s.evicted[st]++
+		delete(s.tasks, seq)
+		if s.opts.OnSettled != nil && journaled {
+			s.opts.OnSettled(seq, st, loc)
 		}
 	}
 	return nil
@@ -991,12 +925,18 @@ type FinishItem struct {
 }
 
 // FinishBatch settles many owned tasks in one lock acquisition — the
-// server side of the batch lease protocol. Per-item errors are
-// positional (nil = settled); the usual stale-claim outcome is a
-// NotOwnerError on just the stolen items.
+// server side of the lease protocol. Per-item errors are positional
+// (nil = settled); the usual stale-claim outcome is a NotOwnerError on
+// just the stolen items.
 func (s *Store[P]) FinishBatch(worker string, items []FinishItem) []error {
 	out := make([]error, len(items))
-	s.mu.Lock()
+	if err := s.begin(); err != nil {
+		for i := range out {
+			out[i] = err
+		}
+		return out
+	}
+	defer s.mu.Unlock()
 	for i, it := range items {
 		st := StateDone
 		if it.Error != "" {
@@ -1005,7 +945,6 @@ func (s *Store[P]) FinishBatch(worker string, items []FinishItem) []error {
 		out[i] = s.finishLocked(it.ID, worker, st, it.Result, it.Error)
 	}
 	s.cond.Broadcast()
-	s.mu.Unlock()
 	return out
 }
 
@@ -1014,13 +953,15 @@ func (s *Store[P]) FinishBatch(worker string, items []FinishItem) []error {
 // journaled with the transition, so a restarted process sees how far the
 // interrupted run got before it re-runs the task.
 func (s *Store[P]) Release(id, worker, note string) error {
-	s.mu.Lock()
+	if err := s.begin(); err != nil {
+		return err
+	}
 	defer s.mu.Unlock()
-	t, err := s.owned(id, worker)
+	_, seq, err := s.owned(id, worker)
 	if err != nil {
 		return err
 	}
-	s.requeueLocked(t, note)
+	s.requeueLocked(seq, note)
 	s.m.releases.Inc()
 	s.cond.Broadcast()
 	return nil
@@ -1032,11 +973,13 @@ func (s *Store[P]) Release(id, worker, note string) error {
 // a terminal task is a no-op. The returned state is the task's state
 // after the call.
 func (s *Store[P]) Cancel(id string) (State, error) {
-	s.mu.Lock()
+	if err := s.begin(); err != nil {
+		return "", err
+	}
 	defer s.mu.Unlock()
-	t, ok := s.tasks[id]
-	if !ok {
-		if seq, k := parseSeq(id, s.opts.IDPrefix); k && s.settledBit(seq) {
+	t, seq := s.lookup(id)
+	if t == nil {
+		if s.settledBit(seq) {
 			return StateDone, nil // evicted terminal: cancel is a no-op
 		}
 		return "", &NotFoundError{ID: id}
@@ -1047,7 +990,10 @@ func (s *Store[P]) Cancel(id string) (State, error) {
 			// resume from the highest journaled sequence). Journaling this
 			// cancel would advance that watermark past still-unjournaled
 			// earlier tasks, so journal those first — no resume holes.
-			s.journalPendingBelowLocked(id)
+			below := func(k uint64, p *Task[P]) bool { return k < seq && p.State == StatePending }
+			for _, k := range s.residentSeqsLocked(below) {
+				s.record(s.tasks[k])
+			}
 		}
 		t.State = StateCancelled
 		t.Finished = s.opts.Now()
@@ -1056,22 +1002,6 @@ func (s *Store[P]) Cancel(id string) (State, error) {
 		s.cond.Broadcast()
 	}
 	return t.State, nil
-}
-
-// journalPendingBelowLocked records every resident pending task with a
-// lower arrival key than id, oldest first. Callers hold s.mu.
-func (s *Store[P]) journalPendingBelowLocked(id string) {
-	limit := s.okey[id]
-	var ids []string
-	for tid, t := range s.tasks {
-		if t.State == StatePending && s.okey[tid] < limit {
-			ids = append(ids, tid)
-		}
-	}
-	sort.Slice(ids, func(i, k int) bool { return s.okey[ids[i]] < s.okey[ids[k]] })
-	for _, tid := range ids {
-		s.record(s.tasks[tid])
-	}
 }
 
 // Counts tallies tasks by state, including evicted terminal tasks.

@@ -1,6 +1,7 @@
 package distwork
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -61,12 +62,24 @@ func TestLifecycle(t *testing.T) {
 	if err := s.MarkRunning(task.ID, "w1"); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.MarkPaused(task.ID, "w1"); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Get(task.ID); got.State != StatePaused {
+		t.Fatalf("state = %s, want paused", got.State)
+	}
+	if err := s.MarkRunning(task.ID, "w1"); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Finish(task.ID, "w1", "out", nil); err != nil {
 		t.Fatal(err)
 	}
 	fin, _ := s.Get(task.ID)
 	if fin.State != StateDone || fin.Result != "out" || fin.Worker != "" {
 		t.Fatalf("finished: got %+v", fin)
+	}
+	if _, ok := s.TryClaim("w1"); ok {
+		t.Fatal("claimed a terminal task")
 	}
 	if !s.Settled() {
 		t.Fatal("store with only terminal tasks should be settled")
@@ -107,10 +120,26 @@ func TestLeaseExpiryIsASteal(t *testing.T) {
 	if _, ok := s.TryClaim("w-live"); ok {
 		t.Fatal("claimed a leased task")
 	}
+	// A heartbeat extends the lease past its original expiry.
+	clk.Advance(40 * time.Second)
+	if err := s.Heartbeat(task.ID, "w-dead"); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(40 * time.Second)
+	if n := s.ExpireLeases(); n != 0 {
+		t.Fatalf("expired %d tasks after a heartbeat", n)
+	}
 	clk.Advance(2 * time.Minute)
 	got, ok := s.TryClaim("w-live")
 	if !ok || got.ID != task.ID || got.Attempts != 2 || got.Worker != "w-live" {
 		t.Fatalf("steal: got %+v ok=%v", got, ok)
+	}
+	// The dead worker's late operations bounce.
+	if err := s.Heartbeat(task.ID, "w-dead"); !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("stale heartbeat: %v", err)
+	}
+	if err := s.Finish(task.ID, "w-dead", "", nil); !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("stale finish: %v", err)
 	}
 	if v := reg.Counter("distwork_task_steals_total").Value(); v != 1 {
 		t.Fatalf("steals counter: got %v, want 1", v)
@@ -257,80 +286,146 @@ func TestJournalTornTail(t *testing.T) {
 func TestJournalMidFileCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
-	os.WriteFile(path, []byte("not json\n{\"id\":\"t000001\",\"state\":\"pending\"}\n"), 0o644)
-	if _, err := Open(path, Options[int]{}); err == nil {
-		t.Fatal("mid-file corruption should fail Open")
+	os.WriteFile(path, []byte(`{"journal_shards":1,"shard":0}`+"\nnot json\n"+`{"id":"t000001","state":"pending"}`+"\n"), 0o644)
+	if _, err := Open(path, Options[int]{}); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("mid-file corruption should fail Open naming the line, got %v", err)
 	}
 }
 
-// legacyRecord mimics a consumer with a pre-existing journal shape: the
-// payload lives under a differently-named field.
-type legacyRecord struct {
-	ID        string    `json:"id"`
-	State     State     `json:"state"`
-	Config    int       `json:"config,omitempty"`
-	Submitted time.Time `json:"submitted"`
-	Started   time.Time `json:"started"`
-	Finished  time.Time `json:"finished"`
-	Worker    string    `json:"worker,omitempty"`
-	Lease     time.Time `json:"lease,omitempty"`
-	Attempts  int       `json:"attempts,omitempty"`
-	Error     string    `json:"error,omitempty"`
-	Result    string    `json:"result,omitempty"`
-	Note      string    `json:"note,omitempty"`
-}
-
-type legacyCodec struct{}
-
-func (legacyCodec) Encode(t *Task[int]) ([]byte, error) {
-	return json.Marshal(legacyRecord{
-		ID: t.ID, State: t.State, Config: t.Payload,
-		Submitted: t.Submitted, Started: t.Started, Finished: t.Finished,
-		Worker: t.Worker, Lease: t.Lease, Attempts: t.Attempts,
-		Error: t.Error, Result: t.Result, Note: t.Note,
-	})
-}
-
-func (legacyCodec) Decode(data []byte) (Task[int], error) {
-	var r legacyRecord
-	if err := json.Unmarshal(data, &r); err != nil {
-		return Task[int]{}, err
+// TestUnheaderedJournalRefused pins that a file whose first line is not
+// a shard header — a single-file journal from before the sharded layout,
+// or an empty file — is refused by name, never replayed as empty or
+// half-read, and is left untouched.
+func TestUnheaderedJournalRefused(t *testing.T) {
+	for name, content := range map[string]string{
+		"headerless records": `{"id":"t000001","state":"done","result":"r"}` + "\n" + `{"id":"t000002","state":"pending"}` + "\n",
+		"empty file":         "",
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.jsonl")
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(path, Options[int]{})
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "shard header") {
+				t.Fatalf("want a refusal naming %s and the missing shard header, got %v", path, err)
+			}
+			if data, _ := os.ReadFile(path); string(data) != content {
+				t.Fatalf("refused journal was rewritten: %q", data)
+			}
+		})
 	}
-	return Task[int]{
-		ID: r.ID, State: r.State, Payload: r.Config,
-		Submitted: r.Submitted, Started: r.Started, Finished: r.Finished,
-		Worker: r.Worker, Lease: r.Lease, Attempts: r.Attempts,
-		Error: r.Error, Result: r.Result, Note: r.Note,
-	}, nil
-}
-
-// TestCustomCodec pins the pluggable-codec contract: journal lines carry
-// the codec's record shape, and replay round-trips through it.
-func TestCustomCodec(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
-	s, err := Open(path, Options[int]{Codec: legacyCodec{}})
+	// A later shard without its header is refused the same way.
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	s, err := Open(path, Options[int]{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Submit(99)
 	s.Close()
+	if err := os.WriteFile(shardPath(path, 1), []byte(`{"id":"t000001","state":"pending"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, Options[int]{Shards: 2}); err == nil || !strings.Contains(err.Error(), shardPath(path, 1)) {
+		t.Fatalf("want a refusal naming shard 1, got %v", err)
+	}
+}
+
+// TestForeignRecordShapeRefused pins that a headered journal whose
+// records are whole JSON but not this store's Task shape — what a build
+// that journaled the payload under "config" left behind — is refused by
+// file and line and left untouched, even when the foreign record is the
+// last line (it is not a torn tail). Dropping the unknown key instead
+// would replay every task with an empty payload and compact it away.
+func TestForeignRecordShapeRefused(t *testing.T) {
+	header := `{"journal_shards":1,"shard":0}` + "\n"
+	foreign := `{"id":"t000001","state":"running","config":{"seed":1},"worker":"w1","attempts":1}` + "\n"
+	for name, content := range map[string]string{
+		"only record":    header + foreign,
+		"before another": header + foreign + `{"id":"t000002","state":"pending","payload":{"seed":2}}` + "\n",
+		"mistyped field": header + `{"id":"t000001","state":"pending","attempts":"one"}` + "\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.jsonl")
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(path, Options[json.RawMessage]{})
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "line 2") {
+				t.Fatalf("want a refusal naming %s line 2, got %v", path, err)
+			}
+			if data, _ := os.ReadFile(path); string(data) != content {
+				t.Fatalf("refused journal was rewritten: %q", data)
+			}
+		})
+	}
+}
+
+// TestClosedStoreRejectsMutations pins that every mutating entry point
+// answers ErrClosed after Close instead of changing tasks and appending
+// to a closed journal.
+func TestClosedStoreRejectsMutations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	s, err := Open(path, Options[int]{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Submit(1)
+	s.Submit(2)
+	held, ok := s.TryClaim("w1")
+	if !ok {
+		t.Fatal("claim failed")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(path)
+
+	if _, ok := s.TryClaim("w1"); ok {
+		t.Error("TryClaim succeeded on a closed store")
+	}
+	if got := s.TryClaimBatch("w1", 2); len(got) != 0 {
+		t.Errorf("TryClaimBatch claimed %d tasks on a closed store", len(got))
+	}
+	if n := s.ExpireLeases(); n != 0 {
+		t.Errorf("ExpireLeases requeued %d tasks on a closed store", n)
+	}
+	for name, err := range map[string]error{
+		"Heartbeat":       s.Heartbeat(held.ID, "w1"),
+		"HeartbeatBatch":  s.HeartbeatBatch("w1", []string{held.ID})[0],
+		"MarkRunning":     s.MarkRunning(held.ID, "w1"),
+		"MarkPaused":      s.MarkPaused(held.ID, "w1"),
+		"Release":         s.Release(held.ID, "w1", "late"),
+		"Finish":          s.Finish(held.ID, "w1", "late", nil),
+		"FinishCancelled": s.FinishCancelled(held.ID, "w1", "late"),
+		"FinishBatch":     s.FinishBatch("w1", []FinishItem{{ID: held.ID, Result: "late"}})[0],
+	} {
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: got %v, want ErrClosed", name, err)
+		}
+	}
+	if _, err := s.Cancel("t000002"); !errors.Is(err, ErrClosed) {
+		t.Errorf("Cancel after Close: got %v, want ErrClosed", err)
+	}
+	if _, err := s.Submit(3); !errors.Is(err, ErrClosed) {
+		t.Errorf("Submit after Close: got %v, want ErrClosed", err)
+	}
+	if got, _ := s.Get(held.ID); got.State != StateClaimed || got.Worker != "w1" {
+		t.Errorf("task mutated after Close: %+v", got)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+		t.Error("journal changed after Close")
+	}
+}
+
+// recordLines counts the task records in one journal file (every line
+// after the shard header).
+func recordLines(t *testing.T, path string) int {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"config":99`) {
-		t.Fatalf("journal should use the codec's field names, got: %s", data)
-	}
-	s2, err := Open(path, Options[int]{Codec: legacyCodec{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got, _ := s2.Get("t000001")
-	if got.Payload != 99 {
-		t.Fatalf("replayed payload: got %d, want 99", got.Payload)
-	}
+	return strings.Count(string(data), "\n") - 1
 }
 
 func TestCompactionAndMetrics(t *testing.T) {
@@ -347,7 +442,7 @@ func TestCompactionAndMetrics(t *testing.T) {
 	s.Finish(task.ID, "w1", "r", nil)
 	s.Close()
 	// Four transitions → four journal lines before compaction.
-	if lines := countLines(path); lines != 4 {
+	if lines := recordLines(t, path); lines != 4 {
 		t.Fatalf("journal lines before compaction: got %d, want 4", lines)
 	}
 	if v := reg.Counter("distwork_journal_compactions_total").Value(); v != 1 {
@@ -359,7 +454,7 @@ func TestCompactionAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if lines := countLines(path); lines != 1 {
+	if lines := recordLines(t, path); lines != 1 {
 		t.Fatalf("journal lines after compaction: got %d, want 1", lines)
 	}
 	if v := reg2.Counter("distwork_journal_compactions_total").Value(); v != 1 {
@@ -398,7 +493,7 @@ func TestJournalErrorCounter(t *testing.T) {
 
 func TestMetricNamesParameterized(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Options[int]{Metrics: reg, MetricPrefix: "sweep", Noun: "cell"})
+	s := New(Options[int]{Metrics: reg, MetricPrefix: "sweep"})
 	task, _ := s.Submit(1)
 	s.TryClaim("w1")
 	s.Finish(task.ID, "w1", "", nil)
@@ -406,11 +501,11 @@ func TestMetricNamesParameterized(t *testing.T) {
 	reg.WritePrometheus(&buf)
 	text := buf.String()
 	for _, want := range []string{
-		`sweep_cells{state="done"} 1`,
-		`sweep_cells_submitted_total 1`,
-		`sweep_cell_claims_total 1`,
-		`sweep_cell_steals_total 0`,
-		`sweep_cells_finished_total{state="done"} 1`,
+		`sweep_tasks{state="done"} 1`,
+		`sweep_tasks_submitted_total 1`,
+		`sweep_task_claims_total 1`,
+		`sweep_task_steals_total 0`,
+		`sweep_tasks_finished_total{state="done"} 1`,
 		`sweep_journal_compactions_total 0`,
 		`sweep_journal_errors_total 0`,
 	} {

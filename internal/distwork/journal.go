@@ -2,6 +2,7 @@ package distwork
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -14,25 +15,22 @@ import (
 )
 
 // The journal is a JSONL log of task snapshots: every state transition
-// appends the task's full record, so the last line per task id is its
-// authoritative state. Recovery is a replay keeping the last record of
-// each id; compaction rewrites the log with exactly one line per task.
+// appends the task's full record (its JSON form), so the last line per
+// task id is its authoritative state. Recovery is a replay keeping the
+// last record of each id; compaction rewrites the log with exactly one
+// line per task.
 //
 // Full-record snapshots (rather than deltas) keep recovery trivial and
 // make the journal greppable operational evidence: `grep t000017
-// journal.jsonl` is the task's complete history.
+// journal.jsonl*` is the task's complete history.
 //
-// # Sharded layout
+// # Layout
 //
-// With Options.Shards == 0 the journal is a single file at path — the
-// legacy format, byte-identical to what earlier releases wrote, which
-// is what keeps pre-existing daemon journals replaying unchanged.
-//
-// With Options.Shards == N >= 1 the journal is N files: shard 0 at
-// path, shard k at path.s00k. Records are assigned to shards by an FNV
-// hash of the task id, so one id's history lives entirely in one file
-// and per-file "last record wins" replay stays correct. Every sharded
-// file begins with a header line
+// The journal is Options.Shards files (0 means 1): shard 0 at path,
+// shard k at path.s00k. Records are assigned to shards by an FNV hash of
+// the task id, so one id's history lives entirely in one file and
+// per-file "last record wins" replay stays correct. Every file begins
+// with a header line
 //
 //	{"journal_shards":N,"shard":K,"meta":"..."}
 //
@@ -40,48 +38,24 @@ import (
 // own index (consistency check), and an optional caller fingerprint of
 // the work set (Options.Meta — the sweep grid refuses to resume a
 // journal whose meta names a different grid). The header cannot be
-// confused with a record: no codec emits a "journal_shards" field.
+// confused with a record: no task carries a "journal_shards" field. A
+// file that does not start with one is not a journal and is refused.
 //
 // Reopening with a different shard count is allowed — replay reads the
 // layout the files declare, and the compaction rewrite re-hashes every
-// record into the newly requested layout (including migrating a legacy
-// single-file journal into shards, or collapsing shards back into one
-// file).
+// record into the newly requested layout.
 //
 // # Group commit
 //
 // With Options.GroupCommit == 0 every append is written, flushed, and
-// fsynced before the transition returns — the legacy behavior, durable
-// against OS crashes at one fsync per settlement. With a window > 0,
-// appends are written and flushed to the OS immediately (so a killed
-// process still loses nothing) but fsync is batched: a background
-// syncer flushes dirty shards every window, amortizing one fsync over
-// every settlement that landed inside it. The crash window is the
-// group-commit interval against power loss only; torn-tail tolerance
-// covers a crash mid-append either way.
-
-// A Codec encodes and decodes one journal record. The default JSONCodec
-// marshals Task[P] directly; a consumer with a pre-existing journal
-// format (internal/jobqueue) supplies its own so old files keep
-// replaying and new lines keep the old shape.
-type Codec[P any] interface {
-	Encode(t *Task[P]) ([]byte, error)
-	Decode(data []byte) (Task[P], error)
-}
-
-// JSONCodec is the default Codec: the Task's JSON form, one object per
-// line.
-type JSONCodec[P any] struct{}
-
-// Encode marshals the task as JSON.
-func (JSONCodec[P]) Encode(t *Task[P]) ([]byte, error) { return json.Marshal(t) }
-
-// Decode unmarshals one JSON record.
-func (JSONCodec[P]) Decode(data []byte) (Task[P], error) {
-	var t Task[P]
-	err := json.Unmarshal(data, &t)
-	return t, err
-}
+// fsynced before the transition returns — durable against OS crashes at
+// one fsync per transition. With a window > 0, appends are written and
+// flushed to the OS immediately (so a killed process still loses
+// nothing) but fsync is batched: a background syncer flushes dirty
+// shards every window, amortizing one fsync over every settlement that
+// landed inside it. The crash window is the group-commit interval
+// against power loss only; torn-tail tolerance covers a crash mid-append
+// either way.
 
 // RecLoc addresses one record inside the journal: shard index, byte
 // offset of the record's first byte, and record length (excluding the
@@ -94,8 +68,8 @@ type RecLoc struct {
 	Len   int
 }
 
-// shardHeader is the first line of every sharded journal file. Shards
-// >= 1 distinguishes it from task records, which never carry the field.
+// shardHeader is the first line of every journal file. Shards >= 1
+// distinguishes it from task records, which never carry the field.
 type shardHeader struct {
 	Shards int    `json:"journal_shards"`
 	Shard  int    `json:"shard"`
@@ -104,16 +78,14 @@ type shardHeader struct {
 
 // journalConfig is the layout a journal is (re)written with.
 type journalConfig struct {
-	path    string
-	sharded bool // header + hash-sharded files; false = legacy single file
-	nsh     int  // number of shard files (1 when legacy)
-	meta    string
-	group   time.Duration // group-commit window; 0 = fsync per append
+	path  string
+	nsh   int // number of shard files, >= 1
+	meta  string
+	group time.Duration // group-commit window; 0 = fsync per append
 }
 
 // shardPath names shard k of a journal rooted at path. Shard 0 is path
-// itself, so the legacy single-file layout and a 1-shard layout share
-// the operator-visible name and `grep` habits keep working.
+// itself, so a one-shard journal is the single file the caller named.
 func shardPath(path string, k int) string {
 	if k == 0 {
 		return path
@@ -158,16 +130,14 @@ type journal struct {
 
 // journalLayout is what detectLayout found on disk.
 type journalLayout struct {
-	exists  bool
-	sharded bool
-	nsh     int
-	meta    string
+	nsh  int // 0 = no journal on disk
+	meta string
 }
 
-// detectLayout inspects the journal rooted at path: absent (fresh),
-// legacy single file, or sharded (the shard-0 header declares the
-// layout). The on-disk layout — not the caller's requested one — drives
-// replay; compaction then rewrites into the requested layout.
+// detectLayout inspects the journal rooted at path: absent (fresh) or
+// laid out as its shard-0 header declares. The on-disk layout — not the
+// caller's requested one — drives replay; compaction then rewrites into
+// the requested layout.
 func detectLayout(path string) (journalLayout, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -177,18 +147,22 @@ func detectLayout(path string) (journalLayout, error) {
 		return journalLayout{}, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 4096)
-	first, err := r.ReadString('\n')
-	if err != nil && first == "" {
-		return journalLayout{exists: true, nsh: 1}, nil // empty legacy file
+	first, _ := bufio.NewReaderSize(f, 4096).ReadString('\n')
+	h, ok := parseShardHeader(first)
+	if !ok {
+		return journalLayout{}, errNoHeader(path)
 	}
-	if h, ok := parseShardHeader(first); ok {
-		if h.Shard != 0 {
-			return journalLayout{}, fmt.Errorf("distwork: journal %s header claims shard %d, want 0", path, h.Shard)
-		}
-		return journalLayout{exists: true, sharded: true, nsh: h.Shards, meta: h.Meta}, nil
+	if h.Shard != 0 {
+		return journalLayout{}, fmt.Errorf("distwork: journal %s header claims shard %d, want 0", path, h.Shard)
 	}
-	return journalLayout{exists: true, nsh: 1}, nil
+	return journalLayout{nsh: h.Shards, meta: h.Meta}, nil
+}
+
+// errNoHeader refuses a file that is not a journal shard — notably a
+// headerless single-file journal from before the sharded layout, which
+// must not be replayed as empty or half-read.
+func errNoHeader(fp string) error {
+	return fmt.Errorf("distwork: journal %s: first line is not a shard header; refusing to replay it", fp)
 }
 
 func parseShardHeader(line string) (shardHeader, bool) {
@@ -206,13 +180,8 @@ func parseShardHeader(line string) (shardHeader, bool) {
 // replayLayout streams every record of the on-disk journal through fn
 // in file order (shard by shard), with each record's location. The last
 // call per task id carries its authoritative state, because a given id
-// hashes to exactly one shard. A torn final line per file (crash
-// mid-append) is tolerated; anything else is corruption worth
-// surfacing.
-func replayLayout[P any](path string, lay journalLayout, codec Codec[P], fn func(t Task[P], loc RecLoc) error) error {
-	if !lay.exists {
-		return nil
-	}
+// hashes to exactly one shard.
+func replayLayout[P any](path string, lay journalLayout, fn func(t Task[P], loc RecLoc) error) error {
 	for k := 0; k < lay.nsh; k++ {
 		fp := shardPath(path, k)
 		f, err := os.Open(fp)
@@ -222,7 +191,7 @@ func replayLayout[P any](path string, lay journalLayout, codec Codec[P], fn func
 			}
 			return err
 		}
-		err = replayShardFile(f, fp, k, lay, codec, fn)
+		err = replayShardFile(f, fp, k, lay, fn)
 		f.Close()
 		if err != nil {
 			return err
@@ -231,24 +200,33 @@ func replayLayout[P any](path string, lay journalLayout, codec Codec[P], fn func
 	return nil
 }
 
-func replayShardFile[P any](f *os.File, fp string, k int, lay journalLayout, codec Codec[P], fn func(t Task[P], loc RecLoc) error) error {
+// replayShardFile streams one shard. Records are decoded strictly: a
+// line that is whole JSON but not a Task this store wrote — an unknown
+// field, a mistyped one, as in a journal kept by a build that recorded a
+// different shape under the same header — refuses the journal, because
+// dropping the foreign fields would replay its tasks half-read and the
+// compaction would then erase them for good. A line that is not JSON at
+// all is tolerated only as the last line the scanner yields — the torn
+// tail of a crash mid-append; followed by anything, it is corruption
+// worth surfacing.
+func replayShardFile[P any](f *os.File, fp string, k int, lay journalLayout, fn func(t Task[P], loc RecLoc) error) error {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // payloads can be large
 	line := 0
 	var off int64
+	var torn error
 	for sc.Scan() {
+		if torn != nil {
+			return torn
+		}
 		line++
 		raw := sc.Bytes()
-		recOff, recLen := off, len(raw)
-		off += int64(recLen) + 1
-		text := strings.TrimSpace(string(raw))
-		if text == "" {
-			continue
-		}
-		if line == 1 && lay.sharded {
-			h, ok := parseShardHeader(text)
+		loc := RecLoc{Shard: k, Off: off, Len: len(raw)}
+		off += int64(len(raw)) + 1
+		if line == 1 {
+			h, ok := parseShardHeader(string(raw))
 			if !ok {
-				return fmt.Errorf("distwork: journal shard %s: missing shard header", fp)
+				return errNoHeader(fp)
 			}
 			if h.Shards != lay.nsh || h.Shard != k {
 				return fmt.Errorf("distwork: journal shard %s header (%d of %d) does not match layout (%d of %d)",
@@ -256,19 +234,25 @@ func replayShardFile[P any](f *os.File, fp string, k int, lay journalLayout, cod
 			}
 			continue
 		}
-		t, err := codec.Decode([]byte(text))
-		if err != nil {
-			// A torn final line (crash mid-append) is expected; anything
-			// else is corruption worth surfacing.
-			if line == countLines(fp) {
-				break
+		text := bytes.TrimSpace(raw)
+		if len(text) == 0 {
+			continue
+		}
+		var t Task[P]
+		dec := json.NewDecoder(bytes.NewReader(text))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&t); err != nil {
+			err = fmt.Errorf("distwork: journal %s line %d: %w", fp, line, err)
+			if json.Valid(text) {
+				return fmt.Errorf("%w: not a task record of this store; refusing to replay it", err)
 			}
-			return fmt.Errorf("distwork: journal %s line %d: %w", fp, line, err)
+			torn = err
+			continue
 		}
 		if t.ID == "" || !t.State.Valid() {
 			return fmt.Errorf("distwork: journal %s line %d: invalid record", fp, line)
 		}
-		if err := fn(t, RecLoc{Shard: k, Off: recOff, Len: recLen}); err != nil {
+		if err := fn(t, loc); err != nil {
 			return err
 		}
 	}
@@ -276,51 +260,6 @@ func replayShardFile[P any](f *os.File, fp string, k int, lay journalLayout, cod
 		return fmt.Errorf("distwork: reading journal %s: %w", fp, err)
 	}
 	return nil
-}
-
-// replayJournal reconstructs the resident task set from the journal at
-// path (missing file = empty store): the last record per id wins, tasks
-// that were active when the writing process died are requeued as
-// pending, and the highest id sequence number is returned so new ids
-// never collide.
-func replayJournal[P any](path string, lay journalLayout, codec Codec[P], idPrefix string) (map[string]*Task[P], uint64, error) {
-	tasks := make(map[string]*Task[P])
-	var maxSeq uint64
-	err := replayLayout(path, lay, codec, func(t Task[P], _ RecLoc) error {
-		cp := t
-		tasks[t.ID] = &cp
-		if seq, ok := parseSeq(t.ID, idPrefix); ok && seq > maxSeq {
-			maxSeq = seq
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	// Requeue tasks the dead process still owned.
-	for _, t := range tasks {
-		if t.State.Active() {
-			t.State = StatePending
-			t.Worker = ""
-			t.Lease = time.Time{}
-			t.Note = "recovered after restart; requeued"
-		}
-	}
-	return tasks, maxSeq, nil
-}
-
-// countLines counts newline-terminated plus trailing partial lines; used
-// only to distinguish a torn final record from mid-file corruption.
-func countLines(path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return -1
-	}
-	n := strings.Count(string(data), "\n")
-	if len(data) > 0 && !strings.HasSuffix(string(data), "\n") {
-		n++
-	}
-	return n
 }
 
 func parseSeq(id, prefix string) (uint64, bool) {
@@ -337,8 +276,8 @@ func parseSeq(id, prefix string) (uint64, bool) {
 // compactor writes a fresh journal layout record by record. Every shard
 // is written to a temp file and renamed into place on finish, so a
 // crash during compaction never loses the previous journal. add returns
-// each record's final location, which is how the streaming open hands
-// result offsets to Options.OnSettled without holding results resident.
+// each record's final location, which is how Open hands result offsets
+// to Options.OnSettled without holding results resident.
 type compactor struct {
 	cfg   journalConfig
 	files []*os.File
@@ -357,18 +296,16 @@ func newCompactor(cfg journalConfig) (*compactor, error) {
 		c.files = append(c.files, f)
 		c.ws = append(c.ws, bufio.NewWriter(f))
 		c.sizes = append(c.sizes, 0)
-		if cfg.sharded {
-			hdr, err := json.Marshal(shardHeader{Shards: cfg.nsh, Shard: k, Meta: cfg.meta})
-			if err != nil {
-				c.abort()
-				return nil, err
-			}
-			if err := writeRecord(c.ws[k], hdr); err != nil {
-				c.abort()
-				return nil, err
-			}
-			c.sizes[k] = int64(len(hdr)) + 1
+		hdr, err := json.Marshal(shardHeader{Shards: cfg.nsh, Shard: k, Meta: cfg.meta})
+		if err != nil {
+			c.abort()
+			return nil, err
 		}
+		if err := writeRecord(c.ws[k], hdr); err != nil {
+			c.abort()
+			return nil, err
+		}
+		c.sizes[k] = int64(len(hdr)) + 1
 	}
 	return c, nil
 }
@@ -418,9 +355,6 @@ func (c *compactor) finish() (*journal, error) {
 	// A narrower layout than before leaves higher-numbered shard files
 	// orphaned; shard names are contiguous, so remove until the first gap.
 	for k := c.cfg.nsh; ; k++ {
-		if k == 0 {
-			k = 1
-		}
 		if err := os.Remove(shardPath(c.cfg.path, k)); err != nil {
 			break
 		}
@@ -437,23 +371,6 @@ func (c *compactor) finish() (*journal, error) {
 		jr.shards = append(jr.shards, &jshard{f: f, w: bufio.NewWriter(f), size: c.sizes[k]})
 	}
 	return jr, nil
-}
-
-// newJournal creates (or compacts) the journal rooted at cfg.path,
-// writing one snapshot line per existing task, and returns it ready for
-// appends.
-func newJournal(cfg journalConfig, ids []string, records [][]byte) (*journal, error) {
-	c, err := newCompactor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i, rec := range records {
-		if _, err := c.add(ids[i], rec); err != nil {
-			c.abort()
-			return nil, err
-		}
-	}
-	return c.finish()
 }
 
 func writeRecord(w *bufio.Writer, rec []byte) error {

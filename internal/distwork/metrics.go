@@ -15,10 +15,10 @@ import (
 // time, so creating a series while holding s.mu would invert the lock
 // order against a concurrent scrape.
 //
-// Series names are parameterized by Options.MetricPrefix and
-// Options.Noun so each specialization keeps its own families: the
-// jobqueue store exports elastisimd_jobs / elastisimd_job_claims_total /
-// ..., the sweep grid sweep_cells / sweep_cell_claims_total / ...
+// Series names carry Options.MetricPrefix, so each consumer keeps its
+// own families: the daemon exports elastisimd_tasks /
+// elastisimd_task_claims_total / ..., the sweep grid sweep_tasks /
+// sweep_task_claims_total / ...
 type storeMetrics struct {
 	flight         *obs.FlightRecorder
 	submitted      *obs.Counter
@@ -42,42 +42,42 @@ func newStoreMetrics[P any](s *Store[P], o Options[P]) storeMetrics {
 	if reg == nil {
 		return m
 	}
-	p, n := o.MetricPrefix, o.Noun
-	reg.Help(fmt.Sprintf("%s_%ss", p, n), fmt.Sprintf("%ss currently in each lifecycle state", n))
-	reg.Help(fmt.Sprintf("%s_%ss_finished_total", p, n), fmt.Sprintf("%ss that reached a terminal state", n))
-	reg.Help(fmt.Sprintf("%s_lease_expirations_total", p), "claims lost to a lapsed lease and requeued")
-	reg.Help(fmt.Sprintf("%s_%s_steals_total", p, n), fmt.Sprintf("%ss re-claimed after a previous worker lost or released them", n))
-	reg.Help(fmt.Sprintf("%s_journal_fsync_seconds", p), "latency of one journaled transition (write+flush+fsync) or one group commit")
-	reg.Help(fmt.Sprintf("%s_journal_compactions_total", p), "journal compactions (rewrite to one record per task on open)")
-	reg.Help(fmt.Sprintf("%s_journal_errors_total", p), "journal write failures; after the first the journal stops appending")
-	reg.Help(fmt.Sprintf("%s_journal_shard_count", p), "hash-sharded journal files in the active layout (0 = no journal)")
-	reg.Help(fmt.Sprintf("%s_journal_shard_appends_total", p), "journal records appended across all shards")
-	reg.Help(fmt.Sprintf("%s_journal_group_commits_total", p), "batched journal fsync rounds (group-commit mode)")
-	reg.Help(fmt.Sprintf("%s_%s_batch_claims_total", p, n), "claim-batch operations that handed out at least one "+n)
+	name := func(suffix string) string { return o.MetricPrefix + suffix }
+	reg.Help(name("_tasks"), "tasks currently in each lifecycle state")
+	reg.Help(name("_tasks_finished_total"), "tasks that reached a terminal state")
+	reg.Help(name("_lease_expirations_total"), "claims lost to a lapsed lease and requeued")
+	reg.Help(name("_task_steals_total"), "tasks re-claimed after a previous worker lost or released them")
+	reg.Help(name("_journal_fsync_seconds"), "latency of one journaled transition (write+flush+fsync) or one group commit")
+	reg.Help(name("_journal_compactions_total"), "journal compactions (rewrite to one record per task on open)")
+	reg.Help(name("_journal_errors_total"), "journal write failures; after the first the journal stops appending")
+	reg.Help(name("_journal_shard_count"), "hash-sharded journal files in the active layout (0 = no journal)")
+	reg.Help(name("_journal_shard_appends_total"), "journal records appended across all shards")
+	reg.Help(name("_journal_group_commits_total"), "batched journal fsync rounds (group-commit mode)")
+	reg.Help(name("_task_batch_claims_total"), "claim-batch operations that handed out at least one task")
 	for _, st := range States {
 		st := st
-		reg.Gauge(fmt.Sprintf("%s_%ss{state=%q}", p, n, st), func() float64 {
+		reg.Gauge(fmt.Sprintf("%s{state=%q}", name("_tasks"), st), func() float64 {
 			return float64(s.countState(st))
 		})
 	}
-	reg.Gauge(fmt.Sprintf("%s_journal_shard_count", p), func() float64 {
+	reg.Gauge(name("_journal_shard_count"), func() float64 {
 		return float64(s.countJournalShards())
 	})
-	m.submitted = reg.Counter(fmt.Sprintf("%s_%ss_submitted_total", p, n))
-	m.claims = reg.Counter(fmt.Sprintf("%s_%s_claims_total", p, n))
-	m.batchClaims = reg.Counter(fmt.Sprintf("%s_%s_batch_claims_total", p, n))
-	m.steals = reg.Counter(fmt.Sprintf("%s_%s_steals_total", p, n))
-	m.expirations = reg.Counter(fmt.Sprintf("%s_lease_expirations_total", p))
-	m.heartbeats = reg.Counter(fmt.Sprintf("%s_heartbeats_total", p))
-	m.releases = reg.Counter(fmt.Sprintf("%s_%s_releases_total", p, n))
+	m.submitted = reg.Counter(name("_tasks_submitted_total"))
+	m.claims = reg.Counter(name("_task_claims_total"))
+	m.batchClaims = reg.Counter(name("_task_batch_claims_total"))
+	m.steals = reg.Counter(name("_task_steals_total"))
+	m.expirations = reg.Counter(name("_lease_expirations_total"))
+	m.heartbeats = reg.Counter(name("_heartbeats_total"))
+	m.releases = reg.Counter(name("_task_releases_total"))
 	m.finished = make(map[State]*obs.Counter)
 	for _, st := range []State{StateDone, StateFailed, StateCancelled} {
-		m.finished[st] = reg.Counter(fmt.Sprintf("%s_%ss_finished_total{state=%q}", p, n, st))
+		m.finished[st] = reg.Counter(fmt.Sprintf("%s{state=%q}", name("_tasks_finished_total"), st))
 	}
-	m.fsync = reg.Histogram(fmt.Sprintf("%s_journal_fsync_seconds", p), obs.DefLatencyBuckets)
-	m.compactions = reg.Counter(fmt.Sprintf("%s_journal_compactions_total", p))
-	m.journalErrors = reg.Counter(fmt.Sprintf("%s_journal_errors_total", p))
-	m.journalAppends = reg.Counter(fmt.Sprintf("%s_journal_shard_appends_total", p))
-	m.groupCommits = reg.Counter(fmt.Sprintf("%s_journal_group_commits_total", p))
+	m.fsync = reg.Histogram(name("_journal_fsync_seconds"), obs.DefLatencyBuckets)
+	m.compactions = reg.Counter(name("_journal_compactions_total"))
+	m.journalErrors = reg.Counter(name("_journal_errors_total"))
+	m.journalAppends = reg.Counter(name("_journal_shard_appends_total"))
+	m.groupCommits = reg.Counter(name("_journal_group_commits_total"))
 	return m
 }

@@ -74,62 +74,49 @@ func TestShardedJournalRecovery(t *testing.T) {
 	}
 }
 
-// TestJournalReshardOnReopen pins that the compaction rewrite migrates
-// between layouts: legacy → sharded, wider → narrower (removing the
-// orphaned files), and back to legacy.
+// TestJournalReshardOnReopen pins that the one compaction rewrite
+// re-shards on a changed count: 2 -> 4 -> 1, narrowing removes the
+// orphaned files, and task states and claim order survive every step.
 func TestJournalReshardOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
-	s, err := Open(path, Options[int]{}) // legacy single file
+	s, err := Open(path, Options[int]{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
 		s.Submit(i)
 	}
+	c, _ := s.TryClaim("w1")
+	if err := s.Finish(c.ID, "w1", "r0", nil); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
 
-	s2, err := Open(path, Options[int]{Shards: 4})
-	if err != nil {
-		t.Fatalf("legacy -> sharded: %v", err)
-	}
-	if got := len(s2.List()); got != 10 {
-		t.Fatalf("after resharding to 4: %d tasks, want 10", got)
-	}
-	s2.Close()
-	if _, err := os.Stat(shardPath(path, 3)); err != nil {
-		t.Fatalf("shard 3 missing after reshard: %v", err)
-	}
-
-	s3, err := Open(path, Options[int]{Shards: 2})
-	if err != nil {
-		t.Fatalf("4 -> 2 shards: %v", err)
-	}
-	if got := len(s3.List()); got != 10 {
-		t.Fatalf("after narrowing to 2: %d tasks, want 10", got)
-	}
-	s3.Close()
-	if _, err := os.Stat(shardPath(path, 2)); !os.IsNotExist(err) {
-		t.Fatalf("stale shard 2 not removed: %v", err)
+	for _, shards := range []int{4, 1} {
+		s, err := Open(path, Options[int]{Shards: shards})
+		if err != nil {
+			t.Fatalf("reshard to %d: %v", shards, err)
+		}
+		tasks := s.List()
+		if len(tasks) != 10 || tasks[0].Result != "r0" || tasks[1].State != StatePending {
+			t.Fatalf("after resharding to %d: %d tasks, first two %+v", shards, len(tasks), tasks[:2])
+		}
+		if shards == 1 {
+			if next, ok := s.TryClaim("w2"); !ok || next.ID != "t000002" {
+				t.Fatalf("claim order after resharding: %+v ok=%v", next, ok)
+			}
+		}
+		s.Close()
+		if _, err := os.Stat(shardPath(path, shards-1)); err != nil {
+			t.Fatalf("shard %d missing after reshard to %d: %v", shards-1, shards, err)
+		}
+		if _, err := os.Stat(shardPath(path, shards)); !os.IsNotExist(err) {
+			t.Fatalf("stale shard %d not removed after reshard to %d: %v", shards, shards, err)
+		}
 	}
 	if _, err := os.Stat(shardPath(path, 3)); !os.IsNotExist(err) {
 		t.Fatalf("stale shard 3 not removed: %v", err)
-	}
-
-	s4, err := Open(path, Options[int]{}) // back to legacy
-	if err != nil {
-		t.Fatalf("sharded -> legacy: %v", err)
-	}
-	defer s4.Close()
-	if got := len(s4.List()); got != 10 {
-		t.Fatalf("after collapsing to legacy: %d tasks, want 10", got)
-	}
-	if _, err := os.Stat(shardPath(path, 1)); !os.IsNotExist(err) {
-		t.Fatalf("stale shard 1 not removed: %v", err)
-	}
-	data, _ := os.ReadFile(path)
-	if strings.Contains(string(data), "journal_shards") {
-		t.Fatal("legacy journal must carry no shard header")
 	}
 }
 
@@ -259,19 +246,20 @@ func TestJournalMetaRefusal(t *testing.T) {
 	}
 	s.Submit(1)
 	s.Close()
-	if _, err := Open(path, Options[int]{Shards: 1, Meta: "grid-b"}); err == nil ||
-		!strings.Contains(err.Error(), "different work set") {
-		t.Fatalf("want different-work-set refusal, got %v", err)
+	if _, err := Open(path, Options[int]{Shards: 1, Meta: "grid-b"}); !errors.Is(err, ErrMetaMismatch) ||
+		!strings.Contains(err.Error(), path) {
+		t.Fatalf("want ErrMetaMismatch naming the journal, got %v", err)
 	}
-	// Same meta resumes; the fingerprint survives an open with no meta.
+	// The fingerprint survives an open with no meta: afterwards the same
+	// meta still resumes and a different one is still refused.
 	s2, err := Open(path, Options[int]{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.PrevJournalMeta(); got != "grid-a" {
-		t.Fatalf("prev meta: %q", got)
-	}
 	s2.Close()
+	if _, err := Open(path, Options[int]{Shards: 1, Meta: "grid-b"}); !errors.Is(err, ErrMetaMismatch) {
+		t.Fatalf("meta not carried forward: got %v", err)
+	}
 	s3, err := Open(path, Options[int]{Shards: 1, Meta: "grid-a"})
 	if err != nil {
 		t.Fatalf("meta carried forward: %v", err)
@@ -515,4 +503,167 @@ func TestEmptySourceSettles(t *testing.T) {
 	if err := s.WaitSettled(ctx); err != nil {
 		t.Fatalf("empty source must settle: %v", err)
 	}
+}
+
+// TestUnifiedReplay pins that the one replay path rebuilds the same
+// store whether terminal tasks stay resident or are evicted: the same
+// crashed journal reopened with Evict off and on yields the same task
+// states and results, claim order, and Counts(); only where a terminal
+// task is read from differs (memory vs ReadRecord).
+func TestUnifiedReplay(t *testing.T) {
+	crashed := filepath.Join(t.TempDir(), "journal.jsonl")
+	s, err := Open(crashed, Options[int]{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 8; i++ {
+		s.Submit(i)
+	}
+	claimed := s.TryClaimBatch("w1", 5)
+	s.Finish(claimed[0].ID, "w1", "r1", nil)
+	s.Finish(claimed[1].ID, "w1", "", errors.New("boom"))
+	s.MarkRunning(claimed[2].ID, "w1")
+	s.Release(claimed[4].ID, "w1", "put back")
+	s.Cancel("t000008")
+	// Crash: no Close.
+
+	type outcome struct {
+		state  State
+		result string
+	}
+	want := map[string]outcome{
+		"t000001": {StateDone, "r1"}, "t000002": {StateFailed, ""},
+		"t000003": {StatePending, ""}, "t000004": {StatePending, ""},
+		"t000005": {StatePending, ""}, "t000006": {StatePending, ""},
+		"t000007": {StatePending, ""}, "t000008": {StateCancelled, ""},
+	}
+	wantClaims := []string{"t000003", "t000004", "t000005", "t000006", "t000007"}
+	for _, tc := range []struct {
+		name         string
+		evict        bool
+		wantResident int
+	}{
+		{"resident", false, 8},
+		{"evicting", true, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.jsonl")
+			for k := 0; k < 2; k++ {
+				data, err := os.ReadFile(shardPath(crashed, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(shardPath(path, k), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			settled := map[uint64]RecLoc{}
+			s, err := Open(path, Options[int]{
+				Shards: 2, Evict: tc.evict,
+				OnSettled: func(seq uint64, _ State, loc RecLoc) { settled[seq] = loc },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if got := len(s.List()); got != tc.wantResident {
+				t.Fatalf("resident tasks: %d, want %d", got, tc.wantResident)
+			}
+			counts := s.Counts()
+			if counts[StateDone] != 1 || counts[StateFailed] != 1 || counts[StateCancelled] != 1 || counts[StatePending] != 5 {
+				t.Fatalf("counts: %+v", counts)
+			}
+			for seq := uint64(1); seq <= 8; seq++ {
+				id := fmt.Sprintf("t%06d", seq)
+				task, ok := s.Get(id)
+				if !ok {
+					if task, err = s.ReadRecord(settled[seq]); err != nil {
+						t.Fatalf("%s neither resident nor settled: %v", id, err)
+					}
+				}
+				if got := (outcome{task.State, task.Result}); task.ID != id || got != want[id] {
+					t.Fatalf("%s: got %s %+v, want %+v", id, task.ID, got, want[id])
+				}
+			}
+			for i, wantID := range wantClaims {
+				if c, ok := s.TryClaim("w2"); !ok || c.ID != wantID {
+					t.Fatalf("claim %d: got %s ok=%v, want %s", i, c.ID, ok, wantID)
+				}
+			}
+			if _, ok := s.TryClaim("w2"); ok {
+				t.Fatal("claimed a sixth task")
+			}
+		})
+	}
+	t.Run("sequence hole", replaySequenceHole)
+}
+
+// replaySequenceHole (a TestUnifiedReplay case) pins what replay does
+// with a sequence number that has no record. In a submitted work set the task is unrecoverable:
+// it is dropped — NotFound, later tasks keep their order — and the drop
+// is written to the flight recorder, with terminal tasks resident or
+// evicted alike. In a source-fed set the cursor would never feed the gap
+// again, so the journal is refused.
+func replaySequenceHole(t *testing.T) {
+	holed := func(t *testing.T) string {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		s, err := Open(path, Options[int]{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 3; i++ {
+			s.Submit(i)
+		}
+		s.Close()
+		data, _ := os.ReadFile(path)
+		var kept []string
+		for _, line := range strings.SplitAfter(string(data), "\n") {
+			if !strings.Contains(line, `"t000002"`) {
+				kept = append(kept, line)
+			}
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(kept, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, evict := range []bool{false, true} {
+		t.Run(fmt.Sprintf("submitted/evict=%v", evict), func(t *testing.T) {
+			fr := obs.NewFlightRecorder(0)
+			s, err := Open(holed(t), Options[int]{Evict: evict, Flight: fr, MetricPrefix: "test"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, ok := s.Get("t000002"); ok {
+				t.Fatal("t000002 has no record yet is resident")
+			}
+			var nf *NotFoundError
+			if err := s.Heartbeat("t000002", "w"); !errors.As(err, &nf) {
+				t.Fatalf("t000002: got %v, want NotFoundError", err)
+			}
+			for _, want := range []string{"t000001", "t000003"} {
+				if c, ok := s.TryClaim("w"); !ok || c.ID != want {
+					t.Fatalf("claim: got %s ok=%v, want %s", c.ID, ok, want)
+				}
+			}
+			if next, _ := s.Submit(4); next.ID != "t000004" {
+				t.Fatalf("next id %s, want t000004", next.ID)
+			}
+			var noted bool
+			for _, e := range fr.Snapshot() {
+				noted = noted || strings.Contains(e.Msg, "no record for t000002")
+			}
+			if !noted {
+				t.Fatal("dropped task not written to the flight recorder")
+			}
+		})
+	}
+	t.Run("source-fed", func(t *testing.T) {
+		path := holed(t)
+		_, err := Open(path, Options[int]{Evict: true, Source: func(seq uint64) (int, bool) { return int(seq), seq <= 3 }})
+		if err == nil || !strings.Contains(err.Error(), "sequence 2") {
+			t.Fatalf("want a refusal naming sequence 2, got %v", err)
+		}
+	})
 }

@@ -56,7 +56,7 @@ func NewPool[P any](s *Store[P], n int, run Runner[P]) *Pool[P] {
 	p := &Pool[P]{store: s, run: run, workers: n}
 	if reg := s.opts.Metrics; reg != nil {
 		reg.Help(fmt.Sprintf("%s_workers_busy", s.opts.MetricPrefix),
-			"pool workers currently executing a claimed "+s.opts.Noun)
+			"pool workers currently executing a claimed task")
 		reg.Gauge(fmt.Sprintf("%s_workers", s.opts.MetricPrefix), nil).Set(float64(n))
 		reg.Gauge(fmt.Sprintf("%s_workers_busy", s.opts.MetricPrefix),
 			func() float64 { return float64(p.busy.Load()) })

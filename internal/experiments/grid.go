@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -45,7 +44,7 @@ type GridOptions struct {
 	// new sweep onto an old one.
 	Resume bool
 	// Shards splits the journal into this many hash-sharded files
-	// (0 = single legacy file). See distwork.Options.Shards.
+	// (0 means 1). See distwork.Options.Shards.
 	Shards int
 	// GroupCommit batches journal fsyncs into one flush per window
 	// (0 = fsync every transition). See distwork.Options.GroupCommit.
@@ -128,8 +127,6 @@ func gridStoreOptions(opts GridOptions) distwork.Options[GridCell] {
 		Metrics:      opts.Metrics,
 		Flight:       opts.Flight,
 		MetricPrefix: "sweep",
-		Noun:         "cell",
-		FlightTopic:  "sweepgrid",
 		IDPrefix:     "c",
 	}
 }
@@ -174,9 +171,7 @@ func OpenGrid(path string, cfg SweepConfig, opts GridOptions) (*Grid, error) {
 		g.store = distwork.New(sopts)
 		return g, nil
 	}
-	existed := false
 	if _, err := os.Stat(path); err == nil {
-		existed = true
 		if !opts.Resume {
 			return nil, fmt.Errorf("journal %s already exists; pass resume to continue it", path)
 		}
@@ -185,27 +180,20 @@ func OpenGrid(path string, cfg SweepConfig, opts GridOptions) (*Grid, error) {
 	}
 	g.states = make([]byte, size)
 	g.locs = make([]distwork.RecLoc, size)
-	// Grids always journal in the headered (sharded) layout, even with a
-	// single shard: the header carries the grid fingerprint that makes
-	// resume-mismatch detection exact. Pre-header legacy journals are
-	// still readable and migrate on open.
 	sopts.Shards = opts.Shards
-	if sopts.Shards < 1 {
-		sopts.Shards = 1
-	}
 	sopts.GroupCommit = opts.GroupCommit
 	sopts.Meta = gridMeta(dcfg)
 	sopts.Evict = true
 	sopts.OnSettled = g.noteSettled
 	store, err := distwork.Open(path, sopts)
 	if err != nil {
-		if strings.Contains(err.Error(), "different work set") {
+		if errors.Is(err, distwork.ErrMetaMismatch) {
 			return nil, fmt.Errorf("journal %s: refusing to resume a different sweep (%w)", path, err)
 		}
 		return nil, err
 	}
 	g.store = store
-	if err := g.validateJournal(path, existed); err != nil {
+	if err := g.validateJournal(path); err != nil {
 		store.Close()
 		return nil, err
 	}
@@ -234,34 +222,20 @@ func (g *Grid) noteSettled(seq uint64, st distwork.State, loc distwork.RecLoc) {
 }
 
 // validateJournal refuses to resume a journal that does not describe
-// cfg's grid. New-style journals carry the grid fingerprint in their
-// shard headers and were checked by distwork.Open; this catches replay
-// evidence of a mismatch (sequences outside the grid) and pre-header
-// legacy journals, whose only identity is their cell set.
-func (g *Grid) validateJournal(path string, existed bool) error {
+// cfg's grid. The grid fingerprint in the shard headers was checked by
+// distwork.Open; this catches replay evidence of a mismatch in a journal
+// that carries none: sequences outside the grid, cells that differ.
+func (g *Grid) validateJournal(path string) error {
 	g.mu.Lock()
-	badSeq, settled := g.badSeq, 0
-	for _, c := range g.states {
-		if c != cellUnsettled {
-			settled++
-		}
-	}
+	badSeq := g.badSeq
 	g.mu.Unlock()
 	if badSeq != 0 {
 		return fmt.Errorf("journal %s holds cell sequence %d, grid has %d cells: refusing to resume a different sweep", path, badSeq, g.size)
 	}
-	resident := g.store.List()
-	for _, t := range resident {
+	for _, t := range g.store.List() {
 		i := t.Payload.Index
 		if i < 0 || i >= g.size || t.Payload != cellAt(g.cfg, i) {
 			return fmt.Errorf("journal %s cell %+v does not match the grid: refusing to resume a different sweep", path, t.Payload)
-		}
-	}
-	if existed && g.store.PrevJournalMeta() == "" {
-		// Legacy journal (every cell submitted up front, no fingerprint):
-		// the cell count is the only shape check available.
-		if settled+len(resident) != g.size {
-			return fmt.Errorf("journal %s holds %d cells, grid has %d: refusing to resume a different sweep", path, settled+len(resident), g.size)
 		}
 	}
 	return nil

@@ -19,32 +19,23 @@ import (
 // through the coordinator machinery (no simulations — the cell result
 // is precomputed) and reports wall clock, settlement throughput, and
 // peak live heap as one JSON line. It only runs when SWEEP_BENCH_CELLS
-// is set; run it manually per mode and size:
+// is set; run it manually per size:
 //
-//	SWEEP_BENCH_CELLS=1000000 SWEEP_BENCH_MODE=streamed \
+//	SWEEP_BENCH_CELLS=1000000 \
 //	  go test -run TestCoordinatorScaleCurve -v ./internal/experiments/
 //
-// Modes:
-//
-//	streamed      cursor-fed evicting store, 4 journal shards, 2ms group
-//	              commit, 256-cell batched claim/finish — this PR's path
-//	resident      every cell submitted up front and every result kept
-//	              resident, single journal file, single-cell claims, with
-//	              the same 2ms group commit — isolates the memory effect
-//	resident-sync resident plus an fsync per transition — the PR 9
-//	              configuration, for the throughput baseline
+// The grid runs the way a coordinator serves it: cursor-fed evicting
+// store, 4 journal shards, 2ms group commit, 256-cell batched
+// claim/finish. (BENCH_4.json's resident and resident-sync curves
+// measured store configurations that no longer exist.)
 func TestCoordinatorScaleCurve(t *testing.T) {
 	cellsEnv := os.Getenv("SWEEP_BENCH_CELLS")
 	if cellsEnv == "" {
-		t.Skip("set SWEEP_BENCH_CELLS (and SWEEP_BENCH_MODE) to run the scale-curve harness")
+		t.Skip("set SWEEP_BENCH_CELLS to run the scale-curve harness")
 	}
 	nCells, err := strconv.Atoi(cellsEnv)
 	if err != nil || nCells < 1 {
 		t.Fatalf("SWEEP_BENCH_CELLS: %q", cellsEnv)
-	}
-	mode := os.Getenv("SWEEP_BENCH_MODE")
-	if mode == "" {
-		mode = "streamed"
 	}
 
 	// One algorithm × one share × nCells seeds: grid size == nCells.
@@ -102,88 +93,47 @@ func TestCoordinatorScaleCurve(t *testing.T) {
 	path := filepath.Join(dir, "journal.jsonl")
 	workers := runtime.GOMAXPROCS(0)
 	start := time.Now()
-	switch mode {
-	case "streamed":
-		grid, err := OpenGrid(path, cfg, GridOptions{Shards: 4, GroupCommit: 2 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		store := grid.Store()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				name := fmt.Sprintf("w%d", w)
-				items := make([]distwork.FinishItem, 0, 256)
-				for {
-					batch := store.TryClaimBatch(name, 256)
-					if len(batch) == 0 {
-						return
-					}
-					items = items[:0]
-					for _, task := range batch {
-						items = append(items, distwork.FinishItem{ID: task.ID, Result: result(task.Payload)})
-					}
-					for _, err := range store.FinishBatch(name, items) {
-						if err != nil {
-							t.Error(err)
-							return
-						}
-					}
+	grid, err := OpenGrid(path, cfg, GridOptions{Shards: 4, GroupCommit: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := grid.Store()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			name := fmt.Sprintf("w%d", w)
+			items := make([]distwork.FinishItem, 0, 256)
+			for {
+				batch := store.TryClaimBatch(name, 256)
+				if len(batch) == 0 {
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		if got := grid.Completed(); got != nCells {
-			t.Fatalf("settled %d cells, want %d", got, nCells)
-		}
-		grid.Close()
-	case "resident", "resident-sync":
-		opts := distwork.Options[GridCell]{
-			MetricPrefix: "sweep", Noun: "cell", IDPrefix: "c",
-		}
-		if mode == "resident" {
-			opts.GroupCommit = 2 * time.Millisecond
-		}
-		store, err := distwork.Open(path, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < nCells; i++ {
-			if _, err := store.Submit(cellAt(cfg, i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				name := fmt.Sprintf("w%d", w)
-				for {
-					task, ok := store.TryClaim(name)
-					if !ok {
-						return
-					}
-					if err := store.Finish(task.ID, name, result(task.Payload), nil); err != nil {
+				items = items[:0]
+				for _, task := range batch {
+					items = append(items, distwork.FinishItem{ID: task.ID, Result: result(task.Payload)})
+				}
+				for _, err := range store.FinishBatch(name, items) {
+					if err != nil {
 						t.Error(err)
 						return
 					}
 				}
-			}(w)
-		}
-		wg.Wait()
-		store.Close()
-	default:
-		t.Fatalf("SWEEP_BENCH_MODE: %q", mode)
+			}
+		}(w)
 	}
+	wg.Wait()
+	if got := grid.Completed(); got != nCells {
+		t.Fatalf("settled %d cells, want %d", got, nCells)
+	}
+	grid.Close()
 	wall := time.Since(start)
 	close(stopSample)
 	sampleWG.Wait()
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	fmt.Printf("scalecurve: {\"mode\":%q,\"cells\":%d,\"wall_s\":%.2f,\"cells_per_s\":%.0f,\"peak_heap_mb\":%.1f,\"sys_mb\":%.1f}\n",
-		mode, nCells, wall.Seconds(), float64(nCells)/wall.Seconds(),
+	fmt.Printf("scalecurve: {\"mode\":\"streamed\",\"cells\":%d,\"wall_s\":%.2f,\"cells_per_s\":%.0f,\"peak_heap_mb\":%.1f,\"sys_mb\":%.1f}\n",
+		nCells, wall.Seconds(), float64(nCells)/wall.Seconds(),
 		float64(peak.Load())/(1<<20), float64(mem.Sys)/(1<<20))
 }

@@ -18,6 +18,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -192,7 +193,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	job, err := s.queue.Submit(body)
+	// The job keeps its config resident; store an exact-size copy, not
+	// ReadAll's buffer with its spare capacity.
+	job, err := s.queue.Submit(bytes.Clone(body))
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return

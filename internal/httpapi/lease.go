@@ -20,22 +20,20 @@ import (
 // future distributed consumer of the distwork core gets wire transport
 // for free.
 //
-//	POST /v1/tasks/claim           claim the oldest pending task
-//	POST /v1/tasks/claim-batch     claim up to max pending tasks at once
-//	POST /v1/tasks/heartbeat-batch renew many leases in one request
-//	POST /v1/tasks/finish-batch    settle many tasks in one request
-//	GET  /v1/tasks                 list tasks (operator visibility)
-//	POST /v1/tasks/{id}/heartbeat  renew the claim lease
-//	POST /v1/tasks/{id}/finish     settle the task (done or failed)
+//	POST /v1/tasks/claim-batch     claim up to max pending tasks
+//	POST /v1/tasks/heartbeat-batch renew the leases of ids
+//	POST /v1/tasks/finish-batch    settle items (each done or failed)
 //	POST /v1/tasks/{id}/release    return the task to pending
+//	GET  /v1/tasks                 list tasks (operator visibility)
 //
-// Ownership failures map to status codes: 404 for an unknown task, 409
-// for a stale claim (the lease expired and another worker owns the task
-// now — the loser's finish is rejected, exactly-once settlement). The
-// batch endpoints report per-item outcomes with the same status codes:
-// the request itself is 200 as long as it parses, and each item carries
-// its own status — one stolen cell must not fail the other N-1 results
-// travelling in the same request.
+// Claims, heartbeats and settlements travel in batches; a worker that
+// wants one task asks for a batch of one. The batch endpoints report
+// per-item outcomes: the request itself is 200 as long as it parses, and
+// each item carries its own status — 404 for an unknown task, 409 for a
+// stale claim (the lease expired and another worker owns the task now —
+// the loser's finish is rejected, exactly-once settlement) — so one
+// stolen cell does not fail the other N-1 results travelling in the same
+// request. Release answers with that status directly.
 
 // LeaseAPI serves a distwork store's claim/heartbeat/finish lifecycle
 // over HTTP.
@@ -45,115 +43,52 @@ type LeaseAPI[P any] struct {
 
 // Register installs the lease routes on mux.
 func (a *LeaseAPI[P]) Register(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/tasks/claim", a.handleClaim)
 	mux.HandleFunc("POST /v1/tasks/claim-batch", a.handleClaimBatch)
 	mux.HandleFunc("POST /v1/tasks/heartbeat-batch", a.handleHeartbeatBatch)
 	mux.HandleFunc("POST /v1/tasks/finish-batch", a.handleFinishBatch)
-	mux.HandleFunc("GET /v1/tasks", a.handleList)
-	mux.HandleFunc("POST /v1/tasks/{id}/heartbeat", a.handleHeartbeat)
-	mux.HandleFunc("POST /v1/tasks/{id}/finish", a.handleFinish)
 	mux.HandleFunc("POST /v1/tasks/{id}/release", a.handleRelease)
+	mux.HandleFunc("GET /v1/tasks", a.handleList)
 }
 
-// claimRequest names the worker asking for work.
-type claimRequest struct {
-	Worker string `json:"worker"`
+// leaseRequest is the body of every lease POST: the worker's name plus
+// the fields of the route it is sent to.
+type leaseRequest struct {
+	Worker string                `json:"worker"`
+	Max    int                   `json:"max,omitempty"`   // claim-batch
+	IDs    []string              `json:"ids,omitempty"`   // heartbeat-batch
+	Items  []distwork.FinishItem `json:"items,omitempty"` // finish-batch
+	Note   string                `json:"note,omitempty"`  // release
 }
 
-// claimResponse carries the claimed task (null when none was pending),
-// whether the store has settled (every task terminal — the worker's
-// signal to exit), and the lease the worker must heartbeat within.
-type claimResponse[P any] struct {
-	Task         *distwork.Task[P] `json:"task"`
-	Settled      bool              `json:"settled"`
-	LeaseSeconds float64           `json:"lease_seconds"`
-}
-
-type finishRequest struct {
-	Worker string `json:"worker"`
-	Result string `json:"result"`
-	Error  string `json:"error,omitempty"`
-}
-
-type releaseRequest struct {
-	Worker string `json:"worker"`
-	Note   string `json:"note,omitempty"`
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// decodeLeaseRequest reads a lease request, answering 400 itself (and
+// reporting false) when the body does not parse or names no worker.
+func decodeLeaseRequest(w http.ResponseWriter, r *http.Request) (req leaseRequest, ok bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return false
+		return req, false
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "parsing body: %v", err)
-		return false
-	}
-	return true
-}
-
-// writeLeaseError maps distwork's ownership errors onto status codes.
-func writeLeaseError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, distwork.ErrNotFound):
-		writeError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, distwork.ErrNotOwner):
-		writeError(w, http.StatusConflict, "%v", err)
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	}
-}
-
-// handleClaim hands the oldest pending task to the asking worker.
-// Expired leases are collected first (inside TryClaim), so a crashed
-// worker's tasks are stolen here by whichever worker polls next. An
-// empty claim is not an error: the worker backs off and retries until
-// settled says the whole task set is terminal.
-func (a *LeaseAPI[P]) handleClaim(w http.ResponseWriter, r *http.Request) {
-	var req claimRequest
-	if !decodeBody(w, r, &req) {
-		return
+		return req, false
 	}
 	if req.Worker == "" {
 		writeError(w, http.StatusBadRequest, "missing worker name")
-		return
+		return req, false
 	}
-	resp := claimResponse[P]{LeaseSeconds: a.Store.Lease().Seconds()}
-	if t, ok := a.Store.TryClaim(req.Worker); ok {
-		resp.Task = &t
-	} else {
-		resp.Settled = a.Store.Settled()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return req, true
 }
 
-// claimBatchRequest asks for up to Max tasks in one round trip.
-type claimBatchRequest struct {
-	Worker string `json:"worker"`
-	Max    int    `json:"max"`
-}
-
-// claimBatchResponse carries the claimed tasks (possibly empty) plus the
-// same settled/lease fields as a single claim.
+// claimBatchResponse carries the claimed tasks (possibly empty), whether
+// the store has settled (every task terminal — the worker's signal to
+// exit), and the lease the worker must heartbeat within.
 type claimBatchResponse[P any] struct {
 	Tasks        []distwork.Task[P] `json:"tasks"`
 	Settled      bool               `json:"settled"`
 	LeaseSeconds float64            `json:"lease_seconds"`
 }
 
-type heartbeatBatchRequest struct {
-	Worker string   `json:"worker"`
-	IDs    []string `json:"ids"`
-}
-
-type finishBatchRequest struct {
-	Worker string                `json:"worker"`
-	Items  []distwork.FinishItem `json:"items"`
-}
-
-// batchItemStatus is one item's outcome inside a 200 batch response:
-// the HTTP status the single-task endpoint would have returned.
+// batchItemStatus is one item's outcome inside a 200 batch response.
 type batchItemStatus struct {
 	Status int    `json:"status"`
 	Error  string `json:"error,omitempty"`
@@ -163,8 +98,7 @@ type batchResponse struct {
 	Results []batchItemStatus `json:"results"`
 }
 
-// leaseItemStatus maps a per-item distwork error onto the status code
-// the corresponding single-task endpoint would have used.
+// leaseItemStatus maps distwork's ownership errors onto status codes.
 func leaseItemStatus(err error) batchItemStatus {
 	switch {
 	case err == nil:
@@ -178,16 +112,23 @@ func leaseItemStatus(err error) batchItemStatus {
 	}
 }
 
-// handleClaimBatch hands out up to max pending tasks in one request —
-// the amortized form of handleClaim for workers running many short
-// tasks (million-cell sweeps: one round trip per batch, not per cell).
-func (a *LeaseAPI[P]) handleClaimBatch(w http.ResponseWriter, r *http.Request) {
-	var req claimBatchRequest
-	if !decodeBody(w, r, &req) {
-		return
+func writeBatchResponse(w http.ResponseWriter, errs []error) {
+	resp := batchResponse{Results: make([]batchItemStatus, len(errs))}
+	for i, err := range errs {
+		resp.Results[i] = leaseItemStatus(err)
 	}
-	if req.Worker == "" {
-		writeError(w, http.StatusBadRequest, "missing worker name")
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// handleClaimBatch hands the oldest pending tasks, up to max, to the
+// asking worker. Expired leases are collected first (inside
+// TryClaimBatch), so a crashed worker's tasks are stolen here by
+// whichever worker polls next. An empty claim is not an error: the
+// worker backs off and retries until settled says the whole task set is
+// terminal.
+func (a *LeaseAPI[P]) handleClaimBatch(w http.ResponseWriter, r *http.Request) {
+	req, ok := decodeLeaseRequest(w, r)
+	if !ok {
 		return
 	}
 	resp := claimBatchResponse[P]{LeaseSeconds: a.Store.Lease().Seconds()}
@@ -199,77 +140,30 @@ func (a *LeaseAPI[P]) handleClaimBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *LeaseAPI[P]) handleHeartbeatBatch(w http.ResponseWriter, r *http.Request) {
-	var req heartbeatBatchRequest
-	if !decodeBody(w, r, &req) {
-		return
+	if req, ok := decodeLeaseRequest(w, r); ok {
+		writeBatchResponse(w, a.Store.HeartbeatBatch(req.Worker, req.IDs))
 	}
-	errs := a.Store.HeartbeatBatch(req.Worker, req.IDs)
-	resp := batchResponse{Results: make([]batchItemStatus, len(errs))}
-	for i, err := range errs {
-		resp.Results[i] = leaseItemStatus(err)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleFinishBatch settles many tasks in one request with per-item
 // outcomes: a stolen task's 409 rides alongside its batch-mates' 200s.
 func (a *LeaseAPI[P]) handleFinishBatch(w http.ResponseWriter, r *http.Request) {
-	var req finishBatchRequest
-	if !decodeBody(w, r, &req) {
-		return
+	if req, ok := decodeLeaseRequest(w, r); ok {
+		writeBatchResponse(w, a.Store.FinishBatch(req.Worker, req.Items))
 	}
-	errs := a.Store.FinishBatch(req.Worker, req.Items)
-	resp := batchResponse{Results: make([]batchItemStatus, len(errs))}
-	for i, err := range errs {
-		resp.Results[i] = leaseItemStatus(err)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (a *LeaseAPI[P]) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, a.Store.List())
 }
 
-func (a *LeaseAPI[P]) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req claimRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if err := a.Store.Heartbeat(r.PathValue("id"), req.Worker); err != nil {
-		writeLeaseError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleFinish settles a claimed task: done with the worker's encoded
-// result, or failed when the request carries an error message.
-func (a *LeaseAPI[P]) handleFinish(w http.ResponseWriter, r *http.Request) {
-	var req finishRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	id := r.PathValue("id")
-	var err error
-	if req.Error != "" {
-		err = a.Store.Finish(id, req.Worker, req.Result, errors.New(req.Error))
-	} else {
-		err = a.Store.Finish(id, req.Worker, req.Result, nil)
-	}
-	if err != nil {
-		writeLeaseError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 func (a *LeaseAPI[P]) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req releaseRequest
-	if !decodeBody(w, r, &req) {
+	req, ok := decodeLeaseRequest(w, r)
+	if !ok {
 		return
 	}
-	if err := a.Store.Release(r.PathValue("id"), req.Worker, req.Note); err != nil {
-		writeLeaseError(w, err)
+	if st := leaseItemStatus(a.Store.Release(r.PathValue("id"), req.Worker, req.Note)); st.Status != http.StatusOK {
+		writeError(w, st.Status, "%s", st.Error)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -339,23 +233,12 @@ func (e *LeaseStatusError) Error() string {
 	return fmt.Sprintf("lease api: HTTP %d: %s", e.Status, e.Msg)
 }
 
-// Claim asks the coordinator for a task. A nil task with settled=false
-// means nothing is pending right now (back off and retry); settled=true
-// means the whole task set is terminal and the worker can exit.
-func (c *LeaseClient[P]) Claim(ctx context.Context, worker string) (task *distwork.Task[P], settled bool, lease time.Duration, err error) {
-	var resp claimResponse[P]
-	if err := c.post(ctx, "/v1/tasks/claim", claimRequest{Worker: worker}, &resp); err != nil {
-		return nil, false, 0, err
-	}
-	return resp.Task, resp.Settled, time.Duration(resp.LeaseSeconds * float64(time.Second)), nil
-}
-
 // ClaimBatch asks the coordinator for up to max tasks in one round
 // trip. An empty slice with settled=false means nothing is pending
 // right now; settled=true means the task set is terminal.
 func (c *LeaseClient[P]) ClaimBatch(ctx context.Context, worker string, max int) (tasks []distwork.Task[P], settled bool, lease time.Duration, err error) {
 	var resp claimBatchResponse[P]
-	if err := c.post(ctx, "/v1/tasks/claim-batch", claimBatchRequest{Worker: worker, Max: max}, &resp); err != nil {
+	if err := c.post(ctx, "/v1/tasks/claim-batch", leaseRequest{Worker: worker, Max: max}, &resp); err != nil {
 		return nil, false, 0, err
 	}
 	return resp.Tasks, resp.Settled, time.Duration(resp.LeaseSeconds * float64(time.Second)), nil
@@ -384,7 +267,7 @@ func batchItemErrors(resp batchResponse, n int) []error {
 // slot per id (nil = renewed).
 func (c *LeaseClient[P]) HeartbeatBatch(ctx context.Context, worker string, ids []string) ([]error, error) {
 	var resp batchResponse
-	if err := c.post(ctx, "/v1/tasks/heartbeat-batch", heartbeatBatchRequest{Worker: worker, IDs: ids}, &resp); err != nil {
+	if err := c.post(ctx, "/v1/tasks/heartbeat-batch", leaseRequest{Worker: worker, IDs: ids}, &resp); err != nil {
 		return nil, err
 	}
 	return batchItemErrors(resp, len(ids)), nil
@@ -395,24 +278,13 @@ func (c *LeaseClient[P]) HeartbeatBatch(ctx context.Context, worker string, ids 
 // claim's result won).
 func (c *LeaseClient[P]) FinishBatch(ctx context.Context, worker string, items []distwork.FinishItem) ([]error, error) {
 	var resp batchResponse
-	if err := c.post(ctx, "/v1/tasks/finish-batch", finishBatchRequest{Worker: worker, Items: items}, &resp); err != nil {
+	if err := c.post(ctx, "/v1/tasks/finish-batch", leaseRequest{Worker: worker, Items: items}, &resp); err != nil {
 		return nil, err
 	}
 	return batchItemErrors(resp, len(items)), nil
 }
 
-// Heartbeat renews the worker's lease on the task.
-func (c *LeaseClient[P]) Heartbeat(ctx context.Context, id, worker string) error {
-	return c.post(ctx, "/v1/tasks/"+id+"/heartbeat", claimRequest{Worker: worker}, nil)
-}
-
-// Finish settles the task: done with result, or failed when taskErr is
-// non-empty.
-func (c *LeaseClient[P]) Finish(ctx context.Context, id, worker, result, taskErr string) error {
-	return c.post(ctx, "/v1/tasks/"+id+"/finish", finishRequest{Worker: worker, Result: result, Error: taskErr}, nil)
-}
-
 // Release returns the task to pending with a note.
 func (c *LeaseClient[P]) Release(ctx context.Context, id, worker, note string) error {
-	return c.post(ctx, "/v1/tasks/"+id+"/release", releaseRequest{Worker: worker, Note: note}, nil)
+	return c.post(ctx, "/v1/tasks/"+id+"/release", leaseRequest{Worker: worker, Note: note}, nil)
 }

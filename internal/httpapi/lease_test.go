@@ -28,19 +28,42 @@ func newLeaseFixture(t *testing.T, lease time.Duration) (*distwork.Store[leasePa
 	return store, &LeaseClient[leasePayload]{Base: srv.URL, HTTP: srv.Client()}
 }
 
+// claimOne claims a batch of one — the protocol's single claim.
+func claimOne(t *testing.T, client *LeaseClient[leasePayload], worker string) (task *distwork.Task[leasePayload], settled bool, lease time.Duration) {
+	t.Helper()
+	tasks, settled, lease, err := client.ClaimBatch(context.Background(), worker, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) > 1 {
+		t.Fatalf("claimed %d tasks, asked for 1", len(tasks))
+	}
+	if len(tasks) == 1 {
+		task = &tasks[0]
+	}
+	return task, settled, lease
+}
+
+// finishOne settles one task through finish-batch, flattening the
+// request and item errors.
+func finishOne(client *LeaseClient[leasePayload], worker string, item distwork.FinishItem) error {
+	errs, err := client.FinishBatch(context.Background(), worker, []distwork.FinishItem{item})
+	if err != nil {
+		return err
+	}
+	return errs[0]
+}
+
 // TestLeaseRoundTrip drives a full claim/heartbeat/finish cycle over
-// HTTP and pins the wire-level settlement signal.
+// HTTP in batches of one and pins the wire-level settlement signal.
 func TestLeaseRoundTrip(t *testing.T) {
 	store, client := newLeaseFixture(t, time.Minute)
 	ctx := context.Background()
 
-	// Empty store: no task, not settled... an empty store is settled by
-	// definition (nothing outstanding), which is also the worker's exit
-	// signal when it arrives after the grid completed.
-	task, settled, lease, err := client.Claim(ctx, "w1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// An empty store is settled by definition (nothing outstanding), which
+	// is also the worker's exit signal when it arrives after the grid
+	// completed.
+	task, settled, lease := claimOne(t, client, "w1")
 	if task != nil || !settled {
 		t.Fatalf("empty store claim: task=%v settled=%v", task, settled)
 	}
@@ -55,20 +78,17 @@ func TestLeaseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	task, settled, _, err = client.Claim(ctx, "w1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	task, settled, _ = claimOne(t, client, "w1")
 	if task == nil || settled {
 		t.Fatalf("claim: task=%v settled=%v", task, settled)
 	}
 	if task.Payload.Index != 0 || task.Payload.Name != "a" || task.Worker != "w1" {
 		t.Fatalf("claimed task: %+v", task)
 	}
-	if err := client.Heartbeat(ctx, task.ID, "w1"); err != nil {
-		t.Fatal(err)
+	if errs, err := client.HeartbeatBatch(ctx, "w1", []string{task.ID}); err != nil || errs[0] != nil {
+		t.Fatalf("heartbeat: %v %v", errs, err)
 	}
-	if err := client.Finish(ctx, task.ID, "w1", `{"v":42}`, ""); err != nil {
+	if err := finishOne(client, "w1", distwork.FinishItem{ID: task.ID, Result: `{"v":42}`}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := store.Get(task.ID)
@@ -77,11 +97,11 @@ func TestLeaseRoundTrip(t *testing.T) {
 	}
 
 	// Second task fails remotely.
-	task2, _, _, err := client.Claim(ctx, "w1")
-	if err != nil || task2 == nil {
-		t.Fatalf("claim 2: %v %v", task2, err)
+	task2, _, _ := claimOne(t, client, "w1")
+	if task2 == nil {
+		t.Fatal("claim 2: no task")
 	}
-	if err := client.Finish(ctx, task2.ID, "w1", "", "engine exploded"); err != nil {
+	if err := finishOne(client, "w1", distwork.FinishItem{ID: task2.ID, Error: "engine exploded"}); err != nil {
 		t.Fatal(err)
 	}
 	got2, _ := store.Get(task2.ID)
@@ -90,19 +110,19 @@ func TestLeaseRoundTrip(t *testing.T) {
 	}
 
 	// Everything terminal: the next claim reports settled.
-	task, settled, _, err = client.Claim(ctx, "w1")
-	if err != nil || task != nil || !settled {
-		t.Fatalf("settled claim: task=%v settled=%v err=%v", task, settled, err)
+	if task, settled, _ = claimOne(t, client, "w1"); task != nil || !settled {
+		t.Fatalf("settled claim: task=%v settled=%v", task, settled)
 	}
 }
 
-// TestLeaseOwnershipStatusCodes pins the error mapping: 404 unknown
-// task, 409 stale claim.
+// TestLeaseOwnershipStatusCodes pins the error mapping — 404 unknown
+// task, 409 stale claim — as the release route's own status and as
+// finish-batch item statuses.
 func TestLeaseOwnershipStatusCodes(t *testing.T) {
 	store, client := newLeaseFixture(t, time.Minute)
 	ctx := context.Background()
 
-	err := client.Heartbeat(ctx, "t999999", "w1")
+	err := client.Release(ctx, "t999999", "w1", "")
 	var st *LeaseStatusError
 	if !asLeaseStatus(err, &st) || st.Status != http.StatusNotFound {
 		t.Fatalf("unknown task: %v", err)
@@ -111,16 +131,20 @@ func TestLeaseOwnershipStatusCodes(t *testing.T) {
 	if _, err := store.Submit(leasePayload{Index: 0}); err != nil {
 		t.Fatal(err)
 	}
-	task, _, _, err := client.Claim(ctx, "w1")
-	if err != nil || task == nil {
-		t.Fatalf("claim: %v %v", task, err)
+	task, _, _ := claimOne(t, client, "w1")
+	if task == nil {
+		t.Fatal("claim: no task")
 	}
-	err = client.Finish(ctx, task.ID, "w2", "r", "")
+	err = client.Release(ctx, task.ID, "w2", "")
+	if !asLeaseStatus(err, &st) || st.Status != http.StatusConflict {
+		t.Fatalf("foreign release: %v", err)
+	}
+	err = finishOne(client, "w2", distwork.FinishItem{ID: task.ID, Result: "r"})
 	if !asLeaseStatus(err, &st) || st.Status != http.StatusConflict {
 		t.Fatalf("foreign finish: %v", err)
 	}
 	// The rightful owner still settles fine.
-	if err := client.Finish(ctx, task.ID, "w1", "r", ""); err != nil {
+	if err := finishOne(client, "w1", distwork.FinishItem{ID: task.ID, Result: "r"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,24 +155,19 @@ func TestLeaseOwnershipStatusCodes(t *testing.T) {
 // rejected with 409.
 func TestLeaseStealOverHTTP(t *testing.T) {
 	store, client := newLeaseFixture(t, 30*time.Millisecond)
-	ctx := context.Background()
 	if _, err := store.Submit(leasePayload{Index: 0}); err != nil {
 		t.Fatal(err)
 	}
-	task, _, _, err := client.Claim(ctx, "w-dead")
-	if err != nil || task == nil {
-		t.Fatalf("claim: %v %v", task, err)
+	task, _, _ := claimOne(t, client, "w-dead")
+	if task == nil {
+		t.Fatal("claim: no task")
 	}
 	// w-dead never heartbeats. Poll until the lease lapses and w-live
 	// steals the task.
 	deadline := time.Now().Add(5 * time.Second)
 	var stolen *distwork.Task[leasePayload]
 	for {
-		stolen, _, _, err = client.Claim(ctx, "w-live")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stolen != nil {
+		if stolen, _, _ = claimOne(t, client, "w-live"); stolen != nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -161,12 +180,12 @@ func TestLeaseStealOverHTTP(t *testing.T) {
 	}
 	// The dead worker wakes up and tries to finish: exactly-once
 	// settlement rejects it.
-	err = client.Finish(ctx, task.ID, "w-dead", "stale", "")
+	err := finishOne(client, "w-dead", distwork.FinishItem{ID: task.ID, Result: "stale"})
 	var st *LeaseStatusError
 	if !asLeaseStatus(err, &st) || st.Status != http.StatusConflict {
 		t.Fatalf("stale finish: %v", err)
 	}
-	if err := client.Finish(ctx, task.ID, "w-live", "fresh", ""); err != nil {
+	if err := finishOne(client, "w-live", distwork.FinishItem{ID: task.ID, Result: "fresh"}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := store.Get(task.ID)
@@ -186,9 +205,9 @@ func TestLeaseRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	task, _, _, err := client.Claim(ctx, "w1")
-	if err != nil || task == nil {
-		t.Fatalf("claim: %v %v", task, err)
+	task, _, _ := claimOne(t, client, "w1")
+	if task == nil {
+		t.Fatal("claim: no task")
 	}
 	if err := client.Release(ctx, task.ID, "w1", "shutting down"); err != nil {
 		t.Fatal(err)
@@ -206,21 +225,23 @@ func TestLeaseRelease(t *testing.T) {
 			defer wg.Done()
 			name := string(rune('a' + w))
 			for {
-				task, settled, _, err := client.Claim(ctx, name)
+				tasks, settled, _, err := client.ClaimBatch(ctx, name, 2)
 				if err != nil {
 					t.Errorf("claim: %v", err)
 					return
 				}
-				if task == nil {
+				if len(tasks) == 0 {
 					if settled {
 						return
 					}
 					time.Sleep(time.Millisecond)
 					continue
 				}
-				if err := client.Finish(ctx, task.ID, name, "ok", ""); err != nil {
-					t.Errorf("finish: %v", err)
-					return
+				for _, task := range tasks {
+					if err := finishOne(client, name, distwork.FinishItem{ID: task.ID, Result: "ok"}); err != nil {
+						t.Errorf("finish: %v", err)
+						return
+					}
 				}
 			}
 		}(w)
@@ -279,6 +300,17 @@ func TestBatchLeaseOverHTTP(t *testing.T) {
 	var st *LeaseStatusError
 	if !asLeaseStatus(errs[2], &st) || st.Status != http.StatusNotFound {
 		t.Fatalf("heartbeat unknown id: %v", errs[2])
+	}
+	// A request that names no worker is a 400 on every route, not a batch
+	// of per-item ownership errors.
+	_, _, _, claimErr := client.ClaimBatch(ctx, "", 1)
+	_, hbErr := client.HeartbeatBatch(ctx, "", ids)
+	_, finErr := client.FinishBatch(ctx, "", []distwork.FinishItem{{ID: tasks[0].ID, Result: "anonymous"}})
+	relErr := client.Release(ctx, tasks[0].ID, "", "")
+	for route, err := range map[string]error{"claim-batch": claimErr, "heartbeat-batch": hbErr, "finish-batch": finErr, "release": relErr} {
+		if !asLeaseStatus(err, &st) || st.Status != http.StatusBadRequest {
+			t.Fatalf("%s without a worker: %v, want HTTP 400", route, err)
+		}
 	}
 
 	// Let every lease lapse; w2 steals the whole batch. w1's late batch

@@ -46,7 +46,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	text := string(body)
 	for _, family := range []string{
 		// jobqueue layer
-		"elastisimd_jobs", "elastisimd_jobs_submitted_total", "elastisimd_journal_fsync_seconds",
+		"elastisimd_tasks", "elastisimd_tasks_submitted_total", "elastisimd_journal_fsync_seconds",
 		"elastisimd_workers", "elastisimd_workers_busy",
 		// http layer
 		"elastisimd_http_requests_total", "elastisimd_http_request_seconds",
@@ -58,7 +58,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("exposition missing family %q (families: %v)", family, stats.SortedFamilies())
 		}
 	}
-	if !strings.Contains(text, `elastisimd_jobs_finished_total{state="done"} 1`) {
+	if !strings.Contains(text, `elastisimd_tasks_finished_total{state="done"} 1`) {
 		t.Errorf("finished counter missing:\n%s", text)
 	}
 	if !strings.Contains(text, `elastisimd_http_requests_total{route="POST /v1/sessions",code="202"} 1`) {

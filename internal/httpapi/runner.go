@@ -49,7 +49,7 @@ type ctrlMsg struct {
 // between slices — and writes the result artifacts under the server's
 // data directory. The artifact directory path becomes the job's Result.
 func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job) (string, error) {
-	cfg, err := elastisim.ParseConfig(job.Config)
+	cfg, err := elastisim.ParseConfig(job.Payload)
 	if err != nil {
 		return "", fmt.Errorf("invalid config: %w", err)
 	}

@@ -65,15 +65,15 @@ func TestQueueMetrics(t *testing.T) {
 	}
 	text := buf.String()
 	for _, want := range []string{
-		"elastisimd_jobs_submitted_total 2",
-		"elastisimd_job_claims_total 2",
+		"elastisimd_tasks_submitted_total 2",
+		"elastisimd_task_claims_total 2",
 		"elastisimd_lease_expirations_total 1",
 		"elastisimd_heartbeats_total 1",
-		`elastisimd_jobs_finished_total{state="done"} 1`,
-		`elastisimd_jobs_finished_total{state="cancelled"} 1`,
-		`elastisimd_jobs{state="done"} 1`,
-		`elastisimd_jobs{state="cancelled"} 1`,
-		`elastisimd_jobs{state="pending"} 0`,
+		`elastisimd_tasks_finished_total{state="done"} 1`,
+		`elastisimd_tasks_finished_total{state="cancelled"} 1`,
+		`elastisimd_tasks{state="done"} 1`,
+		`elastisimd_tasks{state="cancelled"} 1`,
+		`elastisimd_tasks{state="pending"} 0`,
 		"elastisimd_journal_fsync_seconds_count",
 	} {
 		if !strings.Contains(text, want) {

@@ -14,8 +14,8 @@
 //
 // Series are named in full Prometheus notation, labels included:
 //
-//	reg.Counter(`elastisimd_jobs_submitted_total`).Inc()
-//	reg.Gauge(`elastisimd_jobs{state="pending"}`, func() float64 { ... })
+//	reg.Counter(`elastisimd_tasks_submitted_total`).Inc()
+//	reg.Gauge(`elastisimd_tasks{state="pending"}`, func() float64 { ... })
 //	reg.Histogram(`elastisimd_journal_fsync_seconds`, obs.DefLatencyBuckets).Observe(dt)
 //
 // Creation is get-or-create: calling Counter with a name that already
