@@ -33,7 +33,6 @@ func main() {
 	algo := flag.String("algo", "firstfit", "scheduling algorithm")
 	seed := flag.Int64("seed", 1, "workload seed")
 	rate := flag.Float64("rate", 7, "mean job arrival rate (jobs per simulated second)")
-	heap := flag.Bool("heap", false, "force the binary-heap event queue (debug reference path)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 	flag.Parse()
 
@@ -56,7 +55,6 @@ func main() {
 			DisableEventDriven: !*eventDriven,
 		},
 	}
-	applyQueueMode(&cfg.Options, *heap)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -78,8 +76,8 @@ func main() {
 		pprof.StopCPUProfile()
 	}
 
-	fmt.Printf("jobs=%d nodes=%d algo=%s interval=%gs event_driven=%v heap=%v\n",
-		*jobs, *nodes, *algo, *interval, *eventDriven, *heap)
+	fmt.Printf("jobs=%d nodes=%d algo=%s interval=%gs event_driven=%v\n",
+		*jobs, *nodes, *algo, *interval, *eventDriven)
 	fmt.Printf("generate_wall=%.3fs\n", genWall.Seconds())
 	fmt.Printf("sim_wall=%.3fs\n", res.WallClock.Seconds())
 	fmt.Printf("events=%d invocations=%d decisions=%d\n", res.Events, res.Invocations, res.Decisions)

@@ -1,26 +1,7 @@
-// Command benchguard compares `go test -bench` output against the
-// committed reference numbers in a BENCH_*.json report and fails on
-// gross regressions. It is CI's perf tripwire: the margin is deliberately
-// wide (hosts differ), so only order-of-magnitude mistakes — an
-// accidental O(n) scan on the event path, a reintroduced per-event
-// allocation — trip it, not scheduler noise.
-//
-// Usage:
-//
-//	go test -run '^$' -bench . -benchmem ./internal/des/ | benchguard -ref BENCH_3.json
-//
-// Benchmark names are keyed as "<package-basename>/<BenchmarkName>"
-// (GOMAXPROCS suffix stripped) and matched against the reference file's
-// "microbenchmarks" section; the "after" numbers are the reference.
-// ns/op may exceed the reference by at most -margin (wall-clock check,
-// host-dependent). allocs/op may exceed it by at most one (allocation
-// counts are host-independent, so the zero-allocation guarantees on the
-// kernel hot paths are pinned tightly).
 package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -31,8 +12,6 @@ import (
 
 	"repro/internal/cli"
 )
-
-func main() { cli.Main("benchguard", run) }
 
 type refMetrics struct {
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -57,15 +36,16 @@ type measurement struct {
 	hasMem bool
 }
 
-func run(_ context.Context) error {
+func runBench(args []string) error {
+	fs := flag.NewFlagSet("check bench", flag.ExitOnError)
 	var (
-		refPath = flag.String("ref", "BENCH_3.json", "reference report (BENCH_*.json)")
-		input   = flag.String("input", "-", "benchmark output to check (- = stdin)")
-		margin  = flag.Float64("margin", 4.0, "allowed ns/op slowdown factor vs the reference")
+		refPath = fs.String("ref", "BENCH_3.json", "reference report (BENCH_*.json)")
+		input   = fs.String("input", "-", "benchmark output to check (- = stdin)")
+		margin  = fs.Float64("margin", 4.0, "allowed ns/op slowdown factor vs the reference")
 	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		flag.Usage()
+	fs.Parse(args)
+	if fs.NArg() != 0 {
+		fs.Usage()
 		return cli.ErrUsage
 	}
 
@@ -120,7 +100,7 @@ func run(_ context.Context) error {
 				m.bytes, rb.After.BytesPerOp)
 			failures++
 		}
-		fmt.Printf("benchguard: %-40s %10.4g ns/op (ref %.4g)  %s\n",
+		fmt.Printf("check bench: %-40s %10.4g ns/op (ref %.4g)  %s\n",
 			m.name, m.nsOp, rb.After.NsPerOp, status)
 	}
 	if matched == 0 {
@@ -129,7 +109,7 @@ func run(_ context.Context) error {
 	if failures > 0 {
 		return fmt.Errorf("%d of %d reference benchmarks regressed beyond the %gx margin", failures, matched, *margin)
 	}
-	fmt.Printf("benchguard: %d reference benchmarks within margin\n", matched)
+	fmt.Printf("check bench: %d reference benchmarks within margin\n", matched)
 	return nil
 }
 

@@ -1,17 +1,6 @@
-// Command tracecheck validates a Chrome trace_event JSON file written by
-// `elastisim -trace-out`: it must parse, every event needs a name, a known
-// phase, and a track, timestamps must be non-decreasing per track, and
-// every B (span begin) needs a matching E. It prints per-track span counts
-// and exits non-zero on any violation, so CI can gate on trace validity.
-//
-// Usage:
-//
-//	tracecheck trace.json
-//	tracecheck -q trace.json   # errors only
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -20,16 +9,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-func main() { cli.Main("tracecheck", run) }
-
-func run(ctx context.Context) error {
-	quiet := flag.Bool("q", false, "suppress the per-track summary, report errors only")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-q] trace.json")
+func runTrace(args []string) error {
+	fs := flag.NewFlagSet("check trace", flag.ExitOnError)
+	quiet := fs.Bool("q", false, "suppress the per-track summary, report errors only")
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: check trace [-q] trace.json")
 		return cli.ErrUsage
 	}
-	path := flag.Arg(0)
+	path := fs.Arg(0)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err

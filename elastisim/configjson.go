@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/fluid"
 	"repro/internal/job"
 	"repro/internal/platform"
@@ -46,8 +47,6 @@ type configOptions struct {
 	TraceTasks      bool     `json:"trace_tasks,omitempty"`
 	Horizon         Quantity `json:"horizon,omitempty"`
 	DisableFastPath bool     `json:"disable_fast_path,omitempty"`
-	ForceFullSolve  bool     `json:"force_full_solve,omitempty"`
-	ForceHeapQueue  bool     `json:"force_heap_queue,omitempty"`
 }
 
 // fairnessNames maps the serialized fairness policy names to fluid values.
@@ -110,8 +109,6 @@ func ParseConfig(data []byte) (Config, error) {
 			TraceTasks:         o.TraceTasks,
 			Horizon:            float64(o.Horizon),
 			DisableFastPath:    o.DisableFastPath,
-			ForceFullSolve:     o.ForceFullSolve,
-			ForceHeapQueue:     o.ForceHeapQueue,
 		}
 		if o.Fairness != "" {
 			f, ok := fairnessNames[o.Fairness]
@@ -119,6 +116,9 @@ func ParseConfig(data []byte) (Config, error) {
 				return Config{}, fmt.Errorf("elastisim: config options: unknown fairness %q (have max-min, equal-split)", o.Fairness)
 			}
 			cfg.Options.Fairness = f
+		}
+		if err := core.CheckOptions(cfg.Options); err != nil {
+			return Config{}, fmt.Errorf("elastisim: config options: %w", err)
 		}
 	}
 	return cfg, nil
@@ -175,8 +175,6 @@ func MarshalConfig(cfg Config) ([]byte, error) {
 		TraceTasks:         o.TraceTasks,
 		Horizon:            Quantity(o.Horizon),
 		DisableFastPath:    o.DisableFastPath,
-		ForceFullSolve:     o.ForceFullSolve,
-		ForceHeapQueue:     o.ForceHeapQueue,
 	}
 	if o.Fairness != fluid.MaxMin {
 		co.Fairness = o.Fairness.String()

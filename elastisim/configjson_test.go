@@ -86,8 +86,7 @@ const fullConfigDoc = `{
     "trace": true,
     "trace_tasks": true,
     "horizon": "100k",
-    "disable_fast_path": true,
-    "force_full_solve": true
+    "disable_fast_path": true
   }
 }`
 
@@ -220,6 +219,10 @@ func TestParseConfigErrors(t *testing.T) {
 		{"bad algorithm", fullConfigSnippet(`"algorithm": "quantum"`), "unknown algorithm"},
 		{"bad fairness", fullConfigSnippet(`"options": {"fairness": "round-robin"}`), "fairness"},
 		{"negative horizon", fullConfigSnippet(`"options": {"horizon": -5}`), "horizon"},
+		// The reference solver and event queue are test oracles, not options.
+		{"force_full_solve", fullConfigSnippet(`"options": {"force_full_solve": true}`), `unknown field "force_full_solve"`},
+		{"force_heap_queue", fullConfigSnippet(`"options": {"force_heap_queue": false}`), `unknown field "force_heap_queue"`},
+		{"periodic-only without interval", fullConfigSnippet(`"options": {"disable_event_driven": true}`), "disable_event_driven without a positive invocation_interval"},
 	}
 	for _, tc := range cases {
 		_, err := ParseConfig([]byte(tc.doc))
@@ -228,8 +231,20 @@ func TestParseConfigErrors(t *testing.T) {
 		}
 	}
 
-	// Custom algorithms cannot be serialized.
+	// The Go API reaches the same periodic-only check through NewSession,
+	// before anything is simulated.
 	cfg := Config{
+		Platform:  HomogeneousPlatform("p", 8, 100e9, 10e9, 40e9, 40e9),
+		Workload:  mustTinyWorkload(t),
+		Algorithm: NewAdaptive(),
+		Options:   Options{DisableEventDriven: true},
+	}
+	if _, err := NewSession(cfg); err == nil || !strings.Contains(err.Error(), "disable_event_driven") || !strings.Contains(err.Error(), "invocation_interval") {
+		t.Errorf("periodic-only session without interval: err = %v, want both options named", err)
+	}
+
+	// Custom algorithms cannot be serialized.
+	cfg = Config{
 		Platform:  HomogeneousPlatform("p", 4, 100e9, 10e9, 40e9, 40e9),
 		Workload:  mustTinyWorkload(t),
 		Algorithm: customAlgo{},

@@ -2,12 +2,48 @@ package elastisim
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/des"
+	"repro/internal/fluid"
 	"repro/internal/job"
 )
+
+// engineCtor is core.New's signature, the parameter of newSession.
+type engineCtor = func(*PlatformSpec, *Workload, Algorithm, Options) (*core.Engine, error)
+
+// referenceEngine is core.New on the reference implementations: the
+// binary-heap event queue and/or a fluid pool in full-recompute mode.
+func referenceEngine(heapQueue, fullSolve bool) engineCtor {
+	return func(spec *PlatformSpec, w *Workload, algo Algorithm, opts Options) (*core.Engine, error) {
+		k := des.NewKernel()
+		if heapQueue {
+			k = des.NewHeapKernel()
+		}
+		p := fluid.NewPool(k)
+		p.SetForceFullSolve(fullSolve)
+		return core.NewOn(k, p, spec, w, algo, opts)
+	}
+}
+
+// runOn is Run(cfg) with the engine built by newEngine — how the
+// equivalence tests put a whole session on a reference implementation.
+func runOn(t *testing.T, cfg Config, newEngine engineCtor) *Result {
+	t.Helper()
+	s, err := newSession(cfg, newEngine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // equivalenceRun executes one fixed-seed simulation of a mixed
 // rigid/moldable/malleable/evolving workload with checkpointing and node
@@ -18,17 +54,19 @@ import (
 // modes fails the comparison.
 func equivalenceRun(t *testing.T, forceFull bool) (*Result, string, []byte) {
 	t.Helper()
-	return equivalenceRunOpts(t, Options{Trace: true, ForceFullSolve: forceFull})
+	return equivalenceRunOn(t, Options{Trace: true}, referenceEngine(false, forceFull))
 }
 
 // equivalenceRunOpts is equivalenceRun with caller-chosen engine options
 // (the telemetry tests attach sinks to the same scenario).
 func equivalenceRunOpts(t *testing.T, opts Options) (*Result, string, []byte) {
 	t.Helper()
-	res, err := Run(equivalenceConfig(t, opts))
-	if err != nil {
-		t.Fatal(err)
-	}
+	return equivalenceRunOn(t, opts, core.New)
+}
+
+func equivalenceRunOn(t *testing.T, opts Options, newEngine engineCtor) (*Result, string, []byte) {
+	t.Helper()
+	res := runOn(t, equivalenceConfig(t, opts), newEngine)
 	if res.Summary.NodeFailures == 0 {
 		t.Fatal("scenario injected no failures; the test is vacuous")
 	}
@@ -86,9 +124,10 @@ func dumpRun(t *testing.T, res *Result) (string, []byte) {
 
 // TestIncrementalSolverEquivalence pins the central refactoring invariant:
 // the incremental, component-partitioned fluid solver must reproduce the
-// full-recompute baseline (Options.ForceFullSolve) bit for bit — same
-// trace at exact float precision, same CSV, same summary — while actually
-// re-solving strictly fewer activities.
+// full-recompute baseline (fluid.Pool.SetForceFullSolve, reached through
+// the newSession seam) bit for bit — same trace at exact float precision,
+// same CSV, same summary, same kernel and scheduler counters — while
+// actually re-solving strictly fewer activities.
 func TestIncrementalSolverEquivalence(t *testing.T) {
 	full, fullTrace, fullCSV := equivalenceRun(t, true)
 	inc, incTrace, incCSV := equivalenceRun(t, false)
@@ -104,6 +143,13 @@ func TestIncrementalSolverEquivalence(t *testing.T) {
 	}
 	if full.Solves != inc.Solves {
 		t.Errorf("solver invocation count diverges: full %d, incremental %d", full.Solves, inc.Solves)
+	}
+	// Unchanged rates never reschedule a completion event, so even the
+	// kernel's counters agree; only the solver's work metric may differ.
+	fullSnap, incSnap := full.Telemetry.StripWall(), inc.Telemetry.StripWall()
+	fullSnap.Solver.SolvedActivities, incSnap.Solver.SolvedActivities = 0, 0
+	if fs, is := fmt.Sprintf("%+v", fullSnap), fmt.Sprintf("%+v", incSnap); fs != is {
+		t.Errorf("telemetry snapshots diverge:\nfull: %s\nincr: %s", fs, is)
 	}
 	// The whole point of partitioning: the incremental path must touch
 	// strictly fewer activities than re-solving every component each time.

@@ -5,24 +5,28 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/job"
 )
 
-// queueDump runs cfg and returns the byte-exact artifacts the ladder/heap
-// comparison pins: the %b-formatted trace, the per-job CSV, and the
-// canonical Result JSON document.
-func queueDump(t *testing.T, cfg Config) (string, []byte, []byte) {
+// queueDump runs cfg on newEngine's engine and returns the byte-exact artifacts the
+// ladder/heap comparison pins — the %b-formatted trace, the per-job CSV,
+// the canonical Result JSON document — plus the queue-independent part of
+// the telemetry Snapshot: every deterministic counter except
+// Kernel.PeakQueue, which includes tombstones still queued (the ladder
+// sweeps them when it re-buckets, the heap only on compaction; 542 vs 543
+// on cmd/bench's malleable_pfs, where Recycled and the rest agree).
+func queueDump(t *testing.T, cfg Config, newEngine engineCtor) (string, []byte, []byte, string) {
 	t.Helper()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOn(t, cfg, newEngine)
 	trace, csv := dumpRun(t, res)
 	var doc bytes.Buffer
 	if err := res.WriteJSON(&doc); err != nil {
 		t.Fatal(err)
 	}
-	return trace, csv, doc.Bytes()
+	snap := res.Telemetry.StripWall()
+	snap.Kernel.PeakQueue = 0
+	return trace, csv, doc.Bytes(), fmt.Sprintf("%+v", snap)
 }
 
 // periodicQueueConfig exercises the batched-invocation regime the ladder
@@ -94,9 +98,10 @@ func depsQueueConfig(t *testing.T, opts Options) Config {
 
 // TestLadderHeapQueueEquivalence pins the event-queue refactoring
 // invariant: the calendar/ladder queue must reproduce the binary-heap
-// reference (Options.ForceHeapQueue) bit for bit — identical trace at
-// exact float precision, identical per-job CSV, identical canonical
-// Result JSON — across scenarios covering failures, malleability,
+// reference (des.NewHeapKernel, reached through the newSession seam) bit
+// for bit — identical trace at exact float precision, identical per-job
+// CSV, identical canonical Result JSON, identical telemetry counters bar
+// the peak queue length — across scenarios covering failures, malleability,
 // evolving requests, periodic-only batched invocations, and dependency
 // chains with tied timestamps.
 func TestLadderHeapQueueEquivalence(t *testing.T) {
@@ -110,8 +115,8 @@ func TestLadderHeapQueueEquivalence(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			ladTrace, ladCSV, ladJSON := queueDump(t, sc.cfg(t, Options{Trace: true}))
-			heapTrace, heapCSV, heapJSON := queueDump(t, sc.cfg(t, Options{Trace: true, ForceHeapQueue: true}))
+			ladTrace, ladCSV, ladJSON, ladSnap := queueDump(t, sc.cfg(t, Options{Trace: true}), core.New)
+			heapTrace, heapCSV, heapJSON, heapSnap := queueDump(t, sc.cfg(t, Options{Trace: true}), referenceEngine(true, false))
 			if ladTrace != heapTrace {
 				t.Errorf("traces diverge between ladder and heap queues:\n%s", firstDiff(heapTrace, ladTrace))
 			}
@@ -121,6 +126,9 @@ func TestLadderHeapQueueEquivalence(t *testing.T) {
 			if !bytes.Equal(ladJSON, heapJSON) {
 				t.Errorf("result JSON diverges between ladder and heap queues:\n%s",
 					firstDiff(string(heapJSON), string(ladJSON)))
+			}
+			if ladSnap != heapSnap {
+				t.Errorf("telemetry snapshots diverge:\nheap:   %s\nladder: %s", heapSnap, ladSnap)
 			}
 		})
 	}

@@ -9,21 +9,24 @@ import (
 // FuzzNewSession pins the error-never-panic contract of session
 // construction: whatever malformed shape the config takes — zero or
 // negative node counts, min > max, cyclic dependencies, absurd failure
-// specs — NewSession must return an error (or, for configs that happen to
-// be valid, a session), and must not panic. The fuzzer mutates the
-// numeric knobs; the seed corpus covers each documented failure class.
+// specs, periodic-only scheduling without a period — NewSession must
+// return an error (or, for configs that happen to be valid, a session),
+// and must not panic. The fuzzer mutates the numeric knobs; the seed
+// corpus covers each documented failure class.
 func FuzzNewSession(f *testing.F) {
-	f.Add(0, 4, 1, 4, 100e9, 0.0, 0.0, false)       // zero machine nodes
-	f.Add(16, -3, 1, 4, 100e9, 0.0, 0.0, false)     // negative job nodes
-	f.Add(16, 4, 8, 2, 100e9, 0.0, 0.0, false)      // min > max
-	f.Add(16, 4, 1, 4, -1.0, 0.0, 0.0, false)       // negative node speed
-	f.Add(16, 4, 1, 4, 100e9, 0.0, 0.0, true)       // cyclic dependencies
-	f.Add(16, 4, 1, 4, 100e9, -5.0, 10.0, false)    // negative MTBF
-	f.Add(16, 4, 1, 4, 100e9, 20000.0, -1.0, false) // negative MTTR
-	f.Add(16, 64, 32, 64, 100e9, 0.0, 0.0, false)   // job larger than machine
-	f.Add(-2, 4, 1, 4, 100e9, 1000.0, 10.0, false)  // negative machine
+	f.Add(0, 4, 1, 4, 100e9, 0.0, 0.0, false, 0.0, false)       // zero machine nodes
+	f.Add(16, -3, 1, 4, 100e9, 0.0, 0.0, false, 0.0, false)     // negative job nodes
+	f.Add(16, 4, 8, 2, 100e9, 0.0, 0.0, false, 0.0, false)      // min > max
+	f.Add(16, 4, 1, 4, -1.0, 0.0, 0.0, false, 0.0, false)       // negative node speed
+	f.Add(16, 4, 1, 4, 100e9, 0.0, 0.0, true, 0.0, false)       // cyclic dependencies
+	f.Add(16, 4, 1, 4, 100e9, -5.0, 10.0, false, 0.0, false)    // negative MTBF
+	f.Add(16, 4, 1, 4, 100e9, 20000.0, -1.0, false, 0.0, false) // negative MTTR
+	f.Add(16, 64, 32, 64, 100e9, 0.0, 0.0, false, 0.0, false)   // job larger than machine
+	f.Add(-2, 4, 1, 4, 100e9, 1000.0, 10.0, false, 0.0, false)  // negative machine
+	f.Add(16, 4, 1, 4, 100e9, 0.0, 0.0, false, 0.0, true)       // periodic-only without an interval
+	f.Add(16, 4, 1, 4, 100e9, 0.0, 0.0, false, 30.0, true)      // periodic-only, valid
 
-	f.Fuzz(func(t *testing.T, machineNodes, jobNodes, minNodes, maxNodes int, nodeSpeed, mtbf, mttr float64, cyclic bool) {
+	f.Fuzz(func(t *testing.T, machineNodes, jobNodes, minNodes, maxNodes int, nodeSpeed, mtbf, mttr float64, cyclic bool, interval float64, periodicOnly bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				t.Fatalf("NewSession panicked: %v", r)
@@ -44,6 +47,7 @@ func FuzzNewSession(f *testing.F) {
 			Platform:  plat,
 			Workload:  &Workload{Jobs: []*Job{j0, j1, j2}},
 			Algorithm: NewAdaptive(),
+			Options:   Options{InvocationInterval: interval, DisableEventDriven: periodicOnly},
 		}
 		if mtbf != 0 || mttr != 0 {
 			cfg.Failures = &FailureSpec{Model: FailureExponential, Seed: 1, MTBF: Quantity(mtbf), MTTR: Quantity(mttr)}
@@ -52,6 +56,9 @@ func FuzzNewSession(f *testing.F) {
 		s, err := NewSession(cfg)
 		if (s == nil) == (err == nil) {
 			t.Fatalf("NewSession returned session=%v err=%v; want exactly one", s != nil, err)
+		}
+		if periodicOnly && !(interval > 0) && err == nil {
+			t.Fatalf("NewSession accepted periodic-only scheduling with interval %v: the scheduler would never run", interval)
 		}
 	})
 }

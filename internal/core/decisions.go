@@ -122,7 +122,9 @@ func (e *Engine) applyGrant(jr *jobRun, n int) error {
 	// The request is answered: clear it so later invocations do not see a
 	// stale outstanding request (and grant it twice).
 	jr.evolvingRequest = 0
-	e.traceEvent(EvGranted, j.ID, fmt.Sprintf("target=%d", n))
+	if e.tracing() {
+		e.traceEvent(EvGranted, j.ID, fmt.Sprintf("target=%d", n))
+	}
 	// If the job is paused at a scheduling point right now, the pending
 	// resume event will pick the grant up at this timestamp.
 	return nil

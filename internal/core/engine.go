@@ -49,7 +49,8 @@ type Options struct {
 	InvocationInterval float64
 	// EventDriven disables event-triggered invocations when false is NOT
 	// what you want — it defaults to true; set DisableEventDriven to turn
-	// them off (ablation: periodic-only scheduling).
+	// them off (ablation: periodic-only scheduling). New rejects it without
+	// a positive InvocationInterval: nothing would ever invoke the algorithm.
 	DisableEventDriven bool
 	// Fairness selects the fluid sharing policy (ablation).
 	Fairness fluid.Fairness
@@ -68,18 +69,6 @@ type Options struct {
 	// machines; this switch exists for the equivalence tests and the
 	// simulator-performance ablation.
 	DisableFastPath bool
-	// ForceFullSolve disables the fluid solver's incremental component
-	// solving: every activity state change re-solves every component and
-	// re-examines every completion event. Results are bit-identical
-	// either way (asserted by the equivalence regression tests); the
-	// switch exists for those tests and performance comparisons.
-	ForceFullSolve bool
-	// ForceHeapQueue drives the DES kernel with the reference binary-heap
-	// event queue instead of the default ladder queue. Results are
-	// bit-identical either way (asserted by the equivalence regression
-	// tests); the switch exists for those tests and performance
-	// comparisons, mirroring ForceFullSolve.
-	ForceHeapQueue bool
 	// Failures injects node failures and repairs (nil = none). It takes
 	// precedence over the platform spec's "failures" object, letting one
 	// platform file drive both clean and degraded runs.
@@ -170,21 +159,38 @@ type Engine struct {
 // wall time on realistic event rates.
 const CancelCheckEvents = 1024
 
-// New builds an engine for one simulation run. The workload must already
-// validate against the platform.
+// CheckOptions rejects option combinations that cannot simulate anything.
+// New applies it, and so does elastisim.ParseConfig, so that a daemon
+// refuses such a document at submission instead of in a worker.
+func CheckOptions(opts Options) error {
+	if opts.DisableEventDriven && !(opts.InvocationInterval > 0) { // also NaN
+		return fmt.Errorf("core: disable_event_driven without a positive invocation_interval never invokes the scheduler (Options.DisableEventDriven, Options.InvocationInterval)")
+	}
+	return nil
+}
+
+// New builds an engine for one simulation run on the production kernel and
+// solver: ladder event queue, incremental fluid pool. The workload must
+// already validate against the platform.
 func New(spec *platform.Spec, w *job.Workload, algo sched.Algorithm, opts Options) (*Engine, error) {
+	kernel := des.NewKernel()
+	return NewOn(kernel, fluid.NewPool(kernel), spec, w, algo, opts)
+}
+
+// NewOn is New on a caller-supplied kernel and the fluid pool bound to it.
+// It is how the equivalence tests run an engine on the references
+// (des.NewHeapKernel, a pool in SetForceFullSolve mode); nothing outside a
+// _test.go file constructs those, so no configuration, flag or wire
+// document reaches them and the linker drops the heap kernel from shipped
+// binaries.
+func NewOn(kernel *des.Kernel, pool *fluid.Pool, spec *platform.Spec, w *job.Workload, algo sched.Algorithm, opts Options) (*Engine, error) {
 	if algo == nil {
 		return nil, fmt.Errorf("core: nil scheduling algorithm")
 	}
-	kernel := des.NewKernel()
-	if opts.ForceHeapQueue {
-		kernel = des.NewHeapKernel()
+	if err := CheckOptions(opts); err != nil {
+		return nil, err
 	}
-	pool := fluid.NewPool(kernel)
 	pool.SetFairness(opts.Fairness)
-	if opts.ForceFullSolve {
-		pool.SetForceFullSolve(true)
-	}
 	plat, err := platform.Build(spec, pool)
 	if err != nil {
 		return nil, err
@@ -469,11 +475,6 @@ func (e *Engine) QueuedJobs() int { return e.queue.count }
 // RunningJobs returns the number of jobs currently holding nodes.
 func (e *Engine) RunningJobs() int { return e.running.count }
 
-// InvocationsElided returns how many scheduler invocations were batched
-// away because an invocation at the same timestamp had already seen a
-// bit-identical snapshot.
-func (e *Engine) InvocationsElided() uint64 { return e.invocationsElided }
-
 // Solves returns how many fluid-solver recomputations ran.
 func (e *Engine) Solves() uint64 { return e.pool.Solves() }
 
@@ -504,7 +505,9 @@ func (e *Engine) submit(j *job.Job) {
 	jr := e.runs.alloc(j)
 	jr.state = statePending
 	e.rec.JobSubmitted(j, e.Now())
-	e.traceEvent(EvSubmit, j.ID, fmt.Sprintf("type=%s", j.Type))
+	if e.tracing() {
+		e.traceEvent(EvSubmit, j.ID, fmt.Sprintf("type=%s", j.Type))
+	}
 	for _, dep := range j.Dependencies {
 		if !e.isFinished(dep) {
 			jr.depsLeft++
@@ -513,7 +516,9 @@ func (e *Engine) submit(j *job.Job) {
 	}
 	if jr.depsLeft > 0 {
 		jr.state = stateHeld
-		e.traceEvent(EvHeld, j.ID, fmt.Sprintf("deps=%d", jr.depsLeft))
+		if e.tracing() {
+			e.traceEvent(EvHeld, j.ID, fmt.Sprintf("deps=%d", jr.depsLeft))
+		}
 		return
 	}
 	e.queue.add(jr)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -591,4 +592,27 @@ func TestSharedBurstBufferContention(t *testing.T) {
 	slow.BurstBuffer = &platform.BurstBufferSpec{Kind: platform.BBShared, ReadBandwidth: 4e9, WriteBandwidth: 4e9}
 	rec2, _ := runSim(t, slow, []*job.Job{mk(0), mk(1)}, &sched.FCFS{}, Options{})
 	wantClose(t, "link-bound shared bb", rec2.Record(0).Runtime(), 4)
+}
+
+// TestUntracedRunFormatsNothing bounds heap allocations per job on the
+// default path — no Options.Trace, no tracer — for the rigid periodic
+// shape cmd/bench's rigid_xl runs. Every trace call site formats its detail
+// only when a consumer is attached, so submit, start and finish cost no
+// fmt.Sprintf; formatting them unconditionally (20.2 → 25.2 mallocs per
+// job here, engine construction included) fails the bound.
+func TestUntracedRunFormatsNothing(t *testing.T) {
+	jobs := make([]*job.Job, 4000)
+	for i := range jobs {
+		jobs[i] = computeJob(i, 1+i%4, float64(100+i%300)*speed)
+		jobs[i].SubmitTime = float64(i) / 4
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runSim(t, testPlatform(512), jobs, &sched.FirstFit{}, Options{InvocationInterval: 30, DisableEventDriven: true})
+	runtime.ReadMemStats(&after)
+	perJob := float64(after.Mallocs-before.Mallocs) / float64(len(jobs))
+	t.Logf("%.2f mallocs per job", perJob)
+	if perJob > 23 { // -race adds about 1.5
+		t.Errorf("%.2f mallocs per job with tracing off, want at most 23: is a trace detail formatted outside an e.tracing() guard?", perJob)
+	}
 }

@@ -123,7 +123,9 @@ func (e *Engine) shrinkThroughFailure(jr *jobRun, id platform.NodeID) {
 	e.rec.AddGantt(jr.job.ID, jr.job.Label(), oldSize, jr.segStart, now)
 	jr.segStart = now
 	e.rec.JobReconfigured(jr.job.ID, now, len(jr.nodes))
-	e.traceEvent(EvFailShrink, jr.job.ID, fmt.Sprintf("%d->%d node=%d", oldSize, len(jr.nodes), int(id)))
+	if e.tracing() {
+		e.traceEvent(EvFailShrink, jr.job.ID, fmt.Sprintf("%d->%d node=%d", oldSize, len(jr.nodes), int(id)))
+	}
 	if jr.state == stateAtSchedPoint {
 		// The pending resume event charges the reconfiguration cost; no
 		// iteration was in flight, so nothing is redone.
@@ -164,7 +166,9 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 		jr.state = statePending
 		jr.evolvingRequest, jr.grantedTarget, jr.pendingResize = 0, 0, 0
 		e.rec.JobRequeued(jr.job.ID, now)
-		e.traceEvent(EvRequeued, jr.job.ID, fmt.Sprintf("requeue=%d ckpt=%d/%d", jr.requeues, jr.ckptPhase, jr.ckptIter))
+		if e.tracing() {
+			e.traceEvent(EvRequeued, jr.job.ID, fmt.Sprintf("requeue=%d ckpt=%d/%d", jr.requeues, jr.ckptPhase, jr.ckptIter))
+		}
 		e.queue.add(jr)
 		return
 	}
@@ -195,5 +199,7 @@ func (e *Engine) maybeCheckpoint(jr *jobRun) {
 	}
 	jr.ckptPhase, jr.ckptIter = jr.phaseIdx, jr.iter
 	jr.lastCkpt = now
-	e.traceEvent(EvCheckpoint, jr.job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
+	if e.tracing() {
+		e.traceEvent(EvCheckpoint, jr.job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -189,16 +190,16 @@ func TestSchedulingPointCountMatchesTrace(t *testing.T) {
 	}
 }
 
-func TestNoEventDrivenNoIntervalDeadlocks(t *testing.T) {
+func TestNoEventDrivenNoIntervalRejected(t *testing.T) {
 	// Disabling event-driven invocation without a periodic interval can
-	// never start anything: the engine must detect it.
+	// never start anything: New must refuse it, naming both options,
+	// instead of simulating into a "deadlock" that blames the algorithm.
 	w := &job.Workload{Jobs: []*job.Job{computeJob(0, 2, 1e10)}}
-	e, err := New(testPlatform(4), w, &sched.FCFS{}, Options{DisableEventDriven: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err == nil {
-		t.Fatal("deadlock not detected")
+	for _, interval := range []float64{0, -1, math.NaN()} {
+		_, err := New(testPlatform(4), w, &sched.FCFS{}, Options{DisableEventDriven: true, InvocationInterval: interval})
+		if err == nil || !strings.Contains(err.Error(), "disable_event_driven") || !strings.Contains(err.Error(), "invocation_interval") {
+			t.Errorf("interval %v: err = %v, want a rejection naming both options", interval, err)
+		}
 	}
 }
 

@@ -143,11 +143,13 @@ func (e *Engine) start(jr *jobRun, nodes []platform.NodeID) {
 	jr.lastCkpt = now
 	e.running.add(jr)
 	e.rec.JobStarted(jr.job.ID, now, len(nodes))
-	detail := fmt.Sprintf("nodes=%d", len(nodes))
-	if jr.requeues > 0 {
-		detail += fmt.Sprintf(" restart=%d ckpt=%d/%d", jr.requeues, jr.ckptPhase, jr.ckptIter)
+	if e.tracing() {
+		detail := fmt.Sprintf("nodes=%d", len(nodes))
+		if jr.requeues > 0 {
+			detail += fmt.Sprintf(" restart=%d ckpt=%d/%d", jr.requeues, jr.ckptPhase, jr.ckptIter)
+		}
+		e.traceEvent(EvStart, jr.job.ID, detail)
 	}
-	e.traceEvent(EvStart, jr.job.ID, detail)
 	e.telNodesAllocated(jr, jr.nodes)
 	if jr.job.WallTimeLimit > 0 {
 		jr.killEvent = e.kernel.Schedule(des.Time(now+jr.job.WallTimeLimit), des.PriorityEngine, func() {
@@ -174,7 +176,7 @@ func (e *Engine) startTask(jr *jobRun) {
 		magnitude = 0
 	}
 	done := func() { e.taskDone(jr) }
-	if e.opts.TraceTasks && (e.opts.Trace || e.opts.Telemetry.Enabled()) {
+	if e.opts.TraceTasks && e.tracing() {
 		began := e.Now()
 		detail := fmt.Sprintf("phase=%d iter=%d task=%d kind=%s", jr.phaseIdx, jr.iter, jr.taskIdx, t.Kind)
 		e.traceEvent(EvTaskStart, jr.job.ID, detail)
@@ -455,7 +457,9 @@ func (e *Engine) registerEvolvingRequest(jr *jobRun, desired float64) {
 		return // already outstanding or already granted
 	}
 	jr.evolvingRequest = want
-	e.traceEvent(EvEvolvingRequest, jr.job.ID, fmt.Sprintf("want=%d have=%d", want, len(jr.nodes)))
+	if e.tracing() {
+		e.traceEvent(EvEvolvingRequest, jr.job.ID, fmt.Sprintf("want=%d have=%d", want, len(jr.nodes)))
+	}
 	e.requestInvocation(sched.ReasonEvolvingRequest)
 }
 
@@ -513,7 +517,9 @@ func (e *Engine) taskDone(jr *jobRun) {
 func (e *Engine) enterSchedulingPoint(jr *jobRun) {
 	jr.state = stateAtSchedPoint
 	jr.pendingResize = 0
-	e.traceEvent(EvSchedulingPoint, jr.job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
+	if e.tracing() {
+		e.traceEvent(EvSchedulingPoint, jr.job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
+	}
 	e.requestInvocation(sched.ReasonSchedulingPoint)
 	e.kernel.ScheduleTransientAfter(0, PriorityResume, func() {
 		e.resumeFromSchedulingPoint(jr)
@@ -541,7 +547,9 @@ func (e *Engine) resumeFromSchedulingPoint(jr *jobRun) {
 		jr.grantedTarget = 0
 		jr.evolvingRequest = 0
 		if target != 0 && target != cur {
-			e.traceEvent(EvGrantApplied, jr.job.ID, fmt.Sprintf("target=%d", target))
+			if e.tracing() {
+				e.traceEvent(EvGrantApplied, jr.job.ID, fmt.Sprintf("target=%d", target))
+			}
 			e.adjustAllocation(jr, target)
 			oldSize = cur
 		}
@@ -580,7 +588,9 @@ func (e *Engine) adjustAllocation(jr *jobRun, target int) {
 	e.rec.AddGantt(jr.job.ID, jr.job.Label(), cur, jr.segStart, now)
 	jr.segStart = now
 	e.rec.JobReconfigured(jr.job.ID, now, len(jr.nodes))
-	e.traceEvent(EvReconfigured, jr.job.ID, fmt.Sprintf("%d->%d", cur, target))
+	if e.tracing() {
+		e.traceEvent(EvReconfigured, jr.job.ID, fmt.Sprintf("%d->%d", cur, target))
+	}
 }
 
 // chargeReconfiguration pays the job's reconfiguration cost (if any) and
@@ -634,7 +644,9 @@ func (e *Engine) finish(jr *jobRun, status metrics.JobStatus) {
 	jr.nodes = nil
 	e.running.remove(jr)
 	e.rec.JobFinished(jr.job.ID, now, status)
-	e.traceEvent(EvFinish, jr.job.ID, fmt.Sprintf("status=%s", status))
+	if e.tracing() {
+		e.traceEvent(EvFinish, jr.job.ID, fmt.Sprintf("status=%s", status))
+	}
 	e.outstanding--
 	e.markFinished(jr.job.ID)
 	e.requestInvocation(sched.ReasonCompletion)

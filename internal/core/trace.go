@@ -61,6 +61,11 @@ func (ev TraceEvent) String() string {
 	return fmt.Sprintf("%.3f %s %s %s", ev.T, ev.Kind, subject, ev.Detail)
 }
 
+// tracing reports whether any consumer of traceEvent is attached. Call
+// sites that format a detail string check it first, so a run with neither
+// Options.Trace nor a tracer formats (and allocates) nothing per event.
+func (e *Engine) tracing() bool { return e.opts.Trace || e.opts.Telemetry.Enabled() }
+
 // traceEvent is the unified event hook: the in-memory TraceEvent log and
 // the telemetry span adapter are both consumers, so either can be enabled
 // without the other and the log stays bit-identical when telemetry is off.

@@ -8,8 +8,9 @@
 //
 // The pending-event store is a ladder queue (O(1) amortised schedule and
 // fire for the near-monotonic timestamps a DES produces); the reference
-// binary heap remains available via NewHeapKernel and fires events in the
-// bit-identical order, which the equivalence tests pin.
+// binary heap is the test reference (NewHeapKernel, constructed only by
+// _test.go files, so absent from shipped binaries) and fires events in
+// the bit-identical order, which the equivalence tests pin.
 //
 // Cancellation is lazy: Cancel marks the event dead in O(1) and the queue
 // skims tombstones off the top (or compacts in bulk when they accumulate),
@@ -98,9 +99,9 @@ const compactMinQueue = 64
 // tests.
 const slabMinPeak = 128
 
-// eventQueue is the kernel's pending-event store. The default is the
-// ladder queue; the reference binary heap stays available behind
-// NewHeapKernel for debugging and equivalence pinning. Both order events
+// eventQueue is the kernel's pending-event store. Production kernels run
+// the ladder queue; NewHeapKernel puts the reference binary heap behind
+// the same interface for the equivalence tests. Both order events
 // by the exact (time, priority, seq) comparator, so the kernel's fire
 // order is independent of the implementation.
 type eventQueue interface {
@@ -152,10 +153,11 @@ func NewKernel() *Kernel {
 }
 
 // NewHeapKernel returns a kernel driven by the reference binary-heap event
-// queue. It exists for debugging and equivalence testing (mirroring the
-// fluid solver's ForceFullSolve switch): fire order and all observable
-// results are bit-identical to NewKernel's ladder queue, just slower at
-// scale.
+// queue. It exists for equivalence testing (mirroring the fluid pool's
+// SetForceFullSolve) and nothing outside _test.go files may call it — CI
+// checks that the shipped binaries do not link it. Fire order and every
+// observable result except KernelStats.PeakQueue are bit-identical to
+// NewKernel's ladder queue.
 func NewHeapKernel() *Kernel {
 	k := &Kernel{maxTime: Infinity}
 	k.queue = &eventHeap{}
@@ -176,8 +178,10 @@ func (k *Kernel) Pending() int { return k.queue.Len() - k.tombs }
 // TopTransfers and RungSpawns describe the ladder queue's re-bucketing
 // activity and stay zero on the reference heap kernel; they are exported
 // for operational metrics only and are deliberately NOT part of the
-// telemetry snapshot, which must stay byte-identical across queue
-// implementations.
+// telemetry snapshot. Of the fields that are, all but PeakQueue are
+// queue-independent: PeakQueue includes tombstones, which the ladder
+// drops whenever it re-buckets and the heap only when it compacts, so the
+// two can differ by a few events (542 vs 543 on cmd/bench malleable_pfs).
 type KernelStats struct {
 	Scheduled    uint64 // events ever enqueued (including recycled allocations)
 	Fired        uint64 // events popped and executed

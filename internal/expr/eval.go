@@ -95,12 +95,6 @@ func (e *Expr) Eval(env Env) (val float64, err error) {
 	return e.root.eval(env), nil
 }
 
-// MustEval evaluates the expression and panics on missing variables. The
-// engine uses it after Validate has proven the variable set complete.
-func (e *Expr) MustEval(env Env) float64 {
-	return e.root.eval(env)
-}
-
 // Vars returns the sorted free variables of the expression.
 func (e *Expr) Vars() []string {
 	set := map[string]bool{}

@@ -26,11 +26,11 @@
 // scheduled completion event — untouched. Activities within a component
 // are always solved in start order, so the arithmetic (and therefore every
 // bit of the result) is independent of how the component was discovered.
-// The ForceFullSolve debug knob re-solves every component on every change
-// instead; because untouched components re-solve to bit-identical rates
-// and unchanged rates never reschedule events, both modes produce
-// bit-identical simulations (asserted by the equivalence regression
-// tests).
+// The full-recompute reference (SetForceFullSolve, set only by tests)
+// re-solves every component on every change instead; because untouched
+// components re-solve to bit-identical rates and unchanged rates never
+// reschedule events, both modes produce bit-identical simulations
+// (asserted by the equivalence regression tests).
 package fluid
 
 import (
@@ -193,15 +193,13 @@ type Pool struct {
 	compRes []*Resource
 
 	// Performance counters (see the accessors for meanings).
-	solves      uint64
-	solvedActs  uint64
-	reschedules uint64
-	elided      uint64
+	solves     uint64
+	solvedActs uint64
 }
 
 // NewPool creates a pool bound to the kernel. Pools share no state with
 // each other — any number of simulations can run concurrently in one
-// process — so the full-recompute debug mode is strictly per-pool
+// process — so the full-recompute reference mode is strictly per-pool
 // (SetForceFullSolve), never a process-wide switch.
 func NewPool(k *des.Kernel) *Pool {
 	return &Pool{kernel: k, epsilon: 1e-9}
@@ -210,8 +208,10 @@ func NewPool(k *des.Kernel) *Pool {
 // SetFairness selects the sharing policy. Call before starting activities.
 func (p *Pool) SetFairness(f Fairness) { p.fairness = f }
 
-// SetForceFullSolve toggles the full-recompute debug mode for this pool.
-// Call before starting activities.
+// SetForceFullSolve puts this pool in full-recompute mode: the reference
+// the incremental solver is tested against. No option, flag or config key
+// reaches it — only _test.go files call it. Call before starting
+// activities.
 func (p *Pool) SetForceFullSolve(v bool) { p.forceFull = v }
 
 // Solves returns how many rate recomputations have run (for perf metrics).
@@ -220,13 +220,6 @@ func (p *Pool) Solves() uint64 { return p.solves }
 // SolvedActivities returns the cumulative number of activities passed
 // through the solver — the work metric incremental solving reduces.
 func (p *Pool) SolvedActivities() uint64 { return p.solvedActs }
-
-// Reschedules returns how many completion events were (re)scheduled.
-func (p *Pool) Reschedules() uint64 { return p.reschedules }
-
-// ElidedReschedules returns how many completion-event reschedules were
-// skipped because the activity's solved rate did not change.
-func (p *Pool) ElidedReschedules() uint64 { return p.elided }
 
 // NewResource registers a resource with the pool.
 func (p *Pool) NewResource(name string, capacity float64) *Resource {
@@ -421,7 +414,7 @@ func (p *Pool) visitResource(res *Resource) {
 	}
 }
 
-// solveAll re-solves every component (the ForceFullSolve path). Component
+// solveAll re-solves every component (the SetForceFullSolve path). Component
 // enumeration order is irrelevant: components are disjoint and each is
 // solved in canonical (start-order) sequence.
 func (p *Pool) solveAll() {
@@ -473,7 +466,6 @@ func (p *Pool) reschedule(comp []*Activity) {
 	now := p.kernel.Now()
 	for _, a := range comp {
 		if a.event != nil && a.rate == a.prevRate {
-			p.elided++
 			continue
 		}
 		var due des.Time
@@ -495,7 +487,6 @@ func (p *Pool) reschedule(comp []*Activity) {
 			a.event = p.kernel.Schedule(due, des.PriorityActivity, func() {
 				p.complete(act)
 			})
-			p.reschedules++
 		}
 	}
 }

@@ -43,9 +43,6 @@ func (s *Server) SetAccessLog(w io.Writer) { s.access = w }
 // /healthz keeps reporting the process itself alive.
 func (s *Server) SetDraining() { s.draining.Store(true) }
 
-// Draining reports whether the server was marked draining.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // accessRecord is one access-log line.
 type accessRecord struct {
 	Time    time.Time `json:"t"`

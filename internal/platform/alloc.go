@@ -128,24 +128,6 @@ func (a *Allocator) FreeNodes() []NodeID {
 	return out
 }
 
-// NodesOf returns the nodes owned by the given owner, in ascending order.
-func (a *Allocator) NodesOf(owner string) []NodeID {
-	h, ok := a.handles[owner]
-	if !ok {
-		return nil
-	}
-	out := make([]NodeID, 0, a.held[h])
-	for i, o := range a.owner {
-		if o == h {
-			out = append(out, NodeID(i))
-			if len(out) == cap(out) {
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Allocate claims count free nodes (lowest IDs first) for owner.
 func (a *Allocator) Allocate(owner string, count int) ([]NodeID, error) {
 	if owner == "" {

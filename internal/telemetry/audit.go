@@ -33,24 +33,16 @@ type AuditRecord struct {
 
 // AuditLog streams scheduler invocation records as JSON lines.
 type AuditLog struct {
-	w      *bufio.Writer
-	closer io.Closer
-	enc    *json.Encoder
-	n      int
-	err    error
+	w   *bufio.Writer
+	enc *json.Encoder
+	n   int
+	err error
 }
 
 // NewAuditLog writes audit records to w; the caller keeps ownership of w.
 func NewAuditLog(w io.Writer) *AuditLog {
 	bw := bufio.NewWriter(w)
 	return &AuditLog{w: bw, enc: json.NewEncoder(bw)}
-}
-
-// NewAuditFileLog is NewAuditLog for an owned writer: Close closes it.
-func NewAuditFileLog(w io.WriteCloser) *AuditLog {
-	a := NewAuditLog(w)
-	a.closer = w
-	return a
 }
 
 // Record appends one scheduler invocation record. Nil-safe.
@@ -81,18 +73,13 @@ func (a *AuditLog) Err() error {
 	return a.err
 }
 
-// Close flushes the log and closes the underlying writer if owned.
+// Close flushes the log; the underlying writer stays open.
 func (a *AuditLog) Close() error {
 	if a == nil {
 		return nil
 	}
 	if err := a.w.Flush(); err != nil && a.err == nil {
 		a.err = err
-	}
-	if a.closer != nil {
-		if err := a.closer.Close(); err != nil && a.err == nil {
-			a.err = err
-		}
 	}
 	return a.err
 }

@@ -45,8 +45,7 @@ func chromeProcessName(k TrackKind) string {
 // Timestamps are simulated microseconds.
 type ChromeSink struct {
 	w        *bufio.Writer
-	closer   io.Closer // non-nil when the sink owns the underlying writer
-	n        int       // events written, to place commas
+	n        int // events written, to place commas
 	seenPid  map[int]bool
 	seenTrak map[Track]bool
 	err      error
@@ -56,14 +55,6 @@ type ChromeSink struct {
 // Close flushes but does not close it.
 func NewChromeSink(w io.Writer) *ChromeSink {
 	return &ChromeSink{w: bufio.NewWriter(w), seenPid: map[int]bool{}, seenTrak: map[Track]bool{}}
-}
-
-// NewChromeFileSink is NewChromeSink for an owned file-like writer: Close
-// closes it after flushing.
-func NewChromeFileSink(w io.WriteCloser) *ChromeSink {
-	s := NewChromeSink(w)
-	s.closer = w
-	return s
 }
 
 func (s *ChromeSink) writeEvent(raw string) {
@@ -172,11 +163,6 @@ func (s *ChromeSink) Close() error {
 	}
 	if err := s.w.Flush(); err != nil && s.err == nil {
 		s.err = err
-	}
-	if s.closer != nil {
-		if err := s.closer.Close(); err != nil && s.err == nil {
-			s.err = err
-		}
 	}
 	return s.err
 }

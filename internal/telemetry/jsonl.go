@@ -20,23 +20,15 @@ type JSONLEvent struct {
 
 // JSONLSink streams events as one JSON object per line.
 type JSONLSink struct {
-	w      *bufio.Writer
-	closer io.Closer
-	enc    *json.Encoder
-	err    error
+	w   *bufio.Writer
+	enc *json.Encoder
+	err error
 }
 
 // NewJSONLSink writes events to w; the caller keeps ownership of w.
 func NewJSONLSink(w io.Writer) *JSONLSink {
 	bw := bufio.NewWriter(w)
 	return &JSONLSink{w: bw, enc: json.NewEncoder(bw)}
-}
-
-// NewJSONLFileSink is NewJSONLSink for an owned writer: Close closes it.
-func NewJSONLFileSink(w io.WriteCloser) *JSONLSink {
-	s := NewJSONLSink(w)
-	s.closer = w
-	return s
 }
 
 // Emit writes one event line.
@@ -59,15 +51,10 @@ func (s *JSONLSink) Emit(ev Event) {
 // Err returns the first write error, if any.
 func (s *JSONLSink) Err() error { return s.err }
 
-// Close flushes the stream and closes the underlying writer if owned.
+// Close flushes the stream; the underlying writer stays open.
 func (s *JSONLSink) Close() error {
 	if err := s.w.Flush(); err != nil && s.err == nil {
 		s.err = err
-	}
-	if s.closer != nil {
-		if err := s.closer.Close(); err != nil && s.err == nil {
-			s.err = err
-		}
 	}
 	return s.err
 }

@@ -70,12 +70,6 @@ func Format(v float64, suffix string) string {
 	return fmt.Sprintf("%.2f%s", v, suffix)
 }
 
-// FormatBytes renders a byte count.
-func FormatBytes(v float64) string { return Format(v, "B") }
-
-// FormatFlops renders a flop count.
-func FormatFlops(v float64) string { return Format(v, "F") }
-
 // FormatSeconds renders a duration as h:mm:ss for report tables.
 func FormatSeconds(s float64) string {
 	if math.IsInf(s, 0) || math.IsNaN(s) {
