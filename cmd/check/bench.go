@@ -39,7 +39,7 @@ type measurement struct {
 func runBench(args []string) error {
 	fs := flag.NewFlagSet("check bench", flag.ExitOnError)
 	var (
-		refPath = fs.String("ref", "BENCH_3.json", "reference report (BENCH_*.json)")
+		refPath = fs.String("ref", "BENCH_4.json", "reference report (BENCH_*.json)")
 		input   = fs.String("input", "-", "benchmark output to check (- = stdin)")
 		margin  = fs.Float64("margin", 4.0, "allowed ns/op slowdown factor vs the reference")
 	)

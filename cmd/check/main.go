@@ -19,7 +19,7 @@
 // families are present, so CI can pin that a scrape of a live elastisimd
 // actually carries the job-queue, HTTP, and kernel series.
 //
-//	go test -run '^$' -bench . -benchmem ./internal/des/ | check bench -ref BENCH_3.json
+//	go test -run '^$' -bench . -benchmem ./internal/des/ | check bench -ref BENCH_4.json
 //
 // compares `go test -bench` output against the committed reference
 // numbers in a BENCH_*.json report and fails on gross regressions. It is

@@ -27,9 +27,10 @@
 //
 // # Distributed sweeps
 //
-// A coordinator leases cells to remote workers over HTTP; workers claim,
-// heartbeat, and return cell results. A worker that dies mid-cell stops
-// heartbeating, its lease expires, and the cell is stolen by a survivor.
+// A coordinator leases cells over HTTP to workers running the loop the
+// local pool runs (distwork.Work: claim, heartbeat, settle). A worker
+// that dies mid-cell stops heartbeating, its lease expires, and the cell
+// is stolen by a survivor; Ctrl-C releases a worker's cells at once.
 //
 //	sweep -serve 127.0.0.1:9180 -journal grid.jsonl > grid.csv
 //	sweep -connect http://127.0.0.1:9180 -worker-name w1 &
@@ -102,8 +103,12 @@ func run(ctx context.Context) error {
 	if *serveAddr != "" && *connectURL != "" {
 		return cli.Usagef("-serve and -connect are mutually exclusive")
 	}
-	if *resume && *journalPath == "" {
-		return cli.Usagef("-resume requires -journal")
+	// Refused, not dropped: -serve -shards 4 alone would only look durable.
+	if *journalPath == "" && (*resume || *shards != 0 || *groupCommit != 0) {
+		return cli.Usagef("-resume, -shards and -group-commit require -journal")
+	}
+	if *connectURL == "" && (*leaseBatch != 1 || *workerName != "") {
+		return cli.Usagef("-lease-batch and -worker-name require -connect")
 	}
 
 	if *cpuProfile != "" {
@@ -158,10 +163,11 @@ func run(ctx context.Context) error {
 			grid   *experiments.Grid
 			runErr error
 		)
+		// grid, non-nil once the journal opened, is what the CSV streams from.
 		if *serveAddr != "" {
 			grid, runErr = runCoordinator(ctx, *serveAddr, *journalPath, cfg, gopts)
-		} else {
-			grid, runErr = runJournaled(ctx, *journalPath, cfg, gopts)
+		} else if grid, runErr = experiments.OpenGrid(*journalPath, cfg, gopts); runErr == nil {
+			runErr = grid.Run(ctx)
 		}
 		if prog != nil {
 			prog.Done()
@@ -239,18 +245,6 @@ func writeSnapshot(path string, agg elastisim.TelemetrySnapshot) error {
 	return f.Close()
 }
 
-// runJournaled runs the grid locally through the distwork journal:
-// killed runs restart with -resume from the first unfinished cell. The
-// returned grid (non-nil whenever the journal opened) is what the
-// caller streams the CSV from.
-func runJournaled(ctx context.Context, path string, cfg experiments.SweepConfig, gopts experiments.GridOptions) (*experiments.Grid, error) {
-	grid, err := experiments.OpenGrid(path, cfg, gopts)
-	if err != nil {
-		return nil, err
-	}
-	return grid, grid.Run(ctx)
-}
-
 // runCoordinator serves the grid's cells to HTTP workers and blocks
 // until every cell is terminal. The coordinator runs no cells itself —
 // it journals claims and results, expires lapsed leases so dead
@@ -326,150 +320,35 @@ loop:
 	return grid, grid.Err()
 }
 
-// runWorker claims cells from a coordinator, executes them locally, and
-// returns results, heartbeating at a third of the coordinator's lease.
-// It exits when the coordinator reports the grid settled, keeps polling
-// through empty claims, and tolerates an unreachable coordinator only
-// before first contact (it retries ~10s, then gives up). It leases batch
-// cells per round trip and settles them with one finish-batch request —
-// raise batch for grids whose cells are much shorter than a network
-// round trip.
+// runWorker is distwork.Work — the loop the local pool's workers run —
+// over the coordinator's lease API, batch cells per round trip (raise it
+// for grids whose cells are much shorter than a network round trip).
 func runWorker(ctx context.Context, base, name string, batch int) error {
 	if name == "" {
 		name = fmt.Sprintf("worker-%d", os.Getpid())
 	}
-	if batch < 1 {
-		batch = 1
-	}
 	client := &httpapi.LeaseClient[experiments.GridCell]{Base: strings.TrimRight(base, "/")}
-	contacted := false
-	contactTries := 20 // 20 × 500ms ≈ 10s of pre-contact patience
-	var cells int
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tasks, settled, lease, err := client.ClaimBatch(ctx, name, batch)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if contacted {
-				return fmt.Errorf("worker %s: lost coordinator after %d cells: %w", name, cells, err)
-			}
-			var st *httpapi.LeaseStatusError
-			if errors.As(err, &st) {
-				return fmt.Errorf("worker %s: %w", name, err)
-			}
-			// Not up yet: retry for a while before giving up.
-			contactTries--
-			if contactTries <= 0 || !sleepCtx(ctx, 500*time.Millisecond) {
-				return fmt.Errorf("worker %s: cannot reach coordinator %s: %w", name, base, err)
-			}
-			continue
-		}
-		contacted = true
-		if len(tasks) == 0 {
-			if settled {
-				fmt.Fprintf(os.Stderr, "sweep: worker %s done: %d cells\n", name, cells)
-				return nil
-			}
-			if !sleepCtx(ctx, 250*time.Millisecond) {
-				return ctx.Err()
-			}
-			continue
-		}
-		n, err := runClaimedBatch(ctx, client, name, tasks, lease)
-		cells += n
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// runClaimedBatch executes a batch of leased cells sequentially: one
-// background ticker heartbeats every still-claimed cell in a single
-// request, results accumulate locally, and one finish-batch call
-// settles everything at the end. A stolen cell's 409 is tolerated per
-// item (the newer claim's result wins); an interrupt releases the cells
-// that never ran after delivering the results already computed.
-func runClaimedBatch(ctx context.Context, client *httpapi.LeaseClient[experiments.GridCell], name string, tasks []distwork.Task[experiments.GridCell], lease time.Duration) (int, error) {
-	ids := make([]string, len(tasks))
-	for i, t := range tasks {
-		ids[i] = t.ID
-	}
-	hbCtx, stopHB := context.WithCancel(context.Background())
-	defer stopHB()
-	go func() {
-		tick := time.NewTicker(lease / 3)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbCtx.Done():
-				return
-			case <-tick.C:
-				// Per-item errors are expected (finished or stolen cells);
-				// only a dead coordinator stops the ticker.
-				if _, err := client.HeartbeatBatch(hbCtx, name, ids); err != nil {
-					return
-				}
-			}
-		}
-	}()
-	var items []distwork.FinishItem
-	ran := 0
-	for ; ran < len(tasks); ran++ {
-		if ctx.Err() != nil {
+	// A worker may start before its coordinator: probe ~10s for it with an
+	// empty heartbeat. An HTTP status means it is up and is not retried.
+	var st *httpapi.LeaseStatusError
+	for tries := 20; ; tries-- {
+		_, err := client.HeartbeatBatch(ctx, name, nil)
+		if err == nil {
 			break
-		}
-		task := tasks[ran]
-		pt, err := experiments.RunCell(ctx, task.Payload)
-		if err != nil {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				break
-			}
-			items = append(items, distwork.FinishItem{ID: task.ID, Error: err.Error()})
-			continue
-		}
-		enc, err := experiments.EncodeCellResult(pt)
-		if err != nil {
-			stopHB()
-			return 0, err
-		}
-		items = append(items, distwork.FinishItem{ID: task.ID, Result: enc})
-	}
-	stopHB()
-	// Settle with a fresh context: computed results are worth delivering
-	// even when the interrupt arrived mid-batch.
-	finCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	done := 0
-	if len(items) > 0 {
-		errs, err := client.FinishBatch(finCtx, name, items)
-		if err != nil {
-			return 0, err
-		}
-		for i, ierr := range errs {
-			if ierr == nil {
-				done++
-				continue
-			}
-			var st *httpapi.LeaseStatusError
-			if errors.As(ierr, &st) && st.Status == http.StatusConflict {
-				continue // stolen mid-run; the newer claim wins
-			}
-			return done, fmt.Errorf("finishing cell %s: %w", items[i].ID, ierr)
+		} else if errors.As(err, &st) || tries <= 1 || !sleepCtx(ctx, 500*time.Millisecond) {
+			return fmt.Errorf("worker %s: cannot reach coordinator %s: %w", name, base, err)
 		}
 	}
-	if ctx.Err() != nil {
-		// Release the cells that never ran so another worker picks them up
-		// immediately instead of waiting out the lease.
-		for _, task := range tasks[ran:] {
-			_ = client.Release(finCtx, task.ID, name, fmt.Sprintf("worker %s interrupted; requeued", name))
-		}
-		return done, ctx.Err()
+	cells, err := distwork.Work(ctx, client, name, batch, experiments.RunCellTask)
+	switch {
+	case err == nil:
+		fmt.Fprintf(os.Stderr, "sweep: worker %s done: %d cells\n", name, cells)
+	case ctx.Err() != nil:
+		err = ctx.Err()
+	default:
+		err = fmt.Errorf("worker %s: lost coordinator after %d cells: %w", name, cells, err)
 	}
-	return done, nil
+	return err
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) bool {

@@ -688,10 +688,6 @@ func (s *Store[P]) TryClaim(worker string) (Task[P], bool) {
 		return Task[P]{}, false
 	}
 	defer s.mu.Unlock()
-	return s.tryClaimLocked(worker)
-}
-
-func (s *Store[P]) tryClaimLocked(worker string) (Task[P], bool) {
 	now := s.opts.Now()
 	s.expireLocked(now)
 	return s.claimOneLocked(worker, now)
@@ -728,18 +724,12 @@ func (s *Store[P]) claimOneLocked(worker string, now time.Time) (Task[P], bool) 
 	}
 }
 
-// TryClaimBatch claims up to max pending tasks for worker in one lock
-// acquisition — the server side of the lease protocol, amortizing lock
-// traffic and (with group commit) journal fsyncs over the batch. Steal
-// and exactly-once semantics are per task, identical to TryClaim.
-func (s *Store[P]) TryClaimBatch(worker string, max int) []Task[P] {
+// claimBatchLocked collects expired leases and claims up to max pending
+// tasks for worker. Callers hold s.mu.
+func (s *Store[P]) claimBatchLocked(worker string, max int) []Task[P] {
 	if max < 1 {
 		max = 1
 	}
-	if s.begin() != nil {
-		return nil
-	}
-	defer s.mu.Unlock()
 	now := s.opts.Now()
 	s.expireLocked(now)
 	var out []Task[P]
@@ -756,29 +746,44 @@ func (s *Store[P]) TryClaimBatch(worker string, max int) []Task[P] {
 	return out
 }
 
-// Claim blocks until a pending task is available (or ctx is done / the
-// store closes) and claims it for worker.
-func (s *Store[P]) Claim(ctx context.Context, worker string) (Task[P], error) {
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stop()
+// TryClaimBatch claims up to max pending tasks for worker in one lock
+// acquisition — the server side of the lease protocol, amortizing lock
+// traffic and (with group commit) journal fsyncs over the batch. Steal
+// and exactly-once semantics are per task, identical to TryClaim.
+func (s *Store[P]) TryClaimBatch(worker string, max int) []Task[P] {
+	if s.begin() != nil {
+		return nil
+	}
+	defer s.mu.Unlock()
+	return s.claimBatchLocked(worker, max)
+}
+
+// ClaimBatch is the blocking TryClaimBatch an in-process worker idles
+// in: it waits on the store's condition variable until at least one
+// task is claimable, ctx is done, or the store closes.
+func (s *Store[P]) ClaimBatch(ctx context.Context, worker string, max int) ([]Task[P], error) {
+	defer context.AfterFunc(ctx, s.wake)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if err := ctx.Err(); err != nil {
-			return Task[P]{}, err
+			return nil, err
 		}
 		if s.closed {
-			return Task[P]{}, ErrClosed
+			return nil, ErrClosed
 		}
-		if t, ok := s.tryClaimLocked(worker); ok {
-			return t, nil
+		if out := s.claimBatchLocked(worker, max); len(out) > 0 {
+			return out, nil
 		}
 		s.cond.Wait()
 	}
+}
+
+// wake makes every goroutine blocked on the store re-check its context.
+func (s *Store[P]) wake() {
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // owned fetches the task and verifies worker holds it. An evicted
@@ -797,11 +802,6 @@ func (s *Store[P]) owned(id, worker string) (*Task[P], uint64, error) {
 		return nil, 0, &NotOwnerError{ID: id, State: t.State, Worker: t.Worker, Claimant: worker}
 	}
 	return t, seq, nil
-}
-
-// Heartbeat renews worker's lease on the task.
-func (s *Store[P]) Heartbeat(id, worker string) error {
-	return s.HeartbeatBatch(worker, []string{id})[0]
 }
 
 // HeartbeatBatch renews worker's lease on every id in one lock
@@ -1079,12 +1079,7 @@ func (s *Store[P]) Settled() bool {
 // workers finish (or fail) cells, lease expiry requeues stragglers, and
 // settlement means nothing pending or leased remains.
 func (s *Store[P]) WaitSettled(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stop()
+	defer context.AfterFunc(ctx, s.wake)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {

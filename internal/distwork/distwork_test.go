@@ -88,7 +88,7 @@ func TestLifecycle(t *testing.T) {
 
 func TestOwnershipErrors(t *testing.T) {
 	s := New(Options[int]{})
-	if err := s.Heartbeat("t000099", "w1"); !errors.Is(err, ErrNotFound) {
+	if err := s.HeartbeatBatch("w1", []string{"t000099"})[0]; !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 	task, _ := s.Submit(1)
@@ -122,7 +122,7 @@ func TestLeaseExpiryIsASteal(t *testing.T) {
 	}
 	// A heartbeat extends the lease past its original expiry.
 	clk.Advance(40 * time.Second)
-	if err := s.Heartbeat(task.ID, "w-dead"); err != nil {
+	if err := s.HeartbeatBatch("w-dead", []string{task.ID})[0]; err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(40 * time.Second)
@@ -135,7 +135,7 @@ func TestLeaseExpiryIsASteal(t *testing.T) {
 		t.Fatalf("steal: got %+v ok=%v", got, ok)
 	}
 	// The dead worker's late operations bounce.
-	if err := s.Heartbeat(task.ID, "w-dead"); !errors.Is(err, ErrNotOwner) {
+	if err := s.HeartbeatBatch("w-dead", []string{task.ID})[0]; !errors.Is(err, ErrNotOwner) {
 		t.Fatalf("stale heartbeat: %v", err)
 	}
 	if err := s.Finish(task.ID, "w-dead", "", nil); !errors.Is(err, ErrNotOwner) {
@@ -390,7 +390,6 @@ func TestClosedStoreRejectsMutations(t *testing.T) {
 		t.Errorf("ExpireLeases requeued %d tasks on a closed store", n)
 	}
 	for name, err := range map[string]error{
-		"Heartbeat":       s.Heartbeat(held.ID, "w1"),
 		"HeartbeatBatch":  s.HeartbeatBatch("w1", []string{held.ID})[0],
 		"MarkRunning":     s.MarkRunning(held.ID, "w1"),
 		"MarkPaused":      s.MarkPaused(held.ID, "w1"),

@@ -639,7 +639,7 @@ func replaySequenceHole(t *testing.T) {
 				t.Fatal("t000002 has no record yet is resident")
 			}
 			var nf *NotFoundError
-			if err := s.Heartbeat("t000002", "w"); !errors.As(err, &nf) {
+			if err := s.HeartbeatBatch("w", []string{"t000002"})[0]; !errors.As(err, &nf) {
 				t.Fatalf("t000002: got %v, want NotFoundError", err)
 			}
 			for _, want := range []string{"t000001", "t000003"} {

@@ -269,48 +269,39 @@ func (g *Grid) Completed() int {
 // Close closes the underlying store and journal.
 func (g *Grid) Close() error { return g.store.Close() }
 
+// RunCellTask executes one leased cell and returns its canonically
+// encoded result — the run function of every sweep worker, local pool or
+// -connect. A run stopped by ctx reports distwork.ErrInterrupted naming
+// the cell, so the worker releases it; any other failure fails the cell.
+func RunCellTask(ctx context.Context, t distwork.Task[GridCell]) (string, error) {
+	return runCellTask(ctx, t.Payload, RunCell)
+}
+
+func runCellTask(ctx context.Context, c GridCell, run func(context.Context, GridCell) (SweepPoint, error)) (string, error) {
+	p, err := run(ctx, c)
+	if err != nil {
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			return "", fmt.Errorf("interrupted at cell %d (%s, %g, %d): %w",
+				c.Index, c.Algorithm, c.Share, c.Seed, distwork.ErrInterrupted)
+		}
+		return "", err
+	}
+	return EncodeCellResult(p)
+}
+
 // Runner returns the distwork runner that executes one claimed cell
-// in-process: mark running, heartbeat at a third of the lease while the
-// simulation runs, and finish with the canonically encoded result. On
-// ctx cancellation the cell is released back to pending (journaled), so
-// a subsequent resume re-runs only that cell.
+// in-process: mark running (the journal's second record for the cell),
+// then RunCellTask. Lease renewal belongs to whoever claimed the cell.
 func (g *Grid) Runner() distwork.Runner[GridCell] {
 	return func(ctx context.Context, s *distwork.Store[GridCell], t distwork.Task[GridCell]) (string, error) {
 		if err := s.MarkRunning(t.ID, t.Worker); err != nil {
 			return "", err
 		}
-		hbCtx, stopHB := context.WithCancel(ctx)
-		defer stopHB()
-		go func() {
-			tick := time.NewTicker(s.Lease() / 3)
-			defer tick.Stop()
-			for {
-				select {
-				case <-hbCtx.Done():
-					return
-				case <-tick.C:
-					if err := s.Heartbeat(t.ID, t.Worker); err != nil {
-						return // lease lost: a newer claim owns the cell
-					}
-				}
-			}
-		}()
-		p, err := g.opts.runCell(ctx, t.Payload)
-		if err != nil {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				return "", fmt.Errorf("interrupted at cell %d (%s, %g, %d): %w",
-					t.Payload.Index, t.Payload.Algorithm, t.Payload.Share, t.Payload.Seed, distwork.ErrInterrupted)
-			}
-			return "", err
-		}
-		enc, err := EncodeCellResult(p)
-		if err != nil {
-			return "", err
-		}
-		if g.opts.OnCellDone != nil {
+		enc, err := runCellTask(ctx, t.Payload, g.opts.runCell)
+		if err == nil && g.opts.OnCellDone != nil {
 			g.opts.OnCellDone()
 		}
-		return enc, nil
+		return enc, err
 	}
 }
 

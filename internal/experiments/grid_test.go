@@ -3,12 +3,18 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/distwork"
 )
 
 // TestFilterCompletedIndexOrder pins the partial-grid merge contract:
@@ -294,5 +300,76 @@ func TestGridLeaseExpiryReclaims(t *testing.T) {
 	stolen, ok := st.TryClaim("w-live")
 	if !ok || stolen.ID != first.ID || stolen.Attempts != 2 {
 		t.Fatalf("steal: %+v ok=%v", stolen, ok)
+	}
+}
+
+// TestGridCellLifecycle pins what one cell costs on the local path: the
+// journal holds exactly three records per completed cell (claimed,
+// running, done) and two plus the failure for a failed one, OnCellDone
+// fires once per completed cell and never for a failed one.
+func TestGridCellLifecycle(t *testing.T) {
+	cfg := smallGrid()
+	path := filepath.Join(t.TempDir(), "grid.jsonl")
+	var mu sync.Mutex
+	var cellDone atomic.Int64
+	grid, err := OpenGrid(path, cfg, GridOptions{
+		Workers:    1,
+		OnCellDone: func() { cellDone.Add(1) },
+		runCell: fakeCells(t, map[int]int{}, &mu, func(_ context.Context, c GridCell) error {
+			if c.Index == 2 {
+				return errors.New("boom 2")
+			}
+			return nil
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grid.Close()
+	if err := grid.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "boom 2") {
+		t.Fatalf("Run: %v, want cell 2's failure", err)
+	}
+	if got := cellDone.Load(); got != 3 {
+		t.Errorf("OnCellDone fired %d times, want 3 (one per completed cell)", got)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := map[string][]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] { // [0] is the shard header
+		var rec struct{ ID, State string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		states[rec.ID] = append(states[rec.ID], rec.State)
+	}
+	for i := 0; i < 4; i++ {
+		id, want := fmt.Sprintf("c%06d", i+1), "claimed running done"
+		if i == 2 {
+			want = "claimed running failed"
+		}
+		if got := strings.Join(states[id], " "); got != want {
+			t.Errorf("journal records of %s: %q, want %q", id, got, want)
+		}
+	}
+}
+
+// TestRunCellTaskInterrupt: a run stopped by its context reports
+// distwork.ErrInterrupted naming the cell — the note a worker releases
+// the cell with — while a cell's own failure stays a plain error.
+func TestRunCellTaskInterrupt(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cell := CellAt(smallGrid(), 1)
+	_, err := RunCellTask(ctx, distwork.Task[GridCell]{ID: "c000002", Payload: cell})
+	want := fmt.Sprintf("interrupted at cell 1 (%s, %g, %d)", cell.Algorithm, cell.Share, cell.Seed)
+	if !errors.Is(err, distwork.ErrInterrupted) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("interrupted run: %v", err)
+	}
+	cell.Algorithm = "no-such-algorithm"
+	_, err = RunCellTask(context.Background(), distwork.Task[GridCell]{ID: "c000002", Payload: cell})
+	if err == nil || errors.Is(err, distwork.ErrInterrupted) {
+		t.Fatalf("failing cell: %v, want a plain error", err)
 	}
 }

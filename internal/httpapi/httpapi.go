@@ -43,8 +43,8 @@ type Server struct {
 	live      map[string]*liveRun
 	cancelled map[string]bool // cancel requested for an active job
 
-	// pausePoll bounds how long a paused worker waits between heartbeat
-	// and cancel checks; chunk is the Step slice size (the latency bound
+	// pausePoll bounds how long a paused worker waits between cancel
+	// checks; chunk is the Step slice size (the latency bound
 	// on control requests). Tests shorten both. chunkDelay inserts a
 	// test-only sleep between Step slices so control requests land
 	// mid-run deterministically — execution slicing is invisible to the

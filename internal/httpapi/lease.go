@@ -170,7 +170,8 @@ func (a *LeaseAPI[P]) handleRelease(w http.ResponseWriter, r *http.Request) {
 }
 
 // LeaseClient is the worker-side counterpart of LeaseAPI: typed claim/
-// heartbeat/finish/release calls against a coordinator's base URL.
+// heartbeat/finish/release calls against a coordinator's base URL — the
+// distwork.Lessor that distwork.Work runs a remote worker over.
 type LeaseClient[P any] struct {
 	// Base is the coordinator's URL, e.g. "http://127.0.0.1:9180".
 	Base string
@@ -233,15 +234,26 @@ func (e *LeaseStatusError) Error() string {
 	return fmt.Sprintf("lease api: HTTP %d: %s", e.Status, e.Msg)
 }
 
+// Is makes a 409 distwork.ErrNotOwner again, so distwork.Work tells a
+// stolen task from a broken coordinator the same way as over a store.
+func (e *LeaseStatusError) Is(target error) bool {
+	return e.Status == http.StatusConflict && target == distwork.ErrNotOwner
+}
+
 // ClaimBatch asks the coordinator for up to max tasks in one round
 // trip. An empty slice with settled=false means nothing is pending
-// right now; settled=true means the task set is terminal.
+// right now; settled=true means the task set is terminal. Tasks under a
+// lease_seconds nobody can heartbeat within are an error.
 func (c *LeaseClient[P]) ClaimBatch(ctx context.Context, worker string, max int) (tasks []distwork.Task[P], settled bool, lease time.Duration, err error) {
 	var resp claimBatchResponse[P]
 	if err := c.post(ctx, "/v1/tasks/claim-batch", leaseRequest{Worker: worker, Max: max}, &resp); err != nil {
 		return nil, false, 0, err
 	}
-	return resp.Tasks, resp.Settled, time.Duration(resp.LeaseSeconds * float64(time.Second)), nil
+	lease = time.Duration(resp.LeaseSeconds * float64(time.Second))
+	if len(resp.Tasks) > 0 && lease <= 0 {
+		return nil, false, 0, fmt.Errorf("lease api: claim-batch: lease_seconds %v is not a positive duration", resp.LeaseSeconds)
+	}
+	return resp.Tasks, resp.Settled, lease, nil
 }
 
 // batchItemErrors converts a batch response into positional errors:

@@ -2,13 +2,17 @@ package httpapi
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/distwork"
+	"repro/internal/obs"
 )
 
 type leasePayload struct {
@@ -217,34 +221,19 @@ func TestLeaseRelease(t *testing.T) {
 		t.Fatalf("after release: %+v", got)
 	}
 
-	// A small fleet drains the store concurrently.
+	// A small fleet of real workers drains the store concurrently.
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(name string) {
 			defer wg.Done()
-			name := string(rune('a' + w))
-			for {
-				tasks, settled, _, err := client.ClaimBatch(ctx, name, 2)
-				if err != nil {
-					t.Errorf("claim: %v", err)
-					return
-				}
-				if len(tasks) == 0 {
-					if settled {
-						return
-					}
-					time.Sleep(time.Millisecond)
-					continue
-				}
-				for _, task := range tasks {
-					if err := finishOne(client, name, distwork.FinishItem{ID: task.ID, Result: "ok"}); err != nil {
-						t.Errorf("finish: %v", err)
-						return
-					}
-				}
+			_, err := distwork.Work(ctx, client, name, 2, func(context.Context, distwork.Task[leasePayload]) (string, error) {
+				return "ok", nil
+			})
+			if err != nil {
+				t.Errorf("worker %s: %v", name, err)
 			}
-		}(w)
+		}(string(rune('a' + w)))
 	}
 	wg.Wait()
 	counts := store.Counts()
@@ -379,5 +368,126 @@ func TestBatchLeaseOverHTTP(t *testing.T) {
 	none, settled, _, err := client.ClaimBatch(ctx, "w3", 5)
 	if err != nil || len(none) != 0 || !settled {
 		t.Fatalf("settled claim-batch: %v %v %v", none, settled, err)
+	}
+}
+
+// TestClaimBatchRejectsUnusableLease: tasks handed out under a lease no
+// worker can heartbeat within are an error naming the field, not a
+// duration for a ticker to panic on. An empty claim carries no lease to
+// honour and passes.
+func TestClaimBatchRejectsUnusableLease(t *testing.T) {
+	var body string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(body))
+	}))
+	defer srv.Close()
+	client := &LeaseClient[leasePayload]{Base: srv.URL, HTTP: srv.Client()}
+	const task = `{"id":"t000001","state":"claimed","worker":"w"}`
+	for _, secs := range []string{"0", "-5", "1e-12"} {
+		body = `{"tasks":[` + task + `],"lease_seconds":` + secs + `}`
+		tasks, _, lease, err := client.ClaimBatch(context.Background(), "w", 1)
+		if err == nil || !strings.Contains(err.Error(), "lease_seconds") {
+			t.Errorf("lease_seconds %s: got %d tasks, lease %v, err %v; want an error naming lease_seconds", secs, len(tasks), lease, err)
+		}
+		// The loop a worker runs must end on it too, without ever ticking.
+		if _, err := distwork.Work(context.Background(), client, "w", 1, nil); err == nil {
+			t.Errorf("lease_seconds %s: Work went on", secs)
+		}
+	}
+	body = `{"tasks":[],"settled":true,"lease_seconds":0}`
+	if _, settled, _, err := client.ClaimBatch(context.Background(), "w", 1); err != nil || !settled {
+		t.Errorf("empty settled claim with lease 0: settled=%v err=%v", settled, err)
+	}
+}
+
+// TestWorkOverHTTP runs two real worker loops against the lease API on a
+// lease shorter than a cell, so cells survive only by the loop's
+// heartbeats. One cell fails, and one worker is interrupted mid-cell:
+// the cell it held is released and re-claimed (a steal) by the survivor,
+// and every task settles exactly once.
+func TestWorkOverHTTP(t *testing.T) {
+	const (
+		n     = 7
+		lease = 200 * time.Millisecond
+		cell  = 300 * time.Millisecond
+	)
+	reg := obs.NewRegistry()
+	store := distwork.New(distwork.Options[leasePayload]{Lease: lease, Metrics: reg})
+	defer store.Close()
+	mux := http.NewServeMux()
+	(&LeaseAPI[leasePayload]{Store: store}).Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	client := &LeaseClient[leasePayload]{Base: srv.URL, HTTP: srv.Client()}
+	for i := 0; i < n; i++ {
+		if _, err := store.Submit(leasePayload{Index: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	started := make(chan struct{}, n) // one send per cell started
+	run := func(ctx context.Context, task distwork.Task[leasePayload]) (string, error) {
+		started <- struct{}{}
+		select {
+		case <-ctx.Done():
+			return "", fmt.Errorf("interrupted in cell %d: %w", task.Payload.Index, distwork.ErrInterrupted)
+		case <-time.After(cell):
+		}
+		if task.Payload.Index == 3 {
+			return "", errors.New("cell 3 cannot be encoded")
+		}
+		return fmt.Sprintf("r%d", task.Payload.Index), nil
+	}
+	doomedCtx, interrupt := context.WithCancel(context.Background())
+	defer interrupt()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, ctx := range []context.Context{doomedCtx, context.Background()} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = distwork.Work(ctx, client, fmt.Sprintf("w%d", i), 2, run)
+		}()
+	}
+	<-started
+	<-started // both workers are mid-cell
+	interrupt()
+	wg.Wait()
+	if !errors.Is(errs[0], context.Canceled) {
+		t.Errorf("interrupted worker: %v, want context.Canceled", errs[0])
+	}
+	if errs[1] != nil {
+		t.Errorf("surviving worker: %v", errs[1])
+	}
+
+	for _, task := range store.List() {
+		want, wantErr := distwork.StateDone, ""
+		if task.Payload.Index == 3 {
+			want, wantErr = distwork.StateFailed, "cell 3 cannot be encoded"
+		}
+		if task.State != want || task.Error != wantErr {
+			t.Errorf("task %s (cell %d): %s %q, want %s %q", task.ID, task.Payload.Index, task.State, task.Error, want, wantErr)
+		}
+		if task.State == distwork.StateDone && task.Result != fmt.Sprintf("r%d", task.Payload.Index) {
+			t.Errorf("task %s result %q", task.ID, task.Result)
+		}
+	}
+	settled := reg.Counter(`distwork_tasks_finished_total{state="done"}`).Value() +
+		reg.Counter(`distwork_tasks_finished_total{state="failed"}`).Value()
+	if settled != n {
+		t.Errorf("%d settlements for %d tasks", settled, n)
+	}
+	if v := reg.Counter("distwork_task_steals_total").Value(); v < 1 {
+		t.Errorf("steals = %d, want the interrupted worker's cells re-claimed", v)
+	}
+	if v := reg.Counter("distwork_task_releases_total").Value(); v < 2 {
+		t.Errorf("releases = %d, want the interrupted cell and its unstarted batch-mate handed back", v)
+	}
+	if v := reg.Counter("distwork_heartbeats_total").Value(); v < 1 {
+		t.Errorf("heartbeats = %d on a lease shorter than a cell", v)
+	}
+	if v := reg.Counter("distwork_lease_expirations_total").Value(); v != 0 {
+		t.Errorf("%d leases lapsed although both workers heartbeat", v)
 	}
 }

@@ -102,13 +102,12 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 				p.Now, p.Events, p.Completed, p.Total, jobqueue.ErrInterrupted)
 		}
 		if paused {
-			// Parked: keep the lease alive and wait for control.
+			// Parked: wait for control; pausePoll wakes it to notice a cancel.
 			select {
 			case msg := <-lr.ctrl:
 				s.applyCtrl(q, job, msg, &paused)
 			case <-ctx.Done():
 			case <-time.After(s.pausePoll):
-				_ = q.Heartbeat(job.ID, job.Worker)
 			}
 			continue
 		}
@@ -117,7 +116,6 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 			s.dumpPostmortem(job.ID, err)
 			return "", err
 		}
-		_ = q.Heartbeat(job.ID, job.Worker)
 		if fired == 0 {
 			break // drained (or horizon): the simulation cannot advance
 		}
@@ -180,7 +178,6 @@ func (s *Server) applyCtrl(q *jobqueue.Queue, job jobqueue.Job, msg ctrlMsg, pau
 			n = 1
 		}
 		_, err = s.liveSession(job.ID).Step(n)
-		_ = q.Heartbeat(job.ID, job.Worker)
 	default:
 		err = fmt.Errorf("unknown control op %q", msg.op)
 	}

@@ -117,17 +117,18 @@ func TestJournalRecovery(t *testing.T) {
 	}
 }
 
-// TestClaimBlocksUntilSubmit pins the blocking Claim path used by idle
-// pool workers.
+// TestClaimBlocksUntilSubmit pins the blocking ClaimBatch path used by
+// idle pool workers.
 func TestClaimBlocksUntilSubmit(t *testing.T) {
 	q := New(Options{})
 	got := make(chan Job, 1)
 	go func() {
-		j, err := q.Claim(context.Background(), "w")
-		if err != nil {
-			t.Error(err)
+		js, err := q.ClaimBatch(context.Background(), "w", 1)
+		if err != nil || len(js) != 1 {
+			t.Errorf("ClaimBatch: %d jobs, err %v", len(js), err)
+			return
 		}
-		got <- j
+		got <- js[0]
 	}()
 	time.Sleep(20 * time.Millisecond) // let the claimer block
 	want, _ := q.Submit(nil)
@@ -144,7 +145,7 @@ func TestClaimBlocksUntilSubmit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := q.Claim(ctx, "w")
+		_, err := q.ClaimBatch(ctx, "w", 1)
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

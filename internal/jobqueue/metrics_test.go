@@ -49,7 +49,7 @@ func TestQueueMetrics(t *testing.T) {
 	if err := q.MarkRunning(j.ID, "w2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Heartbeat(j.ID, "w2"); err != nil {
+	if err := q.HeartbeatBatch("w2", []string{j.ID})[0]; err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Finish(j.ID, "w2", "artifacts/a", nil); err != nil {
