@@ -124,7 +124,10 @@ func run(ctx context.Context) error {
 		queue.Close()
 		return err
 	}
-	httpSrv := &http.Server{Handler: server.Handler()}
+	// A client that never finishes its request headers is dropped rather
+	// than holding a connection forever. There is no WriteTimeout: SSE
+	// streams stay open for the whole run.
+	httpSrv := &http.Server{Handler: server.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -272,7 +272,9 @@ func runCoordinator(ctx context.Context, addr, path string, cfg experiments.Swee
 		grid.Close()
 		return nil, err
 	}
-	srv := &http.Server{Handler: mux}
+	// A client that never finishes its request headers is dropped rather
+	// than holding a connection forever.
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "sweep: coordinator listening on %s (%d cells)\n", ln.Addr(), grid.Size())

@@ -396,10 +396,8 @@ func (e *Engine) runBounded(ctx context.Context, bound des.Time) AbortReason {
 		err = e.kernel.RunUntil(bound)
 	}
 	e.wallRun += time.Since(t0)
-	switch err {
-	case des.ErrStopped:
+	if err == des.ErrStopped {
 		return abortReasonForCtx(ctx.Err())
-	case nil, des.ErrHalted:
 	}
 	if e.Drained() {
 		return AbortDrained

@@ -79,9 +79,6 @@ func (e *Event) Time() Time { return e.time }
 // already fired).
 func (e *Event) Cancelled() bool { return e.dead || e.index < 0 }
 
-// ErrHalted is returned by Run when the simulation was stopped explicitly.
-var ErrHalted = errors.New("des: simulation halted")
-
 // ErrStopped is returned by Run and RunUntil when the installed stop check
 // (SetStopCheck) requested termination between events. The queue is left
 // intact: the kernel can be resumed by calling Run again.
@@ -119,7 +116,6 @@ type Kernel struct {
 	now       Time
 	queue     eventQueue
 	seq       uint64
-	halted    bool
 	steps     uint64
 	maxTime   Time
 	tombs     int      // dead events still sitting in the queue
@@ -374,20 +370,6 @@ func (k *Kernel) dropTombstone(ev *Event) {
 	}
 }
 
-// Reschedule moves an event to a new time, preserving its handler and
-// priority. If the event already fired it is re-created.
-func (k *Kernel) Reschedule(ev *Event, t Time) *Event {
-	if ev == nil {
-		panic("des: reschedule of nil event")
-	}
-	fn, prio := ev.fn, ev.priority
-	k.Cancel(ev)
-	return k.Schedule(t, prio, fn)
-}
-
-// Halt stops the run loop after the current event completes.
-func (k *Kernel) Halt() { k.halted = true }
-
 // SetHorizon limits Run to events at or before t. Events beyond the horizon
 // remain queued.
 func (k *Kernel) SetHorizon(t Time) { k.maxTime = t }
@@ -397,7 +379,7 @@ func (k *Kernel) SetHorizon(t Time) { k.maxTime = t }
 func (k *Kernel) Step() bool {
 	k.skim()
 	ev := k.queue.Peek()
-	if ev == nil || ev.time > k.maxTime || k.halted {
+	if ev == nil || ev.time > k.maxTime {
 		return false
 	}
 	k.queue.Pop()
@@ -422,7 +404,7 @@ func (k *Kernel) Step() bool {
 }
 
 // StepN executes up to n events and returns how many fired. Like Step it
-// stops early at an empty queue, the horizon, or a Halt; unlike Run it
+// stops early at an empty queue or the horizon; unlike Run it
 // never consults the stop check — the caller is the driver and decides
 // between batches. StepN is the primitive session-style drivers build
 // single-stepping and bounded bursts on.
@@ -434,24 +416,21 @@ func (k *Kernel) StepN(n int) int {
 	return fired
 }
 
-// Run executes events until the queue drains, the horizon is reached, or
-// Halt is called. It returns ErrHalted in the latter case, and ErrStopped
-// when an installed stop check (SetStopCheck) fired between events.
+// Run executes events until the queue drains or the horizon is reached.
+// It returns ErrStopped when an installed stop check (SetStopCheck) fired
+// between events.
 func (k *Kernel) Run() error {
 	for k.Step() {
 		if k.stopEvery != 0 && k.steps%k.stopEvery == 0 && k.stopCheck() {
 			return ErrStopped
 		}
 	}
-	if k.halted {
-		return ErrHalted
-	}
 	return nil
 }
 
 // RunUntil executes events with time <= t and then advances the clock to t
 // (if t is later than the last event executed). When the run is stopped
-// early (Halt or stop check) the clock is NOT advanced: the simulation has
+// early (by the stop check) the clock is NOT advanced: the simulation has
 // not observably reached t and remains resumable.
 func (k *Kernel) RunUntil(t Time) error {
 	saved := k.maxTime

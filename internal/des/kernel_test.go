@@ -99,19 +99,6 @@ func TestKernelCancelFromHandler(t *testing.T) {
 	}
 }
 
-func TestKernelReschedule(t *testing.T) {
-	k := NewKernel()
-	var at Time
-	ev := k.Schedule(10, PriorityDefault, func() { at = k.Now() })
-	k.Reschedule(ev, 4)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 4 {
-		t.Errorf("rescheduled event fired at %v, want 4", at)
-	}
-}
-
 func TestKernelScheduleAfter(t *testing.T) {
 	k := NewKernel()
 	var at Time
@@ -138,25 +125,6 @@ func TestKernelSchedulePastPanics(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestKernelHalt(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.Schedule(Time(i), PriorityDefault, func() {
-			count++
-			if count == 3 {
-				k.Halt()
-			}
-		})
-	}
-	if err := k.Run(); err != ErrHalted {
-		t.Fatalf("Run returned %v, want ErrHalted", err)
-	}
-	if count != 3 {
-		t.Errorf("ran %d events, want 3", count)
 	}
 }
 
@@ -520,7 +488,6 @@ func TestKernelInvalidArguments(t *testing.T) {
 	}
 	mustPanic("nil handler", func() { k.Schedule(1, PriorityDefault, nil) })
 	mustPanic("negative delay", func() { k.ScheduleAfter(-1, PriorityDefault, func() {}) })
-	mustPanic("nil reschedule", func() { k.Reschedule(nil, 1) })
 }
 
 func TestRNGInvalidArguments(t *testing.T) {

@@ -173,25 +173,6 @@ func TestKernelReleaseLivePanics(t *testing.T) {
 	k.Release(ev)
 }
 
-// Reschedule of a cancelled (tombstoned) event must create a fresh live
-// event with the same handler and priority.
-func TestKernelRescheduleCancelled(t *testing.T) {
-	k := NewKernel()
-	var at Time
-	ev := k.Schedule(10, PriorityActivity, func() { at = k.Now() })
-	k.Cancel(ev)
-	ev2 := k.Reschedule(ev, 4)
-	if ev2 == nil || ev2.Cancelled() {
-		t.Fatal("reschedule of cancelled event yielded no live event")
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 4 {
-		t.Errorf("fired at %v, want 4", at)
-	}
-}
-
 // Compaction must preserve live events exactly even when interleaved with
 // new schedules, and must reset the tombstone count.
 func TestKernelCompactionInterleaved(t *testing.T) {

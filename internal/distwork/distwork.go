@@ -21,7 +21,9 @@
 // transition is journaled; Open replays the journal, requeues tasks that
 // were mid-flight when the previous process died, keeps terminal tasks
 // (and their result pointers) without re-running them, and compacts the
-// journal to one line per task.
+// journal to one line per task. A task with a journaled cancel request
+// is settled as cancelled, never requeued. Every transition wakes the
+// store's waiters; nothing polls.
 package distwork
 
 import (
@@ -152,6 +154,9 @@ type Task[P any] struct {
 	// Note carries auxiliary lifecycle information, e.g. partial-progress
 	// details journaled when a shutdown interrupted the task.
 	Note string `json:"note,omitempty"`
+	// CancelRequested records a Cancel accepted while the task was
+	// active; see Store.Cancel.
+	CancelRequested bool `json:"cancel_requested,omitempty"`
 }
 
 // Options tunes a Store.
@@ -285,9 +290,10 @@ func New[P any](opts Options[P]) *Store[P] {
 // Open creates a store journaled at path, replaying any existing journal
 // first: terminal tasks are kept (with their result pointers) and are
 // never re-run; tasks that were claimed, running, or paused when the
-// previous process died return to pending. The journal is compacted on
-// open (counted by the <prefix>_journal_compactions_total metric) into
-// opts.Shards files, re-sharding the records when the count changed.
+// previous process died return to pending, or settle as cancelled if a
+// cancel was requested. The journal is compacted on open (counted by the
+// <prefix>_journal_compactions_total metric) into opts.Shards files,
+// re-sharding the records when the count changed.
 //
 // With Options.Evict terminal tasks are never materialized — their
 // compacted records' locations go to OnSettled and their sequence
@@ -331,7 +337,7 @@ func Open[P any](path string, opts Options[P]) (*Store[P], error) {
 // number, keeping the decoded task only while it must stay resident
 // (non-terminal, or terminal without Evict); a second pass writes the
 // compacted journal in sequence order — a fresh record for each task the
-// dead process still owned (requeued), the authoritative bytes copied
+// dead process still owned (recovered), the authoritative bytes copied
 // from the old files for everything else, so evicted results never live
 // on the heap.
 func (s *Store[P]) replay(lay journalLayout, cfg journalConfig) (*journal, error) {
@@ -397,10 +403,16 @@ func (s *Store[P]) replay(lay journalLayout, cfg journalConfig) (*journal, error
 		t := resident[seq]
 		var rec []byte
 		if t != nil && t.State.Active() {
-			t.State = StatePending
+			if t.CancelRequested {
+				t.State = StateCancelled
+				t.Finished = s.opts.Now()
+			} else {
+				t.State = StatePending
+				t.Note = "recovered after restart; requeued"
+			}
 			t.Worker = ""
 			t.Lease = time.Time{}
-			t.Note = "recovered after restart; requeued"
+			m.state = t.State
 			rec, err = json.Marshal(t)
 		} else {
 			if readers[m.loc.Shard] == nil {
@@ -421,7 +433,7 @@ func (s *Store[P]) replay(lay journalLayout, cfg journalConfig) (*journal, error
 			comp.abort()
 			return nil, err
 		}
-		if t == nil {
+		if s.opts.Evict && m.state.Terminal() {
 			s.setSettledBit(seq)
 			s.evicted[m.state]++
 			settled = append(settled, settledCB{seq: seq, st: m.state, loc: loc})
@@ -514,8 +526,9 @@ func (s *Store[P]) ReadRecord(loc RecLoc) (Task[P], error) {
 // worker has to honor to keep its claims.
 func (s *Store[P]) Lease() time.Duration { return s.opts.Lease }
 
-// record journals the task's current state and mirrors the transition
-// into the flight recorder, reporting the record's journal location
+// record journals the task's current state, mirrors the transition
+// into the flight recorder and wakes every waiter — it is the one
+// wake-up site for transitions — reporting the record's journal location
 // (ok only when a journal is attached and the append landed). Callers
 // hold s.mu.
 func (s *Store[P]) record(t *Task[P]) (RecLoc, bool) {
@@ -536,6 +549,7 @@ func (s *Store[P]) record(t *Task[P]) (RecLoc, bool) {
 			s.m.flight.Recordf(s.opts.MetricPrefix, "%s -> %s", t.ID, t.State)
 		}
 	}
+	s.cond.Broadcast()
 	return loc, ok
 }
 
@@ -590,7 +604,6 @@ func (s *Store[P]) Submit(payload P) (Task[P], error) {
 	}
 	t := s.enqueueLocked(payload)
 	s.record(t)
-	s.cond.Broadcast()
 	return *t, nil
 }
 
@@ -633,9 +646,14 @@ func (s *Store[P]) List() []Task[P] {
 }
 
 // requeueLocked returns a task to pending (lease expiry, release) and
-// re-arms its claimability. Callers hold s.mu.
+// re-arms its claimability — unless a cancel was requested, which
+// settles it as cancelled instead. Callers hold s.mu.
 func (s *Store[P]) requeueLocked(seq uint64, note string) {
 	t := s.tasks[seq]
+	if t.CancelRequested {
+		s.settleLocked(t, seq, StateCancelled, "", "")
+		return
+	}
 	t.State = StatePending
 	t.Worker = ""
 	t.Lease = time.Time{}
@@ -661,10 +679,7 @@ func (s *Store[P]) expireLocked(now time.Time) int {
 	for _, seq := range lapsed {
 		s.requeueLocked(seq, "lease expired; requeued")
 	}
-	if len(lapsed) > 0 {
-		s.m.expirations.Add(uint64(len(lapsed)))
-		s.cond.Broadcast()
-	}
+	s.m.expirations.Add(uint64(len(lapsed)))
 	return len(lapsed)
 }
 
@@ -759,21 +774,41 @@ func (s *Store[P]) TryClaimBatch(worker string, max int) []Task[P] {
 }
 
 // ClaimBatch is the blocking TryClaimBatch an in-process worker idles
-// in: it waits on the store's condition variable until at least one
-// task is claimable, ctx is done, or the store closes.
+// in: it waits until at least one task is claimable, ctx is done, or the
+// store closes.
 func (s *Store[P]) ClaimBatch(ctx context.Context, worker string, max int) ([]Task[P], error) {
+	var out []Task[P]
+	err := s.wait(ctx, func() bool {
+		out = s.claimBatchLocked(worker, max)
+		return len(out) > 0
+	})
+	return out, err
+}
+
+// WaitTask blocks until task id is no longer in state from (or unknown),
+// ctx is done, or the store closes.
+func (s *Store[P]) WaitTask(ctx context.Context, id string, from State) error {
+	return s.wait(ctx, func() bool {
+		t, _ := s.lookup(id)
+		return t == nil || t.State != from
+	})
+}
+
+// wait is the store's one blocking loop: it re-checks ready under s.mu
+// after every wake-up until it holds, ctx is done, or the store closes.
+func (s *Store[P]) wait(ctx context.Context, ready func() bool) error {
 	defer context.AfterFunc(ctx, s.wake)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if s.closed {
-			return nil, ErrClosed
+			return ErrClosed
 		}
-		if out := s.claimBatchLocked(worker, max); len(out) > 0 {
-			return out, nil
+		if ready() {
+			return nil
 		}
 		s.cond.Wait()
 	}
@@ -884,9 +919,7 @@ func (s *Store[P]) finish(id, worker string, st State, result, errMsg string) er
 		return err
 	}
 	defer s.mu.Unlock()
-	err := s.finishLocked(id, worker, st, result, errMsg)
-	s.cond.Broadcast()
-	return err
+	return s.finishLocked(id, worker, st, result, errMsg)
 }
 
 func (s *Store[P]) finishLocked(id, worker string, st State, result, errMsg string) error {
@@ -894,6 +927,13 @@ func (s *Store[P]) finishLocked(id, worker string, st State, result, errMsg stri
 	if err != nil {
 		return err
 	}
+	s.settleLocked(t, seq, st, result, errMsg)
+	return nil
+}
+
+// settleLocked moves a task to the terminal state st and journals it.
+// Callers hold s.mu.
+func (s *Store[P]) settleLocked(t *Task[P], seq uint64, st State, result, errMsg string) {
 	t.State = st
 	t.Worker = ""
 	t.Lease = time.Time{}
@@ -913,7 +953,6 @@ func (s *Store[P]) finishLocked(id, worker string, st State, result, errMsg stri
 			s.opts.OnSettled(seq, st, loc)
 		}
 	}
-	return nil
 }
 
 // FinishItem is one settlement in a FinishBatch: done with Result when
@@ -944,7 +983,6 @@ func (s *Store[P]) FinishBatch(worker string, items []FinishItem) []error {
 		}
 		out[i] = s.finishLocked(it.ID, worker, st, it.Result, it.Error)
 	}
-	s.cond.Broadcast()
 	return out
 }
 
@@ -963,15 +1001,15 @@ func (s *Store[P]) Release(id, worker, note string) error {
 	}
 	s.requeueLocked(seq, note)
 	s.m.releases.Inc()
-	s.cond.Broadcast()
 	return nil
 }
 
-// Cancel requests cancellation. A pending task is cancelled immediately;
-// for an active task the state is returned unchanged and the caller must
-// signal the owning worker (which then calls FinishCancelled). Cancelling
-// a terminal task is a no-op. The returned state is the task's state
-// after the call.
+// Cancel requests cancellation. A pending task is cancelled immediately.
+// An active task keeps its state and gains a journaled CancelRequested:
+// its worker is expected to stop and call FinishCancelled, and release,
+// lease expiry or a restart settles it as cancelled instead of
+// requeueing it. Cancelling a terminal task is a no-op. The returned
+// state is the task's state after the call.
 func (s *Store[P]) Cancel(id string) (State, error) {
 	if err := s.begin(); err != nil {
 		return "", err
@@ -984,7 +1022,8 @@ func (s *Store[P]) Cancel(id string) (State, error) {
 		}
 		return "", &NotFoundError{ID: id}
 	}
-	if t.State == StatePending {
+	switch {
+	case t.State == StatePending:
 		if s.opts.Source != nil {
 			// Source-fed pending tasks are normally unjournaled (re-fed on
 			// resume from the highest journaled sequence). Journaling this
@@ -995,11 +1034,10 @@ func (s *Store[P]) Cancel(id string) (State, error) {
 				s.record(s.tasks[k])
 			}
 		}
-		t.State = StateCancelled
-		t.Finished = s.opts.Now()
-		s.m.finished[StateCancelled].Inc()
+		s.settleLocked(t, seq, StateCancelled, "", "")
+	case t.State.Active() && !t.CancelRequested:
+		t.CancelRequested = true
 		s.record(t)
-		s.cond.Broadcast()
 	}
 	return t.State, nil
 }
@@ -1079,26 +1117,12 @@ func (s *Store[P]) Settled() bool {
 // workers finish (or fail) cells, lease expiry requeues stragglers, and
 // settlement means nothing pending or leased remains.
 func (s *Store[P]) WaitSettled(ctx context.Context) error {
-	defer context.AfterFunc(ctx, s.wake)()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if s.closed {
-			return ErrClosed
-		}
-		if s.settledLocked() {
-			return nil
-		}
-		s.cond.Wait()
-	}
+	return s.wait(ctx, s.settledLocked)
 }
 
-// Close flushes and closes the journal and wakes all blocked Claim and
-// WaitSettled calls with an error. Tasks are not mutated: active tasks
-// stay active in the journal and will be requeued by the next Open.
+// Close flushes and closes the journal and wakes all blocked ClaimBatch,
+// WaitSettled and WaitTask calls with an error. Tasks are not mutated:
+// active tasks stay active in the journal for the next Open to recover.
 func (s *Store[P]) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

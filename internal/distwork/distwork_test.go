@@ -203,11 +203,91 @@ func TestCancelPendingAndWaitSettled(t *testing.T) {
 	if st, err := s.Cancel(b.ID); err != nil || st != StateClaimed {
 		t.Fatalf("cancel active: %v %v (want state unchanged)", st, err)
 	}
+	if got, _ := s.Get(b.ID); got.State != StateClaimed || !got.CancelRequested {
+		t.Fatalf("cancelled active task: %+v, want claimed with the request flag", got)
+	}
 	if err := s.Finish(b.ID, "w1", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-doneCh; err != nil {
 		t.Fatalf("WaitSettled: %v", err)
+	}
+}
+
+// TestCancelRequestNeverRequeues pins that the live requeue paths —
+// Release and lease expiry — settle a cancel-requested task as cancelled
+// instead of handing it to another worker.
+func TestCancelRequestNeverRequeues(t *testing.T) {
+	clk := newFakeClock()
+	s := New(Options[int]{Lease: time.Minute, Now: clk.Now})
+	released, _ := s.Submit(1)
+	expired, _ := s.Submit(2)
+	s.TryClaimBatch("w1", 2)
+	for _, id := range []string{released.ID, expired.ID} {
+		if _, err := s.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Release(released.ID, "w1", "interrupted"); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * time.Minute)
+	if n := s.ExpireLeases(); n != 1 {
+		t.Fatalf("expired %d leases, want 1", n)
+	}
+	for _, id := range []string{released.ID, expired.ID} {
+		if got, _ := s.Get(id); got.State != StateCancelled || got.Worker != "" {
+			t.Fatalf("%s: %+v, want cancelled", id, got)
+		}
+	}
+	if got, ok := s.TryClaim("w2"); ok {
+		t.Fatalf("claimed cancel-requested task %+v", got)
+	}
+}
+
+// TestWaitTask pins the per-task wait: it returns on a transition of its
+// own task only, and with ctx's error or ErrClosed otherwise.
+func TestWaitTask(t *testing.T) {
+	s := New(Options[int]{})
+	mine, _ := s.Submit(1)
+	other, _ := s.Submit(2)
+	wait := func(ctx context.Context) chan error {
+		ch := make(chan error, 1)
+		go func() { ch <- s.WaitTask(ctx, mine.ID, StatePending) }()
+		return ch
+	}
+	ch := wait(context.Background())
+	// Another task's transition does not end the wait.
+	if _, err := s.Cancel(other.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-ch:
+		t.Fatalf("WaitTask returned %v on another task's transition", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got, _ := s.TryClaim("w1"); got.ID != mine.ID {
+		t.Fatalf("claimed %s, want %s", got.ID, mine.ID)
+	}
+	if err := <-ch; err != nil {
+		t.Fatalf("WaitTask after its own transition: %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	ch = wait(ctx) // mine is claimed now, not pending: returns at once
+	if err := <-ch; err != nil {
+		t.Fatalf("WaitTask on a task already past from: %v", err)
+	}
+	ch = make(chan error, 1)
+	go func() { ch <- s.WaitTask(ctx, mine.ID, StateClaimed) }()
+	cancel()
+	if err := <-ch; !errors.Is(err, context.Canceled) {
+		t.Fatalf("WaitTask after ctx cancel: %v", err)
+	}
+	go func() { ch <- s.WaitTask(context.Background(), mine.ID, StateClaimed) }()
+	s.Close()
+	if err := <-ch; !errors.Is(err, ErrClosed) {
+		t.Fatalf("WaitTask after Close: %v", err)
 	}
 }
 
@@ -220,14 +300,20 @@ func TestJournalRecoveryGenericPayload(t *testing.T) {
 	}
 	done, _ := s.Submit(cellSpec{Index: 0, Name: "done"})
 	mid, _ := s.Submit(cellSpec{Index: 1, Name: "mid"})
-	_, _ = s.Submit(cellSpec{Index: 2, Name: "queued"})
+	stop, _ := s.Submit(cellSpec{Index: 2, Name: "stop"})
+	_, _ = s.Submit(cellSpec{Index: 3, Name: "queued"})
 	s.TryClaim("w1") // done
 	s.TryClaim("w1") // mid
+	s.TryClaim("w1") // stop
 	if err := s.Finish(done.ID, "w1", `{"ok":true}`, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.MarkRunning(mid.ID, "w1"); err != nil {
 		t.Fatal(err)
+	}
+	// A cancel accepted for an executing task, before its worker acted on it.
+	if st, err := s.Cancel(stop.ID); err != nil || st != StateClaimed {
+		t.Fatalf("cancel active: %v %v", st, err)
 	}
 	// Simulated crash: no Close, reopen from the journal.
 	s2, err := Open(path, Options[cellSpec]{})
@@ -243,16 +329,23 @@ func TestJournalRecoveryGenericPayload(t *testing.T) {
 	if m.State != StatePending || m.Note != "recovered after restart; requeued" {
 		t.Fatalf("mid-flight task not requeued: %+v", m)
 	}
-	// Recovery claims resume oldest-first: mid (index 1) before queued.
+	if c, _ := s2.Get(stop.ID); c.State != StateCancelled || c.Finished.IsZero() {
+		t.Fatalf("cancel-requested task not settled as cancelled: %+v", c)
+	}
+	// Recovery claims resume oldest-first: mid (index 1) before queued;
+	// the cancelled task is skipped.
 	c1, _ := s2.TryClaim("w2")
 	c2, _ := s2.TryClaim("w2")
-	if c1.Payload.Index != 1 || c2.Payload.Index != 2 {
+	if c1.Payload.Index != 1 || c2.Payload.Index != 3 {
 		t.Fatalf("recovered claim order: %d then %d", c1.Payload.Index, c2.Payload.Index)
 	}
+	if c3, ok := s2.TryClaim("w2"); ok {
+		t.Fatalf("claimed %+v after the recoverable tasks", c3)
+	}
 	// New ids continue past the journaled sequence.
-	fresh, _ := s2.Submit(cellSpec{Index: 3})
-	if fresh.ID != "t000004" {
-		t.Fatalf("fresh id: got %s, want t000004", fresh.ID)
+	fresh, _ := s2.Submit(cellSpec{Index: 4})
+	if fresh.ID != "t000005" {
+		t.Fatalf("fresh id: got %s, want t000005", fresh.ID)
 	}
 }
 

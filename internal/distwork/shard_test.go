@@ -524,6 +524,7 @@ func TestUnifiedReplay(t *testing.T) {
 	s.Finish(claimed[1].ID, "w1", "", errors.New("boom"))
 	s.MarkRunning(claimed[2].ID, "w1")
 	s.Release(claimed[4].ID, "w1", "put back")
+	s.Cancel(claimed[3].ID) // active: a journaled request the worker never acted on
 	s.Cancel("t000008")
 	// Crash: no Close.
 
@@ -533,18 +534,18 @@ func TestUnifiedReplay(t *testing.T) {
 	}
 	want := map[string]outcome{
 		"t000001": {StateDone, "r1"}, "t000002": {StateFailed, ""},
-		"t000003": {StatePending, ""}, "t000004": {StatePending, ""},
+		"t000003": {StatePending, ""}, "t000004": {StateCancelled, ""},
 		"t000005": {StatePending, ""}, "t000006": {StatePending, ""},
 		"t000007": {StatePending, ""}, "t000008": {StateCancelled, ""},
 	}
-	wantClaims := []string{"t000003", "t000004", "t000005", "t000006", "t000007"}
+	wantClaims := []string{"t000003", "t000005", "t000006", "t000007"}
 	for _, tc := range []struct {
 		name         string
 		evict        bool
 		wantResident int
 	}{
 		{"resident", false, 8},
-		{"evicting", true, 5},
+		{"evicting", true, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "journal.jsonl")
@@ -570,7 +571,7 @@ func TestUnifiedReplay(t *testing.T) {
 				t.Fatalf("resident tasks: %d, want %d", got, tc.wantResident)
 			}
 			counts := s.Counts()
-			if counts[StateDone] != 1 || counts[StateFailed] != 1 || counts[StateCancelled] != 1 || counts[StatePending] != 5 {
+			if counts[StateDone] != 1 || counts[StateFailed] != 1 || counts[StateCancelled] != 2 || counts[StatePending] != 4 {
 				t.Fatalf("counts: %+v", counts)
 			}
 			for seq := uint64(1); seq <= 8; seq++ {
@@ -591,7 +592,7 @@ func TestUnifiedReplay(t *testing.T) {
 				}
 			}
 			if _, ok := s.TryClaim("w2"); ok {
-				t.Fatal("claimed a sixth task")
+				t.Fatal("claimed a fifth task")
 			}
 		})
 	}

@@ -39,17 +39,14 @@ type Server struct {
 	queue   *jobqueue.Queue
 	dataDir string
 
-	mu        sync.Mutex
-	live      map[string]*liveRun
-	cancelled map[string]bool // cancel requested for an active job
+	mu   sync.Mutex
+	live map[string]*liveRun
 
-	// pausePoll bounds how long a paused worker waits between cancel
-	// checks; chunk is the Step slice size (the latency bound
-	// on control requests). Tests shorten both. chunkDelay inserts a
-	// test-only sleep between Step slices so control requests land
-	// mid-run deterministically — execution slicing is invisible to the
+	// chunk is the Step slice size (the latency bound on control
+	// requests); tests shorten it. chunkDelay inserts a test-only sleep
+	// between Step slices so control requests land mid-run
+	// deterministically — execution slicing is invisible to the
 	// simulation, so it cannot change results.
-	pausePoll  time.Duration
 	chunk      int
 	chunkDelay time.Duration
 
@@ -59,12 +56,10 @@ type Server struct {
 // New creates a Server over queue, writing job artifacts under dataDir.
 func New(queue *jobqueue.Queue, dataDir string) *Server {
 	s := &Server{
-		queue:     queue,
-		dataDir:   dataDir,
-		live:      make(map[string]*liveRun),
-		cancelled: make(map[string]bool),
-		pausePoll: 250 * time.Millisecond,
-		chunk:     stepChunk,
+		queue:   queue,
+		dataDir: dataDir,
+		live:    make(map[string]*liveRun),
+		chunk:   stepChunk,
 	}
 	s.bootID = fmt.Sprintf("%x", time.Now().UnixNano())
 	return s
@@ -79,7 +74,6 @@ func (s *Server) register(id string, lr *liveRun) {
 func (s *Server) deregister(id string) {
 	s.mu.Lock()
 	delete(s.live, id)
-	delete(s.cancelled, id)
 	s.mu.Unlock()
 }
 
@@ -87,18 +81,6 @@ func (s *Server) liveRun(id string) *liveRun {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.live[id]
-}
-
-func (s *Server) requestCancel(id string) {
-	s.mu.Lock()
-	s.cancelled[id] = true
-	s.mu.Unlock()
-}
-
-func (s *Server) cancelRequested(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cancelled[id]
 }
 
 // Handler builds the route table. Every route — probes and metrics
@@ -278,25 +260,34 @@ func (s *Server) handleCtrl(op ctrlOp) http.HandlerFunc {
 }
 
 // handleCancel stops a session. Pending jobs cancel immediately; for an
-// executing job the owning worker honors the request between Step slices,
-// flushing partial artifacts before settling the job as cancelled.
+// executing job the store journals the request, so it survives a restart,
+// and the owning worker honors it between Step slices, flushing partial
+// artifacts before it settles the job.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.queue.Get(id); !ok {
 		writeError(w, http.StatusNotFound, "no session %s", id)
 		return
 	}
-	s.requestCancel(id)
 	state, err := s.queue.Cancel(id)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	job, _ := s.queue.Get(id)
 	status := http.StatusOK
 	if state.Active() {
 		status = http.StatusAccepted // the worker will settle it shortly
+		// A run registered by now hears the request on its control
+		// channel; one that registers later reads the store flag.
+		if lr := s.liveRun(id); lr != nil {
+			select {
+			case lr.ctrl <- ctrlMsg{op: opCancel}:
+			case <-r.Context().Done():
+				return
+			}
+		}
 	}
+	job, _ := s.queue.Get(id)
 	writeJSON(w, status, s.view(job, true))
 }
 
@@ -328,23 +319,27 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 
+	var streamed *liveRun
 	for {
-		if lr := s.liveRun(id); lr != nil {
-			ch, cancel := lr.fan.Subscribe(16)
-			s.streamProgress(r, ch, emit)
-			cancel()
-		}
+		// The state is read before the live-run lookup: a run registers
+		// while its job is claimed and then marks it running, so a run
+		// that registers after the lookup always ends the wait below.
 		job, ok := s.queue.Get(id)
 		if !ok || job.State.Terminal() {
 			emit("done", s.view(job, false))
 			return
 		}
-		// Not executing (yet, or anymore after an interruption): poll
-		// until a live run appears or the job settles.
-		select {
-		case <-r.Context().Done():
+		if lr := s.liveRun(id); lr != nil && lr != streamed {
+			streamed = lr
+			ch, cancel := lr.fan.Subscribe(16)
+			s.streamProgress(r, ch, emit)
+			cancel()
+			continue
+		}
+		// Not executing (yet, or anymore): wait for the job's next
+		// transition.
+		if s.queue.WaitTask(r.Context(), id, job.State) != nil {
 			return
-		case <-time.After(100 * time.Millisecond):
 		}
 	}
 }

@@ -80,7 +80,6 @@ func testServer(t *testing.T, journal string, workers int) (*Server, *httptest.S
 	}
 	s := New(q, t.TempDir())
 	s.chunk = 256
-	s.pausePoll = 10 * time.Millisecond
 	s.chunkDelay = 3 * time.Millisecond
 	s.Observe(qopts.Metrics, qopts.Flight)
 	pool := jobqueue.NewPool(q, workers, s.RunJob)
@@ -376,28 +375,41 @@ func TestConcurrentSubmissions(t *testing.T) {
 	}
 }
 
-// TestCancelMidRun cancels an executing job: the worker settles it as
-// cancelled between step chunks and flushes partial artifacts.
+// TestCancelMidRun cancels an executing job, running or parked by a
+// pause: the worker settles it as cancelled between step chunks and
+// flushes partial artifacts.
 func TestCancelMidRun(t *testing.T) {
-	_, ts := testServer(t, "", 1)
-	id := submit(t, ts, slowConfigDoc)
-	waitState(t, ts, id, jobqueue.StateRunning)
+	for _, tc := range []struct {
+		name  string
+		pause bool
+	}{{"running", false}, {"paused", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := testServer(t, "", 1)
+			id := submit(t, ts, slowConfigDoc)
+			waitState(t, ts, id, jobqueue.StateRunning)
+			if tc.pause {
+				if code, body := post(t, ts, "/v1/sessions/"+id+"/pause"); code != http.StatusOK {
+					t.Fatalf("pause: status %d: %s", code, body)
+				}
+			}
 
-	code, body := post(t, ts, "/v1/sessions/"+id+"/cancel")
-	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("cancel: status %d: %s", code, body)
-	}
-	v := waitState(t, ts, id, jobqueue.StateCancelled)
-	if v.Error != "" {
-		t.Fatalf("cancelled job carries error %q", v.Error)
-	}
-	// Partial artifacts exist and parse.
-	code, got := fetch(t, ts, "/v1/sessions/"+id+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("partial result: status %d: %s", code, got)
-	}
-	if _, _, err := elastisim.UnmarshalResultSummary(got); err != nil {
-		t.Fatalf("partial result does not parse: %v", err)
+			code, body := post(t, ts, "/v1/sessions/"+id+"/cancel")
+			if code != http.StatusAccepted && code != http.StatusOK {
+				t.Fatalf("cancel: status %d: %s", code, body)
+			}
+			v := waitState(t, ts, id, jobqueue.StateCancelled)
+			if v.Error != "" {
+				t.Fatalf("cancelled job carries error %q", v.Error)
+			}
+			// Partial artifacts exist and parse.
+			code, got := fetch(t, ts, "/v1/sessions/"+id+"/result")
+			if code != http.StatusOK {
+				t.Fatalf("partial result: status %d: %s", code, got)
+			}
+			if _, _, err := elastisim.UnmarshalResultSummary(got); err != nil {
+				t.Fatalf("partial result does not parse: %v", err)
+			}
+		})
 	}
 }
 

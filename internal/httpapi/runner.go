@@ -23,10 +23,13 @@ const stepChunk = 4096
 // liveRun is the in-memory side of an executing job: the session (for
 // Peek), the progress fan-out (for SSE subscribers), and the control
 // channel the HTTP handlers use to reach the worker between Step slices.
+// paused and cancel are the worker's own control state; only the
+// goroutine running the job touches them.
 type liveRun struct {
-	session *elastisim.Session
-	fan     *elastisim.ProgressFanOut
-	ctrl    chan ctrlMsg
+	session        *elastisim.Session
+	fan            *elastisim.ProgressFanOut
+	ctrl           chan ctrlMsg
+	paused, cancel bool
 }
 
 type ctrlOp string
@@ -35,12 +38,13 @@ const (
 	opPause  ctrlOp = "pause"
 	opResume ctrlOp = "resume"
 	opStep   ctrlOp = "step"
+	opCancel ctrlOp = "cancel"
 )
 
 type ctrlMsg struct {
 	op    ctrlOp
 	n     int        // opStep: number of events
-	reply chan error // closed/sent once the worker applied the op
+	reply chan error // sent once the worker applied the op (nil: no reply)
 }
 
 // RunJob is the jobqueue.Runner that executes one simulation job: it
@@ -66,23 +70,26 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 	defer s.deregister(job.ID)
 	defer fan.Done() // idempotent; covers error paths before the engine's own Done
 
+	// A cancel accepted before the run registered reached only the store;
+	// later ones also arrive as opCancel.
+	cur, _ := q.Get(job.ID)
+	lr.cancel = cur.CancelRequested
 	if err := q.MarkRunning(job.ID, job.Worker); err != nil {
 		return "", err
 	}
 
-	paused := false
 	for {
 		// Apply queued control requests first so a pause or cancel never
 		// waits behind another full chunk.
 		for applied := true; applied; {
 			select {
 			case msg := <-lr.ctrl:
-				s.applyCtrl(q, job, msg, &paused)
+				lr.apply(q, job, msg)
 			default:
 				applied = false
 			}
 		}
-		if s.cancelRequested(job.ID) {
+		if lr.cancel {
 			dir, werr := s.writeArtifacts(job.ID, session, cfg)
 			if werr != nil {
 				dir = ""
@@ -101,13 +108,12 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 			return "", fmt.Errorf("interrupted at sim t=%.3fs after %d events (%d/%d jobs): %w",
 				p.Now, p.Events, p.Completed, p.Total, jobqueue.ErrInterrupted)
 		}
-		if paused {
-			// Parked: wait for control; pausePoll wakes it to notice a cancel.
+		if lr.paused {
+			// Parked until a control request (a cancel included) or shutdown.
 			select {
 			case msg := <-lr.ctrl:
-				s.applyCtrl(q, job, msg, &paused)
+				lr.apply(q, job, msg)
 			case <-ctx.Done():
-			case <-time.After(s.pausePoll):
 			}
 			continue
 		}
@@ -152,24 +158,26 @@ func (s *Server) dumpPostmortem(id string, runErr error) {
 	_ = s.flight.WritePostmortem(f, "panic", fmt.Sprintf("job %s: %v", id, ie), s.reg)
 }
 
-// applyCtrl executes one control request on behalf of the worker.
-func (s *Server) applyCtrl(q *jobqueue.Queue, job jobqueue.Job, msg ctrlMsg, paused *bool) {
+// apply executes one control request on behalf of the worker.
+func (lr *liveRun) apply(q *jobqueue.Queue, job jobqueue.Job, msg ctrlMsg) {
 	var err error
 	switch msg.op {
 	case opPause:
-		if !*paused {
+		if !lr.paused {
 			err = q.MarkPaused(job.ID, job.Worker)
-			*paused = err == nil
+			lr.paused = err == nil
 		}
 	case opResume:
-		if *paused {
+		if lr.paused {
 			err = q.MarkRunning(job.ID, job.Worker)
 			if err == nil {
-				*paused = false
+				lr.paused = false
 			}
 		}
+	case opCancel:
+		lr.cancel = true
 	case opStep:
-		if !*paused {
+		if !lr.paused {
 			err = fmt.Errorf("job %s is not paused", job.ID)
 			break
 		}
@@ -177,21 +185,13 @@ func (s *Server) applyCtrl(q *jobqueue.Queue, job jobqueue.Job, msg ctrlMsg, pau
 		if n <= 0 {
 			n = 1
 		}
-		_, err = s.liveSession(job.ID).Step(n)
+		_, err = lr.session.Step(n)
 	default:
 		err = fmt.Errorf("unknown control op %q", msg.op)
 	}
 	if msg.reply != nil {
 		msg.reply <- err
 	}
-}
-
-// liveSession returns the registered session for id (nil if gone).
-func (s *Server) liveSession(id string) *elastisim.Session {
-	if lr := s.liveRun(id); lr != nil {
-		return lr.session
-	}
-	return nil
 }
 
 // writeArtifacts flushes the session's current result to
