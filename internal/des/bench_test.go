@@ -2,10 +2,10 @@ package des
 
 import "testing"
 
-// BenchmarkScheduleCancel measures the dominant kernel pattern of the
-// fluid solver: schedule a completion event, then cancel and replace it
-// when rates change. Each iteration performs one schedule+cancel against a
-// backlog of 1024 pending events.
+// BenchmarkScheduleCancel measures the kernel's cancel path: schedule a
+// completion event, then cancel it, as the fluid solver does when a
+// component's earliest finisher changes. Each iteration performs one
+// schedule+cancel against a backlog of 1024 pending events.
 func BenchmarkScheduleCancel(b *testing.B) {
 	k := NewKernel()
 	for i := 0; i < 1024; i++ {

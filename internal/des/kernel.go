@@ -14,10 +14,17 @@
 //
 // Cancellation is lazy: Cancel marks the event dead in O(1) and the queue
 // skims tombstones off the top (or compacts in bulk when they accumulate),
-// so the heavy cancel/reschedule churn of the fluid solver costs amortised
-// constant time instead of a heap removal per cancel. Owners that hold the
-// only reference to an event can additionally Release it, letting the
-// kernel recycle the allocation for a future Schedule.
+// so a cancel costs amortised constant time instead of a heap removal.
+// Owners that hold the only reference to an event can additionally Release
+// it, letting the kernel recycle the allocation for a future Schedule.
+//
+// An owner that tracks many candidate events but keeps only one of them
+// queued — the fluid solver holds one completion event per connected
+// component, at its earliest finisher — takes each candidate's insertion
+// sequence number with ReserveSeq when the candidate arises and enqueues
+// the winner later with ScheduleReserved. The event then fires exactly
+// where it would have had every candidate been scheduled, and cancelled,
+// individually.
 package des
 
 import (
@@ -179,7 +186,7 @@ func (k *Kernel) Pending() int { return k.queue.Len() - k.tombs }
 // drops whenever it re-buckets and the heap only when it compacts, so the
 // two can differ by a few events (542 vs 543 on cmd/bench malleable_pfs).
 type KernelStats struct {
-	Scheduled    uint64 // events ever enqueued (including recycled allocations)
+	Scheduled    uint64 // sequence numbers issued, including those the fluid pool reserves
 	Fired        uint64 // events popped and executed
 	Cancelled    uint64 // events tombstoned before firing
 	Recycled     uint64 // Schedule calls served from the free list
@@ -231,7 +238,29 @@ func (k *Kernel) SetStopCheck(n uint64, fn func() bool) {
 // Schedule enqueues fn to run at absolute time t with the given priority.
 // Scheduling in the past panics: it always indicates a simulation bug.
 func (k *Kernel) Schedule(t Time, p Priority, fn Handler) *Event {
-	return k.schedule(t, p, fn, false)
+	return k.schedule(t, p, k.ReserveSeq(), fn, false)
+}
+
+// ReserveSeq consumes one insertion sequence number without enqueueing
+// anything and returns it. A later ScheduleReserved at that number orders
+// the event among same-(time, priority) peers as if it had been scheduled
+// now. Reserved numbers count in KernelStats.Scheduled whether or not they
+// are ever enqueued.
+func (k *Kernel) ReserveSeq() uint64 {
+	seq := k.seq
+	k.seq++
+	return seq
+}
+
+// ScheduleReserved enqueues fn at absolute time t under a sequence number
+// previously returned by ReserveSeq. A number may be enqueued again after
+// its event was cancelled; at most one live event may carry it. A number
+// the kernel never issued, or a time in the past, panics.
+func (k *Kernel) ScheduleReserved(t Time, p Priority, seq uint64, fn Handler) *Event {
+	if seq >= k.seq {
+		panic(fmt.Sprintf("des: sequence number %d was never reserved", seq))
+	}
+	return k.schedule(t, p, seq, fn, false)
 }
 
 // ScheduleTransient enqueues a fire-and-forget event: the caller gets no
@@ -240,7 +269,7 @@ func (k *Kernel) Schedule(t Time, p Priority, fn Handler) *Event {
 // schedule-now bookkeeping events that dominate large simulations; with
 // it, steady-state scheduling allocates nothing.
 func (k *Kernel) ScheduleTransient(t Time, p Priority, fn Handler) {
-	k.schedule(t, p, fn, true)
+	k.schedule(t, p, k.ReserveSeq(), fn, true)
 }
 
 // ScheduleTransientAfter is ScheduleTransient at now + d.
@@ -248,10 +277,12 @@ func (k *Kernel) ScheduleTransientAfter(d Time, p Priority, fn Handler) {
 	if d < 0 {
 		panic(fmt.Sprintf("des: negative delay %v", d))
 	}
-	k.schedule(k.now+d, p, fn, true)
+	k.schedule(k.now+d, p, k.ReserveSeq(), fn, true)
 }
 
-func (k *Kernel) schedule(t Time, p Priority, fn Handler, transient bool) *Event {
+// schedule is the one enqueue path; seq is the event's tie-breaking
+// insertion number, freshly reserved or handed back by ScheduleReserved.
+func (k *Kernel) schedule(t Time, p Priority, seq uint64, fn Handler, transient bool) *Event {
 	if t < k.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, k.now))
 	}
@@ -263,7 +294,7 @@ func (k *Kernel) schedule(t Time, p Priority, fn Handler, transient bool) *Event
 		ev = k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		*ev = Event{time: t, priority: p, seq: k.seq, fn: fn, released: transient}
+		*ev = Event{time: t, priority: p, seq: seq, fn: fn, released: transient}
 		k.recycled++
 	} else if k.peakQueue >= slabMinPeak {
 		// Batch-allocate from one backing array, pre-sizing the free list
@@ -277,11 +308,10 @@ func (k *Kernel) schedule(t Time, p Priority, fn Handler, transient bool) *Event
 			k.free = append(k.free, &slab[i])
 		}
 		ev = &slab[0]
-		*ev = Event{time: t, priority: p, seq: k.seq, fn: fn, released: transient}
+		*ev = Event{time: t, priority: p, seq: seq, fn: fn, released: transient}
 	} else {
-		ev = &Event{time: t, priority: p, seq: k.seq, fn: fn, released: transient}
+		ev = &Event{time: t, priority: p, seq: seq, fn: fn, released: transient}
 	}
-	k.seq++
 	k.queue.Push(ev)
 	if n := k.queue.Len(); n > k.peakQueue {
 		k.peakQueue = n

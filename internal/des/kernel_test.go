@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -488,6 +489,39 @@ func TestKernelInvalidArguments(t *testing.T) {
 	}
 	mustPanic("nil handler", func() { k.Schedule(1, PriorityDefault, nil) })
 	mustPanic("negative delay", func() { k.ScheduleAfter(-1, PriorityDefault, func() {}) })
+	seq := k.ReserveSeq()
+	mustPanic("unreserved seq", func() { k.ScheduleReserved(1, PriorityDefault, seq+1, func() {}) })
+	_ = k.RunUntil(2)
+	mustPanic("reserved seq in the past", func() { k.ScheduleReserved(1, PriorityDefault, seq, func() {}) })
+}
+
+// TestKernelReservedSeqOrdersFirst pins the seam the fluid solver's
+// one-event-per-component scheduling rests on: an event enqueued under an
+// earlier reserved sequence number fires before a same-(time, priority)
+// peer scheduled between the reservation and the enqueue, on both queues.
+func TestKernelReservedSeqOrdersFirst(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		k    *Kernel
+	}{{"ladder", NewKernel()}, {"heap", NewHeapKernel()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := tc.k
+			var got []string
+			seq := k.ReserveSeq()
+			k.Schedule(5, PriorityActivity, func() { got = append(got, "peer") })
+			k.ScheduleReserved(5, PriorityActivity, seq, func() { got = append(got, "reserved") })
+			k.Schedule(5, PriorityActivity, func() { got = append(got, "later") })
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if want := "[reserved peer later]"; fmt.Sprint(got) != want {
+				t.Errorf("fire order %v, want %s", got, want)
+			}
+			if st := k.Stats(); st.Scheduled != 3 || st.Fired != 3 {
+				t.Errorf("Scheduled/Fired = %d/%d, want 3/3 (reserving consumes the number)", st.Scheduled, st.Fired)
+			}
+		})
+	}
 }
 
 func TestRNGInvalidArguments(t *testing.T) {

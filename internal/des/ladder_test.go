@@ -13,12 +13,17 @@ import (
 // The op stream exercises everything the engine does: schedules at mixed
 // priorities with heavy timestamp ties, far-future bursts (top transfers
 // and rung builds), schedule-from-handler at the current timestamp
-// (bottom-heap races), cancels, releases, transients, bulk fires, and
-// horizon-bounded RunUntil.
+// (bottom-heap races), cancels, releases, transients, bulk fires,
+// horizon-bounded RunUntil, and the fluid solver's reserve-then-enqueue
+// pattern: sequence numbers reserved early and enqueued later (possibly
+// behind same-time peers that already fired), and re-enqueued after their
+// event was cancelled.
 func queueScript(k *Kernel, data []byte) []int {
 	var log []int
 	var live []*Event
 	var lastCancelled *Event
+	var reserved []uint64             // reserved numbers with no live event
+	reservedOf := map[*Event]uint64{} // live events enqueued under a reservation
 	serial := 0
 	rd := func(i int) byte {
 		if len(data) == 0 {
@@ -31,7 +36,7 @@ func queueScript(k *Kernel, data []byte) []int {
 		op, arg := rd(i), rd(i+1)
 		delta := Time(arg%16) * 0.25
 		prio := prios[arg%4]
-		switch op % 8 {
+		switch op % 10 {
 		case 0, 1:
 			n := serial
 			serial++
@@ -52,6 +57,12 @@ func queueScript(k *Kernel, data []byte) []int {
 				ev := live[idx]
 				live[idx] = live[len(live)-1]
 				live = live[:len(live)-1]
+				if seq, ok := reservedOf[ev]; ok {
+					if !ev.Cancelled() { // still pending: its number is free again
+						reserved = append(reserved, seq)
+					}
+					delete(reservedOf, ev)
+				}
 				k.Cancel(ev)
 				lastCancelled = ev
 			}
@@ -74,6 +85,20 @@ func queueScript(k *Kernel, data []byte) []int {
 			}
 		case 7:
 			_ = k.RunUntil(k.Now() + Time(arg%64))
+		case 8:
+			reserved = append(reserved, k.ReserveSeq())
+		case 9:
+			if len(reserved) > 0 {
+				idx := int(arg) % len(reserved)
+				seq := reserved[idx]
+				reserved[idx] = reserved[len(reserved)-1]
+				reserved = reserved[:len(reserved)-1]
+				n := serial
+				serial++
+				ev := k.ScheduleReserved(k.Now()+delta, prio, seq, func() { log = append(log, n) })
+				live = append(live, ev)
+				reservedOf[ev] = seq
+			}
 		}
 	}
 	_ = k.Run()

@@ -10,7 +10,7 @@ import (
 // shared is true they all contend on one global resource (one connected
 // component); otherwise each runs on a private resource (n singleton
 // components — the job-private case the fast-path ablation exploits).
-func benchPool(b *testing.B, n int, shared bool) (*des.Kernel, *Pool, *Resource) {
+func benchPool(b testing.TB, n int, shared bool) (*des.Kernel, *Pool, *Resource) {
 	b.Helper()
 	k := des.NewKernel()
 	p := NewPool(k)
@@ -34,7 +34,7 @@ func benchPool(b *testing.B, n int, shared bool) (*des.Kernel, *Pool, *Resource)
 // BenchmarkSolveDisjoint measures one Start+Cancel cycle of an activity
 // whose resource is disjoint from 256 running background activities. The
 // incremental solver only touches the one-activity component; the full
-// solver re-solves and reschedules all 257.
+// solver re-solves all 257.
 func BenchmarkSolveDisjoint(b *testing.B) {
 	_, p, extra := benchPool(b, 256, false)
 	b.ReportAllocs()
@@ -64,10 +64,34 @@ func BenchmarkSolveShared(b *testing.B) {
 	}
 }
 
+// TestSolveSharedAllocs pins BenchmarkSolveShared's probe — one Start and
+// Cancel on a 256-activity component — to the probe's own allocations (the
+// Activity and its usage slice): re-solving the component re-keys all 257
+// members but re-arms one recycled completion event, so no per-member
+// event or handler is allocated. The pin is meaningless under the race
+// detector, which allocates on its own; CI runs it without -race.
+func TestSolveSharedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	_, p, _ := benchPool(t, 256, true)
+	shared := p.resources[0]
+	allocs := testing.AllocsPerRun(200, func() {
+		a := NewActivity("probe", 1e18, nil)
+		a.AddUsage(shared, 1)
+		p.Start(a)
+		p.Cancel(a)
+	})
+	if allocs > 3 {
+		t.Errorf("Start+Cancel on a 256-activity component allocates %.1f times, want <= 3", allocs)
+	}
+}
+
 // BenchmarkChurn runs a full simulation: 200 activities with staggered
 // amounts of work across 32 resources, executed to completion. Every
-// completion triggers a re-solve and rescheduling, exercising the event
-// cancel/reuse path end to end.
+// completion triggers a re-solve that re-keys its component and re-arms
+// the component's event, exercising the event cancel/reuse path end to
+// end.
 func BenchmarkChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

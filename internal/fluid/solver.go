@@ -23,14 +23,28 @@
 // maintains per-resource membership lists, discovers the affected
 // component(s) by traversal on each state change, and re-solves just
 // those, leaving every other activity's rate — and, crucially, its
-// scheduled completion event — untouched. Activities within a component
+// completion key and event — untouched. Activities within a component
 // are always solved in start order, so the arithmetic (and therefore every
 // bit of the result) is independent of how the component was discovered.
 // The full-recompute reference (SetForceFullSolve, set only by tests)
 // re-solves every component on every change instead; because untouched
 // components re-solve to bit-identical rates and unchanged rates never
-// reschedule events, both modes produce bit-identical simulations
+// re-key or re-arm anything, both modes produce bit-identical simulations
 // (asserted by the equivalence regression tests).
+//
+// # One completion event per component
+//
+// Every activity carries a virtual completion key (due, seq): its
+// projected finish time and a kernel sequence number reserved
+// (des.Kernel.ReserveSeq) whenever its rate changes. Only the component's
+// minimum key is a real kernel event, held by that "leader" activity. A
+// re-solve re-keys the activities whose rate moved, and re-arms at most
+// one event — so a contended resource costs O(1) kernel operations per
+// solve, not one cancel and reschedule per member. Because the kernel
+// orders events by (time, priority, seq), the leader's event fires exactly
+// where the earliest of the members' individual events would have, so
+// completions interleave with every other event as if each activity had
+// held its own.
 package fluid
 
 import (
@@ -106,22 +120,33 @@ type usage struct {
 }
 
 // Activity is a unit of fluid work. Create with NewActivity, add usages,
-// then hand it to Pool.Start.
+// then hand it to Pool.Start. Solver scratch (the previous rate, the
+// frozen flag) lives in the pool, keeping the struct in the 128-byte size
+// class the engine allocates one of per job phase.
 type Activity struct {
 	name       string
 	remaining  float64
 	usages     []usage
 	onComplete func()
 
-	rate     float64
-	prevRate float64 // rate before the current solve (elision check)
-	maxRate  float64 // 0 = unlimited
-	frozen   bool
-	event    *des.Event
-	pool     *Pool
-	index    int    // position in pool.active, -1 when not active
-	seq      uint64 // start order; canonical within-component solve order
-	mark     uint64 // component-traversal stamp
+	rate    float64
+	maxRate float64  // 0 = unlimited
+	due     des.Time // completion key time; Infinity = no key
+	dueSeq  uint64   // completion key's reserved kernel sequence number
+	arm     *armSlot // the component's completion event, when this is its leader
+	pool    *Pool
+	index   int    // position in pool.active, -1 when not active
+	seq     uint64 // start order; canonical within-component solve order
+	mark    uint64 // component-traversal stamp
+}
+
+// armSlot is a component's one live completion event together with the
+// activity holding it. The pool recycles slots, so the handler closure is
+// built once per slot rather than once per scheduled completion.
+type armSlot struct {
+	ev   *des.Event
+	act  *Activity
+	fire des.Handler
 }
 
 // NewActivity creates an activity with the given total work (in resource
@@ -131,7 +156,7 @@ func NewActivity(name string, work float64, onComplete func()) *Activity {
 	if work < 0 || math.IsNaN(work) {
 		panic(fmt.Sprintf("fluid: invalid work %v for activity %s", work, name))
 	}
-	return &Activity{name: name, remaining: work, onComplete: onComplete, index: -1}
+	return &Activity{name: name, remaining: work, onComplete: onComplete, due: des.Infinity, index: -1}
 }
 
 // AddUsage declares that the activity consumes weight units of res capacity
@@ -188,9 +213,14 @@ type Pool struct {
 	stamp    uint64 // traversal stamp generator
 
 	// comp is the scratch buffer component traversals collect into;
-	// compRes collects the component's distinct resources.
-	comp    []*Activity
-	compRes []*Resource
+	// compRes collects the component's distinct resources. prevRate and
+	// frozen are per-solve scratch parallel to comp.
+	comp     []*Activity
+	compRes  []*Resource
+	prevRate []float64
+	frozen   []bool
+
+	freeArms []*armSlot // disarmed, ready for the next leader
 
 	// Performance counters (see the accessors for meanings).
 	solves     uint64
@@ -318,7 +348,7 @@ func (p *Pool) RemainingOf(a *Activity) float64 {
 func (p *Pool) ActiveCount() int { return len(p.active) }
 
 // remove unlinks the activity from the pool and from every resource's
-// membership list, and retires its completion event.
+// membership list, and retires its completion event if it holds one.
 func (p *Pool) remove(a *Activity) {
 	last := len(p.active) - 1
 	i := a.index
@@ -339,10 +369,8 @@ func (p *Pool) remove(a *Activity) {
 		acts[end] = actRef{}
 		u.res.acts = acts[:end]
 	}
-	if a.event != nil {
-		p.kernel.Cancel(a.event)
-		p.kernel.Release(a.event)
-		a.event = nil
+	if a.arm != nil {
+		p.disarm(a)
 	}
 }
 
@@ -362,10 +390,9 @@ func (p *Pool) advanceProgress() {
 	p.lastUpdate = now
 }
 
-// complete finalizes an activity whose work reached zero.
+// complete finalizes an activity whose work reached zero: the leader of
+// its component, whose event just fired (remove releases it).
 func (p *Pool) complete(a *Activity) {
-	p.kernel.Release(a.event)
-	a.event = nil
 	p.advanceProgress()
 	// Guard against float drift: force remaining to zero at completion.
 	a.remaining = 0
@@ -431,7 +458,7 @@ func (p *Pool) solveAll() {
 }
 
 // solveComponent solves rates for the activities in p.comp (one connected
-// component) and reschedules the completion events whose rates changed.
+// component) and re-keys the activities whose rates changed.
 // Activities are solved in start order, making the floating-point
 // arithmetic — and hence the solved rates — independent of the traversal
 // order that discovered the component.
@@ -444,8 +471,9 @@ func (p *Pool) solveComponent() {
 		return 1
 	})
 	p.solvedActs += uint64(len(comp))
+	p.prevRate = p.prevRate[:0]
 	for _, a := range comp {
-		a.prevRate = a.rate
+		p.prevRate = append(p.prevRate, a.rate)
 	}
 	switch p.fairness {
 	case MaxMin:
@@ -456,39 +484,77 @@ func (p *Pool) solveComponent() {
 	p.reschedule(comp)
 }
 
-// reschedule updates completion events for the just-solved activities. An
-// activity whose rate is exactly unchanged keeps its event: the previously
-// scheduled completion time is the same closed form evaluated earlier, so
-// skipping the cancel+reschedule cannot alter the simulation (completion
-// forces remaining to zero, absorbing sub-ulp drift). This elision is what
-// lets untouched components skip event churn entirely.
+// reschedule re-keys the just-solved activities and arms the component's
+// one completion event at its minimum key. An activity whose rate is
+// exactly unchanged keeps its key: the previously computed completion time
+// is the same closed form evaluated earlier, so keeping it cannot alter
+// the simulation (completion forces remaining to zero, absorbing sub-ulp
+// drift). A changed rate takes a fresh key, its sequence number reserved
+// in start order — the numbers per-activity Schedule calls would consume —
+// and stales the event if the activity held it. Any other holder (a
+// component merged by Start brings one) is disarmed, and the leader is
+// armed unless it already holds the event: a re-solve that moves no
+// minimum touches no event.
 func (p *Pool) reschedule(comp []*Activity) {
 	now := p.kernel.Now()
-	for _, a := range comp {
-		if a.event != nil && a.rate == a.prevRate {
-			continue
+	var lead *Activity
+	for i, a := range comp {
+		if a.due == des.Infinity || a.rate != p.prevRate[i] {
+			switch {
+			case a.remaining <= 0:
+				a.due = now
+			case a.rate <= 0:
+				a.due = des.Infinity
+			default:
+				a.due = now + des.Time(a.remaining/a.rate)
+			}
+			if a.due < des.Infinity {
+				a.dueSeq = p.kernel.ReserveSeq()
+			}
+			if a.arm != nil {
+				p.disarm(a)
+			}
 		}
-		var due des.Time
-		switch {
-		case a.remaining <= 0:
-			due = now
-		case a.rate <= 0:
-			due = des.Infinity
-		default:
-			due = now + des.Time(a.remaining/a.rate)
-		}
-		if a.event != nil {
-			p.kernel.Cancel(a.event)
-			p.kernel.Release(a.event)
-			a.event = nil
-		}
-		if due < des.Infinity {
-			act := a
-			a.event = p.kernel.Schedule(due, des.PriorityActivity, func() {
-				p.complete(act)
-			})
+		if a.due < des.Infinity && (lead == nil || a.due < lead.due ||
+			a.due == lead.due && a.dueSeq < lead.dueSeq) {
+			lead = a
 		}
 	}
+	for _, a := range comp {
+		if a.arm != nil && a != lead {
+			p.disarm(a)
+		}
+	}
+	if lead != nil && lead.arm == nil {
+		p.arm(lead)
+	}
+}
+
+// arm schedules a's completion event at its key, reusing a recycled slot
+// (and its handler) when one is free.
+func (p *Pool) arm(a *Activity) {
+	var m *armSlot
+	if n := len(p.freeArms); n > 0 {
+		m = p.freeArms[n-1]
+		p.freeArms = p.freeArms[:n-1]
+	} else {
+		m = &armSlot{}
+		m.fire = func() { p.complete(m.act) }
+	}
+	m.act = a
+	m.ev = p.kernel.ScheduleReserved(a.due, des.PriorityActivity, a.dueSeq, m.fire)
+	a.arm = m
+}
+
+// disarm retires the event a holds — cancelled, unless it already fired —
+// and recycles its slot; a keeps its key.
+func (p *Pool) disarm(a *Activity) {
+	m := a.arm
+	p.kernel.Cancel(m.ev)
+	p.kernel.Release(m.ev)
+	m.ev, m.act = nil, nil
+	p.freeArms = append(p.freeArms, m)
+	a.arm = nil
 }
 
 // solveMaxMin assigns progressive-filling max–min fair rates within one
@@ -502,15 +568,16 @@ func (p *Pool) solveMaxMin(comp []*Activity, touched []*Resource) {
 		r.weightSum = 0
 		r.saturated = false
 	}
-	unfrozen := 0
+	frozen := p.frozen[:0]
 	for _, a := range comp {
 		a.rate = 0
-		a.frozen = false
-		unfrozen++
+		frozen = append(frozen, false)
 		for _, u := range a.usages {
 			u.res.weightSum += u.weight
 		}
 	}
+	p.frozen = frozen
+	unfrozen := len(comp)
 	for unfrozen > 0 {
 		// Find the bottleneck increment: the tightest resource, or the
 		// nearest per-activity rate cap.
@@ -523,8 +590,8 @@ func (p *Pool) solveMaxMin(comp []*Activity, touched []*Resource) {
 				delta = d
 			}
 		}
-		for _, a := range comp {
-			if a.frozen || a.maxRate <= 0 {
+		for i, a := range comp {
+			if frozen[i] || a.maxRate <= 0 {
 				continue
 			}
 			if d := a.maxRate - a.rate; d < delta {
@@ -537,8 +604,8 @@ func (p *Pool) solveMaxMin(comp []*Activity, touched []*Resource) {
 			break
 		}
 		// Apply the increment.
-		for _, a := range comp {
-			if a.frozen {
+		for i, a := range comp {
+			if frozen[i] {
 				continue
 			}
 			a.rate += delta
@@ -555,8 +622,8 @@ func (p *Pool) solveMaxMin(comp []*Activity, touched []*Resource) {
 		}
 		// Freeze activities that touch a saturated resource or hit their
 		// rate cap; either way their consumption stops growing.
-		for _, a := range comp {
-			if a.frozen {
+		for i, a := range comp {
+			if frozen[i] {
 				continue
 			}
 			freeze := a.maxRate > 0 && a.rate >= a.maxRate-p.epsilon*a.maxRate
@@ -569,7 +636,7 @@ func (p *Pool) solveMaxMin(comp []*Activity, touched []*Resource) {
 				}
 			}
 			if freeze {
-				a.frozen = true
+				frozen[i] = true
 				unfrozen--
 				// Its weight no longer grows on other resources.
 				for _, u2 := range a.usages {

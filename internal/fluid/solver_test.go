@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -568,5 +569,105 @@ func TestCancelInactiveIsNoop(t *testing.T) {
 	p.Cancel(a) // never started: no-op
 	if a.Active() {
 		t.Error("inactive activity reports active")
+	}
+}
+
+// TestOneEventPerComponent pins the scheduling shape: however many
+// activities a component holds, exactly one completion event is queued for
+// it — so N activities on one shared resource leave one pending event, and
+// N activities on private resources (N components) leave N.
+func TestOneEventPerComponent(t *testing.T) {
+	const n = 16
+	for _, shared := range []bool{true, false} {
+		k := des.NewKernel()
+		p := NewPool(k)
+		global := p.NewResource("global", n)
+		for i := 0; i < n; i++ {
+			a := NewActivity("a", float64(100+i), nil)
+			if shared {
+				a.AddUsage(global, 1)
+			} else {
+				a.AddUsage(p.NewResource("private", 1), 1)
+			}
+			p.Start(a)
+		}
+		want := n
+		if shared {
+			want = 1
+		}
+		if got := k.Pending(); got != want {
+			t.Errorf("shared=%v: %d pending events, want %d", shared, got, want)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if p.ActiveCount() != 0 {
+			t.Errorf("shared=%v: %d activities never completed", shared, p.ActiveCount())
+		}
+	}
+}
+
+// TestCompletionTieOrder pins the interleaving the reserved sequence
+// numbers preserve: two activities and a raw PriorityActivity timer all
+// due at the same instant fire in the order they were started or
+// scheduled — even when the second activity, sharing a component with
+// the first, is only armed after the first fires (and after the timer was
+// scheduled). Each activity is bound by a private unit-capacity resource
+// and linked to the other by an unsaturated one, so the first completion
+// leaves the second's rate, and hence its key, unchanged.
+func TestCompletionTieOrder(t *testing.T) {
+	for _, order := range []string{"A timer B", "A B timer"} {
+		k := des.NewKernel()
+		p := NewPool(k)
+		link := p.NewResource("link", 10)
+		var got []string
+		start := func(name string) {
+			a := NewActivity(name, 2, func() { got = append(got, name) })
+			a.AddUsage(p.NewResource(name, 1), 1)
+			a.AddUsage(link, 1)
+			p.Start(a)
+		}
+		for _, step := range strings.Fields(order) {
+			if step == "timer" {
+				k.Schedule(2, des.PriorityActivity, func() { got = append(got, "timer") })
+			} else {
+				start(step)
+			}
+		}
+		if k.Pending() != 2 {
+			t.Fatalf("%s: %d pending events, want 2 (one component event plus the timer)", order, k.Pending())
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, " ") != order {
+			t.Errorf("fire order %q, want %q", strings.Join(got, " "), order)
+		}
+	}
+}
+
+// TestResolveKeepsUnchangedMinimum: re-solving a component whose minimum
+// key does not move cancels no kernel event — not when a later finisher
+// joins it, nor when that finisher leaves again.
+func TestResolveKeepsUnchangedMinimum(t *testing.T) {
+	k := des.NewKernel()
+	p := NewPool(k)
+	link := p.NewResource("link", 10)
+	start := func(work float64) *Activity {
+		a := NewActivity("a", work, nil)
+		a.AddUsage(p.NewResource("private", 1), 1)
+		a.AddUsage(link, 1)
+		p.Start(a)
+		return a
+	}
+	start(1)
+	before := k.Stats().Cancelled
+	late := start(5)
+	p.Cancel(late)
+	if d := k.Stats().Cancelled - before; d != 0 {
+		t.Errorf("re-solves with an unchanged minimum cancelled %d events, want 0", d)
+	}
+	if k.Pending() != 1 {
+		t.Errorf("%d pending events, want 1", k.Pending())
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // KernelStats are the DES kernel's lifetime counters.
 type KernelStats struct {
-	Scheduled uint64 `json:"scheduled"` // events ever scheduled
+	Scheduled uint64 `json:"scheduled"` // sequence numbers issued, including those the fluid pool reserves
 	Fired     uint64 `json:"fired"`     // events popped and executed
 	Cancelled uint64 `json:"cancelled"` // events tombstoned before firing
 	Recycled  uint64 `json:"recycled"`  // events reused from the free list
