@@ -16,14 +16,11 @@ import (
 // engineCtor is core.New's signature, the parameter of newSession.
 type engineCtor = func(*PlatformSpec, *Workload, Algorithm, Options) (*core.Engine, error)
 
-// referenceEngine is core.New on the reference implementations: the
-// binary-heap event queue and/or a fluid pool in full-recompute mode.
-func referenceEngine(heapQueue, fullSolve bool) engineCtor {
+// referenceEngine is core.New with the fluid pool optionally in its
+// full-recompute reference mode.
+func referenceEngine(fullSolve bool) engineCtor {
 	return func(spec *PlatformSpec, w *Workload, algo Algorithm, opts Options) (*core.Engine, error) {
 		k := des.NewKernel()
-		if heapQueue {
-			k = des.NewHeapKernel()
-		}
 		p := fluid.NewPool(k)
 		p.SetForceFullSolve(fullSolve)
 		return core.NewOn(k, p, spec, w, algo, opts)
@@ -54,7 +51,7 @@ func runOn(t *testing.T, cfg Config, newEngine engineCtor) *Result {
 // modes fails the comparison.
 func equivalenceRun(t *testing.T, forceFull bool) (*Result, string, []byte) {
 	t.Helper()
-	return equivalenceRunOn(t, Options{Trace: true}, referenceEngine(false, forceFull))
+	return equivalenceRunOn(t, Options{Trace: true}, referenceEngine(forceFull))
 }
 
 // equivalenceRunOpts is equivalenceRun with caller-chosen engine options

@@ -109,8 +109,6 @@ func (so *sessionObs) recordFinish(s *Session, res *Result, reason AbortReason) 
 		so.reg.Counter("elastisim_sim_jobs_total").Add(uint64(len(res.Records)))
 		ks := s.eng.KernelStats()
 		so.reg.Counter("elastisim_sim_events_cancelled_total").Add(ks.Cancelled)
-		so.reg.Counter("elastisim_sim_ladder_top_transfers_total").Add(ks.TopTransfers)
-		so.reg.Counter("elastisim_sim_ladder_rung_spawns_total").Add(ks.RungSpawns)
 		so.reg.Gauge("elastisim_sim_peak_queue", nil).SetMax(float64(ks.PeakQueue))
 	}
 	so.flight.Recordf("session", "finished (%s): makespan=%.3fs events=%d invocations=%d jobs=%d",

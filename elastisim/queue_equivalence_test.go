@@ -2,36 +2,32 @@ package elastisim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/job"
 )
 
-// queueDump runs cfg on newEngine's engine and returns the byte-exact artifacts the
-// ladder/heap comparison pins — the %b-formatted trace, the per-job CSV,
-// the canonical Result JSON document — plus the queue-independent part of
-// the telemetry Snapshot: every deterministic counter except
-// Kernel.PeakQueue, which includes tombstones still queued (the ladder
-// sweeps them when it re-buckets, the heap only on compaction; 542 vs 543
-// on cmd/bench's malleable_pfs, where Recycled and the rest agree).
-func queueDump(t *testing.T, cfg Config, newEngine engineCtor) (string, []byte, []byte, string) {
+// queueDump runs cfg and returns the byte-exact artifacts the queue
+// digests pin: the %b-formatted trace, the per-job CSV and the canonical
+// Result JSON document.
+func queueDump(t *testing.T, cfg Config) [3][]byte {
 	t.Helper()
-	res := runOn(t, cfg, newEngine)
+	res := runOn(t, cfg, core.New)
 	trace, csv := dumpRun(t, res)
 	var doc bytes.Buffer
 	if err := res.WriteJSON(&doc); err != nil {
 		t.Fatal(err)
 	}
-	snap := res.Telemetry.StripWall()
-	snap.Kernel.PeakQueue = 0
-	return trace, csv, doc.Bytes(), fmt.Sprintf("%+v", snap)
+	return [3][]byte{[]byte(trace), csv, doc.Bytes()}
 }
 
-// periodicQueueConfig exercises the batched-invocation regime the ladder
-// queue was built for: periodic-only scheduling over a rigid/moldable mix,
-// no event-driven invocations.
+// periodicQueueConfig exercises the batched-invocation regime:
+// periodic-only scheduling over a rigid/moldable mix, no event-driven
+// invocations.
 func periodicQueueConfig(t *testing.T, opts Options) Config {
 	t.Helper()
 	wl, err := GenerateWorkload(WorkloadConfig{
@@ -96,39 +92,49 @@ func depsQueueConfig(t *testing.T, opts Options) Config {
 	}
 }
 
-// TestLadderHeapQueueEquivalence pins the event-queue refactoring
-// invariant: the calendar/ladder queue must reproduce the binary-heap
-// reference (des.NewHeapKernel, reached through the newSession seam) bit
-// for bit — identical trace at exact float precision, identical per-job
-// CSV, identical canonical Result JSON, identical telemetry counters bar
-// the peak queue length — across scenarios covering failures, malleability,
-// evolving requests, periodic-only batched invocations, and dependency
-// chains with tied timestamps.
+// TestLadderHeapQueueEquivalence pins the event queue's output to the
+// ladder queue it replaced: the SHA-256 of each scenario's trace, jobs CSV
+// and Result JSON, computed at commit 958a550, where this test still ran
+// every scenario on both the ladder and the binary heap and required
+// identical bytes. The scenarios cover failures, malleability, evolving
+// requests, periodic-only batched invocations, and dependency chains with
+// tied timestamps.
 func TestLadderHeapQueueEquivalence(t *testing.T) {
+	// The digests hold on amd64 only: on arm64, ppc64 and s390x the Go
+	// compiler may fuse x*y+z into one FMA instruction, which rounds once
+	// instead of twice and so moves low-order bits of simulated times.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests were computed on amd64; %s may fuse multiply-add", runtime.GOARCH)
+	}
 	scenarios := []struct {
 		name string
 		cfg  func(*testing.T, Options) Config
+		want [3]string // trace, jobs CSV, Result JSON
 	}{
-		{"failures-adaptive", equivalenceConfig},
-		{"periodic-batch", periodicQueueConfig},
-		{"deps-ties", depsQueueConfig},
+		{"failures-adaptive", equivalenceConfig, [3]string{
+			"cf0048ceb9157040078c69acc1f188e4f2691eb4c899c7881d1085a35ef0e055",
+			"51b8927fdbd6c5cce6a2642ce55adb662fdcc7d7d4855cd0a223a092407db78b",
+			"d7cefb412c7c0766b4790bf2010b4db0ba57095bea052f2d53c1018246871105",
+		}},
+		{"periodic-batch", periodicQueueConfig, [3]string{
+			"3d794813494d5a1d39c5faa6f781a82cf8823622380e70b170e66616df189c2c",
+			"eefd2ba76760d092880ce78f140e7cc8f3b089aaad025f76762c79dd2070a8a6",
+			"de64d644b99df63bf0773763650afad6df1372cb238821f197258212d64365bb",
+		}},
+		{"deps-ties", depsQueueConfig, [3]string{
+			"4d074fc99e32917d30956c79272c31c30b9cc9da88827c90c2626f037516e2d4",
+			"e1561469e5d12c8530a32b1215c0a04cf6c79ee8fc5799e3b51506399c285b29",
+			"60d938a1e0183c8f52933bacb92c04e316d39f6a369d76efd8d888aae86ee4eb",
+		}},
 	}
+	artifacts := [3]string{"trace", "jobs CSV", "Result JSON"}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			ladTrace, ladCSV, ladJSON, ladSnap := queueDump(t, sc.cfg(t, Options{Trace: true}), core.New)
-			heapTrace, heapCSV, heapJSON, heapSnap := queueDump(t, sc.cfg(t, Options{Trace: true}), referenceEngine(true, false))
-			if ladTrace != heapTrace {
-				t.Errorf("traces diverge between ladder and heap queues:\n%s", firstDiff(heapTrace, ladTrace))
-			}
-			if !bytes.Equal(ladCSV, heapCSV) {
-				t.Errorf("jobs CSV diverges between ladder and heap queues")
-			}
-			if !bytes.Equal(ladJSON, heapJSON) {
-				t.Errorf("result JSON diverges between ladder and heap queues:\n%s",
-					firstDiff(string(heapJSON), string(ladJSON)))
-			}
-			if ladSnap != heapSnap {
-				t.Errorf("telemetry snapshots diverge:\nheap:   %s\nladder: %s", heapSnap, ladSnap)
+			got := queueDump(t, sc.cfg(t, Options{Trace: true}))
+			for i, b := range got {
+				if d := fmt.Sprintf("%x", sha256.Sum256(b)); d != sc.want[i] {
+					t.Errorf("%s digest %s, want %s (the ladder queue's)", artifacts[i], d, sc.want[i])
+				}
 			}
 		})
 	}

@@ -169,20 +169,19 @@ func CheckOptions(opts Options) error {
 	return nil
 }
 
-// New builds an engine for one simulation run on the production kernel and
-// solver: ladder event queue, incremental fluid pool. The workload must
-// already validate against the platform.
+// New builds an engine for one simulation run on a fresh kernel and an
+// incremental fluid pool. The workload must already validate against the
+// platform.
 func New(spec *platform.Spec, w *job.Workload, algo sched.Algorithm, opts Options) (*Engine, error) {
 	kernel := des.NewKernel()
 	return NewOn(kernel, fluid.NewPool(kernel), spec, w, algo, opts)
 }
 
 // NewOn is New on a caller-supplied kernel and the fluid pool bound to it.
-// It is how the equivalence tests run an engine on the references
-// (des.NewHeapKernel, a pool in SetForceFullSolve mode); nothing outside a
-// _test.go file constructs those, so no configuration, flag or wire
-// document reaches them and the linker drops the heap kernel from shipped
-// binaries.
+// It is how the equivalence tests run an engine on the full-recompute
+// reference solver (a pool in SetForceFullSolve mode); nothing outside a
+// _test.go file sets that mode, so no configuration, flag or wire document
+// reaches it.
 func NewOn(kernel *des.Kernel, pool *fluid.Pool, spec *platform.Spec, w *job.Workload, algo sched.Algorithm, opts Options) (*Engine, error) {
 	if algo == nil {
 		return nil, fmt.Errorf("core: nil scheduling algorithm")
@@ -446,9 +445,8 @@ func (e *Engine) Now() float64 { return float64(e.kernel.Now()) }
 func (e *Engine) Steps() uint64 { return e.kernel.Steps() }
 
 // KernelStats samples the DES kernel's lifetime counters (events
-// scheduled/fired/cancelled, queue high-water mark, ladder re-bucketing
-// activity). Operational metrics export these directly instead of
-// re-counting on the hot path.
+// scheduled/fired/cancelled, queue high-water mark). Operational metrics
+// export these directly instead of re-counting on the hot path.
 func (e *Engine) KernelStats() des.KernelStats { return e.kernel.Stats() }
 
 // Invocations returns how many times the algorithm was invoked.

@@ -1,14 +1,14 @@
 package des
 
-// eventHeap is a binary min-heap of events ordered by (time, priority, seq).
-// It is hand-rolled rather than built on container/heap to avoid interface
-// boxing on the hot path; the kernel executes millions of events in the
-// simulator-scalability experiments.
+// eventHeap is a 4-ary min-heap of events ordered by (time, priority, seq),
+// the kernel's only pending-event store. Every event records its slot in
+// Event.index, so Cancel removes it in O(log n) and nothing dead is ever
+// queued. Four children per node halve the depth of a binary heap, which
+// is what the pop-heavy fire loop pays for. It is hand-rolled rather than
+// built on container/heap to avoid interface boxing on the hot path.
 type eventHeap struct {
 	items []*Event
 }
-
-func (h *eventHeap) Len() int { return len(h.items) }
 
 func less(a, b *Event) bool {
 	if a.time != b.time {
@@ -20,101 +20,77 @@ func less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// Peek returns the earliest event without removing it, or nil.
-func (h *eventHeap) Peek() *Event {
-	if len(h.items) == 0 {
-		return nil
-	}
-	return h.items[0]
-}
-
-// Push inserts ev and records its heap index.
-func (h *eventHeap) Push(ev *Event) {
-	ev.index = len(h.items)
+// push inserts ev and records its index.
+func (h *eventHeap) push(ev *Event) {
 	h.items = append(h.items, ev)
-	h.up(ev.index)
+	h.up(len(h.items)-1, ev)
 }
 
-// Pop removes and returns the earliest event, or nil when empty.
-func (h *eventHeap) Pop() *Event {
-	if len(h.items) == 0 {
-		return nil
-	}
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *eventHeap) pop() *Event {
 	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items[0].index = 0
-	h.items[last] = nil
-	h.items = h.items[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	top.index = -1
+	h.remove(top)
 	return top
 }
 
-// Compact rebuilds the heap without tombstones in O(n), handing each
-// dropped event to the kernel's callback.
-func (h *eventHeap) Compact(drop func(*Event)) {
-	live := h.items[:0]
-	for _, ev := range h.items {
-		if ev.dead {
-			drop(ev)
-			continue
-		}
-		live = append(live, ev)
+// remove takes ev out of the heap and marks it detached (index -1).
+func (h *eventHeap) remove(ev *Event) {
+	i, last := ev.index, len(h.items)-1
+	moved := h.items[last]
+	h.items[last] = nil
+	h.items = h.items[:last]
+	ev.index = -1
+	if i == last {
+		return
 	}
-	for i := len(live); i < len(h.items); i++ {
-		h.items[i] = nil
-	}
-	h.items = live
-	h.Init()
-}
-
-// Init re-establishes the heap invariant over the whole slice in O(n),
-// refreshing every event's index. Used after bulk tombstone compaction.
-func (h *eventHeap) Init() {
-	n := len(h.items)
-	for i := range h.items {
-		h.items[i].index = i
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i)
+	if i > 0 && less(moved, h.items[(i-1)/4]) {
+		h.up(i, moved)
+	} else {
+		h.down(i, moved)
 	}
 }
 
-func (h *eventHeap) up(i int) {
+// up places ev at slot i and sifts it toward the root, shifting larger
+// parents down into the hole instead of swapping.
+func (h *eventHeap) up(i int, ev *Event) {
+	items := h.items
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(h.items[i], h.items[parent]) {
+		p := (i - 1) / 4
+		parent := items[p]
+		if !less(ev, parent) {
 			break
 		}
-		h.swap(i, parent)
-		i = parent
+		items[i] = parent
+		parent.index = i
+		i = p
 	}
+	items[i] = ev
+	ev.index = i
 }
 
-func (h *eventHeap) down(i int) {
-	n := len(h.items)
+// down places ev at slot i and sifts it toward the leaves, pulling the
+// smallest of up to four children into the hole at each level.
+func (h *eventHeap) down(i int, ev *Event) {
+	items := h.items
+	n := len(items)
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		first := 4*i + 1
+		if first >= n {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && less(h.items[right], h.items[left]) {
-			smallest = right
+		best, child := first, items[first]
+		for c, end := first+1, min(first+4, n); c < end; c++ {
+			if e := items[c]; less(e, child) {
+				best, child = c, e
+			}
 		}
-		if !less(h.items[smallest], h.items[i]) {
-			return
+		if !less(child, ev) {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		items[i] = child
+		child.index = i
+		i = best
 	}
-}
-
-func (h *eventHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].index = i
-	h.items[j].index = j
+	items[i] = ev
+	ev.index = i
 }

@@ -6,17 +6,11 @@
 // bit-reproducible across runs regardless of map iteration order or
 // scheduling jitter in the host program.
 //
-// The pending-event store is a ladder queue (O(1) amortised schedule and
-// fire for the near-monotonic timestamps a DES produces); the reference
-// binary heap is the test reference (NewHeapKernel, constructed only by
-// _test.go files, so absent from shipped binaries) and fires events in
-// the bit-identical order, which the equivalence tests pin.
-//
-// Cancellation is lazy: Cancel marks the event dead in O(1) and the queue
-// skims tombstones off the top (or compacts in bulk when they accumulate),
-// so a cancel costs amortised constant time instead of a heap removal.
-// Owners that hold the only reference to an event can additionally Release
-// it, letting the kernel recycle the allocation for a future Schedule.
+// The pending-event store is a 4-ary index heap: every queued event knows
+// its slot, so Cancel removes it at once in O(log n) and the queue holds
+// live events only. Owners that hold the only reference to an event can
+// additionally Release it once it has fired or been cancelled, letting the
+// kernel recycle the allocation for a future Schedule.
 //
 // An owner that tracks many candidate events but keeps only one of them
 // queued — the fluid solver holds one completion event per connected
@@ -73,10 +67,9 @@ type Event struct {
 	time     Time
 	priority Priority
 	seq      uint64
-	index    int // position in the heap, -1 once removed
+	index    int // position in the heap, -1 once fired or cancelled
 	fn       Handler
-	dead     bool // cancelled but possibly still queued (tombstone)
-	released bool // owner relinquished the pointer; recycle when dequeued
+	released bool // owner relinquished the pointer; recycle once detached
 }
 
 // Time returns the timestamp the event is scheduled for.
@@ -84,16 +77,12 @@ func (e *Event) Time() Time { return e.time }
 
 // Cancelled reports whether the event was cancelled before firing (or has
 // already fired).
-func (e *Event) Cancelled() bool { return e.dead || e.index < 0 }
+func (e *Event) Cancelled() bool { return e.index < 0 }
 
 // ErrStopped is returned by Run and RunUntil when the installed stop check
 // (SetStopCheck) requested termination between events. The queue is left
 // intact: the kernel can be resumed by calling Run again.
 var ErrStopped = errors.New("des: simulation stopped by external request")
-
-// compactMinQueue is the queue size below which tombstones are never
-// compacted in bulk; skimming at the top suffices for small queues.
-const compactMinQueue = 64
 
 // slabMinPeak is the peak-queue size from which Schedule batch-allocates
 // events: once a kernel has proven it queues hundreds of events, the free
@@ -103,29 +92,14 @@ const compactMinQueue = 64
 // tests.
 const slabMinPeak = 128
 
-// eventQueue is the kernel's pending-event store. Production kernels run
-// the ladder queue; NewHeapKernel puts the reference binary heap behind
-// the same interface for the equivalence tests. Both order events
-// by the exact (time, priority, seq) comparator, so the kernel's fire
-// order is independent of the implementation.
-type eventQueue interface {
-	Push(*Event)
-	Pop() *Event
-	Peek() *Event
-	Len() int
-	// Compact drops every tombstoned event, handing each to drop.
-	Compact(drop func(*Event))
-}
-
 // Kernel is a discrete-event simulation driver. The zero value is not
 // usable; create kernels with NewKernel.
 type Kernel struct {
 	now       Time
-	queue     eventQueue
+	queue     eventHeap
 	seq       uint64
 	steps     uint64
 	maxTime   Time
-	tombs     int      // dead events still sitting in the queue
 	free      []*Event // released events ready for reuse by Schedule
 	cancelled uint64
 	recycled  uint64
@@ -147,25 +121,8 @@ type Kernel struct {
 	stopCheck func() bool
 }
 
-// NewKernel returns an empty kernel with the clock at zero, driven by the
-// ladder event queue.
-func NewKernel() *Kernel {
-	k := &Kernel{maxTime: Infinity}
-	k.queue = newLadderQueue(k.dropTombstone)
-	return k
-}
-
-// NewHeapKernel returns a kernel driven by the reference binary-heap event
-// queue. It exists for equivalence testing (mirroring the fluid pool's
-// SetForceFullSolve) and nothing outside _test.go files may call it — CI
-// checks that the shipped binaries do not link it. Fire order and every
-// observable result except KernelStats.PeakQueue are bit-identical to
-// NewKernel's ladder queue.
-func NewHeapKernel() *Kernel {
-	k := &Kernel{maxTime: Infinity}
-	k.queue = &eventHeap{}
-	return k
-}
+// NewKernel returns an empty kernel with the clock at zero.
+func NewKernel() *Kernel { return &Kernel{maxTime: Infinity} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -174,31 +131,22 @@ func (k *Kernel) Now() Time { return k.now }
 // simulator-performance experiments.
 func (k *Kernel) Steps() uint64 { return k.steps }
 
-// Pending returns the number of live (non-cancelled) events queued.
-func (k *Kernel) Pending() int { return k.queue.Len() - k.tombs }
+// Pending returns the number of events queued.
+func (k *Kernel) Pending() int { return len(k.queue.items) }
 
 // KernelStats are the kernel's lifetime counters, for self-profiling.
-// TopTransfers and RungSpawns describe the ladder queue's re-bucketing
-// activity and stay zero on the reference heap kernel; they are exported
-// for operational metrics only and are deliberately NOT part of the
-// telemetry snapshot. Of the fields that are, all but PeakQueue are
-// queue-independent: PeakQueue includes tombstones, which the ladder
-// drops whenever it re-buckets and the heap only when it compacts, so the
-// two can differ by a few events (542 vs 543 on cmd/bench malleable_pfs).
 type KernelStats struct {
-	Scheduled    uint64 // sequence numbers issued, including those the fluid pool reserves
-	Fired        uint64 // events popped and executed
-	Cancelled    uint64 // events tombstoned before firing
-	Recycled     uint64 // Schedule calls served from the free list
-	PeakQueue    int    // high-water mark of the queue, tombstones included
-	Pending      int    // live events still queued at sample time
-	TopTransfers uint64 // ladder overflow lists spread into rungs/bottom
-	RungSpawns   uint64 // ladder buckets subdivided into finer rungs
+	Scheduled uint64 // sequence numbers issued, including those the fluid pool reserves
+	Fired     uint64 // events popped and executed
+	Cancelled uint64 // events removed before firing
+	Recycled  uint64 // Schedule calls served from the free list
+	PeakQueue int    // high-water mark of live events queued
+	Pending   int    // live events still queued at sample time
 }
 
 // Stats samples the kernel's counters.
 func (k *Kernel) Stats() KernelStats {
-	s := KernelStats{
+	return KernelStats{
 		Scheduled: k.seq,
 		Fired:     k.steps,
 		Cancelled: k.cancelled,
@@ -206,11 +154,6 @@ func (k *Kernel) Stats() KernelStats {
 		PeakQueue: k.peakQueue,
 		Pending:   k.Pending(),
 	}
-	if lq, ok := k.queue.(*ladderQueue); ok {
-		s.TopTransfers = lq.topTransfers
-		s.RungSpawns = lq.rungSpawns
-	}
-	return s
 }
 
 // SetProgress installs a callback invoked after every n fired events.
@@ -312,8 +255,8 @@ func (k *Kernel) schedule(t Time, p Priority, seq uint64, fn Handler, transient 
 	} else {
 		ev = &Event{time: t, priority: p, seq: seq, fn: fn, released: transient}
 	}
-	k.queue.Push(ev)
-	if n := k.queue.Len(); n > k.peakQueue {
+	k.queue.push(ev)
+	if n := len(k.queue.items); n > k.peakQueue {
 		k.peakQueue = n
 	}
 	return ev
@@ -327,20 +270,14 @@ func (k *Kernel) ScheduleAfter(d Time, p Priority, fn Handler) *Event {
 	return k.Schedule(k.now+d, p, fn)
 }
 
-// Cancel marks ev dead in O(1); the queue drops the tombstone lazily.
-// Cancelling an event that already fired or was cancelled is a no-op.
+// Cancel removes ev from the queue in O(log n). Cancelling an event that
+// already fired or was cancelled is a no-op.
 func (k *Kernel) Cancel(ev *Event) {
-	if ev == nil || ev.dead || ev.index < 0 {
+	if ev == nil || ev.index < 0 {
 		return
 	}
-	ev.dead = true
-	k.tombs++
+	k.queue.remove(ev)
 	k.cancelled++
-	// Keep the queue at least half live so skimming stays amortised O(1)
-	// and memory is bounded by twice the live event count.
-	if n := k.queue.Len(); k.tombs*2 > n && n >= compactMinQueue {
-		k.compact()
-	}
 }
 
 // Release hands an event's allocation back to the kernel for reuse. The
@@ -351,53 +288,17 @@ func (k *Kernel) Release(ev *Event) {
 	if ev == nil || ev.released {
 		return
 	}
-	if ev.index >= 0 && !ev.dead {
+	if ev.index >= 0 {
 		panic("des: Release of a live scheduled event")
 	}
 	ev.released = true
-	if ev.index < 0 {
-		k.recycle(ev)
-	}
-	// Otherwise the event is a tombstone still in the heap; it is recycled
-	// when skimmed or compacted away.
+	k.recycle(ev)
 }
 
 // recycle pushes a detached, released event onto the free list.
 func (k *Kernel) recycle(ev *Event) {
 	ev.fn = nil
 	k.free = append(k.free, ev)
-}
-
-// skim pops dead events off the top of the queue, recycling released ones.
-func (k *Kernel) skim() {
-	for {
-		ev := k.queue.Peek()
-		if ev == nil || !ev.dead {
-			return
-		}
-		k.queue.Pop()
-		k.tombs--
-		if ev.released {
-			k.recycle(ev)
-		}
-	}
-}
-
-// compact rebuilds the queue without tombstones in O(n).
-func (k *Kernel) compact() {
-	k.queue.Compact(k.dropTombstone)
-}
-
-// dropTombstone is the queue's callback for a cancelled event it discards
-// outside the normal pop path (bulk compaction, or the ladder queue
-// sweeping a bucket). It keeps the tombstone counter exact and recycles
-// released allocations.
-func (k *Kernel) dropTombstone(ev *Event) {
-	ev.index = -1
-	k.tombs--
-	if ev.released {
-		k.recycle(ev)
-	}
 }
 
 // SetHorizon limits Run to events at or before t. Events beyond the horizon
@@ -407,12 +308,10 @@ func (k *Kernel) SetHorizon(t Time) { k.maxTime = t }
 // Step executes the single earliest event. It returns false when the queue
 // is empty or the next event lies beyond the horizon.
 func (k *Kernel) Step() bool {
-	k.skim()
-	ev := k.queue.Peek()
-	if ev == nil || ev.time > k.maxTime {
+	if len(k.queue.items) == 0 || k.queue.items[0].time > k.maxTime {
 		return false
 	}
-	k.queue.Pop()
+	ev := k.queue.pop()
 	k.now = ev.time
 	k.steps++
 	if k.progressEvery != 0 && k.steps%k.progressEvery == 0 {
@@ -424,10 +323,9 @@ func (k *Kernel) Step() bool {
 	// the handler left it detached. The guards matter: the handler may
 	// have Released it already (fn is then nil), or Released-and-reused
 	// it via Schedule for a brand-new purpose, in which case it is live
-	// in the queue again (index >= 0) or even a tombstone (dead) whose
-	// allocation the queue still references; recycling those here would
-	// alias one Event between the free list and the pending queue.
-	if ev.released && !ev.dead && ev.index < 0 && ev.fn != nil {
+	// in the queue again (index >= 0); recycling it here would alias one
+	// Event between the free list and the pending queue.
+	if ev.released && ev.index < 0 && ev.fn != nil {
 		k.recycle(ev)
 	}
 	return true
