@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -10,6 +12,12 @@ import (
 // job may start now only if doing so does not push back any reservation
 // made before it. Compared to EASY it gives predictability at some
 // utilization cost.
+//
+// A call costs O(P·B) for P pending jobs and B ≤ 1+R+2P breakpoints in the
+// free-node profile (R running jobs): each job is placed by one forward
+// sweep over the breakpoints and reserved by a walk over its own window.
+// The sweep may skip candidate starts because a segment too full for the
+// job rules out every start whose window covers it.
 type Conservative struct {
 	Sizing SizePolicy
 	SizeFn SizeFunc
@@ -42,99 +50,69 @@ func (c *Conservative) Schedule(inv *Invocation) []Decision {
 // profile tracks free nodes over future time as a step function, seeded
 // from running jobs' expected ends.
 type profile struct {
-	times []float64 // ascending; times[0] == now
+	times []float64 // strictly ascending; times[0] == now
 	free  []int     // free[i] valid on [times[i], times[i+1])
 }
 
-func newProfile(inv *Invocation) *profile {
-	p := &profile{times: []float64{inv.Now}, free: []int{inv.FreeNodes}}
-	// Collect release events from running jobs (known ends only; a job
-	// without an estimate never releases within the profile horizon).
+// newProfile merges the running jobs' releases into one step per distinct
+// release time. Releases at or before now fold into step 0, and a job
+// without an estimate never releases within the profile horizon.
+func newProfile(inv *Invocation) profile {
 	type release struct {
 		t float64
 		n int
 	}
-	var rels []release
+	rels := make([]release, 0, len(inv.Running))
 	for _, v := range inv.Running {
 		if !math.IsInf(v.ExpectedEnd, 1) {
 			rels = append(rels, release{v.ExpectedEnd, v.Nodes})
 		}
 	}
-	sort.Slice(rels, func(i, j int) bool { return rels[i].t < rels[j].t })
+	slices.SortFunc(rels, func(a, b release) int { return cmp.Compare(a.t, b.t) })
+	// Every reservation adds at most two breakpoints.
+	size := 1 + len(inv.Running) + 2*len(inv.Pending)
+	p := profile{times: make([]float64, 1, size), free: make([]int, 1, size)}
+	p.times[0], p.free[0] = inv.Now, inv.FreeNodes
 	for _, r := range rels {
-		p.addStep(r.t)
-		p.apply(r.t, math.Inf(1), r.n)
+		last := len(p.times) - 1
+		if r.t <= p.times[last] {
+			p.free[last] += r.n
+			continue
+		}
+		p.times = append(p.times, r.t)
+		p.free = append(p.free, p.free[last]+r.n)
 	}
 	return p
 }
 
-// addStep ensures t is a breakpoint.
-func (p *profile) addStep(t float64) {
+// addStep makes t a breakpoint and returns its index. A t before now is
+// clamped to now: index 0.
+func (p *profile) addStep(t float64) int {
 	i := sort.SearchFloat64s(p.times, t)
-	if i < len(p.times) && p.times[i] == t {
-		return
+	if i == 0 || i < len(p.times) && p.times[i] == t {
+		return i
 	}
-	if i == 0 {
-		// Before now: clamp to now.
-		return
-	}
-	p.times = append(p.times, 0)
-	p.free = append(p.free, 0)
-	copy(p.times[i+1:], p.times[i:])
-	copy(p.free[i+1:], p.free[i:])
-	p.times[i] = t
-	p.free[i] = p.free[i-1]
+	p.times = slices.Insert(p.times, i, t)
+	p.free = slices.Insert(p.free, i, p.free[i-1])
+	return i
 }
 
-// apply adds delta free nodes on [from, to).
-func (p *profile) apply(from, to float64, delta int) {
-	for i := range p.times {
-		if p.times[i] >= from && p.times[i] < to {
-			p.free[i] += delta
-		}
-	}
-}
-
-// earliest finds the first time >= now at which n nodes stay free for the
-// whole duration.
+// earliest finds the first breakpoint >= now from which n nodes stay free
+// for the whole duration, or +Inf. It sweeps the breakpoints once: a
+// segment with fewer than n free nodes rules out the candidate and every
+// later one whose window still covers it, so the sweep may skip straight
+// to the breakpoint after that segment.
 func (p *profile) earliest(now float64, n int, duration float64) float64 {
-	for i := range p.times {
-		start := p.times[i]
-		if start < now {
-			continue
-		}
-		if p.fits(start, duration, n) {
-			return start
-		}
-	}
-	// After the last breakpoint everything released is accounted for.
-	last := p.times[len(p.times)-1]
-	if p.fits(last, duration, n) {
-		return last
-	}
-	return math.Inf(1)
-}
-
-// fits reports whether n nodes are free during [start, start+duration).
-func (p *profile) fits(start, duration float64, n int) bool {
-	end := start + duration
-	for i := range p.times {
-		segStart := p.times[i]
-		segEnd := math.Inf(1)
-		if i+1 < len(p.times) {
-			segEnd = p.times[i+1]
-		}
-		if segEnd <= start {
-			continue
-		}
-		if segStart >= end {
-			break
+	c := sort.SearchFloat64s(p.times, now)
+	for i := c; c < len(p.times); i++ {
+		if i == len(p.times) || p.times[i] >= p.times[c]+duration {
+			return p.times[c]
 		}
 		if p.free[i] < n {
-			return false
+			c = i + 1
 		}
 	}
-	return true
+	return math.Inf(1)
 }
 
 // reserve claims n nodes on [start, start+duration).
@@ -142,10 +120,12 @@ func (p *profile) reserve(start, duration float64, n int) {
 	if math.IsInf(start, 1) {
 		return
 	}
-	end := start + duration
-	p.addStep(start)
-	if !math.IsInf(end, 1) {
-		p.addStep(end)
+	from := p.addStep(start)
+	to := len(p.times)
+	if end := start + duration; !math.IsInf(end, 1) {
+		to = p.addStep(end)
 	}
-	p.apply(start, end, -n)
+	for i := from; i < to; i++ {
+		p.free[i] -= n
+	}
 }
