@@ -44,9 +44,8 @@ type configOptions struct {
 	Trace    bool   `json:"trace,omitempty"`
 	// TraceTasks implies per-task log volume; it requires Trace (or a
 	// telemetry tracer) to have any effect, exactly as in Options.
-	TraceTasks      bool     `json:"trace_tasks,omitempty"`
-	Horizon         Quantity `json:"horizon,omitempty"`
-	DisableFastPath bool     `json:"disable_fast_path,omitempty"`
+	TraceTasks bool     `json:"trace_tasks,omitempty"`
+	Horizon    Quantity `json:"horizon,omitempty"`
 }
 
 // fairnessNames maps the serialized fairness policy names to fluid values.
@@ -108,7 +107,6 @@ func ParseConfig(data []byte) (Config, error) {
 			Trace:              o.Trace,
 			TraceTasks:         o.TraceTasks,
 			Horizon:            float64(o.Horizon),
-			DisableFastPath:    o.DisableFastPath,
 		}
 		if o.Fairness != "" {
 			f, ok := fairnessNames[o.Fairness]
@@ -174,7 +172,6 @@ func MarshalConfig(cfg Config) ([]byte, error) {
 		Trace:              o.Trace,
 		TraceTasks:         o.TraceTasks,
 		Horizon:            Quantity(o.Horizon),
-		DisableFastPath:    o.DisableFastPath,
 	}
 	if o.Fairness != fluid.MaxMin {
 		co.Fairness = o.Fairness.String()

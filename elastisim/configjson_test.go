@@ -85,8 +85,7 @@ const fullConfigDoc = `{
     "fairness": "equal-split",
     "trace": true,
     "trace_tasks": true,
-    "horizon": "100k",
-    "disable_fast_path": true
+    "horizon": "100k"
   }
 }`
 
@@ -222,6 +221,8 @@ func TestParseConfigErrors(t *testing.T) {
 		// The reference solver and event queue are test oracles, not options.
 		{"force_full_solve", fullConfigSnippet(`"options": {"force_full_solve": true}`), `unknown field "force_full_solve"`},
 		{"force_heap_queue", fullConfigSnippet(`"options": {"force_heap_queue": false}`), `unknown field "force_heap_queue"`},
+		// The fast-path switch is Go-only: results are identical either way.
+		{"disable_fast_path", fullConfigSnippet(`"options": {"disable_fast_path": true}`), `unknown field "disable_fast_path"`},
 		{"periodic-only without interval", fullConfigSnippet(`"options": {"disable_event_driven": true}`), "disable_event_driven without a positive invocation_interval"},
 	}
 	for _, tc := range cases {
@@ -241,6 +242,19 @@ func TestParseConfigErrors(t *testing.T) {
 	}
 	if _, err := NewSession(cfg); err == nil || !strings.Contains(err.Error(), "disable_event_driven") || !strings.Contains(err.Error(), "invocation_interval") {
 		t.Errorf("periodic-only session without interval: err = %v, want both options named", err)
+	}
+
+	// A hand-built workload with a repeated job ID is refused up front,
+	// naming the ID, not mid-run.
+	dup := mustTinyWorkload(t)
+	dup.Jobs[0].ID, dup.Jobs[1].ID = 0, 0
+	cfg = Config{
+		Platform:  HomogeneousPlatform("p", 8, 100e9, 10e9, 40e9, 40e9),
+		Workload:  dup,
+		Algorithm: NewAdaptive(),
+	}
+	if _, err := NewSession(cfg); err == nil || !strings.Contains(err.Error(), "duplicate job ID 0") {
+		t.Errorf("duplicate job IDs: err = %v, want the ID named", err)
 	}
 
 	// Custom algorithms cannot be serialized.

@@ -102,7 +102,7 @@ type (
 	JobRecord = metrics.JobRecord
 	// Recorder holds the full metric state of a run.
 	Recorder = metrics.Recorder
-	// Timeline is a step function of time (utilization, queue depth).
+	// Timeline is a step function of time (busy nodes, utilization).
 	Timeline = metrics.Timeline
 	// TraceEvent is one entry of the engine's optional event log.
 	TraceEvent = core.TraceEvent

@@ -150,7 +150,7 @@ func (e *Engine) applyKill(jr *jobRun) error {
 			e.queue.remove(jr)
 		}
 		jr.state = stateDone
-		e.rec.JobAbandoned(jr.job.ID, e.Now())
+		e.rec.JobAbandoned(jr.rec, e.Now())
 		e.traceEvent(EvFinish, jr.job.ID, "killed-pending")
 		e.outstanding--
 		e.markFinished(jr.job.ID)

@@ -18,9 +18,9 @@ func TestDependencyChainSerializes(t *testing.T) {
 	}
 	jobs := []*job.Job{mk(0), mk(1, 0), mk(2, 1)}
 	rec, e := runSim(t, testPlatform(8), jobs, &sched.FCFS{}, Options{Trace: true})
-	wantClose(t, "a start", rec.Record(0).Start, 0)
-	wantClose(t, "b start", rec.Record(1).Start, 10)
-	wantClose(t, "c start", rec.Record(2).Start, 20)
+	wantClose(t, "a start", record(rec, 0).Start, 0)
+	wantClose(t, "b start", record(rec, 1).Start, 10)
+	wantClose(t, "c start", record(rec, 2).Start, 20)
 	held, released := 0, 0
 	for _, ev := range e.Trace() {
 		switch ev.Kind {
@@ -45,9 +45,9 @@ func TestDependencyDiamond(t *testing.T) {
 	c.Dependencies = []job.ID{0}
 	d.Dependencies = []job.ID{1, 2}
 	rec, _ := runSim(t, testPlatform(8), []*job.Job{a, b, c, d}, &sched.FCFS{}, Options{})
-	wantClose(t, "b start", rec.Record(1).Start, 10)
-	wantClose(t, "c start", rec.Record(2).Start, 10)
-	wantClose(t, "d start", rec.Record(3).Start, 30) // after c at t=30
+	wantClose(t, "b start", record(rec, 1).Start, 10)
+	wantClose(t, "c start", record(rec, 2).Start, 10)
+	wantClose(t, "d start", record(rec, 3).Start, 30) // after c at t=30
 }
 
 func TestDependencyOnAlreadyFinishedJob(t *testing.T) {
@@ -57,7 +57,7 @@ func TestDependencyOnAlreadyFinishedJob(t *testing.T) {
 	b.SubmitTime = 100
 	b.Dependencies = []job.ID{0}
 	rec, _ := runSim(t, testPlatform(2), []*job.Job{a, b}, &sched.FCFS{}, Options{})
-	wantClose(t, "b start", rec.Record(1).Start, 100)
+	wantClose(t, "b start", record(rec, 1).Start, 100)
 }
 
 func TestDependencySatisfiedByKill(t *testing.T) {
@@ -67,10 +67,10 @@ func TestDependencySatisfiedByKill(t *testing.T) {
 	b := computeJob(1, 1, 1e9)
 	b.Dependencies = []job.ID{0}
 	rec, _ := runSim(t, testPlatform(2), []*job.Job{a, b}, &sched.FCFS{}, Options{})
-	if !rec.Record(0).Killed {
+	if !record(rec, 0).Killed {
 		t.Fatal("dependency not killed")
 	}
-	wantClose(t, "b start", rec.Record(1).Start, 50)
+	wantClose(t, "b start", record(rec, 1).Start, 50)
 }
 
 func TestHeldJobsInvisibleToScheduler(t *testing.T) {

@@ -65,9 +65,10 @@ type Options struct {
 	// DisableFastPath forces every task through the fluid solver, even
 	// work on job-private resources (own nodes, own links) that cannot
 	// contend and whose duration is therefore a closed form. The fast
-	// path is exactly equivalent (tested) and much cheaper on large
-	// machines; this switch exists for the equivalence tests and the
-	// simulator-performance ablation.
+	// path is exactly equivalent and much cheaper on large machines. Its
+	// only setters are ablation A5 (internal/experiments) and the
+	// fast-path equivalence tests (hetero_test.go, invariants_test.go);
+	// the config document has no key for it.
 	DisableFastPath bool
 	// Failures injects node failures and repairs (nil = none). It takes
 	// precedence over the platform spec's "failures" object, letting one
@@ -500,7 +501,7 @@ func (e *Engine) warnf(format string, args ...any) {
 func (e *Engine) submit(j *job.Job) {
 	jr := e.runs.alloc(j)
 	jr.state = statePending
-	e.rec.JobSubmitted(j, e.Now())
+	jr.rec = e.rec.JobSubmitted(j, e.Now())
 	if e.tracing() {
 		e.traceEvent(EvSubmit, j.ID, fmt.Sprintf("type=%s", j.Type))
 	}

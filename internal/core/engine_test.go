@@ -47,6 +47,16 @@ func runSim(t *testing.T, spec *platform.Spec, jobs []*job.Job, algo sched.Algor
 	return rec, e
 }
 
+// record returns job id's record, or nil when the job was never submitted.
+func record(rec *metrics.Recorder, id job.ID) *metrics.JobRecord {
+	for _, r := range rec.Records() {
+		if r.ID == id {
+			return r
+		}
+	}
+	return nil
+}
+
 func wantClose(t *testing.T, what string, got, want float64) {
 	t.Helper()
 	if math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
@@ -57,7 +67,7 @@ func wantClose(t *testing.T, what string, got, want float64) {
 func TestSingleComputeJobAnalytic(t *testing.T) {
 	// 1e12 flops over 4 nodes at 1e9 flops/s: 250 s.
 	rec, _ := runSim(t, testPlatform(8), []*job.Job{computeJob(0, 4, 1e12)}, &sched.FCFS{}, Options{})
-	r := rec.Record(0)
+	r := record(rec, 0)
 	wantClose(t, "wait", r.Wait(), 0)
 	wantClose(t, "runtime", r.Runtime(), 250)
 	s := rec.Summary()
@@ -76,7 +86,7 @@ func TestCommJobAnalytic(t *testing.T) {
 		}}},
 	}
 	rec, _ := runSim(t, testPlatform(8), []*job.Job{j}, &sched.FCFS{}, Options{})
-	wantClose(t, "allreduce runtime", rec.Record(0).Runtime(), 1.5)
+	wantClose(t, "allreduce runtime", record(rec, 0).Runtime(), 1.5)
 }
 
 func TestCommPatternsAnalytic(t *testing.T) {
@@ -99,7 +109,7 @@ func TestCommPatternsAnalytic(t *testing.T) {
 			}}},
 		}
 		rec, _ := runSim(t, testPlatform(8), []*job.Job{j}, &sched.FCFS{}, Options{})
-		wantClose(t, string(tc.pattern), rec.Record(0).Runtime(), tc.want)
+		wantClose(t, string(tc.pattern), record(rec, 0).Runtime(), tc.want)
 	}
 }
 
@@ -111,7 +121,7 @@ func TestCommSingleNodeIsFree(t *testing.T) {
 		}}},
 	}
 	rec, _ := runSim(t, testPlatform(2), []*job.Job{j}, &sched.FCFS{}, Options{})
-	wantClose(t, "single-node comm", rec.Record(0).Runtime(), 0)
+	wantClose(t, "single-node comm", record(rec, 0).Runtime(), 0)
 }
 
 func TestIOJobAnalytic(t *testing.T) {
@@ -123,7 +133,7 @@ func TestIOJobAnalytic(t *testing.T) {
 		}}},
 	}
 	rec, _ := runSim(t, testPlatform(4), []*job.Job{j}, &sched.FCFS{}, Options{})
-	wantClose(t, "read runtime", rec.Record(0).Runtime(), 4)
+	wantClose(t, "read runtime", record(rec, 0).Runtime(), 4)
 	// On 1 node the link (1 GB/s) is the bottleneck: 8 s.
 	j2 := &job.Job{
 		ID: 0, Type: job.Rigid, NumNodes: 1,
@@ -132,7 +142,7 @@ func TestIOJobAnalytic(t *testing.T) {
 		}}},
 	}
 	rec2, _ := runSim(t, testPlatform(4), []*job.Job{j2}, &sched.FCFS{}, Options{})
-	wantClose(t, "link-bound read", rec2.Record(0).Runtime(), 8)
+	wantClose(t, "link-bound read", record(rec2, 0).Runtime(), 8)
 }
 
 func TestPFSContentionFairShare(t *testing.T) {
@@ -150,8 +160,8 @@ func TestPFSContentionFairShare(t *testing.T) {
 		}
 	}
 	rec, _ := runSim(t, spec, []*job.Job{mk(0), mk(1)}, &sched.FCFS{}, Options{})
-	wantClose(t, "contended write 0", rec.Record(0).Runtime(), 4)
-	wantClose(t, "contended write 1", rec.Record(1).Runtime(), 4)
+	wantClose(t, "contended write 0", record(rec, 0).Runtime(), 4)
+	wantClose(t, "contended write 1", record(rec, 1).Runtime(), 4)
 }
 
 func TestBurstBufferAvoidsContention(t *testing.T) {
@@ -170,8 +180,8 @@ func TestBurstBufferAvoidsContention(t *testing.T) {
 		}
 	}
 	rec, _ := runSim(t, spec, []*job.Job{mk(0), mk(1)}, &sched.FCFS{}, Options{})
-	wantClose(t, "bb write 0", rec.Record(0).Runtime(), 2)
-	wantClose(t, "bb write 1", rec.Record(1).Runtime(), 2)
+	wantClose(t, "bb write 0", record(rec, 0).Runtime(), 2)
+	wantClose(t, "bb write 1", record(rec, 1).Runtime(), 2)
 }
 
 func TestDelayTask(t *testing.T) {
@@ -182,7 +192,7 @@ func TestDelayTask(t *testing.T) {
 		}}},
 	}
 	rec, _ := runSim(t, testPlatform(1), []*job.Job{j}, &sched.FCFS{}, Options{})
-	wantClose(t, "delay runtime", rec.Record(0).Runtime(), 12.5)
+	wantClose(t, "delay runtime", record(rec, 0).Runtime(), 12.5)
 }
 
 func TestMultiPhaseSequencing(t *testing.T) {
@@ -202,7 +212,7 @@ func TestMultiPhaseSequencing(t *testing.T) {
 		}},
 	}
 	rec, _ := runSim(t, testPlatform(2), []*job.Job{j}, &sched.FCFS{}, Options{})
-	wantClose(t, "multi-phase runtime", rec.Record(0).Runtime(), 24)
+	wantClose(t, "multi-phase runtime", record(rec, 0).Runtime(), 24)
 }
 
 func TestFCFSQueueing(t *testing.T) {
@@ -214,9 +224,9 @@ func TestFCFSQueueing(t *testing.T) {
 		jobs = append(jobs, j)
 	}
 	rec, _ := runSim(t, testPlatform(4), jobs, &sched.FCFS{}, Options{})
-	wantClose(t, "job0 start", rec.Record(0).Start, 0)
-	wantClose(t, "job1 start", rec.Record(1).Start, 100)
-	wantClose(t, "job2 start", rec.Record(2).Start, 200)
+	wantClose(t, "job0 start", record(rec, 0).Start, 0)
+	wantClose(t, "job1 start", record(rec, 1).Start, 100)
+	wantClose(t, "job2 start", record(rec, 2).Start, 200)
 	s := rec.Summary()
 	wantClose(t, "makespan", s.Makespan, 300)
 	wantClose(t, "utilization", s.Utilization, 1)
@@ -226,7 +236,7 @@ func TestWalltimeKill(t *testing.T) {
 	j := computeJob(0, 2, 1e12) // would run 500 s
 	j.WallTimeLimit = 100
 	rec, _ := runSim(t, testPlatform(2), []*job.Job{j}, &sched.FCFS{}, Options{})
-	r := rec.Record(0)
+	r := record(rec, 0)
 	if !r.Killed {
 		t.Fatal("job not killed at walltime")
 	}
@@ -256,7 +266,7 @@ func TestMalleableExpansion(t *testing.T) {
 	// iter0: 4.8e10/2/1e9 = 24 s; iter1, iter2: 6 s each. Total 36 s.
 	j := malleableJob(0, 2, 8, 2, 3, 4.8e10)
 	rec, e := runSim(t, testPlatform(8), []*job.Job{j}, &sched.Adaptive{}, Options{})
-	r := rec.Record(0)
+	r := record(rec, 0)
 	wantClose(t, "runtime", r.Runtime(), 36)
 	if r.Reconfigs != 1 {
 		t.Errorf("reconfigs = %d, want 1", r.Reconfigs)
@@ -274,7 +284,7 @@ func TestMalleableReconfigCost(t *testing.T) {
 	j.ReconfigCost = job.MustExprModel("10")
 	rec, _ := runSim(t, testPlatform(8), []*job.Job{j}, &sched.Adaptive{}, Options{})
 	// 36 s of work + 10 s reconfiguration.
-	wantClose(t, "runtime with cost", rec.Record(0).Runtime(), 46)
+	wantClose(t, "runtime with cost", record(rec, 0).Runtime(), 46)
 }
 
 func TestMalleableShrinkToAdmit(t *testing.T) {
@@ -285,9 +295,9 @@ func TestMalleableShrinkToAdmit(t *testing.T) {
 	r := computeJob(1, 4, 4e10)              // 10 s on 4 nodes
 	r.SubmitTime = 5
 	rec, _ := runSim(t, testPlatform(8), []*job.Job{m, r}, &sched.Adaptive{}, Options{})
-	rr := rec.Record(1)
+	rr := record(rec, 1)
 	wantClose(t, "rigid start", rr.Start, 20)
-	mr := rec.Record(0)
+	mr := record(rec, 0)
 	if mr.Reconfigs < 1 {
 		t.Errorf("malleable job never reconfigured")
 	}
@@ -316,7 +326,7 @@ func TestEvolvingGrantFlow(t *testing.T) {
 		}}},
 	}
 	rec, e := runSim(t, testPlatform(8), []*job.Job{j}, &sched.Adaptive{}, Options{Trace: true})
-	r := rec.Record(0)
+	r := record(rec, 0)
 	if r.PeakNodes != 8 {
 		t.Errorf("evolving job peak %d, want 8", r.PeakNodes)
 	}
@@ -350,9 +360,9 @@ func TestMoldableSizing(t *testing.T) {
 	}
 	// SizeMax starts it on all 8 free nodes: 10 s.
 	rec, _ := runSim(t, testPlatform(8), []*job.Job{j}, &sched.FCFS{Sizing: sched.SizeMax}, Options{})
-	wantClose(t, "moldable max runtime", rec.Record(0).Runtime(), 10)
-	if rec.Record(0).InitialNodes != 8 {
-		t.Errorf("moldable started on %d nodes", rec.Record(0).InitialNodes)
+	wantClose(t, "moldable max runtime", record(rec, 0).Runtime(), 10)
+	if record(rec, 0).InitialNodes != 8 {
+		t.Errorf("moldable started on %d nodes", record(rec, 0).InitialNodes)
 	}
 }
 
@@ -365,7 +375,7 @@ func TestPeriodicOnlyInvocation(t *testing.T) {
 		InvocationInterval: 10,
 		DisableEventDriven: true,
 	})
-	wantClose(t, "start on tick", rec.Record(0).Start, 10)
+	wantClose(t, "start on tick", record(rec, 0).Start, 10)
 	if e.Invocations() == 0 {
 		t.Error("no invocations")
 	}
@@ -513,7 +523,7 @@ func TestBackboneContention(t *testing.T) {
 		}
 	}
 	rec, _ := runSim(t, spec, []*job.Job{mk(0), mk(1)}, &sched.FCFS{}, Options{})
-	wantClose(t, "backbone-contended alltoall", rec.Record(0).Runtime(), 2)
+	wantClose(t, "backbone-contended alltoall", record(rec, 0).Runtime(), 2)
 }
 
 func TestNetworkLatency(t *testing.T) {
@@ -526,7 +536,7 @@ func TestNetworkLatency(t *testing.T) {
 		}}},
 	}
 	rec, _ := runSim(t, spec, []*job.Job{j}, &sched.FCFS{}, Options{})
-	wantClose(t, "latency + transfer", rec.Record(0).Runtime(), 1.25)
+	wantClose(t, "latency + transfer", record(rec, 0).Runtime(), 1.25)
 }
 
 func TestTaskTracing(t *testing.T) {
@@ -586,12 +596,12 @@ func TestSharedBurstBufferContention(t *testing.T) {
 	spec := platform.Homogeneous("c", 2, speed, 4e9, 4e9, 4e9)
 	spec.BurstBuffer = &platform.BurstBufferSpec{Kind: platform.BBShared, ReadBandwidth: 4e9, WriteBandwidth: 4e9}
 	rec, _ := runSim(t, spec, []*job.Job{mk(0), mk(1)}, &sched.FCFS{}, Options{})
-	wantClose(t, "bb-contended write", rec.Record(0).Runtime(), 2)
+	wantClose(t, "bb-contended write", record(rec, 0).Runtime(), 2)
 
 	slow := platform.Homogeneous("c", 2, speed, 1e9, 4e9, 4e9)
 	slow.BurstBuffer = &platform.BurstBufferSpec{Kind: platform.BBShared, ReadBandwidth: 4e9, WriteBandwidth: 4e9}
 	rec2, _ := runSim(t, slow, []*job.Job{mk(0), mk(1)}, &sched.FCFS{}, Options{})
-	wantClose(t, "link-bound shared bb", rec2.Record(0).Runtime(), 4)
+	wantClose(t, "link-bound shared bb", record(rec2, 0).Runtime(), 4)
 }
 
 // TestUntracedRunFormatsNothing bounds heap allocations per job on the

@@ -106,7 +106,7 @@ func (e *Engine) shrinkThroughFailure(jr *jobRun, id platform.NodeID) {
 	oldSize := len(jr.nodes)
 	if jr.state == stateRunning {
 		if lost := (now - jr.iterStart) * float64(oldSize); lost > 0 {
-			e.rec.JobLostWork(jr.job.ID, lost)
+			e.rec.JobLostWork(jr.rec, lost)
 		}
 	}
 	e.cancelTask(jr)
@@ -122,7 +122,7 @@ func (e *Engine) shrinkThroughFailure(jr *jobRun, id platform.NodeID) {
 	e.telNodesReleased(jr, []platform.NodeID{id})
 	e.rec.AddGantt(jr.job.ID, jr.job.Label(), oldSize, jr.segStart, now)
 	jr.segStart = now
-	e.rec.JobReconfigured(jr.job.ID, now, len(jr.nodes))
+	e.rec.JobReconfigured(jr.rec, now, len(jr.nodes))
 	if e.tracing() {
 		e.traceEvent(EvFailShrink, jr.job.ID, fmt.Sprintf("%d->%d node=%d", oldSize, len(jr.nodes), int(id)))
 	}
@@ -160,12 +160,12 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 	e.telNodesReleased(jr, jr.nodes)
 	jr.nodes = nil
 	e.running.remove(jr)
-	e.rec.JobFailed(jr.job.ID, now, lost)
+	e.rec.JobFailed(jr.rec, now, lost)
 	if requeue && jr.requeues < e.injector.Spec().EffectiveMaxRequeues() {
 		jr.requeues++
 		jr.state = statePending
 		jr.evolvingRequest, jr.grantedTarget, jr.pendingResize = 0, 0, 0
-		e.rec.JobRequeued(jr.job.ID, now)
+		e.rec.JobRequeued(jr.rec)
 		if e.tracing() {
 			e.traceEvent(EvRequeued, jr.job.ID, fmt.Sprintf("requeue=%d ckpt=%d/%d", jr.requeues, jr.ckptPhase, jr.ckptIter))
 		}
@@ -173,7 +173,7 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 		return
 	}
 	jr.state = stateDone
-	e.rec.JobFinished(jr.job.ID, now, metrics.StatusFailedNode)
+	e.rec.JobFinished(jr.rec, now, metrics.StatusFailedNode)
 	e.traceEvent(EvFinish, jr.job.ID, "status=failed-node")
 	e.outstanding--
 	e.markFinished(jr.job.ID)

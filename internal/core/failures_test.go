@@ -40,7 +40,7 @@ func TestNodeFailureRequeueWithCheckpointCredit(t *testing.T) {
 	j := iterJob(0, 2, 10, 2e10, "0")
 	opts := Options{Failures: traceSpec("", failure.Outage{Node: 0, Down: 35, Up: 45})}
 	rec, _ := runSim(t, testPlatform(4), []*job.Job{j}, &sched.FCFS{}, opts)
-	r := rec.Record(0)
+	r := record(rec, 0)
 	if r.Status != metrics.StatusCompleted {
 		t.Fatalf("status %q", r.Status)
 	}
@@ -64,7 +64,7 @@ func TestNodeFailureRequeueWithoutCheckpoint(t *testing.T) {
 	j := iterJob(0, 2, 10, 2e10, "")
 	opts := Options{Failures: traceSpec("", failure.Outage{Node: 0, Down: 35, Up: 45})}
 	rec, _ := runSim(t, testPlatform(4), []*job.Job{j}, &sched.FCFS{}, opts)
-	r := rec.Record(0)
+	r := record(rec, 0)
 	wantClose(t, "end", r.End, 135)                 // restart at 35 + full 100 s
 	wantClose(t, "badput", r.BadputNodeSeconds, 70) // 35 s x 2 nodes
 }
@@ -84,7 +84,7 @@ func TestMalleableShrinksThroughFailure(t *testing.T) {
 	}
 	opts := Options{Failures: traceSpec(failure.RecoverShrink, failure.Outage{Node: 2, Down: 35, Up: 10000})}
 	rec, _ := runSim(t, testPlatform(4), []*job.Job{j}, &sched.FCFS{}, opts)
-	r := rec.Record(0)
+	r := record(rec, 0)
 	if r.Status != metrics.StatusCompleted || r.Requeues != 0 {
 		t.Fatalf("status %q requeues %d", r.Status, r.Requeues)
 	}
@@ -105,7 +105,7 @@ func TestKillPolicyTerminatesJob(t *testing.T) {
 	j := iterJob(0, 2, 10, 2e10, "0")
 	opts := Options{Failures: traceSpec(failure.RecoverKill, failure.Outage{Node: 1, Down: 15, Up: 20})}
 	rec, _ := runSim(t, testPlatform(4), []*job.Job{j}, &sched.FCFS{}, opts)
-	r := rec.Record(0)
+	r := record(rec, 0)
 	if r.Status != metrics.StatusFailedNode || !r.Killed {
 		t.Fatalf("status %q killed %t", r.Status, r.Killed)
 	}
@@ -125,7 +125,7 @@ func TestMaxRequeuesExhaustion(t *testing.T) {
 		failure.Outage{Node: 0, Down: 12, Up: 13})
 	spec.MaxRequeues = 1
 	rec, _ := runSim(t, testPlatform(1), []*job.Job{j}, &sched.FCFS{}, Options{Failures: spec})
-	r := rec.Record(0)
+	r := record(rec, 0)
 	if r.Status != metrics.StatusFailedNode {
 		t.Fatalf("status %q", r.Status)
 	}
@@ -177,7 +177,7 @@ func TestValidatorRejectsDownNodePlacement(t *testing.T) {
 	if !found {
 		t.Errorf("no rejection warning, got %q", e.Warnings())
 	}
-	r := rec.Record(0)
+	r := record(rec, 0)
 	if r.Status != metrics.StatusCompleted {
 		t.Fatalf("status %q", r.Status)
 	}

@@ -24,7 +24,7 @@ func TestHeterogeneousComputeBoundBySlowest(t *testing.T) {
 	j := computeJob(0, 6, 6e10) // 1e10 per node at "flops/num_nodes"
 	rec, _ := runSim(t, spec, []*job.Job{j}, &sched.FCFS{}, Options{})
 	// Per-node work 1e10 at the slowest speed 1e9 -> 10 s.
-	wantClose(t, "hetero compute", rec.Record(0).Runtime(), 10)
+	wantClose(t, "hetero compute", record(rec, 0).Runtime(), 10)
 
 	// A job pinned entirely onto the fast nodes finishes 4x faster.
 	pinner := algoFunc(func(inv *sched.Invocation) []sched.Decision {
@@ -39,7 +39,7 @@ func TestHeterogeneousComputeBoundBySlowest(t *testing.T) {
 	})
 	jf := computeJob(0, 4, 4e10)
 	recFast, _ := runSim(t, spec, []*job.Job{jf}, pinner, Options{})
-	wantClose(t, "fast-node compute", recFast.Record(0).Runtime(), 2.5)
+	wantClose(t, "fast-node compute", record(recFast, 0).Runtime(), 2.5)
 }
 
 func TestHeterogeneousFastPathEquivalence(t *testing.T) {
@@ -100,8 +100,8 @@ func TestShrinkReserve(t *testing.T) {
 		&sched.Adaptive{ShrinkReserve: 2}, Options{})
 	// Floor is min(2)+reserve(2) = 4, so at most 4 nodes are reclaimable
 	// and the 6-node job must wait for the malleable job to end.
-	mr := rec.Record(0)
-	rr := rec.Record(1)
+	mr := record(rec, 0)
+	rr := record(rec, 1)
 	if rr.Start < mr.End-1e-9 {
 		t.Errorf("reserved nodes were reclaimed: rigid started at %v before malleable ended at %v",
 			rr.Start, mr.End)
@@ -112,7 +112,7 @@ func TestShrinkReserve(t *testing.T) {
 		j.SubmitTime = 5
 		return j
 	}()}, &sched.Adaptive{}, Options{})
-	wantClose(t, "unreserved admission", rec2.Record(1).Start, 20)
+	wantClose(t, "unreserved admission", record(rec2, 1).Start, 20)
 }
 
 func TestLatencyWithFastPath(t *testing.T) {
@@ -129,5 +129,5 @@ func TestLatencyWithFastPath(t *testing.T) {
 	}
 	rec, _ := runSim(t, spec, []*job.Job{j}, &sched.FCFS{}, Options{})
 	// Per iteration: 0.5 latency + 1 s transfer; 3 iterations.
-	wantClose(t, "latency fast path", rec.Record(0).Runtime(), 4.5)
+	wantClose(t, "latency fast path", record(rec, 0).Runtime(), 4.5)
 }

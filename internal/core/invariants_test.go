@@ -252,7 +252,7 @@ func TestKillDecisionOnPendingAndRunning(t *testing.T) {
 		t.Errorf("warnings: %v", e.Warnings())
 	}
 	// The pending kill must not have started.
-	if rec.Record(1).Start >= 0 {
+	if record(rec, 1).Start >= 0 {
 		t.Error("killed-pending job has a start time")
 	}
 }

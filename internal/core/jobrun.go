@@ -47,6 +47,7 @@ func (s jobState) String() string {
 // jobRun is the mutable execution state of one job.
 type jobRun struct {
 	job   *job.Job
+	rec   *metrics.JobRecord // the Recorder's handle for this job
 	state jobState
 
 	// owner is the job's allocator key, formatted once at submission —
@@ -142,7 +143,7 @@ func (e *Engine) start(jr *jobRun, nodes []platform.NodeID) {
 	jr.phaseIdx, jr.iter, jr.taskIdx = jr.ckptPhase, jr.ckptIter, 0
 	jr.lastCkpt = now
 	e.running.add(jr)
-	e.rec.JobStarted(jr.job.ID, now, len(nodes))
+	e.rec.JobStarted(jr.rec, now, len(nodes))
 	if e.tracing() {
 		detail := fmt.Sprintf("nodes=%d", len(nodes))
 		if jr.requeues > 0 {
@@ -587,7 +588,7 @@ func (e *Engine) adjustAllocation(jr *jobRun, target int) {
 	}
 	e.rec.AddGantt(jr.job.ID, jr.job.Label(), cur, jr.segStart, now)
 	jr.segStart = now
-	e.rec.JobReconfigured(jr.job.ID, now, len(jr.nodes))
+	e.rec.JobReconfigured(jr.rec, now, len(jr.nodes))
 	if e.tracing() {
 		e.traceEvent(EvReconfigured, jr.job.ID, fmt.Sprintf("%d->%d", cur, target))
 	}
@@ -643,7 +644,7 @@ func (e *Engine) finish(jr *jobRun, status metrics.JobStatus) {
 	e.telNodesReleased(jr, jr.nodes)
 	jr.nodes = nil
 	e.running.remove(jr)
-	e.rec.JobFinished(jr.job.ID, now, status)
+	e.rec.JobFinished(jr.rec, now, status)
 	if e.tracing() {
 		e.traceEvent(EvFinish, jr.job.ID, fmt.Sprintf("status=%s", status))
 	}

@@ -33,7 +33,7 @@ func TestTreeUplinkBoundsAllToAll(t *testing.T) {
 	// k*(n-k) = 4 GB (4 s) -> uplink-bound at 4 s.
 	spec := treePlatform(4, 2, 1e9, 0)
 	rec, _ := runSim(t, spec, []*job.Job{commJob(0, 4, job.PatternAllToAll, "1G")}, &sched.FCFS{}, Options{})
-	wantClose(t, "tree alltoall", rec.Record(0).Runtime(), 4)
+	wantClose(t, "tree alltoall", record(rec, 0).Runtime(), 4)
 }
 
 func TestTreeLocalityMatters(t *testing.T) {
@@ -43,7 +43,7 @@ func TestTreeLocalityMatters(t *testing.T) {
 	spec := treePlatform(4, 2, 0.5e9, 0)
 	// Local: the allocator packs the first job into nodes {0,1}.
 	recLocal, _ := runSim(t, spec, []*job.Job{commJob(0, 2, job.PatternAllToAll, "1G")}, &sched.FCFS{}, Options{})
-	wantClose(t, "intra-group alltoall", recLocal.Record(0).Runtime(), 1)
+	wantClose(t, "intra-group alltoall", record(recLocal, 0).Runtime(), 1)
 
 	// Spanning: a 1-node filler first claims node 0, pushing the comm job
 	// onto nodes {1,2} — one in each group.
@@ -55,7 +55,7 @@ func TestTreeLocalityMatters(t *testing.T) {
 	}
 	span := commJob(1, 2, job.PatternAllToAll, "1G")
 	recSpan, _ := runSim(t, spec, []*job.Job{filler, span}, &sched.FCFS{}, Options{})
-	wantClose(t, "cross-group alltoall", recSpan.Record(1).Runtime(), 2)
+	wantClose(t, "cross-group alltoall", record(recSpan, 1).Runtime(), 2)
 }
 
 func TestTreeCoreBoundsTraffic(t *testing.T) {
@@ -64,7 +64,7 @@ func TestTreeCoreBoundsTraffic(t *testing.T) {
 	// dominating links (3 s) and uplinks (4 s at 1 GB/s).
 	spec := treePlatform(4, 2, 1e9, 0.5e9)
 	rec, _ := runSim(t, spec, []*job.Job{commJob(0, 4, job.PatternAllToAll, "1G")}, &sched.FCFS{}, Options{})
-	wantClose(t, "core-bound alltoall", rec.Record(0).Runtime(), 8)
+	wantClose(t, "core-bound alltoall", record(rec, 0).Runtime(), 8)
 }
 
 func TestTreeUplinkContentionOnPFS(t *testing.T) {
@@ -81,13 +81,13 @@ func TestTreeUplinkContentionOnPFS(t *testing.T) {
 		}
 	}
 	rec, _ := runSim(t, spec, []*job.Job{mk(0), mk(1)}, &sched.FCFS{}, Options{})
-	wantClose(t, "pfs-shared read 0", rec.Record(0).Runtime(), 4)
-	wantClose(t, "pfs-shared read 1", rec.Record(1).Runtime(), 4)
+	wantClose(t, "pfs-shared read 0", record(rec, 0).Runtime(), 4)
+	wantClose(t, "pfs-shared read 1", record(rec, 1).Runtime(), 4)
 
 	// Slow uplinks (0.5 GB/s) become the bottleneck instead: 8 s each.
 	spec2 := treePlatform(4, 2, 0.5e9, 0)
 	rec2, _ := runSim(t, spec2, []*job.Job{mk(0), mk(1)}, &sched.FCFS{}, Options{})
-	wantClose(t, "uplink-bound read", rec2.Record(0).Runtime(), 8)
+	wantClose(t, "uplink-bound read", record(rec2, 0).Runtime(), 8)
 }
 
 func TestTreeIntraGroupJobUnaffectedByUplink(t *testing.T) {
@@ -95,7 +95,7 @@ func TestTreeIntraGroupJobUnaffectedByUplink(t *testing.T) {
 	spec := treePlatform(4, 2, 0.01e9, 0)
 	rec, _ := runSim(t, spec, []*job.Job{commJob(0, 2, job.PatternAllReduce, "1G")}, &sched.FCFS{}, Options{})
 	// 2*(2-1)/2 = 1 GB per link at 1 GB/s.
-	wantClose(t, "intra-group allreduce", rec.Record(0).Runtime(), 1)
+	wantClose(t, "intra-group allreduce", record(rec, 0).Runtime(), 1)
 }
 
 func TestUplinkWeights(t *testing.T) {
@@ -148,7 +148,7 @@ func TestPinnedPlacement(t *testing.T) {
 	}
 	// Nodes 1 and 3 span both groups: the 0.5 GB/s uplinks bound the
 	// alltoall at 2 s (vs 1 s packed).
-	wantClose(t, "pinned cross-group alltoall", rec.Record(0).Runtime(), 2)
+	wantClose(t, "pinned cross-group alltoall", record(rec, 0).Runtime(), 2)
 }
 
 func TestPinnedPlacementValidation(t *testing.T) {
@@ -200,7 +200,7 @@ func TestPackedAlgorithmReducesSpanning(t *testing.T) {
 		return []*job.Job{filler, commJob(1, 2, job.PatternAllToAll, "1G")}
 	}
 	recDefault, _ := runSim(t, spec, mkJobs(), &sched.EASY{}, Options{})
-	wantClose(t, "default placement", recDefault.Record(1).Runtime(), 2)
+	wantClose(t, "default placement", record(recDefault, 1).Runtime(), 2)
 	recPacked, _ := runSim(t, spec, mkJobs(), &sched.Packed{Base: &sched.EASY{}}, Options{})
-	wantClose(t, "packed placement", recPacked.Record(1).Runtime(), 1)
+	wantClose(t, "packed placement", record(recPacked, 1).Runtime(), 1)
 }

@@ -102,19 +102,6 @@ func (r *RNG) LogUniform(lo, hi float64) float64 {
 	return math.Exp(r.Range(math.Log(lo), math.Log(hi)))
 }
 
-// LogUniformInt returns LogUniform rounded to the nearest integer, clamped
-// to [lo, hi].
-func (r *RNG) LogUniformInt(lo, hi int) int {
-	v := int(math.Round(r.LogUniform(float64(lo), float64(hi))))
-	if v < lo {
-		v = lo
-	}
-	if v > hi {
-		v = hi
-	}
-	return v
-}
-
 // PowerOfTwo returns a uniformly chosen power of two in [lo, hi]. Node
 // requests in HPC traces cluster strongly on powers of two.
 func (r *RNG) PowerOfTwo(lo, hi int) int {
@@ -133,25 +120,7 @@ func (r *RNG) PowerOfTwo(lo, hi int) int {
 	return choices[r.Intn(len(choices))]
 }
 
-// Normal returns a normally distributed value via the Box-Muller transform.
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

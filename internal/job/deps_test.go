@@ -41,6 +41,19 @@ func TestDependencyValidation(t *testing.T) {
 	}
 }
 
+// A repeated job ID is refused by Validate, naming the ID, so a run never
+// starts with two jobs the engine would index as one.
+func TestWorkloadRejectsDuplicateIDs(t *testing.T) {
+	dup := &Workload{Jobs: []*Job{depJob(0, "a", 0), depJob(0, "b", 5)}}
+	if err := dup.Validate(4); err == nil || !strings.Contains(err.Error(), "duplicate job ID 0") {
+		t.Errorf("adjacent duplicate: %v", err)
+	}
+	apart := &Workload{Jobs: []*Job{depJob(3, "a", 0), depJob(1, "b", 1), depJob(3, "c", 2)}}
+	if err := apart.Validate(4); err == nil || !strings.Contains(err.Error(), "duplicate job ID 3") {
+		t.Errorf("non-adjacent duplicate: %v", err)
+	}
+}
+
 func TestSortRemapsDependencies(t *testing.T) {
 	// Job "late" (ID 0) submits later than "early" (ID 1) which depends
 	// on it. After Sort, IDs swap and the dependency must follow.

@@ -17,9 +17,9 @@ type Workload struct {
 	Jobs []*Job
 }
 
-// Validate checks every job against the machine size and verifies that the
-// dependency graph is well-formed (references exist, no self-dependency,
-// acyclic).
+// Validate checks every job against the machine size and verifies that job
+// IDs are unique and the dependency graph is well-formed (references exist,
+// no self-dependency, acyclic).
 func (w *Workload) Validate(totalNodes int) error {
 	for _, j := range w.Jobs {
 		if err := j.Validate(totalNodes); err != nil {
@@ -32,6 +32,9 @@ func (w *Workload) Validate(totalNodes int) error {
 func (w *Workload) validateDependencies() error {
 	byID := make(map[ID]*Job, len(w.Jobs))
 	for _, j := range w.Jobs {
+		if _, dup := byID[j.ID]; dup {
+			return fmt.Errorf("duplicate job ID %d", j.ID)
+		}
 		byID[j.ID] = j
 	}
 	for _, j := range w.Jobs {

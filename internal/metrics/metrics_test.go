@@ -90,22 +90,6 @@ func TestTimelineSetAndMax(t *testing.T) {
 	}
 }
 
-func TestTimelineSample(t *testing.T) {
-	var tl Timeline
-	tl.Add(0, 1)
-	tl.Add(50, 1)
-	pts := tl.Sample(0, 100, 4)
-	if len(pts) != 5 {
-		t.Fatalf("samples %d, want 5", len(pts))
-	}
-	want := []float64{1, 1, 2, 2, 2}
-	for i := range pts {
-		if pts[i].V != want[i] {
-			t.Errorf("sample %d = %v, want %v", i, pts[i].V, want[i])
-		}
-	}
-}
-
 func TestTimelineCSV(t *testing.T) {
 	var tl Timeline
 	tl.Add(0, 2)
@@ -155,10 +139,9 @@ func makeJob(id int, typ job.Type) *job.Job {
 func TestRecorderLifecycle(t *testing.T) {
 	rec := NewRecorder(16)
 	j := makeJob(0, job.Rigid)
-	rec.JobSubmitted(j, 0)
-	rec.JobStarted(j.ID, 10, 4)
-	rec.JobFinished(j.ID, 110, StatusCompleted)
-	r := rec.Record(j.ID)
+	r := rec.JobSubmitted(j, 0)
+	rec.JobStarted(r, 10, 4)
+	rec.JobFinished(r, 110, StatusCompleted)
 	if r.Wait() != 10 {
 		t.Errorf("Wait = %v", r.Wait())
 	}
@@ -188,12 +171,11 @@ func TestRecorderLifecycle(t *testing.T) {
 func TestRecorderReconfiguration(t *testing.T) {
 	rec := NewRecorder(32)
 	j := makeJob(0, job.Malleable)
-	rec.JobSubmitted(j, 0)
-	rec.JobStarted(j.ID, 0, 4)
-	rec.JobReconfigured(j.ID, 50, 12)
-	rec.JobReconfigured(j.ID, 80, 2)
-	rec.JobFinished(j.ID, 100, StatusCompleted)
-	r := rec.Record(j.ID)
+	r := rec.JobSubmitted(j, 0)
+	rec.JobStarted(r, 0, 4)
+	rec.JobReconfigured(r, 50, 12)
+	rec.JobReconfigured(r, 80, 2)
+	rec.JobFinished(r, 100, StatusCompleted)
 	// 4*50 + 12*30 + 2*20 = 200 + 360 + 40 = 600.
 	if r.NodeSeconds != 600 {
 		t.Errorf("NodeSeconds = %v, want 600", r.NodeSeconds)
@@ -218,9 +200,9 @@ func TestRecorderReconfiguration(t *testing.T) {
 func TestRecorderKilled(t *testing.T) {
 	rec := NewRecorder(8)
 	j := makeJob(0, job.Rigid)
-	rec.JobSubmitted(j, 0)
-	rec.JobStarted(j.ID, 0, 2)
-	rec.JobFinished(j.ID, 50, StatusKilledWalltime)
+	r := rec.JobSubmitted(j, 0)
+	rec.JobStarted(r, 0, 2)
+	rec.JobFinished(r, 50, StatusKilledWalltime)
 	s := rec.Summary()
 	if s.Killed != 1 || s.Completed != 0 {
 		t.Errorf("killed accounting: %+v", s)
@@ -229,18 +211,17 @@ func TestRecorderKilled(t *testing.T) {
 
 func TestRecorderUnfinishedExcluded(t *testing.T) {
 	rec := NewRecorder(8)
-	a, b := makeJob(0, job.Rigid), makeJob(1, job.Rigid)
-	rec.JobSubmitted(a, 0)
-	rec.JobSubmitted(b, 0)
-	rec.JobStarted(a.ID, 0, 2)
-	rec.JobFinished(a.ID, 10, StatusCompleted)
+	ra := rec.JobSubmitted(makeJob(0, job.Rigid), 0)
+	rb := rec.JobSubmitted(makeJob(1, job.Rigid), 0)
+	rec.JobStarted(ra, 0, 2)
+	rec.JobFinished(ra, 10, StatusCompleted)
 	// b never starts.
 	s := rec.Summary()
 	if s.Jobs != 2 || s.Completed != 1 {
 		t.Errorf("summary %+v", s)
 	}
-	if rec.QueueTimeline().Current() != 1 {
-		t.Errorf("queued = %v, want 1", rec.QueueTimeline().Current())
+	if rb.Start >= 0 || rb.End >= 0 {
+		t.Errorf("unstarted job has start %v, end %v", rb.Start, rb.End)
 	}
 }
 
@@ -264,14 +245,15 @@ func TestBoundedSlowdown(t *testing.T) {
 
 func TestSummaryStatistics(t *testing.T) {
 	rec := NewRecorder(100)
-	for i := 0; i < 10; i++ {
-		rec.JobSubmitted(makeJob(i, job.Rigid), 0)
+	rs := make([]*JobRecord, 10)
+	for i := range rs {
+		rs[i] = rec.JobSubmitted(makeJob(i, job.Rigid), 0)
 	}
-	for i := 0; i < 10; i++ {
-		rec.JobStarted(job.ID(i), float64(i*10), 1)
+	for i, r := range rs {
+		rec.JobStarted(r, float64(i*10), 1)
 	}
-	for i := 0; i < 10; i++ {
-		rec.JobFinished(job.ID(i), float64(i*10+100), StatusCompleted)
+	for i, r := range rs {
+		rec.JobFinished(r, float64(i*10+100), StatusCompleted)
 	}
 	s := rec.Summary()
 	if s.MeanWait != 45 { // waits 0,10,...,90
@@ -309,9 +291,9 @@ func TestJobsCSV(t *testing.T) {
 	rec := NewRecorder(8)
 	j := makeJob(0, job.Rigid)
 	j.Name = "alpha"
-	rec.JobSubmitted(j, 0)
-	rec.JobStarted(j.ID, 5, 2)
-	rec.JobFinished(j.ID, 25, StatusCompleted)
+	r := rec.JobSubmitted(j, 0)
+	rec.JobStarted(r, 5, 2)
+	rec.JobFinished(r, 25, StatusCompleted)
 	var buf bytes.Buffer
 	if err := rec.WriteJobsCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -341,66 +323,16 @@ func TestGanttExport(t *testing.T) {
 	}
 }
 
-func TestDuplicateSubmitPanics(t *testing.T) {
-	rec := NewRecorder(8)
-	j := makeJob(0, job.Rigid)
-	rec.JobSubmitted(j, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate submit did not panic")
-		}
-	}()
-	rec.JobSubmitted(j, 1)
-}
-
-func TestGroupSummary(t *testing.T) {
-	rec := NewRecorder(16)
-	mk := func(id int, typ job.Type, user string) *job.Job {
-		return &job.Job{ID: job.ID(id), Type: typ, User: user}
-	}
-	rec.JobSubmitted(mk(0, job.Rigid, "alice"), 0)
-	rec.JobSubmitted(mk(1, job.Rigid, "bob"), 0)
-	rec.JobSubmitted(mk(2, job.Malleable, "alice"), 0)
-	rec.JobSubmitted(mk(3, job.Rigid, ""), 0)
-	rec.JobStarted(0, 10, 2)
-	rec.JobStarted(1, 20, 2)
-	rec.JobStarted(2, 30, 4)
-	rec.JobFinished(0, 110, StatusCompleted)
-	rec.JobFinished(1, 120, StatusKilledWalltime)
-	rec.JobFinished(2, 130, StatusCompleted)
-	rec.JobAbandoned(3, 140)
-
-	byType := rec.GroupSummary(ByType)
-	if byType["rigid"].Jobs != 3 || byType["malleable"].Jobs != 1 {
-		t.Errorf("type groups: %+v", byType)
-	}
-	// Rigid started jobs: waits 10 and 20 -> mean 15 (abandoned job 3
-	// excluded from means but counted as killed).
-	if got := byType["rigid"].MeanWait; got != 15 {
-		t.Errorf("rigid mean wait %v, want 15", got)
-	}
-	if byType["rigid"].Killed != 2 { // walltime kill + abandoned
-		t.Errorf("rigid killed %d", byType["rigid"].Killed)
-	}
-	byUser := rec.GroupSummary(ByUser)
-	if byUser["alice"].Jobs != 2 || byUser["bob"].Jobs != 1 || byUser["(none)"].Jobs != 1 {
-		t.Errorf("user groups: %+v", byUser)
-	}
-	if got := byUser["alice"].MeanWait; got != 20 { // (10+30)/2
-		t.Errorf("alice mean wait %v", got)
-	}
-}
-
 func TestWriteSWFRoundTripsThroughParser(t *testing.T) {
 	rec := NewRecorder(16)
 	j := &job.Job{ID: 0, Type: job.Rigid, NumNodes: 4, WallTimeLimit: 500}
 	j2 := &job.Job{ID: 1, Type: job.Rigid, NumNodes: 2, WallTimeLimit: 50}
-	rec.JobSubmitted(j, 10)
-	rec.JobSubmitted(j2, 20)
-	rec.JobStarted(0, 30, 4)
-	rec.JobStarted(1, 40, 2)
-	rec.JobFinished(1, 90, StatusKilledWalltime) // killed
-	rec.JobFinished(0, 130, StatusCompleted)
+	r := rec.JobSubmitted(j, 10)
+	r2 := rec.JobSubmitted(j2, 20)
+	rec.JobStarted(r, 30, 4)
+	rec.JobStarted(r2, 40, 2)
+	rec.JobFinished(r2, 90, StatusKilledWalltime) // killed
+	rec.JobFinished(r, 130, StatusCompleted)
 	var buf bytes.Buffer
 	if err := rec.WriteSWF(&buf, 2); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/job"
@@ -117,24 +118,15 @@ type Outage struct {
 	End   float64 `json:"end"`
 }
 
-// ReconfigMark is one applied allocation change, for overlaying
-// reconfiguration markers on visualizations.
-type ReconfigMark struct {
-	Job  job.ID  `json:"job"`
-	T    float64 `json:"t"`
-	From int     `json:"from"`
-	To   int     `json:"to"`
-}
-
 // Recorder accumulates statistics during a simulation run. It is driven by
-// the engine's lifecycle callbacks.
+// the engine's lifecycle callbacks: JobSubmitted returns the job's record,
+// and every later callback for that job takes the record back, so the
+// caller's own per-job state is the only index.
 type Recorder struct {
 	totalNodes int
-	records    map[job.ID]*JobRecord
-	order      []job.ID
-	busy       Timeline // allocated nodes
-	queued     Timeline // jobs waiting
-	down       Timeline // failed nodes (availability)
+	records    []*JobRecord // submission order
+	busy       Timeline     // allocated nodes
+	down       Timeline     // failed nodes (availability)
 	gantt      []GanttEntry
 	reconfigs  int
 	finalTime  float64
@@ -144,41 +136,29 @@ type Recorder struct {
 	requeues     int
 	badput       float64
 	outages      []Outage
-	reconfMarks  []ReconfigMark
 }
 
 // NewRecorder creates a recorder for a machine of totalNodes nodes.
 func NewRecorder(totalNodes int) *Recorder {
-	return &Recorder{totalNodes: totalNodes, records: map[job.ID]*JobRecord{}}
+	return &Recorder{totalNodes: totalNodes}
 }
 
-func (rec *Recorder) get(id job.ID) *JobRecord {
-	r, ok := rec.records[id]
-	if !ok {
-		panic(fmt.Sprintf("metrics: unknown job %d", id))
-	}
-	return r
-}
-
-// JobSubmitted registers a job entering the queue.
-func (rec *Recorder) JobSubmitted(j *job.Job, t float64) {
-	if _, dup := rec.records[j.ID]; dup {
-		panic(fmt.Sprintf("metrics: job %d submitted twice", j.ID))
-	}
-	rec.records[j.ID] = &JobRecord{
+// JobSubmitted registers a job entering the queue and returns its record,
+// the handle every later callback for the job takes.
+func (rec *Recorder) JobSubmitted(j *job.Job, t float64) *JobRecord {
+	r := &JobRecord{
 		ID: j.ID, Name: j.Label(), Type: j.Type, User: j.User,
 		Submit: t, Start: -1, End: -1,
 		RequestedNodes: j.MinNodes(), WallTime: j.WallTimeLimit,
 	}
-	rec.order = append(rec.order, j.ID)
-	rec.queued.Add(t, 1)
+	rec.records = append(rec.records, r)
+	return r
 }
 
 // JobStarted registers a job beginning execution on nodes. A restart
 // after a node-failure requeue keeps the original Start and InitialNodes
 // (Wait measures the initial queueing delay).
-func (rec *Recorder) JobStarted(id job.ID, t float64, nodes int) {
-	r := rec.get(id)
+func (rec *Recorder) JobStarted(r *JobRecord, t float64, nodes int) {
 	if r.Start < 0 {
 		r.Start = t
 		r.InitialNodes = nodes
@@ -188,14 +168,11 @@ func (rec *Recorder) JobStarted(id job.ID, t float64, nodes int) {
 	}
 	r.curNodes = nodes
 	r.lastChange = t
-	rec.queued.Add(t, -1)
 	rec.busy.Add(t, float64(nodes))
 }
 
 // JobReconfigured registers an applied allocation change.
-func (rec *Recorder) JobReconfigured(id job.ID, t float64, newNodes int) {
-	r := rec.get(id)
-	rec.reconfMarks = append(rec.reconfMarks, ReconfigMark{Job: id, T: t, From: r.curNodes, To: newNodes})
+func (rec *Recorder) JobReconfigured(r *JobRecord, t float64, newNodes int) {
 	r.NodeSeconds += float64(r.curNodes) * (t - r.lastChange)
 	rec.busy.Add(t, float64(newNodes-r.curNodes))
 	r.curNodes = newNodes
@@ -208,8 +185,7 @@ func (rec *Recorder) JobReconfigured(id job.ID, t float64, newNodes int) {
 }
 
 // JobFinished registers a terminal outcome with the given status.
-func (rec *Recorder) JobFinished(id job.ID, t float64, status JobStatus) {
-	r := rec.get(id)
+func (rec *Recorder) JobFinished(r *JobRecord, t float64, status JobStatus) {
 	r.NodeSeconds += float64(r.curNodes) * (t - r.lastChange)
 	rec.busy.Add(t, -float64(r.curNodes))
 	r.End = t
@@ -227,8 +203,7 @@ func (rec *Recorder) JobFinished(id job.ID, t float64, status JobStatus) {
 // i.e. consumed since the last checkpoint). The job is NOT terminal yet:
 // follow with JobRequeued (resubmission) or JobFinished with
 // StatusFailedNode (dropped).
-func (rec *Recorder) JobFailed(id job.ID, t float64, lost float64) {
-	r := rec.get(id)
+func (rec *Recorder) JobFailed(r *JobRecord, t float64, lost float64) {
 	r.NodeSeconds += float64(r.curNodes) * (t - r.lastChange)
 	rec.busy.Add(t, -float64(r.curNodes))
 	r.curNodes = 0
@@ -241,22 +216,19 @@ func (rec *Recorder) JobFailed(id job.ID, t float64, lost float64) {
 
 // JobLostWork charges badput without touching the allocation (a shrink
 // through a failure redoes the interrupted iteration in place).
-func (rec *Recorder) JobLostWork(id job.ID, lost float64) {
+func (rec *Recorder) JobLostWork(r *JobRecord, lost float64) {
 	if lost <= 0 {
 		return
 	}
-	r := rec.get(id)
 	r.BadputNodeSeconds += lost
 	rec.badput += lost
 }
 
 // JobRequeued registers a failed job re-entering the queue.
-func (rec *Recorder) JobRequeued(id job.ID, t float64) {
-	r := rec.get(id)
+func (rec *Recorder) JobRequeued(r *JobRecord) {
 	r.Requeues++
 	r.Status = StatusRequeued
 	rec.requeues++
-	rec.queued.Add(t, 1)
 }
 
 // NodeDown registers a node failure (availability timeline, counter, and
@@ -279,12 +251,10 @@ func (rec *Recorder) NodeUp(node int, t float64) {
 }
 
 // JobAbandoned registers a job killed while still pending (never started).
-func (rec *Recorder) JobAbandoned(id job.ID, t float64) {
-	r := rec.get(id)
+func (rec *Recorder) JobAbandoned(r *JobRecord, t float64) {
 	if r.Start >= 0 {
-		panic(fmt.Sprintf("metrics: job %d abandoned after start", id))
+		panic(fmt.Sprintf("metrics: job %d abandoned after start", r.ID))
 	}
-	rec.queued.Add(t, -1)
 	r.End = t
 	r.Killed = true
 	r.Status = StatusKilledScheduler
@@ -299,35 +269,16 @@ func (rec *Recorder) AddGantt(id job.ID, name string, nodes int, start, end floa
 }
 
 // Records returns all job records in submission order.
-func (rec *Recorder) Records() []*JobRecord {
-	out := make([]*JobRecord, 0, len(rec.order))
-	for _, id := range rec.order {
-		out = append(out, rec.records[id])
-	}
-	return out
-}
-
-// Record returns one job's record, or nil.
-func (rec *Recorder) Record(id job.ID) *JobRecord { return rec.records[id] }
+func (rec *Recorder) Records() []*JobRecord { return slices.Clone(rec.records) }
 
 // BusyTimeline returns the allocated-nodes step function.
 func (rec *Recorder) BusyTimeline() *Timeline { return &rec.busy }
-
-// QueueTimeline returns the queued-jobs step function.
-func (rec *Recorder) QueueTimeline() *Timeline { return &rec.queued }
-
-// DownTimeline returns the failed-nodes step function (all zeros without a
-// failure model).
-func (rec *Recorder) DownTimeline() *Timeline { return &rec.down }
 
 // Gantt returns the recorded allocation segments.
 func (rec *Recorder) Gantt() []GanttEntry { return rec.gantt }
 
 // Outages returns the recorded node failure intervals, in failure order.
 func (rec *Recorder) Outages() []Outage { return rec.outages }
-
-// ReconfigMarks returns the applied allocation changes, in time order.
-func (rec *Recorder) ReconfigMarks() []ReconfigMark { return rec.reconfMarks }
 
 // TotalNodes returns the machine size.
 func (rec *Recorder) TotalNodes() int { return rec.totalNodes }
@@ -381,8 +332,7 @@ func (rec *Recorder) Summary() Summary {
 	s := Summary{Jobs: len(rec.records), Reconfigs: rec.reconfigs, Makespan: rec.finalTime}
 	var waits, slowdowns []float64
 	var turnSum float64
-	for _, id := range rec.order {
-		r := rec.records[id]
+	for _, r := range rec.records {
 		if r.End < 0 {
 			continue
 		}
@@ -472,8 +422,7 @@ func (rec *Recorder) WriteJobsCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "id,name,type,submit,start,end,wait,runtime,turnaround,slowdown,nodes_initial,nodes_final,nodes_peak,reconfigs,node_seconds,killed,status,requeues,badput_node_seconds"); err != nil {
 		return err
 	}
-	for _, id := range rec.order {
-		r := rec.records[id]
+	for _, r := range rec.records {
 		if r.End < 0 {
 			continue
 		}
@@ -499,82 +448,6 @@ func (rec *Recorder) WriteGanttJSON(w io.Writer) error {
 	return enc.Encode(rec.gantt)
 }
 
-// GroupStats aggregates finished jobs within one group (see GroupSummary).
-type GroupStats struct {
-	Jobs           int     `json:"jobs"`
-	Completed      int     `json:"completed"`
-	Killed         int     `json:"killed"`
-	MeanWait       float64 `json:"mean_wait"`
-	MeanTurnaround float64 `json:"mean_turnaround"`
-	MeanSlowdown   float64 `json:"mean_slowdown"`
-	NodeSeconds    float64 `json:"node_seconds"`
-}
-
-// GroupSummary aggregates finished jobs by an arbitrary key — pass
-// ByType or ByUser (or your own function) to break batch metrics down by
-// flexibility class or account.
-func (rec *Recorder) GroupSummary(key func(*JobRecord) string) map[string]GroupStats {
-	acc := map[string]*GroupStats{}
-	for _, id := range rec.order {
-		r := rec.records[id]
-		if r.End < 0 {
-			continue
-		}
-		k := key(r)
-		g := acc[k]
-		if g == nil {
-			g = &GroupStats{}
-			acc[k] = g
-		}
-		g.Jobs++
-		if r.Killed {
-			g.Killed++
-		} else {
-			g.Completed++
-		}
-		if r.Start < 0 {
-			continue
-		}
-		g.MeanWait += r.Wait()
-		g.MeanTurnaround += r.Turnaround()
-		g.MeanSlowdown += r.BoundedSlowdown()
-		g.NodeSeconds += r.NodeSeconds
-	}
-	out := make(map[string]GroupStats, len(acc))
-	for k, g := range acc {
-		started := float64(g.Jobs - abandonedCount(rec, k, key))
-		if started > 0 {
-			g.MeanWait /= started
-			g.MeanTurnaround /= started
-			g.MeanSlowdown /= started
-		}
-		out[k] = *g
-	}
-	return out
-}
-
-func abandonedCount(rec *Recorder, k string, key func(*JobRecord) string) int {
-	n := 0
-	for _, id := range rec.order {
-		r := rec.records[id]
-		if r.End >= 0 && r.Start < 0 && key(r) == k {
-			n++
-		}
-	}
-	return n
-}
-
-// ByType keys GroupSummary by flexibility class.
-func ByType(r *JobRecord) string { return string(r.Type) }
-
-// ByUser keys GroupSummary by account ("(none)" when unattributed).
-func ByUser(r *JobRecord) string {
-	if r.User == "" {
-		return "(none)"
-	}
-	return r.User
-}
-
 // WriteSWF exports finished jobs in the Standard Workload Format, the
 // interchange format other batch simulators and the Parallel Workloads
 // Archive consume. Node counts are scaled by coresPerNode into processor
@@ -588,8 +461,7 @@ func (rec *Recorder) WriteSWF(w io.Writer, coresPerNode int) error {
 	if _, err := fmt.Fprintln(w, "; generated by elastisim-go"); err != nil {
 		return err
 	}
-	for _, id := range rec.order {
-		r := rec.records[id]
+	for _, r := range rec.records {
 		if r.End < 0 || r.Start < 0 {
 			continue
 		}

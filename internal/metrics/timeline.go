@@ -11,8 +11,8 @@ import (
 )
 
 // Timeline is a right-continuous step function of time, built by applying
-// deltas at timestamps. It tracks quantities like "busy nodes" or "queued
-// jobs".
+// deltas at timestamps. It tracks quantities like "busy nodes" or "down
+// nodes".
 type Timeline struct {
 	times  []float64
 	values []float64 // value from times[i] (inclusive) until times[i+1]
@@ -98,20 +98,6 @@ func (tl *Timeline) Max(a, b float64) float64 {
 		}
 	}
 	return maxV
-}
-
-// Sample evaluates the timeline at n+1 evenly spaced points across [a, b],
-// for plotting.
-func (tl *Timeline) Sample(a, b float64, n int) []Point {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]Point, 0, n+1)
-	for i := 0; i <= n; i++ {
-		t := a + (b-a)*float64(i)/float64(n)
-		out = append(out, Point{T: t, V: tl.At(t)})
-	}
-	return out
 }
 
 // Points returns the raw change points.

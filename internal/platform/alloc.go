@@ -95,14 +95,6 @@ func (a *Allocator) Total() int { return a.total }
 // Free returns the number of unallocated nodes.
 func (a *Allocator) Free() int { return a.free }
 
-// Used returns the number of allocated nodes.
-func (a *Allocator) Used() int { return a.total - a.free }
-
-// Owner returns the owner of a node, or "" when free.
-func (a *Allocator) Owner(id NodeID) string {
-	return a.names[a.owner[a.check(id)]]
-}
-
 // Owned returns how many nodes owner currently holds, in O(1).
 func (a *Allocator) Owned(owner string) int {
 	return int(a.held[a.handles[owner]])
@@ -218,28 +210,6 @@ func (a *Allocator) Release(owner string, ids []NodeID) error {
 		a.unref(h, len(ids))
 	}
 	return nil
-}
-
-// ReleaseAll frees every node held by owner and returns how many there were.
-func (a *Allocator) ReleaseAll(owner string) int {
-	h, ok := a.handles[owner]
-	if !ok {
-		return 0
-	}
-	want := int(a.held[h])
-	n := 0
-	for i, o := range a.owner {
-		if o == h {
-			a.freeNode(i)
-			n++
-			if n == want {
-				break
-			}
-		}
-	}
-	a.free += n
-	a.unref(h, n)
-	return n
 }
 
 // SortNodeIDs sorts a node-ID slice ascending, in place, and returns it.

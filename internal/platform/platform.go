@@ -128,9 +128,6 @@ func (p *Platform) Backbone() *fluid.Resource { return p.backbone }
 // IsTree reports whether the platform uses the tree topology.
 func (p *Platform) IsTree() bool { return len(p.uplinks) > 0 }
 
-// NumGroups returns the number of leaf-switch groups (0 unless tree).
-func (p *Platform) NumGroups() int { return len(p.uplinks) }
-
 // GroupOf returns the leaf-switch group a node belongs to (tree only).
 func (p *Platform) GroupOf(id NodeID) int {
 	return int(id) / p.spec.Network.GroupSize

@@ -206,10 +206,15 @@ func TestBuildStarHasNoBackbone(t *testing.T) {
 	}
 }
 
+// ownerOf returns the owner of a node, or "" when free.
+func ownerOf(a *Allocator, id NodeID) string {
+	return a.names[a.owner[a.check(id)]]
+}
+
 func TestAllocatorBasics(t *testing.T) {
 	a := NewAllocator(8)
-	if a.Free() != 8 || a.Used() != 0 {
-		t.Fatalf("fresh allocator free=%d used=%d", a.Free(), a.Used())
+	if a.Free() != 8 || a.Total() != 8 {
+		t.Fatalf("fresh allocator free=%d total=%d", a.Free(), a.Total())
 	}
 	got, err := a.Allocate("job1", 3)
 	if err != nil {
@@ -224,7 +229,7 @@ func TestAllocatorBasics(t *testing.T) {
 	if a.Free() != 5 {
 		t.Errorf("free = %d, want 5", a.Free())
 	}
-	if a.Owner(0) != "job1" || a.Owner(3) != "" {
+	if ownerOf(a, 0) != "job1" || ownerOf(a, 3) != "" {
 		t.Error("ownership wrong")
 	}
 	// Deterministic: next allocation takes the next lowest IDs.
@@ -276,7 +281,7 @@ func TestAllocatorErrors(t *testing.T) {
 		t.Error("conflicting allocation accepted")
 	}
 	// Failed AllocateNodes must not leave partial state: node 3 still free.
-	if a.Owner(3) != "" {
+	if ownerOf(a, 3) != "" {
 		t.Error("partial allocation leaked")
 	}
 	if err := a.Release("j2", []NodeID{1}); err == nil {
@@ -284,25 +289,6 @@ func TestAllocatorErrors(t *testing.T) {
 	}
 	if err := a.Release("j1", []NodeID{1, 2}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAllocatorReleaseAll(t *testing.T) {
-	a := NewAllocator(6)
-	if _, err := a.Allocate("j1", 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Allocate("j2", 2); err != nil {
-		t.Fatal(err)
-	}
-	if n := a.ReleaseAll("j1"); n != 2 {
-		t.Errorf("ReleaseAll freed %d, want 2", n)
-	}
-	if a.Free() != 4 {
-		t.Errorf("free = %d, want 4", a.Free())
-	}
-	if n := a.ReleaseAll("j1"); n != 0 {
-		t.Errorf("second ReleaseAll freed %d, want 0", n)
 	}
 }
 
@@ -344,7 +330,7 @@ func TestAllocatorConservationProperty(t *testing.T) {
 			// Invariant: owners agree.
 			for name, ns := range live {
 				for _, id := range ns {
-					if a.Owner(id) != name {
+					if ownerOf(a, id) != name {
 						return false
 					}
 				}
@@ -385,8 +371,8 @@ func TestTreeTopologySpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsTree() || p.NumGroups() != 2 {
-		t.Errorf("tree=%v groups=%d", p.IsTree(), p.NumGroups())
+	if !p.IsTree() || len(p.uplinks) != 2 {
+		t.Errorf("tree=%v groups=%d", p.IsTree(), len(p.uplinks))
 	}
 	if p.GroupOf(0) != 0 || p.GroupOf(3) != 0 || p.GroupOf(4) != 1 {
 		t.Error("GroupOf wrong")

@@ -234,13 +234,6 @@ const (
 // Implementations must respect the job's [min,max] bounds and free.
 type SizeFunc func(v *JobView, free int) int
 
-// PolicySizer adapts a SizePolicy enum value to a SizeFunc.
-func PolicySizer(policy SizePolicy) SizeFunc {
-	return func(v *JobView, free int) int {
-		return StartSize(v, free, policy)
-	}
-}
-
 // EfficiencySizer returns a SizeFunc for moldable (and adaptive) jobs that
 // picks the LARGEST size whose analytic parallel efficiency relative to
 // the job's minimum stays at or above threshold — the textbook

@@ -64,14 +64,6 @@ func TestEfficiencySizerRigidUnchanged(t *testing.T) {
 	}
 }
 
-func TestPolicySizer(t *testing.T) {
-	sizer := PolicySizer(SizeMax)
-	v := amdahlMoldable(0, 0, 2, 8)
-	if got := sizer(v, 100); got != 8 {
-		t.Errorf("PolicySizer(SizeMax) = %d, want 8", got)
-	}
-}
-
 func TestAlgorithmsAcceptSizeFn(t *testing.T) {
 	// An EASY with an efficiency sizer starts the moldable job at its
 	// efficiency-bounded size instead of its request.

@@ -159,13 +159,6 @@ func (f *ProgressFanOut) send(ch chan ProgressUpdate, u ProgressUpdate) {
 	}
 }
 
-// Last returns the most recent update and whether any update happened yet.
-func (f *ProgressFanOut) Last() (ProgressUpdate, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.last, f.seen
-}
-
 // Subscribe registers a new subscriber with the given channel buffer
 // (minimum 1) and returns its channel plus a cancel function. Cancel is
 // idempotent and safe to call after the channel closed.

@@ -34,7 +34,7 @@ func TestProgressFanOut(t *testing.T) {
 			finals[i] = last
 		}(i, ch)
 	}
-	// A poller hammering Last concurrently with the ticker.
+	// A poller hammering the last update concurrently with the ticker.
 	pollDone := make(chan struct{})
 	wg.Add(1)
 	go func() {
@@ -44,7 +44,7 @@ func TestProgressFanOut(t *testing.T) {
 			case <-pollDone:
 				return
 			default:
-				fan.Last()
+				lastUpdate(fan)
 			}
 		}
 	}()
@@ -78,7 +78,7 @@ func TestProgressFanOut(t *testing.T) {
 
 	// Ticks after Done are ignored, not redelivered.
 	fan.Tick(99, 99)
-	if last, _ := fan.Last(); last.Events != ticks || !last.Done {
+	if last, _ := lastUpdate(fan); last.Events != ticks || !last.Done {
 		t.Fatalf("tick after done mutated state: %+v", last)
 	}
 }
@@ -164,4 +164,12 @@ func TestProgressFanOutStalledAmongActive(t *testing.T) {
 	if !last.Done || last.Events != ticks {
 		t.Errorf("stalled subscriber drained to %+v, want done at %d", last, ticks)
 	}
+}
+
+// lastUpdate returns the fan-out's most recent update and whether any
+// update happened yet.
+func lastUpdate(f *ProgressFanOut) (ProgressUpdate, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.last, f.seen
 }

@@ -1,6 +1,6 @@
-// Package unit provides a JSON-friendly numeric quantity type and
-// human-readable formatting for the magnitudes the simulator deals in
-// (flops, bytes, bandwidths, durations).
+// Package unit provides a JSON-friendly numeric quantity type for the
+// magnitudes the simulator deals in (flops, bytes, bandwidths, durations)
+// and the h:mm:ss duration format of report tables.
 package unit
 
 import (
@@ -45,29 +45,6 @@ func (q *Quantity) UnmarshalJSON(data []byte) error {
 // MarshalJSON implements json.Marshaler.
 func (q Quantity) MarshalJSON() ([]byte, error) {
 	return json.Marshal(float64(q))
-}
-
-var prefixes = []struct {
-	factor float64
-	symbol string
-}{
-	{1e15, "P"},
-	{1e12, "T"},
-	{1e9, "G"},
-	{1e6, "M"},
-	{1e3, "k"},
-}
-
-// Format renders v with an engineering prefix and the given suffix, e.g.
-// Format(2.5e9, "B/s") == "2.50GB/s".
-func Format(v float64, suffix string) string {
-	a := math.Abs(v)
-	for _, p := range prefixes {
-		if a >= p.factor {
-			return fmt.Sprintf("%.2f%s%s", v/p.factor, p.symbol, suffix)
-		}
-	}
-	return fmt.Sprintf("%.2f%s", v, suffix)
 }
 
 // FormatSeconds renders a duration as h:mm:ss for report tables.

@@ -44,26 +44,6 @@ func TestQuantityErrors(t *testing.T) {
 	}
 }
 
-func TestFormat(t *testing.T) {
-	cases := []struct {
-		v    float64
-		suf  string
-		want string
-	}{
-		{2.5e9, "B/s", "2.50GB/s"},
-		{1e12, "F", "1.00TF"},
-		{999, "B", "999.00B"},
-		{1500, "B", "1.50kB"},
-		{3e15, "F", "3.00PF"},
-		{0, "B", "0.00B"},
-	}
-	for _, tc := range cases {
-		if got := Format(tc.v, tc.suf); got != tc.want {
-			t.Errorf("Format(%v, %q) = %q, want %q", tc.v, tc.suf, got, tc.want)
-		}
-	}
-}
-
 func TestFormatSeconds(t *testing.T) {
 	cases := []struct {
 		v    float64
