@@ -89,7 +89,9 @@ type (
 	Algorithm = sched.Algorithm
 	// Invocation is the cluster snapshot an Algorithm schedules against.
 	Invocation = sched.Invocation
-	// JobView is a read-only job snapshot inside an Invocation.
+	// JobView is a read-only job view inside an Invocation. The engine
+	// keeps it current between invocations: an algorithm must not write
+	// into it or retain it.
 	JobView = sched.JobView
 	// Decision is one scheduling action.
 	Decision = sched.Decision

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/job"
 	"repro/internal/metrics"
@@ -61,7 +62,7 @@ func (e *Engine) applyStart(jr *jobRun, n int, pinned []int) error {
 			if id < 0 || id >= e.alloc.Total() {
 				return fmt.Errorf("job %s: pinned node %d out of range", j.Label(), id)
 			}
-			if e.nodeDown != nil && e.nodeDown[id] {
+			if _, down := slices.BinarySearch(e.down, id); down {
 				return fmt.Errorf("job %s: pinned node %d is down", j.Label(), id)
 			}
 			nodes = append(nodes, platform.NodeID(id))
@@ -112,7 +113,7 @@ func (e *Engine) applyGrant(jr *jobRun, n int) error {
 	if j.Type != job.Evolving {
 		return fmt.Errorf("job %s is %s; grants answer evolving requests", j.Label(), j.Type)
 	}
-	if jr.evolvingRequest == 0 {
+	if jr.view.EvolvingRequest == 0 {
 		return fmt.Errorf("job %s has no outstanding evolving request", j.Label())
 	}
 	if n < j.MinNodes() || n > j.MaxNodes() {
@@ -121,7 +122,7 @@ func (e *Engine) applyGrant(jr *jobRun, n int) error {
 	jr.grantedTarget = n
 	// The request is answered: clear it so later invocations do not see a
 	// stale outstanding request (and grant it twice).
-	jr.evolvingRequest = 0
+	jr.view.EvolvingRequest = 0
 	if e.tracing() {
 		e.traceEvent(EvGranted, j.ID, fmt.Sprintf("target=%d", n))
 	}
@@ -134,10 +135,10 @@ func (e *Engine) applyDeny(jr *jobRun) error {
 	if jr.job.Type != job.Evolving {
 		return fmt.Errorf("job %s is %s; deny answers evolving requests", jr.job.Label(), jr.job.Type)
 	}
-	if jr.evolvingRequest == 0 {
+	if jr.view.EvolvingRequest == 0 {
 		return fmt.Errorf("job %s has no outstanding evolving request", jr.job.Label())
 	}
-	jr.evolvingRequest = 0
+	jr.view.EvolvingRequest = 0
 	jr.grantedTarget = 0
 	e.traceEvent(EvDenied, jr.job.ID, "")
 	return nil
@@ -149,7 +150,7 @@ func (e *Engine) applyKill(jr *jobRun) error {
 		if jr.state == statePending {
 			e.queue.remove(jr)
 		}
-		jr.state = stateDone
+		jr.setState(stateDone)
 		e.rec.JobAbandoned(jr.rec, e.Now())
 		e.traceEvent(EvFinish, jr.job.ID, "killed-pending")
 		e.outstanding--

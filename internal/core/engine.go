@@ -108,10 +108,10 @@ type Engine struct {
 
 	// Failure injection: injector is nil when disabled, and every other
 	// field stays untouched in that case (runs are bit-identical to an
-	// engine without the subsystem).
-	injector  *failure.Injector
-	nodeDown  []bool
-	downCount int
+	// engine without the subsystem). down lists the failed nodes in
+	// ascending order; invocations hand it out as DownNodes.
+	injector *failure.Injector
+	down     []int
 
 	invocationScheduled bool
 	pendingReasons      sched.Reason
@@ -127,15 +127,17 @@ type Engine struct {
 	lastInvokeT     float64
 	lastInvokeEpoch uint64
 
-	// Snapshot reuse: the invocation view handed to the algorithm is
-	// rebuilt in place each time (algorithms must not retain it — see
-	// sched.Algorithm), so steady-state invocations allocate nothing.
-	snapInv     sched.Invocation
-	snapViews   []sched.JobView
-	snapPending []*sched.JobView
-	snapRunning []*sched.JobView
-	snapFree    []int
-	snapDown    []int
+	// Snapshot reuse: the Invocation handed to the algorithm is refilled
+	// in place each time (algorithms must not retain it — see
+	// sched.Algorithm). Each job's JobView lives in its run and is kept
+	// current at every state change, and the Pending and Running slices
+	// change only with their list's membership, from the first position
+	// that changed (see runList.viewList), so steady-state invocations
+	// allocate nothing and touch no view.
+	snapInv  sched.Invocation
+	snapFree []int
+	// tenv is the expression environment every task model evaluates in.
+	tenv taskEnv
 	// wantFreeList gates the O(total nodes) FreeList materialisation per
 	// snapshot to algorithms that declare they read it (sched.FreeListUser).
 	wantFreeList      bool
@@ -227,10 +229,8 @@ func NewOn(kernel *des.Kernel, pool *fluid.Pool, spec *platform.Spec, w *job.Wor
 	if err != nil {
 		return nil, err
 	}
-	if inj != nil {
-		e.injector = inj
-		e.nodeDown = make([]bool, plat.NumNodes())
-	}
+	e.injector = inj
+	e.tenv.total = float64(plat.NumNodes())
 	return e, nil
 }
 
@@ -500,7 +500,7 @@ func (e *Engine) warnf(format string, args ...any) {
 // the rest enter the pending queue immediately.
 func (e *Engine) submit(j *job.Job) {
 	jr := e.runs.alloc(j)
-	jr.state = statePending
+	jr.setState(statePending)
 	jr.rec = e.rec.JobSubmitted(j, e.Now())
 	if e.tracing() {
 		e.traceEvent(EvSubmit, j.ID, fmt.Sprintf("type=%s", j.Type))
@@ -512,7 +512,7 @@ func (e *Engine) submit(j *job.Job) {
 		}
 	}
 	if jr.depsLeft > 0 {
-		jr.state = stateHeld
+		jr.setState(stateHeld)
 		if e.tracing() {
 			e.traceEvent(EvHeld, j.ID, fmt.Sprintf("deps=%d", jr.depsLeft))
 		}
@@ -536,7 +536,7 @@ func (e *Engine) markFinished(id job.ID) {
 	for _, jr := range e.dependents[id] {
 		jr.depsLeft--
 		if jr.depsLeft == 0 && jr.state == stateHeld {
-			jr.state = statePending
+			jr.setState(statePending)
 			e.queue.add(jr)
 			e.traceEvent(EvReleased, jr.job.ID, "")
 			e.requestInvocation(sched.ReasonSubmit)
@@ -653,15 +653,17 @@ func (e *Engine) invoke() {
 	e.lastInvokeEpoch = e.stateEpoch
 }
 
-// snapshot builds the read-only invocation view. The Invocation, its
-// JobViews, and every slice hang off reusable engine buffers (algorithms
-// must not retain them — the sched.Algorithm contract), so a steady-state
-// invocation performs no allocation at all.
+// snapshot builds the read-only invocation view. The Invocation and its
+// slices hang off reusable engine buffers and the views live in the runs
+// (algorithms must not retain any of them — the sched.Algorithm contract),
+// so a steady-state invocation performs no allocation and fills no view.
 func (e *Engine) snapshot(reasons sched.Reason) *sched.Invocation {
 	inv := &e.snapInv
 	*inv = sched.Invocation{
 		Now:        e.Now(),
 		Reasons:    reasons,
+		Pending:    e.queue.viewList(),
+		Running:    e.running.viewList(),
 		FreeNodes:  e.alloc.Free(),
 		TotalNodes: e.alloc.Total(),
 	}
@@ -675,67 +677,8 @@ func (e *Engine) snapshot(reasons sched.Reason) *sched.Invocation {
 	if e.plat.IsTree() {
 		inv.GroupSize = e.plat.Spec().Network.GroupSize
 	}
-	if e.downCount > 0 {
-		e.snapDown = e.snapDown[:0]
-		for n, d := range e.nodeDown {
-			if d {
-				e.snapDown = append(e.snapDown, n)
-			}
-		}
-		inv.DownNodes = e.snapDown
+	if len(e.down) > 0 {
+		inv.DownNodes = e.down
 	}
-	// Size the view slab up front: pointers into it must stay stable while
-	// the pending/running lists are filled.
-	need := e.queue.count + e.running.count
-	if cap(e.snapViews) < need {
-		e.snapViews = make([]sched.JobView, need+need/2)
-	}
-	views := e.snapViews[:cap(e.snapViews)]
-	vi := 0
-	e.snapPending = e.snapPending[:0]
-	for _, jr := range e.queue.items {
-		if jr == nil {
-			continue
-		}
-		v := &views[vi]
-		vi++
-		e.fillView(v, jr)
-		e.snapPending = append(e.snapPending, v)
-	}
-	e.snapRunning = e.snapRunning[:0]
-	for _, jr := range e.running.items {
-		if jr == nil {
-			continue
-		}
-		v := &views[vi]
-		vi++
-		e.fillView(v, jr)
-		e.snapRunning = append(e.snapRunning, v)
-	}
-	inv.Pending = e.snapPending
-	inv.Running = e.snapRunning
 	return inv
-}
-
-func (e *Engine) fillView(v *sched.JobView, jr *jobRun) {
-	*v = sched.JobView{
-		ID:         jr.job.ID,
-		Job:        jr.job,
-		SubmitTime: jr.job.SubmitTime,
-	}
-	switch jr.state {
-	case statePending:
-		v.State = sched.StatePending
-	default:
-		v.State = sched.StateRunning
-		v.Nodes = len(jr.nodes)
-		v.StartTime = jr.startTime
-		v.AtSchedulingPoint = jr.state == stateAtSchedPoint
-		v.EvolvingRequest = jr.evolvingRequest
-		if jr.job.WallTimeLimit > 0 {
-			v.ExpectedEnd = jr.startTime + jr.job.WallTimeLimit
-		} else {
-			v.ExpectedEnd = math.Inf(1)
-		}
-	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/failure"
@@ -41,8 +42,8 @@ func (e *Engine) nodeFail(node int, up float64) {
 	if err := e.alloc.AllocateNodes(downOwner, []platform.NodeID{id}); err != nil {
 		panic(fmt.Sprintf("core: marking node %d down: %v", node, err))
 	}
-	e.nodeDown[node] = true
-	e.downCount++
+	i, _ := slices.BinarySearch(e.down, node)
+	e.down = slices.Insert(e.down, i, node)
 	e.rec.NodeDown(node, now)
 	e.traceNodeEvent(EvNodeDown, node, "")
 	e.requestInvocation(sched.ReasonNodeDown)
@@ -59,8 +60,8 @@ func (e *Engine) nodeRepair(node int) {
 	if err := e.alloc.Release(downOwner, []platform.NodeID{id}); err != nil {
 		panic(fmt.Sprintf("core: repairing node %d: %v", node, err))
 	}
-	e.nodeDown[node] = false
-	e.downCount--
+	i, _ := slices.BinarySearch(e.down, node)
+	e.down = slices.Delete(e.down, i, i+1)
 	e.rec.NodeUp(node, now)
 	e.traceNodeEvent(EvNodeUp, node, "")
 	e.requestInvocation(sched.ReasonNodeUp)
@@ -116,6 +117,7 @@ func (e *Engine) shrinkThroughFailure(jr *jobRun, id platform.NodeID) {
 			break
 		}
 	}
+	jr.view.Nodes = len(jr.nodes)
 	if err := e.alloc.Release(jr.owner, []platform.NodeID{id}); err != nil {
 		panic(fmt.Sprintf("core: releasing failed node %d of %s: %v", int(id), jr.job.Label(), err))
 	}
@@ -135,7 +137,7 @@ func (e *Engine) shrinkThroughFailure(jr *jobRun, id platform.NodeID) {
 		return
 	}
 	jr.taskIdx = 0
-	jr.state = stateRunning
+	jr.setState(stateRunning)
 	e.chargeReconfiguration(jr, oldSize)
 }
 
@@ -163,8 +165,8 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 	e.rec.JobFailed(jr.rec, now, lost)
 	if requeue && jr.requeues < e.injector.Spec().EffectiveMaxRequeues() {
 		jr.requeues++
-		jr.state = statePending
-		jr.evolvingRequest, jr.grantedTarget, jr.pendingResize = 0, 0, 0
+		jr.setState(statePending) // also clears the outstanding evolving request
+		jr.grantedTarget, jr.pendingResize = 0, 0
 		e.rec.JobRequeued(jr.rec)
 		if e.tracing() {
 			e.traceEvent(EvRequeued, jr.job.ID, fmt.Sprintf("requeue=%d ckpt=%d/%d", jr.requeues, jr.ckptPhase, jr.ckptIter))
@@ -172,7 +174,7 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 		e.queue.add(jr)
 		return
 	}
-	jr.state = stateDone
+	jr.setState(stateDone)
 	e.rec.JobFinished(jr.rec, now, metrics.StatusFailedNode)
 	e.traceEvent(EvFinish, jr.job.ID, "status=failed-node")
 	e.outstanding--

@@ -139,6 +139,35 @@ func TestMaxRequeuesExhaustion(t *testing.T) {
 	}
 }
 
+// A scheduler kill of a job waiting in the queue after a node-failure
+// requeue ends it as killed-by-scheduler; the earlier start must not make
+// the engine treat it as a running job or the recorder reject it.
+func TestKillRequeuedPendingJob(t *testing.T) {
+	startThenKill := algoFunc(func(inv *sched.Invocation) []sched.Decision {
+		var out []sched.Decision
+		for _, v := range inv.Pending {
+			if inv.Now < 30 {
+				out = append(out, sched.Start(v.ID, v.Job.NumNodes))
+			} else {
+				out = append(out, sched.Decision{Kind: sched.DecisionKill, Job: v.ID})
+			}
+		}
+		return out
+	})
+	j := iterJob(0, 2, 10, 2e10, "0")
+	opts := Options{Failures: traceSpec(failure.RecoverRequeue, failure.Outage{Node: 0, Down: 35, Up: 45})}
+	rec, e := runSim(t, testPlatform(4), []*job.Job{j}, startThenKill, opts)
+	r := record(rec, 0)
+	if r.Status != metrics.StatusKilledScheduler || r.Requeues != 1 {
+		t.Errorf("status %q after %d requeues, want %q after 1", r.Status, r.Requeues, metrics.StatusKilledScheduler)
+	}
+	wantClose(t, "start", r.Start, 0)
+	wantClose(t, "end", r.End, 35)
+	if len(e.Warnings()) > 0 {
+		t.Errorf("warnings: %v", e.Warnings())
+	}
+}
+
 // pinDownAlgo tries to place every pending job on node 0 first, then falls
 // back to an unpinned start; it also records the DownNodes it was shown.
 type pinDownAlgo struct{ sawDown []int }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/des"
@@ -48,14 +49,20 @@ func (s jobState) String() string {
 type jobRun struct {
 	job   *job.Job
 	rec   *metrics.JobRecord // the Recorder's handle for this job
-	state jobState
+	state jobState           // written only by setState
+
+	// view is what scheduling algorithms see of the job, kept current at
+	// every change it reflects: setState derives State and
+	// AtSchedulingPoint, start sets StartTime and ExpectedEnd, Nodes
+	// follows nodes, and EvolvingRequest is the outstanding evolving
+	// request (0 = none) — its only home.
+	view sched.JobView
 
 	// owner is the job's allocator key, formatted once at submission —
 	// allocator calls on hot paths must not re-render it.
 	owner string
 
-	nodes     []platform.NodeID
-	startTime float64
+	nodes []platform.NodeID
 
 	// Program counter over the application model.
 	phaseIdx int
@@ -69,10 +76,9 @@ type jobRun struct {
 	// Walltime enforcement.
 	killEvent *des.Event
 
-	// Evolving support: outstanding request and granted-but-unapplied
-	// target (applied at the next scheduling point).
-	evolvingRequest int
-	grantedTarget   int
+	// Evolving support: granted-but-unapplied target (applied at the next
+	// scheduling point); the outstanding request is view.EvolvingRequest.
+	grantedTarget int
 
 	// pendingResize holds the PREVIOUS allocation size after a scheduler
 	// resize was applied at the current scheduling point (0 = none); the
@@ -104,31 +110,63 @@ type jobRun struct {
 	// on the job's track (so kills and failures can close them cleanly).
 	telTaskOpen   bool
 	telReconfOpen bool
-
-	argsEnv expr.Vars // job args, fixed
 }
 
 func (jr *jobRun) phase() *job.Phase { return &jr.job.App.Phases[jr.phaseIdx] }
 func (jr *jobRun) task() *job.Task   { return &jr.phase().Tasks[jr.taskIdx] }
 
-// env builds the expression environment for the job's current position.
+// setState moves the job to s and keeps its view in step: State and
+// AtSchedulingPoint follow s, and a (re)entry into the pending queue clears
+// the fields only a started job has.
+func (jr *jobRun) setState(s jobState) {
+	jr.state = s
+	v := &jr.view
+	v.AtSchedulingPoint = s == stateAtSchedPoint
+	if s == statePending {
+		v.State = sched.StatePending
+		v.Nodes, v.StartTime, v.EvolvingRequest, v.ExpectedEnd = 0, 0, 0, 0
+		return
+	}
+	v.State = sched.StateRunning
+}
+
+// taskEnv is the expression environment of a job's current position: the
+// job's arguments, then the engine-provided names. The engine owns one and
+// points it at the job being evaluated, so evaluating a model allocates
+// nothing.
+type taskEnv struct {
+	jr    *jobRun
+	total float64 // machine size
+}
+
+// Lookup implements expr.Env.
+func (t *taskEnv) Lookup(name string) (float64, bool) {
+	jr := t.jr
+	if v, ok := jr.job.Args[name]; ok {
+		return v, true
+	}
+	switch name {
+	case "num_nodes":
+		return float64(len(jr.nodes)), true
+	case "total_nodes":
+		return t.total, true
+	case "iteration":
+		return float64(jr.iter), true
+	case "iterations":
+		return float64(jr.phase().EffectiveIterations()), true
+	case "phase":
+		return float64(jr.phaseIdx), true
+	case "walltime":
+		return jr.job.WallTimeLimit, true
+	}
+	return 0, false
+}
+
+// env returns the expression environment for the job's current position,
+// valid until the next call.
 func (e *Engine) env(jr *jobRun) expr.Env {
-	p := jr.phase()
-	base := expr.Vars{
-		"num_nodes":   float64(len(jr.nodes)),
-		"total_nodes": float64(e.alloc.Total()),
-		"iteration":   float64(jr.iter),
-		"iterations":  float64(p.EffectiveIterations()),
-		"phase":       float64(jr.phaseIdx),
-		"walltime":    jr.job.WallTimeLimit,
-	}
-	if jr.argsEnv == nil {
-		jr.argsEnv = expr.Vars{}
-		for k, v := range jr.job.Args {
-			jr.argsEnv[k] = v
-		}
-	}
-	return expr.ChainEnv{jr.argsEnv, base}
+	e.tenv.jr = jr
+	return &e.tenv
 }
 
 // start launches a pending job on the given allocation. A restart after a
@@ -137,8 +175,13 @@ func (e *Engine) env(jr *jobRun) expr.Env {
 func (e *Engine) start(jr *jobRun, nodes []platform.NodeID) {
 	now := e.Now()
 	jr.nodes = nodes
-	jr.state = stateRunning
-	jr.startTime = now
+	jr.setState(stateRunning)
+	jr.view.Nodes = len(nodes)
+	jr.view.StartTime = now
+	jr.view.ExpectedEnd = math.Inf(1)
+	if jr.job.WallTimeLimit > 0 {
+		jr.view.ExpectedEnd = now + jr.job.WallTimeLimit
+	}
 	jr.segStart = now
 	jr.phaseIdx, jr.iter, jr.taskIdx = jr.ckptPhase, jr.ckptIter, 0
 	jr.lastCkpt = now
@@ -454,10 +497,10 @@ func (e *Engine) registerEvolvingRequest(jr *jobRun, desired float64) {
 	if want == len(jr.nodes) && jr.grantedTarget == 0 {
 		return // nothing to ask for
 	}
-	if want == jr.evolvingRequest || want == jr.grantedTarget {
+	if want == jr.view.EvolvingRequest || want == jr.grantedTarget {
 		return // already outstanding or already granted
 	}
-	jr.evolvingRequest = want
+	jr.view.EvolvingRequest = want
 	if e.tracing() {
 		e.traceEvent(EvEvolvingRequest, jr.job.ID, fmt.Sprintf("want=%d have=%d", want, len(jr.nodes)))
 	}
@@ -516,7 +559,7 @@ func (e *Engine) taskDone(jr *jobRun) {
 // enterSchedulingPoint pauses the job, pokes the scheduler, and arranges
 // resumption after the scheduler had its chance at this timestamp.
 func (e *Engine) enterSchedulingPoint(jr *jobRun) {
-	jr.state = stateAtSchedPoint
+	jr.setState(stateAtSchedPoint)
 	jr.pendingResize = 0
 	if e.tracing() {
 		e.traceEvent(EvSchedulingPoint, jr.job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
@@ -546,7 +589,7 @@ func (e *Engine) resumeFromSchedulingPoint(jr *jobRun) {
 			}
 		}
 		jr.grantedTarget = 0
-		jr.evolvingRequest = 0
+		jr.view.EvolvingRequest = 0
 		if target != 0 && target != cur {
 			if e.tracing() {
 				e.traceEvent(EvGrantApplied, jr.job.ID, fmt.Sprintf("target=%d", target))
@@ -559,7 +602,7 @@ func (e *Engine) resumeFromSchedulingPoint(jr *jobRun) {
 		e.chargeReconfiguration(jr, oldSize)
 		return
 	}
-	jr.state = stateRunning
+	jr.setState(stateRunning)
 	e.startTask(jr)
 }
 
@@ -586,6 +629,7 @@ func (e *Engine) adjustAllocation(jr *jobRun, target int) {
 		}
 		e.telNodesReleased(jr, released)
 	}
+	jr.view.Nodes = len(jr.nodes)
 	e.rec.AddGantt(jr.job.ID, jr.job.Label(), cur, jr.segStart, now)
 	jr.segStart = now
 	e.rec.JobReconfigured(jr.rec, now, len(jr.nodes))
@@ -611,7 +655,7 @@ func (e *Engine) chargeReconfiguration(jr *jobRun, oldSize int) {
 		}
 	}
 	if cost > 0 {
-		jr.state = stateReconfiguring
+		jr.setState(stateReconfiguring)
 		e.telBeginReconfig(jr, oldSize)
 		jr.timer = e.kernel.ScheduleAfter(des.Time(cost), des.PriorityEngine, func() {
 			e.kernel.Release(jr.timer)
@@ -620,19 +664,19 @@ func (e *Engine) chargeReconfiguration(jr *jobRun, oldSize int) {
 				return
 			}
 			e.telEndReconfig(jr)
-			jr.state = stateRunning
+			jr.setState(stateRunning)
 			e.startTask(jr)
 		})
 		return
 	}
-	jr.state = stateRunning
+	jr.setState(stateRunning)
 	e.startTask(jr)
 }
 
 // finish completes a running job with the given terminal status.
 func (e *Engine) finish(jr *jobRun, status metrics.JobStatus) {
 	now := e.Now()
-	jr.state = stateDone
+	jr.setState(stateDone)
 	e.cancelWork(jr)
 	e.rec.AddGantt(jr.job.ID, jr.job.Label(), len(jr.nodes), jr.segStart, now)
 	if n := e.alloc.Owned(jr.owner); n != len(jr.nodes) {

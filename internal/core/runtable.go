@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/job"
+	"repro/internal/sched"
 )
 
 // This file holds the engine's struct-of-arrays job-state kernel: an
@@ -67,6 +69,7 @@ func (t *runTable) alloc(j *job.Job) *jobRun {
 	jr := &c[slot]
 	t.count++
 	*jr = jobRun{job: j, owner: ownerKey(j.ID), listPos: -1}
+	jr.view = sched.JobView{ID: j.ID, Job: j, SubmitTime: j.SubmitTime}
 	if t.dense != nil {
 		t.dense[j.ID] = jr
 	} else {
@@ -115,9 +118,20 @@ func (t *runTable) forEachByID(fn func(*jobRun)) {
 // compacts in place — preserving order, unlike a swap-remove, because the
 // snapshot handed to scheduling algorithms iterates it — once tombstones
 // outnumber live entries. Iteration must skip nils.
+//
+// The list also keeps the slice of its jobs' views that invocations hand
+// to the algorithm (see viewList).
 type runList struct {
 	items []*jobRun
 	count int
+
+	// views lists the live jobs' views in order, and at[i] is the
+	// position in items views[i] was taken from. Both are current for
+	// items[:synced]: an add lies beyond it, and a removal or compaction
+	// pulls it back to the first position that changed.
+	views  []*sched.JobView
+	at     []int
+	synced int
 }
 
 // add appends jr, recording its position for later O(1) removal. A job is
@@ -135,6 +149,7 @@ func (l *runList) remove(jr *jobRun) {
 		return
 	}
 	l.items[jr.listPos] = nil
+	l.synced = min(l.synced, jr.listPos)
 	jr.listPos = -1
 	l.count--
 	if holes := len(l.items) - l.count; holes > 64 && holes > l.count {
@@ -155,4 +170,22 @@ func (l *runList) compact() {
 	}
 	clear(l.items[w:])
 	l.items = l.items[:w]
+	l.synced = 0
+}
+
+// viewList returns the live jobs' views in list order. The views live in
+// the runs and are kept current at every state change, so the slice only
+// changes with the membership, and only from the first position that
+// changed since the last call: before it, the slice is kept as it is.
+func (l *runList) viewList() []*sched.JobView {
+	keep, _ := slices.BinarySearch(l.at, l.synced)
+	l.views, l.at = l.views[:keep], l.at[:keep]
+	for i := l.synced; i < len(l.items); i++ {
+		if jr := l.items[i]; jr != nil {
+			l.views = append(l.views, &jr.view)
+			l.at = append(l.at, i)
+		}
+	}
+	l.synced = len(l.items)
+	return l.views
 }

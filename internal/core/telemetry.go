@@ -180,10 +180,8 @@ func (e *Engine) FinalizeTelemetry() {
 			}
 		}
 	})
-	for n, down := range e.nodeDown {
-		if down {
-			tel.End(telemetry.NodeTrack(n), "outage", now, aborted)
-		}
+	for _, n := range e.down {
+		tel.End(telemetry.NodeTrack(n), "outage", now, aborted)
 	}
 }
 

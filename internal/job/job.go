@@ -15,6 +15,7 @@ package job
 
 import (
 	"fmt"
+	"math"
 )
 
 // Type classifies a job's flexibility.
@@ -114,8 +115,14 @@ func (j *Job) Validate(totalNodes int) error {
 	if !j.Type.Valid() {
 		return fmt.Errorf("job %s: unknown type %q", j.Label(), j.Type)
 	}
+	if math.IsNaN(j.SubmitTime) || math.IsInf(j.SubmitTime, 0) {
+		return fmt.Errorf("job %s: submit time %v is not a finite number", j.Label(), j.SubmitTime)
+	}
 	if j.SubmitTime < 0 {
 		return fmt.Errorf("job %s: negative submit time", j.Label())
+	}
+	if math.IsNaN(j.WallTimeLimit) {
+		return fmt.Errorf("job %s: walltime limit is NaN", j.Label())
 	}
 	if j.WallTimeLimit < 0 {
 		return fmt.Errorf("job %s: negative walltime limit", j.Label())

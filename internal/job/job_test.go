@@ -1,6 +1,7 @@
 package job
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -55,6 +56,10 @@ func TestJobValidate(t *testing.T) {
 		{"bad type", func(j *Job) { j.Type = "weird" }, "unknown type"},
 		{"negative submit", func(j *Job) { j.SubmitTime = -1 }, "submit"},
 		{"negative walltime", func(j *Job) { j.WallTimeLimit = -5 }, "walltime"},
+		{"NaN submit", func(j *Job) { j.SubmitTime = math.NaN() }, "submit time NaN"},
+		{"infinite submit", func(j *Job) { j.SubmitTime = math.Inf(1) }, "submit time +Inf"},
+		{"negative infinite submit", func(j *Job) { j.SubmitTime = math.Inf(-1) }, "submit time -Inf"},
+		{"NaN walltime", func(j *Job) { j.WallTimeLimit = math.NaN() }, "walltime limit is NaN"},
 		{"zero nodes", func(j *Job) { j.NumNodes = 0 }, "num_nodes"},
 		{"too large", func(j *Job) { j.NumNodes = 99 }, "machine"},
 		{"no app", func(j *Job) { j.App = nil }, "empty application"},

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -395,6 +396,27 @@ func TestSWFErrors(t *testing.T) {
 	}
 	if _, err := ParseSWF(strings.NewReader("1 x 0 1 1 0 0 1 1 0 1 1 1 1 1 1 -1 -1"), SWFOptions{NodeSpeed: 1}); err == nil {
 		t.Error("non-numeric field accepted")
+	}
+}
+
+// TestSWFNonFiniteTimes: strconv.ParseFloat reads "NaN" and "Inf", so a
+// trace can carry non-finite times past the parser; validation must refuse
+// them, naming the job, before they reach the event queue.
+func TestSWFNonFiniteTimes(t *testing.T) {
+	for _, tc := range []struct{ submit, reqTime, want string }{
+		{"NaN", "200", "job swf0: submit time NaN"},
+		{"Inf", "200", "job swf0: submit time +Inf"},
+		{"0", "NaN", "job swf0: walltime limit is NaN"},
+	} {
+		line := fmt.Sprintf("1 %s 0 100 8 -1 -1 8 %s -1 1 1 1 1 1 1 -1 -1\n", tc.submit, tc.reqTime)
+		w, err := ParseSWF(strings.NewReader(line), SWFOptions{NodeSpeed: 1e9})
+		if err != nil {
+			t.Fatalf("submit %s, walltime %s: %v", tc.submit, tc.reqTime, err)
+		}
+		err = w.Validate(64)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("submit %s, walltime %s: Validate = %v, want %q", tc.submit, tc.reqTime, err, tc.want)
+		}
 	}
 }
 

@@ -250,10 +250,11 @@ func (rec *Recorder) NodeUp(node int, t float64) {
 	}
 }
 
-// JobAbandoned registers a job killed while still pending (never started).
+// JobAbandoned registers a job killed while still pending: never started,
+// or requeued after a node failure and so holding no nodes.
 func (rec *Recorder) JobAbandoned(r *JobRecord, t float64) {
-	if r.Start >= 0 {
-		panic(fmt.Sprintf("metrics: job %d abandoned after start", r.ID))
+	if r.curNodes != 0 {
+		panic(fmt.Sprintf("metrics: job %d abandoned while holding %d nodes", r.ID, r.curNodes))
 	}
 	r.End = t
 	r.Killed = true

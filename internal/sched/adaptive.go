@@ -91,8 +91,13 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 	}
 
 	var out []Decision
-	// Issue shrinks, largest allocation first, until covered.
+	// Issue shrinks, largest allocation first, until covered. The views
+	// are read-only, so each planned size lives in a copy of its view that
+	// stands in for the original in running and resizable for the rest of
+	// the pass.
+	running := inv.Running
 	if shrinkBy > 0 {
+		planned := map[*JobView]*JobView{}
 		order := append([]*JobView(nil), resizable...)
 		sort.SliceStable(order, func(i, j int) bool { return order[i].Nodes > order[j].Nodes })
 		for _, v := range order {
@@ -108,9 +113,15 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 			}
 			newSize := v.Nodes - give
 			out = append(out, Resize(v.ID, newSize))
-			v.Nodes = newSize // track locally for the expand phase
+			c := *v
+			c.Nodes = newSize
+			planned[v] = &c
 			shrinkBy -= give
 			free += give
+		}
+		if len(planned) > 0 {
+			running = withPlanned(running, planned)
+			resizable = withPlanned(resizable, planned)
 		}
 	}
 
@@ -124,7 +135,7 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 	// nodes (no further shrinking for backfilled jobs).
 	if blockedAt >= 0 && blockedAt < len(inv.Pending)-1 && free > 0 {
 		head := inv.Pending[blockedAt]
-		shadow, extra := shadowTime(inv, free, head.Job.MinNodes())
+		shadow, extra := shadowTime(inv.Now, running, free, head.Job.MinNodes())
 		for _, v := range inv.Pending[blockedAt+1:] {
 			n := pickSize(v, free, a.SizeFn, a.Sizing)
 			if n == 0 {
@@ -145,7 +156,7 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 
 	// Answer evolving requests before expanding, so grants have priority
 	// over opportunistic growth.
-	for _, v := range inv.Running {
+	for _, v := range running {
 		if v.EvolvingRequest == 0 {
 			continue
 		}
@@ -199,6 +210,19 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 				out = append(out, Resize(v.ID, v.Nodes+g))
 			}
 		}
+	}
+	return out
+}
+
+// withPlanned returns a copy of views with every view that has a planned
+// copy replaced by it.
+func withPlanned(views []*JobView, planned map[*JobView]*JobView) []*JobView {
+	out := make([]*JobView, len(views))
+	for i, v := range views {
+		if c, ok := planned[v]; ok {
+			v = c
+		}
+		out[i] = v
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 )
 
 // EASY implements EASY backfilling (Lifka 1995): the head job gets a
@@ -44,7 +45,7 @@ func (e *EASY) Schedule(inv *Invocation) []Decision {
 	if headNeed > inv.TotalNodes {
 		headNeed = inv.TotalNodes
 	}
-	shadow, extra := shadowTime(inv, free, headNeed)
+	shadow, extra := shadowTime(inv.Now, inv.Running, free, headNeed)
 
 	// Backfill the remainder.
 	for _, v := range inv.Pending[i+1:] {
@@ -72,19 +73,18 @@ func reservationSize(v *JobView) int {
 	return v.Job.MinNodes()
 }
 
-// shadowTime computes when `need` nodes will be free given the running
-// jobs' expected ends, plus how many nodes remain free at that moment
-// beyond the reservation (the "extra" nodes available for backfill past
-// the shadow time). Jobs without walltime estimates never release their
-// nodes for this computation.
-func shadowTime(inv *Invocation, free, need int) (shadow float64, extra int) {
+// shadowTime computes when `need` nodes will be free at time now given the
+// running jobs' expected ends, plus how many nodes remain free at that
+// moment beyond the reservation (the "extra" nodes available for backfill
+// past the shadow time). Jobs without walltime estimates never release
+// their nodes for this computation.
+func shadowTime(now float64, running []*JobView, free, need int) (shadow float64, extra int) {
 	if need <= free {
-		return inv.Now, free - need
+		return now, free - need
 	}
 	// Sort running jobs by expected end and accumulate releases.
-	ends := make([]*JobView, len(inv.Running))
-	copy(ends, inv.Running)
-	stableSortBy(ends, func(a, b *JobView) bool { return a.ExpectedEnd < b.ExpectedEnd })
+	ends := slices.Clone(running)
+	slices.SortStableFunc(ends, compareBy(func(a, b *JobView) bool { return a.ExpectedEnd < b.ExpectedEnd }))
 	avail := free
 	for _, v := range ends {
 		if math.IsInf(v.ExpectedEnd, 1) {

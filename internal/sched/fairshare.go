@@ -1,6 +1,9 @@
 package sched
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // FirstFit is list scheduling: every pending job that fits starts, in
 // submission order, skipping any that do not fit. Maximizes instantaneous
@@ -93,11 +96,10 @@ func (f *FairShare) Schedule(inv *Invocation) []Decision {
 	}
 
 	// Order pending jobs by user usage, stable within a user.
-	order := make([]*JobView, len(inv.Pending))
-	copy(order, inv.Pending)
-	stableSortBy(order, func(a, b *JobView) bool {
+	order := slices.Clone(inv.Pending)
+	slices.SortStableFunc(order, compareBy(func(a, b *JobView) bool {
 		return f.usage[userOf(a)] < f.usage[userOf(b)]
-	})
+	}))
 
 	// EASY discipline over the fair order.
 	var out []Decision
@@ -115,7 +117,7 @@ func (f *FairShare) Schedule(inv *Invocation) []Decision {
 		return out
 	}
 	head := order[i]
-	shadow, extra := shadowTime(inv, free, head.Job.MinNodes())
+	shadow, extra := shadowTime(inv.Now, inv.Running, free, head.Job.MinNodes())
 	for _, v := range order[i+1:] {
 		n := pickSize(v, free, f.SizeFn, f.Sizing)
 		if n == 0 {

@@ -1,5 +1,7 @@
 package sched
 
+import "slices"
+
 // FCFS is strict first-come-first-served: jobs start in submission order;
 // if the head of the queue does not fit, nothing behind it starts either.
 type FCFS struct {
@@ -40,13 +42,10 @@ func (s *SJF) Name() string { return "sjf" }
 
 // Schedule implements Algorithm.
 func (s *SJF) Schedule(inv *Invocation) []Decision {
-	order := make([]*JobView, len(inv.Pending))
-	copy(order, inv.Pending)
-	// Insertion sort keeps it stable without importing sort for a slice
-	// this small... but clarity wins: use a stable comparison sort.
-	stableSortBy(order, func(a, b *JobView) bool {
+	order := slices.Clone(inv.Pending)
+	slices.SortStableFunc(order, compareBy(func(a, b *JobView) bool {
 		return a.WallTimeOrInf() < b.WallTimeOrInf()
-	})
+	}))
 	var out []Decision
 	free := inv.FreeNodes
 	for _, v := range order {
@@ -60,15 +59,19 @@ func (s *SJF) Schedule(inv *Invocation) []Decision {
 	return out
 }
 
-// stableSortBy is a minimal stable sort (binary insertion) for view slices.
-func stableSortBy(xs []*JobView, less func(a, b *JobView) bool) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i
-		for j > 0 && less(v, xs[j-1]) {
-			xs[j] = xs[j-1]
-			j--
+// compareBy turns less into the three-way comparator the slices sorts
+// take. less must be a strict weak order; the keys the algorithms sort by
+// are never NaN (job.Validate rejects NaN times), so < on them is one. The
+// comparator asks less both ways instead of using cmp.Compare, which orders
+// a NaN differently from <.
+func compareBy(less func(a, b *JobView) bool) func(a, b *JobView) int {
+	return func(a, b *JobView) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
 		}
-		xs[j] = v
+		return 0
 	}
 }

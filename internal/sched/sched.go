@@ -29,7 +29,8 @@ const (
 	StateRunning
 )
 
-// JobView is a read-only snapshot of one job handed to the algorithm.
+// JobView is the read-only view of one job handed to the algorithm (see
+// Algorithm.Schedule for what read-only means here).
 type JobView struct {
 	// ID is the job's identity, used in decisions.
 	ID job.ID
@@ -199,9 +200,12 @@ func Resize(id job.ID, nodes int) Decision {
 type Algorithm interface {
 	// Name identifies the algorithm in reports.
 	Name() string
-	// Schedule inspects the snapshot and returns decisions. It must not
-	// retain inv or the views: the engine reuses their storage across
-	// invocations.
+	// Schedule inspects the snapshot and returns decisions. The
+	// Invocation, its slices and the JobViews they point to are read-only
+	// and must not be retained: the views are the engine's own per-job
+	// state, updated in place and handed to every later invocation, and
+	// the slices are reused. An algorithm that needs different values
+	// (planned sizes, a sorted order) works on copies.
 	Schedule(inv *Invocation) []Decision
 }
 
