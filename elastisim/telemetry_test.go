@@ -2,6 +2,7 @@ package elastisim
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/job"
@@ -132,9 +133,13 @@ func TestJSONLSummaryMatchesRecords(t *testing.T) {
 func TestAuditLogRecordsDecisions(t *testing.T) {
 	res, _, _, _, _, audit := telemetryRun(t)
 
-	recs, err := telemetry.ReadAuditLog(audit)
-	if err != nil {
-		t.Fatal(err)
+	var recs []telemetry.AuditRecord
+	for dec := json.NewDecoder(audit); dec.More(); {
+		var r telemetry.AuditRecord
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("audit record %d: %v", len(recs)+1, err)
+		}
+		recs = append(recs, r)
 	}
 	if uint64(len(recs)) != res.Invocations {
 		t.Fatalf("audit has %d records, engine ran %d invocations", len(recs), res.Invocations)

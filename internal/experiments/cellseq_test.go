@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// GridCells slurps cfg's grid into a slice in canonical order, the way
+// sweeps enumerated cells before they streamed them: the reference the
+// cursor is checked against.
+func GridCells(cfg SweepConfig) []GridCell {
+	seq := NewCellSeq(cfg)
+	cells := make([]GridCell, 0, seq.Size())
+	for c, ok := seq.Next(); ok; c, ok = seq.Next() {
+		cells = append(cells, c)
+	}
+	return cells
+}
+
 // randomSweepConfig builds an arbitrary SweepConfig, including degenerate
 // shapes: empty axes (which withDefaults fills), single-cell grids, and
 // duplicate axis values.

@@ -103,11 +103,11 @@ func GridSize(cfg SweepConfig) int {
 }
 
 // CellAt returns cell i of cfg's grid — canonical order: seed-major, then
-// share, then algorithm — by O(1) index arithmetic. It is the random-access
-// form of the cursor: CellAt(cfg, i) equals GridCells(cfg)[i] for every
-// valid i, which is what lets million-cell grids be enumerated, resumed,
-// and journaled without ever holding the cell slice on the heap. i must be
-// in [0, GridSize(cfg)).
+// share, then algorithm, the row order of the emitted CSV — by O(1) index
+// arithmetic. It is the random-access form of the cursor: CellAt(cfg, i)
+// equals the i-th cell a CellSeq yields for every valid i, which is what
+// lets million-cell grids be enumerated, resumed, and journaled without
+// ever holding the cell slice on the heap. i must be in [0, GridSize(cfg)).
 func CellAt(cfg SweepConfig, i int) GridCell {
 	return cellAt(cfg.withDefaults(), i)
 }
@@ -127,8 +127,8 @@ func cellAt(cfg SweepConfig, i int) GridCell {
 
 // CellSeq is a deterministic streaming cursor over a sweep grid in
 // canonical order. It holds the (defaults-applied) config and a position —
-// O(1) memory regardless of grid size — and yields exactly the cells
-// GridCells would have materialized, in the same order.
+// O(1) memory regardless of grid size — and yields the grid's cells in
+// that order.
 type CellSeq struct {
 	cfg  SweepConfig
 	next int
@@ -157,19 +157,6 @@ func (s *CellSeq) Next() (cell GridCell, ok bool) {
 
 // At returns cell i without moving the cursor.
 func (s *CellSeq) At(i int) GridCell { return cellAt(s.cfg, i) }
-
-// GridCells enumerates cfg's grid in canonical order: seed-major, then
-// share, then algorithm — the row order of the emitted CSV. It slurps the
-// whole grid into a slice; million-cell callers should stream with
-// NewCellSeq / CellAt instead.
-func GridCells(cfg SweepConfig) []GridCell {
-	seq := NewCellSeq(cfg)
-	cells := make([]GridCell, 0, seq.Size())
-	for c, ok := seq.Next(); ok; c, ok = seq.Next() {
-		cells = append(cells, c)
-	}
-	return cells
-}
 
 // RunCell executes one grid cell: generate the cell's workload, simulate
 // it, and summarize. Cells are self-contained — every simulated value is

@@ -64,6 +64,36 @@ func BenchmarkSolveShared(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveLargeComponent is malleable_pfs's shape: one Start+Cancel
+// cycle on a shared file system that 192 transfers already contend for,
+// each also capped by its job's private link, next to 64 transfers on
+// resources of their own. The re-solved component is three quarters of
+// the pool, so it is filtered out of the start-ordered active list rather
+// than sorted.
+func BenchmarkSolveLargeComponent(b *testing.B) {
+	k := des.NewKernel()
+	p := NewPool(k)
+	pfs := p.NewResource("pfs", 1000)
+	for i := 0; i < 256; i++ {
+		a := NewActivity("io", 1e18, nil)
+		if i%4 == 3 {
+			a.AddUsage(p.NewResource("private", 100), 1)
+		} else {
+			a.AddUsage(pfs, 1)
+			a.AddUsage(p.NewResource("link", float64(2+i%7)), 1)
+		}
+		p.Start(a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := NewActivity("probe", 1e18, nil)
+		a.AddUsage(pfs, 1)
+		p.Start(a)
+		p.Cancel(a)
+	}
+}
+
 // TestSolveSharedAllocs pins BenchmarkSolveShared's probe — one Start and
 // Cancel on a 256-activity component — to the probe's own allocations (the
 // Activity and its usage slice): re-solving the component re-keys all 257

@@ -25,7 +25,9 @@
 // those, leaving every other activity's rate — and, crucially, its
 // completion key and event — untouched. Activities within a component
 // are always solved in start order, so the arithmetic (and therefore every
-// bit of the result) is independent of how the component was discovered.
+// bit of the result) is independent of how the component was discovered;
+// the pool keeps its activities in that order, so a large component is
+// filtered out of the list rather than sorted.
 // The full-recompute reference (SetForceFullSolve, set only by tests)
 // re-solves every component on every change instead; because untouched
 // components re-solve to bit-identical rates and unchanged rates never
@@ -50,6 +52,7 @@ package fluid
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/des"
@@ -201,16 +204,21 @@ func (a *Activity) Active() bool { return a.index >= 0 }
 // Pool manages the set of running activities on top of a DES kernel. All
 // methods must be called from the kernel's event loop (single-threaded).
 type Pool struct {
-	kernel     *des.Kernel
-	fairness   Fairness
-	resources  []*Resource
+	kernel    *des.Kernel
+	fairness  Fairness
+	resources []*Resource
+	// active lists the running activities in start order. Removal leaves
+	// a nil tombstone, and the list compacts in place, keeping the order,
+	// once tombstones outnumber live entries; live counts the non-nil
+	// entries. Iteration must skip nils.
 	active     []*Activity
+	live       int
 	lastUpdate des.Time
 	epsilon    float64
 	forceFull  bool
 
 	startSeq uint64 // next Activity.seq
-	stamp    uint64 // traversal stamp generator
+	stamp    uint64 // traversal stamp generator; every traversal takes its own
 
 	// comp is the scratch buffer component traversals collect into;
 	// compRes collects the component's distinct resources. prevRate and
@@ -277,6 +285,7 @@ func (p *Pool) Start(a *Activity) {
 	p.advanceProgress()
 	a.index = len(p.active)
 	p.active = append(p.active, a)
+	p.live++
 	for ui := range a.usages {
 		u := &a.usages[ui]
 		u.pos = len(u.res.acts)
@@ -307,19 +316,22 @@ func (p *Pool) Cancel(a *Activity) {
 // sharing resources with. Removal can split its old component, so each of
 // its resources seeds an independent traversal (seeds reached by an
 // earlier seed's traversal are skipped): every post-removal component is
-// solved exactly once, in isolation.
+// solved exactly once, in isolation. Each traversal takes its own stamp,
+// so that solveComponent's filter picks up one component, not every
+// component this removal has visited so far.
 func (p *Pool) solveAfterRemoval(a *Activity) {
 	p.solves++
 	if p.forceFull {
 		p.solveAll()
 		return
 	}
-	p.stamp++
+	first := p.stamp + 1
 	for ui := range a.usages {
 		res := a.usages[ui].res
-		if res.mark == p.stamp { // visited by a previous seed's traversal
+		if res.mark >= first { // visited by a previous seed's traversal
 			continue
 		}
+		p.stamp++
 		p.comp = p.comp[:0]
 		p.compRes = p.compRes[:0]
 		p.visitResource(res)
@@ -345,18 +357,22 @@ func (p *Pool) RemainingOf(a *Activity) float64 {
 }
 
 // ActiveCount returns the number of running activities.
-func (p *Pool) ActiveCount() int { return len(p.active) }
+func (p *Pool) ActiveCount() int { return p.live }
 
 // remove unlinks the activity from the pool and from every resource's
 // membership list, and retires its completion event if it holds one.
 func (p *Pool) remove(a *Activity) {
-	last := len(p.active) - 1
-	i := a.index
-	p.active[i] = p.active[last]
-	p.active[i].index = i
-	p.active[last] = nil
-	p.active = p.active[:last]
+	p.active[a.index] = nil
 	a.index = -1
+	p.live--
+	n := len(p.active)
+	for n > 0 && p.active[n-1] == nil {
+		n--
+	}
+	p.active = p.active[:n]
+	if holes := n - p.live; holes > 64 && holes > p.live {
+		p.compact()
+	}
 	for ui := range a.usages {
 		u := &a.usages[ui]
 		acts := u.res.acts
@@ -374,6 +390,22 @@ func (p *Pool) remove(a *Activity) {
 	}
 }
 
+// compact squeezes the tombstones out of p.active in place, preserving
+// start order.
+func (p *Pool) compact() {
+	w := 0
+	for _, a := range p.active {
+		if a == nil {
+			continue
+		}
+		a.index = w
+		p.active[w] = a
+		w++
+	}
+	clear(p.active[w:])
+	p.active = p.active[:w]
+}
+
 // advanceProgress applies the elapsed time since the last update to all
 // active activities' remaining work.
 func (p *Pool) advanceProgress() {
@@ -381,6 +413,9 @@ func (p *Pool) advanceProgress() {
 	elapsed := float64(now - p.lastUpdate)
 	if elapsed > 0 {
 		for _, a := range p.active {
+			if a == nil {
+				continue
+			}
 			a.remaining -= a.rate * elapsed
 			if a.remaining < 0 {
 				a.remaining = 0
@@ -443,18 +478,53 @@ func (p *Pool) visitResource(res *Resource) {
 
 // solveAll re-solves every component (the SetForceFullSolve path). Component
 // enumeration order is irrelevant: components are disjoint and each is
-// solved in canonical (start-order) sequence.
+// solved in canonical (start-order) sequence. Each component's traversal
+// takes its own stamp, as in solveAfterRemoval.
 func (p *Pool) solveAll() {
-	p.stamp++
-	s := p.stamp
-	for i := 0; i < len(p.active); i++ {
-		a := p.active[i]
-		if a.mark == s {
+	first := p.stamp + 1
+	for _, a := range p.active {
+		if a == nil || a.mark >= first {
 			continue
 		}
+		p.stamp++
 		p.collectFrom(a)
 		p.solveComponent()
 	}
+}
+
+// orderComponent puts p.comp, the component the traversal stamped
+// p.stamp collected, in start order. When the component is a large share
+// of the pool, it is refiltered from p.active, which is kept in start
+// order: one pass with no comparisons. A small component is sorted.
+func (p *Pool) orderComponent() {
+	if !p.filterPays() {
+		slices.SortFunc(p.comp, compareSeq)
+		return
+	}
+	s := p.stamp
+	comp := p.comp[:0]
+	for _, a := range p.active {
+		if a != nil && a.mark == s {
+			comp = append(comp, a)
+		}
+	}
+	p.comp = comp
+}
+
+// filterPays reports whether scanning p.active costs no more than sorting
+// p.comp: a scan reads every entry once, a sort of m activities makes
+// about m·log2(m) comparisons.
+func (p *Pool) filterPays() bool {
+	m := len(p.comp)
+	return len(p.active) <= m*bits.Len(uint(m))
+}
+
+// compareSeq orders activities by start sequence (sequences are unique).
+func compareSeq(a, b *Activity) int {
+	if a.seq < b.seq {
+		return -1
+	}
+	return 1
 }
 
 // solveComponent solves rates for the activities in p.comp (one connected
@@ -463,13 +533,8 @@ func (p *Pool) solveAll() {
 // arithmetic — and hence the solved rates — independent of the traversal
 // order that discovered the component.
 func (p *Pool) solveComponent() {
+	p.orderComponent()
 	comp := p.comp
-	slices.SortFunc(comp, func(a, b *Activity) int {
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	})
 	p.solvedActs += uint64(len(comp))
 	p.prevRate = p.prevRate[:0]
 	for _, a := range comp {

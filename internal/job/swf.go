@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -93,28 +94,40 @@ func ParseSWF(r io.Reader, opts SWFOptions) (*Workload, error) {
 			}
 			return v, nil
 		}
+		// finite reads a field the conversion computes with. ParseFloat
+		// accepts "NaN" and "Inf", and a NaN compares false with everything,
+		// so it would slip past the cleaning checks below and become NaN
+		// flops. (A non-finite submit time is refused by Workload.Validate,
+		// which names the job.)
+		finite := func(i int, name string) (float64, error) {
+			v, err := get(i)
+			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("job: SWF line %d field %d (%s): non-finite value %s", lineNo, i, name, fields[i])
+			}
+			return v, err
+		}
 		submit, err := get(swfSubmitTime)
 		if err != nil {
 			return nil, err
 		}
-		runTime, err := get(swfRunTime)
+		runTime, err := finite(swfRunTime, "run time")
 		if err != nil {
 			return nil, err
 		}
-		procs, err := get(swfUsedProcs)
+		procs, err := finite(swfUsedProcs, "used procs")
 		if err != nil {
 			return nil, err
 		}
 		if procs <= 0 {
-			if procs, err = get(swfReqProcs); err != nil {
+			if procs, err = finite(swfReqProcs, "requested procs"); err != nil {
 				return nil, err
 			}
 		}
-		reqTime, err := get(swfReqTime)
+		reqTime, err := finite(swfReqTime, "requested time")
 		if err != nil {
 			return nil, err
 		}
-		status, err := get(swfStatus)
+		status, err := finite(swfStatus, "status")
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package job
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -400,22 +399,40 @@ func TestSWFErrors(t *testing.T) {
 }
 
 // TestSWFNonFiniteTimes: strconv.ParseFloat reads "NaN" and "Inf", so a
-// trace can carry non-finite times past the parser; validation must refuse
-// them, naming the job, before they reach the event queue.
+// trace can carry non-finite values. ParseSWF refuses them in the fields
+// the conversion computes with, naming the line and the field; a
+// non-finite submit time passes the reader and validation refuses it,
+// naming the job, before it reaches the event queue.
 func TestSWFNonFiniteTimes(t *testing.T) {
-	for _, tc := range []struct{ submit, reqTime, want string }{
-		{"NaN", "200", "job swf0: submit time NaN"},
-		{"Inf", "200", "job swf0: submit time +Inf"},
-		{"0", "NaN", "job swf0: walltime limit is NaN"},
+	for _, tc := range []struct {
+		set   map[int]string // fields overriding a clean record
+		want  string
+		parse bool // refused by ParseSWF, not by Validate
+	}{
+		{map[int]string{swfSubmitTime: "NaN"}, "job swf0: submit time NaN", false},
+		{map[int]string{swfSubmitTime: "Inf"}, "job swf0: submit time +Inf", false},
+		{map[int]string{swfReqTime: "NaN"}, "SWF line 2 field 8 (requested time): non-finite value NaN", true},
+		{map[int]string{swfReqTime: "-Inf"}, "SWF line 2 field 8 (requested time): non-finite value -Inf", true},
+		{map[int]string{swfRunTime: "NaN"}, "SWF line 2 field 3 (run time): non-finite value NaN", true},
+		{map[int]string{swfRunTime: "+Inf"}, "SWF line 2 field 3 (run time): non-finite value +Inf", true},
+		{map[int]string{swfUsedProcs: "Inf"}, "SWF line 2 field 4 (used procs): non-finite value Inf", true},
+		{map[int]string{swfUsedProcs: "-1", swfReqProcs: "NaN"}, "SWF line 2 field 7 (requested procs): non-finite value NaN", true},
+		{map[int]string{swfStatus: "nan"}, "SWF line 2 field 10 (status): non-finite value nan", true},
 	} {
-		line := fmt.Sprintf("1 %s 0 100 8 -1 -1 8 %s -1 1 1 1 1 1 1 -1 -1\n", tc.submit, tc.reqTime)
-		w, err := ParseSWF(strings.NewReader(line), SWFOptions{NodeSpeed: 1e9})
-		if err != nil {
-			t.Fatalf("submit %s, walltime %s: %v", tc.submit, tc.reqTime, err)
+		fields := strings.Fields("1 0 0 100 8 -1 -1 8 200 -1 1 1 1 1 1 1 -1 -1")
+		for i, v := range tc.set {
+			fields[i] = v
 		}
-		err = w.Validate(64)
+		trace := "; header\n" + strings.Join(fields, " ") + "\n"
+		w, err := ParseSWF(strings.NewReader(trace), SWFOptions{NodeSpeed: 1e9})
+		if !tc.parse {
+			if err != nil {
+				t.Fatalf("%v: %v", tc.set, err)
+			}
+			err = w.Validate(64)
+		}
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("submit %s, walltime %s: Validate = %v, want %q", tc.submit, tc.reqTime, err, tc.want)
+			t.Errorf("%v: error %v, want %q", tc.set, err, tc.want)
 		}
 	}
 }

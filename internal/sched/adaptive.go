@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/job"
 )
@@ -43,18 +43,14 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 	// Malleable jobs we may resize right now.
 	var resizable []*JobView
 	for _, v := range inv.Running {
-		if v.Job.Type == job.Malleable && v.AtSchedulingPoint {
+		if v.AtSchedulingPoint && v.Job.Type == job.Malleable {
 			resizable = append(resizable, v)
 		}
 	}
 	// Reclaimable capacity if we shrank everything to minimum (+ reserve).
 	reclaimable := 0
 	floorOf := func(v *JobView) int {
-		f := v.Job.MinNodes() + a.ShrinkReserve
-		if f > v.Nodes {
-			f = v.Nodes
-		}
-		return f
+		return min(v.Job.MinNodes()+a.ShrinkReserve, v.Nodes)
 	}
 	if !a.NoShrink {
 		for _, v := range resizable {
@@ -85,10 +81,7 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 	for _, s := range starts {
 		needed += s.n
 	}
-	shrinkBy := needed - free
-	if shrinkBy < 0 {
-		shrinkBy = 0
-	}
+	shrinkBy := max(needed-free, 0)
 
 	var out []Decision
 	// Issue shrinks, largest allocation first, until covered. The views
@@ -98,18 +91,15 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 	running := inv.Running
 	if shrinkBy > 0 {
 		planned := map[*JobView]*JobView{}
-		order := append([]*JobView(nil), resizable...)
-		sort.SliceStable(order, func(i, j int) bool { return order[i].Nodes > order[j].Nodes })
+		order := slices.Clone(resizable)
+		slices.SortStableFunc(order, compareBy(func(a, b *JobView) bool { return a.Nodes > b.Nodes }))
 		for _, v := range order {
 			if shrinkBy == 0 {
 				break
 			}
-			give := v.Nodes - floorOf(v)
+			give := min(v.Nodes-floorOf(v), shrinkBy)
 			if give <= 0 {
 				continue
-			}
-			if give > shrinkBy {
-				give = shrinkBy
 			}
 			newSize := v.Nodes - give
 			out = append(out, Resize(v.ID, newSize))
@@ -133,25 +123,8 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 
 	// EASY-style backfill of the remaining queue against remaining free
 	// nodes (no further shrinking for backfilled jobs).
-	if blockedAt >= 0 && blockedAt < len(inv.Pending)-1 && free > 0 {
-		head := inv.Pending[blockedAt]
-		shadow, extra := shadowTime(inv.Now, running, free, head.Job.MinNodes())
-		for _, v := range inv.Pending[blockedAt+1:] {
-			n := pickSize(v, free, a.SizeFn, a.Sizing)
-			if n == 0 {
-				continue
-			}
-			endsBeforeShadow := inv.Now+v.WallTimeOrInf() <= shadow
-			fitsExtra := n <= extra
-			if !endsBeforeShadow && !fitsExtra {
-				continue
-			}
-			out = append(out, Start(v.ID, n))
-			free -= n
-			if fitsExtra && !endsBeforeShadow {
-				extra -= n
-			}
-		}
+	if blockedAt >= 0 {
+		out, free = backfill(out, inv.Now, inv.Pending[blockedAt+1:], running, free, inv.Pending[blockedAt].Job.MinNodes(), a.SizeFn, a.Sizing)
 	}
 
 	// Answer evolving requests before expanding, so grants have priority
@@ -167,14 +140,7 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 			// Shrinking (or no-op) requests always granted.
 			out = append(out, Decision{Kind: DecisionGrant, Job: v.ID, NumNodes: req})
 		default:
-			grow := req - cur
-			if grow > free {
-				grow = free
-			}
-			granted := cur + grow
-			if granted > v.Job.MaxNodes() {
-				granted = v.Job.MaxNodes()
-			}
+			granted := min(cur+min(req-cur, free), v.Job.MaxNodes())
 			if granted <= cur {
 				out = append(out, Decision{Kind: DecisionDeny, Job: v.ID})
 				continue

@@ -88,6 +88,8 @@ func newProfile(inv *Invocation) profile {
 // addStep makes t a breakpoint and returns its index. A t before now is
 // clamped to now: index 0.
 func (p *profile) addStep(t float64) int {
+	// sort.SearchFloat64s, not slices.BinarySearch: the latter's NaN-aware
+	// float compare made a deep_queue-shaped pass ~20 % slower.
 	i := sort.SearchFloat64s(p.times, t)
 	if i == 0 || i < len(p.times) && p.times[i] == t {
 		return i

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // EASY implements EASY backfilling (Lifka 1995): the head job gets a
 // reservation at the earliest time enough nodes free up, and later jobs may
@@ -39,21 +36,36 @@ func (e *EASY) Schedule(inv *Invocation) []Decision {
 		return out
 	}
 
-	// Head job blocks: compute its shadow time and the extra nodes.
-	head := inv.Pending[i]
-	headNeed := reservationSize(head)
-	if headNeed > inv.TotalNodes {
-		headNeed = inv.TotalNodes
-	}
-	shadow, extra := shadowTime(inv.Now, inv.Running, free, headNeed)
+	// Head job blocks: the rest backfills behind its reservation of its
+	// rigid request or minimum acceptable size.
+	need := min(inv.Pending[i].Job.MinNodes(), inv.TotalNodes)
+	out, _ = backfill(out, inv.Now, inv.Pending[i+1:], inv.Running, free, need, e.SizeFn, e.Sizing)
+	return out
+}
 
-	// Backfill the remainder.
-	for _, v := range inv.Pending[i+1:] {
-		n := pickSize(v, free, e.SizeFn, e.Sizing)
+// backfill is the EASY pass over the jobs queued behind a blocked head
+// that reserves need nodes: a candidate starts if it fits the free nodes
+// and either ends by the head's shadow time or fits the extra nodes the
+// reservation leaves. It returns out with the starts appended and the
+// nodes left free. The shadow time is computed only once a candidate
+// fits, and the pass ends when no node is free: no valid job starts on
+// zero nodes.
+func backfill(out []Decision, now float64, cands, running []*JobView, free, need int, fn SizeFunc, policy SizePolicy) ([]Decision, int) {
+	var shadow float64
+	extra, known := 0, false
+	for _, v := range cands {
+		if free <= 0 {
+			break
+		}
+		n := pickSize(v, free, fn, policy)
 		if n == 0 {
 			continue
 		}
-		endsBeforeShadow := inv.Now+v.WallTimeOrInf() <= shadow
+		if !known {
+			shadow, extra = shadowTime(now, running, free, need)
+			known = true
+		}
+		endsBeforeShadow := now+v.WallTimeOrInf() <= shadow
 		fitsExtra := n <= extra
 		if !endsBeforeShadow && !fitsExtra {
 			continue
@@ -64,36 +76,60 @@ func (e *EASY) Schedule(inv *Invocation) []Decision {
 			extra -= n
 		}
 	}
-	return out
-}
-
-// reservationSize is the node count reserved for a blocked job: its rigid
-// request or its minimum acceptable size.
-func reservationSize(v *JobView) int {
-	return v.Job.MinNodes()
+	return out, free
 }
 
 // shadowTime computes when `need` nodes will be free at time now given the
 // running jobs' expected ends, plus how many nodes remain free at that
 // moment beyond the reservation (the "extra" nodes available for backfill
 // past the shadow time). Jobs without walltime estimates never release
-// their nodes for this computation.
+// their nodes for this computation. Releases come off a heap of positions
+// in running keyed by (ExpectedEnd, position), the order a stable sort by
+// ExpectedEnd gives, and only until the reservation is covered.
 func shadowTime(now float64, running []*JobView, free, need int) (shadow float64, extra int) {
 	if need <= free {
 		return now, free - need
 	}
-	// Sort running jobs by expected end and accumulate releases.
-	ends := slices.Clone(running)
-	slices.SortStableFunc(ends, compareBy(func(a, b *JobView) bool { return a.ExpectedEnd < b.ExpectedEnd }))
+	h := make([]int32, 0, len(running))
 	avail := free
-	for _, v := range ends {
-		if math.IsInf(v.ExpectedEnd, 1) {
-			break
-		}
-		avail += v.Nodes
-		if avail >= need {
-			return v.ExpectedEnd, avail - need
+	for i, v := range running {
+		if !math.IsInf(v.ExpectedEnd, 1) {
+			h = append(h, int32(i))
+			avail += v.Nodes
 		}
 	}
-	return math.Inf(1), avail - need // never: backfill gated only by "extra"
+	if avail < need {
+		return math.Inf(1), avail - need // never: backfill gated only by "extra"
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, running, i)
+	}
+	avail = free
+	for {
+		v := running[h[0]]
+		if avail += v.Nodes; avail >= need {
+			return v.ExpectedEnd, avail - need
+		}
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, running, 0)
+	}
+}
+
+// siftDown moves h[i] down to its place in the min-heap h of positions in
+// running, keyed by (ExpectedEnd, position).
+func siftDown(h []int32, running []*JobView, i int) {
+	less := func(a, b int32) bool {
+		ea, eb := running[a].ExpectedEnd, running[b].ExpectedEnd
+		return ea < eb || ea == eb && a < b
+	}
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && less(h[c+1], h[c]) {
+			c++
+		}
+		if !less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }

@@ -116,23 +116,6 @@ func (f *FairShare) Schedule(inv *Invocation) []Decision {
 	if i >= len(order) {
 		return out
 	}
-	head := order[i]
-	shadow, extra := shadowTime(inv.Now, inv.Running, free, head.Job.MinNodes())
-	for _, v := range order[i+1:] {
-		n := pickSize(v, free, f.SizeFn, f.Sizing)
-		if n == 0 {
-			continue
-		}
-		endsBeforeShadow := inv.Now+v.WallTimeOrInf() <= shadow
-		fitsExtra := n <= extra
-		if !endsBeforeShadow && !fitsExtra {
-			continue
-		}
-		out = append(out, Start(v.ID, n))
-		free -= n
-		if fitsExtra && !endsBeforeShadow {
-			extra -= n
-		}
-	}
+	out, _ = backfill(out, inv.Now, order[i+1:], inv.Running, free, order[i].Job.MinNodes(), f.SizeFn, f.Sizing)
 	return out
 }

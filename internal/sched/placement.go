@@ -1,6 +1,9 @@
 package sched
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // LocalityPack picks n nodes from the free list minimizing the number of
 // leaf-switch groups the allocation spans (tree topologies): it fills the
@@ -12,8 +15,8 @@ func LocalityPack(freeList []int, n, groupSize int) []int {
 		return nil
 	}
 	if groupSize <= 0 {
-		out := append([]int(nil), freeList[:n]...)
-		sort.Ints(out)
+		out := slices.Clone(freeList[:n])
+		slices.Sort(out)
 		return out
 	}
 	// Bucket free nodes by group.
@@ -27,12 +30,11 @@ func LocalityPack(freeList []int, n, groupSize int) []int {
 		order = append(order, g)
 	}
 	// Fullest groups first; ties by group index for determinism.
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if len(groups[a]) != len(groups[b]) {
-			return len(groups[a]) > len(groups[b])
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(len(groups[b]), len(groups[a])); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	out := make([]int, 0, n)
 	for _, g := range order {
@@ -46,7 +48,7 @@ func LocalityPack(freeList []int, n, groupSize int) []int {
 			break
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -82,19 +81,4 @@ func (a *AuditLog) Close() error {
 		a.err = err
 	}
 	return a.err
-}
-
-// ReadAuditLog parses a JSONL audit stream back into records.
-func ReadAuditLog(r io.Reader) ([]AuditRecord, error) {
-	var out []AuditRecord
-	dec := json.NewDecoder(r)
-	for {
-		var rec AuditRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("telemetry: audit record %d: %w", len(out)+1, err)
-		}
-		out = append(out, rec)
-	}
 }

@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -199,6 +202,21 @@ func TestSnapshotAddStripDiff(t *testing.T) {
 	}
 }
 
+// readAuditLog parses a JSONL audit stream back into records.
+func readAuditLog(r io.Reader) ([]AuditRecord, error) {
+	var out []AuditRecord
+	dec := json.NewDecoder(r)
+	for {
+		var rec AuditRecord
+		if err := dec.Decode(&rec); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return out, fmt.Errorf("telemetry: audit record %d: %w", len(out)+1, err)
+		}
+		out = append(out, rec)
+	}
+}
+
 func TestAuditLogRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	a := NewAuditLog(&buf)
@@ -216,7 +234,7 @@ func TestAuditLogRoundtrip(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAuditLog(&buf)
+	recs, err := readAuditLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
