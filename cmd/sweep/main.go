@@ -128,7 +128,13 @@ func run(ctx context.Context) error {
 	}
 
 	cfg := experiments.SweepConfig{Jobs: *jobs, Nodes: *nodes, Workers: *workers}
-	cfg.Algorithms = strings.Split(*algorithms, ",")
+	for _, s := range strings.Split(*algorithms, ",") {
+		name := strings.TrimSpace(s)
+		if _, err := elastisim.NewAlgorithm(name); err != nil {
+			return cli.Usagef("%v", err)
+		}
+		cfg.Algorithms = append(cfg.Algorithms, name)
+	}
 	for _, s := range strings.Split(*shares, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil || v < 0 || v > 1 {

@@ -29,7 +29,7 @@ func scrape(t *testing.T, reg *MetricsRegistry) string {
 // outputs — exact-float trace, jobs CSV, summary — to the bare run. The
 // obs layer only ever reads counters the run already maintains.
 func TestObsDoesNotChangeOutputs(t *testing.T) {
-	_, bareTrace, bareCSV := equivalenceRun(t, false)
+	_, bareTrace, bareCSV := equivalenceRunOpts(t, Options{Trace: true})
 
 	cfg := equivalenceConfig(t, Options{Trace: true})
 	cfg.Metrics = NewMetricsRegistry()

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/job"
 )
 
@@ -16,7 +15,10 @@ import (
 // Result JSON document.
 func queueDump(t *testing.T, cfg Config) [3][]byte {
 	t.Helper()
-	res := runOn(t, cfg, core.New)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	trace, csv := dumpRun(t, res)
 	var doc bytes.Buffer
 	if err := res.WriteJSON(&doc); err != nil {

@@ -93,14 +93,7 @@ type Session struct {
 // errors — including ones that would otherwise trip engine invariants
 // later, like scripted outages naming nodes the platform does not have.
 // Malformed configurations return errors, never panic.
-func NewSession(cfg Config) (*Session, error) {
-	return newSession(cfg, core.New)
-}
-
-// newSession is NewSession with the engine constructor as a parameter: the
-// seam through which the equivalence tests run whole sessions on the
-// reference implementations (see core.NewOn).
-func newSession(cfg Config, newEngine func(*PlatformSpec, *Workload, Algorithm, Options) (*core.Engine, error)) (s *Session, err error) {
+func NewSession(cfg Config) (s *Session, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s, err = nil, fmt.Errorf("elastisim: invalid config: %v", r)
@@ -116,7 +109,7 @@ func newSession(cfg Config, newEngine func(*PlatformSpec, *Workload, Algorithm, 
 	if cfg.Failures != nil {
 		opts.Failures = cfg.Failures
 	}
-	eng, err := newEngine(cfg.Platform, cfg.Workload, cfg.Algorithm, opts)
+	eng, err := core.New(cfg.Platform, cfg.Workload, cfg.Algorithm, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ func telemetryRun(t *testing.T) (*Result, string, []byte, *bytes.Buffer, *bytes.
 // byte. The trace is compared at exact float precision (%b), so even a
 // one-ulp divergence fails.
 func TestTelemetryDoesNotChangeOutputs(t *testing.T) {
-	_, offTrace, offCSV := equivalenceRun(t, false)
+	_, offTrace, offCSV := equivalenceRunOpts(t, Options{Trace: true})
 	_, onTrace, onCSV, _, _, _ := telemetryRun(t)
 
 	if offTrace != onTrace {
@@ -172,7 +172,7 @@ func TestAuditLogRecordsDecisions(t *testing.T) {
 // TestSnapshotIsPopulated checks the self-profiling artifact of a real run
 // carries all counter groups.
 func TestSnapshotIsPopulated(t *testing.T) {
-	res, _, _ := equivalenceRun(t, false)
+	res, _, _ := equivalenceRunOpts(t, Options{Trace: true})
 	s := res.Telemetry
 	if s.Runs != 1 || s.Jobs != 60 {
 		t.Errorf("runs/jobs: %d/%d", s.Runs, s.Jobs)

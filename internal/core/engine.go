@@ -176,22 +176,14 @@ func CheckOptions(opts Options) error {
 // incremental fluid pool. The workload must already validate against the
 // platform.
 func New(spec *platform.Spec, w *job.Workload, algo sched.Algorithm, opts Options) (*Engine, error) {
-	kernel := des.NewKernel()
-	return NewOn(kernel, fluid.NewPool(kernel), spec, w, algo, opts)
-}
-
-// NewOn is New on a caller-supplied kernel and the fluid pool bound to it.
-// It is how the equivalence tests run an engine on the full-recompute
-// reference solver (a pool in SetForceFullSolve mode); nothing outside a
-// _test.go file sets that mode, so no configuration, flag or wire document
-// reaches it.
-func NewOn(kernel *des.Kernel, pool *fluid.Pool, spec *platform.Spec, w *job.Workload, algo sched.Algorithm, opts Options) (*Engine, error) {
 	if algo == nil {
 		return nil, fmt.Errorf("core: nil scheduling algorithm")
 	}
 	if err := CheckOptions(opts); err != nil {
 		return nil, err
 	}
+	kernel := des.NewKernel()
+	pool := fluid.NewPool(kernel)
 	pool.SetFairness(opts.Fairness)
 	plat, err := platform.Build(spec, pool)
 	if err != nil {

@@ -26,7 +26,7 @@ func AblationInvocation(seed uint64, count int) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := mustRun(elastisim.Config{
+		res, err := elastisim.Run(elastisim.Config{
 			Platform:  StandardPlatform(stdNodes),
 			Workload:  wl,
 			Algorithm: elastisim.NewAdaptive(),
@@ -84,7 +84,7 @@ func AblationFairness(seed uint64, count int) (*Table, error) {
 			mk(0, 1, "40G"), mk(1, 16, "280G"),
 		}}
 		wl.Sort()
-		res, err := mustRun(elastisim.Config{
+		res, err := elastisim.Run(elastisim.Config{
 			Platform:  StandardPlatform(stdNodes),
 			Workload:  wl,
 			Algorithm: elastisim.NewFCFS(),
@@ -144,7 +144,7 @@ func AblationMoldable(seed uint64, count int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := mustRun(elastisim.Config{
+		res, err := elastisim.Run(elastisim.Config{
 			Platform:  StandardPlatform(stdNodes),
 			Workload:  wl,
 			Algorithm: p.algo,
@@ -197,7 +197,7 @@ func AblationFairShare(seed uint64, count int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := mustRun(elastisim.Config{
+		res, err := elastisim.Run(elastisim.Config{
 			Platform:  StandardPlatform(stdNodes),
 			Workload:  wl,
 			Algorithm: algo,
@@ -261,7 +261,7 @@ func AblationFastPath(seed uint64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := mustRun(elastisim.Config{
+			res, err := elastisim.Run(elastisim.Config{
 				Platform:  StandardPlatform(scale.nodes),
 				Workload:  wl,
 				Algorithm: elastisim.NewAdaptive(),

@@ -6,14 +6,26 @@ import (
 	"testing"
 )
 
-// GridCells slurps cfg's grid into a slice in canonical order, the way
-// sweeps enumerated cells before they streamed them: the reference the
-// cursor is checked against.
+// GridCells slurps cfg's grid into a slice in canonical order with the
+// nested loops sweeps enumerated cells with before they streamed them,
+// kept verbatim: the reference CellAt's index arithmetic is checked
+// against.
 func GridCells(cfg SweepConfig) []GridCell {
-	seq := NewCellSeq(cfg)
-	cells := make([]GridCell, 0, seq.Size())
-	for c, ok := seq.Next(); ok; c, ok = seq.Next() {
-		cells = append(cells, c)
+	cfg = cfg.withDefaults()
+	var cells []GridCell
+	for _, seed := range cfg.Seeds {
+		for _, share := range cfg.Shares {
+			for _, name := range cfg.Algorithms {
+				cells = append(cells, GridCell{
+					Index:     len(cells),
+					Algorithm: name,
+					Share:     share,
+					Seed:      seed,
+					Jobs:      cfg.Jobs,
+					Nodes:     cfg.Nodes,
+				})
+			}
+		}
 	}
 	return cells
 }
@@ -52,9 +64,9 @@ func randomSweepConfig(rng *rand.Rand) SweepConfig {
 }
 
 // TestCellSeqMatchesGridCells is the streamed-enumeration contract: for
-// arbitrary configs, the cursor (Next and At), CellAt, and GridSize agree
-// exactly — same cells, same canonical order, same indices — with the
-// slurped GridCells slice.
+// arbitrary configs, the cell sequence CellAt(cfg, 0..GridSize(cfg)-1)
+// equals the slurped GridCells slice exactly — same cells, same canonical
+// order, same indices.
 func TestCellSeqMatchesGridCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -65,33 +77,13 @@ func TestCellSeqMatchesGridCells(t *testing.T) {
 		if got := GridSize(cfg); got != len(slurped) {
 			t.Fatalf("%s: GridSize = %d, len(GridCells) = %d", name, got, len(slurped))
 		}
-		seq := NewCellSeq(cfg)
-		if seq.Size() != len(slurped) {
-			t.Fatalf("%s: CellSeq.Size = %d, len(GridCells) = %d", name, seq.Size(), len(slurped))
-		}
 		for i, want := range slurped {
-			got, ok := seq.Next()
-			if !ok {
-				t.Fatalf("%s: cursor exhausted at %d of %d", name, i, len(slurped))
-			}
-			if got != want {
-				t.Fatalf("%s: cursor cell %d = %+v, want %+v", name, i, got, want)
-			}
 			if at := CellAt(cfg, i); at != want {
 				t.Fatalf("%s: CellAt(%d) = %+v, want %+v", name, i, at, want)
-			}
-			if at := seq.At(i); at != want {
-				t.Fatalf("%s: seq.At(%d) = %+v, want %+v", name, i, at, want)
 			}
 			if want.Index != i {
 				t.Fatalf("%s: cell %d carries Index %d", name, i, want.Index)
 			}
-		}
-		if c, ok := seq.Next(); ok {
-			t.Fatalf("%s: cursor yielded %+v past the end", name, c)
-		}
-		if c, ok := seq.Next(); ok { // stays exhausted
-			t.Fatalf("%s: exhausted cursor revived with %+v", name, c)
 		}
 	}
 }
@@ -105,13 +97,5 @@ func TestCellSeqSingleCell(t *testing.T) {
 	want := GridCell{Index: 0, Algorithm: "fcfs", Share: 0.5, Seed: 7, Jobs: 3, Nodes: 8}
 	if got := CellAt(cfg, 0); got != want {
 		t.Fatalf("CellAt = %+v, want %+v", got, want)
-	}
-	seq := NewCellSeq(cfg)
-	c, ok := seq.Next()
-	if !ok || c != want {
-		t.Fatalf("Next = %+v, %v; want %+v, true", c, ok, want)
-	}
-	if _, ok := seq.Next(); ok {
-		t.Fatal("single-cell cursor not exhausted after one cell")
 	}
 }

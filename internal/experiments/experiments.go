@@ -48,14 +48,6 @@ func standardWorkload(seed uint64, count int, malleableShare float64) (*elastisi
 	})
 }
 
-func mustRun(cfg elastisim.Config) (*elastisim.Result, error) {
-	res, err := elastisim.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // E1Utilization reproduces the utilization-over-time figure: the same
 // workload scheduled rigid-only (EASY) versus fully malleable (adaptive).
 // It returns the table of time-bucketed utilization plus both results.
@@ -72,7 +64,7 @@ func E1Utilization(seed uint64, count int) (*Table, *elastisim.Result, *elastisi
 		if err != nil {
 			return nil, err
 		}
-		return mustRun(elastisim.Config{
+		return elastisim.Run(elastisim.Config{
 			Platform: StandardPlatform(stdNodes), Workload: wl, Algorithm: arms[i].algo(),
 		})
 	})
@@ -114,7 +106,7 @@ func E2MalleableShare(seed uint64, count int) (*Table, []*elastisim.Result, erro
 		if err != nil {
 			return nil, err
 		}
-		return mustRun(elastisim.Config{
+		return elastisim.Run(elastisim.Config{
 			Platform: StandardPlatform(stdNodes), Workload: wl, Algorithm: elastisim.NewAdaptive(),
 		})
 	})
@@ -152,7 +144,7 @@ func E3Schedulers(seed uint64, count int) (*Table, map[string]*elastisim.Result,
 		if err != nil {
 			return nil, err
 		}
-		return mustRun(elastisim.Config{
+		return elastisim.Run(elastisim.Config{
 			Platform: StandardPlatform(stdNodes), Workload: wl, Algorithm: algo,
 		})
 	})
@@ -201,7 +193,7 @@ func E4BurstBuffer(seed uint64, count int) (*Table, *elastisim.Result, *elastisi
 		if err != nil {
 			return nil, err
 		}
-		return mustRun(elastisim.Config{Platform: spec, Workload: wl, Algorithm: elastisim.NewEASY()})
+		return elastisim.Run(elastisim.Config{Platform: spec, Workload: wl, Algorithm: elastisim.NewEASY()})
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -262,7 +254,7 @@ func E5Scalability(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return mustRun(elastisim.Config{
+		return elastisim.Run(elastisim.Config{
 			Platform:  StandardPlatform(c.nodes),
 			Workload:  wl,
 			Algorithm: elastisim.NewAdaptive(),
@@ -306,7 +298,7 @@ func E6Validation() (*Table, []ValidationCase, error) {
 	single := func(name string, j *elastisim.Job, want float64) (ValidationCase, error) {
 		wl := &elastisim.Workload{Jobs: []*elastisim.Job{j}}
 		wl.Sort()
-		res, err := mustRun(elastisim.Config{Platform: spec, Workload: wl, Algorithm: elastisim.NewFCFS()})
+		res, err := elastisim.Run(elastisim.Config{Platform: spec, Workload: wl, Algorithm: elastisim.NewFCFS()})
 		if err != nil {
 			return ValidationCase{}, err
 		}
@@ -351,7 +343,7 @@ func E6Validation() (*Table, []ValidationCase, error) {
 	}}
 	two.Jobs[1].ID = 1
 	two.Sort()
-	res, err := mustRun(elastisim.Config{Platform: spec, Workload: two, Algorithm: elastisim.NewFCFS()})
+	res, err := elastisim.Run(elastisim.Config{Platform: spec, Workload: two, Algorithm: elastisim.NewFCFS()})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -403,7 +395,7 @@ func E7Evolving(seed uint64) (*Table, *elastisim.Result, error) {
 	}
 	wl := &elastisim.Workload{Jobs: append(bg.Jobs, evolving)}
 	wl.Sort()
-	res, err := mustRun(elastisim.Config{
+	res, err := elastisim.Run(elastisim.Config{
 		Platform: StandardPlatform(stdNodes), Workload: wl,
 		Algorithm: elastisim.NewAdaptive(),
 		Options:   elastisim.Options{Trace: true},
@@ -468,7 +460,7 @@ func E8ReconfigCost(seed uint64, count int) (*Table, []*elastisim.Result, error)
 		for _, j := range wl.Jobs {
 			j.ReconfigCost = job.ConstModel(costs[i])
 		}
-		return mustRun(elastisim.Config{
+		return elastisim.Run(elastisim.Config{
 			Platform: StandardPlatform(stdNodes), Workload: wl, Algorithm: elastisim.NewAdaptive(),
 		})
 	})
@@ -552,7 +544,7 @@ func E9Topology(seed uint64, count int) (*Table, []*elastisim.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return mustRun(elastisim.Config{
+		return elastisim.Run(elastisim.Config{
 			Platform: spec, Workload: wl, Algorithm: elastisim.NewEASY(),
 		})
 	})

@@ -52,7 +52,7 @@ func e10Run(seed uint64, count int, ckpt string, mtbf float64, rec elastisim.Rec
 			MaxRequeues: maxRequeues,
 		}
 	}
-	return mustRun(cfg)
+	return elastisim.Run(cfg)
 }
 
 // E10Resilience reconstructs the failure-aware comparison: the same fully

@@ -104,10 +104,9 @@ func GridSize(cfg SweepConfig) int {
 
 // CellAt returns cell i of cfg's grid — canonical order: seed-major, then
 // share, then algorithm, the row order of the emitted CSV — by O(1) index
-// arithmetic. It is the random-access form of the cursor: CellAt(cfg, i)
-// equals the i-th cell a CellSeq yields for every valid i, which is what
-// lets million-cell grids be enumerated, resumed, and journaled without
-// ever holding the cell slice on the heap. i must be in [0, GridSize(cfg)).
+// arithmetic, which is what lets million-cell grids be enumerated,
+// resumed, and journaled without ever holding the cell slice on the heap.
+// i must be in [0, GridSize(cfg)).
 func CellAt(cfg SweepConfig, i int) GridCell {
 	return cellAt(cfg.withDefaults(), i)
 }
@@ -124,39 +123,6 @@ func cellAt(cfg SweepConfig, i int) GridCell {
 		Nodes:     cfg.Nodes,
 	}
 }
-
-// CellSeq is a deterministic streaming cursor over a sweep grid in
-// canonical order. It holds the (defaults-applied) config and a position —
-// O(1) memory regardless of grid size — and yields the grid's cells in
-// that order.
-type CellSeq struct {
-	cfg  SweepConfig
-	next int
-	size int
-}
-
-// NewCellSeq positions a cursor at cfg's first cell.
-func NewCellSeq(cfg SweepConfig) *CellSeq {
-	cfg = cfg.withDefaults()
-	return &CellSeq{cfg: cfg, size: len(cfg.Seeds) * len(cfg.Shares) * len(cfg.Algorithms)}
-}
-
-// Size returns the total number of cells the cursor spans.
-func (s *CellSeq) Size() int { return s.size }
-
-// Next yields the next cell in canonical order; ok is false once the grid
-// is exhausted.
-func (s *CellSeq) Next() (cell GridCell, ok bool) {
-	if s.next >= s.size {
-		return GridCell{}, false
-	}
-	c := cellAt(s.cfg, s.next)
-	s.next++
-	return c, true
-}
-
-// At returns cell i without moving the cursor.
-func (s *CellSeq) At(i int) GridCell { return cellAt(s.cfg, i) }
 
 // RunCell executes one grid cell: generate the cell's workload, simulate
 // it, and summarize. Cells are self-contained — every simulated value is

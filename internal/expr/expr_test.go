@@ -297,6 +297,22 @@ func TestAdditionMatchesGo(t *testing.T) {
 	}
 }
 
+// tokenize lexes src to its end, for tests that inspect the token stream.
+func tokenize(src string) ([]token, error) {
+	l := &lexer{src: src}
+	var out []token
+	for {
+		tok, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, tok)
+		if tok.kind == tokEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestTokenizeBasics(t *testing.T) {
 	toks, err := tokenize("a + 1.5 * (b)")
 	if err != nil {

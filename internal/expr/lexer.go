@@ -244,19 +244,3 @@ func suffixMultiplier(c byte) (float64, bool) {
 func isIdentChar(c byte) bool {
 	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
-
-// tokenize is used by tests to inspect the token stream.
-func tokenize(src string) ([]token, error) {
-	l := &lexer{src: src}
-	var out []token
-	for {
-		tok, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tok)
-		if tok.kind == tokEOF {
-			return out, nil
-		}
-	}
-}

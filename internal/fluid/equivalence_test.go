@@ -1,0 +1,162 @@
+package fluid_test
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/failure"
+	"repro/internal/job"
+	"repro/internal/platform"
+	"repro/internal/sched"
+	"repro/internal/telemetry"
+)
+
+// equivalenceRun is one simulation's outputs in byte-comparable form.
+type equivalenceRun struct {
+	trace, summary string
+	csv            []byte
+	snap           telemetry.Snapshot
+	solves         uint64
+	solved         uint64 // activities the incremental solver re-solved
+	fullSolved     uint64 // activities the full recompute re-solved
+}
+
+// runEquivalence simulates a fixed-seed mixed rigid/moldable/malleable/
+// evolving workload with checkpointing and node failures — every engine
+// path that starts, cancels, grows, shrinks or kills fluid activities —
+// one event at a time. With check set, every event is followed by
+// Pool.CheckFullSolve, which fails the test at the first rate the
+// incremental solver got wrong. The check sees the pool as each event
+// leaves it, not the key history within the event: a wrong rate that a
+// later operation of the same event corrects is caught only through the
+// trace comparison, or by TestComponentOrderMatchesSort, which checks
+// after every single pool operation. Trace times are formatted with %b
+// (exact binary float), so a one-ulp divergence fails a comparison.
+func runEquivalence(t *testing.T, check bool) equivalenceRun {
+	t.Helper()
+	wl, err := job.Generate(job.Config{
+		Seed: 11, Count: 60,
+		Arrival:            job.Arrival{Kind: job.ArrivalPoisson, Rate: 0.05},
+		Nodes:              [2]int{1, 16},
+		MachineNodes:       32,
+		NodeSpeed:          100e9,
+		TypeShares:         map[job.Type]float64{job.Rigid: 0.4, job.Moldable: 0.2, job.Malleable: 0.3, job.Evolving: 0.1},
+		CheckpointInterval: "120",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.New(platform.Homogeneous("eq", 32, 100e9, 10e9, 40e9, 40e9), wl, &sched.Adaptive{}, core.Options{
+		Trace: true,
+		Failures: &failure.Spec{
+			Model: failure.ModelExponential, Seed: 5,
+			MTBF: 20000, MTTR: 300,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := e.Platform().Pool()
+	var run equivalenceRun
+	for e.StepN(1) == 1 {
+		if !check {
+			continue
+		}
+		before := pool.SolvedActivities()
+		if err := pool.CheckFullSolve(); err != nil {
+			t.Fatalf("event %d (t=%b): %v", e.Steps(), e.Now(), err)
+		}
+		run.fullSolved += pool.SolvedActivities() - before
+	}
+	rec, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := rec.Summary()
+	if sum.NodeFailures == 0 {
+		t.Fatal("scenario injected no failures; the test is vacuous")
+	}
+	var trace strings.Builder
+	for _, ev := range e.Trace() {
+		subject := fmt.Sprintf("job%d", ev.Job)
+		if ev.Job == core.NoJob {
+			subject = fmt.Sprintf("node%d", ev.Node)
+		}
+		fmt.Fprintf(&trace, "%b %s %s %s\n", ev.T, ev.Kind, subject, ev.Detail)
+	}
+	var csv bytes.Buffer
+	if err := rec.WriteJobsCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	run.trace, run.csv, run.summary = trace.String(), csv.Bytes(), fmt.Sprintf("%+v", sum)
+	run.snap = e.TelemetrySnapshot().StripWall()
+	run.solves = pool.Solves()
+	run.solved = pool.SolvedActivities() - run.fullSolved
+	return run
+}
+
+// TestIncrementalSolverEquivalence pins the central refactoring invariant:
+// after every event, the incremental, component-partitioned
+// fluid solver's rates equal a full recompute of every component bit for
+// bit (Pool.CheckFullSolve), while re-solving strictly fewer activities
+// than that recompute. Checking must not move the run: the checked run's
+// trace at exact float precision, CSV, summary and telemetry snapshot equal
+// an unchecked run's.
+func TestIncrementalSolverEquivalence(t *testing.T) {
+	checked := runEquivalence(t, true)
+	plain := runEquivalence(t, false)
+
+	if plain.trace != checked.trace {
+		t.Errorf("trace moves when checked:\n%s", firstDiff(plain.trace, checked.trace))
+	}
+	if !bytes.Equal(plain.csv, checked.csv) {
+		t.Errorf("jobs CSV moves when checked")
+	}
+	if plain.summary != checked.summary {
+		t.Errorf("summary moves when checked:\nplain:   %s\nchecked: %s", plain.summary, checked.summary)
+	}
+	if plain.solves != checked.solves {
+		t.Errorf("solver invocation count moves when checked: %d, %d", plain.solves, checked.solves)
+	}
+	// Matching rates never re-key a completion, so even the kernel's
+	// counters agree; only the solver's work metric counts the recompute.
+	plain.snap.Solver.SolvedActivities, checked.snap.Solver.SolvedActivities = 0, 0
+	if ps, cs := fmt.Sprintf("%+v", plain.snap), fmt.Sprintf("%+v", checked.snap); ps != cs {
+		t.Errorf("telemetry snapshot moves when checked:\nplain:   %s\nchecked: %s", ps, cs)
+	}
+	if checked.solved != plain.solved {
+		t.Errorf("incremental solver re-solved %d activities checked, %d unchecked", checked.solved, plain.solved)
+	}
+	// The whole point of partitioning: the incremental path must touch
+	// strictly fewer activities than re-solving every component after each
+	// event.
+	if checked.solved >= checked.fullSolved {
+		t.Errorf("incremental solver re-solved %d activities, full recompute %d — no work saved",
+			checked.solved, checked.fullSolved)
+	}
+	// The per-event bound above is loose: a solver that re-solved every
+	// component on every Start and removal gets every rate right and
+	// re-solves 503 activities here, still fewer than the checks' total.
+	// The exact count pins the partitioning saving; change it only with a
+	// solver change meant to move it. Like the queue digests it holds on
+	// amd64 only, since other architectures may fuse multiply-add.
+	const wantSolved = 491
+	if runtime.GOARCH == "amd64" && checked.solved != wantSolved {
+		t.Errorf("incremental solver re-solved %d activities, want %d", checked.solved, wantSolved)
+	}
+}
+
+// firstDiff locates the first differing line of two multi-line strings.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n  plain:   %s\n  checked: %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
+}

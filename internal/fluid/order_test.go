@@ -80,10 +80,11 @@ func seqs(comp []*Activity) []uint64 {
 
 // TestComponentOrderMatchesSort drives pools through seeded random runs of
 // Start, Cancel and completions — growing, then draining, so tombstones
-// pile up and compact — and after every operation checks every
-// component's order against the sort it replaced. Pools range from one
-// shared resource (one component, filtered) to many (small components,
-// sorted), so both paths are exercised.
+// pile up and compact — and after every operation checks every rate
+// against the full recompute and every component's order against the sort
+// it replaced. Pools range from one shared resource (one component,
+// filtered) to many (small components, sorted), so both paths are
+// exercised.
 func TestComponentOrderMatchesSort(t *testing.T) {
 	var filtered, sorted, compactions int
 	for seed := uint64(1); seed <= 40; seed++ {
@@ -129,6 +130,9 @@ func TestComponentOrderMatchesSort(t *testing.T) {
 			if last != nil && last.index >= 0 && last.index != lastAt {
 				compactions++
 			}
+			if err := p.CheckFullSolve(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
 			f, s := checkPoolOrder(t, p, fmt.Sprintf("seed %d op %d", seed, op))
 			filtered += f
 			sorted += s
@@ -144,11 +148,12 @@ func TestComponentOrderMatchesSort(t *testing.T) {
 // resources, R1 (eight activities of part A) and R2 (ten of part B). Its
 // completion splits one 19-activity component into two that are each a
 // large share of the pool, so orderComponent filters them out of
-// p.active, and the removal (or, in full-recompute mode, solveAll) starts
-// one traversal per part. Each traversal must stamp its own component:
-// under one shared stamp, the second filter picks up the first part as
-// well, re-solves it against the second part's resources only, and leaves
-// the two parts one armed completion event between them.
+// p.active, and the removal starts one traversal per part; with full set,
+// the full recompute (solveAll, through CheckFullSolve after every event)
+// does the same. Each traversal must stamp its own component: under one
+// shared stamp, the second filter picks up the first part as well,
+// re-solves it against the second part's resources only, and leaves the
+// two parts one armed completion event between them.
 //
 // Closed form: a part of n activities runs on capacity n+1, so while X
 // (work 10) runs every activity progresses at 1 and X ends at 10. Then the
@@ -160,7 +165,6 @@ func TestRemovalSplitsLargeComponent(t *testing.T) {
 		for _, w := range [][2]float64{{21.25, 32}, {32.5, 21}} {
 			k := des.NewKernel()
 			p := NewPool(k)
-			p.SetForceFullSolve(full)
 			var ends [2][]des.Time
 			var parts [2]*Resource
 			for g, n := range sizes {
@@ -180,8 +184,13 @@ func TestRemovalSplitsLargeComponent(t *testing.T) {
 			x.AddUsage(parts[0], 1)
 			x.AddUsage(parts[1], 1)
 			p.Start(x)
-			if err := k.Run(); err != nil {
-				t.Fatal(err)
+			for k.Step() {
+				if !full {
+					continue
+				}
+				if err := p.CheckFullSolve(); err != nil {
+					t.Fatalf("w=%v: %v", w, err)
+				}
 			}
 			if !filtered {
 				t.Errorf("full=%v: part A is sorted, not filtered out of the pool", full)

@@ -28,11 +28,10 @@
 // bit of the result) is independent of how the component was discovered;
 // the pool keeps its activities in that order, so a large component is
 // filtered out of the list rather than sorted.
-// The full-recompute reference (SetForceFullSolve, set only by tests)
-// re-solves every component on every change instead; because untouched
-// components re-solve to bit-identical rates and unchanged rates never
-// re-key or re-arm anything, both modes produce bit-identical simulations
-// (asserted by the equivalence regression tests).
+// An untouched component would re-solve to bit-identical rates, so the
+// incremental rates equal a full recompute of every component; the
+// package's tests keep that recompute as the oracle and check the
+// incremental rates against it after every event of a whole simulation.
 //
 // # One completion event per component
 //
@@ -215,7 +214,6 @@ type Pool struct {
 	live       int
 	lastUpdate des.Time
 	epsilon    float64
-	forceFull  bool
 
 	startSeq uint64 // next Activity.seq
 	stamp    uint64 // traversal stamp generator; every traversal takes its own
@@ -236,21 +234,14 @@ type Pool struct {
 }
 
 // NewPool creates a pool bound to the kernel. Pools share no state with
-// each other — any number of simulations can run concurrently in one
-// process — so the full-recompute reference mode is strictly per-pool
-// (SetForceFullSolve), never a process-wide switch.
+// each other, so any number of simulations can run concurrently in one
+// process.
 func NewPool(k *des.Kernel) *Pool {
 	return &Pool{kernel: k, epsilon: 1e-9}
 }
 
 // SetFairness selects the sharing policy. Call before starting activities.
 func (p *Pool) SetFairness(f Fairness) { p.fairness = f }
-
-// SetForceFullSolve puts this pool in full-recompute mode: the reference
-// the incremental solver is tested against. No option, flag or config key
-// reaches it — only _test.go files call it. Call before starting
-// activities.
-func (p *Pool) SetForceFullSolve(v bool) { p.forceFull = v }
 
 // Solves returns how many rate recomputations have run (for perf metrics).
 func (p *Pool) Solves() uint64 { return p.solves }
@@ -292,10 +283,6 @@ func (p *Pool) Start(a *Activity) {
 		u.res.acts = append(u.res.acts, actRef{act: a, ui: ui})
 	}
 	p.solves++
-	if p.forceFull {
-		p.solveAll()
-		return
-	}
 	// The new activity bridges every component it touches into one.
 	p.stamp++
 	p.collectFrom(a)
@@ -321,10 +308,6 @@ func (p *Pool) Cancel(a *Activity) {
 // component this removal has visited so far.
 func (p *Pool) solveAfterRemoval(a *Activity) {
 	p.solves++
-	if p.forceFull {
-		p.solveAll()
-		return
-	}
 	first := p.stamp + 1
 	for ui := range a.usages {
 		res := a.usages[ui].res
@@ -473,22 +456,6 @@ func (p *Pool) visitResource(res *Resource) {
 			ref.act.mark = s
 			p.comp = append(p.comp, ref.act)
 		}
-	}
-}
-
-// solveAll re-solves every component (the SetForceFullSolve path). Component
-// enumeration order is irrelevant: components are disjoint and each is
-// solved in canonical (start-order) sequence. Each component's traversal
-// takes its own stamp, as in solveAfterRemoval.
-func (p *Pool) solveAll() {
-	first := p.stamp + 1
-	for _, a := range p.active {
-		if a == nil || a.mark >= first {
-			continue
-		}
-		p.stamp++
-		p.collectFrom(a)
-		p.solveComponent()
 	}
 }
 
