@@ -91,7 +91,10 @@ type (
 	Invocation = sched.Invocation
 	// JobView is a read-only job view inside an Invocation. The engine
 	// keeps it current between invocations: an algorithm must not write
-	// into it or retain it.
+	// into it or retain it. Besides the Job it carries copies of the
+	// job's scheduling bounds (Type, MinNodes, MaxNodes, ReqNodes, and
+	// WallTime, +Inf when the job has none), made by the constructor
+	// sched.NewJobView; a view built by hand must come from it too.
 	JobView = sched.JobView
 	// Decision is one scheduling action.
 	Decision = sched.Decision

@@ -35,7 +35,7 @@ func (WidestFirst) Schedule(inv *elastisim.Invocation) []elastisim.Decision {
 	pending := make([]*elastisim.JobView, len(inv.Pending))
 	copy(pending, inv.Pending)
 	sort.SliceStable(pending, func(i, j int) bool {
-		return pending[i].Job.MinNodes() > pending[j].Job.MinNodes()
+		return pending[i].MinNodes > pending[j].MinNodes
 	})
 	for _, v := range pending {
 		n := sched.StartSize(v, free, sched.SizeRequested)
@@ -52,11 +52,11 @@ func (WidestFirst) Schedule(inv *elastisim.Invocation) []elastisim.Decision {
 		if free == 0 {
 			break
 		}
-		if v.Job.Type != job.Malleable || !v.AtSchedulingPoint {
+		if v.Type != job.Malleable || !v.AtSchedulingPoint {
 			continue
 		}
 		target := v.Nodes + free
-		if maxN := v.Job.MaxNodes(); target > maxN {
+		if maxN := v.MaxNodes; target > maxN {
 			target = maxN
 		}
 		if target > v.Nodes {

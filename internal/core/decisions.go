@@ -35,9 +35,9 @@ func (e *Engine) apply(d sched.Decision) error {
 
 func (e *Engine) applyStart(jr *jobRun, n int, pinned []int) error {
 	if jr.state != statePending {
-		return fmt.Errorf("job %s is %s, not pending", jr.job.Label(), jr.state)
+		return fmt.Errorf("job %s is %s, not pending", jr.view.Job.Label(), jr.state)
 	}
-	j := jr.job
+	j := jr.view.Job
 	if len(pinned) > 0 && n == 0 {
 		n = len(pinned)
 	}
@@ -83,7 +83,7 @@ func (e *Engine) applyStart(jr *jobRun, n int, pinned []int) error {
 }
 
 func (e *Engine) applyResizeDecision(jr *jobRun, n int) error {
-	j := jr.job
+	j := jr.view.Job
 	if j.Type != job.Malleable {
 		return fmt.Errorf("job %s is %s; only malleable jobs accept scheduler resizes", j.Label(), j.Type)
 	}
@@ -104,12 +104,12 @@ func (e *Engine) applyResizeDecision(jr *jobRun, n int) error {
 	// available to later decisions in the same invocation; the
 	// reconfiguration cost is charged when the job resumes.
 	e.adjustAllocation(jr, n)
-	jr.pendingResize = cur // remembers the old size for the cost model
+	jr.pendingResize = int32(cur) // remembers the old size for the cost model
 	return nil
 }
 
 func (e *Engine) applyGrant(jr *jobRun, n int) error {
-	j := jr.job
+	j := jr.view.Job
 	if j.Type != job.Evolving {
 		return fmt.Errorf("job %s is %s; grants answer evolving requests", j.Label(), j.Type)
 	}
@@ -119,7 +119,7 @@ func (e *Engine) applyGrant(jr *jobRun, n int) error {
 	if n < j.MinNodes() || n > j.MaxNodes() {
 		return fmt.Errorf("grant of %d to %s outside [%d,%d]", n, j.Label(), j.MinNodes(), j.MaxNodes())
 	}
-	jr.grantedTarget = n
+	jr.grantedTarget = int32(n)
 	// The request is answered: clear it so later invocations do not see a
 	// stale outstanding request (and grant it twice).
 	jr.view.EvolvingRequest = 0
@@ -132,15 +132,15 @@ func (e *Engine) applyGrant(jr *jobRun, n int) error {
 }
 
 func (e *Engine) applyDeny(jr *jobRun) error {
-	if jr.job.Type != job.Evolving {
-		return fmt.Errorf("job %s is %s; deny answers evolving requests", jr.job.Label(), jr.job.Type)
+	if jr.view.Job.Type != job.Evolving {
+		return fmt.Errorf("job %s is %s; deny answers evolving requests", jr.view.Job.Label(), jr.view.Job.Type)
 	}
 	if jr.view.EvolvingRequest == 0 {
-		return fmt.Errorf("job %s has no outstanding evolving request", jr.job.Label())
+		return fmt.Errorf("job %s has no outstanding evolving request", jr.view.Job.Label())
 	}
 	jr.view.EvolvingRequest = 0
 	jr.grantedTarget = 0
-	e.traceEvent(EvDenied, jr.job.ID, "")
+	e.traceEvent(EvDenied, jr.view.Job.ID, "")
 	return nil
 }
 
@@ -152,12 +152,12 @@ func (e *Engine) applyKill(jr *jobRun) error {
 		}
 		jr.setState(stateDone)
 		e.rec.JobAbandoned(jr.rec, e.Now())
-		e.traceEvent(EvFinish, jr.job.ID, "killed-pending")
+		e.traceEvent(EvFinish, jr.view.Job.ID, "killed-pending")
 		e.outstanding--
-		e.markFinished(jr.job.ID)
+		e.markFinished(jr.view.Job.ID)
 		return nil
 	case stateDone:
-		return fmt.Errorf("job %s already finished", jr.job.Label())
+		return fmt.Errorf("job %s already finished", jr.view.Job.Label())
 	default:
 		e.kill(jr, metrics.StatusKilledScheduler)
 		return nil

@@ -136,8 +136,10 @@ type Engine struct {
 	// allocate nothing and touch no view.
 	snapInv  sched.Invocation
 	snapFree []int
-	// tenv is the expression environment every task model evaluates in.
+	// tenv is the expression environment every task model evaluates in,
+	// and renv the one reconfiguration costs evaluate in (it wraps tenv).
 	tenv taskEnv
+	renv reconfigEnv
 	// wantFreeList gates the O(total nodes) FreeList materialisation per
 	// snapshot to algorithms that declare they read it (sched.FreeListUser).
 	wantFreeList      bool
@@ -223,6 +225,7 @@ func New(spec *platform.Spec, w *job.Workload, algo sched.Algorithm, opts Option
 	}
 	e.injector = inj
 	e.tenv.total = float64(plat.NumNodes())
+	e.renv.task = &e.tenv
 	return e, nil
 }
 
@@ -530,7 +533,7 @@ func (e *Engine) markFinished(id job.ID) {
 		if jr.depsLeft == 0 && jr.state == stateHeld {
 			jr.setState(statePending)
 			e.queue.add(jr)
-			e.traceEvent(EvReleased, jr.job.ID, "")
+			e.traceEvent(EvReleased, jr.view.Job.ID, "")
 			e.requestInvocation(sched.ReasonSubmit)
 		}
 	}

@@ -288,6 +288,18 @@ func TestMalleableReconfigCost(t *testing.T) {
 	wantClose(t, "runtime with cost", record(rec, 0).Runtime(), 46)
 }
 
+func TestReconfigCostEnvironment(t *testing.T) {
+	// The cost sees the sizes before and after the reconfiguration ahead
+	// of the job's arguments (a same-named argument is shadowed), then the
+	// arguments and the engine's names: the 2 -> 8 expansion costs
+	// 2 + 8 + 4.8e10/4.8e10 + 8 = 19 s.
+	j := malleableJob(0, 2, 8, 2, 3, 4.8e10)
+	j.Args["num_nodes_old"] = 100
+	j.ReconfigCost = job.MustExprModel("num_nodes_old + num_nodes_new + w/4.8e10 + num_nodes")
+	rec, _ := runSim(t, testPlatform(8), []*job.Job{j}, &sched.Adaptive{}, Options{})
+	wantClose(t, "runtime with cost", record(rec, 0).Runtime(), 36+19)
+}
+
 func TestMalleableShrinkToAdmit(t *testing.T) {
 	// Malleable at 8/8 nodes with 20 s iterations; rigid 4-node job
 	// arrives at t=5. At the next scheduling point (t=20) the policy
@@ -660,9 +672,11 @@ func TestAdaptiveFailuresMallocs(t *testing.T) {
 	}
 	perJob := float64(after.Mallocs-before.Mallocs) / float64(len(w.Jobs))
 	t.Logf("%.1f mallocs per job", perJob)
-	// 184.8 here (192.0 under -race). Rebuilding a view per listed job per
-	// invocation and an environment map per task start made 418.2.
-	if perJob > 222 {
-		t.Errorf("%.1f mallocs per job, want at most 222: does an invocation or a task start allocate again?", perJob)
+	// 109.3 here (116.6 under -race). A release heap per shadow time, a
+	// completion closure per task and an environment map per
+	// reconfiguration made 183.3; rebuilding a view per listed job per
+	// invocation and an environment map per task start, 418.2.
+	if perJob > 131 {
+		t.Errorf("%.1f mallocs per job, want at most 131: does an invocation, a task start or a reconfiguration allocate again?", perJob)
 	}
 }

@@ -91,7 +91,7 @@ func (e *Engine) runOnNode(id platform.NodeID) *jobRun {
 // and — unless the policy forbids it — requeued from its last checkpoint.
 func (e *Engine) handleJobNodeFailure(jr *jobRun, id platform.NodeID) {
 	policy := e.injector.Spec().EffectiveRecovery()
-	if policy == failure.RecoverShrink && jr.job.Type.Adaptive() && len(jr.nodes)-1 >= jr.job.MinNodes() {
+	if policy == failure.RecoverShrink && jr.view.Job.Type.Adaptive() && len(jr.nodes)-1 >= jr.view.Job.MinNodes() {
 		e.shrinkThroughFailure(jr, id)
 		return
 	}
@@ -119,20 +119,20 @@ func (e *Engine) shrinkThroughFailure(jr *jobRun, id platform.NodeID) {
 	}
 	jr.view.Nodes = len(jr.nodes)
 	if err := e.alloc.Release(jr.owner, []platform.NodeID{id}); err != nil {
-		panic(fmt.Sprintf("core: releasing failed node %d of %s: %v", int(id), jr.job.Label(), err))
+		panic(fmt.Sprintf("core: releasing failed node %d of %s: %v", int(id), jr.view.Job.Label(), err))
 	}
 	e.telNodesReleased(jr, []platform.NodeID{id})
-	e.rec.AddGantt(jr.job.ID, jr.job.Label(), oldSize, jr.segStart, now)
+	e.rec.AddGantt(jr.view.Job.ID, jr.view.Job.Label(), oldSize, jr.segStart, now)
 	jr.segStart = now
 	e.rec.JobReconfigured(jr.rec, now, len(jr.nodes))
 	if e.tracing() {
-		e.traceEvent(EvFailShrink, jr.job.ID, fmt.Sprintf("%d->%d node=%d", oldSize, len(jr.nodes), int(id)))
+		e.traceEvent(EvFailShrink, jr.view.Job.ID, fmt.Sprintf("%d->%d node=%d", oldSize, len(jr.nodes), int(id)))
 	}
 	if jr.state == stateAtSchedPoint {
 		// The pending resume event charges the reconfiguration cost; no
 		// iteration was in flight, so nothing is redone.
 		if jr.pendingResize == 0 {
-			jr.pendingResize = oldSize
+			jr.pendingResize = int32(oldSize)
 		}
 		return
 	}
@@ -152,33 +152,33 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 		lost = 0
 	}
 	e.cancelWork(jr)
-	e.rec.AddGantt(jr.job.ID, jr.job.Label(), len(jr.nodes), jr.segStart, now)
+	e.rec.AddGantt(jr.view.Job.ID, jr.view.Job.Label(), len(jr.nodes), jr.segStart, now)
 	if n := e.alloc.Owned(jr.owner); n != len(jr.nodes) {
-		panic(fmt.Sprintf("core: job %s released %d nodes, held %d", jr.job.Label(), n, len(jr.nodes)))
+		panic(fmt.Sprintf("core: job %s released %d nodes, held %d", jr.view.Job.Label(), n, len(jr.nodes)))
 	}
 	if err := e.alloc.Release(jr.owner, jr.nodes); err != nil {
-		panic(fmt.Sprintf("core: releasing %s: %v", jr.job.Label(), err))
+		panic(fmt.Sprintf("core: releasing %s: %v", jr.view.Job.Label(), err))
 	}
 	e.telNodesReleased(jr, jr.nodes)
 	jr.nodes = nil
 	e.running.remove(jr)
 	e.rec.JobFailed(jr.rec, now, lost)
-	if requeue && jr.requeues < e.injector.Spec().EffectiveMaxRequeues() {
+	if requeue && int(jr.requeues) < e.injector.Spec().EffectiveMaxRequeues() {
 		jr.requeues++
 		jr.setState(statePending) // also clears the outstanding evolving request
 		jr.grantedTarget, jr.pendingResize = 0, 0
 		e.rec.JobRequeued(jr.rec)
 		if e.tracing() {
-			e.traceEvent(EvRequeued, jr.job.ID, fmt.Sprintf("requeue=%d ckpt=%d/%d", jr.requeues, jr.ckptPhase, jr.ckptIter))
+			e.traceEvent(EvRequeued, jr.view.Job.ID, fmt.Sprintf("requeue=%d ckpt=%d/%d", jr.requeues, jr.ckptPhase, jr.ckptIter))
 		}
 		e.queue.add(jr)
 		return
 	}
 	jr.setState(stateDone)
 	e.rec.JobFinished(jr.rec, now, metrics.StatusFailedNode)
-	e.traceEvent(EvFinish, jr.job.ID, "status=failed-node")
+	e.traceEvent(EvFinish, jr.view.Job.ID, "status=failed-node")
 	e.outstanding--
-	e.markFinished(jr.job.ID)
+	e.markFinished(jr.view.Job.ID)
 }
 
 // maybeCheckpoint takes a program-counter checkpoint at an iteration
@@ -187,13 +187,13 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 // resumes there. Without a failure model checkpoints are pure overhead, so
 // none are taken (pay-for-what-you-use).
 func (e *Engine) maybeCheckpoint(jr *jobRun) {
-	if e.injector == nil || jr.job.CheckpointInterval == nil {
+	if e.injector == nil || jr.view.Job.CheckpointInterval == nil {
 		return
 	}
 	now := e.Now()
-	interval, err := jr.job.CheckpointInterval.Eval(e.env(jr), len(jr.nodes))
+	interval, err := jr.view.Job.CheckpointInterval.Eval(e.env(jr), len(jr.nodes))
 	if err != nil {
-		e.warnf("job %s: checkpoint interval error: %v", jr.job.Label(), err)
+		e.warnf("job %s: checkpoint interval error: %v", jr.view.Job.Label(), err)
 		return
 	}
 	if interval > 0 && now-jr.lastCkpt < interval {
@@ -202,6 +202,6 @@ func (e *Engine) maybeCheckpoint(jr *jobRun) {
 	jr.ckptPhase, jr.ckptIter = jr.phaseIdx, jr.iter
 	jr.lastCkpt = now
 	if e.tracing() {
-		e.traceEvent(EvCheckpoint, jr.job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
+		e.traceEvent(EvCheckpoint, jr.view.Job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
 	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // jobState is the engine-internal lifecycle state of a job.
-type jobState int
+type jobState uint8
 
 const (
 	stateHeld    jobState = iota // submitted, waiting on dependencies
@@ -45,17 +45,17 @@ func (s jobState) String() string {
 	}
 }
 
-// jobRun is the mutable execution state of one job.
+// jobRun is the mutable execution state of one job. A simulation keeps
+// one per job until it ends, so the small counters are int32s and the
+// small flags share the last word.
 type jobRun struct {
-	job   *job.Job
-	rec   *metrics.JobRecord // the Recorder's handle for this job
-	state jobState           // written only by setState
+	rec *metrics.JobRecord // the Recorder's handle for this job
 
 	// view is what scheduling algorithms see of the job, kept current at
 	// every change it reflects: setState derives State and
 	// AtSchedulingPoint, start sets StartTime and ExpectedEnd, Nodes
 	// follows nodes, and EvolvingRequest is the outstanding evolving
-	// request (0 = none) — its only home.
+	// request (0 = none) — its only home. view.Job is the job itself.
 	view sched.JobView
 
 	// owner is the job's allocator key, formatted once at submission —
@@ -65,46 +65,53 @@ type jobRun struct {
 	nodes []platform.NodeID
 
 	// Program counter over the application model.
-	phaseIdx int
-	iter     int
-	taskIdx  int
+	phaseIdx int32
+	iter     int32
+	taskIdx  int32
 
 	// In-flight work: exactly one of activity/timer is set while running.
 	activity *fluid.Activity
 	timer    *des.Event
+	// onTaskDone is the task-completion callback, built once per start so
+	// that dispatching a task allocates nothing. setState drops it when
+	// the job returns to the queue or finishes, so that no finished run
+	// holds one.
+	onTaskDone func()
 
 	// Walltime enforcement.
 	killEvent *des.Event
 
 	// Evolving support: granted-but-unapplied target (applied at the next
 	// scheduling point); the outstanding request is view.EvolvingRequest.
-	grantedTarget int
+	grantedTarget int32
 
 	// pendingResize holds the PREVIOUS allocation size after a scheduler
 	// resize was applied at the current scheduling point (0 = none); the
 	// reconfiguration cost is charged when the job resumes.
-	pendingResize int
+	pendingResize int32
 
 	// Gantt bookkeeping.
 	segStart float64
 
 	// depsLeft counts unfinished dependencies; the job is held until it
 	// reaches zero.
-	depsLeft int
+	depsLeft int32
 
 	// listPos is the job's index in the engine's pending queue or running
 	// list (it is in at most one at a time), -1 when in neither. Owned by
 	// runList; enables O(1) tombstoned removal.
-	listPos int
+	listPos int32
 
 	// Resilience bookkeeping: the checkpointed program-counter position a
 	// restart resumes from, when it was taken, when the current iteration
 	// began, and how often the job was requeued after node failures.
-	ckptPhase int
-	ckptIter  int
+	ckptPhase int32
+	ckptIter  int32
 	lastCkpt  float64
 	iterStart float64
-	requeues  int
+	requeues  int32
+
+	state jobState // written only by setState
 
 	// Telemetry span bookkeeping: whether a task/reconfigure span is open
 	// on the job's track (so kills and failures can close them cleanly).
@@ -112,16 +119,20 @@ type jobRun struct {
 	telReconfOpen bool
 }
 
-func (jr *jobRun) phase() *job.Phase { return &jr.job.App.Phases[jr.phaseIdx] }
+func (jr *jobRun) phase() *job.Phase { return &jr.view.Job.App.Phases[jr.phaseIdx] }
 func (jr *jobRun) task() *job.Task   { return &jr.phase().Tasks[jr.taskIdx] }
 
 // setState moves the job to s and keeps its view in step: State and
 // AtSchedulingPoint follow s, and a (re)entry into the pending queue clears
-// the fields only a started job has.
+// the fields only a started job has. Leaving the running states drops the
+// task-completion callback.
 func (jr *jobRun) setState(s jobState) {
 	jr.state = s
 	v := &jr.view
 	v.AtSchedulingPoint = s == stateAtSchedPoint
+	if s == statePending || s == stateDone {
+		jr.onTaskDone = nil
+	}
 	if s == statePending {
 		v.State = sched.StatePending
 		v.Nodes, v.StartTime, v.EvolvingRequest, v.ExpectedEnd = 0, 0, 0, 0
@@ -142,7 +153,7 @@ type taskEnv struct {
 // Lookup implements expr.Env.
 func (t *taskEnv) Lookup(name string) (float64, bool) {
 	jr := t.jr
-	if v, ok := jr.job.Args[name]; ok {
+	if v, ok := jr.view.Job.Args[name]; ok {
 		return v, true
 	}
 	switch name {
@@ -157,7 +168,7 @@ func (t *taskEnv) Lookup(name string) (float64, bool) {
 	case "phase":
 		return float64(jr.phaseIdx), true
 	case "walltime":
-		return jr.job.WallTimeLimit, true
+		return jr.view.Job.WallTimeLimit, true
 	}
 	return 0, false
 }
@@ -167,6 +178,26 @@ func (t *taskEnv) Lookup(name string) (float64, bool) {
 func (e *Engine) env(jr *jobRun) expr.Env {
 	e.tenv.jr = jr
 	return &e.tenv
+}
+
+// reconfigEnv is the expression environment of a reconfiguration cost: the
+// allocation sizes before and after, then the task environment (so the
+// sizes shadow a job argument of the same name). The engine owns one, so
+// pricing a reconfiguration allocates nothing.
+type reconfigEnv struct {
+	oldSize, newSize float64
+	task             *taskEnv
+}
+
+// Lookup implements expr.Env.
+func (r *reconfigEnv) Lookup(name string) (float64, bool) {
+	switch name {
+	case "num_nodes_old":
+		return r.oldSize, true
+	case "num_nodes_new":
+		return r.newSize, true
+	}
+	return r.task.Lookup(name)
 }
 
 // start launches a pending job on the given allocation. A restart after a
@@ -179,9 +210,10 @@ func (e *Engine) start(jr *jobRun, nodes []platform.NodeID) {
 	jr.view.Nodes = len(nodes)
 	jr.view.StartTime = now
 	jr.view.ExpectedEnd = math.Inf(1)
-	if jr.job.WallTimeLimit > 0 {
-		jr.view.ExpectedEnd = now + jr.job.WallTimeLimit
+	if jr.view.Job.WallTimeLimit > 0 {
+		jr.view.ExpectedEnd = now + jr.view.Job.WallTimeLimit
 	}
+	jr.onTaskDone = func() { e.taskDone(jr) }
 	jr.segStart = now
 	jr.phaseIdx, jr.iter, jr.taskIdx = jr.ckptPhase, jr.ckptIter, 0
 	jr.lastCkpt = now
@@ -192,11 +224,11 @@ func (e *Engine) start(jr *jobRun, nodes []platform.NodeID) {
 		if jr.requeues > 0 {
 			detail += fmt.Sprintf(" restart=%d ckpt=%d/%d", jr.requeues, jr.ckptPhase, jr.ckptIter)
 		}
-		e.traceEvent(EvStart, jr.job.ID, detail)
+		e.traceEvent(EvStart, jr.view.Job.ID, detail)
 	}
 	e.telNodesAllocated(jr, jr.nodes)
-	if jr.job.WallTimeLimit > 0 {
-		jr.killEvent = e.kernel.Schedule(des.Time(now+jr.job.WallTimeLimit), des.PriorityEngine, func() {
+	if jr.view.Job.WallTimeLimit > 0 {
+		jr.killEvent = e.kernel.Schedule(des.Time(now+jr.view.Job.WallTimeLimit), des.PriorityEngine, func() {
 			e.kill(jr, metrics.StatusKilledWalltime)
 		})
 	}
@@ -213,20 +245,20 @@ func (e *Engine) startTask(jr *jobRun) {
 	magnitude, err := t.Model.Eval(e.env(jr), n)
 	if err != nil {
 		// Validation makes this unreachable; degrade to zero work.
-		e.warnf("job %s task %s model error: %v", jr.job.Label(), t.Kind, err)
+		e.warnf("job %s task %s model error: %v", jr.view.Job.Label(), t.Kind, err)
 		magnitude = 0
 	}
 	if magnitude < 0 {
 		magnitude = 0
 	}
-	done := func() { e.taskDone(jr) }
+	done := jr.onTaskDone
 	if e.opts.TraceTasks && e.tracing() {
 		began := e.Now()
 		detail := fmt.Sprintf("phase=%d iter=%d task=%d kind=%s", jr.phaseIdx, jr.iter, jr.taskIdx, t.Kind)
-		e.traceEvent(EvTaskStart, jr.job.ID, detail)
+		e.traceEvent(EvTaskStart, jr.view.Job.ID, detail)
 		inner := done
 		done = func() {
-			e.traceEvent(EvTaskEnd, jr.job.ID, fmt.Sprintf("%s dur=%.6f", detail, e.Now()-began))
+			e.traceEvent(EvTaskEnd, jr.view.Job.ID, fmt.Sprintf("%s dur=%.6f", detail, e.Now()-began))
 			inner()
 		}
 	}
@@ -239,7 +271,7 @@ func (e *Engine) startTask(jr *jobRun) {
 			e.completeAfter(jr, magnitude/e.minSpeed(jr), done)
 			return
 		}
-		a := fluid.NewActivity(fmt.Sprintf("%s.compute", jr.job.Label()), magnitude, done)
+		a := fluid.NewActivity(fmt.Sprintf("%s.compute", jr.view.Job.Label()), magnitude, done)
 		for _, id := range jr.nodes {
 			a.AddUsage(e.plat.Compute(id), 1)
 		}
@@ -256,7 +288,7 @@ func (e *Engine) startTask(jr *jobRun) {
 		// Asynchronous: the task completes immediately.
 		jr.timer = e.kernel.ScheduleAfter(0, des.PriorityEngine, done)
 	default:
-		e.warnf("job %s: unknown task kind %q", jr.job.Label(), t.Kind)
+		e.warnf("job %s: unknown task kind %q", jr.view.Job.Label(), t.Kind)
 		jr.timer = e.kernel.ScheduleAfter(0, des.PriorityEngine, done)
 	}
 }
@@ -317,7 +349,7 @@ func (e *Engine) startComm(jr *jobRun, t *job.Task, payload float64, done func()
 		return
 	}
 	begin := func() {
-		a := fluid.NewActivity(fmt.Sprintf("%s.%s", jr.job.Label(), t.Pattern), payload, done)
+		a := fluid.NewActivity(fmt.Sprintf("%s.%s", jr.view.Job.Label(), t.Pattern), payload, done)
 		for _, u := range shared {
 			a.AddUsage(u.res, u.weight)
 		}
@@ -391,7 +423,7 @@ func (e *Engine) startIO(jr *jobRun, t *job.Task, total float64, done func()) {
 	}
 	fast := !e.opts.DisableFastPath
 	share := 1 / float64(n)
-	a := fluid.NewActivity(fmt.Sprintf("%s.%s", jr.job.Label(), t.Kind), total, done)
+	a := fluid.NewActivity(fmt.Sprintf("%s.%s", jr.view.Job.Label(), t.Kind), total, done)
 	switch t.Target {
 	case job.TargetPFS:
 		var res *fluid.Resource
@@ -487,7 +519,7 @@ func (e *Engine) minBBCap(jr *jobRun, read bool) float64 {
 // the scheduler.
 func (e *Engine) registerEvolvingRequest(jr *jobRun, desired float64) {
 	want := int(desired + 0.5)
-	minN, maxN := jr.job.MinNodes(), jr.job.MaxNodes()
+	minN, maxN := jr.view.Job.MinNodes(), jr.view.Job.MaxNodes()
 	if want < minN {
 		want = minN
 	}
@@ -497,12 +529,12 @@ func (e *Engine) registerEvolvingRequest(jr *jobRun, desired float64) {
 	if want == len(jr.nodes) && jr.grantedTarget == 0 {
 		return // nothing to ask for
 	}
-	if want == jr.view.EvolvingRequest || want == jr.grantedTarget {
+	if want == jr.view.EvolvingRequest || int32(want) == jr.grantedTarget {
 		return // already outstanding or already granted
 	}
 	jr.view.EvolvingRequest = want
 	if e.tracing() {
-		e.traceEvent(EvEvolvingRequest, jr.job.ID, fmt.Sprintf("want=%d have=%d", want, len(jr.nodes)))
+		e.traceEvent(EvEvolvingRequest, jr.view.Job.ID, fmt.Sprintf("want=%d have=%d", want, len(jr.nodes)))
 	}
 	e.requestInvocation(sched.ReasonEvolvingRequest)
 }
@@ -521,7 +553,7 @@ func (e *Engine) taskDone(jr *jobRun) {
 		return
 	}
 	jr.taskIdx++
-	if jr.taskIdx < len(jr.phase().Tasks) {
+	if int(jr.taskIdx) < len(jr.phase().Tasks) {
 		e.startTask(jr)
 		return
 	}
@@ -529,7 +561,7 @@ func (e *Engine) taskDone(jr *jobRun) {
 	jr.taskIdx = 0
 	jr.iter++
 	p := jr.phase()
-	if jr.iter < p.EffectiveIterations() {
+	if int(jr.iter) < p.EffectiveIterations() {
 		e.maybeCheckpoint(jr)
 		if p.SchedulingPoint {
 			e.enterSchedulingPoint(jr)
@@ -544,7 +576,7 @@ func (e *Engine) taskDone(jr *jobRun) {
 	// only within a phase would starve single-iteration phases).
 	jr.iter = 0
 	jr.phaseIdx++
-	if jr.phaseIdx < len(jr.job.App.Phases) {
+	if int(jr.phaseIdx) < len(jr.view.Job.App.Phases) {
 		e.maybeCheckpoint(jr)
 		if p.SchedulingPoint {
 			e.enterSchedulingPoint(jr)
@@ -562,7 +594,7 @@ func (e *Engine) enterSchedulingPoint(jr *jobRun) {
 	jr.setState(stateAtSchedPoint)
 	jr.pendingResize = 0
 	if e.tracing() {
-		e.traceEvent(EvSchedulingPoint, jr.job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
+		e.traceEvent(EvSchedulingPoint, jr.view.Job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
 	}
 	e.requestInvocation(sched.ReasonSchedulingPoint)
 	e.kernel.ScheduleTransientAfter(0, PriorityResume, func() {
@@ -577,11 +609,11 @@ func (e *Engine) resumeFromSchedulingPoint(jr *jobRun) {
 	if jr.state != stateAtSchedPoint {
 		return // killed meanwhile
 	}
-	oldSize := jr.pendingResize
+	oldSize := int(jr.pendingResize)
 	jr.pendingResize = 0
 	if oldSize == 0 && jr.grantedTarget != 0 {
 		// Apply an evolving grant, bounded by what is free right now.
-		target := jr.grantedTarget
+		target := int(jr.grantedTarget)
 		cur := len(jr.nodes)
 		if target > cur {
 			if maxGrow := cur + e.alloc.Free(); target > maxGrow {
@@ -592,7 +624,7 @@ func (e *Engine) resumeFromSchedulingPoint(jr *jobRun) {
 		jr.view.EvolvingRequest = 0
 		if target != 0 && target != cur {
 			if e.tracing() {
-				e.traceEvent(EvGrantApplied, jr.job.ID, fmt.Sprintf("target=%d", target))
+				e.traceEvent(EvGrantApplied, jr.view.Job.ID, fmt.Sprintf("target=%d", target))
 			}
 			e.adjustAllocation(jr, target)
 			oldSize = cur
@@ -615,7 +647,7 @@ func (e *Engine) adjustAllocation(jr *jobRun, target int) {
 	if target > cur {
 		added, err := e.alloc.Allocate(owner, target-cur)
 		if err != nil {
-			panic(fmt.Sprintf("core: validated expand of %s failed: %v", jr.job.Label(), err))
+			panic(fmt.Sprintf("core: validated expand of %s failed: %v", jr.view.Job.Label(), err))
 		}
 		jr.nodes = append(jr.nodes, added...)
 		e.telNodesAllocated(jr, added)
@@ -625,16 +657,16 @@ func (e *Engine) adjustAllocation(jr *jobRun, target int) {
 		released := jr.nodes[target:]
 		jr.nodes = jr.nodes[:target]
 		if err := e.alloc.Release(owner, released); err != nil {
-			panic(fmt.Sprintf("core: inconsistent allocation for %s: %v", jr.job.Label(), err))
+			panic(fmt.Sprintf("core: inconsistent allocation for %s: %v", jr.view.Job.Label(), err))
 		}
 		e.telNodesReleased(jr, released)
 	}
 	jr.view.Nodes = len(jr.nodes)
-	e.rec.AddGantt(jr.job.ID, jr.job.Label(), cur, jr.segStart, now)
+	e.rec.AddGantt(jr.view.Job.ID, jr.view.Job.Label(), cur, jr.segStart, now)
 	jr.segStart = now
 	e.rec.JobReconfigured(jr.rec, now, len(jr.nodes))
 	if e.tracing() {
-		e.traceEvent(EvReconfigured, jr.job.ID, fmt.Sprintf("%d->%d", cur, target))
+		e.traceEvent(EvReconfigured, jr.view.Job.ID, fmt.Sprintf("%d->%d", cur, target))
 	}
 }
 
@@ -642,14 +674,12 @@ func (e *Engine) adjustAllocation(jr *jobRun, target int) {
 // resumes execution afterwards.
 func (e *Engine) chargeReconfiguration(jr *jobRun, oldSize int) {
 	cost := 0.0
-	if jr.job.ReconfigCost != nil {
-		env := expr.ChainEnv{
-			expr.Vars{"num_nodes_old": float64(oldSize), "num_nodes_new": float64(len(jr.nodes))},
-			e.env(jr),
-		}
-		v, err := jr.job.ReconfigCost.Eval(env, len(jr.nodes))
+	if jr.view.Job.ReconfigCost != nil {
+		e.tenv.jr = jr
+		e.renv.oldSize, e.renv.newSize = float64(oldSize), float64(len(jr.nodes))
+		v, err := jr.view.Job.ReconfigCost.Eval(&e.renv, len(jr.nodes))
 		if err != nil {
-			e.warnf("job %s: reconfig cost error: %v", jr.job.Label(), err)
+			e.warnf("job %s: reconfig cost error: %v", jr.view.Job.Label(), err)
 		} else if v > 0 {
 			cost = v
 		}
@@ -678,22 +708,22 @@ func (e *Engine) finish(jr *jobRun, status metrics.JobStatus) {
 	now := e.Now()
 	jr.setState(stateDone)
 	e.cancelWork(jr)
-	e.rec.AddGantt(jr.job.ID, jr.job.Label(), len(jr.nodes), jr.segStart, now)
+	e.rec.AddGantt(jr.view.Job.ID, jr.view.Job.Label(), len(jr.nodes), jr.segStart, now)
 	if n := e.alloc.Owned(jr.owner); n != len(jr.nodes) {
-		panic(fmt.Sprintf("core: job %s released %d nodes, held %d", jr.job.Label(), n, len(jr.nodes)))
+		panic(fmt.Sprintf("core: job %s released %d nodes, held %d", jr.view.Job.Label(), n, len(jr.nodes)))
 	}
 	if err := e.alloc.Release(jr.owner, jr.nodes); err != nil {
-		panic(fmt.Sprintf("core: releasing %s: %v", jr.job.Label(), err))
+		panic(fmt.Sprintf("core: releasing %s: %v", jr.view.Job.Label(), err))
 	}
 	e.telNodesReleased(jr, jr.nodes)
 	jr.nodes = nil
 	e.running.remove(jr)
 	e.rec.JobFinished(jr.rec, now, status)
 	if e.tracing() {
-		e.traceEvent(EvFinish, jr.job.ID, fmt.Sprintf("status=%s", status))
+		e.traceEvent(EvFinish, jr.view.Job.ID, fmt.Sprintf("status=%s", status))
 	}
 	e.outstanding--
-	e.markFinished(jr.job.ID)
+	e.markFinished(jr.view.Job.ID)
 	e.requestInvocation(sched.ReasonCompletion)
 }
 

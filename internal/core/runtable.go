@@ -68,8 +68,7 @@ func (t *runTable) alloc(j *job.Job) *jobRun {
 	c := t.chunks[len(t.chunks)-1]
 	jr := &c[slot]
 	t.count++
-	*jr = jobRun{job: j, owner: ownerKey(j.ID), listPos: -1}
-	jr.view = sched.JobView{ID: j.ID, Job: j, SubmitTime: j.SubmitTime}
+	*jr = jobRun{view: sched.NewJobView(j), owner: ownerKey(j.ID), listPos: -1}
 	if t.dense != nil {
 		t.dense[j.ID] = jr
 	} else {
@@ -138,7 +137,7 @@ type runList struct {
 // in at most one list at a time (pending or running, never both), so one
 // position field suffices.
 func (l *runList) add(jr *jobRun) {
-	jr.listPos = len(l.items)
+	jr.listPos = int32(len(l.items))
 	l.items = append(l.items, jr)
 	l.count++
 }
@@ -149,7 +148,7 @@ func (l *runList) remove(jr *jobRun) {
 		return
 	}
 	l.items[jr.listPos] = nil
-	l.synced = min(l.synced, jr.listPos)
+	l.synced = min(l.synced, int(jr.listPos))
 	jr.listPos = -1
 	l.count--
 	if holes := len(l.items) - l.count; holes > 64 && holes > l.count {
@@ -164,7 +163,7 @@ func (l *runList) compact() {
 		if jr == nil {
 			continue
 		}
-		jr.listPos = w
+		jr.listPos = int32(w)
 		l.items[w] = jr
 		w++
 	}

@@ -84,7 +84,7 @@ func (e *Engine) telCloseTask(jr *jobRun) {
 	if !tel.Enabled() || !jr.telTaskOpen {
 		return
 	}
-	tel.End(telemetry.JobTrack(int(jr.job.ID)), "task", e.Now())
+	tel.End(telemetry.JobTrack(int(jr.view.Job.ID)), "task", e.Now())
 	jr.telTaskOpen = false
 }
 
@@ -108,7 +108,7 @@ func (e *Engine) telNodesAllocated(jr *jobRun, nodes []platform.NodeID) {
 		return
 	}
 	now := e.Now()
-	label := jr.job.Label()
+	label := jr.view.Job.Label()
 	for _, n := range nodes {
 		tel.Begin(telemetry.NodeTrack(int(n)), label, now)
 	}
@@ -121,7 +121,7 @@ func (e *Engine) telNodesReleased(jr *jobRun, nodes []platform.NodeID) {
 		return
 	}
 	now := e.Now()
-	label := jr.job.Label()
+	label := jr.view.Job.Label()
 	for _, n := range nodes {
 		tel.End(telemetry.NodeTrack(int(n)), label, now)
 	}
@@ -133,7 +133,7 @@ func (e *Engine) telBeginReconfig(jr *jobRun, oldSize int) {
 	if !tel.Enabled() {
 		return
 	}
-	tel.Begin(telemetry.JobTrack(int(jr.job.ID)), "reconfigure", e.Now(),
+	tel.Begin(telemetry.JobTrack(int(jr.view.Job.ID)), "reconfigure", e.Now(),
 		telemetry.Arg{Key: "from", Value: oldSize},
 		telemetry.Arg{Key: "to", Value: len(jr.nodes)})
 	jr.telReconfOpen = true
@@ -145,7 +145,7 @@ func (e *Engine) telEndReconfig(jr *jobRun) {
 	if !tel.Enabled() || !jr.telReconfOpen {
 		return
 	}
-	tel.End(telemetry.JobTrack(int(jr.job.ID)), "reconfigure", e.Now())
+	tel.End(telemetry.JobTrack(int(jr.view.Job.ID)), "reconfigure", e.Now())
 	jr.telReconfOpen = false
 }
 
@@ -166,7 +166,7 @@ func (e *Engine) FinalizeTelemetry() {
 	now := e.Now()
 	aborted := telemetry.Arg{Key: "aborted", Value: true}
 	e.runs.forEachByID(func(jr *jobRun) {
-		tr := telemetry.JobTrack(int(jr.job.ID))
+		tr := telemetry.JobTrack(int(jr.view.Job.ID))
 		switch jr.state {
 		case stateHeld, statePending:
 			tel.End(tr, "wait", now, aborted)
@@ -174,7 +174,7 @@ func (e *Engine) FinalizeTelemetry() {
 			e.telCloseTask(jr)
 			e.telEndReconfig(jr)
 			tel.End(tr, "run", now, aborted)
-			label := jr.job.Label()
+			label := jr.view.Job.Label()
 			for _, n := range jr.nodes {
 				tel.End(telemetry.NodeTrack(int(n)), label, now, aborted)
 			}

@@ -22,12 +22,24 @@ import (
 // own record of applied start decisions, and the outstanding evolving
 // request is read back from the view. What the rebuild then checks of the
 // request is that the pending queue never shows one; viewChecker checks
-// separately that an answered request is gone.
+// separately that an answered request is gone. The job's bounds the view
+// copies are computed here from the job itself, not through
+// sched.NewJobView, so that the constructor is checked too.
 func (e *Engine) fillView(v *sched.JobView, jr *jobRun, startTime float64) {
+	j := jr.view.Job
+	wall := j.WallTimeLimit
+	if wall <= 0 {
+		wall = math.Inf(1)
+	}
 	*v = sched.JobView{
-		ID:         jr.job.ID,
-		Job:        jr.job,
-		SubmitTime: jr.job.SubmitTime,
+		ID:         j.ID,
+		Job:        j,
+		Type:       j.Type,
+		MinNodes:   j.MinNodes(),
+		MaxNodes:   j.MaxNodes(),
+		ReqNodes:   j.NumNodes,
+		WallTime:   wall,
+		SubmitTime: j.SubmitTime,
 	}
 	switch jr.state {
 	case statePending:
@@ -38,8 +50,8 @@ func (e *Engine) fillView(v *sched.JobView, jr *jobRun, startTime float64) {
 		v.StartTime = startTime
 		v.AtSchedulingPoint = jr.state == stateAtSchedPoint
 		v.EvolvingRequest = jr.view.EvolvingRequest
-		if jr.job.WallTimeLimit > 0 {
-			v.ExpectedEnd = startTime + jr.job.WallTimeLimit
+		if jr.view.Job.WallTimeLimit > 0 {
+			v.ExpectedEnd = startTime + jr.view.Job.WallTimeLimit
 		} else {
 			v.ExpectedEnd = math.Inf(1)
 		}
@@ -109,7 +121,7 @@ func (c *viewChecker) Schedule(inv *sched.Invocation) []sched.Decision {
 				c.started[d.Job] = inv.Now
 			}
 		case sched.DecisionGrant, sched.DecisionDeny:
-			j := jr.job
+			j := jr.view.Job
 			valid := d.Kind == sched.DecisionDeny || d.NumNodes >= j.MinNodes() && d.NumNodes <= j.MaxNodes()
 			if j.Type == job.Evolving && jr.view.EvolvingRequest != 0 && valid {
 				c.answered[d.Job] = true
@@ -143,13 +155,13 @@ func (c *viewChecker) check(inv *sched.Invocation) {
 		}
 		for i, jr := range want {
 			if l.got[i] != &jr.view {
-				fail("%s[%d] is job %d's view, the run list has job %d", l.name, i, l.got[i].ID, jr.job.ID)
+				fail("%s[%d] is job %d's view, the run list has job %d", l.name, i, l.got[i].ID, jr.view.Job.ID)
 				return
 			}
 			rebuilt := &c.rebuilt
-			c.e.fillView(rebuilt, jr, c.started[jr.job.ID])
+			c.e.fillView(rebuilt, jr, c.started[jr.view.Job.ID])
 			if *l.got[i] != *rebuilt {
-				fail("%s[%d] (job %d):\n got %+v\nwant %+v", l.name, i, jr.job.ID, *l.got[i], *rebuilt)
+				fail("%s[%d] (job %d):\n got %+v\nwant %+v", l.name, i, jr.view.Job.ID, *l.got[i], *rebuilt)
 				return
 			}
 		}

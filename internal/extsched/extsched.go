@@ -12,9 +12,12 @@
 //	simulator -> algorithm   {"type":"end"}        (once, at shutdown)
 //
 // Decision kinds: "start", "resize", "grant", "deny", "kill". Job views
-// carry everything an algorithm needs: flexibility class, node bounds,
-// current allocation, scheduling-point and evolving-request state, and the
-// walltime-derived expected end (absent when unknown).
+// carry everything an algorithm needs: flexibility class, node bounds
+// ("min_nodes", "max_nodes") and the requested size ("num_nodes", absent
+// when the job states no preference), current allocation, scheduling-point
+// and evolving-request state, and the walltime-derived expected end
+// (absent when unknown). A peer that reads no "num_nodes" sees a non-rigid
+// job's request as its minimum.
 package extsched
 
 import (
@@ -36,6 +39,7 @@ type jobViewMsg struct {
 	Nodes             int      `json:"nodes,omitempty"`
 	MinNodes          int      `json:"min_nodes"`
 	MaxNodes          int      `json:"max_nodes"`
+	NumNodes          int      `json:"num_nodes,omitempty"`
 	WallTime          float64  `json:"walltime,omitempty"`
 	SubmitTime        float64  `json:"submit_time"`
 	StartTime         float64  `json:"start_time,omitempty"`
@@ -48,11 +52,14 @@ func viewMsg(v *sched.JobView) jobViewMsg {
 	m := jobViewMsg{
 		ID:         int(v.ID),
 		Name:       v.Job.Label(),
-		Type:       v.Job.Type,
-		MinNodes:   v.Job.MinNodes(),
-		MaxNodes:   v.Job.MaxNodes(),
-		WallTime:   v.Job.WallTimeLimit,
+		Type:       v.Type,
+		MinNodes:   v.MinNodes,
+		MaxNodes:   v.MaxNodes,
+		NumNodes:   v.ReqNodes,
 		SubmitTime: v.SubmitTime,
+	}
+	if !math.IsInf(v.WallTime, 1) {
+		m.WallTime = v.WallTime
 	}
 	switch v.State {
 	case sched.StatePending:
@@ -264,7 +271,8 @@ func Serve(algo sched.Algorithm, from io.Reader, to io.Writer) error {
 
 // invocationFromMsg reconstructs an Invocation on the peer side. The Job
 // descriptions are skeletons carrying only scheduling-relevant fields
-// (type, node bounds, walltime); application models do not cross the wire.
+// (type, node bounds, requested size, walltime); application models do
+// not cross the wire.
 func invocationFromMsg(m *invokeMsg) *sched.Invocation {
 	inv := &sched.Invocation{
 		Now:        m.Now,
@@ -285,6 +293,7 @@ func viewFromMsg(m *jobViewMsg) *sched.JobView {
 		ID:            job.ID(m.ID),
 		Name:          m.Name,
 		Type:          m.Type,
+		SubmitTime:    m.SubmitTime,
 		WallTimeLimit: m.WallTime,
 	}
 	if m.Type == job.Rigid {
@@ -292,18 +301,14 @@ func viewFromMsg(m *jobViewMsg) *sched.JobView {
 	} else {
 		j.NumNodesMin = m.MinNodes
 		j.NumNodesMax = m.MaxNodes
-		j.NumNodes = m.MinNodes
+		j.NumNodes = m.NumNodes
 	}
-	v := &sched.JobView{
-		ID:                j.ID,
-		Job:               j,
-		Nodes:             m.Nodes,
-		SubmitTime:        m.SubmitTime,
-		StartTime:         m.StartTime,
-		AtSchedulingPoint: m.AtSchedulingPoint,
-		EvolvingRequest:   m.EvolvingRequest,
-		ExpectedEnd:       math.Inf(1),
-	}
+	v := sched.NewJobView(j)
+	v.Nodes = m.Nodes
+	v.StartTime = m.StartTime
+	v.AtSchedulingPoint = m.AtSchedulingPoint
+	v.EvolvingRequest = m.EvolvingRequest
+	v.ExpectedEnd = math.Inf(1)
 	if m.State == "pending" {
 		v.State = sched.StatePending
 	} else {
@@ -312,5 +317,5 @@ func viewFromMsg(m *jobViewMsg) *sched.JobView {
 	if m.ExpectedEnd != nil {
 		v.ExpectedEnd = *m.ExpectedEnd
 	}
-	return v
+	return &v
 }

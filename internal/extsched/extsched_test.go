@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -74,23 +75,37 @@ func TestBridgeEndToEndSimulation(t *testing.T) {
 }
 
 func TestBridgeMalleableDecisionsCrossTheWire(t *testing.T) {
-	// The adaptive policy behind the bridge must still resize jobs.
-	wl, err := elastisim.GenerateWorkload(elastisim.WorkloadConfig{
-		Seed: 6, Count: 20,
-		Arrival:      job.Arrival{Kind: job.ArrivalPoisson, Rate: 0.05},
-		Nodes:        [2]int{2, 8},
-		MachineNodes: 16,
-		NodeSpeed:    100e9,
-		TypeShares:   map[job.Type]float64{job.Malleable: 1},
+	// The adaptive policy behind the bridge must decide exactly as it does
+	// in process on a mixed workload: same starts (at the requested size,
+	// which the wire view must carry), resizes and grants.
+	gen := func() *elastisim.Workload {
+		wl, err := elastisim.GenerateWorkload(elastisim.WorkloadConfig{
+			Seed: 6, Count: 40,
+			Arrival:      job.Arrival{Kind: job.ArrivalPoisson, Rate: 0.05},
+			Nodes:        [2]int{2, 8},
+			MachineNodes: 16,
+			NodeSpeed:    100e9,
+			TypeShares: map[job.Type]float64{
+				job.Rigid: 1, job.Moldable: 1, job.Malleable: 2, job.Evolving: 1,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wl
+	}
+	spec := elastisim.HomogeneousPlatform("x", 16, 100e9, 10e9, 40e9, 40e9)
+
+	direct, err := elastisim.Run(elastisim.Config{
+		Platform: spec, Workload: gen(), Algorithm: &sched.Adaptive{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+
 	bridge, done := pipePeer(t, &sched.Adaptive{})
-	res, err := elastisim.Run(elastisim.Config{
-		Platform:  elastisim.HomogeneousPlatform("x", 16, 100e9, 10e9, 40e9, 40e9),
-		Workload:  wl,
-		Algorithm: bridge,
+	bridged, err := elastisim.Run(elastisim.Config{
+		Platform: spec, Workload: gen(), Algorithm: bridge,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +113,25 @@ func TestBridgeMalleableDecisionsCrossTheWire(t *testing.T) {
 	if err := bridge.Close(); err != nil {
 		t.Fatal(err)
 	}
-	<-done
-	if res.Summary.Reconfigs == 0 {
-		t.Error("no reconfigurations crossed the bridge")
+	if err := <-done; err != nil {
+		t.Fatalf("peer: %v", err)
+	}
+	if bridge.Err() != nil {
+		t.Fatalf("bridge: %v", bridge.Err())
+	}
+	if direct.Summary.Reconfigs == 0 {
+		t.Fatal("the workload exercises no reconfiguration")
+	}
+	if direct.Summary != bridged.Summary {
+		t.Errorf("bridged run diverged:\ndirect  %+v\nbridged %+v", direct.Summary, bridged.Summary)
+	}
+	if len(direct.Records) != len(bridged.Records) {
+		t.Fatalf("%d records in process, %d bridged", len(direct.Records), len(bridged.Records))
+	}
+	for i, r := range direct.Records {
+		if !reflect.DeepEqual(*r, *bridged.Records[i]) {
+			t.Errorf("job %d diverged:\ndirect  %+v\nbridged %+v", r.ID, *r, *bridged.Records[i])
+		}
 	}
 }
 
@@ -160,21 +191,17 @@ func TestDecisionKindRoundTrip(t *testing.T) {
 }
 
 func TestViewMsgCarriesEverything(t *testing.T) {
-	v := &sched.JobView{
-		ID: 3,
-		Job: &job.Job{
-			ID: 3, Name: "m", Type: job.Malleable,
-			NumNodesMin: 2, NumNodesMax: 16, WallTimeLimit: 100,
-		},
-		State:             sched.StateRunning,
-		Nodes:             8,
-		AtSchedulingPoint: true,
-		EvolvingRequest:   12,
-		SubmitTime:        5,
-		StartTime:         10,
-		ExpectedEnd:       110,
-	}
-	m := viewMsg(v)
+	v := sched.NewJobView(&job.Job{
+		ID: 3, Name: "m", Type: job.Malleable, SubmitTime: 5,
+		NumNodesMin: 2, NumNodesMax: 16, NumNodes: 6, WallTimeLimit: 100,
+	})
+	v.State = sched.StateRunning
+	v.Nodes = 8
+	v.AtSchedulingPoint = true
+	v.EvolvingRequest = 12
+	v.StartTime = 10
+	v.ExpectedEnd = 110
+	m := viewMsg(&v)
 	data, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -186,9 +213,16 @@ func TestViewMsgCarriesEverything(t *testing.T) {
 	v2 := viewFromMsg(&back)
 	if v2.ID != 3 || v2.Job.Type != job.Malleable || v2.Nodes != 8 ||
 		!v2.AtSchedulingPoint || v2.EvolvingRequest != 12 ||
-		v2.Job.MinNodes() != 2 || v2.Job.MaxNodes() != 16 ||
-		v2.ExpectedEnd != 110 || v2.StartTime != 10 {
+		v2.Job.MinNodes() != 2 || v2.Job.MaxNodes() != 16 || v2.Job.NumNodes != 6 ||
+		v2.ExpectedEnd != 110 || v2.StartTime != 10 || v2.SubmitTime != 5 {
 		t.Errorf("round trip lost data: %+v", v2)
+	}
+	// The view's copied bounds are the skeleton job's, as NewJobView has
+	// them.
+	want := sched.NewJobView(v2.Job)
+	if v2.Type != want.Type || v2.MinNodes != want.MinNodes || v2.MaxNodes != want.MaxNodes ||
+		v2.ReqNodes != 6 || v2.WallTime != 100 {
+		t.Errorf("round trip view bounds: %+v", v2)
 	}
 }
 

@@ -40,17 +40,19 @@ func (a *Adaptive) Name() string { return "adaptive" }
 func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 	free := inv.FreeNodes
 
-	// Malleable jobs we may resize right now.
-	var resizable []*JobView
+	// Malleable jobs we may resize right now (on the stack, for the usual
+	// few).
+	var resizableBuf [64]*JobView
+	resizable := resizableBuf[:0]
 	for _, v := range inv.Running {
-		if v.AtSchedulingPoint && v.Job.Type == job.Malleable {
+		if v.AtSchedulingPoint && v.Type == job.Malleable {
 			resizable = append(resizable, v)
 		}
 	}
 	// Reclaimable capacity if we shrank everything to minimum (+ reserve).
 	reclaimable := 0
 	floorOf := func(v *JobView) int {
-		return min(v.Job.MinNodes()+a.ShrinkReserve, v.Nodes)
+		return min(v.MinNodes+a.ShrinkReserve, v.Nodes)
 	}
 	if !a.NoShrink {
 		for _, v := range resizable {
@@ -124,7 +126,7 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 	// EASY-style backfill of the remaining queue against remaining free
 	// nodes (no further shrinking for backfilled jobs).
 	if blockedAt >= 0 {
-		out, free = backfill(out, inv.Now, inv.Pending[blockedAt+1:], running, free, inv.Pending[blockedAt].Job.MinNodes(), a.SizeFn, a.Sizing)
+		out, free = backfill(out, inv.Now, inv.Pending[blockedAt+1:], running, free, inv.Pending[blockedAt].MinNodes, a.SizeFn, a.Sizing)
 	}
 
 	// Answer evolving requests before expanding, so grants have priority
@@ -140,7 +142,7 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 			// Shrinking (or no-op) requests always granted.
 			out = append(out, Decision{Kind: DecisionGrant, Job: v.ID, NumNodes: req})
 		default:
-			granted := min(cur+min(req-cur, free), v.Job.MaxNodes())
+			granted := min(cur+min(req-cur, free), v.MaxNodes)
 			if granted <= cur {
 				out = append(out, Decision{Kind: DecisionDeny, Job: v.ID})
 				continue
@@ -151,29 +153,36 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 	}
 
 	// Expand-to-fill: hand leftover nodes to resizable malleable jobs,
-	// smallest first, one node at a time (equipartitioning).
+	// smallest first, one node at a time (equipartitioning). resizable[i]
+	// grows by grows[i].
 	if !a.NoExpand && free > 0 && len(resizable) > 0 {
-		grows := map[job.ID]int{}
+		var growsBuf [len(resizableBuf)]int
+		var grows []int
+		if len(resizable) <= len(growsBuf) {
+			grows = growsBuf[:len(resizable)]
+		} else {
+			grows = make([]int, len(resizable))
+		}
 		for free > 0 {
 			// Smallest current allocation with headroom.
-			var pickV *JobView
-			for _, v := range resizable {
-				if v.Nodes+grows[v.ID] >= v.Job.MaxNodes() {
+			pick := -1
+			for i, v := range resizable {
+				if v.Nodes+grows[i] >= v.MaxNodes {
 					continue
 				}
-				if pickV == nil || v.Nodes+grows[v.ID] < pickV.Nodes+grows[pickV.ID] {
-					pickV = v
+				if pick < 0 || v.Nodes+grows[i] < resizable[pick].Nodes+grows[pick] {
+					pick = i
 				}
 			}
-			if pickV == nil {
+			if pick < 0 {
 				break
 			}
-			grows[pickV.ID]++
+			grows[pick]++
 			free--
 		}
-		for _, v := range resizable {
-			if g := grows[v.ID]; g > 0 {
-				out = append(out, Resize(v.ID, v.Nodes+g))
+		for i, v := range resizable {
+			if grows[i] > 0 {
+				out = append(out, Resize(v.ID, v.Nodes+grows[i]))
 			}
 		}
 	}

@@ -31,12 +31,12 @@ func (c *Conservative) Schedule(inv *Invocation) []Decision {
 	prof := newProfile(inv)
 	var out []Decision
 	for _, v := range inv.Pending {
-		need := v.Job.MinNodes()
+		need := v.MinNodes
 		want := pickSize(v, inv.TotalNodes, c.SizeFn, c.Sizing)
 		if want == 0 {
 			want = need
 		}
-		dur := v.WallTimeOrInf()
+		dur := v.WallTime
 		start := prof.earliest(inv.Now, want, dur)
 		if start == inv.Now {
 			out = append(out, Start(v.ID, want))

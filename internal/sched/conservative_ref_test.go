@@ -23,7 +23,7 @@ func (c *refConservative) Schedule(inv *Invocation) []Decision {
 		if want == 0 {
 			want = need
 		}
-		dur := v.WallTimeOrInf()
+		dur := wallTimeOrInf(v.Job)
 		start := prof.earliest(inv.Now, want, dur)
 		if start == inv.Now {
 			out = append(out, Start(v.ID, want))

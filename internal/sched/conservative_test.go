@@ -66,6 +66,7 @@ func decodeInvocation(s *byteSource) (*Invocation, SizePolicy) {
 			v.Job.Type = job.Malleable
 			v.Job.NumNodesMin = 1 + m%5
 			v.Job.NumNodesMax = v.Job.NumNodesMin + s.next()%40
+			syncView(v)
 		}
 		inv.Pending = append(inv.Pending, v)
 	}
@@ -102,7 +103,7 @@ func checkAgainstReference(t *testing.T, data []byte) {
 		if n == 0 {
 			n = v.Job.MinNodes()
 		}
-		dur := v.WallTimeOrInf()
+		dur := wallTimeOrInf(v.Job)
 		a, b := p.earliest(inv.Now, n, dur), ref.earliest(inv.Now, n, dur)
 		if a != b {
 			t.Fatalf("job %d: earliest %v, reference %v", v.ID, a, b)

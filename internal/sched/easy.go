@@ -38,7 +38,7 @@ func (e *EASY) Schedule(inv *Invocation) []Decision {
 
 	// Head job blocks: the rest backfills behind its reservation of its
 	// rigid request or minimum acceptable size.
-	need := min(inv.Pending[i].Job.MinNodes(), inv.TotalNodes)
+	need := min(inv.Pending[i].MinNodes, inv.TotalNodes)
 	out, _ = backfill(out, inv.Now, inv.Pending[i+1:], inv.Running, free, need, e.SizeFn, e.Sizing)
 	return out
 }
@@ -50,12 +50,22 @@ func (e *EASY) Schedule(inv *Invocation) []Decision {
 // nodes left free. The shadow time is computed only once a candidate
 // fits, and the pass ends when no node is free: no valid job starts on
 // zero nodes.
+//
+// Most of a deep queue cannot start, so a candidate is first tested on its
+// minimum alone, without sizing it: one whose minimum exceeds free, or,
+// once the shadow time is known, exceeds extra while it would not end by
+// the shadow time, is skipped. The SizeFunc contract (a size within the
+// job's bounds and at most free, or 0, depending only on the view and
+// free) makes both skips the decision sizing it would have reached.
 func backfill(out []Decision, now float64, cands, running []*JobView, free, need int, fn SizeFunc, policy SizePolicy) ([]Decision, int) {
 	var shadow float64
 	extra, known := 0, false
 	for _, v := range cands {
 		if free <= 0 {
 			break
+		}
+		if v.MinNodes > free || known && v.MinNodes > extra && now+v.WallTime > shadow {
+			continue
 		}
 		n := pickSize(v, free, fn, policy)
 		if n == 0 {
@@ -65,7 +75,7 @@ func backfill(out []Decision, now float64, cands, running []*JobView, free, need
 			shadow, extra = shadowTime(now, running, free, need)
 			known = true
 		}
-		endsBeforeShadow := now+v.WallTimeOrInf() <= shadow
+		endsBeforeShadow := now+v.WallTime <= shadow
 		fitsExtra := n <= extra
 		if !endsBeforeShadow && !fitsExtra {
 			continue
@@ -79,55 +89,77 @@ func backfill(out []Decision, now float64, cands, running []*JobView, free, need
 	return out, free
 }
 
+// release is one running job's entry in shadowTime's heap: the key
+// (end, pos) and the nodes the job frees at end.
+type release struct {
+	end   float64
+	pos   int32
+	nodes int32
+}
+
+// shadowReleases is how many releases shadowTime keeps on the stack; a
+// longer running list gets one heap buffer of exactly its size.
+const shadowReleases = 512
+
 // shadowTime computes when `need` nodes will be free at time now given the
 // running jobs' expected ends, plus how many nodes remain free at that
 // moment beyond the reservation (the "extra" nodes available for backfill
 // past the shadow time). Jobs without walltime estimates never release
-// their nodes for this computation. Releases come off a heap of positions
-// in running keyed by (ExpectedEnd, position), the order a stable sort by
+// their nodes for this computation. Releases come off a heap keyed by
+// (ExpectedEnd, position in running), the order a stable sort by
 // ExpectedEnd gives, and only until the reservation is covered.
 func shadowTime(now float64, running []*JobView, free, need int) (shadow float64, extra int) {
 	if need <= free {
 		return now, free - need
 	}
-	h := make([]int32, 0, len(running))
-	avail := free
-	for i, v := range running {
+	count, avail := 0, free
+	for _, v := range running {
 		if !math.IsInf(v.ExpectedEnd, 1) {
-			h = append(h, int32(i))
+			count++
 			avail += v.Nodes
 		}
 	}
 	if avail < need {
-		return math.Inf(1), avail - need // never: backfill gated only by "extra"
+		// The head never starts by the releases in sight: every candidate
+		// that fits free ends by +Inf, so only free gates backfill.
+		return math.Inf(1), avail - need
+	}
+	var buf [shadowReleases]release
+	h := buf[:0]
+	if count > len(buf) {
+		h = make([]release, 0, count)
+	}
+	for i, v := range running {
+		if !math.IsInf(v.ExpectedEnd, 1) {
+			h = append(h, release{v.ExpectedEnd, int32(i), int32(v.Nodes)})
+		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, running, i)
+		siftDown(h, i)
 	}
 	avail = free
 	for {
-		v := running[h[0]]
-		if avail += v.Nodes; avail >= need {
-			return v.ExpectedEnd, avail - need
+		r := h[0]
+		if avail += int(r.nodes); avail >= need {
+			return r.end, avail - need
 		}
 		h[0] = h[len(h)-1]
 		h = h[:len(h)-1]
-		siftDown(h, running, 0)
+		siftDown(h, 0)
 	}
 }
 
-// siftDown moves h[i] down to its place in the min-heap h of positions in
-// running, keyed by (ExpectedEnd, position).
-func siftDown(h []int32, running []*JobView, i int) {
-	less := func(a, b int32) bool {
-		ea, eb := running[a].ExpectedEnd, running[b].ExpectedEnd
-		return ea < eb || ea == eb && a < b
+// siftDown moves h[i] down to its place in the min-heap h of releases,
+// keyed by (end, pos).
+func siftDown(h []release, i int) {
+	less := func(a, b *release) bool {
+		return a.end < b.end || a.end == b.end && a.pos < b.pos
 	}
 	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
-		if c+1 < len(h) && less(h[c+1], h[c]) {
+		if c+1 < len(h) && less(&h[c+1], &h[c]) {
 			c++
 		}
-		if !less(h[c], h[i]) {
+		if !less(&h[c], &h[i]) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]

@@ -116,6 +116,6 @@ func (f *FairShare) Schedule(inv *Invocation) []Decision {
 	if i >= len(order) {
 		return out
 	}
-	out, _ = backfill(out, inv.Now, order[i+1:], inv.Running, free, order[i].Job.MinNodes(), f.SizeFn, f.Sizing)
+	out, _ = backfill(out, inv.Now, order[i+1:], inv.Running, free, order[i].MinNodes, f.SizeFn, f.Sizing)
 	return out
 }

@@ -44,7 +44,7 @@ func (s *SJF) Name() string { return "sjf" }
 func (s *SJF) Schedule(inv *Invocation) []Decision {
 	order := slices.Clone(inv.Pending)
 	slices.SortStableFunc(order, compareBy(func(a, b *JobView) bool {
-		return a.WallTimeOrInf() < b.WallTimeOrInf()
+		return a.WallTime < b.WallTime
 	}))
 	var out []Decision
 	free := inv.FreeNodes

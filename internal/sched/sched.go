@@ -30,12 +30,27 @@ const (
 )
 
 // JobView is the read-only view of one job handed to the algorithm (see
-// Algorithm.Schedule for what read-only means here).
+// Algorithm.Schedule for what read-only means here). Build one with
+// NewJobView: it copies the job's immutable scheduling bounds (Type,
+// MinNodes, MaxNodes, ReqNodes, WallTime) out of the Job, and the
+// algorithms read those copies on their per-candidate paths instead of
+// chasing Job. A zero-value view is not valid input to an algorithm.
 type JobView struct {
 	// ID is the job's identity, used in decisions.
 	ID job.ID
 	// Job is the immutable job description.
 	Job *job.Job
+	// Type is Job.Type.
+	Type job.Type
+	// MinNodes and MaxNodes are Job.MinNodes() and Job.MaxNodes(): the
+	// allocation bounds (both the request, for a rigid job).
+	MinNodes int
+	MaxNodes int
+	// ReqNodes is Job.NumNodes, the requested size (0 = no preference, for
+	// a non-rigid job).
+	ReqNodes int
+	// WallTime is Job.WallTimeLimit, or +Inf when the job has none.
+	WallTime float64
 	// State is pending or running.
 	State State
 	// Nodes is the current allocation size (0 while pending).
@@ -55,12 +70,23 @@ type JobView struct {
 	ExpectedEnd float64
 }
 
-// WallTimeOrInf returns the job's walltime limit, or +Inf if absent.
-func (v *JobView) WallTimeOrInf() float64 {
-	if v.Job.WallTimeLimit <= 0 {
-		return math.Inf(1)
+// NewJobView returns the pending view of j, with j's scheduling bounds
+// copied into it. Callers set the running-state fields themselves.
+func NewJobView(j *job.Job) JobView {
+	wall := math.Inf(1)
+	if j.WallTimeLimit > 0 {
+		wall = j.WallTimeLimit
 	}
-	return v.Job.WallTimeLimit
+	return JobView{
+		ID:         j.ID,
+		Job:        j,
+		Type:       j.Type,
+		MinNodes:   j.MinNodes(),
+		MaxNodes:   j.MaxNodes(),
+		ReqNodes:   j.NumNodes,
+		WallTime:   wall,
+		SubmitTime: j.SubmitTime,
+	}
 }
 
 // Reason is a bitmask of why the scheduler was invoked.
@@ -235,7 +261,10 @@ const (
 // SizeFunc customizes start-size selection beyond the SizePolicy enum
 // (e.g. efficiency-aware moldable sizing). It returns the node count to
 // start v with given currently free nodes, or 0 if the job cannot start.
-// Implementations must respect the job's [min,max] bounds and free.
+// Implementations must return a size within the job's [min,max] bounds
+// and at most free, or 0, and must depend only on v and free: backfill
+// relies on this contract to skip, without calling the function, a
+// candidate whose minimum exceeds the nodes it could use.
 type SizeFunc func(v *JobView, free int) int
 
 // EfficiencySizer returns a SizeFunc for moldable (and adaptive) jobs that
@@ -245,18 +274,16 @@ type SizeFunc func(v *JobView, free int) int
 // jobs whose models cannot be estimated fall back to the requested size.
 func EfficiencySizer(ref job.PlatformRef, threshold float64) SizeFunc {
 	return func(v *JobView, free int) int {
-		j := v.Job
-		if j.Type == job.Rigid {
+		if v.Type == job.Rigid {
 			return StartSize(v, free, SizeRequested)
 		}
-		minN, maxN := j.MinNodes(), j.MaxNodes()
-		if minN > free {
+		if v.MinNodes > free {
 			return 0
 		}
-		limit := min(maxN, free)
-		best := minN
-		for n := minN + 1; n <= limit; n++ {
-			eff, err := job.Efficiency(j, n, ref)
+		limit := min(v.MaxNodes, free)
+		best := v.MinNodes
+		for n := v.MinNodes + 1; n <= limit; n++ {
+			eff, err := job.Efficiency(v.Job, n, ref)
 			if err != nil {
 				return StartSize(v, free, SizeRequested)
 			}
@@ -280,14 +307,13 @@ func pickSize(v *JobView, free int, fn SizeFunc, policy SizePolicy) int {
 // StartSize picks the node count to start v with under the policy, given
 // free nodes. It returns 0 when the job cannot start now.
 func StartSize(v *JobView, free int, policy SizePolicy) int {
-	j := v.Job
-	if j.Type == job.Rigid {
-		if j.NumNodes <= free {
-			return j.NumNodes
+	if v.Type == job.Rigid {
+		if v.ReqNodes <= free {
+			return v.ReqNodes
 		}
 		return 0
 	}
-	minN, maxN := j.MinNodes(), j.MaxNodes()
+	minN, maxN := v.MinNodes, v.MaxNodes
 	if minN > free {
 		return 0
 	}
@@ -298,7 +324,7 @@ func StartSize(v *JobView, free int, policy SizePolicy) int {
 	case SizeMin:
 		want = minN
 	default:
-		want = j.NumNodes
+		want = v.ReqNodes
 		if want == 0 {
 			want = minN
 		}

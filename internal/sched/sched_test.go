@@ -7,16 +7,26 @@ import (
 	"repro/internal/job"
 )
 
+// newView is NewJobView on the heap.
+func newView(j *job.Job) *JobView {
+	v := NewJobView(j)
+	return &v
+}
+
+// syncView re-copies v.Job's scheduling bounds into v after a test edited
+// the job, leaving the state fields as they are.
+func syncView(v *JobView) *JobView {
+	c := NewJobView(v.Job)
+	v.Type, v.MinNodes, v.MaxNodes, v.ReqNodes, v.WallTime = c.Type, c.MinNodes, c.MaxNodes, c.ReqNodes, c.WallTime
+	return v
+}
+
 // mkPending builds a pending view for a rigid job of n nodes.
 func mkPending(id int, n int, walltime float64) *JobView {
-	return &JobView{
-		ID: job.ID(id),
-		Job: &job.Job{
-			ID: job.ID(id), Type: job.Rigid, NumNodes: n, WallTimeLimit: walltime,
-			App: &job.Application{Phases: []job.Phase{{Tasks: []job.Task{{Kind: job.TaskDelay, Model: job.ConstModel(1)}}}}},
-		},
-		State: StatePending,
-	}
+	return newView(&job.Job{
+		ID: job.ID(id), Type: job.Rigid, NumNodes: n, WallTimeLimit: walltime,
+		App: &job.Application{Phases: []job.Phase{{Tasks: []job.Task{{Kind: job.TaskDelay, Model: job.ConstModel(1)}}}}},
+	})
 }
 
 func mkRunning(id int, n int, start, end float64) *JobView {
@@ -29,16 +39,13 @@ func mkRunning(id int, n int, start, end float64) *JobView {
 }
 
 func mkMalleable(id, cur, minN, maxN int, atSP bool) *JobView {
-	v := &JobView{
-		ID: job.ID(id),
-		Job: &job.Job{
-			ID: job.ID(id), Type: job.Malleable, NumNodesMin: minN, NumNodesMax: maxN, NumNodes: cur,
-		},
-		State:             StateRunning,
-		Nodes:             cur,
-		AtSchedulingPoint: atSP,
-		ExpectedEnd:       math.Inf(1),
-	}
+	v := newView(&job.Job{
+		ID: job.ID(id), Type: job.Malleable, NumNodesMin: minN, NumNodesMax: maxN, NumNodes: cur,
+	})
+	v.State = StateRunning
+	v.Nodes = cur
+	v.AtSchedulingPoint = atSP
+	v.ExpectedEnd = math.Inf(1)
 	return v
 }
 
@@ -60,7 +67,7 @@ func TestStartSize(t *testing.T) {
 	if got := StartSize(rigid, 7, SizeRequested); got != 0 {
 		t.Errorf("rigid overflows = %d", got)
 	}
-	mold := &JobView{Job: &job.Job{Type: job.Moldable, NumNodes: 8, NumNodesMin: 2, NumNodesMax: 16}}
+	mold := newView(&job.Job{Type: job.Moldable, NumNodes: 8, NumNodesMin: 2, NumNodesMax: 16})
 	if got := StartSize(mold, 100, SizeRequested); got != 8 {
 		t.Errorf("moldable requested = %d", got)
 	}
@@ -76,7 +83,7 @@ func TestStartSize(t *testing.T) {
 	if got := StartSize(mold, 1, SizeRequested); got != 0 {
 		t.Errorf("moldable below min = %d", got)
 	}
-	noPref := &JobView{Job: &job.Job{Type: job.Malleable, NumNodesMin: 3, NumNodesMax: 9}}
+	noPref := newView(&job.Job{Type: job.Malleable, NumNodesMin: 3, NumNodesMax: 9})
 	if got := StartSize(noPref, 100, SizeRequested); got != 3 {
 		t.Errorf("no preference defaults to min = %d", got)
 	}
@@ -381,6 +388,7 @@ func TestAdaptiveEvolvingGrants(t *testing.T) {
 	a := &Adaptive{}
 	ev := mkMalleable(0, 4, 2, 16, false)
 	ev.Job.Type = job.Evolving
+	syncView(ev)
 	ev.EvolvingRequest = 8
 	inv := &Invocation{
 		FreeNodes:  10,
@@ -405,6 +413,7 @@ func TestAdaptiveEvolvingGrowClampedByFree(t *testing.T) {
 	a := &Adaptive{}
 	ev := mkMalleable(0, 4, 2, 16, false)
 	ev.Job.Type = job.Evolving
+	syncView(ev)
 	ev.EvolvingRequest = 12
 	inv := &Invocation{
 		FreeNodes:  3,

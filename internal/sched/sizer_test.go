@@ -9,21 +9,17 @@ import (
 var sizerRef = job.PlatformRef{NodeSpeed: 1e9, LinkBW: 1e9, PFSReadBW: 2e9, PFSWriteBW: 2e9}
 
 func amdahlMoldable(id int, serial float64, minN, maxN int) *JobView {
-	return &JobView{
-		ID: job.ID(id),
-		Job: &job.Job{
-			ID: job.ID(id), Type: job.Moldable,
-			NumNodesMin: minN, NumNodesMax: maxN, NumNodes: minN,
-			Args: map[string]float64{"flops": 1e10, "serial": serial},
-			App: &job.Application{Phases: []job.Phase{{
-				Tasks: []job.Task{{
-					Kind:  job.TaskCompute,
-					Model: job.MustExprModel("flops*(serial + (1-serial)/num_nodes)"),
-				}},
-			}}},
-		},
-		State: StatePending,
-	}
+	return newView(&job.Job{
+		ID: job.ID(id), Type: job.Moldable,
+		NumNodesMin: minN, NumNodesMax: maxN, NumNodes: minN,
+		Args: map[string]float64{"flops": 1e10, "serial": serial},
+		App: &job.Application{Phases: []job.Phase{{
+			Tasks: []job.Task{{
+				Kind:  job.TaskCompute,
+				Model: job.MustExprModel("flops*(serial + (1-serial)/num_nodes)"),
+			}},
+		}}},
+	})
 }
 
 func TestEfficiencySizerPerfectScalingTakesMax(t *testing.T) {

@@ -38,6 +38,7 @@ func randomInvocation(r *rand.Rand) *Invocation {
 		default:
 			v = mkMalleable(i, n, 1, n+8, false)
 			v.Job.Type = job.Evolving
+			syncView(v)
 			v.EvolvingRequest = 1 + r.Intn(n+8)
 		}
 		inv.Running = append(inv.Running, v)
@@ -65,6 +66,7 @@ func randomInvocation(r *rand.Rand) *Invocation {
 			v.Job.Type = job.Malleable
 			v.Job.NumNodesMin = max(1, v.Job.NumNodes-r.Intn(4))
 			v.Job.NumNodesMax = v.Job.NumNodes + r.Intn(8)
+			syncView(v)
 		}
 		v.SubmitTime = inv.Now - float64(r.Intn(1000))
 		v.Job.User = []string{"a", "b", "c"}[r.Intn(3)]
