@@ -35,7 +35,7 @@ func (e *Engine) apply(d sched.Decision) error {
 
 func (e *Engine) applyStart(jr *jobRun, n int, pinned []int) error {
 	if jr.state != statePending {
-		return fmt.Errorf("job %s is %s, not pending", jr.view.Job.Label(), jr.state)
+		return fmt.Errorf("job %s is %s, not pending", jr.label(), jr.state)
 	}
 	j := jr.view.Job
 	if len(pinned) > 0 && n == 0 {
@@ -133,10 +133,10 @@ func (e *Engine) applyGrant(jr *jobRun, n int) error {
 
 func (e *Engine) applyDeny(jr *jobRun) error {
 	if jr.view.Job.Type != job.Evolving {
-		return fmt.Errorf("job %s is %s; deny answers evolving requests", jr.view.Job.Label(), jr.view.Job.Type)
+		return fmt.Errorf("job %s is %s; deny answers evolving requests", jr.label(), jr.view.Job.Type)
 	}
 	if jr.view.EvolvingRequest == 0 {
-		return fmt.Errorf("job %s has no outstanding evolving request", jr.view.Job.Label())
+		return fmt.Errorf("job %s has no outstanding evolving request", jr.label())
 	}
 	jr.view.EvolvingRequest = 0
 	jr.grantedTarget = 0
@@ -157,7 +157,7 @@ func (e *Engine) applyKill(jr *jobRun) error {
 		e.markFinished(jr.view.Job.ID)
 		return nil
 	case stateDone:
-		return fmt.Errorf("job %s already finished", jr.view.Job.Label())
+		return fmt.Errorf("job %s already finished", jr.label())
 	default:
 		e.kill(jr, metrics.StatusKilledScheduler)
 		return nil

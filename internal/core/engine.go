@@ -496,7 +496,7 @@ func (e *Engine) warnf(format string, args ...any) {
 func (e *Engine) submit(j *job.Job) {
 	jr := e.runs.alloc(j)
 	jr.setState(statePending)
-	jr.rec = e.rec.JobSubmitted(j, e.Now())
+	jr.rec = e.rec.JobSubmitted(j, jr.label(), e.Now())
 	if e.tracing() {
 		e.traceEvent(EvSubmit, j.ID, fmt.Sprintf("type=%s", j.Type))
 	}

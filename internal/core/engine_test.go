@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/failure"
 	"repro/internal/job"
@@ -617,15 +618,60 @@ func TestSharedBurstBufferContention(t *testing.T) {
 	wantClose(t, "link-bound shared bb", record(rec2, 0).Runtime(), 4)
 }
 
+// TestRunLabelFormattedOnce: a job's record and every one of its Gantt
+// segments carry Job.Label, and for an unnamed job they share the one
+// string the engine formats at submission, its allocator key. The jobs
+// reconfigure, so some have several segments.
+func TestRunLabelFormattedOnce(t *testing.T) {
+	mk := func(id int, name string) *job.Job {
+		return &job.Job{
+			ID: job.ID(id), Name: name, Type: job.Malleable, NumNodesMin: 1, NumNodesMax: 4,
+			App: &job.Application{Phases: []job.Phase{{
+				Iterations: 6, SchedulingPoint: true,
+				Tasks: []job.Task{{Kind: job.TaskCompute, Model: job.MustExprModel("4e9/num_nodes")}},
+			}}},
+		}
+	}
+	jobs := []*job.Job{mk(0, ""), mk(1, "named"), mk(2, ""), mk(13, "")}
+	for i, j := range jobs {
+		j.SubmitTime = float64(i) * 3
+	}
+	rec, _ := runSim(t, testPlatform(4), jobs, &sched.Adaptive{}, Options{DisableFastPath: true})
+	names := map[job.ID]string{}
+	for _, j := range jobs {
+		names[j.ID] = j.Label()
+	}
+	segments := map[job.ID]bool{}
+	for _, r := range rec.Records() {
+		if r.Name != names[r.ID] {
+			t.Errorf("job %d: record name %q, want %q", r.ID, r.Name, names[r.ID])
+		}
+		for _, g := range rec.Gantt() {
+			if g.Job != r.ID {
+				continue
+			}
+			segments[g.Job] = true
+			if g.Name != r.Name || unsafe.StringData(g.Name) != unsafe.StringData(r.Name) {
+				t.Errorf("job %d: Gantt segment name %q is not the record's string %q", r.ID, g.Name, r.Name)
+			}
+		}
+	}
+	if len(segments) != len(jobs) || len(rec.Gantt()) <= len(jobs) {
+		t.Errorf("%d Gantt segments over %d jobs, want every job and a reconfiguration", len(rec.Gantt()), len(segments))
+	}
+}
+
 // TestUntracedRunFormatsNothing bounds heap allocations per job on the
 // default path — no Options.Trace, no tracer — for the rigid periodic
 // shape cmd/bench's rigid_xl runs. Every trace call site formats its detail
 // only when a consumer is attached, so submit, start and finish cost no
 // fmt.Sprintf, and task models evaluate in the engine's one environment.
-// The run makes 14.0 mallocs per job, engine construction included;
-// formatting the trace details unconditionally adds about five, and
-// building an environment map per task start six, and either fails the
-// bound.
+// The run makes 6.2 mallocs per job, engine construction included (6.2
+// under -race too); formatting the trace details unconditionally adds
+// about five and building an environment map per task start six, and
+// validating each job into a fresh allowed-name map and free-variable set
+// while formatting its label for the record and every Gantt segment added
+// eight; each fails the bound.
 func TestUntracedRunFormatsNothing(t *testing.T) {
 	jobs := make([]*job.Job, 4000)
 	for i := range jobs {
@@ -638,8 +684,8 @@ func TestUntracedRunFormatsNothing(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perJob := float64(after.Mallocs-before.Mallocs) / float64(len(jobs))
 	t.Logf("%.2f mallocs per job", perJob)
-	if perJob > 17 { // -race adds about 1.5
-		t.Errorf("%.2f mallocs per job with tracing off, want at most 17: is a trace detail formatted outside an e.tracing() guard?", perJob)
+	if perJob > 7.5 {
+		t.Errorf("%.2f mallocs per job with tracing off, want at most 7.5: is a trace detail or a job label formatted outside an e.tracing() guard, or does validation allocate again?", perJob)
 	}
 }
 
@@ -672,11 +718,13 @@ func TestAdaptiveFailuresMallocs(t *testing.T) {
 	}
 	perJob := float64(after.Mallocs-before.Mallocs) / float64(len(w.Jobs))
 	t.Logf("%.1f mallocs per job", perJob)
-	// 109.3 here (116.6 under -race). A release heap per shadow time, a
-	// completion closure per task and an environment map per
-	// reconfiguration made 183.3; rebuilding a view per listed job per
+	// 64.1 here (64.2 under -race). Validating each job three times, into
+	// a fresh allowed-name map and free-variable set, and formatting its
+	// label for every record and Gantt segment made 109.3; a release heap
+	// per shadow time, a completion closure per task and an environment
+	// map per reconfiguration, 183.3; rebuilding a view per listed job per
 	// invocation and an environment map per task start, 418.2.
-	if perJob > 131 {
-		t.Errorf("%.1f mallocs per job, want at most 131: does an invocation, a task start or a reconfiguration allocate again?", perJob)
+	if perJob > 77 {
+		t.Errorf("%.1f mallocs per job, want at most 77: does validation, an invocation, a task start or a reconfiguration allocate again?", perJob)
 	}
 }

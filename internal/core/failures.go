@@ -119,10 +119,10 @@ func (e *Engine) shrinkThroughFailure(jr *jobRun, id platform.NodeID) {
 	}
 	jr.view.Nodes = len(jr.nodes)
 	if err := e.alloc.Release(jr.owner, []platform.NodeID{id}); err != nil {
-		panic(fmt.Sprintf("core: releasing failed node %d of %s: %v", int(id), jr.view.Job.Label(), err))
+		panic(fmt.Sprintf("core: releasing failed node %d of %s: %v", int(id), jr.label(), err))
 	}
 	e.telNodesReleased(jr, []platform.NodeID{id})
-	e.rec.AddGantt(jr.view.Job.ID, jr.view.Job.Label(), oldSize, jr.segStart, now)
+	e.rec.AddGantt(jr.view.Job.ID, jr.label(), oldSize, jr.segStart, now)
 	jr.segStart = now
 	e.rec.JobReconfigured(jr.rec, now, len(jr.nodes))
 	if e.tracing() {
@@ -152,12 +152,12 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 		lost = 0
 	}
 	e.cancelWork(jr)
-	e.rec.AddGantt(jr.view.Job.ID, jr.view.Job.Label(), len(jr.nodes), jr.segStart, now)
+	e.rec.AddGantt(jr.view.Job.ID, jr.label(), len(jr.nodes), jr.segStart, now)
 	if n := e.alloc.Owned(jr.owner); n != len(jr.nodes) {
-		panic(fmt.Sprintf("core: job %s released %d nodes, held %d", jr.view.Job.Label(), n, len(jr.nodes)))
+		panic(fmt.Sprintf("core: job %s released %d nodes, held %d", jr.label(), n, len(jr.nodes)))
 	}
 	if err := e.alloc.Release(jr.owner, jr.nodes); err != nil {
-		panic(fmt.Sprintf("core: releasing %s: %v", jr.view.Job.Label(), err))
+		panic(fmt.Sprintf("core: releasing %s: %v", jr.label(), err))
 	}
 	e.telNodesReleased(jr, jr.nodes)
 	jr.nodes = nil
@@ -193,7 +193,7 @@ func (e *Engine) maybeCheckpoint(jr *jobRun) {
 	now := e.Now()
 	interval, err := jr.view.Job.CheckpointInterval.Eval(e.env(jr), len(jr.nodes))
 	if err != nil {
-		e.warnf("job %s: checkpoint interval error: %v", jr.view.Job.Label(), err)
+		e.warnf("job %s: checkpoint interval error: %v", jr.label(), err)
 		return
 	}
 	if interval > 0 && now-jr.lastCkpt < interval {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/des"
 	"repro/internal/expr"
@@ -245,7 +246,7 @@ func (e *Engine) startTask(jr *jobRun) {
 	magnitude, err := t.Model.Eval(e.env(jr), n)
 	if err != nil {
 		// Validation makes this unreachable; degrade to zero work.
-		e.warnf("job %s task %s model error: %v", jr.view.Job.Label(), t.Kind, err)
+		e.warnf("job %s task %s model error: %v", jr.label(), t.Kind, err)
 		magnitude = 0
 	}
 	if magnitude < 0 {
@@ -271,7 +272,7 @@ func (e *Engine) startTask(jr *jobRun) {
 			e.completeAfter(jr, magnitude/e.minSpeed(jr), done)
 			return
 		}
-		a := fluid.NewActivity(fmt.Sprintf("%s.compute", jr.view.Job.Label()), magnitude, done)
+		a := jr.newActivity("compute", magnitude, done)
 		for _, id := range jr.nodes {
 			a.AddUsage(e.plat.Compute(id), 1)
 		}
@@ -288,7 +289,7 @@ func (e *Engine) startTask(jr *jobRun) {
 		// Asynchronous: the task completes immediately.
 		jr.timer = e.kernel.ScheduleAfter(0, des.PriorityEngine, done)
 	default:
-		e.warnf("job %s: unknown task kind %q", jr.view.Job.Label(), t.Kind)
+		e.warnf("job %s: unknown task kind %q", jr.label(), t.Kind)
 		jr.timer = e.kernel.ScheduleAfter(0, des.PriorityEngine, done)
 	}
 }
@@ -349,7 +350,7 @@ func (e *Engine) startComm(jr *jobRun, t *job.Task, payload float64, done func()
 		return
 	}
 	begin := func() {
-		a := fluid.NewActivity(fmt.Sprintf("%s.%s", jr.view.Job.Label(), t.Pattern), payload, done)
+		a := jr.newActivity(string(t.Pattern), payload, done)
 		for _, u := range shared {
 			a.AddUsage(u.res, u.weight)
 		}
@@ -423,7 +424,7 @@ func (e *Engine) startIO(jr *jobRun, t *job.Task, total float64, done func()) {
 	}
 	fast := !e.opts.DisableFastPath
 	share := 1 / float64(n)
-	a := fluid.NewActivity(fmt.Sprintf("%s.%s", jr.view.Job.Label(), t.Kind), total, done)
+	a := jr.newActivity(string(t.Kind), total, done)
 	switch t.Target {
 	case job.TargetPFS:
 		var res *fluid.Resource
@@ -647,7 +648,7 @@ func (e *Engine) adjustAllocation(jr *jobRun, target int) {
 	if target > cur {
 		added, err := e.alloc.Allocate(owner, target-cur)
 		if err != nil {
-			panic(fmt.Sprintf("core: validated expand of %s failed: %v", jr.view.Job.Label(), err))
+			panic(fmt.Sprintf("core: validated expand of %s failed: %v", jr.label(), err))
 		}
 		jr.nodes = append(jr.nodes, added...)
 		e.telNodesAllocated(jr, added)
@@ -657,12 +658,12 @@ func (e *Engine) adjustAllocation(jr *jobRun, target int) {
 		released := jr.nodes[target:]
 		jr.nodes = jr.nodes[:target]
 		if err := e.alloc.Release(owner, released); err != nil {
-			panic(fmt.Sprintf("core: inconsistent allocation for %s: %v", jr.view.Job.Label(), err))
+			panic(fmt.Sprintf("core: inconsistent allocation for %s: %v", jr.label(), err))
 		}
 		e.telNodesReleased(jr, released)
 	}
 	jr.view.Nodes = len(jr.nodes)
-	e.rec.AddGantt(jr.view.Job.ID, jr.view.Job.Label(), cur, jr.segStart, now)
+	e.rec.AddGantt(jr.view.Job.ID, jr.label(), cur, jr.segStart, now)
 	jr.segStart = now
 	e.rec.JobReconfigured(jr.rec, now, len(jr.nodes))
 	if e.tracing() {
@@ -679,7 +680,7 @@ func (e *Engine) chargeReconfiguration(jr *jobRun, oldSize int) {
 		e.renv.oldSize, e.renv.newSize = float64(oldSize), float64(len(jr.nodes))
 		v, err := jr.view.Job.ReconfigCost.Eval(&e.renv, len(jr.nodes))
 		if err != nil {
-			e.warnf("job %s: reconfig cost error: %v", jr.view.Job.Label(), err)
+			e.warnf("job %s: reconfig cost error: %v", jr.label(), err)
 		} else if v > 0 {
 			cost = v
 		}
@@ -708,12 +709,12 @@ func (e *Engine) finish(jr *jobRun, status metrics.JobStatus) {
 	now := e.Now()
 	jr.setState(stateDone)
 	e.cancelWork(jr)
-	e.rec.AddGantt(jr.view.Job.ID, jr.view.Job.Label(), len(jr.nodes), jr.segStart, now)
+	e.rec.AddGantt(jr.view.Job.ID, jr.label(), len(jr.nodes), jr.segStart, now)
 	if n := e.alloc.Owned(jr.owner); n != len(jr.nodes) {
-		panic(fmt.Sprintf("core: job %s released %d nodes, held %d", jr.view.Job.Label(), n, len(jr.nodes)))
+		panic(fmt.Sprintf("core: job %s released %d nodes, held %d", jr.label(), n, len(jr.nodes)))
 	}
 	if err := e.alloc.Release(jr.owner, jr.nodes); err != nil {
-		panic(fmt.Sprintf("core: releasing %s: %v", jr.view.Job.Label(), err))
+		panic(fmt.Sprintf("core: releasing %s: %v", jr.label(), err))
 	}
 	e.telNodesReleased(jr, jr.nodes)
 	jr.nodes = nil
@@ -765,4 +766,25 @@ func (e *Engine) cancelWork(jr *jobRun) {
 	}
 }
 
-func ownerKey(id job.ID) string { return fmt.Sprintf("job%d", id) }
+// ownerKey is a run's allocator key, "job<ID>": the label Job.Label gives
+// an unnamed job, so label can hand it out instead of formatting it again.
+func ownerKey(id job.ID) string { return "job" + strconv.Itoa(int(id)) }
+
+// label is the job's display name in records, Gantt segments, activities,
+// telemetry and messages: its Name if set, otherwise the owner key.
+func (jr *jobRun) label() string {
+	if name := jr.view.Job.Name; name != "" {
+		return name
+	}
+	return jr.owner
+}
+
+// newActivity builds the fluid activity of jr's current task, named by the
+// job's label. The task detail (compute, a comm pattern, read or write) is
+// formatted only into the panic that invalid work raises.
+func (jr *jobRun) newActivity(detail string, work float64, done func()) *fluid.Activity {
+	if work < 0 || math.IsNaN(work) {
+		panic(fmt.Sprintf("core: invalid work %v for activity %s.%s", work, jr.label(), detail))
+	}
+	return fluid.NewActivity(jr.label(), work, done)
+}

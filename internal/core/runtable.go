@@ -38,16 +38,7 @@ type runTable struct {
 
 func newRunTable(w *job.Workload) *runTable {
 	t := &runTable{total: len(w.Jobs)}
-	minID, maxID := job.ID(0), job.ID(-1)
-	for _, j := range w.Jobs {
-		if j.ID > maxID {
-			maxID = j.ID
-		}
-		if j.ID < minID {
-			minID = j.ID
-		}
-	}
-	if minID >= 0 && int(maxID) < 2*len(w.Jobs)+1024 {
+	if maxID, ok := w.CompactIDs(); ok {
 		t.dense = make([]*jobRun, int(maxID)+1)
 	} else {
 		t.sparse = make(map[job.ID]*jobRun, len(w.Jobs))

@@ -108,7 +108,7 @@ func (e *Engine) telNodesAllocated(jr *jobRun, nodes []platform.NodeID) {
 		return
 	}
 	now := e.Now()
-	label := jr.view.Job.Label()
+	label := jr.label()
 	for _, n := range nodes {
 		tel.Begin(telemetry.NodeTrack(int(n)), label, now)
 	}
@@ -121,7 +121,7 @@ func (e *Engine) telNodesReleased(jr *jobRun, nodes []platform.NodeID) {
 		return
 	}
 	now := e.Now()
-	label := jr.view.Job.Label()
+	label := jr.label()
 	for _, n := range nodes {
 		tel.End(telemetry.NodeTrack(int(n)), label, now)
 	}
@@ -174,7 +174,7 @@ func (e *Engine) FinalizeTelemetry() {
 			e.telCloseTask(jr)
 			e.telEndReconfig(jr)
 			tel.End(tr, "run", now, aborted)
-			label := jr.view.Job.Label()
+			label := jr.label()
 			for _, n := range jr.nodes {
 				tel.End(telemetry.NodeTrack(int(n)), label, now, aborted)
 			}

@@ -3,7 +3,7 @@ package expr
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Env supplies variable values during evaluation.
@@ -52,15 +52,19 @@ func (e *UndefinedVarError) Error() string {
 type Expr struct {
 	src  string
 	root node
+	// vars is the sorted, duplicate-free list of free variables, fixed at
+	// compile time so that validating an expression walks no tree.
+	vars []string
 }
 
 // Compile parses src into an evaluable expression.
 func Compile(src string) (*Expr, error) {
-	root, err := parse(src)
+	root, vars, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return &Expr{src: src, root: root}, nil
+	slices.Sort(vars)
+	return &Expr{src: src, root: root, vars: slices.Compact(vars)}, nil
 }
 
 // MustCompile is Compile for expressions known correct at build time.
@@ -95,23 +99,17 @@ func (e *Expr) Eval(env Env) (val float64, err error) {
 	return e.root.eval(env), nil
 }
 
-// Vars returns the sorted free variables of the expression.
+// Vars returns the sorted free variables of the expression. The slice is
+// the caller's to keep.
 func (e *Expr) Vars() []string {
-	set := map[string]bool{}
-	e.root.vars(set)
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return append(make([]string, 0, len(e.vars)), e.vars...)
 }
 
-// Validate checks that every free variable is covered by the given set of
-// permitted names; it returns the first missing variable's error.
-func (e *Expr) Validate(allowed map[string]bool) error {
-	for _, v := range e.Vars() {
-		if !allowed[v] {
+// Validate checks that allowed accepts every free variable; it returns the
+// error of the first, in sorted order, that it rejects.
+func (e *Expr) Validate(allowed func(name string) bool) error {
+	for _, v := range e.vars {
+		if !allowed(v) {
 			return &UndefinedVarError{Name: v}
 		}
 	}
@@ -119,11 +117,7 @@ func (e *Expr) Validate(allowed map[string]bool) error {
 }
 
 // IsConstant reports whether the expression references no variables.
-func (e *Expr) IsConstant() bool {
-	set := map[string]bool{}
-	e.root.vars(set)
-	return len(set) == 0
-}
+func (e *Expr) IsConstant() bool { return len(e.vars) == 0 }
 
 func (e *Expr) String() string { return e.src }
 

@@ -196,15 +196,39 @@ func TestVarsListing(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	e := MustCompile("num_nodes * x")
-	err := e.Validate(map[string]bool{"num_nodes": true})
+	err := e.Validate(func(name string) bool { return name == "num_nodes" })
 	if err == nil {
 		t.Fatal("Validate passed with missing variable")
 	}
 	if err.(*UndefinedVarError).Name != "x" {
 		t.Errorf("missing var %v", err)
 	}
-	if err := e.Validate(map[string]bool{"num_nodes": true, "x": true}); err != nil {
+	if err := e.Validate(func(string) bool { return true }); err != nil {
 		t.Errorf("Validate failed: %v", err)
+	}
+	// Several missing: the first in sorted order is named.
+	err = MustCompile("zz + num_nodes * yy + zz").Validate(func(name string) bool { return name == "num_nodes" })
+	if uv, ok := err.(*UndefinedVarError); !ok || uv.Name != "yy" {
+		t.Errorf("Validate = %v, want yy undefined", err)
+	}
+}
+
+// TestVarsIsACopy: Vars hands out a copy, so a caller that edits it cannot
+// change what a later Validate or IsConstant sees.
+func TestVarsIsACopy(t *testing.T) {
+	e := MustCompile("b * a")
+	onlyA := func(name string) bool { return name == "a" }
+	vs := e.Vars()
+	vs[0], vs[1] = "a", "a"
+	if err := e.Validate(onlyA); err == nil || err.(*UndefinedVarError).Name != "b" {
+		t.Errorf("Validate after editing Vars() = %v, want b undefined", err)
+	}
+	_ = append(vs[:0], "a")
+	if got := e.Vars(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Errorf("Vars() = %q after editing an earlier copy", got)
+	}
+	if c := MustCompile("7"); len(c.Vars()) != 0 || !c.IsConstant() {
+		t.Errorf("constant: Vars() = %q, IsConstant %v", c.Vars(), c.IsConstant())
 	}
 }
 

@@ -1,15 +1,56 @@
 package expr
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 )
+
+// refVars lists an expression's free variables the way Vars did before
+// Compile kept the list: a walk of the whole tree into a set, then a sort.
+func refVars(e *Expr) []string {
+	set := map[string]bool{}
+	refWalk(e.root, set)
+	out := make([]string, 0, len(set))
+	for name := range set {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// refWalk adds the free variables of the subtree at n to dst.
+func refWalk(n node, dst map[string]bool) {
+	switch n := n.(type) {
+	case numNode:
+	case varNode:
+		dst[string(n)] = true
+	case *unaryNode:
+		refWalk(n.child, dst)
+	case *binaryNode:
+		refWalk(n.left, dst)
+		refWalk(n.right, dst)
+	case *condNode:
+		refWalk(n.cond, dst)
+		refWalk(n.then, dst)
+		refWalk(n.els, dst)
+	case *callNode:
+		for _, a := range n.args {
+			refWalk(a, dst)
+		}
+	default:
+		panic(fmt.Sprintf("refWalk: unknown node %T", n))
+	}
+}
 
 // FuzzParse feeds arbitrary strings to the compiler. Compile must never
 // panic — malformed input has to surface as an error — and any expression
 // that does compile must round-trip: recompiling its Source() yields an
 // expression that evaluates to the same value (NaN-aware) under a fixed
-// environment.
+// environment. The free-variable list Compile records must be the one a
+// walk of the tree finds (refVars), and IsConstant must agree with it.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"1 + 2 * 3",
@@ -25,6 +66,8 @@ func FuzzParse(f *testing.F) {
 		"1 ? 2",
 		"unknownfn(1)",
 		"\x00\xff",
+		"b + a * b - a + c ? a : if(z, y, x)",
+		"min(-x, -x, max(y, -(-y)))",
 	} {
 		f.Add(seed)
 	}
@@ -36,6 +79,13 @@ func FuzzParse(f *testing.F) {
 		e, err := Compile(src) // must not panic, however hostile src is
 		if err != nil {
 			return
+		}
+		want := refVars(e)
+		if got := e.Vars(); !slices.Equal(got, want) {
+			t.Fatalf("%q: Vars() = %q, tree walk finds %q", src, got, want)
+		}
+		if e.IsConstant() != (len(want) == 0) {
+			t.Fatalf("%q: IsConstant() = %v with free variables %q", src, e.IsConstant(), want)
 		}
 		v1, err1 := e.Eval(env)
 		e2, err := Compile(e.Source())

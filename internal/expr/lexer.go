@@ -148,7 +148,7 @@ func (l *lexer) next() (token, error) {
 		return token{kind: tokOr, pos: start, text: two}, nil
 	}
 	l.pos++
-	one := string(c)
+	one := l.src[start:l.pos] // a slice of the source: no allocation
 	switch c {
 	case '+':
 		return token{kind: tokPlus, pos: start, text: one}, nil

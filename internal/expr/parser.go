@@ -5,14 +5,11 @@ import "fmt"
 // node is a compiled expression tree node.
 type node interface {
 	eval(env Env) float64
-	// vars appends the free variables of the subtree to dst.
-	vars(dst map[string]bool)
 }
 
 type numNode float64
 
-func (n numNode) eval(Env) float64     { return float64(n) }
-func (n numNode) vars(map[string]bool) {}
+func (n numNode) eval(Env) float64 { return float64(n) }
 
 type varNode string
 
@@ -23,7 +20,6 @@ func (n varNode) eval(env Env) float64 {
 	}
 	return v
 }
-func (n varNode) vars(dst map[string]bool) { dst[string(n)] = true }
 
 type unaryNode struct {
 	op    tokenKind
@@ -43,7 +39,6 @@ func (n *unaryNode) eval(env Env) float64 {
 	}
 	panic(fmt.Sprintf("expr: bad unary op %d", n.op))
 }
-func (n *unaryNode) vars(dst map[string]bool) { n.child.vars(dst) }
 
 type binaryNode struct {
 	op          tokenKind
@@ -100,10 +95,6 @@ func (n *binaryNode) eval(env Env) float64 {
 	}
 	panic(fmt.Sprintf("expr: bad binary op %d", n.op))
 }
-func (n *binaryNode) vars(dst map[string]bool) {
-	n.left.vars(dst)
-	n.right.vars(dst)
-}
 
 type condNode struct {
 	cond, then, els node
@@ -114,11 +105,6 @@ func (n *condNode) eval(env Env) float64 {
 		return n.then.eval(env)
 	}
 	return n.els.eval(env)
-}
-func (n *condNode) vars(dst map[string]bool) {
-	n.cond.vars(dst)
-	n.then.vars(dst)
-	n.els.vars(dst)
 }
 
 type callNode struct {
@@ -134,11 +120,6 @@ func (n *callNode) eval(env Env) float64 {
 	}
 	return n.fn(vals)
 }
-func (n *callNode) vars(dst map[string]bool) {
-	for _, a := range n.args {
-		a.vars(dst)
-	}
-}
 
 // maxParseDepth bounds parser recursion so pathological inputs (deeply
 // nested parentheses, long unary chains) fail with a SyntaxError instead
@@ -146,10 +127,13 @@ func (n *callNode) vars(dst map[string]bool) {
 const maxParseDepth = 200
 
 type parser struct {
-	lex   *lexer
+	lex   lexer
 	tok   token
 	src   string
 	depth int
+	// vars collects every variable reference in source order, duplicates
+	// included.
+	vars []string
 }
 
 // enter guards each recursive production against unbounded nesting; every
@@ -184,19 +168,21 @@ func (p *parser) expect(kind tokenKind, what string) error {
 	return p.advance()
 }
 
-func parse(src string) (node, error) {
-	p := &parser{lex: &lexer{src: src}, src: src}
+// parse compiles src into a tree and also returns the variable names it
+// references, in source order and with repeats.
+func parse(src string) (node, []string, error) {
+	p := &parser{lex: lexer{src: src}, src: src}
 	if err := p.advance(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n, err := p.parseTernary()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if p.tok.kind != tokEOF {
-		return nil, p.errorf(p.tok.pos, "unexpected %q after expression", p.tok.String())
+		return nil, nil, p.errorf(p.tok.pos, "unexpected %q after expression", p.tok.String())
 	}
-	return n, nil
+	return n, p.vars, nil
 }
 
 func (p *parser) parseTernary() (node, error) {
@@ -370,6 +356,10 @@ func (p *parser) parseAtom() (node, error) {
 			return nil, err
 		}
 		if p.tok.kind != tokLParen {
+			if p.vars == nil {
+				p.vars = make([]string, 0, 4) // one allocation for most models
+			}
+			p.vars = append(p.vars, name)
 			return varNode(name), nil
 		}
 		// Function call.

@@ -85,9 +85,9 @@ type Task struct {
 	Target IOTarget
 }
 
-// Validate checks internal consistency; allowed is the permitted variable
-// set for model expressions.
-func (t *Task) Validate(allowed map[string]bool) error {
+// Validate checks internal consistency; allowed reports whether a variable
+// may appear in the model's expression.
+func (t *Task) Validate(allowed func(name string) bool) error {
 	if t.Model == nil {
 		return fmt.Errorf("task %q: missing cost model", t.describe())
 	}
@@ -142,8 +142,8 @@ type Phase struct {
 	Tasks []Task
 }
 
-// Validate checks the phase.
-func (p *Phase) Validate(allowed map[string]bool) error {
+// Validate checks the phase; allowed is as for Task.Validate.
+func (p *Phase) Validate(allowed func(name string) bool) error {
 	if p.Iterations < 0 {
 		return fmt.Errorf("phase %q: negative iterations", p.Name)
 	}
@@ -171,9 +171,8 @@ type Application struct {
 	Phases []Phase
 }
 
-// Validate checks every phase; argNames are the job's argument variables.
-func (a *Application) Validate(argNames []string) error {
-	allowed := engineVars(argNames)
+// Validate checks every phase; allowed is as for Task.Validate.
+func (a *Application) Validate(allowed func(name string) bool) error {
 	for i := range a.Phases {
 		if err := a.Phases[i].Validate(allowed); err != nil {
 			return fmt.Errorf("application phase %d: %w", i, err)

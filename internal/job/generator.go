@@ -159,8 +159,10 @@ func Generate(cfg Config) (*Workload, error) {
 		}
 		w.Jobs = append(w.Jobs, j)
 	}
+	// Next validated every job against the machine; what is left to check
+	// is the workload as a whole.
 	w.Sort()
-	if err := w.Validate(s.MachineNodes()); err != nil {
+	if err := w.validateDependencies(); err != nil {
 		return nil, fmt.Errorf("job: generated workload invalid: %w", err)
 	}
 	return w, nil
@@ -258,11 +260,4 @@ func estimateRuntime(iters int, computeSecs, commBytes, ioBytes float64, kind Pr
 	}
 	total := computeTime + commTime + ioTime
 	return math.Max(total, 60)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

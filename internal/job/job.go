@@ -16,6 +16,7 @@ package job
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Type classifies a job's flexibility.
@@ -91,7 +92,7 @@ func (j *Job) Label() string {
 	if j.Name != "" {
 		return j.Name
 	}
-	return fmt.Sprintf("job%d", j.ID)
+	return "job" + strconv.Itoa(int(j.ID))
 }
 
 // MinNodes returns the smallest allocation the job accepts.
@@ -146,46 +147,36 @@ func (j *Job) Validate(totalNodes int) error {
 	if j.App == nil || len(j.App.Phases) == 0 {
 		return fmt.Errorf("job %s: empty application", j.Label())
 	}
-	if err := j.App.Validate(j.argNames()); err != nil {
+	if err := j.App.Validate(j.hasVar); err != nil {
 		return fmt.Errorf("job %s: %w", j.Label(), err)
 	}
 	if j.ReconfigCost != nil {
-		allowed := engineVars(j.argNames())
-		allowed["num_nodes_old"] = true
-		allowed["num_nodes_new"] = true
-		if err := j.ReconfigCost.Validate(allowed); err != nil {
+		if err := j.ReconfigCost.Validate(j.hasReconfigVar); err != nil {
 			return fmt.Errorf("job %s: reconfig cost: %w", j.Label(), err)
 		}
 	}
 	if j.CheckpointInterval != nil {
-		if err := j.CheckpointInterval.Validate(engineVars(j.argNames())); err != nil {
+		if err := j.CheckpointInterval.Validate(j.hasVar); err != nil {
 			return fmt.Errorf("job %s: checkpoint interval: %w", j.Label(), err)
 		}
 	}
 	return nil
 }
 
-func (j *Job) argNames() []string {
-	names := make([]string, 0, len(j.Args))
-	for k := range j.Args {
-		names = append(names, k)
+// hasVar reports whether name is in scope in the job's expressions: one of
+// the variables the engine provides to every expression, or one of the
+// job's own arguments.
+func (j *Job) hasVar(name string) bool {
+	switch name {
+	case "num_nodes", "total_nodes", "iteration", "iterations", "phase", "walltime":
+		return true
 	}
-	return names
+	_, ok := j.Args[name]
+	return ok
 }
 
-// engineVars returns the set of variables the engine provides to every
-// expression, plus the job's own argument names.
-func engineVars(argNames []string) map[string]bool {
-	allowed := map[string]bool{
-		"num_nodes":   true,
-		"total_nodes": true,
-		"iteration":   true,
-		"iterations":  true,
-		"phase":       true,
-		"walltime":    true,
-	}
-	for _, a := range argNames {
-		allowed[a] = true
-	}
-	return allowed
+// hasReconfigVar is hasVar for the reconfiguration cost, which also sees
+// the allocation size before and after the change.
+func (j *Job) hasReconfigVar(name string) bool {
+	return name == "num_nodes_old" || name == "num_nodes_new" || j.hasVar(name)
 }

@@ -118,7 +118,7 @@ func TestMinMaxNodes(t *testing.T) {
 }
 
 func TestTaskValidate(t *testing.T) {
-	allowed := engineVars([]string{"b"})
+	allowed := (&Job{Args: map[string]float64{"b": 1}}).hasVar
 	cases := []struct {
 		name string
 		task Task
@@ -151,7 +151,7 @@ func TestTaskValidate(t *testing.T) {
 }
 
 func TestPhaseValidate(t *testing.T) {
-	allowed := engineVars(nil)
+	allowed := (&Job{}).hasVar
 	p := Phase{Tasks: []Task{{Kind: TaskDelay, Model: ConstModel(1)}}}
 	if err := p.Validate(allowed); err != nil {
 		t.Errorf("valid phase rejected: %v", err)

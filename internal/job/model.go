@@ -114,9 +114,9 @@ func (m *Model) evalVector(numNodes int) (float64, error) {
 	return lo.value * powf(hi.value/lo.value, frac), nil
 }
 
-// Validate checks expression variables against the allowed set. Vector
-// models are always valid.
-func (m *Model) Validate(allowed map[string]bool) error {
+// Validate checks that allowed accepts every expression variable. A vector
+// model is valid if it has a point.
+func (m *Model) Validate(allowed func(name string) bool) error {
 	if m.expression != nil {
 		return m.expression.Validate(allowed)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/unit"
@@ -29,12 +30,19 @@ func (w *Workload) Validate(totalNodes int) error {
 	return w.validateDependencies()
 }
 
+// validateDependencies checks that job IDs are unique and that every
+// dependency names another job of the workload, without cycles. A workload
+// without dependencies (every generated one, and an SWF trace without
+// preceding-job chains) stops after the ID check.
 func (w *Workload) validateDependencies() error {
+	if err := w.checkUniqueIDs(); err != nil {
+		return err
+	}
+	if !slices.ContainsFunc(w.Jobs, func(j *Job) bool { return len(j.Dependencies) > 0 }) {
+		return nil
+	}
 	byID := make(map[ID]*Job, len(w.Jobs))
 	for _, j := range w.Jobs {
-		if _, dup := byID[j.ID]; dup {
-			return fmt.Errorf("duplicate job ID %d", j.ID)
-		}
 		byID[j.ID] = j
 	}
 	for _, j := range w.Jobs {
@@ -47,7 +55,7 @@ func (w *Workload) validateDependencies() error {
 			}
 		}
 	}
-	// Cycle detection: iterative DFS with colors.
+	// Cycle detection: recursive DFS with colors.
 	const (
 		white = 0
 		gray  = 1
@@ -77,6 +85,44 @@ func (w *Workload) validateDependencies() error {
 		}
 	}
 	return nil
+}
+
+// checkUniqueIDs reports the first job whose ID an earlier job already
+// has. Compact IDs are checked over a bitset, others over a map.
+func (w *Workload) checkUniqueIDs() error {
+	if maxID, ok := w.CompactIDs(); ok {
+		seen := make([]uint64, int(maxID)/64+1)
+		for _, j := range w.Jobs {
+			word, bit := j.ID/64, uint64(1)<<(j.ID%64)
+			if seen[word]&bit != 0 {
+				return fmt.Errorf("duplicate job ID %d", j.ID)
+			}
+			seen[word] |= bit
+		}
+		return nil
+	}
+	seen := make(map[ID]bool, len(w.Jobs))
+	for _, j := range w.Jobs {
+		if seen[j.ID] {
+			return fmt.Errorf("duplicate job ID %d", j.ID)
+		}
+		seen[j.ID] = true
+	}
+	return nil
+}
+
+// CompactIDs returns the largest job ID (-1 for an empty workload) and
+// whether the IDs are compact: none negative, and the largest below
+// 2n+1024 for n jobs, so that a slice of maxID+1 entries indexes them.
+// ParseWorkload and Sort establish this with dense IDs; hand-assembled
+// workloads may use arbitrary ones.
+func (w *Workload) CompactIDs() (maxID ID, ok bool) {
+	minID := ID(0)
+	maxID = -1
+	for _, j := range w.Jobs {
+		minID, maxID = min(minID, j.ID), max(maxID, j.ID)
+	}
+	return maxID, minID >= 0 && int(maxID) < 2*len(w.Jobs)+1024
 }
 
 // Sort orders jobs by (submit time, ID) and reassigns dense IDs in that
@@ -161,24 +207,27 @@ type workloadJSON struct {
 }
 
 func (t *taskJSON) model() (*Model, error) {
-	var set []*Model
-	for _, m := range []*Model{t.Flops, t.Bytes, t.Seconds, t.Nodes} {
+	given := 0
+	for _, m := range [...]*Model{t.Flops, t.Bytes, t.Seconds, t.Nodes} {
 		if m != nil {
-			set = append(set, m)
+			given++
 		}
 	}
-	if len(set) != 1 {
+	if given != 1 {
 		return nil, fmt.Errorf("job: task %q must have exactly one of flops/bytes/seconds/nodes", t.Type)
 	}
 	// Check the field name matches the kind.
-	want := map[TaskKind]*Model{
-		TaskCompute:         t.Flops,
-		TaskComm:            t.Bytes,
-		TaskRead:            t.Bytes,
-		TaskWrite:           t.Bytes,
-		TaskDelay:           t.Seconds,
-		TaskEvolvingRequest: t.Nodes,
-	}[t.Type]
+	var want *Model
+	switch t.Type {
+	case TaskCompute:
+		want = t.Flops
+	case TaskComm, TaskRead, TaskWrite:
+		want = t.Bytes
+	case TaskDelay:
+		want = t.Seconds
+	case TaskEvolvingRequest:
+		want = t.Nodes
+	}
 	if want == nil {
 		return nil, fmt.Errorf("job: task kind %q given the wrong cost field", t.Type)
 	}

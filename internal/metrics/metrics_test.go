@@ -139,7 +139,7 @@ func makeJob(id int, typ job.Type) *job.Job {
 func TestRecorderLifecycle(t *testing.T) {
 	rec := NewRecorder(16)
 	j := makeJob(0, job.Rigid)
-	r := rec.JobSubmitted(j, 0)
+	r := rec.JobSubmitted(j, j.Label(), 0)
 	rec.JobStarted(r, 10, 4)
 	rec.JobFinished(r, 110, StatusCompleted)
 	if r.Wait() != 10 {
@@ -171,7 +171,7 @@ func TestRecorderLifecycle(t *testing.T) {
 func TestRecorderReconfiguration(t *testing.T) {
 	rec := NewRecorder(32)
 	j := makeJob(0, job.Malleable)
-	r := rec.JobSubmitted(j, 0)
+	r := rec.JobSubmitted(j, j.Label(), 0)
 	rec.JobStarted(r, 0, 4)
 	rec.JobReconfigured(r, 50, 12)
 	rec.JobReconfigured(r, 80, 2)
@@ -200,7 +200,7 @@ func TestRecorderReconfiguration(t *testing.T) {
 func TestRecorderKilled(t *testing.T) {
 	rec := NewRecorder(8)
 	j := makeJob(0, job.Rigid)
-	r := rec.JobSubmitted(j, 0)
+	r := rec.JobSubmitted(j, j.Label(), 0)
 	rec.JobStarted(r, 0, 2)
 	rec.JobFinished(r, 50, StatusKilledWalltime)
 	s := rec.Summary()
@@ -211,8 +211,8 @@ func TestRecorderKilled(t *testing.T) {
 
 func TestRecorderUnfinishedExcluded(t *testing.T) {
 	rec := NewRecorder(8)
-	ra := rec.JobSubmitted(makeJob(0, job.Rigid), 0)
-	rb := rec.JobSubmitted(makeJob(1, job.Rigid), 0)
+	ra := rec.JobSubmitted(makeJob(0, job.Rigid), "a", 0)
+	rb := rec.JobSubmitted(makeJob(1, job.Rigid), "b", 0)
 	rec.JobStarted(ra, 0, 2)
 	rec.JobFinished(ra, 10, StatusCompleted)
 	// b never starts.
@@ -247,7 +247,7 @@ func TestSummaryStatistics(t *testing.T) {
 	rec := NewRecorder(100)
 	rs := make([]*JobRecord, 10)
 	for i := range rs {
-		rs[i] = rec.JobSubmitted(makeJob(i, job.Rigid), 0)
+		rs[i] = rec.JobSubmitted(makeJob(i, job.Rigid), "s", 0)
 	}
 	for i, r := range rs {
 		rec.JobStarted(r, float64(i*10), 1)
@@ -291,7 +291,7 @@ func TestJobsCSV(t *testing.T) {
 	rec := NewRecorder(8)
 	j := makeJob(0, job.Rigid)
 	j.Name = "alpha"
-	r := rec.JobSubmitted(j, 0)
+	r := rec.JobSubmitted(j, j.Label(), 0)
 	rec.JobStarted(r, 5, 2)
 	rec.JobFinished(r, 25, StatusCompleted)
 	var buf bytes.Buffer
@@ -327,8 +327,8 @@ func TestWriteSWFRoundTripsThroughParser(t *testing.T) {
 	rec := NewRecorder(16)
 	j := &job.Job{ID: 0, Type: job.Rigid, NumNodes: 4, WallTimeLimit: 500}
 	j2 := &job.Job{ID: 1, Type: job.Rigid, NumNodes: 2, WallTimeLimit: 50}
-	r := rec.JobSubmitted(j, 10)
-	r2 := rec.JobSubmitted(j2, 20)
+	r := rec.JobSubmitted(j, j.Label(), 10)
+	r2 := rec.JobSubmitted(j2, j2.Label(), 20)
 	rec.JobStarted(r, 30, 4)
 	rec.JobStarted(r2, 40, 2)
 	rec.JobFinished(r2, 90, StatusKilledWalltime) // killed

@@ -144,10 +144,11 @@ func NewRecorder(totalNodes int) *Recorder {
 }
 
 // JobSubmitted registers a job entering the queue and returns its record,
-// the handle every later callback for the job takes.
-func (rec *Recorder) JobSubmitted(j *job.Job, t float64) *JobRecord {
+// the handle every later callback for the job takes. name is the job's
+// label (j.Label()), passed in so that the caller formats it once per job.
+func (rec *Recorder) JobSubmitted(j *job.Job, name string, t float64) *JobRecord {
 	r := &JobRecord{
-		ID: j.ID, Name: j.Label(), Type: j.Type, User: j.User,
+		ID: j.ID, Name: name, Type: j.Type, User: j.User,
 		Submit: t, Start: -1, End: -1,
 		RequestedNodes: j.MinNodes(), WallTime: j.WallTimeLimit,
 	}
@@ -331,7 +332,8 @@ type Summary struct {
 // Summary computes aggregates over finished jobs.
 func (rec *Recorder) Summary() Summary {
 	s := Summary{Jobs: len(rec.records), Reconfigs: rec.reconfigs, Makespan: rec.finalTime}
-	var waits, slowdowns []float64
+	waits := make([]float64, 0, len(rec.records))
+	slowdowns := make([]float64, 0, len(rec.records))
 	var turnSum float64
 	for _, r := range rec.records {
 		if r.End < 0 {
