@@ -34,11 +34,11 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"repro/elastisim"
 	"repro/internal/cli"
 	"repro/internal/extsched"
-	"repro/internal/telemetry"
 	"repro/internal/unit"
 )
 
@@ -165,9 +165,6 @@ func run(ctx context.Context) error {
 		return err
 	}
 	opts.Telemetry = tracer
-	if *progress {
-		opts.Progress = &telemetry.RunProgress{W: os.Stderr, Label: "sim"}
-	}
 	session, err := elastisim.NewSession(elastisim.Config{
 		Platform:  spec,
 		Workload:  wl,
@@ -179,7 +176,12 @@ func run(ctx context.Context) error {
 		closeTel()
 		return err
 	}
+	stopProgress := func() {}
+	if *progress {
+		stopProgress = watchProgress(session, &elastisim.RunProgress{W: os.Stderr, Label: "sim"})
+	}
 	res, err := session.Run(ctx)
+	stopProgress()
 	// On Ctrl-C the session returns the partial result alongside ctx.Err():
 	// flush every requested artifact from it, then exit 130.
 	var cancelErr error
@@ -441,3 +443,33 @@ const formatExamples = `# Platform file (JSON). Quantities accept constant expre
 # name: "dependencies": ["sim0"]. An optional "checkpoint_interval"
 # expression (seconds) enables checkpoint/restart under node failures.
 ` + exampleWorkload
+
+// progressEvery is how often -progress reads the session and redraws its
+// line.
+const progressEvery = 500 * time.Millisecond
+
+// watchProgress feeds p from session.Peek every progressEvery, on its own
+// goroutine, while the session runs. The returned stop ends that goroutine,
+// waits for it, and terminates the progress line.
+func watchProgress(session *elastisim.Session, p *elastisim.RunProgress) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(progressEvery)
+		defer tick.Stop()
+		for {
+			pk := session.Peek()
+			p.Tick(pk.Now, pk.Events)
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+		p.Done()
+	}
+}

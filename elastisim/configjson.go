@@ -161,11 +161,6 @@ func MarshalConfig(cfg Config) ([]byte, error) {
 	}
 	doc := configDoc{Platform: plat, Workload: wl, Algorithm: key, Failures: cfg.Failures}
 	o := cfg.Options
-	if doc.Failures == nil && o.Failures != nil {
-		// NewSession honors a failure spec planted directly in Options;
-		// serialize it rather than silently dropping it.
-		doc.Failures = o.Failures
-	}
 	co := configOptions{
 		InvocationInterval: Quantity(o.InvocationInterval),
 		DisableEventDriven: o.DisableEventDriven,

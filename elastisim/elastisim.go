@@ -125,14 +125,12 @@ type (
 	// AuditLog records every scheduler invocation with its decisions and
 	// grant/deny reasons; attach via Tracer.SetAudit.
 	AuditLog = telemetry.AuditLog
-	// RunProgress is the opt-in live progress ticker (Options.Progress).
+	// RunProgress renders a run's progress as a terminal status line; the
+	// caller feeds it from Session.Peek.
 	RunProgress = telemetry.RunProgress
-	// Progress is the sink interface Options.Progress accepts: a
-	// RunProgress terminal ticker or a ProgressFanOut broadcaster.
-	Progress = telemetry.Progress
 	// ProgressFanOut broadcasts one run's progress stream to any number
-	// of concurrent subscribers (SSE streams, pollers); attach via
-	// Options.Progress.
+	// of concurrent subscribers (SSE streams); the goroutine driving the
+	// session feeds it between slices.
 	ProgressFanOut = telemetry.ProgressFanOut
 	// ProgressUpdate is one sampled progress point of a ProgressFanOut.
 	ProgressUpdate = telemetry.ProgressUpdate

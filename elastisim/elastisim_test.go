@@ -173,3 +173,19 @@ func TestLoadSWF(t *testing.T) {
 		t.Error("missing SWF accepted")
 	}
 }
+
+// TestNewSessionLeavesPlatformSpec pins that Config.Failures reaches the
+// engine through a copy of the platform spec: the caller's spec keeps its
+// own failure model, so one spec can drive clean and degraded sessions.
+func TestNewSessionLeavesPlatformSpec(t *testing.T) {
+	cfg := equivalenceConfig(t, Options{})
+	if cfg.Platform.Failures != nil || cfg.Failures == nil {
+		t.Fatal("scenario must set Config.Failures on a spec without one")
+	}
+	if _, err := NewSession(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Platform.Failures != nil {
+		t.Errorf("NewSession wrote Config.Failures into the caller's platform spec")
+	}
+}

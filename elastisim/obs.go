@@ -91,9 +91,8 @@ func (so *sessionObs) recordPanic(ie *InternalError) {
 // recordFinish runs exactly once per session, when a final Result is
 // cached, and exports the run's existing counters — kernel, scheduler,
 // solver — into the shared registry. Nothing here is re-counted: the
-// values come off the Result and engine stats that every run already
-// maintains.
-func (so *sessionObs) recordFinish(s *Session, res *Result, reason AbortReason) {
+// values come off the Result and its telemetry snapshot.
+func (so *sessionObs) recordFinish(res *Result, reason AbortReason) {
 	if so == nil || so.finished {
 		return
 	}
@@ -107,7 +106,7 @@ func (so *sessionObs) recordFinish(s *Session, res *Result, reason AbortReason) 
 		so.reg.Counter("elastisim_sim_decisions_total").Add(res.Decisions)
 		so.reg.Counter("elastisim_sim_solves_total").Add(res.Solves)
 		so.reg.Counter("elastisim_sim_jobs_total").Add(uint64(len(res.Records)))
-		ks := s.eng.KernelStats()
+		ks := res.Telemetry.Kernel
 		so.reg.Counter("elastisim_sim_events_cancelled_total").Add(ks.Cancelled)
 		so.reg.Gauge("elastisim_sim_peak_queue", nil).SetMax(float64(ks.PeakQueue))
 	}

@@ -3,6 +3,7 @@ package elastisim
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -20,9 +21,9 @@ const (
 	// AbortDrained: the event queue emptied — the simulation ran to
 	// natural completion.
 	AbortDrained = core.AbortDrained
-	// AbortCancelled: the context was cancelled between events.
+	// AbortCancelled: the context was cancelled between slices.
 	AbortCancelled = core.AbortCancelled
-	// AbortDeadline: the context's deadline expired between events.
+	// AbortDeadline: the context's deadline expired between slices.
 	AbortDeadline = core.AbortDeadline
 	// AbortHorizon: the run hit a virtual-time bound (Options.Horizon or
 	// the RunUntil target) with events still queued.
@@ -49,7 +50,7 @@ func (e *InternalError) Error() string {
 }
 
 // Peek is a live, read-only snapshot of a session mid-run, cheap enough to
-// take between Step or RunUntil slices.
+// take between slices — from another goroutine while Run is in flight, too.
 type Peek struct {
 	// Now is the simulation clock in seconds.
 	Now float64
@@ -75,10 +76,11 @@ type Peek struct {
 // bit-identical results. Run(cfg) is exactly NewSession(cfg) followed by
 // Run(context.Background()).
 //
-// A Session is safe for use from multiple goroutines (calls serialize on
-// an internal mutex — so Peek blocks while a Run slice is executing), and
-// distinct Sessions are fully independent: they share no mutable state and
-// may run concurrently.
+// A Session is safe for use from multiple goroutines. Calls serialize on
+// an internal mutex, which Run and RunUntil hold for one slice of
+// sliceEvents events at a time, so Peek, Now and Step answer while a run
+// is in flight. Distinct Sessions are fully independent: they share no
+// mutable state and may run concurrently.
 type Session struct {
 	mu       sync.Mutex
 	eng      *core.Engine
@@ -105,11 +107,13 @@ func NewSession(cfg Config) (s *Session, err error) {
 	if cfg.Algorithm == nil {
 		return nil, fmt.Errorf("elastisim: config needs a scheduling algorithm")
 	}
-	opts := cfg.Options
+	spec := cfg.Platform
 	if cfg.Failures != nil {
-		opts.Failures = cfg.Failures
+		cp := *spec
+		cp.Failures = cfg.Failures
+		spec = &cp
 	}
-	eng, err := core.New(cfg.Platform, cfg.Workload, cfg.Algorithm, opts)
+	eng, err := core.New(spec, cfg.Workload, cfg.Algorithm, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -136,6 +140,13 @@ func (s *Session) guard(fn func()) (err error) {
 	return nil
 }
 
+// sliceEvents is how many events one Run or RunUntil slice fires. The
+// session mutex is held for one slice and released between slices, so the
+// slice bounds how long Peek, Now and Step wait and how late a cancelled
+// context is noticed, while its lock round trip, context poll and clock
+// reads stay out of the profile.
+const sliceEvents = 1024
+
 // Run executes the simulation until it completes or ctx is done.
 //
 // On completion it returns the full Result (with Abort == AbortDrained,
@@ -144,8 +155,10 @@ func (s *Session) guard(fn func()) (err error) {
 // trace, and telemetry accumulated so far, with Abort recording why —
 // and ctx.Err(), so callers can flush partial outputs before unwinding.
 // The session stays resumable after a cancelled Run: calling Run again
-// continues exactly where it stopped.
+// continues exactly where it stopped. Concurrent Runs on one session
+// interleave their slices and return the same Result.
 func (s *Session) Run(ctx context.Context) (*Result, error) {
+	reason, err := s.RunUntil(ctx, math.Inf(1))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.internal != nil {
@@ -154,50 +167,80 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	if s.result != nil {
 		return s.result, nil
 	}
-	var reason AbortReason
-	if err := s.guard(func() {
-		t0 := time.Now()
-		reason = s.eng.RunCtx(ctx)
-		s.wall += time.Since(t0)
-	}); err != nil {
-		return nil, err
+	res, rerr := s.resultLocked(reason)
+	if rerr != nil {
+		return nil, rerr
 	}
-	res, err := s.resultLocked(reason)
 	if err != nil {
-		return nil, err
-	}
-	if reason == AbortCancelled || reason == AbortDeadline {
-		s.obs.recordAbort(reason)
-		return res, ctx.Err()
+		return res, err
 	}
 	s.result = res
-	s.obs.recordFinish(s, res, reason)
+	s.obs.recordFinish(res, reason)
 	return res, nil
 }
 
 // RunUntil executes events up to simulation time t (clamped to
 // Options.Horizon) and advances the clock to t, unless ctx stops the run
 // or the queue drains first. The returned reason tells which; the error
-// is ctx.Err() when the context stopped the run, nil otherwise.
+// is ctx.Err() when the context stopped the run, nil otherwise. A run the
+// context stopped leaves the clock at its last event.
+//
+// It is the loop behind Run, too (with t = +Inf, which never moves the
+// clock): events fire in slices of sliceEvents, each under the mutex,
+// until the queue drains, t is reached, ctx is done, or the session is
+// poisoned.
 func (s *Session) RunUntil(ctx context.Context, t float64) (AbortReason, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	for {
+		reason, more, err := s.slice(ctx, t)
+		if err != nil || !more {
+			return reason, err
+		}
+	}
+}
+
+// slice runs one slice of RunUntil under the mutex. A drained engine reports
+// AbortDrained before the context is looked at, so completion is truthful
+// even under a cancelled context; more reports that the slice used up its
+// budget and the run can go on.
+func (s *Session) slice(ctx context.Context, bound float64) (reason AbortReason, more bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.internal != nil {
-		return AbortCancelled, s.internal
+		return AbortCancelled, false, s.internal
 	}
-	var reason AbortReason
-	if err := s.guard(func() {
+	gerr := s.guard(func() {
+		s.eng.Start()
+		if s.eng.Drained() {
+			reason = AbortDrained
+			return
+		}
+		if err = ctx.Err(); err != nil {
+			reason = AbortCancelled
+			if err == context.DeadlineExceeded {
+				reason = AbortDeadline
+			}
+			s.obs.recordAbort(reason)
+			return
+		}
 		t0 := time.Now()
-		reason = s.eng.RunUntilCtx(ctx, t)
+		fired := s.eng.Advance(bound, sliceEvents)
 		s.wall += time.Since(t0)
-	}); err != nil {
-		return reason, err
+		switch {
+		case fired == sliceEvents:
+			more = true
+		case s.eng.Drained():
+			reason = AbortDrained
+		default:
+			reason = AbortHorizon
+		}
+	})
+	if gerr != nil {
+		return AbortDrained, false, gerr
 	}
-	if reason == AbortCancelled || reason == AbortDeadline {
-		s.obs.recordAbort(reason)
-		return reason, ctx.Err()
-	}
-	return reason, nil
+	return reason, more, err
 }
 
 // Step executes up to n events and returns how many fired. Zero means the
@@ -211,7 +254,7 @@ func (s *Session) Step(n int) (int, error) {
 	var fired int
 	if err := s.guard(func() {
 		t0 := time.Now()
-		fired = s.eng.StepN(n)
+		fired = s.eng.Advance(math.Inf(1), n)
 		s.wall += time.Since(t0)
 	}); err != nil {
 		return 0, err
@@ -268,7 +311,7 @@ func (s *Session) Result() (*Result, error) {
 	}
 	if reason == AbortDrained {
 		s.result = res
-		s.obs.recordFinish(s, res, reason)
+		s.obs.recordFinish(res, reason)
 	}
 	return res, nil
 }
@@ -286,18 +329,19 @@ func (s *Session) resultLocked(reason AbortReason) (res *Result, err error) {
 		if err != nil {
 			return
 		}
+		tel := s.eng.TelemetrySnapshot()
 		res = &Result{
 			Summary:          rec.Summary(),
 			Records:          rec.Records(),
 			Recorder:         rec,
-			Invocations:      s.eng.Invocations(),
-			Decisions:        s.eng.DecisionsApplied(),
-			Events:           s.eng.Steps(),
-			Solves:           s.eng.Solves(),
-			SolvedActivities: s.eng.SolvedActivities(),
+			Invocations:      tel.Scheduler.Invocations,
+			Decisions:        tel.Scheduler.Applied,
+			Events:           tel.Kernel.Fired,
+			Solves:           tel.Solver.Solves,
+			SolvedActivities: tel.Solver.SolvedActivities,
 			Warnings:         s.eng.Warnings(),
 			Trace:            s.eng.Trace(),
-			Telemetry:        s.eng.TelemetrySnapshot(),
+			Telemetry:        tel,
 			WallClock:        s.wall,
 			Abort:            reason,
 		}

@@ -1,8 +1,6 @@
 package core
 
-import "context"
-
-// AbortReason reports why a bounded engine run returned control. It is the
+// AbortReason reports why a bounded run returned control. It is the
 // typed answer to "did the simulation finish, and if not, what stopped
 // it?" — callers branch on it instead of parsing errors.
 type AbortReason int
@@ -12,9 +10,9 @@ const (
 	// natural completion (or deadlocked with jobs outstanding, which
 	// Finish reports as an error).
 	AbortDrained AbortReason = iota
-	// AbortCancelled means the context was cancelled between events.
+	// AbortCancelled means the context was cancelled between slices.
 	AbortCancelled
-	// AbortDeadline means the context's deadline expired between events.
+	// AbortDeadline means the context's deadline expired between slices.
 	AbortDeadline
 	// AbortHorizon means the run hit a virtual-time bound — Options.
 	// Horizon or the RunUntil target — with events still queued.
@@ -38,11 +36,3 @@ func (r AbortReason) String() string {
 
 // Finished reports whether the simulation ran to natural completion.
 func (r AbortReason) Finished() bool { return r == AbortDrained }
-
-// abortReasonForCtx maps a context error to the matching abort reason.
-func abortReasonForCtx(err error) AbortReason {
-	if err == context.DeadlineExceeded {
-		return AbortDeadline
-	}
-	return AbortCancelled
-}

@@ -13,7 +13,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -70,24 +69,15 @@ type Options struct {
 	// fast-path equivalence tests (hetero_test.go, invariants_test.go);
 	// the config document has no key for it.
 	DisableFastPath bool
-	// Failures injects node failures and repairs (nil = none). It takes
-	// precedence over the platform spec's "failures" object, letting one
-	// platform file drive both clean and degraded runs.
-	Failures *failure.Spec
 	// Telemetry attaches the observability layer (nil = disabled, the
 	// zero-overhead default). Spans for jobs, nodes, and the scheduler
 	// stream to the tracer's sinks; an attached audit log records every
 	// scheduler invocation. Telemetry never alters simulation outputs.
 	Telemetry *telemetry.Tracer
-	// Progress attaches a live progress sink driven from the kernel's
-	// event loop (nil = disabled): a telemetry.RunProgress for a stderr
-	// ticker, or a telemetry.ProgressFanOut to broadcast to multiple
-	// concurrent observers.
-	Progress telemetry.Progress
 }
 
-// Engine is a single-run batch-system simulator. Create with New, run with
-// Run, inspect with Recorder/Summary. An Engine is not reusable.
+// Engine is a single-run batch-system simulator. Create with New, drive
+// with Advance, close with Finish. An Engine is not reusable.
 type Engine struct {
 	kernel *des.Kernel
 	pool   *fluid.Pool
@@ -150,19 +140,10 @@ type Engine struct {
 	wallSched         time.Duration
 	warnings          []string
 	trace             []TraceEvent
-	outstanding       int // jobs not yet finished
-	ran               bool
+	outstanding       int  // jobs not yet finished
 	started           bool // Start armed the initial events
-	progressDone      bool // Options.Progress ticker already terminated
 	telFinalized      bool // open telemetry spans force-closed after abort
 }
-
-// CancelCheckEvents is how many kernel events fire between context polls
-// during RunCtx/RunUntilCtx. Batched so a pending ctx.Done() costs one
-// integer compare per event on the hot path; coarse enough that the select
-// is noise, fine enough that cancellation lands within microseconds of
-// wall time on realistic event rates.
-const CancelCheckEvents = 1024
 
 // CheckOptions rejects option combinations that cannot simulate anything.
 // New applies it, and so does elastisim.ParseConfig, so that a daemon
@@ -176,7 +157,7 @@ func CheckOptions(opts Options) error {
 
 // New builds an engine for one simulation run on a fresh kernel and an
 // incremental fluid pool. The workload must already validate against the
-// platform.
+// platform. The spec's Failures, if any, is the run's failure model.
 func New(spec *platform.Spec, w *job.Workload, algo sched.Algorithm, opts Options) (*Engine, error) {
 	if algo == nil {
 		return nil, fmt.Errorf("core: nil scheduling algorithm")
@@ -215,11 +196,7 @@ func New(spec *platform.Spec, w *job.Workload, algo sched.Algorithm, opts Option
 	if u, ok := algo.(sched.FreeListUser); ok && u.WantsFreeList() {
 		e.wantFreeList = true
 	}
-	fs := opts.Failures
-	if fs == nil {
-		fs = spec.Failures
-	}
-	inj, err := failure.NewInjector(fs, plat.NumNodes())
+	inj, err := failure.NewInjector(spec.Failures, plat.NumNodes())
 	if err != nil {
 		return nil, err
 	}
@@ -249,29 +226,16 @@ func checkPlatformSupport(plat *platform.Platform, j *job.Job) error {
 	return nil
 }
 
-// Run executes the simulation to completion and returns the metrics
-// recorder. It may only be called once; session-style drivers use the
-// resumable Start/RunCtx/RunUntilCtx/StepN/Finish primitives instead.
-func (e *Engine) Run() (*metrics.Recorder, error) {
-	if e.ran {
-		return nil, fmt.Errorf("core: engine already ran")
-	}
-	e.ran = true
-	e.RunCtx(context.Background())
-	return e.Finish()
-}
-
 // Start arms the initial event set — job submissions, failure injection,
-// periodic scheduler invocations, the horizon, and the progress hook —
-// without executing anything. It is idempotent; every bounded-run entry
-// point calls it, so explicit use is only needed to observe the pre-run
-// state (e.g. Pending before the first event).
+// periodic scheduler invocations and the horizon — without executing
+// anything. It is idempotent and Advance calls it, so explicit use is only
+// needed to observe the pre-run state (e.g. Pending before the first
+// event).
 func (e *Engine) Start() {
 	if e.started {
 		return
 	}
 	e.started = true
-	e.ran = true
 	e.outstanding = len(e.workload.Jobs)
 	e.armSubmissions()
 	if e.injector != nil {
@@ -284,11 +248,6 @@ func (e *Engine) Start() {
 	}
 	if e.opts.Horizon > 0 {
 		e.kernel.SetHorizon(des.Time(e.opts.Horizon))
-	}
-	if p := e.opts.Progress; p != nil {
-		e.kernel.SetProgress(telemetry.EveryEvents, func() {
-			p.Tick(e.Now(), e.kernel.Steps())
-		})
 	}
 }
 
@@ -338,74 +297,16 @@ func (e *Engine) armSubmissions() {
 	e.kernel.ScheduleTransient(des.Time(at(0).SubmitTime), prioritySubmit, step)
 }
 
-// RunCtx executes events until the queue drains, the options horizon is
-// reached, or ctx is done, and reports which of those stopped it. The
-// engine stays resumable after a cancelled or horizon-bounded return:
-// calling RunCtx (or RunUntilCtx/StepN) again continues exactly where the
-// previous call stopped, and the resulting simulation is bit-identical to
-// an uninterrupted run regardless of how execution was sliced.
-func (e *Engine) RunCtx(ctx context.Context) AbortReason {
-	return e.runBounded(ctx, des.Infinity)
-}
-
-// RunUntilCtx executes events with time <= t (clamped to the options
-// horizon) and then advances the clock to the bound, unless ctx stops the
-// run first.
-func (e *Engine) RunUntilCtx(ctx context.Context, t float64) AbortReason {
-	return e.runBounded(ctx, des.Time(t))
-}
-
-// runBounded is the shared bounded-execution loop behind RunCtx and
-// RunUntilCtx. A bound of des.Infinity means "no bound beyond the options
-// horizon" and leaves the clock at the last event executed; a finite bound
-// advances the clock to the bound on a clean return (RunUntil contract).
-func (e *Engine) runBounded(ctx context.Context, bound des.Time) AbortReason {
-	e.Start()
-	if e.Drained() {
-		// Already complete: report that truthfully even under a
-		// cancelled context.
-		return AbortDrained
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return abortReasonForCtx(err)
-	}
-	if done := ctx.Done(); done != nil {
-		e.kernel.SetStopCheck(CancelCheckEvents, func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		})
-		defer e.kernel.SetStopCheck(0, nil)
-	}
-	t0 := time.Now()
-	var err error
-	if bound == des.Infinity {
-		err = e.kernel.Run()
-	} else {
-		err = e.kernel.RunUntil(bound)
-	}
-	e.wallRun += time.Since(t0)
-	if err == des.ErrStopped {
-		return abortReasonForCtx(ctx.Err())
-	}
-	if e.Drained() {
-		return AbortDrained
-	}
-	return AbortHorizon
-}
-
-// StepN executes up to n events and returns how many fired. Zero means the
-// queue is drained (or past the horizon): the simulation cannot advance.
-func (e *Engine) StepN(n int) int {
+// Advance is the engine's one bounded run primitive: it starts the run if
+// needed, fires at most n events at or before min(bound, Options.Horizon)
+// and returns how many fired (see des.Kernel.Advance; +Inf is no bound).
+// It stops nowhere else and calls nothing back, so drivers slice a run
+// into calls and read progress, poll cancellation and answer Peek between
+// them. Any slicing yields a simulation bit-identical to one call.
+func (e *Engine) Advance(bound float64, n int) int {
 	e.Start()
 	t0 := time.Now()
-	fired := e.kernel.StepN(n)
+	fired := e.kernel.Advance(des.Time(bound), n)
 	e.wallRun += time.Since(t0)
 	return fired
 }
@@ -415,23 +316,18 @@ func (e *Engine) StepN(n int) int {
 // fresh engine is not drained.
 func (e *Engine) Drained() bool { return e.started && e.kernel.Pending() == 0 }
 
-// Finish terminates the progress ticker and returns the metrics recorder,
-// diagnosing a drained-but-unfinished workload as a deadlock (an algorithm
+// Finish returns the metrics recorder, diagnosing a drained-but-unfinished workload as a deadlock (an algorithm
 // that never starts some jobs) unless a horizon legitimately cut the run
 // short. It is safe to call on an aborted engine: the recorder then holds
 // the partial metrics accumulated so far.
 func (e *Engine) Finish() (*metrics.Recorder, error) {
-	if p := e.opts.Progress; p != nil && !e.progressDone {
-		e.progressDone = true
-		p.Done()
-	}
 	if e.Drained() && e.outstanding > 0 && e.opts.Horizon == 0 {
 		return nil, fmt.Errorf("core: simulation deadlocked with %d unfinished jobs (algorithm %q never started them?)", e.outstanding, e.algo.Name())
 	}
 	return e.rec, nil
 }
 
-// Recorder returns the metrics recorder (valid after Run).
+// Recorder returns the metrics recorder.
 func (e *Engine) Recorder() *metrics.Recorder { return e.rec }
 
 // Now returns the current simulation time.
@@ -439,14 +335,6 @@ func (e *Engine) Now() float64 { return float64(e.kernel.Now()) }
 
 // Steps returns the number of kernel events executed.
 func (e *Engine) Steps() uint64 { return e.kernel.Steps() }
-
-// KernelStats samples the DES kernel's lifetime counters (events
-// scheduled/fired/cancelled, queue high-water mark). Operational metrics
-// export these directly instead of re-counting on the hot path.
-func (e *Engine) KernelStats() des.KernelStats { return e.kernel.Stats() }
-
-// Invocations returns how many times the algorithm was invoked.
-func (e *Engine) Invocations() uint64 { return e.invocations }
 
 // TotalJobs returns the workload size.
 func (e *Engine) TotalJobs() int { return len(e.workload.Jobs) }
@@ -466,17 +354,6 @@ func (e *Engine) QueuedJobs() int { return e.queue.count }
 
 // RunningJobs returns the number of jobs currently holding nodes.
 func (e *Engine) RunningJobs() int { return e.running.count }
-
-// Solves returns how many fluid-solver recomputations ran.
-func (e *Engine) Solves() uint64 { return e.pool.Solves() }
-
-// SolvedActivities returns the cumulative number of activities the fluid
-// solver re-solved — the work metric incremental component solving cuts
-// relative to the full-recompute baseline.
-func (e *Engine) SolvedActivities() uint64 { return e.pool.SolvedActivities() }
-
-// DecisionsApplied returns how many decisions passed validation.
-func (e *Engine) DecisionsApplied() uint64 { return e.decisionsApplied }
 
 // Warnings lists rejected decisions and other non-fatal anomalies.
 func (e *Engine) Warnings() []string { return e.warnings }

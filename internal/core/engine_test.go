@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -32,6 +33,16 @@ func computeJob(id int, nodes int, flops float64) *job.Job {
 			Tasks: []job.Task{{Kind: job.TaskCompute, Model: job.MustExprModel("flops / num_nodes")}},
 		}}},
 	}
+}
+
+// Run drives the engine to completion in one Advance and returns Finish's
+// answer. An engine runs once.
+func (e *Engine) Run() (*metrics.Recorder, error) {
+	if e.started {
+		return nil, fmt.Errorf("core: engine already ran")
+	}
+	e.Advance(math.Inf(1), math.MaxInt)
+	return e.Finish()
 }
 
 func runSim(t *testing.T, spec *platform.Spec, jobs []*job.Job, algo sched.Algorithm, opts Options) (*metrics.Recorder, *Engine) {
@@ -390,7 +401,7 @@ func TestPeriodicOnlyInvocation(t *testing.T) {
 		DisableEventDriven: true,
 	})
 	wantClose(t, "start on tick", record(rec, 0).Start, 10)
-	if e.Invocations() == 0 {
+	if e.TelemetrySnapshot().Scheduler.Invocations == 0 {
 		t.Error("no invocations")
 	}
 }
@@ -706,12 +717,13 @@ func TestAdaptiveFailuresMallocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Failures: &failure.Spec{
+	spec := testPlatform(128)
+	spec.Failures = &failure.Spec{
 		Model: failure.ModelExponential, Seed: 1, MTBF: 20000, MTTR: 600, Recovery: failure.RecoverShrink,
-	}}
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rec, _ := runSim(t, testPlatform(128), w.Jobs, &sched.Adaptive{}, opts)
+	rec, _ := runSim(t, spec, w.Jobs, &sched.Adaptive{}, Options{})
 	runtime.ReadMemStats(&after)
 	if s := rec.Summary(); s.NodeFailures == 0 || s.Reconfigs == 0 {
 		t.Fatalf("run saw %d node failures and %d reconfigurations, want both", s.NodeFailures, s.Reconfigs)

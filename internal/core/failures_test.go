@@ -8,6 +8,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/platform"
 	"repro/internal/sched"
 )
 
@@ -28,6 +29,12 @@ func iterJob(id, nodes, iters int, flopsIter float64, ckpt string) *job.Job {
 	return j
 }
 
+// withFailures sets spec's failure model and returns spec.
+func withFailures(spec *platform.Spec, fs *failure.Spec) *platform.Spec {
+	spec.Failures = fs
+	return spec
+}
+
 func traceSpec(recovery failure.RecoveryPolicy, outages ...failure.Outage) *failure.Spec {
 	return &failure.Spec{Model: failure.ModelTrace, Outages: outages, Recovery: recovery}
 }
@@ -38,8 +45,8 @@ func TestNodeFailureRequeueWithCheckpointCredit(t *testing.T) {
 	// 10 iterations x 10 s on 2 of 4 nodes, checkpointing every iteration.
 	// Node 0 fails at t=35 (mid iteration 3, checkpointed at t=30).
 	j := iterJob(0, 2, 10, 2e10, "0")
-	opts := Options{Failures: traceSpec("", failure.Outage{Node: 0, Down: 35, Up: 45})}
-	rec, _ := runSim(t, testPlatform(4), []*job.Job{j}, &sched.FCFS{}, opts)
+	plat := withFailures(testPlatform(4), traceSpec("", failure.Outage{Node: 0, Down: 35, Up: 45}))
+	rec, _ := runSim(t, plat, []*job.Job{j}, &sched.FCFS{}, Options{})
 	r := record(rec, 0)
 	if r.Status != metrics.StatusCompleted {
 		t.Fatalf("status %q", r.Status)
@@ -62,8 +69,8 @@ func TestNodeFailureRequeueWithCheckpointCredit(t *testing.T) {
 // restarts from the beginning.
 func TestNodeFailureRequeueWithoutCheckpoint(t *testing.T) {
 	j := iterJob(0, 2, 10, 2e10, "")
-	opts := Options{Failures: traceSpec("", failure.Outage{Node: 0, Down: 35, Up: 45})}
-	rec, _ := runSim(t, testPlatform(4), []*job.Job{j}, &sched.FCFS{}, opts)
+	plat := withFailures(testPlatform(4), traceSpec("", failure.Outage{Node: 0, Down: 35, Up: 45}))
+	rec, _ := runSim(t, plat, []*job.Job{j}, &sched.FCFS{}, Options{})
 	r := record(rec, 0)
 	wantClose(t, "end", r.End, 135)                 // restart at 35 + full 100 s
 	wantClose(t, "badput", r.BadputNodeSeconds, 70) // 35 s x 2 nodes
@@ -82,8 +89,8 @@ func TestMalleableShrinksThroughFailure(t *testing.T) {
 			Tasks:           []job.Task{{Kind: job.TaskCompute, Model: job.MustExprModel("flops_iter / num_nodes")}},
 		}}},
 	}
-	opts := Options{Failures: traceSpec(failure.RecoverShrink, failure.Outage{Node: 2, Down: 35, Up: 10000})}
-	rec, _ := runSim(t, testPlatform(4), []*job.Job{j}, &sched.FCFS{}, opts)
+	plat := withFailures(testPlatform(4), traceSpec(failure.RecoverShrink, failure.Outage{Node: 2, Down: 35, Up: 10000}))
+	rec, _ := runSim(t, plat, []*job.Job{j}, &sched.FCFS{}, Options{})
 	r := record(rec, 0)
 	if r.Status != metrics.StatusCompleted || r.Requeues != 0 {
 		t.Fatalf("status %q requeues %d", r.Status, r.Requeues)
@@ -103,8 +110,8 @@ func TestMalleableShrinksThroughFailure(t *testing.T) {
 // Under the kill policy an affected job terminates as failed-node.
 func TestKillPolicyTerminatesJob(t *testing.T) {
 	j := iterJob(0, 2, 10, 2e10, "0")
-	opts := Options{Failures: traceSpec(failure.RecoverKill, failure.Outage{Node: 1, Down: 15, Up: 20})}
-	rec, _ := runSim(t, testPlatform(4), []*job.Job{j}, &sched.FCFS{}, opts)
+	plat := withFailures(testPlatform(4), traceSpec(failure.RecoverKill, failure.Outage{Node: 1, Down: 15, Up: 20}))
+	rec, _ := runSim(t, plat, []*job.Job{j}, &sched.FCFS{}, Options{})
 	r := record(rec, 0)
 	if r.Status != metrics.StatusFailedNode || !r.Killed {
 		t.Fatalf("status %q killed %t", r.Status, r.Killed)
@@ -124,7 +131,7 @@ func TestMaxRequeuesExhaustion(t *testing.T) {
 		failure.Outage{Node: 0, Down: 5, Up: 6},
 		failure.Outage{Node: 0, Down: 12, Up: 13})
 	spec.MaxRequeues = 1
-	rec, _ := runSim(t, testPlatform(1), []*job.Job{j}, &sched.FCFS{}, Options{Failures: spec})
+	rec, _ := runSim(t, withFailures(testPlatform(1), spec), []*job.Job{j}, &sched.FCFS{}, Options{})
 	r := record(rec, 0)
 	if r.Status != metrics.StatusFailedNode {
 		t.Fatalf("status %q", r.Status)
@@ -155,8 +162,8 @@ func TestKillRequeuedPendingJob(t *testing.T) {
 		return out
 	})
 	j := iterJob(0, 2, 10, 2e10, "0")
-	opts := Options{Failures: traceSpec(failure.RecoverRequeue, failure.Outage{Node: 0, Down: 35, Up: 45})}
-	rec, e := runSim(t, testPlatform(4), []*job.Job{j}, startThenKill, opts)
+	plat := withFailures(testPlatform(4), traceSpec(failure.RecoverRequeue, failure.Outage{Node: 0, Down: 35, Up: 45}))
+	rec, e := runSim(t, plat, []*job.Job{j}, startThenKill, Options{})
 	r := record(rec, 0)
 	if r.Status != metrics.StatusKilledScheduler || r.Requeues != 1 {
 		t.Errorf("status %q after %d requeues, want %q after 1", r.Status, r.Requeues, metrics.StatusKilledScheduler)
@@ -192,8 +199,8 @@ func TestValidatorRejectsDownNodePlacement(t *testing.T) {
 	j := computeJob(0, 1, 1e10)
 	j.SubmitTime = 2
 	algo := &pinDownAlgo{}
-	opts := Options{Failures: traceSpec("", failure.Outage{Node: 0, Down: 1, Up: 1e6})}
-	rec, e := runSim(t, testPlatform(2), []*job.Job{j}, algo, opts)
+	plat := withFailures(testPlatform(2), traceSpec("", failure.Outage{Node: 0, Down: 1, Up: 1e6}))
+	rec, e := runSim(t, plat, []*job.Job{j}, algo, Options{})
 	if !reflect.DeepEqual(algo.sawDown, []int{0}) {
 		t.Errorf("algorithm saw DownNodes %v", algo.sawDown)
 	}
@@ -216,7 +223,7 @@ func TestValidatorRejectsDownNodePlacement(t *testing.T) {
 // A disabled failure spec is indistinguishable from none at all: traces,
 // records, and summaries are identical (pay-for-what-you-use).
 func TestDisabledFailuresBitIdentical(t *testing.T) {
-	mk := func(opts Options) ([]string, metrics.Summary, []*metrics.JobRecord) {
+	mk := func(fs *failure.Spec) ([]string, metrics.Summary, []*metrics.JobRecord) {
 		jobs := []*job.Job{
 			iterJob(0, 2, 5, 2e10, "60"),
 			computeJob(1, 3, 5e10),
@@ -224,16 +231,15 @@ func TestDisabledFailuresBitIdentical(t *testing.T) {
 		}
 		jobs[1].SubmitTime = 30
 		jobs[2].SubmitTime = 60
-		opts.Trace = true
-		rec, e := runSim(t, testPlatform(4), jobs, &sched.FCFS{}, opts)
+		rec, e := runSim(t, withFailures(testPlatform(4), fs), jobs, &sched.FCFS{}, Options{Trace: true})
 		var lines []string
 		for _, ev := range e.Trace() {
 			lines = append(lines, ev.String())
 		}
 		return lines, rec.Summary(), rec.Records()
 	}
-	traceA, sumA, recsA := mk(Options{})
-	traceB, sumB, recsB := mk(Options{Failures: &failure.Spec{}})
+	traceA, sumA, recsA := mk(nil)
+	traceB, sumB, recsB := mk(&failure.Spec{})
 	if !reflect.DeepEqual(traceA, traceB) {
 		t.Fatalf("traces differ: %d vs %d lines", len(traceA), len(traceB))
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -70,7 +69,6 @@ type viewChecker struct {
 	inner  sched.Algorithm
 	label  string
 	report func(msg string) // receives each mismatch
-	stop   func()           // called at the first mismatch
 
 	// started holds when each job's latest start decision was issued
 	// while it was pending. Only a start decision moves a job out of the
@@ -91,7 +89,6 @@ func newViewChecker(t *testing.T, inner sched.Algorithm, label string) *viewChec
 		inner: inner, label: label,
 		started: map[job.ID]float64{}, answered: map[job.ID]bool{},
 		report: func(msg string) { t.Error(msg) },
-		stop:   func() {},
 	}
 }
 
@@ -135,7 +132,6 @@ func (c *viewChecker) check(inv *sched.Invocation) {
 	c.checked++
 	fail := func(format string, args ...any) {
 		c.failed = true
-		c.stop()
 		c.report(fmt.Sprintf("%s: invocation %d at t=%v: %s", c.label, c.checked, inv.Now, fmt.Sprintf(format, args...)))
 	}
 	for _, l := range []struct {
@@ -262,15 +258,15 @@ func (s viewScenario) run(t *testing.T, seen map[string]int) bool {
 		label := fmt.Sprintf("%s/%s", s.name, algo.Name())
 		c := newViewChecker(t, a, label)
 		opts := Options{Trace: true}
-		if s.recovery != "" {
-			opts.Failures = &failure.Spec{
-				Model: failure.ModelExponential, Seed: s.seed,
-				MTBF: 20000, MTTR: 600, Recovery: s.recovery, MaxRequeues: 2,
-			}
-		}
 		spec := testPlatform(16)
 		if s.tree {
 			spec = treePlatform(16, 4, 4*linkBW, 8*linkBW)
+		}
+		if s.recovery != "" {
+			spec.Failures = &failure.Spec{
+				Model: failure.ModelExponential, Seed: s.seed,
+				MTBF: 20000, MTTR: 600, Recovery: s.recovery, MaxRequeues: 2,
+			}
 		}
 		e, err := New(spec, w, c, opts)
 		if err != nil {
@@ -279,10 +275,8 @@ func (s viewScenario) run(t *testing.T, seen map[string]int) bool {
 		c.e = e
 		// A stale list can stop a run from ever draining, so the first
 		// mismatch ends it.
-		ctx, cancel := context.WithCancel(context.Background())
-		c.stop = cancel
-		e.RunCtx(ctx)
-		cancel()
+		for !c.failed && e.Advance(math.Inf(1), 1024) > 0 {
+		}
 		if c.failed {
 			return false
 		}

@@ -22,7 +22,6 @@
 package des
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -79,11 +78,6 @@ func (e *Event) Time() Time { return e.time }
 // already fired).
 func (e *Event) Cancelled() bool { return e.index < 0 }
 
-// ErrStopped is returned by Run and RunUntil when the installed stop check
-// (SetStopCheck) requested termination between events. The queue is left
-// intact: the kernel can be resumed by calling Run again.
-var ErrStopped = errors.New("des: simulation stopped by external request")
-
 // slabMinPeak is the peak-queue size from which Schedule batch-allocates
 // events: once a kernel has proven it queues hundreds of events, the free
 // list is pre-sized from the peak counter so per-Schedule allocation
@@ -104,21 +98,6 @@ type Kernel struct {
 	cancelled uint64
 	recycled  uint64
 	peakQueue int
-
-	// Optional progress hook: onProgress runs every progressEvery fired
-	// events. Zero progressEvery disables the check's body; the hot loop
-	// pays one integer compare either way.
-	progressEvery uint64
-	onProgress    func()
-
-	// Optional stop check: stopCheck is polled every stopEvery fired
-	// events from Run/RunUntil; returning true stops the loop between
-	// events with ErrStopped. Batching the poll keeps cancellation off the
-	// hot path — the loop pays one integer compare per event when a check
-	// is installed and nothing semantically observable when it never fires
-	// (events execute in exactly the same order either way).
-	stopEvery uint64
-	stopCheck func() bool
 }
 
 // NewKernel returns an empty kernel with the clock at zero.
@@ -154,28 +133,6 @@ func (k *Kernel) Stats() KernelStats {
 		PeakQueue: k.peakQueue,
 		Pending:   k.Pending(),
 	}
-}
-
-// SetProgress installs a callback invoked after every n fired events.
-// n = 0 (or a nil fn) removes the hook.
-func (k *Kernel) SetProgress(n uint64, fn func()) {
-	if n == 0 || fn == nil {
-		k.progressEvery, k.onProgress = 0, nil
-		return
-	}
-	k.progressEvery, k.onProgress = n, fn
-}
-
-// SetStopCheck installs a cancellation probe polled every n fired events
-// during Run/RunUntil. When fn reports true the loop returns ErrStopped
-// with all remaining events queued, so execution can resume later.
-// n = 0 (or a nil fn) removes the probe.
-func (k *Kernel) SetStopCheck(n uint64, fn func() bool) {
-	if n == 0 || fn == nil {
-		k.stopEvery, k.stopCheck = 0, nil
-		return
-	}
-	k.stopEvery, k.stopCheck = n, fn
 }
 
 // Schedule enqueues fn to run at absolute time t with the given priority.
@@ -301,22 +258,22 @@ func (k *Kernel) recycle(ev *Event) {
 	k.free = append(k.free, ev)
 }
 
-// SetHorizon limits Run to events at or before t. Events beyond the horizon
-// remain queued.
+// SetHorizon limits execution to events at or before t. Events beyond the
+// horizon remain queued.
 func (k *Kernel) SetHorizon(t Time) { k.maxTime = t }
 
 // Step executes the single earliest event. It returns false when the queue
 // is empty or the next event lies beyond the horizon.
-func (k *Kernel) Step() bool {
-	if len(k.queue.items) == 0 || k.queue.items[0].time > k.maxTime {
+func (k *Kernel) Step() bool { return k.fire(k.maxTime) }
+
+// fire executes the earliest event if it lies at or before limit.
+func (k *Kernel) fire(limit Time) bool {
+	if len(k.queue.items) == 0 || k.queue.items[0].time > limit {
 		return false
 	}
 	ev := k.queue.pop()
 	k.now = ev.time
 	k.steps++
-	if k.progressEvery != 0 && k.steps%k.progressEvery == 0 {
-		k.onProgress()
-	}
 	fn := ev.fn
 	fn()
 	// A transient event goes straight back to the free list — but only if
@@ -331,45 +288,20 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// StepN executes up to n events and returns how many fired. Like Step it
-// stops early at an empty queue or the horizon; unlike Run it
-// never consults the stop check — the caller is the driver and decides
-// between batches. StepN is the primitive session-style drivers build
-// single-stepping and bounded bursts on.
-func (k *Kernel) StepN(n int) int {
+// Advance is the kernel's one bounded run primitive. It fires at most n
+// events at or before min(bound, horizon) and returns how many fired. When
+// fewer than n fired and bound is finite, the run reached that limit, and
+// the clock moves to it (never backwards). An infinite bound never moves the
+// clock. Advance calls nothing between events: a driver slices a run into
+// calls and observes or stops it between them.
+func (k *Kernel) Advance(bound Time, n int) int {
+	limit := min(bound, k.maxTime)
 	fired := 0
-	for fired < n && k.Step() {
+	for fired < n && k.fire(limit) {
 		fired++
 	}
+	if fired < n && bound < Infinity && k.now < limit {
+		k.now = limit
+	}
 	return fired
-}
-
-// Run executes events until the queue drains or the horizon is reached.
-// It returns ErrStopped when an installed stop check (SetStopCheck) fired
-// between events.
-func (k *Kernel) Run() error {
-	for k.Step() {
-		if k.stopEvery != 0 && k.steps%k.stopEvery == 0 && k.stopCheck() {
-			return ErrStopped
-		}
-	}
-	return nil
-}
-
-// RunUntil executes events with time <= t and then advances the clock to t
-// (if t is later than the last event executed). When the run is stopped
-// early (by the stop check) the clock is NOT advanced: the simulation has
-// not observably reached t and remains resumable.
-func (k *Kernel) RunUntil(t Time) error {
-	saved := k.maxTime
-	if t > saved {
-		t = saved // never run past an installed horizon
-	}
-	k.maxTime = t
-	err := k.Run()
-	k.maxTime = saved
-	if err == nil && k.now < t {
-		k.now = t
-	}
-	return err
 }

@@ -16,9 +16,7 @@ func TestKernelRunsEventsInTimeOrder(t *testing.T) {
 		tm := tm
 		k.Schedule(tm, PriorityDefault, func() { got = append(got, tm) })
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	want := []Time{1, 2, 3, 4, 5}
 	if len(got) != len(want) {
 		t.Fatalf("got %d events, want %d", len(got), len(want))
@@ -39,9 +37,7 @@ func TestKernelPriorityBreaksTies(t *testing.T) {
 	k.Schedule(1, PriorityScheduler, func() { got = append(got, "sched") })
 	k.Schedule(1, PriorityActivity, func() { got = append(got, "act") })
 	k.Schedule(1, PriorityDefault, func() { got = append(got, "def") })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	want := []string{"act", "def", "sched"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -57,9 +53,7 @@ func TestKernelSequenceBreaksRemainingTies(t *testing.T) {
 		i := i
 		k.Schedule(7, PriorityDefault, func() { got = append(got, i) })
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if !sort.IntsAreSorted(got) {
 		t.Errorf("same-time same-priority events ran out of insertion order: %v", got)
 	}
@@ -70,9 +64,7 @@ func TestKernelCancel(t *testing.T) {
 	fired := false
 	ev := k.Schedule(1, PriorityDefault, func() { fired = true })
 	k.Cancel(ev)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if fired {
 		t.Error("cancelled event fired")
 	}
@@ -90,9 +82,7 @@ func TestKernelCancelFromHandler(t *testing.T) {
 	k.Schedule(1, PriorityDefault, func() { k.Cancel(victim) })
 	victim = k.Schedule(2, PriorityDefault, func() { fired = true })
 	k.Schedule(3, PriorityDefault, func() {})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if fired {
 		t.Error("event cancelled from handler still fired")
 	}
@@ -151,9 +141,7 @@ func TestKernelTombstoneOrdering(t *testing.T) {
 	if got := k.Pending(); got != len(live) {
 		t.Fatalf("Pending() = %d, want %d live events", got, len(live))
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if len(fired) != len(live) {
 		t.Fatalf("fired %d events, want %d", len(fired), len(live))
 	}
@@ -180,9 +168,7 @@ func TestKernelTombstoneCancelDuringRun(t *testing.T) {
 			k.Cancel(events[i])
 		}
 	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	for i := range events {
 		if i%2 == 0 && firedAt[i] {
 			t.Errorf("event %d cancelled mid-run but fired", i)
@@ -226,9 +212,7 @@ func TestKernelReleaseReusesAllocation(t *testing.T) {
 	if ev2.Time() != 2 || ev2.Cancelled() {
 		t.Errorf("recycled event carries stale state: time %v cancelled %v", ev2.Time(), ev2.Cancelled())
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if !fired {
 		t.Error("recycled event did not fire")
 	}
@@ -238,9 +222,7 @@ func TestKernelReleaseReusesAllocation(t *testing.T) {
 func TestKernelReleaseAfterFire(t *testing.T) {
 	k := NewKernel()
 	ev := k.Schedule(1, PriorityDefault, func() {})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	k.Release(ev)
 	k.Release(ev) // double release is a no-op
 	ev2 := k.Schedule(5, PriorityDefault, func() {})
@@ -288,9 +270,7 @@ func TestKernelCompactionInterleaved(t *testing.T) {
 		want = append(want, tm)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if len(got) != len(want) {
 		t.Fatalf("fired %d, want %d", len(got), len(want))
 	}
@@ -307,9 +287,7 @@ func TestKernelScheduleAfter(t *testing.T) {
 	k.Schedule(3, PriorityDefault, func() {
 		k.ScheduleAfter(2, PriorityDefault, func() { at = k.Now() })
 	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if at != 5 {
 		t.Errorf("fired at %v, want 5", at)
 	}
@@ -325,9 +303,7 @@ func TestKernelSchedulePastPanics(t *testing.T) {
 		}()
 		k.Schedule(1, PriorityDefault, func() {})
 	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 }
 
 func TestKernelRunUntil(t *testing.T) {
@@ -336,8 +312,8 @@ func TestKernelRunUntil(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		k.Schedule(Time(i), PriorityDefault, func() { count++ })
 	}
-	if err := k.RunUntil(4); err != nil {
-		t.Fatal(err)
+	if n := k.Advance(4, math.MaxInt); n != 4 {
+		t.Errorf("Advance(4) fired %d, want 4", n)
 	}
 	if count != 4 {
 		t.Errorf("ran %d events, want 4", count)
@@ -346,9 +322,7 @@ func TestKernelRunUntil(t *testing.T) {
 		t.Errorf("clock at %v, want 4", k.Now())
 	}
 	// Remaining events still run afterwards.
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if count != 10 {
 		t.Errorf("ran %d events total, want 10", count)
 	}
@@ -356,8 +330,8 @@ func TestKernelRunUntil(t *testing.T) {
 
 func TestKernelRunUntilAdvancesIdleClock(t *testing.T) {
 	k := NewKernel()
-	if err := k.RunUntil(42); err != nil {
-		t.Fatal(err)
+	if n := k.Advance(42, math.MaxInt); n != 0 {
+		t.Fatalf("Advance on an empty kernel fired %d", n)
 	}
 	if k.Now() != 42 {
 		t.Errorf("clock at %v, want 42", k.Now())
@@ -369,9 +343,7 @@ func TestKernelStepsCounter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		k.Schedule(Time(i), PriorityDefault, func() {})
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if k.Steps() != 5 {
 		t.Errorf("Steps() = %d, want 5", k.Steps())
 	}
@@ -405,9 +377,7 @@ func TestKernelOrderingProperty(t *testing.T) {
 			}
 			return want[i].sequ < want[j].sequ
 		})
-		if err := k.Run(); err != nil {
-			return false
-		}
+		drain(k)
 		if len(got) != len(want) {
 			return false
 		}
@@ -440,9 +410,7 @@ func TestHeapRemoveMiddle(t *testing.T) {
 			want = append(want, Time(i))
 		}
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if len(got) != len(want) {
 		t.Fatalf("got %d events, want %d", len(got), len(want))
 	}
@@ -577,9 +545,7 @@ func TestKernelAccessors(t *testing.T) {
 		t.Errorf("String = %q", Time(1.25).String())
 	}
 	k.SetHorizon(2)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if k.Pending() != 1 {
 		t.Error("event beyond horizon should remain queued")
 	}
@@ -594,9 +560,7 @@ func TestKernelStats(t *testing.T) {
 	k.Cancel(events[3])
 	k.Cancel(events[7])
 	k.Release(events[3])
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	// The released event feeds the free list; the next Schedule reuses it.
 	k.Schedule(100, PriorityDefault, func() {})
 	st := k.Stats()
@@ -620,31 +584,6 @@ func TestKernelStats(t *testing.T) {
 	}
 }
 
-func TestKernelProgressHook(t *testing.T) {
-	k := NewKernel()
-	for i := 0; i < 10; i++ {
-		k.Schedule(Time(i), PriorityDefault, func() {})
-	}
-	calls := 0
-	k.SetProgress(3, func() { calls++ })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 { // after events 3, 6, 9
-		t.Errorf("progress hook ran %d times, want 3", calls)
-	}
-	// Clearing the hook stops callbacks.
-	k.SetProgress(0, nil)
-	k.Schedule(20, PriorityDefault, func() {})
-	k.Schedule(21, PriorityDefault, func() {})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Errorf("cleared progress hook still ran (%d calls)", calls)
-	}
-}
-
 func TestKernelInvalidArguments(t *testing.T) {
 	k := NewKernel()
 	mustPanic := func(name string, f func()) {
@@ -660,7 +599,7 @@ func TestKernelInvalidArguments(t *testing.T) {
 	mustPanic("negative delay", func() { k.ScheduleAfter(-1, PriorityDefault, func() {}) })
 	seq := k.ReserveSeq()
 	mustPanic("unreserved seq", func() { k.ScheduleReserved(1, PriorityDefault, seq+1, func() {}) })
-	_ = k.RunUntil(2)
+	k.Advance(2, math.MaxInt)
 	mustPanic("reserved seq in the past", func() { k.ScheduleReserved(1, PriorityDefault, seq, func() {}) })
 }
 
@@ -675,9 +614,7 @@ func TestKernelReservedSeqOrdersFirst(t *testing.T) {
 	k.Schedule(5, PriorityActivity, func() { got = append(got, "peer") })
 	k.ScheduleReserved(5, PriorityActivity, seq, func() { got = append(got, "reserved") })
 	k.Schedule(5, PriorityActivity, func() { got = append(got, "later") })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if want := "[reserved peer later]"; fmt.Sprint(got) != want {
 		t.Errorf("fire order %v, want %s", got, want)
 	}
@@ -724,21 +661,21 @@ func TestKernelStepN(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		k.Schedule(Time(i), PriorityDefault, func() { fired++ })
 	}
-	if n := k.StepN(3); n != 3 || fired != 3 {
-		t.Fatalf("StepN(3) fired %d (counter %d), want 3", n, fired)
+	if n := k.Advance(Infinity, 3); n != 3 || fired != 3 {
+		t.Fatalf("Advance(Infinity, 3) fired %d (counter %d), want 3", n, fired)
 	}
 	if k.Now() != 3 {
 		t.Fatalf("clock at %v after 3 steps, want 3", k.Now())
 	}
-	if n := k.StepN(0); n != 0 {
-		t.Fatalf("StepN(0) fired %d, want 0", n)
+	if n := k.Advance(Infinity, 0); n != 0 {
+		t.Fatalf("Advance(Infinity, 0) fired %d, want 0", n)
 	}
 	// Asking for more than remains stops at the drained queue.
-	if n := k.StepN(100); n != 7 || fired != 10 {
-		t.Fatalf("StepN(100) fired %d (counter %d), want 7", n, fired)
+	if n := k.Advance(Infinity, 100); n != 7 || fired != 10 {
+		t.Fatalf("Advance(Infinity, 100) fired %d (counter %d), want 7", n, fired)
 	}
-	if n := k.StepN(5); n != 0 {
-		t.Fatalf("StepN on a drained kernel fired %d", n)
+	if n := k.Advance(Infinity, 5); n != 0 {
+		t.Fatalf("Advance on a drained kernel fired %d", n)
 	}
 }
 
@@ -749,60 +686,16 @@ func TestKernelStepNStopsAtHorizon(t *testing.T) {
 		k.Schedule(Time(i), PriorityDefault, func() { fired++ })
 	}
 	k.SetHorizon(4)
-	if n := k.StepN(10); n != 4 || fired != 4 {
-		t.Fatalf("StepN under horizon 4 fired %d, want 4", n)
+	if n := k.Advance(Infinity, 10); n != 4 || fired != 4 {
+		t.Fatalf("Advance under horizon 4 fired %d, want 4", n)
 	}
 	if k.Pending() != 2 {
 		t.Fatalf("%d events pending beyond the horizon, want 2", k.Pending())
 	}
 	// Raising the horizon resumes exactly where it stopped.
 	k.SetHorizon(Time(math.Inf(1)))
-	if n := k.StepN(10); n != 2 || fired != 6 {
-		t.Fatalf("StepN after raising the horizon fired %d, want 2", n)
-	}
-}
-
-func TestKernelStopCheckBatching(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	for i := 1; i <= 20; i++ {
-		k.Schedule(Time(i), PriorityDefault, func() { fired++ })
-	}
-	// Stop check polled every 4 events, trips on the second poll.
-	polls := 0
-	k.SetStopCheck(4, func() bool { polls++; return polls >= 2 })
-	if err := k.Run(); err != ErrStopped {
-		t.Fatalf("Run returned %v, want ErrStopped", err)
-	}
-	if fired != 8 || polls != 2 {
-		t.Fatalf("stopped after %d events and %d polls, want 8 and 2", fired, polls)
-	}
-	if k.Pending() != 12 {
-		t.Fatalf("%d events pending after stop, want 12", k.Pending())
-	}
-	// The stopped kernel resumes: remove the probe and drain.
-	k.SetStopCheck(0, nil)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 20 {
-		t.Fatalf("resume fired up to %d events, want 20", fired)
-	}
-}
-
-func TestKernelStopCheckFalseDoesNotStop(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	for i := 1; i <= 9; i++ {
-		k.Schedule(Time(i), PriorityDefault, func() { fired++ })
-	}
-	polls := 0
-	k.SetStopCheck(2, func() bool { polls++; return false })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 9 || polls != 4 {
-		t.Fatalf("fired %d events with %d polls, want 9 and 4", fired, polls)
+	if n := k.Advance(Infinity, 10); n != 2 || fired != 6 {
+		t.Fatalf("Advance after raising the horizon fired %d, want 2", n)
 	}
 }
 
@@ -814,10 +707,10 @@ func TestKernelRunUntilClampsToHorizon(t *testing.T) {
 		k.Schedule(tm, PriorityDefault, func() { got = append(got, tm) })
 	}
 	k.SetHorizon(25)
-	// RunUntil past the horizon is clamped: events at 30 stay queued and
+	// Advancing past the horizon is clamped: events at 30 stay queued and
 	// the clock parks at the horizon, not the requested time.
-	if err := k.RunUntil(100); err != nil {
-		t.Fatal(err)
+	if n := k.Advance(100, math.MaxInt); n != 2 {
+		t.Fatalf("Advance(100) fired %d, want 2", n)
 	}
 	if len(got) != 2 {
 		t.Fatalf("fired %d events, want 2", len(got))
@@ -830,25 +723,84 @@ func TestKernelRunUntilClampsToHorizon(t *testing.T) {
 	}
 }
 
-func TestKernelRunUntilStoppedDoesNotAdvanceClock(t *testing.T) {
+// drain fires every queued event.
+func drain(k *Kernel) int { return k.Advance(Infinity, math.MaxInt) }
+
+// TestKernelAdvanceFullSliceKeepsClock pins that a slice which used up its
+// event budget has not reached its bound, so the clock stays at the last
+// fired event; a later call to the same bound finishes the run and then
+// moves the idle clock to it. An infinite bound never moves the clock.
+func TestKernelAdvanceFullSliceKeepsClock(t *testing.T) {
 	k := NewKernel()
 	for i := 1; i <= 6; i++ {
 		k.Schedule(Time(i), PriorityDefault, func() {})
 	}
-	k.SetStopCheck(2, func() bool { return true })
-	if err := k.RunUntil(50); err != ErrStopped {
-		t.Fatalf("RunUntil returned %v, want ErrStopped", err)
+	if n := k.Advance(50, 2); n != 2 {
+		t.Fatalf("Advance(50, 2) fired %d, want 2", n)
 	}
 	if k.Now() != 2 {
-		t.Fatalf("clock at %v after stop, want 2 (time of the last fired event)", k.Now())
+		t.Fatalf("clock at %v after a full slice, want 2 (time of the last fired event)", k.Now())
 	}
-	// Resuming to the same target finishes the job and then advances the
-	// idle clock to the target.
-	k.SetStopCheck(0, nil)
-	if err := k.RunUntil(50); err != nil {
-		t.Fatal(err)
+	if n := k.Advance(Infinity, 2); n != 2 || k.Now() != 4 {
+		t.Fatalf("Advance(Infinity, 2) fired %d to clock %v, want 2 to 4", n, k.Now())
 	}
-	if k.Now() != 50 {
-		t.Fatalf("clock at %v after resume, want 50", k.Now())
+	if n := k.Advance(Infinity, 10); n != 2 || k.Now() != 6 {
+		t.Fatalf("draining Advance(Infinity, 10) fired %d to clock %v, want 2 to 6", n, k.Now())
+	}
+	if n := k.Advance(50, 10); n != 0 || k.Now() != 50 {
+		t.Fatalf("Advance(50, 10) on a drained kernel fired %d to clock %v, want 0 to 50", n, k.Now())
+	}
+}
+
+// TestKernelAdvanceSlices pins what a driver reads between slices: each
+// call returns how many events fired, the event counter is exact after
+// every slice, and the queue keeps what was not fired for the next call.
+func TestKernelAdvanceSlices(t *testing.T) {
+	k := NewKernel()
+	for i := 1; i <= 10; i++ {
+		k.Schedule(Time(i), PriorityDefault, func() {})
+	}
+	var slices []int
+	var steps []uint64
+	for {
+		n := k.Advance(Infinity, 3)
+		slices = append(slices, n)
+		steps = append(steps, k.Steps())
+		if k.Pending() != 10-int(k.Steps()) {
+			t.Fatalf("%d events pending after %d fired, want %d", k.Pending(), k.Steps(), 10-int(k.Steps()))
+		}
+		if n < 3 {
+			break
+		}
+	}
+	if fmt.Sprint(slices) != "[3 3 3 1]" {
+		t.Errorf("slice sizes %v, want [3 3 3 1]", slices)
+	}
+	if fmt.Sprint(steps) != "[3 6 9 10]" {
+		t.Errorf("Steps between slices %v, want [3 6 9 10]", steps)
+	}
+}
+
+// TestKernelAdvanceSlicingInvisible pins that slicing changes nothing a
+// handler can observe: a run advanced a few events at a time fires its
+// events, ties included, in the order of one uninterrupted call.
+func TestKernelAdvanceSlicingInvisible(t *testing.T) {
+	build := func(got *[]int) *Kernel {
+		k := NewKernel()
+		for i := 0; i < 20; i++ {
+			i := i
+			// Ties at every other timestamp, with mixed priorities.
+			k.Schedule(Time(i/2), Priority(i%3), func() { *got = append(*got, i) })
+		}
+		return k
+	}
+	var want []int
+	drain(build(&want))
+	var got []int
+	k := build(&got)
+	for k.Advance(Infinity, 3) > 0 {
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("sliced fire order %v, want %v", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package des
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -193,7 +194,7 @@ func queueScript(t testing.TB, data []byte) {
 				lastCancelled = nil
 			}
 		case 5:
-			k.StepN(int(arg%8) + 1)
+			k.Advance(Infinity, int(arg%8)+1)
 		case 6:
 			// Far-future burst with ties sprinkled in.
 			base := k.Now() + Time(arg%32)*7
@@ -203,7 +204,7 @@ func queueScript(t testing.TB, data []byte) {
 				live = append(live, held{k.Schedule(at, prios[j%4], func() { o.fire(n) }), n, false})
 			}
 		case 7:
-			_ = k.RunUntil(k.Now() + Time(arg%64))
+			k.Advance(k.Now()+Time(arg%64), math.MaxInt)
 		case 8:
 			seq := k.ReserveSeq()
 			if want := o.reserve(); seq != want {
@@ -222,9 +223,7 @@ func queueScript(t testing.TB, data []byte) {
 			}
 		}
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	o.drained(k)
 }
 
@@ -259,9 +258,7 @@ func TestKernelMassiveMonotonicBurst(t *testing.T) {
 			k.ScheduleTransientAfter(d, PriorityActivity, func() { o.fire(m) })
 		})
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	o.drained(k)
 	if o.fired != 100000 {
 		t.Fatalf("fired %d events, want 100000", o.fired)

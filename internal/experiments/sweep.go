@@ -188,7 +188,7 @@ func Sweep(cfg SweepConfig) ([]SweepPoint, error) {
 }
 
 // SweepContext is Sweep with cooperative cancellation. Once ctx is done,
-// no further cell starts and in-flight simulations stop between events
+// no further cell starts and in-flight simulations stop between slices
 // (each cell runs through an elastisim.Session driven by ctx). It returns
 // every point computed so far — cells that completed are valid in grid
 // order, the done bitmap says which — plus ctx.Err() when the sweep was

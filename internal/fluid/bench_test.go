@@ -137,9 +137,7 @@ func BenchmarkChurn(b *testing.B) {
 			a.AddUsage(resources[rng.Intn(len(resources))], 1)
 			p.Start(a)
 		}
-		if err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
+		drain(k)
 		if p.ActiveCount() != 0 {
 			b.Fatal("activities left over")
 		}

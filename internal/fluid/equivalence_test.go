@@ -3,6 +3,7 @@ package fluid_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -50,19 +51,18 @@ func runEquivalence(t *testing.T, check bool) equivalenceRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.New(platform.Homogeneous("eq", 32, 100e9, 10e9, 40e9, 40e9), wl, &sched.Adaptive{}, core.Options{
-		Trace: true,
-		Failures: &failure.Spec{
-			Model: failure.ModelExponential, Seed: 5,
-			MTBF: 20000, MTTR: 300,
-		},
-	})
+	spec := platform.Homogeneous("eq", 32, 100e9, 10e9, 40e9, 40e9)
+	spec.Failures = &failure.Spec{
+		Model: failure.ModelExponential, Seed: 5,
+		MTBF: 20000, MTTR: 300,
+	}
+	e, err := core.New(spec, wl, &sched.Adaptive{}, core.Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := e.Platform().Pool()
 	var run equivalenceRun
-	for e.StepN(1) == 1 {
+	for e.Advance(math.Inf(1), 1) == 1 {
 		if !check {
 			continue
 		}

@@ -11,6 +11,9 @@ import (
 
 const tol = 1e-6
 
+// drain fires every queued event.
+func drain(k *des.Kernel) { k.Advance(des.Infinity, math.MaxInt) }
+
 func almost(a, b float64) bool {
 	if a == b {
 		return true
@@ -28,9 +31,7 @@ func TestSingleActivityDuration(t *testing.T) {
 	a := NewActivity("compute", 500, func() { done = k.Now() })
 	a.AddUsage(cpu, 1)
 	p.Start(a)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if !almost(float64(done), 5) {
 		t.Errorf("completed at %v, want 5s", done)
 	}
@@ -52,9 +53,7 @@ func TestFairShareTwoActivities(t *testing.T) {
 	if got := a.Rate(); !almost(got, 5) {
 		t.Errorf("a rate %v, want 5", got)
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if !almost(float64(t1), 2) {
 		t.Errorf("a done at %v, want 2", t1)
 	}
@@ -72,9 +71,7 @@ func TestWeightedUsage(t *testing.T) {
 	a := NewActivity("a", 10, func() { done = k.Now() })
 	a.AddUsage(res, 2)
 	p.Start(a)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if !almost(float64(done), 2) {
 		t.Errorf("done at %v, want 2 (rate 5)", done)
 	}
@@ -146,9 +143,7 @@ func TestCancelFreesCapacity(t *testing.T) {
 	p.Start(b)
 	// At t=1 cancel b; a then runs at full rate.
 	k.Schedule(1, des.PriorityDefault, func() { p.Cancel(b) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	// a does 5 units in [0,1], then 95 at rate 10 -> 9.5s more.
 	if !almost(float64(done), 10.5) {
 		t.Errorf("a done at %v, want 10.5", done)
@@ -173,9 +168,7 @@ func TestZeroWorkCompletesImmediately(t *testing.T) {
 		a.AddUsage(res, 1)
 		p.Start(a)
 	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if !fired {
 		t.Error("zero-work activity never completed")
 	}
@@ -192,9 +185,7 @@ func TestCompletionChain(t *testing.T) {
 	first := NewActivity("first", 3, func() { p.Start(second) })
 	first.AddUsage(res, 1)
 	p.Start(first)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if !almost(float64(finished), 5) {
 		t.Errorf("chain finished at %v, want 5", finished)
 	}
@@ -212,9 +203,7 @@ func TestRemainingOf(t *testing.T) {
 			t.Errorf("remaining %v at t=4, want 60", got)
 		}
 	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 }
 
 func TestManyActivitiesShareEvenly(t *testing.T) {
@@ -233,9 +222,7 @@ func TestManyActivitiesShareEvenly(t *testing.T) {
 			t.Fatalf("rate %v, want %v", a.Rate(), 100.0/n)
 		}
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if doneCount != n {
 		t.Errorf("%d completions, want %d", doneCount, n)
 	}
@@ -260,9 +247,7 @@ func TestStaggeredArrivalsProcessorSharing(t *testing.T) {
 		b.AddUsage(res, 1)
 		p.Start(b)
 	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	// a: 4 units in [0,2] at rate 2, then shares at rate 1.
 	// b: 2 units at rate 1 -> done at t=4. a: 4 left at t=2, 2 done by t=4,
 	// 2 left, alone at rate 2 -> done at t=5.
@@ -394,9 +379,7 @@ func TestWorkConservationProperty(t *testing.T) {
 			aa := a
 			k.Schedule(delay, des.PriorityDefault, func() { p.Start(aa) })
 		}
-		if err := k.Run(); err != nil {
-			return false
-		}
+		drain(k)
 		return completed == n && p.ActiveCount() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -437,9 +420,7 @@ func TestMaxRateAlone(t *testing.T) {
 	if !almost(a.Rate(), 10) {
 		t.Errorf("rate %v, want 10 (capped)", a.Rate())
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(k)
 	if !almost(float64(done), 5) {
 		t.Errorf("done at %v, want 5", done)
 	}
@@ -598,9 +579,7 @@ func TestOneEventPerComponent(t *testing.T) {
 		if got := k.Pending(); got != want {
 			t.Errorf("shared=%v: %d pending events, want %d", shared, got, want)
 		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
+		drain(k)
 		if p.ActiveCount() != 0 {
 			t.Errorf("shared=%v: %d activities never completed", shared, p.ActiveCount())
 		}
@@ -637,9 +616,7 @@ func TestCompletionTieOrder(t *testing.T) {
 		if k.Pending() != 2 {
 			t.Fatalf("%s: %d pending events, want 2 (one component event plus the timer)", order, k.Pending())
 		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
+		drain(k)
 		if strings.Join(got, " ") != order {
 			t.Errorf("fire order %q, want %q", strings.Join(got, " "), order)
 		}

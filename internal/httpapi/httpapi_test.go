@@ -319,6 +319,60 @@ func TestLifecycleE2E(t *testing.T) {
 	}
 }
 
+// TestSSEFinalProgress pins the stream's last progress event: the runner
+// ticks the fan-out after every slice, so the final update (done: true)
+// carries the run's last clock and event count, equal to a direct run's.
+func TestSSEFinalProgress(t *testing.T) {
+	_, ts := testServer(t, "", 1)
+	id := submit(t, ts, slowConfigDoc)
+	resp, err := http.Get(ts.URL + "/v1/sessions/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var updates []elastisim.ProgressUpdate
+	event := ""
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() && event != "done" {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+		case event == "progress" && strings.HasPrefix(line, "data: "):
+			var u elastisim.ProgressUpdate
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &u); err != nil {
+				t.Fatal(err)
+			}
+			updates = append(updates, u)
+		}
+	}
+	if len(updates) < 2 {
+		t.Fatalf("%d progress events, want the run's ticks and a final one", len(updates))
+	}
+	for i := 1; i < len(updates); i++ {
+		if updates[i].Events < updates[i-1].Events || updates[i].SimTime < updates[i-1].SimTime {
+			t.Fatalf("progress went back: %+v after %+v", updates[i], updates[i-1])
+		}
+	}
+
+	cfg, err := elastisim.ParseConfig([]byte(slowConfigDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := elastisim.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := session.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := elastisim.ProgressUpdate{SimTime: session.Now(), Events: res.Events, Done: true}
+	if got := updates[len(updates)-1]; got != want {
+		t.Errorf("final progress event %+v, want %+v", got, want)
+	}
+}
+
 // TestConcurrentSubmissions floods the service from 8 concurrent clients
 // and requires every job to complete with a result byte-identical to the
 // in-process reference — the malleable-workload equivalent of a load test,

@@ -18,18 +18,21 @@ import (
 // mutex is held for the duration of a slice, so the chunk size is the
 // latency bound on Peek, pause, and cancel: small enough that control
 // interleaves promptly, large enough that the mutex round-trip is noise.
+// It is also the cadence of SSE progress, which the runner feeds after
+// every slice.
 const stepChunk = 4096
 
 // liveRun is the in-memory side of an executing job: the session (for
 // Peek), the progress fan-out (for SSE subscribers), and the control
 // channel the HTTP handlers use to reach the worker between Step slices.
-// paused and cancel are the worker's own control state; only the
+// paused, cancel and events are the worker's own state; only the
 // goroutine running the job touches them.
 type liveRun struct {
 	session        *elastisim.Session
 	fan            *elastisim.ProgressFanOut
 	ctrl           chan ctrlMsg
 	paused, cancel bool
+	events         uint64 // events fired so far
 }
 
 type ctrlOp string
@@ -52,23 +55,23 @@ type ctrlMsg struct {
 // so Peek, SSE progress, and pause/resume/cancel control interleave
 // between slices — and writes the result artifacts under the server's
 // data directory. The artifact directory path becomes the job's Result.
+// It feeds the progress fan-out after every slice it steps and closes it
+// once the run is over, before any artifact is written.
 func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job) (string, error) {
 	cfg, err := elastisim.ParseConfig(job.Payload)
 	if err != nil {
 		return "", fmt.Errorf("invalid config: %w", err)
 	}
-	fan := &elastisim.ProgressFanOut{}
-	cfg.Options.Progress = fan
 	cfg.Metrics = s.reg
 	cfg.Flight = s.flight
 	session, err := elastisim.NewSession(cfg)
 	if err != nil {
 		return "", err
 	}
-	lr := &liveRun{session: session, fan: fan, ctrl: make(chan ctrlMsg, 16)}
+	lr := &liveRun{session: session, fan: &elastisim.ProgressFanOut{}, ctrl: make(chan ctrlMsg, 16)}
 	s.register(job.ID, lr)
 	defer s.deregister(job.ID)
-	defer fan.Done() // idempotent; covers error paths before the engine's own Done
+	defer lr.fan.Done() // idempotent; covers the error paths
 
 	// A cancel accepted before the run registered reached only the store;
 	// later ones also arrive as opCancel.
@@ -90,6 +93,7 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 			}
 		}
 		if lr.cancel {
+			lr.fan.Done()
 			dir, werr := s.writeArtifacts(job.ID, session, cfg)
 			if werr != nil {
 				dir = ""
@@ -104,6 +108,7 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 			// artifacts are flushed too, so operators can inspect the
 			// interrupted run; a restart re-runs the job from scratch.
 			p := session.Peek()
+			lr.fan.Done()
 			_, _ = s.writeArtifacts(job.ID, session, cfg)
 			return "", fmt.Errorf("interrupted at sim t=%.3fs after %d events (%d/%d jobs): %w",
 				p.Now, p.Events, p.Completed, p.Total, jobqueue.ErrInterrupted)
@@ -117,7 +122,7 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 			}
 			continue
 		}
-		fired, err := session.Step(s.chunk)
+		fired, err := lr.step(s.chunk)
 		if err != nil {
 			s.dumpPostmortem(job.ID, err)
 			return "", err
@@ -134,7 +139,20 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 		s.dumpPostmortem(job.ID, err)
 		return "", err
 	}
+	lr.fan.Done()
 	return s.writeArtifacts(job.ID, session, cfg)
+}
+
+// step advances the session by up to n events and, when any fired, ticks
+// the progress fan-out with where the run now stands. The runner is the
+// session's only driver, so its own count of fired events is the run's.
+func (lr *liveRun) step(n int) (int, error) {
+	fired, err := lr.session.Step(n)
+	if fired > 0 {
+		lr.events += uint64(fired)
+		lr.fan.Tick(lr.session.Now(), lr.events)
+	}
+	return fired, err
 }
 
 // dumpPostmortem writes the flight recorder's postmortem artifact next to
@@ -185,7 +203,7 @@ func (lr *liveRun) apply(q *jobqueue.Queue, job jobqueue.Job, msg ctrlMsg) {
 		if n <= 0 {
 			n = 1
 		}
-		_, err = lr.session.Step(n)
+		_, err = lr.step(n)
 	default:
 		err = fmt.Errorf("unknown control op %q", msg.op)
 	}

@@ -7,56 +7,26 @@ import (
 	"time"
 )
 
-// Progress is the sink interface the engine drives with live progress:
-// Tick is called from the event loop every EveryEvents fired events, and
-// Done exactly once when the run finalizes. Implementations decide what a
-// tick means — RunProgress renders a terminal status line, ProgressFanOut
-// re-broadcasts to any number of concurrent subscribers.
-//
-// Tick and Done are always called from the single goroutine driving the
-// simulation; implementations that are read from other goroutines (like
-// ProgressFanOut) must do their own locking.
-type Progress interface {
-	Tick(simT float64, events uint64)
-	Done()
-}
-
-// RunProgress is an opt-in live ticker for one simulation run. The DES
-// kernel calls Tick every EveryEvents fired events; RunProgress rate-limits
-// actual terminal writes to Interval of wall-clock time and reports
-// simulated time plus events/second to W (conventionally stderr).
-//
-// Progress output is wall-clock driven and goes to a side channel, so it
-// never perturbs simulation outputs.
+// RunProgress renders one simulation run's progress as a terminal status
+// line on W (conventionally stderr): simulated time, events, and the event
+// rate since the previous tick. Its driver reads the run between slices and
+// calls Tick at its own wall-clock cadence, then Done once. The line is a
+// side channel: it never perturbs simulation outputs.
 type RunProgress struct {
-	W        io.Writer
-	Interval time.Duration // min wall time between writes (default 500ms)
-	Label    string        // optional prefix, e.g. the run's name
+	W     io.Writer
+	Label string // optional prefix, e.g. the run's name
 
-	start    time.Time
 	lastWall time.Time
 	lastEv   uint64
 	wrote    bool
 }
 
-// EveryEvents is the kernel-side sampling stride for progress callbacks:
-// coarse enough to stay off the hot path, fine enough for sub-second
-// updates on realistic event rates.
-const EveryEvents = 4096
-
 // Tick reports progress at simulated time simT after events fired events.
-// Writes are throttled to Interval.
+// The first tick only starts the rate measurement.
 func (p *RunProgress) Tick(simT float64, events uint64) {
 	now := time.Now()
-	if p.start.IsZero() {
-		p.start, p.lastWall, p.lastEv = now, now, events
-		return
-	}
-	interval := p.Interval
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	if now.Sub(p.lastWall) < interval {
+	if p.lastWall.IsZero() {
+		p.lastWall, p.lastEv = now, events
 		return
 	}
 	rate := float64(events-p.lastEv) / now.Sub(p.lastWall).Seconds()
@@ -86,11 +56,11 @@ type ProgressUpdate struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// ProgressFanOut distributes one engine progress stream to any number of
-// concurrent subscribers, so a Peek-polling HTTP handler and an SSE stream
-// can observe the same session without racing. The engine calls Tick/Done
-// from the simulation goroutine; Subscribe and Last may be called from any
-// goroutine at any point in the run's lifetime.
+// ProgressFanOut distributes one run's progress stream to any number of
+// concurrent subscribers, so several SSE streams can observe the same
+// session without racing. The goroutine driving the run calls Tick after
+// each slice it advances and Done once at the end; Subscribe may be called
+// from any goroutine at any point in the run's lifetime.
 //
 // Subscribers receive updates on a buffered channel with latest-wins
 // semantics: a slow consumer never blocks the simulation — stale updates
@@ -111,8 +81,8 @@ func (f *ProgressFanOut) Tick(simT float64, events uint64) {
 	f.publish(ProgressUpdate{SimTime: simT, Events: events})
 }
 
-// Done broadcasts a final update (carrying the last sampled clock) and
-// closes every subscriber channel. Further Subscribe calls yield the final
+// Done re-broadcasts the last Tick as the final update and closes every
+// subscriber channel. Further Subscribe calls yield the final
 // update immediately.
 func (f *ProgressFanOut) Done() {
 	f.mu.Lock()

@@ -13,6 +13,11 @@
 // Simulated time is the only clock that appears in traces; wall-clock
 // measurements live exclusively in Snapshot (the self-profiling artifact),
 // so simulation outputs stay deterministic whether or not telemetry is on.
+//
+// Live progress is not a hook: the simulation never calls into this
+// package to report it. RunProgress (a terminal line) and ProgressFanOut
+// (a broadcast to SSE streams) are plain values that the goroutine driving
+// a run feeds with what it reads between the slices it advances.
 package telemetry
 
 import "fmt"
