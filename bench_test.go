@@ -1,13 +1,11 @@
-// Package repro hosts the top-level benchmark harness: one benchmark per
-// table/figure of the reconstructed evaluation (see DESIGN.md §3). Each
-// benchmark regenerates its experiment via the shared drivers in
-// internal/experiments and prints the resulting table once, so
+// Package repro hosts the top-level benchmark harness: one sub-benchmark
+// per table of the reconstructed evaluation (see DESIGN.md §3). Each
+// regenerates its table through experiments.All and prints it once, so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench BenchmarkExperiments -benchmem
 //
-// reproduces every row/series reported in EXPERIMENTS.md. Custom benchmark
-// metrics expose the headline simulation outputs (makespan, utilization)
-// alongside the usual ns/op of the simulator itself.
+// reproduces every row/series reported in EXPERIMENTS.md, and ns/op is
+// the simulator's own cost of producing the table.
 package repro
 
 import (
@@ -24,224 +22,22 @@ const (
 	benchJobs = 150
 )
 
-var printMu sync.Mutex
-
-// printTable emits the experiment table once per benchmark (first
-// iteration only), keeping -benchtime sweeps readable.
-func printTable(i int, t *experiments.Table) {
-	if i != 0 {
-		return
-	}
-	printMu.Lock()
-	defer printMu.Unlock()
-	fmt.Fprintln(os.Stdout)
-	t.Fprint(os.Stdout)
-}
-
-// BenchmarkE1Utilization regenerates the utilization-over-time figure:
-// rigid-only (EASY) vs fully malleable (adaptive) on the same workload.
-func BenchmarkE1Utilization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, rigid, mall, err := experiments.E1Utilization(benchSeed, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-		b.ReportMetric(rigid.Summary.Utilization*100, "util_rigid_%")
-		b.ReportMetric(mall.Summary.Utilization*100, "util_malleable_%")
-	}
-}
-
-// BenchmarkE2MalleableShare regenerates the makespan-vs-malleable-share
-// figure (0..100% in 25% steps).
-func BenchmarkE2MalleableShare(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, results, err := experiments.E2MalleableShare(benchSeed, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-		b.ReportMetric(results[0].Summary.Makespan, "makespan_rigid_s")
-		b.ReportMetric(results[len(results)-1].Summary.Makespan, "makespan_malleable_s")
-	}
-}
-
-// BenchmarkE3Schedulers regenerates the scheduler-comparison table.
-func BenchmarkE3Schedulers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, results, err := experiments.E3Schedulers(benchSeed, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-		b.ReportMetric(results["adaptive"].Summary.Makespan, "makespan_adaptive_s")
-		b.ReportMetric(results["fcfs"].Summary.Makespan, "makespan_fcfs_s")
-	}
-}
-
-// BenchmarkE4BurstBuffer regenerates the I/O-offloading figure (PFS vs
-// node-local burst buffers for checkpoints).
-func BenchmarkE4BurstBuffer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, pfs, bb, err := experiments.E4BurstBuffer(benchSeed, benchJobs/3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-		b.ReportMetric(pfs.Summary.Makespan, "makespan_pfs_s")
-		b.ReportMetric(bb.Summary.Makespan, "makespan_bb_s")
-	}
-}
-
-// BenchmarkE5Scalability regenerates the simulator-performance figure
-// (wall-clock vs jobs and machine size). The benchmark's own ns/op IS the
-// simulator performance number here.
-func BenchmarkE5Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.E5Scalability(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-	}
-}
-
-// BenchmarkE6Validation regenerates the validation table (simulated vs
-// analytic durations) and fails if any case drifts beyond 1%.
-func BenchmarkE6Validation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, cases, err := experiments.E6Validation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-		worst := 0.0
-		for _, c := range cases {
-			if c.Error() > worst {
-				worst = c.Error()
+// BenchmarkExperiments runs every table; select one with
+// -bench BenchmarkExperiments/E3.
+func BenchmarkExperiments(b *testing.B) {
+	for _, x := range experiments.All {
+		var printOnce sync.Once
+		b.Run(x.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, _, err := x.Run(benchSeed, benchJobs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				printOnce.Do(func() {
+					fmt.Println()
+					t.Fprint(os.Stdout)
+				})
 			}
-			if c.Error() > 0.01 {
-				b.Fatalf("validation case %q error %.2f%%", c.Name, c.Error()*100)
-			}
-		}
-		b.ReportMetric(worst*100, "worst_err_%")
-	}
-}
-
-// BenchmarkE7Evolving regenerates the evolving-jobs figure (allocation
-// adaptivity under background load).
-func BenchmarkE7Evolving(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, res, err := experiments.E7Evolving(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-		b.ReportMetric(float64(res.Summary.Reconfigs), "reconfigs")
-	}
-}
-
-// BenchmarkE8ReconfigCost regenerates the reconfiguration-cost sensitivity
-// table.
-func BenchmarkE8ReconfigCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, results, err := experiments.E8ReconfigCost(benchSeed, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-		b.ReportMetric(results[0].Summary.Makespan, "makespan_free_s")
-		b.ReportMetric(results[len(results)-1].Summary.Makespan, "makespan_300s_s")
-	}
-}
-
-// BenchmarkAblationInvocation regenerates the invocation-strategy ablation
-// (event-driven vs periodic scheduling), a design choice DESIGN.md calls
-// out.
-func BenchmarkAblationInvocation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationInvocation(benchSeed, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-	}
-}
-
-// BenchmarkAblationFairness regenerates the resource-sharing ablation
-// (max–min fairness vs naive equal split).
-func BenchmarkAblationFairness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationFairness(benchSeed, benchJobs/3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-	}
-}
-
-// BenchmarkAblationMoldable regenerates the moldable-sizing ablation
-// (requested / min / max / efficiency-bounded start sizes).
-func BenchmarkAblationMoldable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationMoldable(benchSeed, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-	}
-}
-
-// BenchmarkAblationFairShare regenerates the fair-share ablation
-// (per-user waits under a flooding account).
-func BenchmarkAblationFairShare(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationFairShare(benchSeed, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-	}
-}
-
-// BenchmarkAblationFastPath regenerates the fast-path performance ablation
-// (solver bypass for job-private resources).
-func BenchmarkAblationFastPath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationFastPath(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-	}
-}
-
-// BenchmarkE9Topology regenerates the network-sensitivity figure (star vs
-// tapered-tree topologies on a communication-heavy workload).
-func BenchmarkE9Topology(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, results, err := experiments.E9Topology(benchSeed, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-		b.ReportMetric(results[0].Summary.Makespan, "makespan_star_s")
-		b.ReportMetric(results[len(results)-1].Summary.Makespan, "makespan_tree16_s")
-	}
-}
-
-// BenchmarkE10Resilience regenerates the failure-injection comparison:
-// shrink-through-failure vs kill-and-requeue under Weibull node outages.
-func BenchmarkE10Resilience(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, results, err := experiments.E10Resilience(benchSeed, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(i, t)
-		shrink := results["mtbf=6000.0/shrink"].Summary
-		requeue := results["mtbf=6000.0/requeue"].Summary
-		b.ReportMetric(shrink.BadputNodeSeconds/3600, "badput_shrink_nh")
-		b.ReportMetric(requeue.BadputNodeSeconds/3600, "badput_requeue_nh")
+		})
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/cli"
@@ -46,59 +47,31 @@ func run(ctx context.Context) error {
 
 	selected := map[string]bool{}
 	if *only != "" {
+		var ids []string
+		for _, x := range experiments.All {
+			ids = append(ids, x.ID)
+		}
 		for _, id := range strings.Split(*only, ",") {
-			selected[strings.ToUpper(strings.TrimSpace(id))] = true
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if !slices.Contains(ids, id) {
+				return cli.Usagef("-only: unknown experiment %q (valid: %s)", id, strings.Join(ids, ","))
+			}
+			selected[id] = true
 		}
 	}
-	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 
-	// Each experiment is a closure so an interrupt can stop between them:
-	// tables printed so far stay on stdout, the rest never start.
-	reports := []struct {
-		id  string
-		gen func() (*experiments.Table, error)
-	}{
-		{"E1", func() (*experiments.Table, error) {
-			t, _, _, err := experiments.E1Utilization(*seed, *jobs)
-			return t, err
-		}},
-		{"E2", func() (*experiments.Table, error) {
-			t, _, err := experiments.E2MalleableShare(*seed, *jobs)
-			return t, err
-		}},
-		{"E3", func() (*experiments.Table, error) { t, _, err := experiments.E3Schedulers(*seed, *jobs); return t, err }},
-		{"E4", func() (*experiments.Table, error) {
-			t, _, _, err := experiments.E4BurstBuffer(*seed, *jobs/3)
-			return t, err
-		}},
-		{"E5", func() (*experiments.Table, error) { return experiments.E5Scalability(*seed) }},
-		{"E6", func() (*experiments.Table, error) { t, _, err := experiments.E6Validation(); return t, err }},
-		{"E7", func() (*experiments.Table, error) { t, _, err := experiments.E7Evolving(*seed); return t, err }},
-		{"E8", func() (*experiments.Table, error) {
-			t, _, err := experiments.E8ReconfigCost(*seed, *jobs)
-			return t, err
-		}},
-		{"E9", func() (*experiments.Table, error) { t, _, err := experiments.E9Topology(*seed, *jobs); return t, err }},
-		{"E10", func() (*experiments.Table, error) {
-			t, _, err := experiments.E10Resilience(*seed, *jobs)
-			return t, err
-		}},
-		{"A1", func() (*experiments.Table, error) { return experiments.AblationInvocation(*seed, *jobs) }},
-		{"A2", func() (*experiments.Table, error) { return experiments.AblationFairness(*seed, *jobs/3) }},
-		{"A3", func() (*experiments.Table, error) { return experiments.AblationMoldable(*seed, *jobs) }},
-		{"A4", func() (*experiments.Table, error) { return experiments.AblationFairShare(*seed, *jobs) }},
-		{"A5", func() (*experiments.Table, error) { return experiments.AblationFastPath(*seed) }},
-	}
-	for _, r := range reports {
-		if !want(r.id) {
+	// An interrupt stops between tables: tables printed so far stay on
+	// stdout, the rest never start.
+	for _, x := range experiments.All {
+		if len(selected) > 0 && !selected[x.ID] {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		t, err := r.gen()
+		t, _, err := x.Run(*seed, *jobs)
 		if err != nil {
-			return fmt.Errorf("%s: %w", r.id, err)
+			return err
 		}
 		if *markdown {
 			fmt.Print(t.Markdown())

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/elastisim"
 )
 
 // Experiment tests use small job counts to stay fast; the benches and
@@ -21,11 +23,25 @@ func parseCell(t *testing.T, cell string) float64 {
 	return v
 }
 
-func TestE1UtilizationShape(t *testing.T) {
-	tab, rigid, mall, err := E1Utilization(1, testJobs)
-	if err != nil {
-		t.Fatal(err)
+// runExperiment runs the table of All with the given ID.
+func runExperiment(t *testing.T, id string, seed uint64, jobs int) (*Table, []*elastisim.Result) {
+	t.Helper()
+	for _, x := range All {
+		if x.ID == id {
+			tab, res, err := x.Run(seed, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tab, res
+		}
 	}
+	t.Fatalf("no experiment %s in All", id)
+	return nil, nil
+}
+
+func TestE1UtilizationShape(t *testing.T) {
+	tab, res := runExperiment(t, "E1", 1, testJobs)
+	rigid, mall := res[0], res[1]
 	if len(tab.Rows) != 20 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -41,10 +57,7 @@ func TestE1UtilizationShape(t *testing.T) {
 }
 
 func TestE2MalleableShareShape(t *testing.T) {
-	tab, results, err := E2MalleableShare(1, testJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, results := runExperiment(t, "E2", 1, testJobs)
 	if len(results) != 5 {
 		t.Fatalf("results %d", len(results))
 	}
@@ -69,19 +82,16 @@ func TestE2MalleableShareShape(t *testing.T) {
 }
 
 func TestE3SchedulersShape(t *testing.T) {
-	tab, results, err := E3Schedulers(1, testJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, results := runExperiment(t, "E3", 1, testJobs)
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
 	// Backfilling's guarantee is on waiting time, not makespan (which is
 	// noisy on small finite workloads): EASY must improve FCFS's mean
 	// wait, and the adaptive policy must be at least as good as EASY.
-	fcfs := results["fcfs"].Summary
-	easy := results["easy"].Summary
-	adaptive := results["adaptive"].Summary
+	fcfs := results[0].Summary
+	easy := results[3].Summary
+	adaptive := results[4].Summary
 	if easy.MeanWait > fcfs.MeanWait {
 		t.Errorf("EASY mean wait %.1f worse than FCFS %.1f", easy.MeanWait, fcfs.MeanWait)
 	}
@@ -92,18 +102,17 @@ func TestE3SchedulersShape(t *testing.T) {
 		t.Errorf("adaptive makespan %.1f worse than FCFS %.1f", adaptive.Makespan, fcfs.Makespan)
 	}
 	// Every algorithm finished the whole workload.
-	for name, res := range results {
+	for i, res := range results {
 		if res.Summary.Completed+res.Summary.Killed != testJobs {
-			t.Errorf("%s finished %d/%d", name, res.Summary.Completed+res.Summary.Killed, testJobs)
+			t.Errorf("%s finished %d/%d", e3Algorithms[i], res.Summary.Completed+res.Summary.Killed, testJobs)
 		}
 	}
 }
 
 func TestE4BurstBufferShape(t *testing.T) {
-	_, pfs, bb, err := E4BurstBuffer(1, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// E4's workload is a third of the batch size: 25 jobs.
+	_, res := runExperiment(t, "E4", 1, 75)
+	pfs, bb := res[0], res[1]
 	// Burst buffers must relieve PFS contention.
 	if bb.Summary.Makespan >= pfs.Summary.Makespan {
 		t.Errorf("burst buffer makespan %.1f did not beat PFS %.1f",
@@ -115,10 +124,7 @@ func TestE5ScalabilityRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scalability sweep in short mode")
 	}
-	tab, err := E5Scalability(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, _ := runExperiment(t, "E5", 1, testJobs)
 	if len(tab.Rows) != 9 {
 		t.Fatalf("rows %d, want 9", len(tab.Rows))
 	}
@@ -133,17 +139,15 @@ func TestE5ScalabilityRuns(t *testing.T) {
 }
 
 func TestE6ValidationExact(t *testing.T) {
-	tab, cases, err := E6Validation()
-	if err != nil {
-		t.Fatal(err)
+	tab, res := runExperiment(t, "E6", 1, testJobs)
+	if len(res) != 7 {
+		t.Fatalf("cases %d", len(res))
 	}
-	if len(cases) != 7 {
-		t.Fatalf("cases %d", len(cases))
-	}
-	for _, c := range cases {
-		if c.Error() > 0.01 {
+	for i, c := range e6Cases {
+		sim := res[i].Records[0].Runtime()
+		if err := relErr(sim, c.analytic); err > 0.01 {
 			t.Errorf("%s: simulated %.4f vs analytic %.4f (err %.2f%%)",
-				c.Name, c.Simulated, c.Analytic, c.Error()*100)
+				c.name, sim, c.analytic, err*100)
 		}
 	}
 	if len(tab.Rows) != 7 {
@@ -152,10 +156,7 @@ func TestE6ValidationExact(t *testing.T) {
 }
 
 func TestE7EvolvingShape(t *testing.T) {
-	tab, res, err := E7Evolving(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, _ := runExperiment(t, "E7", 1, testJobs)
 	var rec map[string]string = map[string]string{}
 	for _, row := range tab.Rows {
 		rec[row[0]] = row[1]
@@ -175,14 +176,10 @@ func TestE7EvolvingShape(t *testing.T) {
 	if finalN >= peak {
 		t.Errorf("allocation never shrank: peak %v, final %v", peak, finalN)
 	}
-	_ = res
 }
 
 func TestE8ReconfigCostShape(t *testing.T) {
-	_, results, err := E8ReconfigCost(1, testJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, results := runExperiment(t, "E8", 1, testJobs)
 	if len(results) != 5 {
 		t.Fatalf("results %d", len(results))
 	}
@@ -196,10 +193,7 @@ func TestE8ReconfigCostShape(t *testing.T) {
 }
 
 func TestAblationInvocation(t *testing.T) {
-	tab, err := AblationInvocation(1, testJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, _ := runExperiment(t, "A1", 1, testJobs)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -212,10 +206,7 @@ func TestAblationInvocation(t *testing.T) {
 }
 
 func TestAblationFairness(t *testing.T) {
-	tab, err := AblationFairness(1, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, _ := runExperiment(t, "A2", 1, testJobs)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -258,10 +249,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestAblationMoldable(t *testing.T) {
-	tab, err := AblationMoldable(1, testJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, _ := runExperiment(t, "A3", 1, testJobs)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -274,10 +262,7 @@ func TestAblationMoldable(t *testing.T) {
 }
 
 func TestAblationFairShare(t *testing.T) {
-	tab, err := AblationFairShare(1, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, _ := runExperiment(t, "A4", 1, 60)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -290,10 +275,7 @@ func TestAblationFairShare(t *testing.T) {
 }
 
 func TestE9TopologyShape(t *testing.T) {
-	tab, results, err := E9Topology(1, testJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, results := runExperiment(t, "E9", 1, testJobs)
 	if len(results) != 4 {
 		t.Fatalf("results %d", len(results))
 	}

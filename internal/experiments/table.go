@@ -1,8 +1,8 @@
-// Package experiments contains the drivers that regenerate every table and
-// figure of the reconstructed evaluation (E1–E8 in DESIGN.md), plus the
-// design-choice ablations. The same drivers back `cmd/expreport` and the
-// root-level benchmarks, so the numbers in EXPERIMENTS.md are reproducible
-// with either tool.
+// Package experiments defines every table of the reconstructed evaluation
+// (E1–E10 and the ablations A1–A5, indexed in DESIGN.md §3) as data in
+// All, each run by Experiment.Run, plus the parameter sweeps and their
+// journaled grids. `cmd/expreport` and the root-level benchmarks loop over
+// All, so the numbers in EXPERIMENTS.md are reproducible with either tool.
 package experiments
 
 import (
