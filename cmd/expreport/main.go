@@ -44,6 +44,9 @@ func run(ctx context.Context) error {
 	if *snapDiff != "" {
 		return diffSnapshots(*snapDiff, *markdown)
 	}
+	if *jobs < 3 {
+		return cli.Usagef("-jobs %d: want at least 3, since E4 runs a third of -jobs per storage target", *jobs)
+	}
 
 	selected := map[string]bool{}
 	if *only != "" {

@@ -51,6 +51,25 @@ func TestOnlyUnknownIDIsUsageError(t *testing.T) {
 	}
 }
 
+// A -jobs below 3 is a usage error naming E4's third, found before any
+// table runs, whichever tables are selected.
+func TestJobsBelowThreeIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-jobs", "0"}, {"-jobs", "-5"}, {"-jobs", "2", "-only", "E4"}, {"-jobs", "2", "-only", "E6"},
+	} {
+		out, err := runExpreport(t, args...)
+		if !errors.Is(err, cli.ErrUsage) || !strings.Contains(err.Error(), "E4 runs a third of -jobs") {
+			t.Errorf("%v: error %v, want a usage error naming E4's third", args, err)
+		}
+		if out != "" {
+			t.Errorf("%v: printed tables for a refused job count:\n%s", args, out)
+		}
+	}
+	if _, err := runExpreport(t, "-jobs", "3", "-only", "E4"); err != nil {
+		t.Errorf("-jobs 3 -only E4: %v", err)
+	}
+}
+
 // -only IDs are trimmed and case-insensitive, and select tables in report
 // order.
 func TestOnlySelectsTables(t *testing.T) {

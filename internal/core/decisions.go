@@ -11,8 +11,14 @@ import (
 )
 
 // apply validates and executes one scheduling decision. Errors mean the
-// decision was rejected with no side effects.
+// decision was rejected with no side effects. A decision of any kind that
+// names a finished job is rejected before the kind is looked at: a run in
+// the done state keeps fields a live job would act on (an evolving
+// request, say), and a released run has no state at all.
 func (e *Engine) apply(d sched.Decision) error {
+	if e.runs.finished(d.Job) {
+		return fmt.Errorf("job %s already finished", e.label(d.Job))
+	}
 	jr := e.runs.get(d.Job)
 	if jr == nil {
 		return fmt.Errorf("unknown job %d", d.Job)
@@ -156,10 +162,27 @@ func (e *Engine) applyKill(jr *jobRun) error {
 		e.outstanding--
 		e.markFinished(jr.view.Job.ID)
 		return nil
-	case stateDone:
-		return fmt.Errorf("job %s already finished", jr.label())
 	default:
 		e.kill(jr, metrics.StatusKilledScheduler)
 		return nil
 	}
+}
+
+// label returns the label of a submitted job, whose run may have been
+// released. Only rejections format it, so the workload scan for a
+// released run is off every hot path.
+func (e *Engine) label(id job.ID) string {
+	if jr := e.runs.get(id); jr != nil {
+		return jr.label()
+	}
+	jobs := e.workload.Jobs
+	if i := int(id); i >= 0 && i < len(jobs) && jobs[i].ID == id {
+		return jobs[i].Label()
+	}
+	for _, j := range jobs {
+		if j.ID == id {
+			return j.Label()
+		}
+	}
+	return ownerKey(id)
 }

@@ -93,7 +93,7 @@ type Engine struct {
 	running  runList // start order
 
 	// Dependency tracking: dependents maps a job to the held jobs waiting
-	// on it (finished-ness is read off the run table's terminal state).
+	// on it (finished-ness is read off the run table, runTable.finished).
 	dependents map[job.ID][]*jobRun
 
 	// Failure injection: injector is nil when disabled, and every other
@@ -193,6 +193,7 @@ func New(spec *platform.Spec, w *job.Workload, algo sched.Algorithm, opts Option
 		dependents:  make(map[job.ID][]*jobRun),
 		lastInvokeT: math.Inf(-1),
 	}
+	e.rec.Expect(len(w.Jobs))
 	if u, ok := algo.(sched.FreeListUser); ok && u.WantsFreeList() {
 		e.wantFreeList = true
 	}
@@ -372,13 +373,18 @@ func (e *Engine) warnf(format string, args ...any) {
 // the rest enter the pending queue immediately.
 func (e *Engine) submit(j *job.Job) {
 	jr := e.runs.alloc(j)
+	if jr.onTaskDone == nil {
+		jr.onTaskDone = func() { e.taskDone(jr) }
+	}
 	jr.setState(statePending)
 	jr.rec = e.rec.JobSubmitted(j, jr.label(), e.Now())
 	if e.tracing() {
 		e.traceEvent(EvSubmit, j.ID, fmt.Sprintf("type=%s", j.Type))
 	}
+	// "afterany" semantics: completed and killed dependencies both count as
+	// finished; one that was never submitted does not.
 	for _, dep := range j.Dependencies {
-		if !e.isFinished(dep) {
+		if !e.runs.finished(dep) {
 			jr.depsLeft++
 			e.dependents[dep] = append(e.dependents[dep], jr)
 		}
@@ -392,14 +398,6 @@ func (e *Engine) submit(j *job.Job) {
 	}
 	e.queue.add(jr)
 	e.requestInvocation(sched.ReasonSubmit)
-}
-
-// isFinished reports whether id reached a terminal state ("afterany"
-// dependency semantics: completed and killed both count). A job that was
-// never submitted is not finished.
-func (e *Engine) isFinished(id job.ID) bool {
-	jr := e.runs.get(id)
-	return jr != nil && jr.state == stateDone
 }
 
 // markFinished releases dependents whose last dependency this was

@@ -47,8 +47,8 @@ func (s jobState) String() string {
 }
 
 // jobRun is the mutable execution state of one job. A simulation keeps
-// one per job until it ends, so the small counters are int32s and the
-// small flags share the last word.
+// one per live job (see runTable), so the small counters are int32s and
+// the small flags share the last word.
 type jobRun struct {
 	rec *metrics.JobRecord // the Recorder's handle for this job
 
@@ -73,10 +73,9 @@ type jobRun struct {
 	// In-flight work: exactly one of activity/timer is set while running.
 	activity *fluid.Activity
 	timer    *des.Event
-	// onTaskDone is the task-completion callback, built once per start so
-	// that dispatching a task allocates nothing. setState drops it when
-	// the job returns to the queue or finishes, so that no finished run
-	// holds one.
+	// onTaskDone is the task-completion callback, built once per slot —
+	// it captures only the engine and the slot, so every job that occupies
+	// the slot shares it — and dispatching a task allocates nothing.
 	onTaskDone func()
 
 	// Walltime enforcement.
@@ -125,15 +124,11 @@ func (jr *jobRun) task() *job.Task   { return &jr.phase().Tasks[jr.taskIdx] }
 
 // setState moves the job to s and keeps its view in step: State and
 // AtSchedulingPoint follow s, and a (re)entry into the pending queue clears
-// the fields only a started job has. Leaving the running states drops the
-// task-completion callback.
+// the fields only a started job has.
 func (jr *jobRun) setState(s jobState) {
 	jr.state = s
 	v := &jr.view
 	v.AtSchedulingPoint = s == stateAtSchedPoint
-	if s == statePending || s == stateDone {
-		jr.onTaskDone = nil
-	}
 	if s == statePending {
 		v.State = sched.StatePending
 		v.Nodes, v.StartTime, v.EvolvingRequest, v.ExpectedEnd = 0, 0, 0, 0
@@ -214,7 +209,6 @@ func (e *Engine) start(jr *jobRun, nodes []platform.NodeID) {
 	if jr.view.Job.WallTimeLimit > 0 {
 		jr.view.ExpectedEnd = now + jr.view.Job.WallTimeLimit
 	}
-	jr.onTaskDone = func() { e.taskDone(jr) }
 	jr.segStart = now
 	jr.phaseIdx, jr.iter, jr.taskIdx = jr.ckptPhase, jr.ckptIter, 0
 	jr.lastCkpt = now
@@ -590,7 +584,10 @@ func (e *Engine) taskDone(jr *jobRun) {
 }
 
 // enterSchedulingPoint pauses the job, pokes the scheduler, and arranges
-// resumption after the scheduler had its chance at this timestamp.
+// resumption after the scheduler had its chance at this timestamp. A kill
+// in that invocation finishes the job and frees its slot before the resume
+// fires, so the resume checks that the slot still holds the job that
+// paused, not only that its occupant is paused.
 func (e *Engine) enterSchedulingPoint(jr *jobRun) {
 	jr.setState(stateAtSchedPoint)
 	jr.pendingResize = 0
@@ -598,8 +595,11 @@ func (e *Engine) enterSchedulingPoint(jr *jobRun) {
 		e.traceEvent(EvSchedulingPoint, jr.view.Job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
 	}
 	e.requestInvocation(sched.ReasonSchedulingPoint)
+	id := jr.view.Job.ID
 	e.kernel.ScheduleTransientAfter(0, PriorityResume, func() {
-		e.resumeFromSchedulingPoint(jr)
+		if jr.view.Job.ID == id {
+			e.resumeFromSchedulingPoint(jr)
+		}
 	})
 }
 
@@ -704,7 +704,9 @@ func (e *Engine) chargeReconfiguration(jr *jobRun, oldSize int) {
 	e.startTask(jr)
 }
 
-// finish completes a running job with the given terminal status.
+// finish completes a running job with the given terminal status and
+// releases its run: a job that ran was never held, so no dependents list
+// names it, and cancelWork took every event and activity that did.
 func (e *Engine) finish(jr *jobRun, status metrics.JobStatus) {
 	now := e.Now()
 	jr.setState(stateDone)
@@ -726,6 +728,7 @@ func (e *Engine) finish(jr *jobRun, status metrics.JobStatus) {
 	e.outstanding--
 	e.markFinished(jr.view.Job.ID)
 	e.requestInvocation(sched.ReasonCompletion)
+	e.runs.release(jr)
 }
 
 // kill terminates a running job (walltime limit or scheduler decision).

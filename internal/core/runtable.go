@@ -14,25 +14,37 @@ import (
 // and running slices. Together they turn the per-job bookkeeping that
 // dominated million-job simulations — one allocation plus one map insert
 // per submit, an O(n) scan per queue removal — into amortised O(1)
-// operations on dense memory.
+// operations on dense memory, sized by the jobs live at once rather than
+// by the length of the workload.
 
 // runChunk is the arena's allocation granularity: one make([]jobRun)
-// serves this many submits.
+// serves this many runs.
 const runChunk = 2048
 
-// runTable owns every jobRun of a simulation. Runs are carved out of
-// chunked slabs in submission order (a finished run is never reclaimed:
-// terminal state stays addressable for decision validation and dependency
-// checks), and indexed by job ID — through a dense slice when the
-// workload's IDs are compact (the invariant ParseWorkload and
-// Workload.Sort establish), through a map for hand-assembled workloads
-// with arbitrary IDs.
+// runTable owns every live jobRun of a simulation, indexed by job ID —
+// through a dense slice when the workload's IDs are compact (the invariant
+// ParseWorkload and Workload.Sort establish), through a map for
+// hand-assembled workloads with arbitrary IDs.
+//
+// A run that finishes (Engine.finish) gives its slot back: the slot goes
+// onto a free list that alloc takes from before it carves a new chunk, so
+// the arena holds at most the peak number of live runs plus one chunk.
+// What outlives the run is one done bit per ID — a bitset beside the dense
+// index, a nil entry in the sparse map — which is all that decision
+// validation and dependency checks ask of a finished job. Runs that end
+// any other way (killed while queued or held, dropped after a node
+// failure) keep their slot: a held job is still listed among its
+// dependencies' dependents, and a reused slot would take its place there.
 type runTable struct {
-	chunks [][]jobRun
-	count  int
-	total  int // workload size; bounds the arena
+	chunk []jobRun  // the uncarved rest of the newest chunk
+	free  []*jobRun // released slots, reused first
+	slots int       // slots carved so far
+	total int       // workload size; bounds the arena
+	live  int       // runs allocated and not released
+	peak  int       // the most runs live at once
 
 	dense  []*jobRun
+	done   []uint64 // with dense: bit id is set once id's run was released
 	sparse map[job.ID]*jobRun
 }
 
@@ -40,35 +52,61 @@ func newRunTable(w *job.Workload) *runTable {
 	t := &runTable{total: len(w.Jobs)}
 	if maxID, ok := w.CompactIDs(); ok {
 		t.dense = make([]*jobRun, int(maxID)+1)
+		t.done = make([]uint64, (int(maxID)+64)/64)
 	} else {
 		t.sparse = make(map[job.ID]*jobRun, len(w.Jobs))
 	}
 	return t
 }
 
-// alloc carves a fresh run for j out of the arena and indexes it.
+// alloc gives j a run, reusing a released slot when there is one and
+// carving one out of the arena otherwise, and indexes it. A slot keeps
+// its task-completion callback across occupants (see jobRun.onTaskDone).
 func (t *runTable) alloc(j *job.Job) *jobRun {
-	slot := t.count % runChunk
-	if slot == 0 {
-		size := runChunk
-		if rest := t.total - t.count; rest > 0 && rest < size {
-			size = rest
+	var jr *jobRun
+	if n := len(t.free); n > 0 {
+		jr = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		if len(t.chunk) == 0 {
+			size := runChunk
+			if rest := t.total - t.slots; rest > 0 && rest < size {
+				size = rest
+			}
+			t.chunk = make([]jobRun, size)
+			t.slots += size
 		}
-		t.chunks = append(t.chunks, make([]jobRun, size))
+		jr = &t.chunk[0]
+		t.chunk = t.chunk[1:]
 	}
-	c := t.chunks[len(t.chunks)-1]
-	jr := &c[slot]
-	t.count++
-	*jr = jobRun{view: sched.NewJobView(j), owner: ownerKey(j.ID), listPos: -1}
+	*jr = jobRun{view: sched.NewJobView(j), owner: ownerKey(j.ID), listPos: -1, onTaskDone: jr.onTaskDone}
 	if t.dense != nil {
 		t.dense[j.ID] = jr
 	} else {
 		t.sparse[j.ID] = jr
 	}
+	t.live++
+	t.peak = max(t.peak, t.live)
 	return jr
 }
 
-// get returns the run for id, or nil before its submission.
+// release returns a finished run's slot to the free list and records its
+// job as done. The caller guarantees nothing references the run any more:
+// no event, activity, list or dependents entry.
+func (t *runTable) release(jr *jobRun) {
+	id := jr.view.Job.ID
+	if t.dense != nil {
+		t.dense[id] = nil
+		t.done[id/64] |= 1 << (id % 64)
+	} else {
+		t.sparse[id] = nil
+	}
+	t.free = append(t.free, jr)
+	t.live--
+}
+
+// get returns the live run for id, or nil before its submission and after
+// its run was released.
 func (t *runTable) get(id job.ID) *jobRun {
 	if t.dense != nil {
 		if int(id) >= len(t.dense) || id < 0 {
@@ -79,11 +117,21 @@ func (t *runTable) get(id job.ID) *jobRun {
 	return t.sparse[id]
 }
 
-// len returns the number of submitted jobs.
-func (t *runTable) len() int { return t.count }
+// finished reports whether id reached its terminal state: its run was
+// released, or is still held in the done state.
+func (t *runTable) finished(id job.ID) bool {
+	if jr := t.get(id); jr != nil {
+		return jr.state == stateDone
+	}
+	if t.dense != nil {
+		return id >= 0 && int(id) < len(t.dense) && t.done[id/64]&(1<<(id%64)) != 0
+	}
+	jr, ok := t.sparse[id]
+	return ok && jr == nil
+}
 
-// forEachByID visits every run in ascending job-ID order (deterministic
-// regardless of the index representation).
+// forEachByID visits every live run in ascending job-ID order
+// (deterministic regardless of the index representation).
 func (t *runTable) forEachByID(fn func(*jobRun)) {
 	if t.dense != nil {
 		for _, jr := range t.dense {
@@ -94,8 +142,10 @@ func (t *runTable) forEachByID(fn func(*jobRun)) {
 		return
 	}
 	ids := make([]int, 0, len(t.sparse))
-	for id := range t.sparse {
-		ids = append(ids, int(id))
+	for id, jr := range t.sparse {
+		if jr != nil {
+			ids = append(ids, int(id))
+		}
 	}
 	sort.Ints(ids)
 	for _, id := range ids {

@@ -242,7 +242,7 @@ var a5 = Experiment{
 				mode = "full-fluid"
 			}
 			t.AddRow(fmt.Sprintf("%d", c.nodes), fmt.Sprintf("%d", c.jobs), mode,
-				fmt.Sprintf("%d", r.WallClock.Milliseconds()),
+				wallMillis(r.WallClock),
 				fmt.Sprintf("%.0f", float64(r.Events)/r.WallClock.Seconds()),
 				f1(r.Summary.Makespan))
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"repro/elastisim"
 	"repro/internal/job"
@@ -20,30 +21,52 @@ type Experiment struct {
 	// Rows fills the table from the results, which arrive in Configs order.
 	Rows func(t *Table, res []*elastisim.Result)
 	// timed marks a table that reports Result.WallClock: its simulations
-	// run one at a time, so no arm's clock includes another's load.
+	// run one at a time, so no arm's clock includes another's load, and
+	// timedReps times over (see Run).
 	timed bool
 }
+
+// timedReps is how often a timed table runs each of its simulations. The
+// arms take 1–30 ms, so one run's clock is mostly host noise; the fastest
+// of five is the least disturbed.
+const timedReps = 5
 
 // All lists every table of the evaluation in report order.
 var All = []Experiment{e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, a1, a2, a3, a4, a5}
 
 // Run builds and runs the experiment's simulations and returns its table
 // and the results in Configs order. Untimed tables run their simulations
-// on one worker per CPU.
+// on one worker per CPU. Timed tables run every simulation timedReps
+// times, one after another and all arms in each round, on freshly built
+// configurations; each result keeps the smallest WallClock, and a round
+// whose simulated outcome differs from the first is an error.
 func (x Experiment) Run(seed uint64, jobs int) (*Table, []*elastisim.Result, error) {
-	cfgs, err := x.Configs(seed, jobs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", x.ID, err)
-	}
-	workers := 0
+	reps, workers := 1, 0
 	if x.timed {
-		workers = 1
+		reps, workers = timedReps, 1
 	}
-	res, err := runIndexed(workers, len(cfgs), func(i int) (*elastisim.Result, error) {
-		return elastisim.Run(cfgs[i])
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", x.ID, err)
+	var res []*elastisim.Result
+	for rep := 0; rep < reps; rep++ {
+		cfgs, err := x.Configs(seed, jobs)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", x.ID, err)
+		}
+		round, err := runIndexed(workers, len(cfgs), func(i int) (*elastisim.Result, error) {
+			return elastisim.Run(cfgs[i])
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", x.ID, err)
+		}
+		if res == nil {
+			res = round
+			continue
+		}
+		for i, r := range round {
+			if r.Events != res[i].Events || r.Summary != res[i].Summary {
+				return nil, nil, fmt.Errorf("%s: simulation %d changed between timed repetitions", x.ID, i)
+			}
+			res[i].WallClock = min(res[i].WallClock, r.WallClock)
+		}
 	}
 	t := &Table{ID: x.ID, Title: x.Title, Header: x.Header}
 	x.Rows(t, res)
@@ -286,13 +309,18 @@ var e5 = Experiment{
 		for i, r := range res {
 			t.AddRow(fmt.Sprintf("%d", e5Scales[i].nodes), fmt.Sprintf("%d", e5Scales[i].jobs),
 				fmt.Sprintf("%d", r.Events),
-				fmt.Sprintf("%d", r.WallClock.Milliseconds()),
+				wallMillis(r.WallClock),
 				fmt.Sprintf("%.0f", float64(r.Events)/r.WallClock.Seconds()),
 				f1(r.Summary.Makespan))
 		}
 		t.AddNote("wall-clock grows with event count; events grow near-linearly with job count")
 	},
 	timed: true,
+}
+
+// wallMillis formats a timed table's wall_ms cell to the hundredth.
+func wallMillis(d time.Duration) string {
+	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
 }
 
 // e6Cases are E6's analytic microbenchmarks on a 1 Gflop/s, 1 GB/s,

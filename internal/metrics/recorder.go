@@ -118,13 +118,18 @@ type Outage struct {
 	End   float64 `json:"end"`
 }
 
+// recordSlab is the most job records one allocation holds.
+const recordSlab = 2048
+
 // Recorder accumulates statistics during a simulation run. It is driven by
 // the engine's lifecycle callbacks: JobSubmitted returns the job's record,
 // and every later callback for that job takes the record back, so the
 // caller's own per-job state is the only index.
 type Recorder struct {
 	totalNodes int
+	jobs       int          // expected submissions (Expect); 0 = unknown
 	records    []*JobRecord // submission order
+	slab       []JobRecord  // carved but not yet handed out
 	busy       Timeline     // allocated nodes
 	down       Timeline     // failed nodes (availability)
 	gantt      []GanttEntry
@@ -143,17 +148,43 @@ func NewRecorder(totalNodes int) *Recorder {
 	return &Recorder{totalNodes: totalNodes}
 }
 
+// Expect tells the recorder how many jobs the run will submit. It
+// allocates nothing: the first submission sizes the per-job structures
+// from it, so a run pays for them and its setup does not.
+func (rec *Recorder) Expect(jobs int) { rec.jobs = jobs }
+
 // JobSubmitted registers a job entering the queue and returns its record,
 // the handle every later callback for the job takes. name is the job's
 // label (j.Label()), passed in so that the caller formats it once per job.
 func (rec *Recorder) JobSubmitted(j *job.Job, name string, t float64) *JobRecord {
-	r := &JobRecord{
+	if len(rec.slab) == 0 {
+		rec.carve()
+	}
+	r := &rec.slab[0]
+	rec.slab = rec.slab[1:]
+	*r = JobRecord{
 		ID: j.ID, Name: name, Type: j.Type, User: j.User,
 		Submit: t, Start: -1, End: -1,
 		RequestedNodes: j.MinNodes(), WallTime: j.WallTimeLimit,
 	}
 	rec.records = append(rec.records, r)
 	return r
+}
+
+// carve makes the next slab of job records: up to recordSlab of the
+// submissions still expected, or a single record once more jobs arrive
+// than expected. On the first submission it also sizes the records slice,
+// the Gantt and the busy timeline for the expected jobs: a job has one
+// record, one segment per allocation (one unless it is reconfigured) and
+// a busy change point at its start and at its end.
+func (rec *Recorder) carve() {
+	left := rec.jobs - len(rec.records)
+	if rec.records == nil && left > 0 {
+		rec.records = make([]*JobRecord, 0, left)
+		rec.gantt = make([]GanttEntry, 0, left)
+		rec.busy.grow(2 * left)
+	}
+	rec.slab = make([]JobRecord, min(max(left, 1), recordSlab))
 }
 
 // JobStarted registers a job beginning execution on nodes. A restart

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -31,6 +32,12 @@ func (tl *Timeline) Add(t, delta float64) {
 	}
 	tl.times = append(tl.times, t)
 	tl.values = append(tl.values, tl.cur)
+}
+
+// grow makes room for n more change points.
+func (tl *Timeline) grow(n int) {
+	tl.times = slices.Grow(tl.times, n)
+	tl.values = slices.Grow(tl.values, n)
 }
 
 // Set records an absolute value at time t.

@@ -17,7 +17,9 @@ type FirstFit struct {
 // Name implements Algorithm.
 func (f *FirstFit) Name() string { return "firstfit" }
 
-// Schedule implements Algorithm.
+// Schedule implements Algorithm. The decisions are allocated once, at the
+// first start, for the most starts the invocation can hold: every start
+// takes at least one free node.
 func (f *FirstFit) Schedule(inv *Invocation) []Decision {
 	var out []Decision
 	free := inv.FreeNodes
@@ -25,6 +27,9 @@ func (f *FirstFit) Schedule(inv *Invocation) []Decision {
 		n := pickSize(v, free, f.SizeFn, f.Sizing)
 		if n == 0 {
 			continue
+		}
+		if out == nil {
+			out = make([]Decision, 0, min(len(inv.Pending), inv.FreeNodes))
 		}
 		out = append(out, Start(v.ID, n))
 		free -= n
