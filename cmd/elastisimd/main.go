@@ -6,13 +6,14 @@
 // Usage:
 //
 //	elastisimd [-addr 127.0.0.1:9178] [-data elastisim-data]
-//	           [-workers 0] [-lease 30s]
+//	           [-workers 0] [-lease 30s] [-group-commit 0]
 //	           [-access-log path] [-flight 512]
 //
-// State lives under -data: jobs/journal.jsonl records every job
-// transition (a restarted daemon recovers queued and completed jobs from
-// it, re-running only work that was interrupted), and jobs/<id>/ holds
-// each job's artifacts (result.json, gantt.svg, trace.json).
+// State lives under -data: jobs/journal.jsonl, one file, records every
+// job transition (a restarted daemon recovers queued and completed jobs
+// from it, re-running only work that was interrupted), and jobs/<id>/
+// holds each job's artifacts (result.json, gantt.svg, trace.json). A
+// journal an older build split across several files is refused at start.
 //
 // Observability (see README "Monitoring elastisimd"):
 //
@@ -73,7 +74,6 @@ func run(ctx context.Context) error {
 		lease     = flag.Duration("lease", 30*time.Second, "job lease duration (claims lapse without heartbeats)")
 		accessLog = flag.String("access-log", "", "append one JSON line per request to this file (empty = off)")
 		flightN   = flag.Int("flight", 512, "flight recorder ring size (0 = disabled)")
-		shards    = flag.Int("journal-shards", 0, "hash-shard the job journal across this many files (0 = one file)")
 		groupCmt  = flag.Duration("group-commit", 0, "batch journal fsyncs into one flush per window (0 = fsync every transition)")
 	)
 	flag.Parse()
@@ -93,11 +93,10 @@ func run(ctx context.Context) error {
 		return err
 	}
 	queue, err := jobqueue.Open(filepath.Join(*dataDir, "jobs", "journal.jsonl"), jobqueue.Options{
-		Lease:         *lease,
-		Metrics:       reg,
-		Flight:        flight,
-		JournalShards: *shards,
-		GroupCommit:   *groupCmt,
+		Lease:       *lease,
+		Metrics:     reg,
+		Flight:      flight,
+		GroupCommit: *groupCmt,
 	})
 	if err != nil {
 		return err

@@ -44,13 +44,13 @@
 // The grid is enumerated lazily from a deterministic cursor and, when
 // journaled, settled cells are evicted from memory (the journal holds
 // the results; the final CSV streams them back out), so coordinator
-// memory is O(active cells), not O(grid). Three flags tune the path:
-// -shards N hash-shards the journal across N files, -group-commit d
-// batches fsyncs into one flush per window (appends are still written
-// through, so a process kill loses nothing), and workers pass
-// -lease-batch N to claim/heartbeat/finish N cells per HTTP round-trip
-// with per-item settlement. -resume re-shards a journal to the requested
-// count and refuses a journal written for a different grid.
+// memory is O(active cells), not O(grid). Two flags tune the path:
+// -group-commit d batches fsyncs into one flush per window (appends are
+// still written through, so a process kill loses nothing), and workers
+// pass -lease-batch N to claim/heartbeat/finish N cells per HTTP
+// round-trip with per-item settlement. The journal is one file; -resume
+// refuses a journal written for a different grid, and one written across
+// several files by an older build.
 package main
 
 import (
@@ -90,7 +90,6 @@ func run(ctx context.Context) error {
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 		journalPath  = flag.String("journal", "", "journal grid cells to this JSONL file (resumable)")
 		resume       = flag.Bool("resume", false, "continue an existing -journal instead of refusing to overwrite it")
-		shards       = flag.Int("shards", 0, "hash-shard the journal across this many files (0 = one file)")
 		groupCommit  = flag.Duration("group-commit", 0, "batch journal fsyncs into one flush per window (0 = fsync every transition)")
 		serveAddr    = flag.String("serve", "", "coordinator mode: lease cells to HTTP workers on this address")
 		connectURL   = flag.String("connect", "", "worker mode: claim cells from this coordinator URL")
@@ -103,9 +102,9 @@ func run(ctx context.Context) error {
 	if *serveAddr != "" && *connectURL != "" {
 		return cli.Usagef("-serve and -connect are mutually exclusive")
 	}
-	// Refused, not dropped: -serve -shards 4 alone would only look durable.
-	if *journalPath == "" && (*resume || *shards != 0 || *groupCommit != 0) {
-		return cli.Usagef("-resume, -shards and -group-commit require -journal")
+	// Refused, not dropped: -serve -group-commit 5ms alone would only look durable.
+	if *journalPath == "" && (*resume || *groupCommit != 0) {
+		return cli.Usagef("-resume and -group-commit require -journal")
 	}
 	if *connectURL == "" && (*leaseBatch != 1 || *workerName != "") {
 		return cli.Usagef("-lease-batch and -worker-name require -connect")
@@ -161,7 +160,6 @@ func run(ctx context.Context) error {
 			Workers:     cfg.Workers,
 			Lease:       *lease,
 			Resume:      *resume,
-			Shards:      *shards,
 			GroupCommit: *groupCommit,
 			OnCellDone:  progHook(prog),
 		}

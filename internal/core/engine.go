@@ -108,11 +108,12 @@ type Engine struct {
 	invocations         uint64
 	invocationsElided   uint64
 
-	// Same-timestamp invocation batching: stateEpoch counts every mutation
-	// a scheduler snapshot could observe (each coincides with either a
-	// requestInvocation call or an applied decision). An invocation whose
-	// timestamp and epoch both match the previous one would hand the
-	// algorithm a bit-identical snapshot, so it is elided.
+	// Same-timestamp invocation batching: stateEpoch counts triggers
+	// (requestInvocation calls). An invocation records the epoch as of its
+	// snapshot, so a trigger raised while its decisions are applied (a kill
+	// freeing nodes, a dependent released) still earns a re-invocation; one
+	// whose timestamp and epoch both match the previous snapshot's would
+	// see no new trigger, so it is elided.
 	stateEpoch      uint64
 	lastInvokeT     float64
 	lastInvokeEpoch uint64
@@ -455,19 +456,19 @@ func (e *Engine) requestInvocation(reason sched.Reason) {
 func (e *Engine) invoke() {
 	now := e.Now()
 	if e.invocations > 0 && now == e.lastInvokeT && e.stateEpoch == e.lastInvokeEpoch {
-		// An invocation already ran at this exact timestamp and nothing it
-		// could observe has changed since (no new trigger, no applied
-		// decision): a second call would hand the algorithm a bit-identical
-		// snapshot — the pending reasons are the only delta — and apply the
-		// same outcome. Batch it away. This collapses the periodic tick and
-		// the event-driven invocation landing on one timestamp into a
-		// single algorithm call.
+		// An invocation already ran at this exact timestamp and no trigger
+		// was raised since its snapshot: the only changes are its own
+		// applied decisions, which the algorithm already accounted for.
+		// Batch it away. This collapses the periodic tick and the
+		// event-driven invocation landing on one timestamp into a single
+		// algorithm call.
 		e.pendingReasons = 0
 		e.invocationsElided++
 		return
 	}
 	reasons := e.pendingReasons
 	e.pendingReasons = 0
+	e.lastInvokeT, e.lastInvokeEpoch = now, e.stateEpoch
 	inv := e.snapshot(reasons)
 	e.invocations++
 	t0 := time.Now()
@@ -510,7 +511,6 @@ func (e *Engine) invoke() {
 			e.decisionsRejected++
 			continue
 		}
-		e.stateEpoch++ // applied decisions change what a snapshot would see
 		e.decisionsApplied++
 		if k := int(d.Kind); k >= 0 && k < len(e.decisionsByKind) {
 			e.decisionsByKind[k]++
@@ -519,8 +519,6 @@ func (e *Engine) invoke() {
 	if audit != nil {
 		tel.Audit().Record(*audit)
 	}
-	e.lastInvokeT = now
-	e.lastInvokeEpoch = e.stateEpoch
 }
 
 // snapshot builds the read-only invocation view. The Invocation and its

@@ -257,6 +257,62 @@ func TestKillDecisionOnPendingAndRunning(t *testing.T) {
 	}
 }
 
+// TestTriggersDuringApplyNotElided pins that a trigger raised while an
+// invocation's decisions are applied earns a re-invocation at the same
+// timestamp. A kill frees nodes or releases a dependent only once the
+// algorithm has returned, so the snapshot it decided on could not show
+// them; eliding the follow-up would leave them idle until the next event.
+func TestTriggersDuringApplyNotElided(t *testing.T) {
+	t.Run("kill at scheduling point frees nodes", func(t *testing.T) {
+		m := malleableJob(0, 4, 4, 4, 3, 40*speed) // iterations of 10 s on 4 nodes
+		r := computeJob(1, 2, 10*speed)
+		r.SubmitTime = 5
+		algo := algoFunc(func(inv *sched.Invocation) []sched.Decision {
+			out := (&sched.FCFS{}).Schedule(inv)
+			for _, v := range inv.Running {
+				if v.ID == 0 && v.AtSchedulingPoint {
+					out = append(out, sched.Decision{Kind: sched.DecisionKill, Job: 0})
+				}
+			}
+			return out
+		})
+		rec, e := runSim(t, testPlatform(4), []*job.Job{m, r}, algo, Options{})
+		if got := record(rec, 0); got.Status != metrics.StatusKilledScheduler || got.End != 10 {
+			t.Errorf("job 0 ended %q at %v, want killed at 10", got.Status, got.End)
+		}
+		wantClose(t, "job 1 start", record(rec, 1).Start, 10)
+		if len(e.Warnings()) != 0 {
+			t.Errorf("warnings: %v", e.Warnings())
+		}
+	})
+	t.Run("kill of a pending job releases its dependent", func(t *testing.T) {
+		a := computeJob(0, 2, 200*speed) // holds 2 of 4 nodes until 100
+		k := computeJob(1, 4, 4*speed)   // blocked behind a, killed at 10
+		d := computeJob(2, 2, 2*speed)   // held on k
+		d.Dependencies = []job.ID{1}
+		s := computeJob(3, 2, 2*speed)
+		s.SubmitTime = 10
+		algo := algoFunc(func(inv *sched.Invocation) []sched.Decision {
+			out := (&sched.FCFS{}).Schedule(inv)
+			for _, v := range inv.Pending {
+				if v.ID == 1 && inv.Now >= 10 {
+					out = append(out, sched.Decision{Kind: sched.DecisionKill, Job: 1})
+				}
+			}
+			return out
+		})
+		rec, e := runSim(t, testPlatform(4), []*job.Job{a, k, d, s}, algo, Options{})
+		if got := record(rec, 1); got.Status != metrics.StatusKilledScheduler || got.Start >= 0 {
+			t.Errorf("job 1 ended %q with start %v, want killed before starting", got.Status, got.Start)
+		}
+		wantClose(t, "submitted job start", record(rec, 3).Start, 10)
+		wantClose(t, "dependent start", record(rec, 2).Start, 11)
+		if len(e.Warnings()) != 0 {
+			t.Errorf("warnings: %v", e.Warnings())
+		}
+	})
+}
+
 // algoFunc adapts a function to sched.Algorithm.
 type algoFunc func(inv *sched.Invocation) []sched.Decision
 

@@ -68,7 +68,6 @@ func BenchmarkBatchClaimFinish(b *testing.B) {
 	const batch = 64
 	dir := b.TempDir()
 	s, err := Open(dir+"/journal.jsonl", Options[int]{
-		Shards:      4,
 		GroupCommit: 2 * time.Millisecond,
 		Source:      func(seq uint64) (int, bool) { return int(seq), true },
 		Evict:       true,
@@ -109,7 +108,6 @@ func BenchmarkBatchClaimFinish(b *testing.B) {
 func BenchmarkSingleClaimFinishJournaled(b *testing.B) {
 	dir := b.TempDir()
 	s, err := Open(dir+"/journal.jsonl", Options[int]{
-		Shards:      4,
 		GroupCommit: 2 * time.Millisecond,
 		Source:      func(seq uint64) (int, bool) { return int(seq), true },
 		Evict:       true,

@@ -180,10 +180,7 @@ type Options[P any] struct {
 	MetricPrefix string
 	// IDPrefix prefixes generated task ids (default "t").
 	IDPrefix string
-	// Shards splits the journal into N hash-sharded files (shard 0 at
-	// path, shard k at path.s00k, each with a layout header line); 0
-	// means 1. Reopening with a different count re-shards during the
-	// compaction rewrite.
+	// Deprecated: ignored; the journal is one file.
 	Shards int
 	// GroupCommit batches journal fsyncs: appends are flushed to the OS
 	// per transition (a killed process loses nothing) but fsynced once
@@ -191,7 +188,7 @@ type Options[P any] struct {
 	// per-settlement cost. 0 fsyncs every append.
 	GroupCommit time.Duration
 	// Meta is an opaque fingerprint of the work set stored in the
-	// journal's shard headers. Open refuses a journal whose stored meta
+	// journal's header. Open refuses a journal whose stored meta
 	// differs (ErrMetaMismatch) — the guard that keeps a resumed sweep
 	// from silently continuing a different grid.
 	Meta string
@@ -292,8 +289,7 @@ func New[P any](opts Options[P]) *Store[P] {
 // never re-run; tasks that were claimed, running, or paused when the
 // previous process died return to pending, or settle as cancelled if a
 // cancel was requested. The journal is compacted on open (counted by the
-// <prefix>_journal_compactions_total metric) into opts.Shards files,
-// re-sharding the records when the count changed.
+// <prefix>_journal_compactions_total metric).
 //
 // With Options.Evict terminal tasks are never materialized — their
 // compacted records' locations go to OnSettled and their sequence
@@ -302,23 +298,21 @@ func New[P any](opts Options[P]) *Store[P] {
 func Open[P any](path string, opts Options[P]) (*Store[P], error) {
 	s := New(opts)
 	s.opts.Evict = opts.Evict // New strips it; with a journal it is legal
-	lay, err := detectLayout(path)
+	old, hdr, err := openJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	if lay.meta != "" && s.opts.Meta != "" && lay.meta != s.opts.Meta {
+	if old != nil {
+		defer old.Close()
+	}
+	if hdr.Meta != "" && s.opts.Meta != "" && hdr.Meta != s.opts.Meta {
 		return nil, fmt.Errorf("%w (%s)", ErrMetaMismatch, path)
 	}
-	cfg := journalConfig{
-		path:  path,
-		nsh:   max(s.opts.Shards, 1),
-		meta:  s.opts.Meta,
-		group: s.opts.GroupCommit,
-	}
+	cfg := journalConfig{path: path, meta: s.opts.Meta, group: s.opts.GroupCommit}
 	if cfg.meta == "" {
-		cfg.meta = lay.meta // carry an existing fingerprint forward
+		cfg.meta = hdr.Meta // carry an existing fingerprint forward
 	}
-	jr, err := s.replay(lay, cfg)
+	jr, err := s.replay(old, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -332,22 +326,22 @@ func Open[P any](path string, opts Options[P]) (*Store[P], error) {
 	return s, nil
 }
 
-// replay rebuilds the store from the journal lay describes and compacts
-// it into cfg's layout. One pass indexes the last record per sequence
-// number, keeping the decoded task only while it must stay resident
-// (non-terminal, or terminal without Evict); a second pass writes the
-// compacted journal in sequence order — a fresh record for each task the
-// dead process still owned (recovered), the authoritative bytes copied
-// from the old files for everything else, so evicted results never live
-// on the heap.
-func (s *Store[P]) replay(lay journalLayout, cfg journalConfig) (*journal, error) {
+// replay rebuilds the store from the journal old (nil when there is
+// none) and compacts it into cfg.path. One pass indexes the last record
+// per sequence number, keeping the decoded task only while it must stay
+// resident (non-terminal, or terminal without Evict); a second pass
+// writes the compacted journal in sequence order — a fresh record for
+// each task the dead process still owned (recovered), the authoritative
+// bytes copied from the old file for everything else, so evicted results
+// never live on the heap.
+func (s *Store[P]) replay(old *os.File, cfg journalConfig) (*journal, error) {
 	type last struct {
 		loc   RecLoc
 		state State // "" = no record for this sequence number
 	}
 	var index []last // by seq-1
 	resident := make(map[uint64]*Task[P])
-	err := replayLayout(cfg.path, lay, func(t Task[P], loc RecLoc) error {
+	err := replayFile(old, cfg.path, func(t Task[P], loc RecLoc) error {
 		seq, ok := parseSeq(t.ID, s.opts.IDPrefix)
 		if !ok || seq == 0 {
 			return fmt.Errorf("distwork: journal %s: id %q is not %q plus a sequence number", cfg.path, t.ID, s.opts.IDPrefix)
@@ -371,14 +365,6 @@ func (s *Store[P]) replay(lay journalLayout, cfg journalConfig) (*journal, error
 	if err != nil {
 		return nil, err
 	}
-	readers := make([]*os.File, lay.nsh)
-	defer func() {
-		for _, f := range readers {
-			if f != nil {
-				f.Close()
-			}
-		}
-	}()
 	type settledCB struct {
 		seq uint64
 		st  State
@@ -390,7 +376,7 @@ func (s *Store[P]) replay(lay journalLayout, cfg journalConfig) (*journal, error
 		if m.state == "" {
 			if s.opts.Source == nil {
 				// A submitted task whose every record was lost (a torn tail,
-				// an unsynced shard): nothing to recover, so the id answers
+				// an unsynced append): nothing to recover, so the id answers
 				// NotFound — but say so in the postmortem ring.
 				s.m.flight.Recordf(s.opts.MetricPrefix, "journal has no record for %s; task dropped", s.id(seq))
 				continue
@@ -415,20 +401,14 @@ func (s *Store[P]) replay(lay journalLayout, cfg journalConfig) (*journal, error
 			m.state = t.State
 			rec, err = json.Marshal(t)
 		} else {
-			if readers[m.loc.Shard] == nil {
-				if readers[m.loc.Shard], err = os.Open(shardPath(cfg.path, m.loc.Shard)); err != nil {
-					comp.abort()
-					return nil, err
-				}
-			}
 			rec = make([]byte, m.loc.Len)
-			_, err = readers[m.loc.Shard].ReadAt(rec, m.loc.Off)
+			_, err = old.ReadAt(rec, m.loc.Off)
 		}
 		if err != nil {
 			comp.abort()
 			return nil, fmt.Errorf("distwork: compacting journal record for %s: %w", s.id(seq), err)
 		}
-		loc, err := comp.add(s.id(seq), rec)
+		loc, err := comp.add(rec)
 		if err != nil {
 			comp.abort()
 			return nil, err
@@ -539,7 +519,7 @@ func (s *Store[P]) record(t *Task[P]) (RecLoc, bool) {
 		if err != nil {
 			s.journal.fail(err)
 		} else {
-			loc, ok = s.journal.append(t.ID, rec)
+			loc, ok = s.journal.append(rec)
 		}
 	}
 	if s.m.flight != nil {
@@ -1070,16 +1050,6 @@ func (s *Store[P]) countState(st State) int {
 		}
 	}
 	return n
-}
-
-// countJournalShards backs the <prefix>_journal_shard_count gauge.
-func (s *Store[P]) countJournalShards() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.journal == nil {
-		return 0
-	}
-	return len(s.journal.shards)
 }
 
 // settledLocked reports whether every task is terminal. Callers hold

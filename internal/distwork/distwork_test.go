@@ -386,40 +386,29 @@ func TestJournalMidFileCorruption(t *testing.T) {
 }
 
 // TestUnheaderedJournalRefused pins that a file whose first line is not
-// a shard header — a single-file journal from before the sharded layout,
-// or an empty file — is refused by name, never replayed as empty or
+// a one-file journal header — a headerless journal from before headers
+// existed, an empty file, or the first file of a journal an older build
+// split across several — is refused by name, never replayed as empty or
 // half-read, and is left untouched.
 func TestUnheaderedJournalRefused(t *testing.T) {
-	for name, content := range map[string]string{
-		"headerless records": `{"id":"t000001","state":"done","result":"r"}` + "\n" + `{"id":"t000002","state":"pending"}` + "\n",
-		"empty file":         "",
+	for name, tc := range map[string]struct{ content, want string }{
+		"headerless records": {`{"id":"t000001","state":"done","result":"r"}` + "\n" + `{"id":"t000002","state":"pending"}` + "\n", "not a journal header"},
+		"empty file":         {"", "not a journal header"},
+		"two-file header":    {`{"journal_shards":2,"shard":0}` + "\n" + `{"id":"t000001","state":"pending"}` + "\n", "declares 2 files"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "journal.jsonl")
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			_, err := Open(path, Options[int]{})
-			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "shard header") {
-				t.Fatalf("want a refusal naming %s and the missing shard header, got %v", path, err)
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want a refusal naming %s and %q, got %v", path, tc.want, err)
 			}
-			if data, _ := os.ReadFile(path); string(data) != content {
+			if data, _ := os.ReadFile(path); string(data) != tc.content {
 				t.Fatalf("refused journal was rewritten: %q", data)
 			}
 		})
-	}
-	// A later shard without its header is refused the same way.
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	s, err := Open(path, Options[int]{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if err := os.WriteFile(shardPath(path, 1), []byte(`{"id":"t000001","state":"pending"}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path, Options[int]{Shards: 2}); err == nil || !strings.Contains(err.Error(), shardPath(path, 1)) {
-		t.Fatalf("want a refusal naming shard 1, got %v", err)
 	}
 }
 
@@ -510,7 +499,7 @@ func TestClosedStoreRejectsMutations(t *testing.T) {
 }
 
 // recordLines counts the task records in one journal file (every line
-// after the shard header).
+// after the journal header).
 func recordLines(t *testing.T, path string) int {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -571,7 +560,7 @@ func TestJournalErrorCounter(t *testing.T) {
 	// Yank the file descriptor out from under the journal: subsequent
 	// fsyncs fail, the first failure latches and is counted.
 	s.journal.mu.Lock()
-	s.journal.shards[0].f.Close()
+	s.journal.f.Close()
 	s.journal.mu.Unlock()
 	s.Submit(2)
 	s.Submit(3)

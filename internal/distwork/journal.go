@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -22,28 +23,25 @@ import (
 //
 // Full-record snapshots (rather than deltas) keep recovery trivial and
 // make the journal greppable operational evidence: `grep t000017
-// journal.jsonl*` is the task's complete history.
+// journal.jsonl` is the task's complete history.
 //
 // # Layout
 //
-// The journal is Options.Shards files (0 means 1): shard 0 at path,
-// shard k at path.s00k. Records are assigned to shards by an FNV hash of
-// the task id, so one id's history lives entirely in one file and
-// per-file "last record wins" replay stays correct. Every file begins
-// with a header line
+// The journal is one file. Its first line is a header
 //
-//	{"journal_shards":N,"shard":K,"meta":"..."}
+//	{"journal_shards":1,"shard":0,"meta":"..."}
 //
-// that records the shard count (layout discovery on reopen), the file's
-// own index (consistency check), and an optional caller fingerprint of
-// the work set (Options.Meta — the sweep grid refuses to resume a
-// journal whose meta names a different grid). The header cannot be
-// confused with a record: no task carries a "journal_shards" field. A
-// file that does not start with one is not a journal and is refused.
+// carrying an optional caller fingerprint of the work set (Options.Meta —
+// the sweep grid refuses to resume a journal whose meta names a
+// different grid). The header cannot be confused with a record: no task
+// carries its first field. Its two counters are fixed at one file, index
+// 0: they name the multi-file layout older builds could write, which this
+// one refuses rather than half-reads. A file that does not start with a
+// header is not a journal and is refused too.
 //
-// Reopening with a different shard count is allowed — replay reads the
-// layout the files declare, and the compaction rewrite re-hashes every
-// record into the newly requested layout.
+// Compaction writes path.tmp, fsyncs it, and renames it over path; that
+// rename is the one commit point, so a crash before it leaves the old
+// journal whole and a stale path.tmp that the next compaction truncates.
 //
 // # Group commit
 //
@@ -51,165 +49,104 @@ import (
 // fsynced before the transition returns — durable against OS crashes at
 // one fsync per transition. With a window > 0, appends are written and
 // flushed to the OS immediately (so a killed process still loses
-// nothing) but fsync is batched: a background syncer flushes dirty
-// shards every window, amortizing one fsync over every settlement that
-// landed inside it. The crash window is the group-commit interval
-// against power loss only; torn-tail tolerance covers a crash mid-append
-// either way.
+// nothing) but fsync is batched: a background syncer fsyncs the file
+// once per window if it took appends, amortizing one fsync over every
+// settlement that landed inside it. The crash window is the group-commit
+// interval against power loss only; torn-tail tolerance covers a crash
+// mid-append either way.
 
-// RecLoc addresses one record inside the journal: shard index, byte
-// offset of the record's first byte, and record length (excluding the
-// trailing newline). Terminal records' locations are handed to
-// Options.OnSettled so a consumer can stream results back out of the
-// compacted journal (ReadRecord) without keeping them resident.
+// RecLoc addresses one record inside the journal: byte offset of the
+// record's first byte and record length (excluding the trailing
+// newline). Terminal records' locations are handed to Options.OnSettled
+// so a consumer can stream results back out of the compacted journal
+// (ReadRecord) without keeping them resident.
 type RecLoc struct {
-	Shard int
-	Off   int64
-	Len   int
+	Off int64
+	Len int
 }
 
-// shardHeader is the first line of every journal file. Shards >= 1
-// distinguishes it from task records, which never carry the field.
-type shardHeader struct {
-	Shards int    `json:"journal_shards"`
-	Shard  int    `json:"shard"`
-	Meta   string `json:"meta,omitempty"`
+// journalHeader is the journal's first line. Files >= 1 distinguishes it
+// from task records, which never carry the field; this build writes and
+// accepts only Files 1, Index 0.
+type journalHeader struct {
+	Files int    `json:"journal_shards"`
+	Index int    `json:"shard"`
+	Meta  string `json:"meta,omitempty"`
 }
 
-// journalConfig is the layout a journal is (re)written with.
+// journalConfig is what a journal is (re)written with.
 type journalConfig struct {
 	path  string
-	nsh   int // number of shard files, >= 1
 	meta  string
 	group time.Duration // group-commit window; 0 = fsync per append
 }
 
-// shardPath names shard k of a journal rooted at path. Shard 0 is path
-// itself, so a one-shard journal is the single file the caller named.
-func shardPath(path string, k int) string {
-	if k == 0 {
-		return path
-	}
-	return fmt.Sprintf("%s.s%03d", path, k)
-}
-
-// shardIndex hashes a task id onto a shard (FNV-1a).
-func shardIndex(id string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * 16777619
-	}
-	return int(h % uint32(n))
-}
-
-// jshard is one journal shard file opened for appends.
-type jshard struct {
+type journal struct {
+	mu    sync.Mutex
+	cfg   journalConfig
 	f     *os.File
 	w     *bufio.Writer
 	size  int64 // bytes written (including header and buffered data)
 	dirty bool  // has unfsynced data (group-commit mode)
-}
-
-type journal struct {
-	mu     sync.Mutex
-	cfg    journalConfig
-	shards []*jshard
-	err    error // first write error; subsequent appends are dropped
+	err   error // first write error; subsequent appends are dropped
 
 	fsync   *obs.Histogram // write+flush+fsync latency per append (or per group commit)
 	errs    *obs.Counter   // journaled-write failures (latched once)
-	appends *obs.Counter   // records appended across all shards
+	appends *obs.Counter   // records appended
 	commits *obs.Counter   // group-commit fsync rounds
 
 	stop chan struct{} // closes the group-commit syncer
 	done chan struct{} // syncer exited
 }
 
-// journalLayout is what detectLayout found on disk.
-type journalLayout struct {
-	nsh  int // 0 = no journal on disk
-	meta string
-}
-
-// detectLayout inspects the journal rooted at path: absent (fresh) or
-// laid out as its shard-0 header declares. The on-disk layout — not the
-// caller's requested one — drives replay; compaction then rewrites into
-// the requested layout.
-func detectLayout(path string) (journalLayout, error) {
+// openJournal opens the journal at path for replay and decodes its
+// header. A missing file is a fresh journal: it returns a nil file and
+// no error. A file that does not start with a header — notably a
+// headerless journal from before headers existed — is refused rather
+// than replayed as empty or half-read, and so is a header declaring
+// several files.
+func openJournal(path string) (*os.File, journalHeader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return journalLayout{}, nil
+			err = nil
 		}
-		return journalLayout{}, err
+		return nil, journalHeader{}, err
 	}
-	defer f.Close()
 	first, _ := bufio.NewReaderSize(f, 4096).ReadString('\n')
-	h, ok := parseShardHeader(first)
-	if !ok {
-		return journalLayout{}, errNoHeader(path)
+	var h journalHeader
+	switch {
+	case json.Unmarshal([]byte(first), &h) != nil || h.Files < 1:
+		err = fmt.Errorf("distwork: journal %s: first line is not a journal header; refusing to replay it", path)
+	case h.Files != 1 || h.Index != 0:
+		err = fmt.Errorf("distwork: journal %s declares %d files (this is file %d); only one-file journals are read: "+
+			"finish it with the build that wrote it, or start a new journal", path, h.Files, h.Index)
 	}
-	if h.Shard != 0 {
-		return journalLayout{}, fmt.Errorf("distwork: journal %s header claims shard %d, want 0", path, h.Shard)
-	}
-	return journalLayout{nsh: h.Shards, meta: h.Meta}, nil
-}
-
-// errNoHeader refuses a file that is not a journal shard — notably a
-// headerless single-file journal from before the sharded layout, which
-// must not be replayed as empty or half-read.
-func errNoHeader(fp string) error {
-	return fmt.Errorf("distwork: journal %s: first line is not a shard header; refusing to replay it", fp)
-}
-
-func parseShardHeader(line string) (shardHeader, bool) {
-	line = strings.TrimSpace(line)
-	if !strings.HasPrefix(line, `{"journal_shards":`) {
-		return shardHeader{}, false
-	}
-	var h shardHeader
-	if err := json.Unmarshal([]byte(line), &h); err != nil || h.Shards < 1 {
-		return shardHeader{}, false
-	}
-	return h, true
-}
-
-// replayLayout streams every record of the on-disk journal through fn
-// in file order (shard by shard), with each record's location. The last
-// call per task id carries its authoritative state, because a given id
-// hashes to exactly one shard.
-func replayLayout[P any](path string, lay journalLayout, fn func(t Task[P], loc RecLoc) error) error {
-	for k := 0; k < lay.nsh; k++ {
-		fp := shardPath(path, k)
-		f, err := os.Open(fp)
-		if err != nil {
-			if os.IsNotExist(err) && k > 0 {
-				continue // shard never created (or lost with its records)
-			}
-			return err
-		}
-		err = replayShardFile(f, fp, k, lay, fn)
+	if err != nil {
 		f.Close()
-		if err != nil {
-			return err
-		}
+		return nil, journalHeader{}, err
 	}
-	return nil
+	return f, h, nil
 }
 
-// replayShardFile streams one shard. Records are decoded strictly: a
-// line that is whole JSON but not a Task this store wrote — an unknown
-// field, a mistyped one, as in a journal kept by a build that recorded a
+// replayFile streams every record of the journal f (nil: none) through
+// fn in file order, with each record's location; the last call per task
+// id carries its authoritative state. Records are decoded strictly: a line that is
+// whole JSON but not a Task this store wrote — an unknown field, a
+// mistyped one, as in a journal kept by a build that recorded a
 // different shape under the same header — refuses the journal, because
 // dropping the foreign fields would replay its tasks half-read and the
 // compaction would then erase them for good. A line that is not JSON at
 // all is tolerated only as the last line the scanner yields — the torn
 // tail of a crash mid-append; followed by anything, it is corruption
 // worth surfacing.
-func replayShardFile[P any](f *os.File, fp string, k int, lay journalLayout, fn func(t Task[P], loc RecLoc) error) error {
+func replayFile[P any](f *os.File, fp string, fn func(t Task[P], loc RecLoc) error) error {
+	if f == nil {
+		return nil
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("distwork: reading journal %s: %w", fp, err)
+	}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // payloads can be large
 	line := 0
@@ -221,18 +158,10 @@ func replayShardFile[P any](f *os.File, fp string, k int, lay journalLayout, fn 
 		}
 		line++
 		raw := sc.Bytes()
-		loc := RecLoc{Shard: k, Off: off, Len: len(raw)}
+		loc := RecLoc{Off: off, Len: len(raw)}
 		off += int64(len(raw)) + 1
 		if line == 1 {
-			h, ok := parseShardHeader(string(raw))
-			if !ok {
-				return errNoHeader(fp)
-			}
-			if h.Shards != lay.nsh || h.Shard != k {
-				return fmt.Errorf("distwork: journal shard %s header (%d of %d) does not match layout (%d of %d)",
-					fp, h.Shard, h.Shards, k, lay.nsh)
-			}
-			continue
+			continue // the header, checked by openJournal
 		}
 		text := bytes.TrimSpace(raw)
 		if len(text) == 0 {
@@ -273,104 +202,78 @@ func parseSeq(id, prefix string) (uint64, bool) {
 	return n, true
 }
 
-// compactor writes a fresh journal layout record by record. Every shard
-// is written to a temp file and renamed into place on finish, so a
-// crash during compaction never loses the previous journal. add returns
-// each record's final location, which is how Open hands result offsets
-// to Options.OnSettled without holding results resident.
+// compactor writes a fresh journal record by record into path.tmp,
+// which finish renames into place, so a crash during compaction never
+// loses the previous journal. add returns each record's final location,
+// which is how Open hands result offsets to Options.OnSettled without
+// holding results resident.
 type compactor struct {
-	cfg   journalConfig
-	files []*os.File
-	ws    []*bufio.Writer
-	sizes []int64
+	cfg  journalConfig
+	f    *os.File
+	w    *bufio.Writer
+	size int64
 }
 
 func newCompactor(cfg journalConfig) (*compactor, error) {
-	c := &compactor{cfg: cfg}
-	for k := 0; k < cfg.nsh; k++ {
-		f, err := os.Create(shardPath(cfg.path, k) + ".tmp")
-		if err != nil {
-			c.abort()
-			return nil, err
-		}
-		c.files = append(c.files, f)
-		c.ws = append(c.ws, bufio.NewWriter(f))
-		c.sizes = append(c.sizes, 0)
-		hdr, err := json.Marshal(shardHeader{Shards: cfg.nsh, Shard: k, Meta: cfg.meta})
-		if err != nil {
-			c.abort()
-			return nil, err
-		}
-		if err := writeRecord(c.ws[k], hdr); err != nil {
-			c.abort()
-			return nil, err
-		}
-		c.sizes[k] = int64(len(hdr)) + 1
+	f, err := os.Create(cfg.path + ".tmp")
+	if err != nil {
+		return nil, err
 	}
+	c := &compactor{cfg: cfg, f: f, w: bufio.NewWriter(f)}
+	hdr, err := json.Marshal(journalHeader{Files: 1, Meta: cfg.meta})
+	if err == nil {
+		err = writeRecord(c.w, hdr)
+	}
+	if err != nil {
+		c.abort()
+		return nil, err
+	}
+	c.size = int64(len(hdr)) + 1
 	return c, nil
 }
 
-func (c *compactor) add(id string, rec []byte) (RecLoc, error) {
-	k := shardIndex(id, c.cfg.nsh)
-	loc := RecLoc{Shard: k, Off: c.sizes[k], Len: len(rec)}
-	if err := writeRecord(c.ws[k], rec); err != nil {
+func (c *compactor) add(rec []byte) (RecLoc, error) {
+	loc := RecLoc{Off: c.size, Len: len(rec)}
+	if err := writeRecord(c.w, rec); err != nil {
 		return RecLoc{}, err
 	}
-	c.sizes[k] += int64(len(rec)) + 1
+	c.size += int64(len(rec)) + 1
 	return loc, nil
 }
 
 func (c *compactor) abort() {
-	for k, f := range c.files {
-		f.Close()
-		os.Remove(shardPath(c.cfg.path, k) + ".tmp")
+	if c.f != nil {
+		c.f.Close()
 	}
-	c.files = nil
+	os.Remove(c.cfg.path + ".tmp")
 }
 
-// finish flushes, syncs, and renames every shard into place, removes
-// stale shard files a previous (wider) layout left behind, and returns
-// the journal reopened for appends.
+// finish flushes and syncs path.tmp, renames it over path — the
+// compaction's one commit point — and returns the journal reopened for
+// appends.
 func (c *compactor) finish() (*journal, error) {
-	for k := range c.files {
-		if err := c.ws[k].Flush(); err != nil {
-			c.abort()
-			return nil, err
-		}
-		if err := c.files[k].Sync(); err != nil {
-			c.abort()
-			return nil, err
-		}
-		if err := c.files[k].Close(); err != nil {
-			c.files[k] = nil
-			c.abort()
-			return nil, err
-		}
+	err := c.w.Flush()
+	if err == nil {
+		err = c.f.Sync()
 	}
-	for k := range c.files {
-		if err := os.Rename(shardPath(c.cfg.path, k)+".tmp", shardPath(c.cfg.path, k)); err != nil {
-			return nil, err
-		}
+	if cerr := c.f.Close(); err == nil {
+		err = cerr
 	}
-	// A narrower layout than before leaves higher-numbered shard files
-	// orphaned; shard names are contiguous, so remove until the first gap.
-	for k := c.cfg.nsh; ; k++ {
-		if err := os.Remove(shardPath(c.cfg.path, k)); err != nil {
-			break
-		}
+	c.f = nil
+	if err == nil {
+		err = os.Rename(c.cfg.path+".tmp", c.cfg.path)
 	}
-	jr := &journal{cfg: c.cfg}
-	for k := 0; k < c.cfg.nsh; k++ {
-		// O_RDWR so ReadRecord can pread settled results back out of the
-		// shard the appender still holds open.
-		f, err := os.OpenFile(shardPath(c.cfg.path, k), os.O_RDWR|os.O_APPEND, 0o644)
-		if err != nil {
-			jr.closeFiles()
-			return nil, err
-		}
-		jr.shards = append(jr.shards, &jshard{f: f, w: bufio.NewWriter(f), size: c.sizes[k]})
+	if err != nil {
+		c.abort()
+		return nil, err
 	}
-	return jr, nil
+	// O_RDWR so ReadRecord can pread settled results back out of the file
+	// the appender holds open.
+	f, err := os.OpenFile(c.cfg.path, os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &journal{cfg: c.cfg, f: f, w: bufio.NewWriter(f), size: c.size}, nil
 }
 
 func writeRecord(w *bufio.Writer, rec []byte) error {
@@ -405,30 +308,21 @@ func (jr *journal) commitLoop() {
 	}
 }
 
-// commit fsyncs every shard that took appends since the last round: one
-// group commit. The write lock is held only to collect dirty files —
+// commit fsyncs the file if it took appends since the last round: one
+// group commit. The write lock is held only to take the dirty flag —
 // fsync runs outside it, so appends keep landing while the disk syncs.
 func (jr *journal) commit() {
 	jr.mu.Lock()
-	var files []*os.File
-	if jr.err == nil {
-		for _, sh := range jr.shards {
-			if sh.dirty {
-				sh.dirty = false
-				files = append(files, sh.f)
-			}
-		}
-	}
+	dirty := jr.dirty && jr.err == nil
+	jr.dirty = false
 	jr.mu.Unlock()
-	if len(files) == 0 {
+	if !dirty {
 		return
 	}
 	start := time.Now()
-	for _, f := range files {
-		if err := f.Sync(); err != nil {
-			jr.fail(err)
-			return
-		}
+	if err := jr.f.Sync(); err != nil {
+		jr.fail(err)
+		return
 	}
 	jr.fsync.Observe(time.Since(start).Seconds())
 	jr.commits.Inc()
@@ -457,33 +351,31 @@ func (jr *journal) latch(err error) {
 // the point of the journal); with one, the record is flushed to the OS
 // — surviving a process kill — and the background syncer batches the
 // fsync.
-func (jr *journal) append(id string, rec []byte) (RecLoc, bool) {
+func (jr *journal) append(rec []byte) (RecLoc, bool) {
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
 	if jr.err != nil {
 		return RecLoc{}, false
 	}
-	k := shardIndex(id, len(jr.shards))
-	sh := jr.shards[k]
-	loc := RecLoc{Shard: k, Off: sh.size, Len: len(rec)}
+	loc := RecLoc{Off: jr.size, Len: len(rec)}
 	var start time.Time
 	grouped := jr.cfg.group > 0
 	if !grouped && jr.fsync != nil {
 		start = time.Now()
 	}
-	if err := writeRecord(sh.w, rec); err != nil {
+	if err := writeRecord(jr.w, rec); err != nil {
 		jr.latch(err)
 		return RecLoc{}, false
 	}
-	sh.size += int64(len(rec)) + 1
-	if err := sh.w.Flush(); err != nil {
+	jr.size += int64(len(rec)) + 1
+	if err := jr.w.Flush(); err != nil {
 		jr.latch(err)
 		return RecLoc{}, false
 	}
 	if grouped {
-		sh.dirty = true
+		jr.dirty = true
 	} else {
-		if err := sh.f.Sync(); err != nil {
+		if err := jr.f.Sync(); err != nil {
 			jr.latch(err)
 			return RecLoc{}, false
 		}
@@ -496,36 +388,22 @@ func (jr *journal) append(id string, rec []byte) (RecLoc, bool) {
 }
 
 // readRecord reads the record at loc back out of the journal. The
-// target shard's buffer is flushed first so a just-appended record is
-// readable; the pread itself runs outside the lock.
+// buffer is flushed first so a just-appended record is readable; the
+// pread itself runs outside the lock.
 func (jr *journal) readRecord(loc RecLoc) ([]byte, error) {
 	jr.mu.Lock()
-	if loc.Shard < 0 || loc.Shard >= len(jr.shards) {
-		jr.mu.Unlock()
-		return nil, fmt.Errorf("distwork: record shard %d out of range", loc.Shard)
-	}
-	sh := jr.shards[loc.Shard]
-	if err := sh.w.Flush(); err != nil {
+	if err := jr.w.Flush(); err != nil {
 		jr.latch(err)
 		jr.mu.Unlock()
 		return nil, err
 	}
-	f := sh.f
+	f := jr.f
 	jr.mu.Unlock()
 	buf := make([]byte, loc.Len)
 	if _, err := f.ReadAt(buf, loc.Off); err != nil {
-		return nil, fmt.Errorf("distwork: reading journal record at shard %d offset %d: %w", loc.Shard, loc.Off, err)
+		return nil, fmt.Errorf("distwork: reading journal record at offset %d: %w", loc.Off, err)
 	}
 	return buf, nil
-}
-
-func (jr *journal) closeFiles() {
-	for _, sh := range jr.shards {
-		if sh.f != nil {
-			sh.f.Close()
-			sh.f = nil
-		}
-	}
 }
 
 func (jr *journal) close() error {
@@ -537,29 +415,13 @@ func (jr *journal) close() error {
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
 	err := jr.err
-	for _, sh := range jr.shards {
-		if sh.f == nil {
-			continue
-		}
-		if ferr := sh.w.Flush(); ferr != nil {
-			jr.latch(ferr)
-			if err == nil {
-				err = ferr
-			}
-		}
-		if serr := sh.f.Sync(); serr != nil {
+	for _, step := range []func() error{jr.w.Flush, jr.f.Sync, jr.f.Close} {
+		if serr := step(); serr != nil {
 			jr.latch(serr)
 			if err == nil {
 				err = serr
 			}
 		}
-		if cerr := sh.f.Close(); cerr != nil {
-			jr.latch(cerr)
-			if err == nil {
-				err = cerr
-			}
-		}
-		sh.f = nil
 	}
 	return err
 }

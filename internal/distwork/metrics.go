@@ -32,7 +32,7 @@ type storeMetrics struct {
 	fsync          *obs.Histogram
 	compactions    *obs.Counter // journal rewrites (one per successful Open)
 	journalErrors  *obs.Counter // latched journal write failures
-	journalAppends *obs.Counter // records appended across all journal shards
+	journalAppends *obs.Counter // records appended to the journal
 	groupCommits   *obs.Counter // batched fsync rounds (group-commit mode)
 }
 
@@ -50,8 +50,7 @@ func newStoreMetrics[P any](s *Store[P], o Options[P]) storeMetrics {
 	reg.Help(name("_journal_fsync_seconds"), "latency of one journaled transition (write+flush+fsync) or one group commit")
 	reg.Help(name("_journal_compactions_total"), "journal compactions (rewrite to one record per task on open)")
 	reg.Help(name("_journal_errors_total"), "journal write failures; after the first the journal stops appending")
-	reg.Help(name("_journal_shard_count"), "hash-sharded journal files in the active layout (0 = no journal)")
-	reg.Help(name("_journal_shard_appends_total"), "journal records appended across all shards")
+	reg.Help(name("_journal_appends_total"), "journal records appended")
 	reg.Help(name("_journal_group_commits_total"), "batched journal fsync rounds (group-commit mode)")
 	reg.Help(name("_task_batch_claims_total"), "claim-batch operations that handed out at least one task")
 	for _, st := range States {
@@ -60,9 +59,6 @@ func newStoreMetrics[P any](s *Store[P], o Options[P]) storeMetrics {
 			return float64(s.countState(st))
 		})
 	}
-	reg.Gauge(name("_journal_shard_count"), func() float64 {
-		return float64(s.countJournalShards())
-	})
 	m.submitted = reg.Counter(name("_tasks_submitted_total"))
 	m.claims = reg.Counter(name("_task_claims_total"))
 	m.batchClaims = reg.Counter(name("_task_batch_claims_total"))
@@ -77,7 +73,7 @@ func newStoreMetrics[P any](s *Store[P], o Options[P]) storeMetrics {
 	m.fsync = reg.Histogram(name("_journal_fsync_seconds"), obs.DefLatencyBuckets)
 	m.compactions = reg.Counter(name("_journal_compactions_total"))
 	m.journalErrors = reg.Counter(name("_journal_errors_total"))
-	m.journalAppends = reg.Counter(name("_journal_shard_appends_total"))
+	m.journalAppends = reg.Counter(name("_journal_appends_total"))
 	m.groupCommits = reg.Counter(name("_journal_group_commits_total"))
 	return m
 }

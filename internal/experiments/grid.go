@@ -43,8 +43,7 @@ type GridOptions struct {
 	// it, an existing journal is an error — refusing to silently append a
 	// new sweep onto an old one.
 	Resume bool
-	// Shards splits the journal into this many hash-sharded files
-	// (0 means 1). See distwork.Options.Shards.
+	// Deprecated: ignored; the journal is one file.
 	Shards int
 	// GroupCommit batches journal fsyncs into one flush per window
 	// (0 = fsync every transition). See distwork.Options.GroupCommit.
@@ -180,7 +179,6 @@ func OpenGrid(path string, cfg SweepConfig, opts GridOptions) (*Grid, error) {
 	}
 	g.states = make([]byte, size)
 	g.locs = make([]distwork.RecLoc, size)
-	sopts.Shards = opts.Shards
 	sopts.GroupCommit = opts.GroupCommit
 	sopts.Meta = gridMeta(dcfg)
 	sopts.Evict = true
@@ -222,7 +220,7 @@ func (g *Grid) noteSettled(seq uint64, st distwork.State, loc distwork.RecLoc) {
 }
 
 // validateJournal refuses to resume a journal that does not describe
-// cfg's grid. The grid fingerprint in the shard headers was checked by
+// cfg's grid. The grid fingerprint in the journal header was checked by
 // distwork.Open; this catches replay evidence of a mismatch in a journal
 // that carries none: sequences outside the grid, cells that differ.
 func (g *Grid) validateJournal(path string) error {

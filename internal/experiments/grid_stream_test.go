@@ -49,19 +49,19 @@ func TestGridEmitCSVMatchesCollect(t *testing.T) {
 	}
 }
 
-// TestGridShardedCrashMidGroupCommit is the grid-level torn-tail pin: a
-// sharded, group-committed grid journal is killed mid-run with a
-// half-written record on one shard, and the resumed sweep re-runs only
-// the lost cells, producing a byte-identical CSV.
-func TestGridShardedCrashMidGroupCommit(t *testing.T) {
+// TestGridCrashMidGroupCommit is the grid-level torn-tail pin: a
+// group-committed grid journal is killed mid-run with a half-written
+// record at its tail, and the resumed sweep re-runs only the lost cells,
+// producing a byte-identical CSV.
+func TestGridCrashMidGroupCommit(t *testing.T) {
 	cfg := smallGrid()
 	size := GridSize(cfg)
 	var mu sync.Mutex
 
-	// Reference CSV from an uninterrupted sharded run.
+	// Reference CSV from an uninterrupted run.
 	refPath := filepath.Join(t.TempDir(), "ref.jsonl")
 	refGrid, err := OpenGrid(refPath, cfg, GridOptions{
-		Workers: 1, Shards: 2, GroupCommit: time.Millisecond,
+		Workers: 1, GroupCommit: time.Millisecond,
 		runCell: fakeCells(t, map[int]int{}, &mu, nil),
 	})
 	if err != nil {
@@ -77,15 +77,15 @@ func TestGridShardedCrashMidGroupCommit(t *testing.T) {
 	refGrid.Close()
 
 	// Interrupted run: the third cell cancels (the "kill"), then a torn
-	// record lands on every shard tail, as a crash mid group commit would
-	// leave it.
+	// record lands on the journal's tail, as a crash mid group commit
+	// would leave it.
 	path := filepath.Join(t.TempDir(), "grid.jsonl")
 	runs := map[int]int{}
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
 	killAt := 2
 	grid1, err := OpenGrid(path, cfg, GridOptions{
-		Workers: 1, Shards: 2, GroupCommit: time.Millisecond,
+		Workers: 1, GroupCommit: time.Millisecond,
 		runCell: fakeCells(t, runs, &mu, func(ctx context.Context, c GridCell) error {
 			if c.Index == killAt {
 				cancel1()
@@ -101,19 +101,17 @@ func TestGridShardedCrashMidGroupCommit(t *testing.T) {
 		t.Fatal("interrupted run should report an error")
 	}
 	grid1.Close()
-	for _, fp := range []string{path, path + ".s001"} {
-		f, err := os.OpenFile(fp, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteString(`{"id":"c00`); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := f.WriteString(`{"id":"c00`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	grid2, err := OpenGrid(path, cfg, GridOptions{
-		Workers: 1, Resume: true, Shards: 2, GroupCommit: time.Millisecond,
+		Workers: 1, Resume: true, GroupCommit: time.Millisecond,
 		runCell: fakeCells(t, runs, &mu, nil),
 	})
 	if err != nil {
@@ -141,50 +139,26 @@ func TestGridShardedCrashMidGroupCommit(t *testing.T) {
 	}
 }
 
-// TestGridReshardResume pins that a grid journal can change shard
-// layout between sessions: written with one shard, resumed with four.
-func TestGridReshardResume(t *testing.T) {
-	cfg := smallGrid()
-	var mu sync.Mutex
+// TestGridMultiFileJournalRefused pins that resuming a grid journal
+// whose header declares several files — the layout older builds could
+// write — is refused by name and leaves the journal untouched.
+func TestGridMultiFileJournalRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.jsonl")
-	grid, err := OpenGrid(path, cfg, GridOptions{Workers: 1, runCell: fakeCells(t, map[int]int{}, &mu, nil)})
-	if err != nil {
+	content := `{"journal_shards":2,"shard":0}` + "\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := grid.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	_, err := OpenGrid(path, smallGrid(), GridOptions{Resume: true})
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "declares 2 files") {
+		t.Fatalf("want a refusal naming %s and its two files, got %v", path, err)
 	}
-	var refCSV bytes.Buffer
-	if _, err := grid.EmitCSV(&refCSV, nil); err != nil {
-		t.Fatal(err)
-	}
-	grid.Close()
-	runs := map[int]int{}
-	grid2, err := OpenGrid(path, cfg, GridOptions{
-		Workers: 1, Resume: true, Shards: 4,
-		runCell: fakeCells(t, runs, &mu, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer grid2.Close()
-	if err := grid2.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 0 {
-		t.Fatalf("resharded resume re-ran cells: %v", runs)
-	}
-	var gotCSV bytes.Buffer
-	if _, err := grid2.EmitCSV(&gotCSV, nil); err != nil {
-		t.Fatal(err)
-	}
-	if gotCSV.String() != refCSV.String() {
-		t.Fatal("resharded CSV differs")
+	if data, _ := os.ReadFile(path); string(data) != content {
+		t.Fatalf("refused journal was rewritten: %q", data)
 	}
 }
 
 // TestLargeGridStreamedMemory is the O(active)-memory smoke: a 50k-cell
-// grid runs through a sharded, group-committed journal with fake
+// grid runs through a group-committed journal with fake
 // instant cells, and the live heap never grows with the grid — the
 // budget below is far under what 50k resident results would take, and
 // holds again across a resume that replays the whole journal.
@@ -232,7 +206,7 @@ func TestLargeGridStreamedMemory(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "grid.jsonl")
 	grid, err := OpenGrid(path, cfg, GridOptions{
-		Workers: 4, Shards: 4, GroupCommit: 5 * time.Millisecond,
+		Workers: 4, GroupCommit: 5 * time.Millisecond,
 		runCell: runCell,
 	})
 	if err != nil {
@@ -253,7 +227,7 @@ func TestLargeGridStreamedMemory(t *testing.T) {
 	// Resume replays 50k settled records; the index (state byte + record
 	// location per cell) is all that may stay resident.
 	grid2, err := OpenGrid(path, cfg, GridOptions{
-		Workers: 4, Resume: true, Shards: 4, GroupCommit: 5 * time.Millisecond,
+		Workers: 4, Resume: true, GroupCommit: 5 * time.Millisecond,
 		runCell: func(ctx context.Context, c GridCell) (SweepPoint, error) {
 			t.Errorf("cell %d re-ran on resume", c.Index)
 			return SweepPoint{}, fmt.Errorf("re-run")

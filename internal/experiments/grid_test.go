@@ -337,7 +337,7 @@ func TestGridCellLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	states := map[string][]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] { // [0] is the shard header
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] { // [0] is the journal header
 		var rec struct{ ID, State string }
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("journal line %q: %v", line, err)

@@ -25,7 +25,7 @@ import (
 //	  go test -run TestCoordinatorScaleCurve -v ./internal/experiments/
 //
 // The grid runs the way a coordinator serves it: cursor-fed evicting
-// store, 4 journal shards, 2ms group commit, 256-cell batched
+// store, one journal file, 2ms group commit, 256-cell batched
 // claim/finish. (BENCH_4.json's resident and resident-sync curves
 // measured store configurations that no longer exist.)
 func TestCoordinatorScaleCurve(t *testing.T) {
@@ -93,7 +93,7 @@ func TestCoordinatorScaleCurve(t *testing.T) {
 	path := filepath.Join(dir, "journal.jsonl")
 	workers := runtime.GOMAXPROCS(0)
 	start := time.Now()
-	grid, err := OpenGrid(path, cfg, GridOptions{Shards: 4, GroupCommit: 2 * time.Millisecond})
+	grid, err := OpenGrid(path, cfg, GridOptions{GroupCommit: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,12 +57,11 @@ type Options struct {
 	// Metrics and Flight attach observability; see distwork.Options.
 	Metrics *obs.Registry
 	Flight  *obs.FlightRecorder
-	// JournalShards splits the journal across this many hash-sharded
-	// files (0 means 1); GroupCommit batches journal fsyncs into one
-	// flush per window (0 = fsync every transition). See
-	// distwork.Options.Shards and distwork.Options.GroupCommit.
+	// Deprecated: ignored; the journal is one file.
 	JournalShards int
-	GroupCommit   time.Duration
+	// GroupCommit batches journal fsyncs into one flush per window (0 =
+	// fsync every transition). See distwork.Options.GroupCommit.
+	GroupCommit time.Duration
 }
 
 func (o Options) core() distwork.Options[json.RawMessage] {
@@ -71,7 +70,6 @@ func (o Options) core() distwork.Options[json.RawMessage] {
 		Now:          o.Now,
 		Metrics:      o.Metrics,
 		Flight:       o.Flight,
-		Shards:       o.JournalShards,
 		GroupCommit:  o.GroupCommit,
 		MetricPrefix: "elastisimd",
 		IDPrefix:     "j",

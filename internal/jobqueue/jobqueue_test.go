@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -114,6 +116,24 @@ func TestJournalRecovery(t *testing.T) {
 	fresh, _ := q2.Submit(nil)
 	if fresh.ID <= pending.ID {
 		t.Fatalf("fresh id %s does not continue after %s", fresh.ID, pending.ID)
+	}
+}
+
+// TestMultiFileJournalRefused pins that a daemon journal whose header
+// declares several files — the layout older builds could write — is
+// refused by name and left untouched, not replayed as a partial queue.
+func TestMultiFileJournalRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	content := `{"journal_shards":2,"shard":0}` + "\n" + `{"id":"j000001","state":"pending","payload":{}}` + "\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(path, Options{})
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "declares 2 files") {
+		t.Fatalf("want a refusal naming %s and its two files, got %v", path, err)
+	}
+	if data, _ := os.ReadFile(path); string(data) != content {
+		t.Fatalf("refused journal was rewritten: %q", data)
 	}
 }
 
