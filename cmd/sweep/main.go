@@ -43,8 +43,11 @@
 //
 // The grid is enumerated lazily from a deterministic cursor and, when
 // journaled, settled cells are evicted from memory (the journal holds
-// the results; the final CSV streams them back out), so coordinator
-// memory is O(active cells), not O(grid). Two flags tune the path:
+// the results, the store 16 bytes of index a cell; the final CSV
+// streams them back out), so coordinator memory is O(active cells), not
+// O(grid). If a journal write fails, the cells it missed stay in memory
+// and reach the CSV, and sweep exits non-zero with the journal's error.
+// Two flags tune the path:
 // -group-commit d batches fsyncs into one flush per window (appends are
 // still written through, so a process kill loses nothing), and workers
 // pass -lease-batch N to claim/heartbeat/finish N cells per HTTP
@@ -179,32 +182,13 @@ func run(ctx context.Context) error {
 		if grid == nil {
 			return runErr
 		}
-		defer grid.Close()
-		if runErr != nil && ctx.Err() == nil {
-			return runErr
+		err := emitGrid(ctx, grid, runErr, *telemetryOut)
+		// A journal write that failed mid-run latches and surfaces here: the
+		// CSV may be whole, but the journal no longer backs it.
+		if cerr := grid.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("journal: %w", cerr)
 		}
-		// Stream the completed rows out of the journal in cell-index order —
-		// on interrupt that's the partial grid worth flushing; on a clean run
-		// it's everything. Results never pass through a grid-sized slice.
-		var agg *elastisim.TelemetrySnapshot
-		if *telemetryOut != "" {
-			agg = &elastisim.TelemetrySnapshot{}
-		}
-		rows, werr := grid.EmitCSV(os.Stdout, agg)
-		if werr != nil {
-			return werr
-		}
-		if agg != nil {
-			if ferr := writeSnapshot(*telemetryOut, *agg); ferr != nil {
-				return ferr
-			}
-		}
-		if runErr != nil {
-			fmt.Fprintf(os.Stderr, "sweep: cancelled after %d/%d cells; flushed the completed rows\n", rows, grid.Size())
-			return runErr
-		}
-		fmt.Fprintf(os.Stderr, "sweep: %d cells\n", rows)
-		return nil
+		return err
 	}
 
 	if prog != nil {
@@ -234,6 +218,35 @@ func run(ctx context.Context) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "sweep: %d cells\n", len(completed))
+	return nil
+}
+
+// emitGrid streams a journaled grid's completed rows to stdout in
+// cell-index order — on interrupt that's the partial grid worth flushing;
+// on a clean run it's everything. Results never pass through a
+// grid-sized slice.
+func emitGrid(ctx context.Context, grid *experiments.Grid, runErr error, telemetryOut string) error {
+	if runErr != nil && ctx.Err() == nil {
+		return runErr
+	}
+	var agg *elastisim.TelemetrySnapshot
+	if telemetryOut != "" {
+		agg = &elastisim.TelemetrySnapshot{}
+	}
+	rows, err := grid.EmitCSV(os.Stdout, agg)
+	if err != nil {
+		return err
+	}
+	if agg != nil {
+		if err := writeSnapshot(telemetryOut, *agg); err != nil {
+			return err
+		}
+	}
+	if runErr != nil {
+		fmt.Fprintf(os.Stderr, "sweep: cancelled after %d/%d cells; flushed the completed rows\n", rows, grid.Size())
+		return runErr
+	}
+	fmt.Fprintf(os.Stderr, "sweep: %d cells\n", rows)
 	return nil
 }
 

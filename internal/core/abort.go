@@ -33,6 +33,3 @@ func (r AbortReason) String() string {
 		return "unknown"
 	}
 }
-
-// Finished reports whether the simulation ran to natural completion.
-func (r AbortReason) Finished() bool { return r == AbortDrained }

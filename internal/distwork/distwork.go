@@ -202,17 +202,14 @@ type Options[P any] struct {
 	// sequence order, so after a crash everything past the highest
 	// journaled sequence is simply re-fed.
 	Source func(seq uint64) (P, bool)
-	// Evict drops terminal tasks from memory once journaled (requires
-	// Open): the journal record — whose location is handed to OnSettled —
-	// becomes the only copy of the result, readable via ReadRecord.
-	// Evicted ids keep exactly-once semantics through a settled-sequence
-	// bitmap: a stale worker's finish gets ErrNotOwner, not ErrNotFound.
+	// Evict drops terminal tasks from memory once their record is
+	// journaled (requires Open): the record becomes the only copy of the
+	// result, and Each reads it back. The store keeps 16 bytes per
+	// evicted task — the record's location and the final state — so a
+	// stale worker's late transition still gets ErrNotOwner naming that
+	// state, not ErrNotFound. A settlement the journal did not take stays
+	// resident.
 	Evict bool
-	// OnSettled, when set with Evict, is called (under the store lock —
-	// do not call back into the store) for every task that reaches a
-	// terminal state, live or during replay, with the journal location
-	// of its authoritative record.
-	OnSettled func(seq uint64, st State, loc RecLoc)
 }
 
 func (o Options[P]) withDefaults() Options[P] {
@@ -263,11 +260,22 @@ type Store[P any] struct {
 	m       storeMetrics
 
 	sourceDone bool // Source returned ok=false; the work set is complete
-	// settledSeqs is the evicted-terminal bitmap (bit seq-1): the
+	// settled indexes the evicted tasks by sequence number (entry seq-1,
+	// in pages of indexPage entries, so growing it copies nothing): the
 	// exactly-once memory of tasks whose records now live only in the
-	// journal.
-	settledSeqs []uint64
-	evicted     map[State]uint64 // evicted terminal tasks by final state
+	// journal, and where Each reads them back.
+	settled [][]evictedTask
+	evicted map[State]uint64 // evicted terminal tasks by final state
+}
+
+const indexPage = 256 // evictedTask entries, 4 KB a page
+
+// evictedTask is the index entry of an evicted terminal task: the
+// location of its authoritative journal record and its final state.
+type evictedTask struct {
+	off   int64
+	len   uint32
+	state uint8 // 1 + the state's index in States; 0: not evicted
 }
 
 // New creates a memory-only store (no journal).
@@ -291,10 +299,10 @@ func New[P any](opts Options[P]) *Store[P] {
 // cancel was requested. The journal is compacted on open (counted by the
 // <prefix>_journal_compactions_total metric).
 //
-// With Options.Evict terminal tasks are never materialized — their
-// compacted records' locations go to OnSettled and their sequence
-// numbers into the settled bitmap — so open memory is O(non-terminal
-// tasks + one location per settled task), not O(tasks).
+// With Options.Evict terminal tasks are never materialized — only their
+// compacted records' locations and final states are indexed — so open
+// memory is O(non-terminal tasks + 16 bytes per settled task), not
+// O(tasks).
 func Open[P any](path string, opts Options[P]) (*Store[P], error) {
 	s := New(opts)
 	s.opts.Evict = opts.Evict // New strips it; with a journal it is legal
@@ -336,12 +344,12 @@ func Open[P any](path string, opts Options[P]) (*Store[P], error) {
 // never live on the heap.
 func (s *Store[P]) replay(old *os.File, cfg journalConfig) (*journal, error) {
 	type last struct {
-		loc   RecLoc
+		loc   recLoc
 		state State // "" = no record for this sequence number
 	}
 	var index []last // by seq-1
 	resident := make(map[uint64]*Task[P])
-	err := replayFile(old, cfg.path, func(t Task[P], loc RecLoc) error {
+	err := replayFile(old, cfg.path, func(t Task[P], loc recLoc) error {
 		seq, ok := parseSeq(t.ID, s.opts.IDPrefix)
 		if !ok || seq == 0 {
 			return fmt.Errorf("distwork: journal %s: id %q is not %q plus a sequence number", cfg.path, t.ID, s.opts.IDPrefix)
@@ -360,17 +368,18 @@ func (s *Store[P]) replay(old *os.File, cfg journalConfig) (*journal, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A source ends its set at the first ok=false, so the highest
+	// journaled sequence vouches for every one below it.
+	if s.opts.Source != nil && len(index) > 0 {
+		if _, ok := s.opts.Source(uint64(len(index))); !ok {
+			return nil, fmt.Errorf("distwork: journal %s: sequence %d is beyond the end of the source", cfg.path, len(index))
+		}
+	}
 
 	comp, err := newCompactor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	type settledCB struct {
-		seq uint64
-		st  State
-		loc RecLoc
-	}
-	var settled []settledCB
 	for i, m := range index {
 		seq := uint64(i) + 1
 		if m.state == "" {
@@ -401,8 +410,8 @@ func (s *Store[P]) replay(old *os.File, cfg journalConfig) (*journal, error) {
 			m.state = t.State
 			rec, err = json.Marshal(t)
 		} else {
-			rec = make([]byte, m.loc.Len)
-			_, err = old.ReadAt(rec, m.loc.Off)
+			rec = make([]byte, m.loc.len)
+			_, err = old.ReadAt(rec, m.loc.off)
 		}
 		if err != nil {
 			comp.abort()
@@ -414,9 +423,7 @@ func (s *Store[P]) replay(old *os.File, cfg journalConfig) (*journal, error) {
 			return nil, err
 		}
 		if s.opts.Evict && m.state.Terminal() {
-			s.setSettledBit(seq)
-			s.evicted[m.state]++
-			settled = append(settled, settledCB{seq: seq, st: m.state, loc: loc})
+			s.evict(seq, m.state, loc)
 			continue
 		}
 		s.tasks[seq] = t
@@ -429,11 +436,6 @@ func (s *Store[P]) replay(old *os.File, cfg journalConfig) (*journal, error) {
 		return nil, err
 	}
 	s.seq = uint64(len(index))
-	if s.opts.OnSettled != nil {
-		for _, c := range settled {
-			s.opts.OnSettled(c.seq, c.st, c.loc)
-		}
-	}
 	return jr, nil
 }
 
@@ -442,7 +444,7 @@ func (s *Store[P]) id(seq uint64) string { return fmt.Sprintf("%s%06d", s.opts.I
 
 // lookup finds the resident task with the given id. The sequence number
 // is reported whenever id parses, resident or not, so callers can
-// consult the settled bitmap for evicted tasks. Callers hold s.mu.
+// consult the settled index for evicted tasks. Callers hold s.mu.
 func (s *Store[P]) lookup(id string) (t *Task[P], seq uint64) {
 	seq, ok := parseSeq(id, s.opts.IDPrefix)
 	if !ok {
@@ -466,40 +468,76 @@ func (s *Store[P]) begin() error {
 	return nil
 }
 
-// setSettledBit marks seq as settled-and-evicted. Callers hold s.mu (or
-// run during Open, before the store is shared).
-func (s *Store[P]) setSettledBit(seq uint64) {
-	i := (seq - 1) / 64
-	for uint64(len(s.settledSeqs)) <= i {
-		s.settledSeqs = append(s.settledSeqs, 0)
+// evict drops the terminal task seq from memory and indexes its journal
+// record at loc instead. Callers hold s.mu (or run during Open, before
+// the store is shared).
+func (s *Store[P]) evict(seq uint64, st State, loc recLoc) {
+	i := seq - 1
+	for uint64(len(s.settled)) <= i/indexPage {
+		s.settled = append(s.settled, make([]evictedTask, indexPage))
 	}
-	s.settledSeqs[i] |= 1 << ((seq - 1) % 64)
+	s.settled[i/indexPage][i%indexPage] = evictedTask{off: loc.off, len: loc.len, state: uint8(slices.Index(States, st) + 1)}
+	s.evicted[st]++
+	delete(s.tasks, seq)
 }
 
-func (s *Store[P]) settledBit(seq uint64) bool {
-	if seq == 0 {
-		return false
+// evictedAt returns the index entry of seq (state 0 when seq was not
+// evicted). Callers hold s.mu.
+func (s *Store[P]) evictedAt(seq uint64) evictedTask {
+	i := seq - 1
+	if seq == 0 || i/indexPage >= uint64(len(s.settled)) {
+		return evictedTask{}
 	}
-	i := (seq - 1) / 64
-	return i < uint64(len(s.settledSeqs)) && s.settledSeqs[i]&(1<<((seq-1)%64)) != 0
+	return s.settled[i/indexPage][i%indexPage]
 }
 
-// ReadRecord decodes the journal record at loc — the way a consumer of
-// OnSettled streams evicted results back out of the compacted journal.
-func (s *Store[P]) ReadRecord(loc RecLoc) (Task[P], error) {
+// evictedState reports the final state of the evicted task seq, or ""
+// when seq was not evicted. Callers hold s.mu.
+func (s *Store[P]) evictedState(seq uint64) State {
+	if e := s.evictedAt(seq); e.state != 0 {
+		return States[e.state-1]
+	}
+	return ""
+}
+
+// Each calls fn with every task in sequence order, up to the highest
+// sequence number assigned when Each starts, and returns fn's first
+// error. A resident task is copied from memory; an evicted one is read
+// back from its journal record outside the store's lock, so fn may call
+// into the store.
+func (s *Store[P]) Each(fn func(Task[P]) error) error {
 	s.mu.Lock()
-	jr := s.journal
+	n := s.seq
 	s.mu.Unlock()
-	var t Task[P]
-	if jr == nil {
-		return t, fmt.Errorf("distwork: store has no journal")
+	for seq := uint64(1); seq <= n; seq++ {
+		var t Task[P]
+		var e evictedTask
+		s.mu.Lock()
+		rt := s.tasks[seq]
+		if rt != nil {
+			t = *rt
+		} else {
+			e = s.evictedAt(seq)
+		}
+		jr := s.journal
+		s.mu.Unlock()
+		if rt == nil {
+			if e.state == 0 {
+				continue // replay dropped a submitted task that had no record
+			}
+			raw, err := jr.readRecord(recLoc{off: e.off, len: e.len})
+			if err == nil {
+				err = json.Unmarshal(raw, &t)
+			}
+			if err != nil {
+				return fmt.Errorf("distwork: reading %s back from the journal: %w", s.id(seq), err)
+			}
+		}
+		if err := fn(t); err != nil {
+			return err
+		}
 	}
-	raw, err := jr.readRecord(loc)
-	if err != nil {
-		return t, err
-	}
-	err = json.Unmarshal(raw, &t)
-	return t, err
+	return nil
 }
 
 // Lease reports the configured lease duration — the heartbeat contract a
@@ -511,8 +549,8 @@ func (s *Store[P]) Lease() time.Duration { return s.opts.Lease }
 // wake-up site for transitions — reporting the record's journal location
 // (ok only when a journal is attached and the append landed). Callers
 // hold s.mu.
-func (s *Store[P]) record(t *Task[P]) (RecLoc, bool) {
-	var loc RecLoc
+func (s *Store[P]) record(t *Task[P]) (recLoc, bool) {
+	var loc recLoc
 	var ok bool
 	if s.journal != nil {
 		rec, err := json.Marshal(t)
@@ -613,7 +651,7 @@ func (s *Store[P]) residentSeqsLocked(keep func(seq uint64, t *Task[P]) bool) []
 
 // List returns copies of all resident tasks in submission order. With
 // Evict that is the non-terminal working set — evicted terminal tasks
-// live only in the journal (ReadRecord).
+// live only in the journal (Each reads them back).
 func (s *Store[P]) List() []Task[P] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -733,6 +771,12 @@ func (s *Store[P]) claimBatchLocked(worker string, max int) []Task[P] {
 		if !ok {
 			break
 		}
+		if out == nil {
+			// Sized once for batches up to 64 (max is a client's word, so
+			// it only caps the guess): regrowing would copy each Task
+			// about twice more.
+			out = make([]Task[P], 0, min(max, 64))
+		}
 		out = append(out, t)
 	}
 	if len(out) > 0 {
@@ -802,14 +846,15 @@ func (s *Store[P]) wake() {
 }
 
 // owned fetches the task and verifies worker holds it. An evicted
-// (settled, journal-only) id reports ErrNotOwner — the stale worker's
-// late transition loses to the settled record, preserving exactly-once
-// even though the task left memory. Callers hold s.mu.
+// (settled, journal-only) id reports ErrNotOwner with its final state —
+// the stale worker's late transition loses to the settled record,
+// preserving exactly-once even though the task left memory. Callers
+// hold s.mu.
 func (s *Store[P]) owned(id, worker string) (*Task[P], uint64, error) {
 	t, seq := s.lookup(id)
 	if t == nil {
-		if s.settledBit(seq) {
-			return nil, 0, &NotOwnerError{ID: id, State: StateDone, Claimant: worker}
+		if st := s.evictedState(seq); st != "" {
+			return nil, 0, &NotOwnerError{ID: id, State: st, Claimant: worker}
 		}
 		return nil, 0, &NotFoundError{ID: id}
 	}
@@ -922,16 +967,11 @@ func (s *Store[P]) settleLocked(t *Task[P], seq uint64, st State, result, errMsg
 	t.Error = errMsg
 	delete(s.active, seq)
 	s.m.finished[st].Inc()
-	loc, journaled := s.record(t)
-	if s.opts.Evict {
-		// The journal record is now the authoritative copy; drop the task
-		// from memory and remember only that its sequence settled.
-		s.setSettledBit(seq)
-		s.evicted[st]++
-		delete(s.tasks, seq)
-		if s.opts.OnSettled != nil && journaled {
-			s.opts.OnSettled(seq, st, loc)
-		}
+	// Once journaled, the record is the authoritative copy. A record the
+	// journal did not take keeps the task resident: it exists nowhere
+	// else.
+	if loc, journaled := s.record(t); s.opts.Evict && journaled {
+		s.evict(seq, st, loc)
 	}
 }
 
@@ -997,8 +1037,8 @@ func (s *Store[P]) Cancel(id string) (State, error) {
 	defer s.mu.Unlock()
 	t, seq := s.lookup(id)
 	if t == nil {
-		if s.settledBit(seq) {
-			return StateDone, nil // evicted terminal: cancel is a no-op
+		if st := s.evictedState(seq); st != "" {
+			return st, nil // evicted terminal: cancel is a no-op
 		}
 		return "", &NotFoundError{ID: id}
 	}

@@ -55,14 +55,12 @@ import (
 // interval against power loss only; torn-tail tolerance covers a crash
 // mid-append either way.
 
-// RecLoc addresses one record inside the journal: byte offset of the
+// recLoc addresses one record inside the journal: byte offset of the
 // record's first byte and record length (excluding the trailing
-// newline). Terminal records' locations are handed to Options.OnSettled
-// so a consumer can stream results back out of the compacted journal
-// (ReadRecord) without keeping them resident.
-type RecLoc struct {
-	Off int64
-	Len int
+// newline). A length fits 32 bits: replay reads no line over 64 MB.
+type recLoc struct {
+	off int64
+	len uint32
 }
 
 // journalHeader is the journal's first line. Files >= 1 distinguishes it
@@ -140,7 +138,7 @@ func openJournal(path string) (*os.File, journalHeader, error) {
 // all is tolerated only as the last line the scanner yields — the torn
 // tail of a crash mid-append; followed by anything, it is corruption
 // worth surfacing.
-func replayFile[P any](f *os.File, fp string, fn func(t Task[P], loc RecLoc) error) error {
+func replayFile[P any](f *os.File, fp string, fn func(t Task[P], loc recLoc) error) error {
 	if f == nil {
 		return nil
 	}
@@ -158,7 +156,7 @@ func replayFile[P any](f *os.File, fp string, fn func(t Task[P], loc RecLoc) err
 		}
 		line++
 		raw := sc.Bytes()
-		loc := RecLoc{Off: off, Len: len(raw)}
+		loc := recLoc{off: off, len: uint32(len(raw))}
 		off += int64(len(raw)) + 1
 		if line == 1 {
 			continue // the header, checked by openJournal
@@ -205,8 +203,8 @@ func parseSeq(id, prefix string) (uint64, bool) {
 // compactor writes a fresh journal record by record into path.tmp,
 // which finish renames into place, so a crash during compaction never
 // loses the previous journal. add returns each record's final location,
-// which is how Open hands result offsets to Options.OnSettled without
-// holding results resident.
+// which is how Open indexes evicted results without holding them
+// resident.
 type compactor struct {
 	cfg  journalConfig
 	f    *os.File
@@ -232,10 +230,10 @@ func newCompactor(cfg journalConfig) (*compactor, error) {
 	return c, nil
 }
 
-func (c *compactor) add(rec []byte) (RecLoc, error) {
-	loc := RecLoc{Off: c.size, Len: len(rec)}
+func (c *compactor) add(rec []byte) (recLoc, error) {
+	loc := recLoc{off: c.size, len: uint32(len(rec))}
 	if err := writeRecord(c.w, rec); err != nil {
-		return RecLoc{}, err
+		return recLoc{}, err
 	}
 	c.size += int64(len(rec)) + 1
 	return loc, nil
@@ -267,7 +265,7 @@ func (c *compactor) finish() (*journal, error) {
 		c.abort()
 		return nil, err
 	}
-	// O_RDWR so ReadRecord can pread settled results back out of the file
+	// O_RDWR so Each can pread evicted results back out of the file
 	// the appender holds open.
 	f, err := os.OpenFile(c.cfg.path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -351,13 +349,13 @@ func (jr *journal) latch(err error) {
 // the point of the journal); with one, the record is flushed to the OS
 // — surviving a process kill — and the background syncer batches the
 // fsync.
-func (jr *journal) append(rec []byte) (RecLoc, bool) {
+func (jr *journal) append(rec []byte) (recLoc, bool) {
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
 	if jr.err != nil {
-		return RecLoc{}, false
+		return recLoc{}, false
 	}
-	loc := RecLoc{Off: jr.size, Len: len(rec)}
+	loc := recLoc{off: jr.size, len: uint32(len(rec))}
 	var start time.Time
 	grouped := jr.cfg.group > 0
 	if !grouped && jr.fsync != nil {
@@ -365,19 +363,19 @@ func (jr *journal) append(rec []byte) (RecLoc, bool) {
 	}
 	if err := writeRecord(jr.w, rec); err != nil {
 		jr.latch(err)
-		return RecLoc{}, false
+		return recLoc{}, false
 	}
 	jr.size += int64(len(rec)) + 1
 	if err := jr.w.Flush(); err != nil {
 		jr.latch(err)
-		return RecLoc{}, false
+		return recLoc{}, false
 	}
 	if grouped {
 		jr.dirty = true
 	} else {
 		if err := jr.f.Sync(); err != nil {
 			jr.latch(err)
-			return RecLoc{}, false
+			return recLoc{}, false
 		}
 		if jr.fsync != nil {
 			jr.fsync.Observe(time.Since(start).Seconds())
@@ -387,21 +385,14 @@ func (jr *journal) append(rec []byte) (RecLoc, bool) {
 	return loc, true
 }
 
-// readRecord reads the record at loc back out of the journal. The
-// buffer is flushed first so a just-appended record is readable; the
-// pread itself runs outside the lock.
-func (jr *journal) readRecord(loc RecLoc) ([]byte, error) {
-	jr.mu.Lock()
-	if err := jr.w.Flush(); err != nil {
-		jr.latch(err)
-		jr.mu.Unlock()
-		return nil, err
-	}
-	f := jr.f
-	jr.mu.Unlock()
-	buf := make([]byte, loc.Len)
-	if _, err := f.ReadAt(buf, loc.Off); err != nil {
-		return nil, fmt.Errorf("distwork: reading journal record at offset %d: %w", loc.Off, err)
+// readRecord reads the record at loc back out of the journal. Every
+// append that reports a location was flushed to the file before it
+// returned, so the pread needs no lock, and a later write error — which
+// leaves bufio's error sticky — does not hide the records before it.
+func (jr *journal) readRecord(loc recLoc) ([]byte, error) {
+	buf := make([]byte, loc.len)
+	if _, err := jr.f.ReadAt(buf, loc.off); err != nil {
+		return nil, fmt.Errorf("distwork: reading journal record at offset %d: %w", loc.off, err)
 	}
 	return buf, nil
 }

@@ -1,12 +1,15 @@
 package distwork
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -301,9 +304,9 @@ func TestSourceFedStore(t *testing.T) {
 }
 
 // TestEvictingStoreJournalIsTheResult pins the O(active)-memory mode:
-// terminal tasks leave the heap, their journal records (via OnSettled
-// locations) remain readable, late finishes get the exactly-once 409,
-// and a resume re-feeds only what was never journaled.
+// terminal tasks leave the heap, Each reads their journal records back,
+// late finishes get the exactly-once 409, and a resume re-feeds only
+// what was never journaled.
 func TestEvictingStoreJournalIsTheResult(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
@@ -314,12 +317,10 @@ func TestEvictingStoreJournalIsTheResult(t *testing.T) {
 		}
 		return int(seq) * 7, true
 	}
-	settled := map[uint64]RecLoc{}
 	opts := Options[int]{
 		GroupCommit: time.Millisecond,
 		Source:      source,
 		Evict:       true,
-		OnSettled:   func(seq uint64, st State, loc RecLoc) { settled[seq] = loc },
 	}
 	s, err := Open(path, opts)
 	if err != nil {
@@ -337,19 +338,23 @@ func TestEvictingStoreJournalIsTheResult(t *testing.T) {
 	if errs := s.FinishBatch("w1", items); errs[0] != nil {
 		t.Fatalf("finish: %v", errs)
 	}
-	if len(settled) != 18 {
-		t.Fatalf("OnSettled fired %d times, want 18", len(settled))
-	}
 	if got := len(s.List()); got != 2 {
 		t.Fatalf("resident after eviction: %d tasks, want 2 (the claimed pair)", got)
 	}
-	// Evicted results stream back out of the journal.
-	task, err := s.ReadRecord(settled[5])
-	if err != nil {
-		t.Fatal(err)
+	// Evicted results stream back out of the journal, in sequence order
+	// and interleaved with the resident pair.
+	all := eachTask(t, s)
+	if len(all) != 20 {
+		t.Fatalf("Each visited %d tasks, want 20", len(all))
 	}
-	if task.ID != "t000005" || task.State != StateDone || task.Result != "res-35" {
-		t.Fatalf("ReadRecord: %+v", task)
+	for i, task := range all {
+		wantState, wantResult := StateDone, fmt.Sprintf("res-%d", (i+1)*7)
+		if i >= 18 {
+			wantState, wantResult = StateClaimed, ""
+		}
+		if task.ID != fmt.Sprintf("t%06d", i+1) || task.State != wantState || task.Result != wantResult {
+			t.Fatalf("Each task %d: %+v", i, task)
+		}
 	}
 	// Late transitions on evicted ids: conflict, not not-found.
 	if err := s.Finish("t000003", "w1", "dup", nil); !errors.Is(err, ErrNotOwner) {
@@ -359,18 +364,18 @@ func TestEvictingStoreJournalIsTheResult(t *testing.T) {
 		t.Fatalf("cancel on evicted id: %v %v", st, err)
 	}
 
-	// Crash (no Close) and resume: replay hands the settled set back via
-	// OnSettled, the two claimed tasks requeue, and the remainder re-feed.
-	resumed := map[uint64]RecLoc{}
-	opts2 := opts
-	opts2.OnSettled = func(seq uint64, st State, loc RecLoc) { resumed[seq] = loc }
-	s2, err := Open(path, opts2)
+	// Crash (no Close) and resume: replay indexes the settled set without
+	// loading it, the two claimed tasks requeue, and the remainder re-feed.
+	s2, err := Open(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if len(resumed) != 18 {
-		t.Fatalf("replay OnSettled fired %d times, want 18", len(resumed))
+	if got := len(s2.List()); got != 2 {
+		t.Fatalf("resident after replay: %d tasks, want 2 (the requeued pair)", got)
+	}
+	if got := s2.Counts()[StateDone]; got != 18 {
+		t.Fatalf("replay indexed %d settled tasks, want 18", got)
 	}
 	seen := map[int]bool{}
 	for {
@@ -395,17 +400,196 @@ func TestEvictingStoreJournalIsTheResult(t *testing.T) {
 		t.Fatal("store should settle after resume finishes the remainder")
 	}
 	// Every result — pre-crash and post-resume — reads back from the journal.
-	got, err := s2.ReadRecord(resumed[11])
-	if err != nil {
-		t.Fatal(err)
+	all = eachTask(t, s2)
+	if len(all) != n {
+		t.Fatalf("Each after resume visited %d tasks, want %d", len(all), n)
 	}
-	if got.Result != "res-77" {
-		t.Fatalf("resumed ReadRecord: %+v", got)
+	for i, task := range all {
+		if task.State != StateDone || task.Result != fmt.Sprintf("res-%d", (i+1)*7) {
+			t.Fatalf("resumed Each task %d: %+v", i, task)
+		}
 	}
 	counts := s2.Counts()
 	if counts[StateDone] != n {
 		t.Fatalf("done count across eviction and resume: %+v", counts)
 	}
+}
+
+// TestUnjournaledSettlementStaysResident pins that an evicting store
+// drops a settled task only once the journal took its record. After a
+// latched journal error — a failed group fsync, or a failed write, which
+// also leaves the append buffer's error sticky — a settlement's result
+// exists nowhere else, so the task stays resident and Each still yields
+// it, along with what was evicted before the error; Close reports the
+// error.
+func TestUnjournaledSettlementStaysResident(t *testing.T) {
+	for name, fail := range map[string]func(jr *journal){
+		"fsync": func(jr *journal) { jr.fail(syscall.EIO) },
+		"write": func(jr *journal) { jr.w = bufio.NewWriter(failWriter{}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Open(filepath.Join(t.TempDir(), "journal.jsonl"), Options[int]{
+				Evict:  true,
+				Source: func(seq uint64) (int, bool) { return int(seq), seq <= 4 },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var items []FinishItem
+			for _, c := range s.TryClaimBatch("w", 4) {
+				items = append(items, FinishItem{ID: c.ID, Result: fmt.Sprintf("res-%d", c.Payload)})
+			}
+			if err := s.FinishBatch("w", items[:1])[0]; err != nil {
+				t.Fatal(err)
+			}
+			fail(s.journal)
+			for i, err := range s.FinishBatch("w", items[1:]) {
+				if err != nil {
+					t.Fatalf("finish %d: %v", i+1, err)
+				}
+			}
+			if !s.Settled() || s.Counts()[StateDone] != 4 {
+				t.Fatalf("settled=%v counts=%+v, want 4 done", s.Settled(), s.Counts())
+			}
+			if got := len(s.List()); got != 3 {
+				t.Fatalf("%d tasks resident, want the 3 whose records never reached the journal", got)
+			}
+			all := eachTask(t, s)
+			for i, task := range all {
+				if task.State != StateDone || task.Result != fmt.Sprintf("res-%d", i+1) {
+					t.Fatalf("Each task %d: %+v", i, task)
+				}
+			}
+			if len(all) != 4 {
+				t.Fatalf("Each visited %d tasks, want 4", len(all))
+			}
+			if err := s.Close(); err == nil {
+				t.Fatal("Close reported no journal error")
+			}
+		})
+	}
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, syscall.ENOSPC }
+
+// TestEvictedTaskKeepsItsState pins that an evicted task answers with
+// the state it settled in, live and after replay: Cancel returns it,
+// and a late Finish's NotOwnerError names it.
+func TestEvictedTaskKeepsItsState(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	s, err := Open(path, Options[int]{Evict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		s.Submit(i)
+	}
+	c := s.TryClaimBatch("w", 3)
+	s.Finish(c[0].ID, "w", "", errors.New("boom"))
+	s.FinishCancelled(c[1].ID, "w", "")
+	s.Finish(c[2].ID, "w", "r", nil)
+	want := map[string]State{"t000001": StateFailed, "t000002": StateCancelled, "t000003": StateDone}
+	check := func(s *Store[int]) {
+		t.Helper()
+		for id, st := range want {
+			if _, ok := s.Get(id); ok {
+				t.Fatalf("%s is resident after settling", id)
+			}
+			if got, err := s.Cancel(id); err != nil || got != st {
+				t.Fatalf("Cancel(%s) = %s, %v; want %s", id, got, err, st)
+			}
+			var no *NotOwnerError
+			if err := s.Finish(id, "w", "late", nil); !errors.As(err, &no) || no.State != st {
+				t.Fatalf("late Finish(%s): %v, want NotOwnerError in state %s", id, err, st)
+			}
+		}
+	}
+	check(s)
+	s.Close()
+	s2, err := Open(path, Options[int]{Evict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check(s2)
+}
+
+// TestEachDuringSettles runs Each while workers settle and evict tasks,
+// so the index is written and the journal appended as Each reads both:
+// every pass sees each task once, in order, and every done task with its
+// result.
+func TestEachDuringSettles(t *testing.T) {
+	const n = 200
+	s, err := Open(filepath.Join(t.TempDir(), "journal.jsonl"), Options[int]{
+		Evict: true, GroupCommit: time.Millisecond,
+		Source: func(seq uint64) (int, bool) { return int(seq), seq <= n },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			for {
+				batch := s.TryClaimBatch(name, 3)
+				if len(batch) == 0 {
+					return
+				}
+				items := make([]FinishItem, len(batch))
+				for i, c := range batch {
+					items[i] = FinishItem{ID: c.ID, Result: fmt.Sprintf("res-%d", c.Payload)}
+				}
+				for _, err := range s.FinishBatch(name, items) {
+					if err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(fmt.Sprintf("w%d", w))
+	}
+	check := func() {
+		i := 0
+		err := s.Each(func(task Task[int]) error {
+			i++
+			if task.ID != fmt.Sprintf("t%06d", i) {
+				return fmt.Errorf("visited %s at position %d", task.ID, i)
+			}
+			if task.State == StateDone && task.Result != fmt.Sprintf("res-%d", i) {
+				return fmt.Errorf("%s done with result %q", task.ID, task.Result)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for !s.Settled() {
+		check()
+	}
+	wg.Wait()
+	check()
+	if got := len(eachTask(t, s)); got != n {
+		t.Fatalf("Each visited %d tasks, want %d", got, n)
+	}
+}
+
+// eachTask collects what s.Each visits.
+func eachTask[P any](t *testing.T, s *Store[P]) []Task[P] {
+	t.Helper()
+	var out []Task[P]
+	if err := s.Each(func(task Task[P]) error {
+		out = append(out, task)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestEmptySourceSettles pins that a source with zero items settles
@@ -422,8 +606,8 @@ func TestEmptySourceSettles(t *testing.T) {
 // TestUnifiedReplay pins that the one replay path rebuilds the same
 // store whether terminal tasks stay resident or are evicted: the same
 // crashed journal reopened with Evict off and on yields the same task
-// states and results, claim order, and Counts(); only where a terminal
-// task is read from differs (memory vs ReadRecord).
+// states and results, claim order, Counts() and Each; only where a
+// terminal task is read from differs (memory vs journal).
 func TestUnifiedReplay(t *testing.T) {
 	crashed := filepath.Join(t.TempDir(), "journal.jsonl")
 	s, err := Open(crashed, Options[int]{})
@@ -470,11 +654,7 @@ func TestUnifiedReplay(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			settled := map[uint64]RecLoc{}
-			s, err := Open(path, Options[int]{
-				Evict:     tc.evict,
-				OnSettled: func(seq uint64, _ State, loc RecLoc) { settled[seq] = loc },
-			})
+			s, err := Open(path, Options[int]{Evict: tc.evict})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -486,14 +666,12 @@ func TestUnifiedReplay(t *testing.T) {
 			if counts[StateDone] != 1 || counts[StateFailed] != 1 || counts[StateCancelled] != 2 || counts[StatePending] != 4 {
 				t.Fatalf("counts: %+v", counts)
 			}
-			for seq := uint64(1); seq <= 8; seq++ {
-				id := fmt.Sprintf("t%06d", seq)
-				task, ok := s.Get(id)
-				if !ok {
-					if task, err = s.ReadRecord(settled[seq]); err != nil {
-						t.Fatalf("%s neither resident nor settled: %v", id, err)
-					}
-				}
+			all := eachTask(t, s)
+			if len(all) != 8 {
+				t.Fatalf("Each visited %d tasks, want 8", len(all))
+			}
+			for i, task := range all {
+				id := fmt.Sprintf("t%06d", i+1)
 				if got := (outcome{task.State, task.Result}); task.ID != id || got != want[id] {
 					t.Fatalf("%s: got %s %+v, want %+v", id, task.ID, got, want[id])
 				}
@@ -509,6 +687,21 @@ func TestUnifiedReplay(t *testing.T) {
 		})
 	}
 	t.Run("sequence hole", replaySequenceHole)
+	t.Run("sequence beyond the source", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		s, err := Open(path, Options[int]{Evict: true, Source: func(seq uint64) (int, bool) { return int(seq), seq <= 3 }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range s.TryClaimBatch("w", 3) {
+			s.Finish(c.ID, "w", "r", nil)
+		}
+		s.Close()
+		_, err = Open(path, Options[int]{Evict: true, Source: func(seq uint64) (int, bool) { return int(seq), seq <= 2 }})
+		if err == nil || !strings.Contains(err.Error(), "sequence 3 is beyond the end of the source") {
+			t.Fatalf("want a refusal naming sequence 3, got %v", err)
+		}
+	})
 }
 
 // replaySequenceHole (a TestUnifiedReplay case) pins what replay does
@@ -550,6 +743,9 @@ func replaySequenceHole(t *testing.T) {
 			defer s.Close()
 			if _, ok := s.Get("t000002"); ok {
 				t.Fatal("t000002 has no record yet is resident")
+			}
+			if all := eachTask(t, s); len(all) != 2 || all[0].ID != "t000001" || all[1].ID != "t000003" {
+				t.Fatalf("Each visited %+v, want t000001 and t000003", all)
 			}
 			var nf *NotFoundError
 			if err := s.HeartbeatBatch("w", []string{"t000002"})[0]; !errors.As(err, &nf) {

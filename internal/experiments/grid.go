@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"repro/elastisim"
@@ -28,9 +27,9 @@ import (
 // The grid never materializes its cells: the store is fed from the
 // CellAt cursor one claim at a time, and journaled grids run in the
 // store's evicting mode — a settled cell's result lives only in the
-// journal, indexed by a per-cell record location. Coordinator memory is
-// O(active leases) + O(one record location per cell), which is what
-// makes million-cell grids feasible.
+// journal, indexed by the store. Coordinator memory is O(active leases)
+// + O(one record location per cell), which is what makes million-cell
+// grids feasible.
 
 // GridOptions tunes a journaled grid run.
 type GridOptions struct {
@@ -75,46 +74,6 @@ type Grid struct {
 	cfg   SweepConfig // defaults applied
 	size  int
 	opts  GridOptions
-
-	// Settled-cell index for journaled grids: one state code and journal
-	// record location per cell. This — not the results — is the only
-	// per-cell memory the coordinator holds. Nil for memory-only grids,
-	// whose terminal tasks stay resident in the store.
-	mu     sync.Mutex
-	states []byte // indexed by cell: 0 unsettled, else a cellState code
-	locs   []distwork.RecLoc
-	done   int    // cells settled done
-	badSeq uint64 // journal sequence outside the grid (mismatch evidence)
-}
-
-// cellState codes compress distwork.State to a byte for the per-cell index.
-const (
-	cellUnsettled = byte(iota)
-	cellDone
-	cellFailed
-	cellCancelled
-)
-
-func stateCode(st distwork.State) byte {
-	switch st {
-	case distwork.StateDone:
-		return cellDone
-	case distwork.StateFailed:
-		return cellFailed
-	default:
-		return cellCancelled
-	}
-}
-
-func codeState(c byte) distwork.State {
-	switch c {
-	case cellDone:
-		return distwork.StateDone
-	case cellFailed:
-		return distwork.StateFailed
-	default:
-		return distwork.StateCancelled
-	}
 }
 
 // gridStoreOptions is the one place the sweep specialization of the
@@ -153,7 +112,8 @@ func gridMeta(cfg SweepConfig) string {
 // CellAt cursor — the grid slice is never materialized. An existing
 // journal requires opts.Resume and must have been written for the same
 // grid — same cells in the same order — otherwise OpenGrid refuses
-// rather than merge incompatible sweeps.
+// rather than merge incompatible sweeps (the store refuses a journaled
+// cell sequence beyond the grid).
 func OpenGrid(path string, cfg SweepConfig, opts GridOptions) (*Grid, error) {
 	opts = opts.withDefaults()
 	dcfg := cfg.withDefaults()
@@ -177,12 +137,9 @@ func OpenGrid(path string, cfg SweepConfig, opts GridOptions) (*Grid, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
-	g.states = make([]byte, size)
-	g.locs = make([]distwork.RecLoc, size)
 	sopts.GroupCommit = opts.GroupCommit
 	sopts.Meta = gridMeta(dcfg)
 	sopts.Evict = true
-	sopts.OnSettled = g.noteSettled
 	store, err := distwork.Open(path, sopts)
 	if err != nil {
 		if errors.Is(err, distwork.ErrMetaMismatch) {
@@ -198,38 +155,12 @@ func OpenGrid(path string, cfg SweepConfig, opts GridOptions) (*Grid, error) {
 	return g, nil
 }
 
-// noteSettled is the store's OnSettled hook: it records the journal
-// location of a cell's terminal record in the per-cell index. Called
-// under the store lock (both at replay and at finish), so it must not
-// call back into the store.
-func (g *Grid) noteSettled(seq uint64, st distwork.State, loc distwork.RecLoc) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if seq == 0 || seq > uint64(g.size) {
-		if g.badSeq == 0 {
-			g.badSeq = seq
-		}
-		return
-	}
-	i := int(seq) - 1
-	if g.states[i] == cellUnsettled && st == distwork.StateDone {
-		g.done++
-	}
-	g.states[i] = stateCode(st)
-	g.locs[i] = loc
-}
-
 // validateJournal refuses to resume a journal that does not describe
-// cfg's grid. The grid fingerprint in the journal header was checked by
-// distwork.Open; this catches replay evidence of a mismatch in a journal
-// that carries none: sequences outside the grid, cells that differ.
+// cfg's grid. The grid fingerprint in the journal header, and sequences
+// beyond the grid, were checked by distwork.Open; this catches replay
+// evidence of a mismatch in a journal that carries no fingerprint: cells
+// that differ.
 func (g *Grid) validateJournal(path string) error {
-	g.mu.Lock()
-	badSeq := g.badSeq
-	g.mu.Unlock()
-	if badSeq != 0 {
-		return fmt.Errorf("journal %s holds cell sequence %d, grid has %d cells: refusing to resume a different sweep", path, badSeq, g.size)
-	}
 	for _, t := range g.store.List() {
 		i := t.Payload.Index
 		if i < 0 || i >= g.size || t.Payload != cellAt(g.cfg, i) {
@@ -246,23 +177,6 @@ func (g *Grid) Store() *distwork.Store[GridCell] { return g.store }
 
 // Size returns the number of cells in the grid.
 func (g *Grid) Size() int { return g.size }
-
-// Completed returns how many cells have settled done so far. For
-// memory-only grids it counts the store's terminal tasks.
-func (g *Grid) Completed() int {
-	if g.states == nil {
-		n := 0
-		for _, t := range g.store.List() {
-			if t.State == distwork.StateDone {
-				n++
-			}
-		}
-		return n
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.done
-}
 
 // Close closes the underlying store and journal.
 func (g *Grid) Close() error { return g.store.Close() }
@@ -325,45 +239,20 @@ func (g *Grid) Run(ctx context.Context) error {
 	return g.Err()
 }
 
-// forEachTerminal streams every terminal cell in grid order: journaled
-// grids read each cell's settling record back from the journal (the
-// results are not on the heap); memory grids walk the resident tasks.
-// fn runs with one task at a time — total memory is O(1) per cell.
+// forEachTerminal streams every terminal cell in grid order, one task at
+// a time: an evicted cell's result is read back from the journal, so it
+// is never on the heap.
 func (g *Grid) forEachTerminal(fn func(i int, t distwork.Task[GridCell]) error) error {
-	if g.states == nil {
-		for _, t := range g.store.List() {
-			if !t.State.Terminal() {
-				continue
-			}
-			i := t.Payload.Index
-			if i < 0 || i >= g.size {
-				return fmt.Errorf("journal cell index %d out of range", i)
-			}
-			if err := fn(i, t); err != nil {
-				return err
-			}
+	return g.store.Each(func(t distwork.Task[GridCell]) error {
+		if !t.State.Terminal() {
+			return nil
 		}
-		return nil
-	}
-	for i := 0; i < g.size; i++ {
-		g.mu.Lock()
-		code, loc := g.states[i], g.locs[i]
-		g.mu.Unlock()
-		if code == cellUnsettled {
-			continue
+		i := t.Payload.Index
+		if i < 0 || i >= g.size {
+			return fmt.Errorf("journal cell index %d out of range", i)
 		}
-		t, err := g.store.ReadRecord(loc)
-		if err != nil {
-			return fmt.Errorf("cell %d: reading journal record: %w", i, err)
-		}
-		if t.State != codeState(code) {
-			return fmt.Errorf("cell %d: journal record state %s does not match index %s", i, t.State, codeState(code))
-		}
-		if err := fn(i, t); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(i, t)
+	})
 }
 
 // Err returns the deterministic cell-failure error: the failed cell
@@ -387,39 +276,8 @@ func (g *Grid) Err() error {
 
 var errStopIteration = errors.New("stop iteration")
 
-// Collect merges the store's terminal cells into grid order: the points
-// slice and done bitmap are indexed by cell, with failed cells reported
-// as the error of the lowest failing index. Collect materializes the
-// whole grid — million-cell callers should stream with EmitCSV instead.
-func (g *Grid) Collect() ([]SweepPoint, []bool, error) {
-	pts := make([]SweepPoint, g.size)
-	done := make([]bool, g.size)
-	var ferr error
-	err := g.forEachTerminal(func(i int, t distwork.Task[GridCell]) error {
-		switch t.State {
-		case distwork.StateDone:
-			p, err := DecodeCellResult(t.Result)
-			if err != nil {
-				return fmt.Errorf("cell %d: %w", i, err)
-			}
-			pts[i] = p
-			done[i] = true
-		case distwork.StateFailed:
-			if ferr == nil {
-				ferr = fmt.Errorf("cell %d (%s, %g, %d): %s",
-					i, t.Payload.Algorithm, t.Payload.Share, t.Payload.Seed, t.Error)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pts, done, ferr
-}
-
 // EmitCSV streams the completed cells as CSV rows in grid order —
-// byte-identical to WriteSweepCSV over the collected grid, without ever
+// byte-identical to WriteSweepCSV over the same points, without ever
 // holding more than one decoded cell. When agg is non-nil each cell's
 // telemetry snapshot is summed into it (the streaming form of
 // AggregateSnapshots). Returns the number of rows written.

@@ -11,12 +11,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/distwork"
 )
 
-// TestGridEmitCSVMatchesCollect pins that the streaming CSV emitter is
-// byte-identical to collecting the grid and writing it wholesale — the
+// TestGridEmitCSVMatchesWriteSweepCSV pins that the streaming CSV
+// emitter is byte-identical to writing the cells' points wholesale — the
 // equivalence that lets million-cell sweeps skip materialization.
-func TestGridEmitCSVMatchesCollect(t *testing.T) {
+func TestGridEmitCSVMatchesWriteSweepCSV(t *testing.T) {
 	cfg := smallGrid()
 	var mu sync.Mutex
 	path := filepath.Join(t.TempDir(), "grid.jsonl")
@@ -28,24 +30,17 @@ func TestGridEmitCSVMatchesCollect(t *testing.T) {
 	if err := grid.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	pts, done, err := grid.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := WriteSweepCSV(&want, FilterCompleted(pts, done)); err != nil {
-		t.Fatal(err)
-	}
+	want := fakeCSV(t, cfg, 0, 1, 2, 3)
 	var got bytes.Buffer
 	rows, err := grid.EmitCSV(&got, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows != len(pts) {
-		t.Fatalf("EmitCSV wrote %d rows, want %d", rows, len(pts))
+	if rows != GridSize(cfg) {
+		t.Fatalf("EmitCSV wrote %d rows, want %d", rows, GridSize(cfg))
 	}
-	if got.String() != want.String() {
-		t.Fatalf("EmitCSV differs from WriteSweepCSV:\n got:\n%s\nwant:\n%s", got.String(), want.String())
+	if got.String() != want {
+		t.Fatalf("EmitCSV differs from WriteSweepCSV:\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 
@@ -215,17 +210,19 @@ func TestLargeGridStreamedMemory(t *testing.T) {
 	if err := grid.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := grid.Completed(); got != size {
+	if got := grid.Store().Counts()[distwork.StateDone]; got != size {
 		t.Fatalf("completed %d cells, want %d", got, size)
 	}
 	const budget = 24 << 20 // ~1/2 of what resident results would take
-	if grown := heapNow() - base; grown > budget {
+	grown := heapNow() - base
+	if grown > budget {
 		t.Fatalf("heap grew %d bytes during 50k-cell run, budget %d", grown, budget)
 	}
+	t.Logf("run: heap grew %d bytes", grown)
 	grid.Close()
 
-	// Resume replays 50k settled records; the index (state byte + record
-	// location per cell) is all that may stay resident.
+	// Resume replays 50k settled records; the store's index (record
+	// location and state per cell) is all that may stay resident.
 	grid2, err := OpenGrid(path, cfg, GridOptions{
 		Workers: 4, Resume: true, GroupCommit: 5 * time.Millisecond,
 		runCell: func(ctx context.Context, c GridCell) (SweepPoint, error) {
@@ -240,9 +237,10 @@ func TestLargeGridStreamedMemory(t *testing.T) {
 	if err := grid2.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if grown := heapNow() - base; grown > budget {
+	if grown = heapNow() - base; grown > budget {
 		t.Fatalf("heap grew %d bytes after resume replay, budget %d", grown, budget)
 	}
+	t.Logf("resume: heap grew %d bytes", grown)
 	// The streamed CSV still sees every row.
 	var n int
 	count := &countingWriter{}

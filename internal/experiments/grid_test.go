@@ -64,29 +64,61 @@ func fakeCells(t *testing.T, runs map[int]int, mu *sync.Mutex, hook func(ctx con
 				return SweepPoint{}, err
 			}
 		}
-		return SweepPoint{
-			Algorithm:      c.Algorithm,
-			MalleableShare: c.Share,
-			Seed:           c.Seed,
-			Jobs:           c.Jobs,
-			Events:         uint64(1000 + c.Index),
-		}, nil
+		return fakePoint(c), nil
 	}
 }
 
+// fakePoint is the synthetic result fakeCells reports for c.
+func fakePoint(c GridCell) SweepPoint {
+	return SweepPoint{
+		Algorithm:      c.Algorithm,
+		MalleableShare: c.Share,
+		Seed:           c.Seed,
+		Jobs:           c.Jobs,
+		Events:         uint64(1000 + c.Index),
+	}
+}
+
+// fakeCSV is the CSV of fakePoint over the cells with the given indices
+// — what a grid of fakeCells emits when exactly those cells completed.
+func fakeCSV(t *testing.T, cfg SweepConfig, cells ...int) string {
+	t.Helper()
+	pts := make([]SweepPoint, len(cells))
+	for i, c := range cells {
+		pts[i] = fakePoint(CellAt(cfg, c))
+	}
+	var buf bytes.Buffer
+	if err := WriteSweepCSV(&buf, pts); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// emitCSV is g.EmitCSV into a string, failing t on error.
+func emitCSV(t *testing.T, g *Grid) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := g.EmitCSV(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 // TestGridRunMatchesSweep pins that a journaled grid run over real
-// simulations produces the same grid as SweepContext, modulo the
+// simulations emits the CSV of the in-process Sweep, modulo the
 // canonicalized wall clock (journal results carry wall_ms=0).
 func TestGridRunMatchesSweep(t *testing.T) {
 	cfg := smallGrid()
-	direct, done, err := SweepContext(context.Background(), cfg)
+	direct, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range done {
-		if !d {
-			t.Fatalf("direct cell %d incomplete", i)
-		}
+	for i := range direct {
+		direct[i].WallMillis = 0
+	}
+	var want bytes.Buffer
+	if err := WriteSweepCSV(&want, direct); err != nil {
+		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "grid.jsonl")
 	grid, err := OpenGrid(path, cfg, GridOptions{Workers: 2})
@@ -97,28 +129,11 @@ func TestGridRunMatchesSweep(t *testing.T) {
 	if err := grid.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	pts, gdone, err := grid.Collect()
-	if err != nil {
-		t.Fatal(err)
+	if got := grid.Store().Counts(); got[distwork.StateDone] != len(direct) {
+		t.Fatalf("grid counts %+v, want %d done", got, len(direct))
 	}
-	if len(pts) != len(direct) {
-		t.Fatalf("grid returned %d points, want %d", len(pts), len(direct))
-	}
-	for i := range pts {
-		if !gdone[i] {
-			t.Fatalf("grid cell %d incomplete", i)
-		}
-		want, err := EncodeCellResult(direct[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := EncodeCellResult(pts[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("cell %d differs:\n got %s\nwant %s", i, got, want)
-		}
+	if got := emitCSV(t, grid); got != want.String() {
+		t.Fatalf("grid CSV differs from Sweep:\n got:\n%s\nwant:\n%s", got, want.String())
 	}
 }
 
@@ -170,14 +185,10 @@ func TestGridResumeNoRerun(t *testing.T) {
 	if err := grid1.Run(ctx1); err == nil {
 		t.Fatal("interrupted run should report an error")
 	}
-	_, done1, err := grid1.Collect()
-	if err != nil {
-		t.Fatal(err)
+	if got := emitCSV(t, grid1); got != fakeCSV(t, cfg, 0, 1) {
+		t.Fatalf("first run CSV, want cells 0 and 1 only:\n%s", got)
 	}
 	grid1.Close()
-	if !done1[0] || !done1[1] || done1[killAt] {
-		t.Fatalf("first run done bitmap: %v", done1)
-	}
 
 	// Resume: only unfinished cells run.
 	grid2, err := OpenGrid(path, cfg, GridOptions{
@@ -191,14 +202,10 @@ func TestGridResumeNoRerun(t *testing.T) {
 	if err := grid2.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, done2, err := grid2.Collect()
-	if err != nil {
-		t.Fatal(err)
+	if got := grid2.Store().Counts(); got[distwork.StateDone] != len(cells) {
+		t.Fatalf("counts after resume %+v, want %d done", got, len(cells))
 	}
 	for i := range cells {
-		if !done2[i] {
-			t.Fatalf("cell %d incomplete after resume", i)
-		}
 		wantRuns := 1
 		if i == killAt {
 			wantRuns = 2 // the interrupted cell itself re-runs
@@ -207,12 +214,8 @@ func TestGridResumeNoRerun(t *testing.T) {
 			t.Fatalf("cell %d ran %d times, want %d (completed cells must not re-run)", i, runs[i], wantRuns)
 		}
 	}
-	var gotCSV bytes.Buffer
-	if _, err := grid2.EmitCSV(&gotCSV, nil); err != nil {
-		t.Fatal(err)
-	}
-	if gotCSV.String() != refCSV.String() {
-		t.Fatalf("resumed CSV differs from uninterrupted run:\n got:\n%s\nwant:\n%s", gotCSV.String(), refCSV.String())
+	if got := emitCSV(t, grid2); got != refCSV.String() {
+		t.Fatalf("resumed CSV differs from uninterrupted run:\n got:\n%s\nwant:\n%s", got, refCSV.String())
 	}
 }
 
@@ -263,15 +266,14 @@ func TestGridFailedCellLowestIndexWins(t *testing.T) {
 	if err := grid.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "cell 1") {
 		t.Fatalf("want lowest failing index in error, got %v", err)
 	}
-	pts, done, err := grid.Collect()
-	if err == nil || !strings.Contains(err.Error(), "cell 1") {
-		t.Fatalf("want lowest failing index from Collect, got %v", err)
+	if err := grid.Err(); err == nil || !strings.Contains(err.Error(), "cell 1") {
+		t.Fatalf("want lowest failing index from Err, got %v", err)
 	}
-	if !done[0] || done[1] || !done[2] || done[3] {
-		t.Fatalf("done bitmap: %v", done)
+	if got := grid.Store().Counts(); got[distwork.StateDone] != 2 || got[distwork.StateFailed] != 2 {
+		t.Fatalf("counts %+v, want 2 done and 2 failed", got)
 	}
-	if len(FilterCompleted(pts, done)) != 2 {
-		t.Fatalf("completed count: %d", len(FilterCompleted(pts, done)))
+	if got := emitCSV(t, grid); got != fakeCSV(t, cfg, 0, 2) {
+		t.Fatalf("CSV, want cells 0 and 2 only:\n%s", got)
 	}
 }
 

@@ -124,7 +124,7 @@ func TestCoordinatorScaleCurve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := grid.Completed(); got != nCells {
+	if got := grid.Store().Counts()[distwork.StateDone]; got != nCells {
 		t.Fatalf("settled %d cells, want %d", got, nCells)
 	}
 	grid.Close()

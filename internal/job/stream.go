@@ -91,9 +91,6 @@ func NewStream(cfg Config) (*Stream, error) {
 // Count returns the total number of jobs the stream produces.
 func (s *Stream) Count() int { return s.cfg.Count }
 
-// MachineNodes returns the (defaulted) machine size jobs are sized for.
-func (s *Stream) MachineNodes() int { return s.cfg.MachineNodes }
-
 // Next returns the next job, already validated against the machine size,
 // or (nil, nil) once the stream is exhausted. Submit times are
 // non-decreasing and IDs are assigned densely in stream order, matching

@@ -109,9 +109,6 @@ func (p *Platform) Node(id NodeID) *Node {
 	return p.nodes[id]
 }
 
-// Nodes returns all nodes in ID order. The caller must not mutate the slice.
-func (p *Platform) Nodes() []*Node { return p.nodes }
-
 // Latency returns the per-operation network latency in seconds.
 func (p *Platform) Latency() float64 { return float64(p.spec.Network.Latency) }
 
