@@ -112,6 +112,9 @@ func run(ctx context.Context) error {
 	if *connectURL == "" && (*leaseBatch != 1 || *workerName != "") {
 		return cli.Usagef("-lease-batch and -worker-name require -connect")
 	}
+	if *leaseBatch > httpapi.MaxClaimBatch {
+		return cli.Usagef("-lease-batch %d exceeds the coordinator's claim cap %d", *leaseBatch, httpapi.MaxClaimBatch)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -5,10 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cli"
+	"repro/internal/httpapi"
 )
 
 // runSweep runs the command with args on a fresh flag set and returns its
@@ -48,6 +50,14 @@ func TestUnknownAlgorithmIsUsageError(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 		t.Errorf("journal directory holds %v (%v), want nothing", entries, err)
+	}
+}
+
+// A -lease-batch above the coordinator's claim cap is refused up front.
+func TestLeaseBatchAboveCapIsUsageError(t *testing.T) {
+	code, out := runSweep(t, "-connect", "http://127.0.0.1:1", "-lease-batch", strconv.Itoa(httpapi.MaxClaimBatch+1))
+	if code != cli.ExitUsage || out != "" {
+		t.Errorf("exit code %d, stdout %q; want %d and nothing", code, out, cli.ExitUsage)
 	}
 }
 

@@ -360,7 +360,7 @@ func NewFairShare() Algorithm { return &sched.FairShare{} }
 // NewPacked returns EASY with locality-packed placement: start decisions
 // are pinned to node sets spanning as few leaf switches as possible
 // (meaningful on tree topologies).
-func NewPacked() Algorithm { return &sched.Packed{Base: &sched.EASY{}} }
+func NewPacked() Algorithm { return &sched.Packed{} }
 
 // algorithmFactories maps names to constructors for NewAlgorithm.
 var algorithmFactories = map[string]func() Algorithm{

@@ -38,7 +38,7 @@ func (WidestFirst) Schedule(inv *elastisim.Invocation) []elastisim.Decision {
 		return pending[i].MinNodes > pending[j].MinNodes
 	})
 	for _, v := range pending {
-		n := sched.StartSize(v, free, sched.SizeRequested)
+		n := sched.RequestedSize(v, free)
 		if n == 0 {
 			continue // unlike FCFS, keep trying narrower jobs
 		}

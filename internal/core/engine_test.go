@@ -383,8 +383,8 @@ func TestMoldableSizing(t *testing.T) {
 			Tasks: []job.Task{{Kind: job.TaskCompute, Model: job.MustExprModel("w / num_nodes")}},
 		}}},
 	}
-	// SizeMax starts it on all 8 free nodes: 10 s.
-	rec, _ := runSim(t, testPlatform(8), []*job.Job{j}, &sched.FCFS{Sizing: sched.SizeMax}, Options{})
+	// MaxSize starts it on all 8 free nodes: 10 s.
+	rec, _ := runSim(t, testPlatform(8), []*job.Job{j}, &sched.EASY{Size: sched.MaxSize}, Options{})
 	wantClose(t, "moldable max runtime", record(rec, 0).Runtime(), 10)
 	if record(rec, 0).InitialNodes != 8 {
 		t.Errorf("moldable started on %d nodes", record(rec, 0).InitialNodes)

@@ -89,32 +89,6 @@ func TestHeterogeneousFastPathEquivalence(t *testing.T) {
 	}
 }
 
-func TestShrinkReserve(t *testing.T) {
-	// ShrinkReserve 2 keeps malleable jobs two nodes above their minimum:
-	// the reclaimable capacity is min+reserve, so a pending job needing
-	// more cannot be admitted by shrinking.
-	m := malleableJob(0, 2, 8, 8, 5, 1.6e11)
-	r := computeJob(1, 6, 6e10)
-	r.SubmitTime = 5
-	rec, _ := runSim(t, testPlatform(8), []*job.Job{m, r},
-		&sched.Adaptive{ShrinkReserve: 2}, Options{})
-	// Floor is min(2)+reserve(2) = 4, so at most 4 nodes are reclaimable
-	// and the 6-node job must wait for the malleable job to end.
-	mr := record(rec, 0)
-	rr := record(rec, 1)
-	if rr.Start < mr.End-1e-9 {
-		t.Errorf("reserved nodes were reclaimed: rigid started at %v before malleable ended at %v",
-			rr.Start, mr.End)
-	}
-	// Without the reserve it is admitted at the first scheduling point.
-	rec2, _ := runSim(t, testPlatform(8), []*job.Job{malleableJob(0, 2, 8, 8, 5, 1.6e11), func() *job.Job {
-		j := computeJob(1, 6, 6e10)
-		j.SubmitTime = 5
-		return j
-	}()}, &sched.Adaptive{}, Options{})
-	wantClose(t, "unreserved admission", record(rec2, 1).Start, 20)
-}
-
 func TestLatencyWithFastPath(t *testing.T) {
 	// Star topology + latency goes through the closed form: latency is
 	// included exactly once.

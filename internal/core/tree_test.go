@@ -201,6 +201,6 @@ func TestPackedAlgorithmReducesSpanning(t *testing.T) {
 	}
 	recDefault, _ := runSim(t, spec, mkJobs(), &sched.EASY{}, Options{})
 	wantClose(t, "default placement", record(recDefault, 1).Runtime(), 2)
-	recPacked, _ := runSim(t, spec, mkJobs(), &sched.Packed{Base: &sched.EASY{}}, Options{})
+	recPacked, _ := runSim(t, spec, mkJobs(), &sched.Packed{}, Options{})
 	wantClose(t, "packed placement", record(recPacked, 1).Runtime(), 1)
 }

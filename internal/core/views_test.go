@@ -221,7 +221,7 @@ func builtinAlgorithms() []sched.Algorithm {
 		&sched.SJF{},
 		&sched.Adaptive{},
 		&sched.FirstFit{},
-		&sched.FairShare{HalfLife: 3600},
+		&sched.FairShare{},
 		&sched.Packed{},
 	}
 }

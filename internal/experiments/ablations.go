@@ -95,11 +95,11 @@ var a3Sizings = []struct {
 	name string
 	algo func() elastisim.Algorithm
 }{
-	{"requested", func() elastisim.Algorithm { return &sched.EASY{Sizing: sched.SizeRequested} }},
-	{"minimum", func() elastisim.Algorithm { return &sched.EASY{Sizing: sched.SizeMin} }},
-	{"maximum", func() elastisim.Algorithm { return &sched.EASY{Sizing: sched.SizeMax} }},
+	{"requested", func() elastisim.Algorithm { return &sched.EASY{} }},
+	{"minimum", func() elastisim.Algorithm { return &sched.EASY{Size: sched.MinSize} }},
+	{"maximum", func() elastisim.Algorithm { return &sched.EASY{Size: sched.MaxSize} }},
 	{"efficiency>=0.7", func() elastisim.Algorithm {
-		return &sched.EASY{SizeFn: sched.EfficiencySizer(job.PlatformRef{
+		return &sched.EASY{Size: sched.EfficiencySizer(job.PlatformRef{
 			NodeSpeed:  stdNodeSpeed,
 			LinkBW:     stdLinkBW,
 			PFSReadBW:  stdPFSRead,

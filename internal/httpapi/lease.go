@@ -120,6 +120,11 @@ func writeBatchResponse(w http.ResponseWriter, errs []error) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// MaxClaimBatch is the most tasks one claim-batch request may ask for.
+// A larger max is refused with 400: one request could otherwise claim a
+// whole grid and hold every cell under a single worker's lease.
+const MaxClaimBatch = 1024
+
 // handleClaimBatch hands the oldest pending tasks, up to max, to the
 // asking worker. Expired leases are collected first (inside
 // TryClaimBatch), so a crashed worker's tasks are stolen here by
@@ -129,6 +134,10 @@ func writeBatchResponse(w http.ResponseWriter, errs []error) {
 func (a *LeaseAPI[P]) handleClaimBatch(w http.ResponseWriter, r *http.Request) {
 	req, ok := decodeLeaseRequest(w, r)
 	if !ok {
+		return
+	}
+	if req.Max > MaxClaimBatch {
+		writeError(w, http.StatusBadRequest, "max %d exceeds the claim cap %d", req.Max, MaxClaimBatch)
 		return
 	}
 	resp := claimBatchResponse[P]{LeaseSeconds: a.Store.Lease().Seconds()}

@@ -371,6 +371,30 @@ func TestBatchLeaseOverHTTP(t *testing.T) {
 	}
 }
 
+// TestClaimBatchCap: a claim asking for more than MaxClaimBatch tasks is
+// refused with 400 and claims nothing.
+func TestClaimBatchCap(t *testing.T) {
+	store, client := newLeaseFixture(t, time.Minute)
+	for i := 0; i < 3; i++ {
+		if _, err := store.Submit(leasePayload{Index: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tasks, _, _, err := client.ClaimBatch(context.Background(), "w", 1<<30)
+	var st *LeaseStatusError
+	if !asLeaseStatus(err, &st) || st.Status != http.StatusBadRequest {
+		t.Fatalf("claim-batch max 1<<30: %d tasks, err %v; want HTTP 400", len(tasks), err)
+	}
+	for _, task := range store.List() {
+		if task.State != distwork.StatePending {
+			t.Errorf("task %s is %v after a refused claim, want pending", task.ID, task.State)
+		}
+	}
+	if tasks, _, _, err := client.ClaimBatch(context.Background(), "w", MaxClaimBatch); err != nil || len(tasks) != 3 {
+		t.Errorf("claim-batch at the cap: %d tasks, err %v; want all 3", len(tasks), err)
+	}
+}
+
 // TestClaimBatchRejectsUnusableLease: tasks handed out under a lease no
 // worker can heartbeat within are an error naming the field, not a
 // duration for a ticker to panic on. An empty claim carries no lease to

@@ -19,19 +19,7 @@ import (
 //     equipartitioning;
 //  3. evolving arbitration: shrink requests are always granted; grow
 //     requests are granted up to what the free pool allows.
-type Adaptive struct {
-	// Sizing picks start sizes (default SizeRequested).
-	Sizing SizePolicy
-	// SizeFn overrides Sizing when set (e.g. EfficiencySizer).
-	SizeFn SizeFunc
-	// NoShrink disables mechanism 1 (for ablations).
-	NoShrink bool
-	// NoExpand disables mechanism 2 (for ablations).
-	NoExpand bool
-	// ShrinkReserve keeps this many nodes unreclaimed per malleable job
-	// above its minimum (0 = shrink all the way to the minimum).
-	ShrinkReserve int
-}
+type Adaptive struct{}
 
 // Name implements Algorithm.
 func (a *Adaptive) Name() string { return "adaptive" }
@@ -49,15 +37,13 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 			resizable = append(resizable, v)
 		}
 	}
-	// Reclaimable capacity if we shrank everything to minimum (+ reserve).
+	// Reclaimable capacity if we shrank everything to its minimum. A job
+	// shrunk by a node failure can sit below its minimum: its floor is
+	// where it is.
 	reclaimable := 0
-	floorOf := func(v *JobView) int {
-		return min(v.MinNodes+a.ShrinkReserve, v.Nodes)
-	}
-	if !a.NoShrink {
-		for _, v := range resizable {
-			reclaimable += v.Nodes - floorOf(v)
-		}
+	floorOf := func(v *JobView) int { return min(v.MinNodes, v.Nodes) }
+	for _, v := range resizable {
+		reclaimable += v.Nodes - floorOf(v)
 	}
 
 	// Plan starts in FCFS order against free + reclaimable.
@@ -69,7 +55,7 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 	virtual := free + reclaimable
 	blockedAt := -1
 	for i, v := range inv.Pending {
-		n := pickSize(v, virtual, a.SizeFn, a.Sizing)
+		n := RequestedSize(v, virtual)
 		if n == 0 {
 			blockedAt = i
 			break
@@ -126,7 +112,7 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 	// EASY-style backfill of the remaining queue against remaining free
 	// nodes (no further shrinking for backfilled jobs).
 	if blockedAt >= 0 {
-		out, free = backfill(out, inv.Now, inv.Pending[blockedAt+1:], running, free, inv.Pending[blockedAt].MinNodes, a.SizeFn, a.Sizing)
+		out, free = backfill(out, inv.Now, inv.Pending[blockedAt+1:], running, free, inv.Pending[blockedAt].MinNodes, RequestedSize)
 	}
 
 	// Answer evolving requests before expanding, so grants have priority
@@ -155,7 +141,7 @@ func (a *Adaptive) Schedule(inv *Invocation) []Decision {
 	// Expand-to-fill: hand leftover nodes to resizable malleable jobs,
 	// smallest first, one node at a time (equipartitioning). resizable[i]
 	// grows by grows[i].
-	if !a.NoExpand && free > 0 && len(resizable) > 0 {
+	if free > 0 && len(resizable) > 0 {
 		var growsBuf [len(resizableBuf)]int
 		var grows []int
 		if len(resizable) <= len(growsBuf) {

@@ -18,10 +18,7 @@ import (
 // sweep over the breakpoints and reserved by a walk over its own window.
 // The sweep may skip candidate starts because a segment too full for the
 // job rules out every start whose window covers it.
-type Conservative struct {
-	Sizing SizePolicy
-	SizeFn SizeFunc
-}
+type Conservative struct{}
 
 // Name implements Algorithm.
 func (c *Conservative) Name() string { return "conservative" }
@@ -32,7 +29,7 @@ func (c *Conservative) Schedule(inv *Invocation) []Decision {
 	var out []Decision
 	for _, v := range inv.Pending {
 		need := v.MinNodes
-		want := pickSize(v, inv.TotalNodes, c.SizeFn, c.Sizing)
+		want := RequestedSize(v, inv.TotalNodes)
 		if want == 0 {
 			want = need
 		}

@@ -9,17 +9,14 @@ import (
 // kept verbatim as a test oracle: its profile re-runs fits from every
 // breakpoint (O(P·B²) per call), which is slow but obviously correct.
 // Conservative must return the same decisions and build the same profile.
-type refConservative struct {
-	Sizing SizePolicy
-	SizeFn SizeFunc
-}
+type refConservative struct{}
 
 func (c *refConservative) Schedule(inv *Invocation) []Decision {
 	prof := refNewProfile(inv)
 	var out []Decision
 	for _, v := range inv.Pending {
 		need := v.Job.MinNodes()
-		want := pickSize(v, inv.TotalNodes, c.SizeFn, c.Sizing)
+		want := refStartSize(v.Job, inv.TotalNodes, SizeRequested)
 		if want == 0 {
 			want = need
 		}

@@ -29,9 +29,9 @@ func (s *byteSource) next() int {
 // decodeInvocation builds a small invocation that leans on the profile's
 // edge cases: ties in ExpectedEnd, ends at or before Now, running jobs
 // without an end, walltimes absent (+Inf) or too small to move a float
-// start (zero durations), requests above TotalNodes, malleable jobs sized
-// by policy, and empty Running or Pending lists.
-func decodeInvocation(s *byteSource) (*Invocation, SizePolicy) {
+// start (zero durations), requests above TotalNodes, malleable jobs, and
+// empty Running or Pending lists.
+func decodeInvocation(s *byteSource) *Invocation {
 	nows := []float64{0, 100, -5, 1e6, 1e16}
 	inv := &Invocation{Now: nows[s.next()%len(nows)]}
 	inv.TotalNodes = 1 + s.next()%32
@@ -70,7 +70,7 @@ func decodeInvocation(s *byteSource) (*Invocation, SizePolicy) {
 		}
 		inv.Pending = append(inv.Pending, v)
 	}
-	return inv, SizePolicy(s.next() % 3)
+	return inv
 }
 
 // checkAgainstReference runs Conservative and refConservative on the
@@ -83,9 +83,9 @@ func decodeInvocation(s *byteSource) (*Invocation, SizePolicy) {
 func checkAgainstReference(t *testing.T, data []byte) {
 	t.Helper()
 	s := &byteSource{b: data}
-	inv, sizing := decodeInvocation(s)
-	got := (&Conservative{Sizing: sizing}).Schedule(inv)
-	want := (&refConservative{Sizing: sizing}).Schedule(inv)
+	inv := decodeInvocation(s)
+	got := (&Conservative{}).Schedule(inv)
+	want := (&refConservative{}).Schedule(inv)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decisions differ:\n got %v\nwant %v", got, want)
 	}
@@ -99,7 +99,7 @@ func checkAgainstReference(t *testing.T, data []byte) {
 	}
 	same("newProfile")
 	for _, v := range inv.Pending {
-		n := pickSize(v, inv.TotalNodes, nil, sizing)
+		n := RequestedSize(v, inv.TotalNodes)
 		if n == 0 {
 			n = v.Job.MinNodes()
 		}

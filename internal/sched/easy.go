@@ -8,9 +8,8 @@ import "math"
 // they finish before the reservation ("before shadow time") or they use
 // only nodes the reservation does not need ("extra nodes").
 type EASY struct {
-	Sizing SizePolicy
-	// SizeFn overrides Sizing when set (e.g. EfficiencySizer).
-	SizeFn SizeFunc
+	// Size picks start sizes (nil: RequestedSize).
+	Size SizeFunc
 }
 
 // Name implements Algorithm.
@@ -18,28 +17,24 @@ func (e *EASY) Name() string { return "easy" }
 
 // Schedule implements Algorithm.
 func (e *EASY) Schedule(inv *Invocation) []Decision {
-	var out []Decision
-	free := inv.FreeNodes
-
-	// Greedy FCFS prefix.
-	i := 0
-	for ; i < len(inv.Pending); i++ {
-		v := inv.Pending[i]
-		n := pickSize(v, free, e.SizeFn, e.Sizing)
-		if n == 0 {
-			break
-		}
-		out = append(out, Start(v.ID, n))
-		free -= n
+	size := e.Size
+	if size == nil {
+		size = RequestedSize
 	}
-	if i >= len(inv.Pending) {
+	return easy(inv, inv.Pending, size)
+}
+
+// easy is the EASY discipline over order: jobs start in order while they
+// fit, and the jobs behind the first that does not backfill behind its
+// reservation of its rigid request or minimum acceptable size (at most
+// the machine).
+func easy(inv *Invocation, order []*JobView, size SizeFunc) []Decision {
+	out, i, free := startInOrder(order, inv.FreeNodes, size)
+	if i == len(order) {
 		return out
 	}
-
-	// Head job blocks: the rest backfills behind its reservation of its
-	// rigid request or minimum acceptable size.
-	need := min(inv.Pending[i].MinNodes, inv.TotalNodes)
-	out, _ = backfill(out, inv.Now, inv.Pending[i+1:], inv.Running, free, need, e.SizeFn, e.Sizing)
+	need := min(order[i].MinNodes, inv.TotalNodes)
+	out, _ = backfill(out, inv.Now, order[i+1:], inv.Running, free, need, size)
 	return out
 }
 
@@ -57,7 +52,7 @@ func (e *EASY) Schedule(inv *Invocation) []Decision {
 // the shadow time, is skipped. The SizeFunc contract (a size within the
 // job's bounds and at most free, or 0, depending only on the view and
 // free) makes both skips the decision sizing it would have reached.
-func backfill(out []Decision, now float64, cands, running []*JobView, free, need int, fn SizeFunc, policy SizePolicy) ([]Decision, int) {
+func backfill(out []Decision, now float64, cands, running []*JobView, free, need int, size SizeFunc) ([]Decision, int) {
 	var shadow float64
 	extra, known := 0, false
 	for _, v := range cands {
@@ -67,7 +62,7 @@ func backfill(out []Decision, now float64, cands, running []*JobView, free, need
 		if v.MinNodes > free || known && v.MinNodes > extra && now+v.WallTime > shadow {
 			continue
 		}
-		n := pickSize(v, free, fn, policy)
+		n := size(v, free)
 		if n == 0 {
 			continue
 		}

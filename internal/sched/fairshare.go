@@ -1,45 +1,41 @@
 package sched
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // FirstFit is list scheduling: every pending job that fits starts, in
 // submission order, skipping any that do not fit. Maximizes instantaneous
 // utilization but can starve wide jobs indefinitely — the classic baseline
-// that motivates backfilling with reservations.
+// that motivates backfilling with reservations. A FirstFit value keeps
+// its decisions buffer between calls, so it must not be shared between
+// concurrent runs.
 type FirstFit struct {
-	Sizing SizePolicy
-	SizeFn SizeFunc
+	out []Decision // the decisions buffer, reused by every invocation
 }
 
 // Name implements Algorithm.
 func (f *FirstFit) Name() string { return "firstfit" }
 
-// Schedule implements Algorithm. The decisions are allocated once, at the
-// first start, for the most starts the invocation can hold: every start
-// takes at least one free node.
+// Schedule implements Algorithm. The returned slice is valid until the
+// next call.
 func (f *FirstFit) Schedule(inv *Invocation) []Decision {
-	var out []Decision
+	out := f.out[:0]
 	free := inv.FreeNodes
 	for _, v := range inv.Pending {
-		n := pickSize(v, free, f.SizeFn, f.Sizing)
-		if n == 0 {
-			continue
+		if free <= 0 {
+			break // no valid job starts on zero nodes
 		}
-		if out == nil {
-			out = make([]Decision, 0, min(len(inv.Pending), inv.FreeNodes))
+		if n := RequestedSize(v, free); n > 0 {
+			out = append(out, Start(v.ID, n))
+			free -= n
 		}
-		out = append(out, Start(v.ID, n))
-		free -= n
 	}
+	f.out = out
 	return out
 }
 
 // FairShare orders the queue by accumulated per-user resource usage
-// (node-seconds, exponentially decayed) — users who consumed less go
-// first — and then applies EASY-style backfilling within that order.
+// (node-seconds) — users who consumed less go first — and then applies
+// EASY-style backfilling within that order.
 //
 // Usage is integrated across invocations: because the engine invokes the
 // algorithm on every allocation change (event-driven mode), summing
@@ -47,12 +43,6 @@ func (f *FirstFit) Schedule(inv *Invocation) []Decision {
 // value is therefore stateful and must not be shared between simulation
 // runs.
 type FairShare struct {
-	Sizing SizePolicy
-	SizeFn SizeFunc
-	// HalfLife is the decay half-life of historical usage in seconds
-	// (0 = no decay).
-	HalfLife float64
-
 	usage    map[string]float64
 	prevLoad map[string]int // nodes per user at the previous invocation
 	lastNow  float64
@@ -61,7 +51,7 @@ type FairShare struct {
 // Name implements Algorithm.
 func (f *FairShare) Name() string { return "fairshare" }
 
-// Usage returns a user's accumulated (decayed) node-seconds so far.
+// Usage returns a user's accumulated node-seconds so far.
 func (f *FairShare) Usage(user string) float64 { return f.usage[user] }
 
 func userOf(v *JobView) string {
@@ -84,12 +74,6 @@ func (f *FairShare) Schedule(inv *Invocation) []Decision {
 	// mode, so this is exact).
 	dt := inv.Now - f.lastNow
 	if dt > 0 {
-		if f.HalfLife > 0 {
-			decay := math.Exp2(-dt / f.HalfLife)
-			for u := range f.usage {
-				f.usage[u] *= decay
-			}
-		}
 		for u, nodes := range f.prevLoad {
 			f.usage[u] += float64(nodes) * dt
 		}
@@ -106,21 +90,5 @@ func (f *FairShare) Schedule(inv *Invocation) []Decision {
 		return f.usage[userOf(a)] < f.usage[userOf(b)]
 	}))
 
-	// EASY discipline over the fair order.
-	var out []Decision
-	free := inv.FreeNodes
-	i := 0
-	for ; i < len(order); i++ {
-		n := pickSize(order[i], free, f.SizeFn, f.Sizing)
-		if n == 0 {
-			break
-		}
-		out = append(out, Start(order[i].ID, n))
-		free -= n
-	}
-	if i >= len(order) {
-		return out
-	}
-	out, _ = backfill(out, inv.Now, order[i+1:], inv.Running, free, order[i].MinNodes, f.SizeFn, f.Sizing)
-	return out
+	return easy(inv, order, RequestedSize)
 }

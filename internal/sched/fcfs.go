@@ -4,38 +4,21 @@ import "slices"
 
 // FCFS is strict first-come-first-served: jobs start in submission order;
 // if the head of the queue does not fit, nothing behind it starts either.
-type FCFS struct {
-	// Sizing picks moldable sizes (default SizeRequested).
-	Sizing SizePolicy
-	// SizeFn overrides Sizing when set (e.g. EfficiencySizer).
-	SizeFn SizeFunc
-}
+type FCFS struct{}
 
 // Name implements Algorithm.
 func (f *FCFS) Name() string { return "fcfs" }
 
 // Schedule implements Algorithm.
 func (f *FCFS) Schedule(inv *Invocation) []Decision {
-	var out []Decision
-	free := inv.FreeNodes
-	for _, v := range inv.Pending {
-		n := pickSize(v, free, f.SizeFn, f.Sizing)
-		if n == 0 {
-			break // head blocks the queue
-		}
-		out = append(out, Start(v.ID, n))
-		free -= n
-	}
+	out, _, _ := startInOrder(inv.Pending, inv.FreeNodes, RequestedSize)
 	return out
 }
 
 // SJF starts jobs shortest-first by walltime estimate; jobs without an
 // estimate sort last. Ties fall back to submission order. Like FCFS it
 // does not reserve: if the shortest job does not fit, nothing starts.
-type SJF struct {
-	Sizing SizePolicy
-	SizeFn SizeFunc
-}
+type SJF struct{}
 
 // Name implements Algorithm.
 func (s *SJF) Name() string { return "sjf" }
@@ -46,17 +29,24 @@ func (s *SJF) Schedule(inv *Invocation) []Decision {
 	slices.SortStableFunc(order, compareBy(func(a, b *JobView) bool {
 		return a.WallTime < b.WallTime
 	}))
-	var out []Decision
-	free := inv.FreeNodes
-	for _, v := range order {
-		n := pickSize(v, free, s.SizeFn, s.Sizing)
+	out, _, _ := startInOrder(order, inv.FreeNodes, RequestedSize)
+	return out
+}
+
+// startInOrder starts the jobs of order one after another at the sizes
+// size picks, until one does not fit the free nodes. It returns the
+// starts, the index in order of the job that did not fit (len(order) when
+// all did) and the nodes left free.
+func startInOrder(order []*JobView, free int, size SizeFunc) (out []Decision, blocked, left int) {
+	for i, v := range order {
+		n := size(v, free)
 		if n == 0 {
-			break
+			return out, i, free
 		}
 		out = append(out, Start(v.ID, n))
 		free -= n
 	}
-	return out
+	return out, len(order), free
 }
 
 // compareBy turns less into the three-way comparator the slices sorts

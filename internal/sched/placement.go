@@ -52,42 +52,28 @@ func LocalityPack(freeList []int, n, groupSize int) []int {
 	return out
 }
 
-// Packed wraps another algorithm and rewrites its start decisions to use
-// locality-packed placement. It leaves every other decision untouched.
-type Packed struct {
-	// Base provides the scheduling logic (default: EASY).
-	Base Algorithm
-}
+// Packed is EASY with its start decisions rewritten to use
+// locality-packed placement.
+type Packed struct{}
 
 // Name implements Algorithm.
-func (p *Packed) Name() string {
-	return "packed+" + p.base().Name()
-}
+func (p *Packed) Name() string { return "packed+easy" }
 
 // WantsFreeList implements FreeListUser: locality packing picks explicit
 // nodes from the free list.
 func (p *Packed) WantsFreeList() bool { return true }
 
-func (p *Packed) base() Algorithm {
-	if p.Base == nil {
-		return &EASY{}
-	}
-	return p.Base
-}
-
 // Schedule implements Algorithm.
 func (p *Packed) Schedule(inv *Invocation) []Decision {
-	decisions := p.base().Schedule(inv)
+	decisions := easy(inv, inv.Pending, RequestedSize)
 	if inv.GroupSize <= 0 {
 		return decisions
 	}
-	// Track which nodes remain free as we pin placements.
+	// Track which nodes remain free as we pin placements. EASY makes
+	// only start decisions, none of them pinned.
 	free := append([]int(nil), inv.FreeList...)
 	for i := range decisions {
 		d := &decisions[i]
-		if d.Kind != DecisionStart || len(d.Nodes) > 0 {
-			continue
-		}
 		nodes := LocalityPack(free, d.NumNodes, inv.GroupSize)
 		if nodes == nil {
 			continue // let the engine try (and possibly reject) it

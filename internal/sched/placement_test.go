@@ -52,7 +52,7 @@ func TestLocalityPackInsufficient(t *testing.T) {
 }
 
 func TestPackedRewritesStarts(t *testing.T) {
-	p := &Packed{Base: &FCFS{}}
+	p := &Packed{}
 	inv := &Invocation{
 		FreeNodes:  6,
 		TotalNodes: 12,
@@ -82,13 +82,13 @@ func TestPackedRewritesStarts(t *testing.T) {
 			t.Fatalf("overlapping placements: %v vs %v", ds[0].Nodes, ds[1].Nodes)
 		}
 	}
-	if p.Name() != "packed+fcfs" {
+	if p.Name() != "packed+easy" {
 		t.Errorf("name %q", p.Name())
 	}
 }
 
 func TestPackedPassthroughWithoutGroups(t *testing.T) {
-	p := &Packed{Base: &FCFS{}}
+	p := &Packed{}
 	inv := &Invocation{
 		FreeNodes:  4,
 		TotalNodes: 4,

@@ -231,7 +231,9 @@ type Algorithm interface {
 	// and must not be retained: the views are the engine's own per-job
 	// state, updated in place and handed to every later invocation, and
 	// the slices are reused. An algorithm that needs different values
-	// (planned sizes, a sorted order) works on copies.
+	// (planned sizes, a sorted order) works on copies. The engine does
+	// not keep the returned slice past the call, so an algorithm may
+	// reuse it on the next one.
 	Schedule(inv *Invocation) []Decision
 }
 
@@ -243,29 +245,45 @@ type FreeListUser interface {
 	WantsFreeList() bool
 }
 
-// SizePolicy chooses allocation sizes for moldable (and initial sizes for
-// adaptive) jobs.
-type SizePolicy int
-
-// Size policies.
-const (
-	// SizeRequested starts the job at its preferred size (NumNodes, or
-	// the minimum if unset), the conservative choice.
-	SizeRequested SizePolicy = iota
-	// SizeMax starts the job as large as currently fits (up to its max).
-	SizeMax
-	// SizeMin starts the job at its minimum size.
-	SizeMin
-)
-
-// SizeFunc customizes start-size selection beyond the SizePolicy enum
-// (e.g. efficiency-aware moldable sizing). It returns the node count to
-// start v with given currently free nodes, or 0 if the job cannot start.
-// Implementations must return a size within the job's [min,max] bounds
-// and at most free, or 0, and must depend only on v and free: backfill
-// relies on this contract to skip, without calling the function, a
-// candidate whose minimum exceeds the nodes it could use.
+// SizeFunc picks the node count to start v with given free nodes, or 0
+// if the job cannot start now. Implementations must return a size within
+// the job's [min,max] bounds and at most free, or 0, and must depend only
+// on v and free: backfill relies on this contract to skip, without
+// calling the function, a candidate whose minimum exceeds the nodes it
+// could use.
 type SizeFunc func(v *JobView, free int) int
+
+// RequestedSize starts a job at its preferred size (NumNodes, or the
+// minimum if unset), the conservative choice.
+func RequestedSize(v *JobView, free int) int {
+	want := v.ReqNodes
+	if want == 0 {
+		want = v.MinNodes
+	}
+	return clampSize(v, free, want)
+}
+
+// MinSize starts a job at its minimum size.
+func MinSize(v *JobView, free int) int { return clampSize(v, free, v.MinNodes) }
+
+// MaxSize starts a job as large as currently fits (up to its maximum).
+func MaxSize(v *JobView, free int) int { return clampSize(v, free, v.MaxNodes) }
+
+// clampSize brings want within v's bounds and free, or returns 0 when v
+// cannot start on free nodes. A rigid job gets its request or 0.
+func clampSize(v *JobView, free, want int) int {
+	if v.Type == job.Rigid {
+		if v.ReqNodes <= free {
+			return v.ReqNodes
+		}
+		return 0
+	}
+	if v.MinNodes > free {
+		return 0
+	}
+	want = max(min(want, v.MaxNodes), v.MinNodes)
+	return min(want, free) // still >= MinNodes, checked above
+}
 
 // EfficiencySizer returns a SizeFunc for moldable (and adaptive) jobs that
 // picks the LARGEST size whose analytic parallel efficiency relative to
@@ -275,7 +293,7 @@ type SizeFunc func(v *JobView, free int) int
 func EfficiencySizer(ref job.PlatformRef, threshold float64) SizeFunc {
 	return func(v *JobView, free int) int {
 		if v.Type == job.Rigid {
-			return StartSize(v, free, SizeRequested)
+			return RequestedSize(v, free)
 		}
 		if v.MinNodes > free {
 			return 0
@@ -285,7 +303,7 @@ func EfficiencySizer(ref job.PlatformRef, threshold float64) SizeFunc {
 		for n := v.MinNodes + 1; n <= limit; n++ {
 			eff, err := job.Efficiency(v.Job, n, ref)
 			if err != nil {
-				return StartSize(v, free, SizeRequested)
+				return RequestedSize(v, free)
 			}
 			if eff >= threshold {
 				best = n
@@ -293,50 +311,4 @@ func EfficiencySizer(ref job.PlatformRef, threshold float64) SizeFunc {
 		}
 		return best
 	}
-}
-
-// pickSize dispatches to the custom SizeFunc when set, else the enum
-// policy.
-func pickSize(v *JobView, free int, fn SizeFunc, policy SizePolicy) int {
-	if fn != nil {
-		return fn(v, free)
-	}
-	return StartSize(v, free, policy)
-}
-
-// StartSize picks the node count to start v with under the policy, given
-// free nodes. It returns 0 when the job cannot start now.
-func StartSize(v *JobView, free int, policy SizePolicy) int {
-	if v.Type == job.Rigid {
-		if v.ReqNodes <= free {
-			return v.ReqNodes
-		}
-		return 0
-	}
-	minN, maxN := v.MinNodes, v.MaxNodes
-	if minN > free {
-		return 0
-	}
-	var want int
-	switch policy {
-	case SizeMax:
-		want = maxN
-	case SizeMin:
-		want = minN
-	default:
-		want = v.ReqNodes
-		if want == 0 {
-			want = minN
-		}
-	}
-	if want > maxN {
-		want = maxN
-	}
-	if want < minN {
-		want = minN
-	}
-	if want > free {
-		want = free // still >= minN, checked above
-	}
-	return want
 }

@@ -61,31 +61,35 @@ func decisionsByKind(ds []Decision, k DecisionKind) []Decision {
 
 func TestStartSize(t *testing.T) {
 	rigid := mkPending(0, 8, 0)
-	if got := StartSize(rigid, 8, SizeRequested); got != 8 {
-		t.Errorf("rigid fits = %d", got)
-	}
-	if got := StartSize(rigid, 7, SizeRequested); got != 0 {
-		t.Errorf("rigid overflows = %d", got)
-	}
 	mold := newView(&job.Job{Type: job.Moldable, NumNodes: 8, NumNodesMin: 2, NumNodesMax: 16})
-	if got := StartSize(mold, 100, SizeRequested); got != 8 {
-		t.Errorf("moldable requested = %d", got)
-	}
-	if got := StartSize(mold, 100, SizeMax); got != 16 {
-		t.Errorf("moldable max = %d", got)
-	}
-	if got := StartSize(mold, 100, SizeMin); got != 2 {
-		t.Errorf("moldable min = %d", got)
-	}
-	if got := StartSize(mold, 5, SizeRequested); got != 5 {
-		t.Errorf("moldable clamped to free = %d", got)
-	}
-	if got := StartSize(mold, 1, SizeRequested); got != 0 {
-		t.Errorf("moldable below min = %d", got)
-	}
 	noPref := newView(&job.Job{Type: job.Malleable, NumNodesMin: 3, NumNodesMax: 9})
-	if got := StartSize(noPref, 100, SizeRequested); got != 3 {
-		t.Errorf("no preference defaults to min = %d", got)
+	for _, c := range []struct {
+		what   string
+		size   SizeFunc
+		policy SizePolicy
+		v      *JobView
+		free   int
+		want   int
+	}{
+		{"rigid fits", RequestedSize, SizeRequested, rigid, 8, 8},
+		{"rigid overflows", RequestedSize, SizeRequested, rigid, 7, 0},
+		{"rigid at max", MaxSize, SizeMax, rigid, 100, 8},
+		{"rigid at min", MinSize, SizeMin, rigid, 100, 8},
+		{"moldable requested", RequestedSize, SizeRequested, mold, 100, 8},
+		{"moldable max", MaxSize, SizeMax, mold, 100, 16},
+		{"moldable min", MinSize, SizeMin, mold, 100, 2},
+		{"moldable clamped to free", RequestedSize, SizeRequested, mold, 5, 5},
+		{"moldable max clamped to free", MaxSize, SizeMax, mold, 5, 5},
+		{"moldable below min", RequestedSize, SizeRequested, mold, 1, 0},
+		{"moldable min below min", MinSize, SizeMin, mold, 1, 0},
+		{"no preference defaults to min", RequestedSize, SizeRequested, noPref, 100, 3},
+	} {
+		if got := c.size(c.v, c.free); got != c.want {
+			t.Errorf("%s = %d, want %d", c.what, got, c.want)
+		}
+		if ref := refStartSize(c.v.Job, c.free, c.policy); ref != c.want {
+			t.Errorf("%s: reference %d, want %d", c.what, ref, c.want)
+		}
 	}
 }
 
@@ -334,40 +338,6 @@ func TestAdaptiveShrinkOnlyAsNeeded(t *testing.T) {
 	ds := a.Schedule(inv)
 	if ds[0].Kind != DecisionResize || ds[0].NumNodes != 6 {
 		t.Errorf("should shrink only to 6: %v", ds)
-	}
-}
-
-func TestAdaptiveNoShrinkOption(t *testing.T) {
-	a := &Adaptive{NoShrink: true}
-	m := mkMalleable(0, 8, 2, 16, true)
-	pend := mkPending(1, 6, 100)
-	inv := &Invocation{
-		FreeNodes:  0,
-		TotalNodes: 8,
-		Running:    []*JobView{m},
-		Pending:    []*JobView{pend},
-	}
-	ds := a.Schedule(inv)
-	for _, d := range ds {
-		if d.Kind == DecisionResize && d.NumNodes < m.Nodes {
-			t.Errorf("NoShrink violated: %v", ds)
-		}
-		if d.Kind == DecisionStart {
-			t.Errorf("nothing should start without shrinking: %v", ds)
-		}
-	}
-}
-
-func TestAdaptiveNoExpandOption(t *testing.T) {
-	a := &Adaptive{NoExpand: true}
-	m := mkMalleable(0, 4, 2, 16, true)
-	inv := &Invocation{
-		FreeNodes:  6,
-		TotalNodes: 10,
-		Running:    []*JobView{m},
-	}
-	if ds := a.Schedule(inv); len(ds) != 0 {
-		t.Errorf("NoExpand violated: %v", ds)
 	}
 }
 

@@ -42,9 +42,28 @@ func wallTimeOrInf(j *job.Job) float64 {
 	return j.WallTimeLimit
 }
 
-// refStartSize is StartSize as it was before views carried the job's
-// bounds, kept verbatim (but for its signature) so that refBackfill reads
-// every bound off the job itself.
+// SizePolicy is the enum the algorithms sized jobs by before the three
+// SizeFuncs replaced it, kept verbatim for refStartSize.
+type SizePolicy int
+
+// Size policies.
+const (
+	// SizeRequested starts the job at its preferred size (NumNodes, or
+	// the minimum if unset), the conservative choice.
+	SizeRequested SizePolicy = iota
+	// SizeMax starts the job as large as currently fits (up to its max).
+	SizeMax
+	// SizeMin starts the job at its minimum size.
+	SizeMin
+)
+
+// sizeFuncs are the SizeFuncs that replaced each SizePolicy.
+var sizeFuncs = [...]SizeFunc{SizeRequested: RequestedSize, SizeMax: MaxSize, SizeMin: MinSize}
+
+// refStartSize is StartSize, the policy dispatch RequestedSize, MinSize
+// and MaxSize replaced, as it was before views carried the job's bounds,
+// kept verbatim (but for its signature) so that refBackfill reads every
+// bound off the job itself.
 func refStartSize(j *job.Job, free int, policy SizePolicy) int {
 	if j.Type == job.Rigid {
 		if j.NumNodes <= free {
@@ -111,8 +130,8 @@ func refBackfill(out []Decision, now float64, cands, running []*JobView, free, n
 	return out, free
 }
 
-// decodeSizer draws backfill's SizeFunc: none (the policy sizes), an
-// EfficiencySizer, or a sizer that keeps the SizeFunc contract but
+// decodeSizer draws backfill's SizeFunc: none (policy's SizeFunc sizes),
+// an EfficiencySizer, or a sizer that keeps the SizeFunc contract but
 // otherwise answers at random — any size in the job's bounds that fits
 // free, or 0 — as a hash of the job, free and a drawn salt. Both sizers
 // read the bounds off the job, not off the view.
@@ -217,14 +236,19 @@ func checkShadowTime(t *testing.T, data []byte) {
 		t.Fatalf("shadowTime(now %v, free %d, need %d) = (%v, %d), reference (%v, %d)", now, free, need, gs, ge, ws, we)
 	}
 
-	inv, sizing := decodeInvocation(s)
+	inv := decodeInvocation(s)
+	policy := SizePolicy(s.next() % 3)
 	inv.Running = decodeRunning(s, inv.Now)
 	need = s.next() % (inv.TotalNodes + 4)
 	fn := decodeSizer(s)
 	shadow, extra := refShadowTime(inv.Now, inv.Running, inv.FreeNodes, need)
 	decodeCandidates(s, inv, shadow, extra)
-	got, gotFree := backfill(nil, inv.Now, inv.Pending, inv.Running, inv.FreeNodes, need, fn, sizing)
-	want, wantFree := refBackfill(nil, inv.Now, inv.Pending, inv.Running, inv.FreeNodes, need, fn, sizing)
+	size := fn
+	if size == nil {
+		size = sizeFuncs[policy]
+	}
+	got, gotFree := backfill(nil, inv.Now, inv.Pending, inv.Running, inv.FreeNodes, need, size)
+	want, wantFree := refBackfill(nil, inv.Now, inv.Pending, inv.Running, inv.FreeNodes, need, fn, policy)
 	if !reflect.DeepEqual(got, want) || gotFree != wantFree {
 		t.Fatalf("backfill = %v (free %d), reference %v (free %d)", got, gotFree, want, wantFree)
 	}
@@ -289,7 +313,7 @@ func TestShadowTimeMatchesReference(t *testing.T) {
 		t.Errorf("shadowTime = (%v, %d), want (+Inf, -4)", s, e)
 	}
 	cands := []*JobView{mkPending(2, 2, 0), mkPending(3, 3, 40), mkPending(4, 2, 40)}
-	got, free := backfill(nil, 100, cands, running, 4, 10, nil, SizeRequested)
+	got, free := backfill(nil, 100, cands, running, 4, 10, RequestedSize)
 	if want := []Decision{Start(2, 2), Start(4, 2)}; !reflect.DeepEqual(got, want) || free != 0 {
 		t.Errorf("backfill = %v (free %d), want %v (free 0)", got, free, want)
 	}

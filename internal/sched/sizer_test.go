@@ -63,7 +63,7 @@ func TestEfficiencySizerRigidUnchanged(t *testing.T) {
 func TestAlgorithmsAcceptSizeFn(t *testing.T) {
 	// An EASY with an efficiency sizer starts the moldable job at its
 	// efficiency-bounded size instead of its request.
-	e := &EASY{SizeFn: EfficiencySizer(sizerRef, 0.8)}
+	e := &EASY{Size: EfficiencySizer(sizerRef, 0.8)}
 	v := amdahlMoldable(0, 0.2, 1, 16)
 	inv := &Invocation{FreeNodes: 16, TotalNodes: 16, Pending: []*JobView{v}}
 	ds := e.Schedule(inv)

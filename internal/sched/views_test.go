@@ -104,7 +104,7 @@ func TestAlgorithmsLeaveViewsUntouched(t *testing.T) {
 	algos := func() []Algorithm {
 		return []Algorithm{
 			&FCFS{}, &EASY{}, &Conservative{}, &SJF{}, &Adaptive{},
-			&FirstFit{}, &FairShare{HalfLife: 600}, &Packed{},
+			&FirstFit{}, &FairShare{}, &Packed{},
 		}
 	}
 	shrinks := 0
