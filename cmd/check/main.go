@@ -33,6 +33,11 @@
 // host-dependent). allocs/op may exceed it by at most one (allocation
 // counts are host-independent, so the zero-allocation guarantees on the
 // kernel hot paths are pinned tightly).
+//
+//	check reach
+//
+// fails naming every non-test function in internal/ and elastisim/
+// (elastisim's exported API aside) that no main package links.
 package main
 
 import (
@@ -49,6 +54,7 @@ var subcommands = map[string]func(args []string) error{
 	"trace":   runTrace,
 	"metrics": runMetrics,
 	"bench":   runBench,
+	"reach":   runReach,
 }
 
 func run(context.Context) error {
@@ -57,6 +63,6 @@ func run(context.Context) error {
 			return sub(os.Args[2:])
 		}
 	}
-	fmt.Fprintln(os.Stderr, "usage: check trace|metrics|bench [flags] [file]")
+	fmt.Fprintln(os.Stderr, "usage: check trace|metrics|bench|reach [flags] [file]")
 	return cli.ErrUsage
 }

@@ -39,7 +39,6 @@ func run(ctx context.Context) error {
 		bbTarget  = flag.Bool("bb-checkpoints", false, "direct checkpoints to burst buffers instead of the PFS")
 		ckpt      = flag.String("checkpoint-interval", "", "checkpoint-interval expression in seconds tagged onto every job (e.g. \"300\"; empty = no restart checkpoints)")
 		name      = flag.String("name", "synthetic", "workload name")
-		stream    = flag.Bool("stream", false, "emit jobs incrementally in constant memory (same output; use for very large workloads)")
 	)
 	flag.Parse()
 
@@ -73,27 +72,7 @@ func run(ctx context.Context) error {
 		CheckpointTarget:   target,
 		CheckpointInterval: *ckpt,
 	}
-	if *stream {
-		return streamWorkload(cfg)
-	}
-	wl, err := elastisim.GenerateWorkload(cfg)
-	if err != nil {
-		return err
-	}
-	out, err := wl.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	os.Stdout.Write(out)
-	fmt.Println()
-	counts := wl.CountByType()
-	fmt.Fprintf(os.Stderr, "workgen: %d jobs (%v)\n", len(wl.Jobs), counts)
-	return nil
-}
-
-// streamWorkload writes the workload job by job: memory stays flat no
-// matter the count, and the bytes match the buffered path exactly.
-func streamWorkload(cfg elastisim.WorkloadConfig) error {
+	// Jobs are written one by one, so memory stays flat no matter the count.
 	s, err := elastisim.NewWorkloadStream(cfg)
 	if err != nil {
 		return err

@@ -260,12 +260,12 @@ func Run(cfg Config) (*Result, error) {
 // chart: one colored band per job, reconfigurations marked at segment
 // boundaries, and node failure/repair intervals overlaid as hatched bands.
 func (r *Result) WriteGanttSVG(w io.Writer, title string) error {
-	return viz.WriteGantt(w, r.Recorder, viz.Options{Title: title})
+	return viz.WriteGantt(w, r.Recorder, title)
 }
 
 // WriteUtilizationSVG renders the busy-nodes timeline as an SVG step plot.
 func (r *Result) WriteUtilizationSVG(w io.Writer, title string) error {
-	return viz.WriteUtilization(w, r.Recorder, viz.Options{Title: title})
+	return viz.WriteUtilization(w, r.Recorder, title)
 }
 
 // EstimateRuntime computes a job's contention-free analytic runtime on n

@@ -122,8 +122,6 @@ func (e *Engine) shrinkThroughFailure(jr *jobRun, id platform.NodeID) {
 		panic(fmt.Sprintf("core: releasing failed node %d of %s: %v", int(id), jr.label(), err))
 	}
 	e.telNodesReleased(jr, []platform.NodeID{id})
-	e.rec.AddGantt(jr.view.Job.ID, jr.label(), oldSize, jr.segStart, now)
-	jr.segStart = now
 	e.rec.JobReconfigured(jr.rec, now, len(jr.nodes))
 	if e.tracing() {
 		e.traceEvent(EvFailShrink, jr.view.Job.ID, fmt.Sprintf("%d->%d node=%d", oldSize, len(jr.nodes), int(id)))
@@ -152,7 +150,6 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 		lost = 0
 	}
 	e.cancelWork(jr)
-	e.rec.AddGantt(jr.view.Job.ID, jr.label(), len(jr.nodes), jr.segStart, now)
 	if n := e.alloc.Owned(jr.owner); n != len(jr.nodes) {
 		panic(fmt.Sprintf("core: job %s released %d nodes, held %d", jr.label(), n, len(jr.nodes)))
 	}

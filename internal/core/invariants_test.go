@@ -79,8 +79,8 @@ func TestInvariantsAcrossAlgorithms(t *testing.T) {
 			}
 			// All nodes free at the end.
 			busy := rec.BusyTimeline()
-			if busy.Current() != 0 {
-				t.Logf("seed %d %s: %v nodes busy at end", seed, algo.Name(), busy.Current())
+			if pts := busy.Points(); len(pts) > 0 && pts[len(pts)-1].V != 0 {
+				t.Logf("seed %d %s: %v nodes busy at end", seed, algo.Name(), pts[len(pts)-1].V)
 				return false
 			}
 			// (2) busy-node bounds over the whole run.

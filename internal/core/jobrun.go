@@ -90,9 +90,6 @@ type jobRun struct {
 	// reconfiguration cost is charged when the job resumes.
 	pendingResize int32
 
-	// Gantt bookkeeping.
-	segStart float64
-
 	// depsLeft counts unfinished dependencies; the job is held until it
 	// reaches zero.
 	depsLeft int32
@@ -209,7 +206,6 @@ func (e *Engine) start(jr *jobRun, nodes []platform.NodeID) {
 	if jr.view.Job.WallTimeLimit > 0 {
 		jr.view.ExpectedEnd = now + jr.view.Job.WallTimeLimit
 	}
-	jr.segStart = now
 	jr.phaseIdx, jr.iter, jr.taskIdx = jr.ckptPhase, jr.ckptIter, 0
 	jr.lastCkpt = now
 	e.running.add(jr)
@@ -663,8 +659,6 @@ func (e *Engine) adjustAllocation(jr *jobRun, target int) {
 		e.telNodesReleased(jr, released)
 	}
 	jr.view.Nodes = len(jr.nodes)
-	e.rec.AddGantt(jr.view.Job.ID, jr.label(), cur, jr.segStart, now)
-	jr.segStart = now
 	e.rec.JobReconfigured(jr.rec, now, len(jr.nodes))
 	if e.tracing() {
 		e.traceEvent(EvReconfigured, jr.view.Job.ID, fmt.Sprintf("%d->%d", cur, target))
@@ -711,7 +705,6 @@ func (e *Engine) finish(jr *jobRun, status metrics.JobStatus) {
 	now := e.Now()
 	jr.setState(stateDone)
 	e.cancelWork(jr)
-	e.rec.AddGantt(jr.view.Job.ID, jr.label(), len(jr.nodes), jr.segStart, now)
 	if n := e.alloc.Owned(jr.owner); n != len(jr.nodes) {
 		panic(fmt.Sprintf("core: job %s released %d nodes, held %d", jr.label(), n, len(jr.nodes)))
 	}

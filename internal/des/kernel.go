@@ -32,9 +32,6 @@ type Time float64
 // Infinity is a time later than any event the kernel will ever execute.
 const Infinity = Time(math.MaxFloat64)
 
-// Seconds returns the time as a plain float64 (seconds).
-func (t Time) Seconds() float64 { return float64(t) }
-
 func (t Time) String() string { return fmt.Sprintf("%.6fs", float64(t)) }
 
 // Priority orders events that share a timestamp. Lower values run first.
@@ -70,13 +67,6 @@ type Event struct {
 	fn       Handler
 	released bool // owner relinquished the pointer; recycle once detached
 }
-
-// Time returns the timestamp the event is scheduled for.
-func (e *Event) Time() Time { return e.time }
-
-// Cancelled reports whether the event was cancelled before firing (or has
-// already fired).
-func (e *Event) Cancelled() bool { return e.index < 0 }
 
 // slabMinPeak is the peak-queue size from which Schedule batch-allocates
 // events: once a kernel has proven it queues hundreds of events, the free

@@ -181,7 +181,7 @@ func queueScript(t testing.TB, data []byte) {
 				h := live[idx]
 				live[idx] = live[len(live)-1]
 				live = live[:len(live)-1]
-				if h.reserved && !h.ev.Cancelled() { // still pending: its number is free again
+				if h.reserved && h.ev.index >= 0 { // still pending: its number is free again
 					reserved = append(reserved, o.keys[h.n].seq)
 				}
 				k.Cancel(h.ev)

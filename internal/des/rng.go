@@ -119,8 +119,3 @@ func (r *RNG) PowerOfTwo(lo, hi int) int {
 	}
 	return choices[r.Intn(len(choices))]
 }
-
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool {
-	return r.Float64() < p
-}

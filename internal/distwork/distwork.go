@@ -149,7 +149,7 @@ type Task[P any] struct {
 	// Error holds the failure message for failed tasks.
 	Error string `json:"error,omitempty"`
 	// Result is an opaque pointer to the task's outcome (an artifact
-	// directory, an encoded result document), set by Finish.
+	// directory, an encoded result document), set when the task settles.
 	Result string `json:"result,omitempty"`
 	// Note carries auxiliary lifecycle information, e.g. partial-progress
 	// details journaled when a shutdown interrupted the task.
@@ -713,19 +713,6 @@ func (s *Store[P]) ExpireLeases() int {
 	return s.expireLocked(s.opts.Now())
 }
 
-// TryClaim claims the oldest pending task for worker, or reports none
-// available. Expired leases are collected first, so a crashed worker's
-// tasks become claimable here.
-func (s *Store[P]) TryClaim(worker string) (Task[P], bool) {
-	if s.begin() != nil {
-		return Task[P]{}, false
-	}
-	defer s.mu.Unlock()
-	now := s.opts.Now()
-	s.expireLocked(now)
-	return s.claimOneLocked(worker, now)
-}
-
 // claimOneLocked pops the oldest claimable pending task (feeding the
 // source as needed) and claims it. Callers hold s.mu and have already
 // collected expired leases.
@@ -788,7 +775,7 @@ func (s *Store[P]) claimBatchLocked(worker string, max int) []Task[P] {
 // TryClaimBatch claims up to max pending tasks for worker in one lock
 // acquisition — the server side of the lease protocol, amortizing lock
 // traffic and (with group commit) journal fsyncs over the batch. Steal
-// and exactly-once semantics are per task, identical to TryClaim.
+// and exactly-once semantics are per task.
 func (s *Store[P]) TryClaimBatch(worker string, max int) []Task[P] {
 	if s.begin() != nil {
 		return nil
@@ -918,19 +905,6 @@ func (s *Store[P]) MarkRunning(id, worker string) error {
 // claim and must keep heartbeating.
 func (s *Store[P]) MarkPaused(id, worker string) error {
 	return s.setState(id, worker, StatePaused)
-}
-
-// Finish moves an owned task to a terminal state: done when runErr is
-// nil, failed otherwise. result is an opaque outcome pointer stored on
-// the task and survives journal recovery.
-func (s *Store[P]) Finish(id, worker, result string, runErr error) error {
-	state := StateDone
-	errMsg := ""
-	if runErr != nil {
-		state = StateFailed
-		errMsg = runErr.Error()
-	}
-	return s.finish(id, worker, state, result, errMsg)
 }
 
 // FinishCancelled moves an owned task to cancelled (a cancel request was

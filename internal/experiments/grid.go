@@ -47,9 +47,8 @@ type GridOptions struct {
 	// GroupCommit batches journal fsyncs into one flush per window
 	// (0 = fsync every transition). See distwork.Options.GroupCommit.
 	GroupCommit time.Duration
-	// Metrics/Flight attach observability (sweep_* series).
+	// Metrics attaches observability (sweep_* series).
 	Metrics *obs.Registry
-	Flight  *obs.FlightRecorder
 	// OnCellDone, when set, is called once per newly finished cell,
 	// possibly from concurrent worker goroutines.
 	OnCellDone func()
@@ -83,7 +82,6 @@ func gridStoreOptions(opts GridOptions) distwork.Options[GridCell] {
 	return distwork.Options[GridCell]{
 		Lease:        opts.Lease,
 		Metrics:      opts.Metrics,
-		Flight:       opts.Flight,
 		MetricPrefix: "sweep",
 		IDPrefix:     "c",
 	}

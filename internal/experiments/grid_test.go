@@ -288,8 +288,8 @@ func TestGridLeaseExpiryReclaims(t *testing.T) {
 	}
 	defer grid.Close()
 	st := grid.Store()
-	first, ok := st.TryClaim("w-dead")
-	if !ok {
+	claimed := st.TryClaimBatch("w-dead", 1)
+	if len(claimed) != 1 {
 		t.Fatal("claim failed")
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -299,9 +299,9 @@ func TestGridLeaseExpiryReclaims(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	stolen, ok := st.TryClaim("w-live")
-	if !ok || stolen.ID != first.ID || stolen.Attempts != 2 {
-		t.Fatalf("steal: %+v ok=%v", stolen, ok)
+	stolen := st.TryClaimBatch("w-live", 1)
+	if len(stolen) != 1 || stolen[0].ID != claimed[0].ID || stolen[0].Attempts != 2 {
+		t.Fatalf("steal: %+v", stolen)
 	}
 }
 

@@ -73,13 +73,6 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 }
 
-// String renders the table to a string.
-func (t *Table) String() string {
-	var sb strings.Builder
-	t.Fprint(&sb)
-	return sb.String()
-}
-
 // Markdown renders the table as GitHub-flavored markdown (for
 // EXPERIMENTS.md generation).
 func (t *Table) Markdown() string {

@@ -67,15 +67,6 @@ func Compile(src string) (*Expr, error) {
 	return &Expr{src: src, root: root, vars: slices.Compact(vars)}, nil
 }
 
-// MustCompile is Compile for expressions known correct at build time.
-func MustCompile(src string) *Expr {
-	e, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Constant returns an expression that always evaluates to v.
 func Constant(v float64) *Expr {
 	return &Expr{src: fmt.Sprintf("%g", v), root: numNode(v)}
@@ -97,12 +88,6 @@ func (e *Expr) Eval(env Env) (val float64, err error) {
 		}
 	}()
 	return e.root.eval(env), nil
-}
-
-// Vars returns the sorted free variables of the expression. The slice is
-// the caller's to keep.
-func (e *Expr) Vars() []string {
-	return append(make([]string, 0, len(e.vars)), e.vars...)
 }
 
 // Validate checks that allowed accepts every free variable; it returns the

@@ -138,7 +138,7 @@ func BenchmarkChurn(b *testing.B) {
 			p.Start(a)
 		}
 		drain(k)
-		if p.ActiveCount() != 0 {
+		if p.live != 0 {
 			b.Fatal("activities left over")
 		}
 	}

@@ -42,8 +42,8 @@ func checkPoolOrder(t *testing.T, p *Pool, step string) (filtered, sorted int) {
 		}
 		prev = a
 	}
-	if live != p.ActiveCount() {
-		t.Fatalf("%s: %d live entries, ActiveCount %d", step, live, p.ActiveCount())
+	if live != p.live {
+		t.Fatalf("%s: %d live entries, live count %d", step, live, p.live)
 	}
 	if n := len(p.active); n > 0 && p.active[n-1] == nil {
 		t.Fatalf("%s: trailing tombstone left in active", step)
@@ -108,7 +108,7 @@ func TestComponentOrderMatchesSort(t *testing.T) {
 				last = p.active[lastAt]
 			}
 			switch r := rng.Float64(); {
-			case r < startP || p.ActiveCount() == 0:
+			case r < startP || p.live == 0:
 				a := NewActivity("a", rng.Range(1, 1000), nil)
 				used := map[int]bool{}
 				for j := 0; j < 3; j++ {

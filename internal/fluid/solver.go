@@ -190,13 +190,6 @@ func (a *Activity) SetMaxRate(r float64) {
 // Name returns the activity's diagnostic name.
 func (a *Activity) Name() string { return a.name }
 
-// Remaining returns the work left, valid only between pool updates (the
-// pool lazily advances progress); use Pool.RemainingOf for an exact value.
-func (a *Activity) Remaining() float64 { return a.remaining }
-
-// Rate returns the currently assigned progress rate.
-func (a *Activity) Rate() float64 { return a.rate }
-
 // Active reports whether the activity is registered in a pool.
 func (a *Activity) Active() bool { return a.index >= 0 }
 
@@ -324,23 +317,6 @@ func (p *Pool) solveAfterRemoval(a *Activity) {
 		}
 	}
 }
-
-// RemainingOf returns the exact remaining work of an active activity at the
-// current kernel time.
-func (p *Pool) RemainingOf(a *Activity) float64 {
-	if a.index < 0 {
-		return a.remaining
-	}
-	elapsed := float64(p.kernel.Now() - p.lastUpdate)
-	rem := a.remaining - a.rate*elapsed
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
-
-// ActiveCount returns the number of running activities.
-func (p *Pool) ActiveCount() int { return p.live }
 
 // remove unlinks the activity from the pool and from every resource's
 // membership list, and retires its completion event if it holds one.

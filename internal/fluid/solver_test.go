@@ -50,7 +50,7 @@ func TestFairShareTwoActivities(t *testing.T) {
 	p.Start(b)
 	// Processor sharing: both at rate 5 until t=2 (a done), then b alone at
 	// 10 with 10 remaining -> done at t=3.
-	if got := a.Rate(); !almost(got, 5) {
+	if got := a.rate; !almost(got, 5) {
 		t.Errorf("a rate %v, want 5", got)
 	}
 	drain(k)
@@ -95,14 +95,14 @@ func TestMaxMinBottleneck(t *testing.T) {
 	p.Start(a)
 	p.Start(b)
 	p.Start(c)
-	if !almost(a.Rate(), 0.5) {
-		t.Errorf("A rate %v, want 0.5", a.Rate())
+	if !almost(a.rate, 0.5) {
+		t.Errorf("A rate %v, want 0.5", a.rate)
 	}
-	if !almost(b.Rate(), 0.5) {
-		t.Errorf("B rate %v, want 0.5", b.Rate())
+	if !almost(b.rate, 0.5) {
+		t.Errorf("B rate %v, want 0.5", b.rate)
 	}
-	if !almost(c.Rate(), 9.5) {
-		t.Errorf("C rate %v, want 9.5", c.Rate())
+	if !almost(c.rate, 9.5) {
+		t.Errorf("C rate %v, want 9.5", c.rate)
 	}
 }
 
@@ -122,11 +122,11 @@ func TestEqualSplitAblation(t *testing.T) {
 	p.Start(a)
 	p.Start(b)
 	p.Start(c)
-	if !almost(c.Rate(), 5) {
-		t.Errorf("C rate %v, want 5 under equal split", c.Rate())
+	if !almost(c.rate, 5) {
+		t.Errorf("C rate %v, want 5 under equal split", c.rate)
 	}
-	if !almost(b.Rate(), 0.5) {
-		t.Errorf("B rate %v, want 0.5 under equal split", b.Rate())
+	if !almost(b.rate, 0.5) {
+		t.Errorf("B rate %v, want 0.5 under equal split", b.rate)
 	}
 }
 
@@ -191,21 +191,6 @@ func TestCompletionChain(t *testing.T) {
 	}
 }
 
-func TestRemainingOf(t *testing.T) {
-	k := des.NewKernel()
-	p := NewPool(k)
-	res := p.NewResource("r", 10)
-	a := NewActivity("a", 100, nil)
-	a.AddUsage(res, 1)
-	p.Start(a)
-	k.Schedule(4, des.PriorityDefault, func() {
-		if got := p.RemainingOf(a); !almost(got, 60) {
-			t.Errorf("remaining %v at t=4, want 60", got)
-		}
-	})
-	drain(k)
-}
-
 func TestManyActivitiesShareEvenly(t *testing.T) {
 	k := des.NewKernel()
 	p := NewPool(k)
@@ -218,8 +203,8 @@ func TestManyActivitiesShareEvenly(t *testing.T) {
 		p.Start(a)
 	}
 	for _, a := range p.active {
-		if !almost(a.Rate(), 100.0/n) {
-			t.Fatalf("rate %v, want %v", a.Rate(), 100.0/n)
+		if !almost(a.rate, 100.0/n) {
+			t.Fatalf("rate %v, want %v", a.rate, 100.0/n)
 		}
 	}
 	drain(k)
@@ -380,7 +365,7 @@ func TestWorkConservationProperty(t *testing.T) {
 			k.Schedule(delay, des.PriorityDefault, func() { p.Start(aa) })
 		}
 		drain(k)
-		return completed == n && p.ActiveCount() == 0
+		return completed == n && p.live == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -417,8 +402,8 @@ func TestMaxRateAlone(t *testing.T) {
 	a.AddUsage(res, 1)
 	a.SetMaxRate(10)
 	p.Start(a)
-	if !almost(a.Rate(), 10) {
-		t.Errorf("rate %v, want 10 (capped)", a.Rate())
+	if !almost(a.rate, 10) {
+		t.Errorf("rate %v, want 10 (capped)", a.rate)
 	}
 	drain(k)
 	if !almost(float64(done), 5) {
@@ -440,11 +425,11 @@ func TestMaxRateFreesCapacityForOthers(t *testing.T) {
 	b.AddUsage(res, 1)
 	p.Start(a)
 	p.Start(b)
-	if !almost(a.Rate(), 10) {
-		t.Errorf("narrow rate %v, want 10", a.Rate())
+	if !almost(a.rate, 10) {
+		t.Errorf("narrow rate %v, want 10", a.rate)
 	}
-	if !almost(b.Rate(), 70) {
-		t.Errorf("wide rate %v, want 70", b.Rate())
+	if !almost(b.rate, 70) {
+		t.Errorf("wide rate %v, want 70", b.rate)
 	}
 }
 
@@ -459,8 +444,8 @@ func TestMaxRateAboveBottleneckIsInert(t *testing.T) {
 	b.AddUsage(res, 1)
 	p.Start(a)
 	p.Start(b)
-	if !almost(a.Rate(), 5) || !almost(b.Rate(), 5) {
-		t.Errorf("rates %v/%v, want 5/5", a.Rate(), b.Rate())
+	if !almost(a.rate, 5) || !almost(b.rate, 5) {
+		t.Errorf("rates %v/%v, want 5/5", a.rate, b.rate)
 	}
 }
 
@@ -476,11 +461,11 @@ func TestMaxRateEqualSplit(t *testing.T) {
 	b.AddUsage(res, 1)
 	p.Start(a)
 	p.Start(b)
-	if !almost(a.Rate(), 10) {
-		t.Errorf("capped equal-split rate %v, want 10", a.Rate())
+	if !almost(a.rate, 10) {
+		t.Errorf("capped equal-split rate %v, want 10", a.rate)
 	}
-	if !almost(b.Rate(), 50) {
-		t.Errorf("uncapped equal-split rate %v, want 50", b.Rate())
+	if !almost(b.rate, 50) {
+		t.Errorf("uncapped equal-split rate %v, want 50", b.rate)
 	}
 }
 
@@ -503,8 +488,8 @@ func TestAccessors(t *testing.T) {
 	}
 	a := NewActivity("job.read", 10, nil)
 	a.AddUsage(r, 1)
-	if a.Name() != "job.read" || a.Remaining() != 10 {
-		t.Errorf("activity accessors: %q %v", a.Name(), a.Remaining())
+	if a.Name() != "job.read" || a.remaining != 10 {
+		t.Errorf("activity accessors: %q %v", a.Name(), a.remaining)
 	}
 	p.Start(a)
 	if p.Solves() == 0 {
@@ -580,8 +565,8 @@ func TestOneEventPerComponent(t *testing.T) {
 			t.Errorf("shared=%v: %d pending events, want %d", shared, got, want)
 		}
 		drain(k)
-		if p.ActiveCount() != 0 {
-			t.Errorf("shared=%v: %d activities never completed", shared, p.ActiveCount())
+		if p.live != 0 {
+			t.Errorf("shared=%v: %d activities never completed", shared, p.live)
 		}
 	}
 }

@@ -231,6 +231,12 @@ func (s *Server) handleCtrl(op ctrlOp) http.HandlerFunc {
 					writeError(w, http.StatusBadRequest, "invalid step count %q", nStr)
 					return
 				}
+				// One step is one slice under the session mutex: it may
+				// not outlast the bound Peek, pause and cancel rely on.
+				if n > stepChunk {
+					writeError(w, http.StatusBadRequest, "step count %d exceeds the step cap %d", n, stepChunk)
+					return
+				}
 				msg.n = n
 			}
 		}

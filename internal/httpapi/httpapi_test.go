@@ -68,15 +68,12 @@ func testServer(t *testing.T, journal string, workers int) (*Server, *httptest.S
 	// byte-identical result check doubles as the service-level pin that
 	// metrics collection does not perturb simulations.
 	qopts := jobqueue.Options{Metrics: obs.NewRegistry(), Flight: obs.NewFlightRecorder(256)}
-	var q *jobqueue.Queue
-	var err error
-	if journal != "" {
-		q, err = jobqueue.Open(journal, qopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		q = jobqueue.New(qopts)
+	if journal == "" {
+		journal = filepath.Join(t.TempDir(), "journal.jsonl")
+	}
+	q, err := jobqueue.Open(journal, qopts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	s := New(q, t.TempDir())
 	s.chunk = 256
@@ -427,6 +424,50 @@ func TestConcurrentSubmissions(t *testing.T) {
 			t.Errorf("job %s result differs from reference", id)
 		}
 	}
+}
+
+// TestStepCap: a step count above the slice bound is a 400 that runs
+// nothing, and a step at the bound still runs exactly that many events.
+func TestStepCap(t *testing.T) {
+	_, ts := testServer(t, "", 1)
+	id := submit(t, ts, slowConfigDoc)
+	waitState(t, ts, id, jobqueue.StateRunning)
+	code, body := post(t, ts, "/v1/sessions/"+id+"/pause")
+	if code != http.StatusOK {
+		t.Fatalf("pause: status %d: %s", code, body)
+	}
+	var paused jobView
+	if err := json.Unmarshal(body, &paused); err != nil {
+		t.Fatal(err)
+	}
+	if paused.Peek == nil || paused.Peek.Done {
+		t.Fatalf("pause ack = %+v, want a live peek mid-run", paused)
+	}
+	ev0 := paused.Peek.Events
+
+	code, body = post(t, ts, "/v1/sessions/"+id+"/step?n=4097")
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "4096") {
+		t.Fatalf("step?n=4097: status %d: %s; want 400 naming the cap 4096", code, body)
+	}
+	if v := getView(t, ts, id); v.Peek == nil || v.Peek.Events != ev0 {
+		t.Fatalf("rejected step advanced the session: %+v, want events %d", v.Peek, ev0)
+	}
+
+	code, body = post(t, ts, "/v1/sessions/"+id+"/step?n=4096")
+	if code != http.StatusOK {
+		t.Fatalf("step?n=4096: status %d: %s", code, body)
+	}
+	var stepped jobView
+	if err := json.Unmarshal(body, &stepped); err != nil {
+		t.Fatal(err)
+	}
+	if stepped.Peek == nil || stepped.Peek.Events != ev0+4096 {
+		t.Fatalf("after step(4096): peek = %+v, want events %d", stepped.Peek, ev0+4096)
+	}
+	if code, body := post(t, ts, "/v1/sessions/"+id+"/cancel"); code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("cancel: status %d: %s", code, body)
+	}
+	waitState(t, ts, id, jobqueue.StateCancelled)
 }
 
 // TestCancelMidRun cancels an executing job, running or parked by a

@@ -184,15 +184,6 @@ func (a *LeaseAPI[P]) handleRelease(w http.ResponseWriter, r *http.Request) {
 type LeaseClient[P any] struct {
 	// Base is the coordinator's URL, e.g. "http://127.0.0.1:9180".
 	Base string
-	// HTTP overrides the http.Client (default http.DefaultClient).
-	HTTP *http.Client
-}
-
-func (c *LeaseClient[P]) client() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 // post sends a JSON body and decodes a JSON response into out (when
@@ -208,7 +199,7 @@ func (c *LeaseClient[P]) post(ctx context.Context, path string, body, out any) e
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

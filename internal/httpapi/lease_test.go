@@ -29,7 +29,7 @@ func newLeaseFixture(t *testing.T, lease time.Duration) (*distwork.Store[leasePa
 	api.Register(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return store, &LeaseClient[leasePayload]{Base: srv.URL, HTTP: srv.Client()}
+	return store, &LeaseClient[leasePayload]{Base: srv.URL}
 }
 
 // claimOne claims a batch of one — the protocol's single claim.
@@ -406,7 +406,7 @@ func TestClaimBatchRejectsUnusableLease(t *testing.T) {
 		_, _ = w.Write([]byte(body))
 	}))
 	defer srv.Close()
-	client := &LeaseClient[leasePayload]{Base: srv.URL, HTTP: srv.Client()}
+	client := &LeaseClient[leasePayload]{Base: srv.URL}
 	const task = `{"id":"t000001","state":"claimed","worker":"w"}`
 	for _, secs := range []string{"0", "-5", "1e-12"} {
 		body = `{"tasks":[` + task + `],"lease_seconds":` + secs + `}`
@@ -443,7 +443,7 @@ func TestWorkOverHTTP(t *testing.T) {
 	(&LeaseAPI[leasePayload]{Store: store}).Register(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	client := &LeaseClient[leasePayload]{Base: srv.URL, HTTP: srv.Client()}
+	client := &LeaseClient[leasePayload]{Base: srv.URL}
 	for i := 0; i < n; i++ {
 		if _, err := store.Submit(leasePayload{Index: i}); err != nil {
 			t.Fatal(err)

@@ -21,8 +21,6 @@ type PlatformRef struct {
 	// BBReadBW and BBWriteBW are per-node bytes/s (node-local model).
 	BBReadBW  float64
 	BBWriteBW float64
-	// Latency is the per-communication base latency in seconds.
-	Latency float64
 }
 
 // CommWeights returns the per-link consumption factors for a pattern on n
@@ -193,7 +191,7 @@ func estimateTask(t *Task, n int, ref PlatformRef, env expr.Env) (float64, error
 		if rootW > w {
 			w = rootW
 		}
-		return ref.Latency + magnitude*w/ref.LinkBW, nil
+		return magnitude * w / ref.LinkBW, nil
 	case TaskRead, TaskWrite:
 		return estimateIO(t, n, ref, magnitude)
 	case TaskEvolvingRequest:

@@ -93,9 +93,6 @@ type Config struct {
 	TypeShares map[Type]float64
 	// Profiles is the class mix; empty selects DefaultProfiles.
 	Profiles []Profile
-	// WallTimeFactor scales the analytic runtime estimate into the
-	// user-provided walltime limit (default 2.5; <=0 disables limits).
-	WallTimeFactor float64
 	// MalleableTarget selects the I/O target for checkpoints: TargetPFS
 	// (default) or TargetBB.
 	CheckpointTarget IOTarget

@@ -59,9 +59,6 @@ func NewStream(cfg Config) (*Stream, error) {
 	if cfg.NodeSpeed <= 0 {
 		return nil, fmt.Errorf("job: node speed must be positive")
 	}
-	if cfg.WallTimeFactor == 0 {
-		cfg.WallTimeFactor = 2.5
-	}
 	if len(cfg.Profiles) == 0 {
 		cfg.Profiles = DefaultProfiles()
 	}
@@ -87,9 +84,6 @@ func NewStream(cfg Config) (*Stream, error) {
 	s.profCum = profileCum(s.cfg.Profiles)
 	return s, nil
 }
-
-// Count returns the total number of jobs the stream produces.
-func (s *Stream) Count() int { return s.cfg.Count }
 
 // Next returns the next job, already validated against the machine size,
 // or (nil, nil) once the stream is exhausted. Submit times are
@@ -131,6 +125,10 @@ func (s *Stream) model(expr string) *Model {
 	}
 	return m
 }
+
+// wallTimeFactor scales a generated job's analytic runtime estimate into
+// its walltime limit.
+const wallTimeFactor = 2.5
 
 // synthesize builds one job from a profile.
 func (s *Stream) synthesize(prof *Profile, jtype Type, idx int, submit float64) (*Job, error) {
@@ -189,16 +187,14 @@ func (s *Stream) synthesize(prof *Profile, jtype Type, idx int, submit float64) 
 	}
 	j.App = app
 
-	if cfg.WallTimeFactor > 0 {
-		// Adaptive jobs may be shrunk down to their minimum allocation, so
-		// the walltime estimate must cover the worst (smallest) case or a
-		// shrink-happy scheduler would get jobs killed.
-		worstScale := 1.0
-		if jtype.Adaptive() {
-			worstScale = float64(base) / float64(j.NumNodesMin)
-		}
-		j.WallTimeLimit = cfg.WallTimeFactor * estimateRuntime(iters, computeSecs*worstScale, commBytes, ioBytes, prof.Kind)
+	// Adaptive jobs may be shrunk down to their minimum allocation, so the
+	// walltime estimate must cover the worst (smallest) case or a
+	// shrink-happy scheduler would get jobs killed.
+	worstScale := 1.0
+	if jtype.Adaptive() {
+		worstScale = float64(base) / float64(j.NumNodesMin)
 	}
+	j.WallTimeLimit = wallTimeFactor * estimateRuntime(iters, computeSecs*worstScale, commBytes, ioBytes, prof.Kind)
 	return j, nil
 }
 

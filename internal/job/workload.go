@@ -152,15 +152,6 @@ func (w *Workload) Sort() {
 	}
 }
 
-// CountByType tallies the jobs per flexibility class.
-func (w *Workload) CountByType() map[Type]int {
-	out := map[Type]int{}
-	for _, j := range w.Jobs {
-		out[j.Type]++
-	}
-	return out
-}
-
 // --- JSON form -----------------------------------------------------------
 
 // taskJSON is the serialized form of a Task. The cost field name depends on

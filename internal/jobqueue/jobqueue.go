@@ -76,9 +76,6 @@ func (o Options) core() distwork.Options[json.RawMessage] {
 	}
 }
 
-// New creates a memory-only queue (no journal).
-func New(opts Options) *Queue { return distwork.New(opts.core()) }
-
 // Open creates a queue journaled at path, replaying any existing journal
 // first; see distwork.Open.
 func Open(path string, opts Options) (*Queue, error) { return distwork.Open(path, opts.core()) }

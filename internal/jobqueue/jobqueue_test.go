@@ -21,7 +21,7 @@ func TestFailAndCancel(t *testing.T) {
 		t.Fatalf("cancel pending: state=%s err=%v", st, err)
 	}
 
-	cl, _ := q.TryClaim("w")
+	cl, _ := tryClaim(q, "w")
 	if cl.ID != a.ID {
 		t.Fatalf("claimed %s, want %s (cancelled job must be skipped)", cl.ID, a.ID)
 	}
@@ -38,8 +38,8 @@ func TestFailAndCancel(t *testing.T) {
 	}
 
 	c, _ := q.Submit(nil)
-	q.TryClaim("w")
-	if err := q.Finish(c.ID, "w", "", errors.New("boom")); err != nil {
+	tryClaim(q, "w")
+	if err := finish(q, c.ID, "w", "", errors.New("boom")); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := q.Get(c.ID); got.State != StateFailed || got.Error != "boom" {
@@ -64,15 +64,15 @@ func TestJournalRecovery(t *testing.T) {
 	running, _ := q1.Submit(json.RawMessage(`{"job":"running"}`))
 	pending, _ := q1.Submit(json.RawMessage(`{"job":"pending"}`))
 
-	q1.TryClaim("w")
-	if err := q1.Finish(done.ID, "w", "artifacts/done", nil); err != nil {
+	tryClaim(q1, "w")
+	if err := finish(q1, done.ID, "w", "artifacts/done", nil); err != nil {
 		t.Fatal(err)
 	}
-	q1.TryClaim("w")
-	if err := q1.Finish(failed.ID, "w", "", errors.New("exploded")); err != nil {
+	tryClaim(q1, "w")
+	if err := finish(q1, failed.ID, "w", "", errors.New("exploded")); err != nil {
 		t.Fatal(err)
 	}
-	q1.TryClaim("w")
+	tryClaim(q1, "w")
 	if err := q1.MarkRunning(running.ID, "w"); err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +102,9 @@ func TestJournalRecovery(t *testing.T) {
 	}
 
 	// Exactly the two non-terminal jobs are claimable, in order.
-	first, ok1 := q2.TryClaim("w2")
-	second, ok2 := q2.TryClaim("w2")
-	_, ok3 := q2.TryClaim("w2")
+	first, ok1 := tryClaim(q2, "w2")
+	second, ok2 := tryClaim(q2, "w2")
+	_, ok3 := tryClaim(q2, "w2")
 	if !ok1 || !ok2 || ok3 {
 		t.Fatalf("claimable after recovery: %v %v %v, want true true false", ok1, ok2, ok3)
 	}

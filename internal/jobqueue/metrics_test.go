@@ -33,7 +33,7 @@ func TestQueueMetrics(t *testing.T) {
 	a, _ := q.Submit([]byte(`{"a":1}`))
 	b, _ := q.Submit([]byte(`{"b":2}`))
 
-	if _, ok := q.TryClaim("w1"); !ok {
+	if _, ok := tryClaim(q, "w1"); !ok {
 		t.Fatal("claim failed")
 	}
 	// Lose the lease: the job returns to pending and the expiry counts.
@@ -42,7 +42,7 @@ func TestQueueMetrics(t *testing.T) {
 		t.Fatalf("expired %d leases, want 1", n)
 	}
 	// Reclaim and finish one job each way.
-	j, ok := q.TryClaim("w2")
+	j, ok := tryClaim(q, "w2")
 	if !ok || j.ID != a.ID {
 		t.Fatalf("reclaim = (%v, %v), want job %s", j.ID, ok, a.ID)
 	}
@@ -52,7 +52,7 @@ func TestQueueMetrics(t *testing.T) {
 	if err := q.HeartbeatBatch("w2", []string{j.ID})[0]; err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Finish(j.ID, "w2", "artifacts/a", nil); err != nil {
+	if err := finish(q, j.ID, "w2", "artifacts/a", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.Cancel(b.ID); err != nil {

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,20 +12,30 @@ import (
 	"repro/internal/job"
 )
 
+// valueAt reads the step function at time t from its change points (0
+// before the first).
+func valueAt(tl *Timeline, t float64) float64 {
+	v := 0.0
+	for _, p := range tl.Points() {
+		if p.T > t {
+			break
+		}
+		v = p.V
+	}
+	return v
+}
+
 func TestTimelineBasics(t *testing.T) {
 	var tl Timeline
 	tl.Add(0, 4)
 	tl.Add(10, -2)
 	tl.Add(20, 6)
-	if tl.Current() != 8 {
-		t.Errorf("Current = %v", tl.Current())
-	}
 	cases := []struct{ t, want float64 }{
 		{-1, 0}, {0, 4}, {5, 4}, {10, 2}, {15, 2}, {20, 8}, {100, 8},
 	}
 	for _, tc := range cases {
-		if got := tl.At(tc.t); got != tc.want {
-			t.Errorf("At(%v) = %v, want %v", tc.t, got, tc.want)
+		if got := valueAt(&tl, tc.t); got != tc.want {
+			t.Errorf("value at %v = %v, want %v", tc.t, got, tc.want)
 		}
 	}
 }
@@ -61,8 +72,8 @@ func TestTimelineSameTimestampMerges(t *testing.T) {
 	if tl.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (merged)", tl.Len())
 	}
-	if tl.At(5) != 5 {
-		t.Errorf("At(5) = %v, want 5", tl.At(5))
+	if got := valueAt(&tl, 5); got != 5 {
+		t.Errorf("value at 5 = %v, want 5", got)
 	}
 }
 
@@ -75,19 +86,6 @@ func TestTimelineOutOfOrderPanics(t *testing.T) {
 		}
 	}()
 	tl.Add(4, 1)
-}
-
-func TestTimelineSetAndMax(t *testing.T) {
-	var tl Timeline
-	tl.Set(0, 3)
-	tl.Set(10, 7)
-	tl.Set(20, 1)
-	if tl.Max(0, 30) != 7 {
-		t.Errorf("Max = %v", tl.Max(0, 30))
-	}
-	if tl.Max(0, 9) != 3 {
-		t.Errorf("Max(0,9) = %v", tl.Max(0, 9))
-	}
 }
 
 func TestTimelineCSV(t *testing.T) {
@@ -191,9 +189,9 @@ func TestRecorderReconfiguration(t *testing.T) {
 	}
 	// Busy timeline follows the allocation.
 	busy := rec.BusyTimeline()
-	if busy.At(25) != 4 || busy.At(60) != 12 || busy.At(90) != 2 || busy.At(100) != 0 {
+	if valueAt(busy, 25) != 4 || valueAt(busy, 60) != 12 || valueAt(busy, 90) != 2 || valueAt(busy, 100) != 0 {
 		t.Errorf("busy timeline wrong: %v %v %v %v",
-			busy.At(25), busy.At(60), busy.At(90), busy.At(100))
+			valueAt(busy, 25), valueAt(busy, 60), valueAt(busy, 90), valueAt(busy, 100))
 	}
 }
 
@@ -309,8 +307,10 @@ func TestJobsCSV(t *testing.T) {
 
 func TestGanttExport(t *testing.T) {
 	rec := NewRecorder(8)
-	rec.AddGantt(0, "j", 4, 0, 10)
-	rec.AddGantt(0, "j", 8, 10, 20)
+	r := rec.JobSubmitted(makeJob(0, job.Malleable), "j", 0)
+	rec.JobStarted(r, 0, 4)
+	rec.JobReconfigured(r, 10, 8)
+	rec.JobFinished(r, 20, StatusCompleted)
 	var buf bytes.Buffer
 	if err := rec.WriteGanttJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -320,6 +320,33 @@ func TestGanttExport(t *testing.T) {
 	}
 	if len(rec.Gantt()) != 2 {
 		t.Errorf("gantt entries %d", len(rec.Gantt()))
+	}
+}
+
+// TestGanttSegments pins that the lifecycle callbacks cut the Gantt: one
+// segment per allocation, closed by a reconfiguration, a node failure or
+// the finish, and none while a failed job waits in the queue.
+func TestGanttSegments(t *testing.T) {
+	rec := NewRecorder(16)
+	m := rec.JobSubmitted(makeJob(0, job.Malleable), "m", 0)
+	d := rec.JobSubmitted(makeJob(1, job.Rigid), "d", 0)
+	rec.JobStarted(m, 5, 4)
+	rec.JobStarted(d, 5, 3)
+	rec.JobReconfigured(m, 10, 8)
+	rec.JobFailed(d, 12, 0)
+	rec.JobFinished(d, 12, StatusFailedNode) // dropped: holds no nodes
+	rec.JobFailed(m, 15, 40)
+	rec.JobRequeued(m)
+	rec.JobStarted(m, 20, 2)
+	rec.JobFinished(m, 30, StatusCompleted)
+	want := []GanttEntry{
+		{Job: 0, Name: "m", Nodes: 4, Start: 5, End: 10},
+		{Job: 1, Name: "d", Nodes: 3, Start: 5, End: 12},
+		{Job: 0, Name: "m", Nodes: 8, Start: 10, End: 15},
+		{Job: 0, Name: "m", Nodes: 2, Start: 20, End: 30},
+	}
+	if got := rec.Gantt(); !slices.Equal(got, want) {
+		t.Errorf("gantt = %+v\nwant    %+v", got, want)
 	}
 }
 

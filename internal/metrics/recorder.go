@@ -32,11 +32,6 @@ const (
 	StatusRequeued JobStatus = "requeued"
 )
 
-// Failed reports whether the status is a terminal non-success.
-func (s JobStatus) Failed() bool {
-	return s != "" && s != StatusCompleted && s != StatusRequeued
-}
-
 // JobRecord is the per-job outcome of a simulation.
 type JobRecord struct {
 	ID   job.ID   `json:"id"`
@@ -205,6 +200,7 @@ func (rec *Recorder) JobStarted(r *JobRecord, t float64, nodes int) {
 
 // JobReconfigured registers an applied allocation change.
 func (rec *Recorder) JobReconfigured(r *JobRecord, t float64, newNodes int) {
+	rec.endSegment(r, t)
 	r.NodeSeconds += float64(r.curNodes) * (t - r.lastChange)
 	rec.busy.Add(t, float64(newNodes-r.curNodes))
 	r.curNodes = newNodes
@@ -218,6 +214,7 @@ func (rec *Recorder) JobReconfigured(r *JobRecord, t float64, newNodes int) {
 
 // JobFinished registers a terminal outcome with the given status.
 func (rec *Recorder) JobFinished(r *JobRecord, t float64, status JobStatus) {
+	rec.endSegment(r, t)
 	r.NodeSeconds += float64(r.curNodes) * (t - r.lastChange)
 	rec.busy.Add(t, -float64(r.curNodes))
 	r.End = t
@@ -236,6 +233,7 @@ func (rec *Recorder) JobFinished(r *JobRecord, t float64, status JobStatus) {
 // follow with JobRequeued (resubmission) or JobFinished with
 // StatusFailedNode (dropped).
 func (rec *Recorder) JobFailed(r *JobRecord, t float64, lost float64) {
+	rec.endSegment(r, t)
 	r.NodeSeconds += float64(r.curNodes) * (t - r.lastChange)
 	rec.busy.Add(t, -float64(r.curNodes))
 	r.curNodes = 0
@@ -296,9 +294,12 @@ func (rec *Recorder) JobAbandoned(r *JobRecord, t float64) {
 	}
 }
 
-// AddGantt records one allocation segment for trace export.
-func (rec *Recorder) AddGantt(id job.ID, name string, nodes int, start, end float64) {
-	rec.gantt = append(rec.gantt, GanttEntry{Job: id, Name: name, Nodes: nodes, Start: start, End: end})
+// endSegment closes the job's current allocation segment at t, if it
+// holds nodes: the Gantt gets one entry per segment.
+func (rec *Recorder) endSegment(r *JobRecord, t float64) {
+	if r.curNodes > 0 {
+		rec.gantt = append(rec.gantt, GanttEntry{Job: r.ID, Name: r.Name, Nodes: r.curNodes, Start: r.lastChange, End: t})
+	}
 }
 
 // Records returns all job records in submission order.

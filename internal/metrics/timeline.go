@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 )
 
 // Timeline is a right-continuous step function of time, built by applying
@@ -40,29 +39,8 @@ func (tl *Timeline) grow(n int) {
 	tl.values = slices.Grow(tl.values, n)
 }
 
-// Set records an absolute value at time t.
-func (tl *Timeline) Set(t, value float64) {
-	tl.Add(t, value-tl.cur)
-}
-
-// Current returns the latest value.
-func (tl *Timeline) Current() float64 { return tl.cur }
-
 // Len returns the number of change points.
 func (tl *Timeline) Len() int { return len(tl.times) }
-
-// At returns the value at time t (0 before the first change point).
-func (tl *Timeline) At(t float64) float64 {
-	i := sort.SearchFloat64s(tl.times, t)
-	// i is the first index with times[i] >= t.
-	if i < len(tl.times) && tl.times[i] == t {
-		return tl.values[i]
-	}
-	if i == 0 {
-		return 0
-	}
-	return tl.values[i-1]
-}
 
 // Integral returns the integral of the step function over [a, b].
 func (tl *Timeline) Integral(a, b float64) float64 {
@@ -94,17 +72,6 @@ func (tl *Timeline) Mean(a, b float64) float64 {
 		return 0
 	}
 	return tl.Integral(a, b) / (b - a)
-}
-
-// Max returns the maximum value attained in [a, b].
-func (tl *Timeline) Max(a, b float64) float64 {
-	maxV := tl.At(a)
-	for i, t := range tl.times {
-		if t >= a && t < b && tl.values[i] > maxV {
-			maxV = tl.values[i]
-		}
-	}
-	return maxV
 }
 
 // Points returns the raw change points.

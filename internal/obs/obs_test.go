@@ -73,7 +73,7 @@ func TestRegistryGetOrCreateAndNilSafety(t *testing.T) {
 	var nilReg *Registry
 	nilReg.Counter("a_total").Inc()
 	nilReg.Gauge("b", nil).Set(1)
-	nilReg.Gauge("b", nil).Add(1)
+	nilReg.Gauge("b", nil).SetMax(1)
 	nilReg.Histogram("c", DefLatencyBuckets).Observe(1)
 	nilReg.Help("a_total", "h")
 	if err := nilReg.WritePrometheus(&strings.Builder{}); err != nil {
@@ -114,17 +114,13 @@ func TestRegistryPanicsOnBadNames(t *testing.T) {
 	}()
 }
 
-func TestGaugeSetMaxAndAdd(t *testing.T) {
+func TestGaugeSetMax(t *testing.T) {
 	reg := NewRegistry()
 	g := reg.Gauge("peak", nil)
 	g.SetMax(5)
 	g.SetMax(3)
 	if g.Value() != 5 {
 		t.Errorf("SetMax: got %v, want 5", g.Value())
-	}
-	g.Add(2.5)
-	if g.Value() != 7.5 {
-		t.Errorf("Add: got %v, want 7.5", g.Value())
 	}
 }
 
@@ -165,7 +161,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				reg.Counter("c_total").Inc()
-				reg.Gauge("g", nil).Add(1)
+				reg.Gauge("g", nil).SetMax(float64(i))
 				reg.Histogram("h_seconds", DefLatencyBuckets).Observe(0.001)
 			}
 		}()

@@ -82,20 +82,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add adds d to the gauge (atomically, via CAS). Ignored on callback gauges.
-func (g *Gauge) Add(d float64) {
-	if g == nil || g.fn != nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // SetMax raises the gauge to v if v is larger — a high-water mark.
 func (g *Gauge) SetMax(v float64) {
 	if g == nil || g.fn != nil {

@@ -51,9 +51,6 @@ type FairShare struct {
 // Name implements Algorithm.
 func (f *FairShare) Name() string { return "fairshare" }
 
-// Usage returns a user's accumulated node-seconds so far.
-func (f *FairShare) Usage(user string) float64 { return f.usage[user] }
-
 func userOf(v *JobView) string {
 	if v.Job.User == "" {
 		return "(nobody)"

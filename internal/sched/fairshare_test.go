@@ -83,10 +83,10 @@ func TestFairShareOrdersByUsage(t *testing.T) {
 	if len(ds) != 1 || ds[0].Job != 2 {
 		t.Errorf("fair share should start bob first: %v", ds)
 	}
-	if got := f.Usage("alice"); got != 800 {
+	if got := f.usage["alice"]; got != 800 {
 		t.Errorf("alice usage %v, want 800", got)
 	}
-	if got := f.Usage("bob"); got != 0 {
+	if got := f.usage["bob"]; got != 0 {
 		t.Errorf("bob usage %v, want 0", got)
 	}
 }

@@ -34,7 +34,6 @@ type AuditRecord struct {
 type AuditLog struct {
 	w   *bufio.Writer
 	enc *json.Encoder
-	n   int
 	err error
 }
 
@@ -51,17 +50,7 @@ func (a *AuditLog) Record(rec AuditRecord) {
 	}
 	if err := a.enc.Encode(rec); err != nil {
 		a.err = err
-		return
 	}
-	a.n++
-}
-
-// Records returns the number of records written so far.
-func (a *AuditLog) Records() int {
-	if a == nil {
-		return 0
-	}
-	return a.n
 }
 
 // Err returns the first write error, if any.

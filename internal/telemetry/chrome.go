@@ -273,6 +273,3 @@ func (s *ChromeTraceStats) SortedTrackKeys() []TrackKey {
 
 // JobTrackKey maps a job id to its Chrome track key.
 func JobTrackKey(job int) TrackKey { return TrackKey{Pid: chromePidJobs, Tid: job} }
-
-// NodeTrackKey maps a node id to its Chrome track key.
-func NodeTrackKey(node int) TrackKey { return TrackKey{Pid: chromePidNodes, Tid: node} }

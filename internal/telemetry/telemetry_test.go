@@ -38,7 +38,6 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 	var a *AuditLog
 	allocs = testing.AllocsPerRun(100, func() {
 		a.Record(AuditRecord{})
-		_ = a.Records()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil audit log allocated %.1f times per run; want 0", allocs)
@@ -84,7 +83,7 @@ func TestChromeSinkValid(t *testing.T) {
 	if jt.Spans != 3 || jt.OpenSpans != 0 {
 		t.Errorf("job 0 spans = %d open = %d; want 3 closed, 0 open", jt.Spans, jt.OpenSpans)
 	}
-	if nt := stats.Tracks[NodeTrackKey(2)]; nt == nil || nt.Spans != 1 {
+	if nt := stats.Tracks[TrackKey{Pid: chromePidNodes, Tid: 2}]; nt == nil || nt.Spans != 1 {
 		t.Errorf("node 2 track = %+v; want one span", nt)
 	}
 	if !strings.Contains(buf.String(), `"process_name"`) || !strings.Contains(buf.String(), `"thread_name"`) {
@@ -228,9 +227,6 @@ func TestAuditLogRoundtrip(t *testing.T) {
 		},
 	})
 	a.Record(AuditRecord{T: 20, Invocation: 2, Reasons: "completion"})
-	if a.Records() != 2 {
-		t.Fatalf("Records() = %d; want 2", a.Records())
-	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,50 +15,32 @@ import (
 	"repro/internal/metrics"
 )
 
-// Options controls canvas geometry.
-type Options struct {
-	// Width and Height are the canvas size in pixels (defaults 960x480).
-	Width  int
-	Height int
-	// Title is drawn at the top.
-	Title string
-	// Outages overlays node failure/repair intervals on the Gantt chart as
-	// hatched gray bands on the failed node's lane. Open outages (End < 0)
-	// extend to the end of the plotted time range.
-	Outages []metrics.Outage
-}
-
-func (o Options) withDefaults() Options {
-	if o.Width <= 0 {
-		o.Width = 960
-	}
-	if o.Height <= 0 {
-		o.Height = 480
-	}
-	return o
-}
-
+// Canvas geometry in pixels.
 const (
+	width        = 960
+	height       = 480
 	marginLeft   = 60.0
 	marginRight  = 20.0
 	marginTop    = 40.0
 	marginBottom = 40.0
+	plotW        = width - marginLeft - marginRight
+	plotH        = height - marginTop - marginBottom
 )
 
 // svgBuilder accumulates SVG elements with bounds checking.
 type svgBuilder struct {
-	sb   strings.Builder
-	opts Options
+	sb strings.Builder
 }
 
-func newSVG(opts Options) *svgBuilder {
-	b := &svgBuilder{opts: opts}
+// newSVG starts a canvas; a non-empty title is drawn at the top.
+func newSVG(title string) *svgBuilder {
+	b := &svgBuilder{}
 	fmt.Fprintf(&b.sb, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		opts.Width, opts.Height, opts.Width, opts.Height)
-	fmt.Fprintf(&b.sb, `<rect width="%d" height="%d" fill="white"/>`+"\n", opts.Width, opts.Height)
-	if opts.Title != "" {
+		width, height, width, height)
+	fmt.Fprintf(&b.sb, `<rect width="%d" height="%d" fill="white"/>`+"\n", width, height)
+	if title != "" {
 		fmt.Fprintf(&b.sb, `<text x="%d" y="24" font-family="sans-serif" font-size="16" fill="#222">%s</text>`+"\n",
-			opts.Width/2-len(opts.Title)*4, escape(opts.Title))
+			width/2-len(title)*4, escape(title))
 	}
 	return b
 }
@@ -180,33 +162,28 @@ func niceTicks(maxV float64, n int) []float64 {
 // chart: one colored band per job, reconfigurations marked at segment
 // boundaries, node outages overlaid as hatched bands. It is the single
 // Gantt implementation behind both the CLI's -gantt-svg flag and the
-// daemon's gantt.svg endpoint. Unless opts.Outages is set explicitly, the
-// recorder's outage intervals are used.
-func WriteGantt(w io.Writer, rec *metrics.Recorder, opts Options) error {
-	if opts.Outages == nil {
-		opts.Outages = rec.Outages()
-	}
-	return Gantt(w, rec.Gantt(), rec.TotalNodes(), opts)
+// daemon's gantt.svg endpoint.
+func WriteGantt(w io.Writer, rec *metrics.Recorder, title string) error {
+	return Gantt(w, rec.Gantt(), rec.Outages(), rec.TotalNodes(), title)
 }
 
 // WriteUtilization renders a recorder's busy-nodes timeline as an SVG step
 // plot, scaled to the machine size.
-func WriteUtilization(w io.Writer, rec *metrics.Recorder, opts Options) error {
-	return Timeline(w, rec.BusyTimeline(), "busy nodes", float64(rec.TotalNodes()), opts)
+func WriteUtilization(w io.Writer, rec *metrics.Recorder, title string) error {
+	return Timeline(w, rec.BusyTimeline(), "busy nodes", float64(rec.TotalNodes()), title)
 }
 
 // Gantt renders allocation segments as a Gantt chart. Because segments
 // record node counts (not identities), lanes are assigned with the same
 // lowest-first discipline the simulator's allocator uses, so the picture
-// closely matches the real placement.
-func Gantt(w io.Writer, entries []metrics.GanttEntry, totalNodes int, opts Options) error {
+// closely matches the real placement. Node outages are overlaid as
+// hatched gray bands on the failed node's lane; open outages (End < 0)
+// extend to the end of the plotted time range.
+func Gantt(w io.Writer, entries []metrics.GanttEntry, outages []metrics.Outage, totalNodes int, title string) error {
 	if totalNodes <= 0 {
 		return fmt.Errorf("viz: totalNodes must be positive")
 	}
-	opts = opts.withDefaults()
-	b := newSVG(opts)
-	plotW := float64(opts.Width) - marginLeft - marginRight
-	plotH := float64(opts.Height) - marginTop - marginBottom
+	b := newSVG(title)
 
 	maxT := 0.0
 	for _, e := range entries {
@@ -290,7 +267,7 @@ func Gantt(w io.Writer, entries []metrics.GanttEntry, totalNodes int, opts Optio
 	// The lane-assignment discipline above mirrors the allocator, so the
 	// node index doubles as the lane index. Open outages run to the plot
 	// edge.
-	for _, o := range opts.Outages {
+	for _, o := range outages {
 		if o.Node < 0 || o.Node >= totalNodes {
 			continue
 		}
@@ -321,7 +298,7 @@ func Gantt(w io.Writer, entries []metrics.GanttEntry, totalNodes int, opts Optio
 		b.line(marginLeft-4, y, marginLeft, y, "#222", 1)
 		b.text(marginLeft-8, y+4, 11, "end", fmt.Sprintf("%.0f", v))
 	}
-	b.text(marginLeft+plotW/2, float64(opts.Height)-6, 12, "middle", "time [s]")
+	b.text(marginLeft+plotW/2, float64(height)-6, 12, "middle", "time [s]")
 	b.text(14, marginTop+plotH/2, 12, "middle", "nodes")
 	return b.finish(w)
 }
@@ -346,11 +323,8 @@ func contiguous(lanes []int) [][]int {
 
 // Timeline renders a step function (e.g. busy nodes over time) as a step
 // line with filled area.
-func Timeline(w io.Writer, tl *metrics.Timeline, yLabel string, yMax float64, opts Options) error {
-	opts = opts.withDefaults()
-	b := newSVG(opts)
-	plotW := float64(opts.Width) - marginLeft - marginRight
-	plotH := float64(opts.Height) - marginTop - marginBottom
+func Timeline(w io.Writer, tl *metrics.Timeline, yLabel string, yMax float64, title string) error {
+	b := newSVG(title)
 
 	pts := tl.Points()
 	maxT := 1.0
@@ -397,7 +371,7 @@ func Timeline(w io.Writer, tl *metrics.Timeline, yLabel string, yMax float64, op
 		b.line(marginLeft-4, y, marginLeft, y, "#222", 1)
 		b.text(marginLeft-8, y+4, 11, "end", fmt.Sprintf("%.0f", v))
 	}
-	b.text(marginLeft+plotW/2, float64(opts.Height)-6, 12, "middle", "time [s]")
+	b.text(marginLeft+plotW/2, float64(height)-6, 12, "middle", "time [s]")
 	b.text(14, marginTop+plotH/2, 12, "middle", yLabel)
 	return b.finish(w)
 }

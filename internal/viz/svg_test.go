@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/job"
 	"repro/internal/metrics"
 )
 
@@ -45,7 +46,7 @@ func sampleGantt() []metrics.GanttEntry {
 
 func TestGanttWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Gantt(&buf, sampleGantt(), 16, Options{Title: "demo"}); err != nil {
+	if err := Gantt(&buf, sampleGantt(), nil, 16, "demo"); err != nil {
 		t.Fatal(err)
 	}
 	counts := parseSVG(t, buf.Bytes())
@@ -73,7 +74,7 @@ func TestGanttOutagesAndReconfigMarkers(t *testing.T) {
 		{Node: 99, Start: 1, End: 2},   // out of range: dropped
 	}
 	var buf bytes.Buffer
-	err := Gantt(&buf, entries, 16, Options{Title: "failures", Outages: outages})
+	err := Gantt(&buf, entries, outages, 16, "failures")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestGanttOutagesAndReconfigMarkers(t *testing.T) {
 
 func TestGanttEmptyEntries(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Gantt(&buf, nil, 8, Options{}); err != nil {
+	if err := Gantt(&buf, nil, nil, 8, ""); err != nil {
 		t.Fatal(err)
 	}
 	parseSVG(t, buf.Bytes())
@@ -122,7 +123,7 @@ func TestGanttEmptyEntries(t *testing.T) {
 
 func TestGanttRejectsBadMachine(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Gantt(&buf, sampleGantt(), 0, Options{}); err == nil {
+	if err := Gantt(&buf, sampleGantt(), nil, 0, ""); err == nil {
 		t.Error("zero-node machine accepted")
 	}
 }
@@ -133,7 +134,7 @@ func TestTimelineWellFormed(t *testing.T) {
 	tl.Add(10, 4)
 	tl.Add(20, -6)
 	var buf bytes.Buffer
-	if err := Timeline(&buf, &tl, "busy nodes", 16, Options{Title: "utilization"}); err != nil {
+	if err := Timeline(&buf, &tl, "busy nodes", 16, "utilization"); err != nil {
 		t.Fatal(err)
 	}
 	counts := parseSVG(t, buf.Bytes())
@@ -148,7 +149,7 @@ func TestTimelineWellFormed(t *testing.T) {
 func TestTimelineEmpty(t *testing.T) {
 	var tl metrics.Timeline
 	var buf bytes.Buffer
-	if err := Timeline(&buf, &tl, "y", 0, Options{}); err != nil {
+	if err := Timeline(&buf, &tl, "y", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	parseSVG(t, buf.Bytes())
@@ -226,17 +227,21 @@ func TestEscape(t *testing.T) {
 // same run, including the recorder's outage overlay.
 func TestWriteGanttMatchesGantt(t *testing.T) {
 	rec := metrics.NewRecorder(16)
-	rec.AddGantt(0, "a", 4, 0, 10)
-	rec.AddGantt(1, "b", 2, 2, 8)
-	rec.AddGantt(0, "a", 8, 10, 20)
+	a := rec.JobSubmitted(&job.Job{ID: 0, Type: job.Malleable}, "a", 0)
+	b := rec.JobSubmitted(&job.Job{ID: 1, Type: job.Rigid}, "b", 0)
+	rec.JobStarted(a, 0, 4)
+	rec.JobStarted(b, 2, 2)
+	rec.JobFinished(b, 8, metrics.StatusCompleted)
+	rec.JobReconfigured(a, 10, 8)
+	rec.JobFinished(a, 20, metrics.StatusCompleted)
 	rec.NodeDown(3, 5)
 	rec.NodeUp(3, 9)
 
 	var direct, viaRec bytes.Buffer
-	if err := Gantt(&direct, rec.Gantt(), rec.TotalNodes(), Options{Title: "t", Outages: rec.Outages()}); err != nil {
+	if err := Gantt(&direct, rec.Gantt(), rec.Outages(), rec.TotalNodes(), "t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteGantt(&viaRec, rec, Options{Title: "t"}); err != nil {
+	if err := WriteGantt(&viaRec, rec, "t"); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(direct.Bytes(), viaRec.Bytes()) {
@@ -244,7 +249,7 @@ func TestWriteGanttMatchesGantt(t *testing.T) {
 	}
 
 	var util bytes.Buffer
-	if err := WriteUtilization(&util, rec, Options{}); err != nil {
+	if err := WriteUtilization(&util, rec, ""); err != nil {
 		t.Fatal(err)
 	}
 	if c := parseSVG(t, util.Bytes()); c["svg"] != 1 {
