@@ -75,7 +75,7 @@ func run(ctx context.Context) error {
 	// Jobs are written one by one, so memory stays flat no matter the count.
 	s, err := elastisim.NewWorkloadStream(cfg)
 	if err != nil {
-		return err
+		return cli.Usagef("%v", err) // every field of cfg is a flag
 	}
 	out := bufio.NewWriterSize(os.Stdout, 1<<20)
 	ww := job.NewWorkloadWriter(out, cfg.Name)

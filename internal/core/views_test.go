@@ -231,18 +231,23 @@ func builtinAlgorithms() []sched.Algorithm {
 type viewScenario struct {
 	name     string
 	seed     uint64
-	recovery failure.RecoveryPolicy // "" = no failures
-	deps     bool                   // chain some jobs behind earlier ones
-	kills    bool                   // wrap the algorithm in killSome
-	tree     bool                   // a tree network, so packed placement pins nodes
+	recovery failure.RecoveryPolicy   // "" = no failures
+	deps     bool                     // chain some jobs behind earlier ones
+	kills    bool                     // wrap the algorithm in killSome
+	tree     bool                     // a tree network, so packed placement pins nodes
+	algos    func() []sched.Algorithm // nil = builtinAlgorithms
 }
 
-// run simulates the scenario under every built-in algorithm with a
-// checker attached, returns how many trace events of each kind (and each
+// run simulates the scenario under each of s.algos with a checker
+// attached, returns how many trace events of each kind (and each
 // finish status) the runs produced, and whether every check passed.
 func (s viewScenario) run(t *testing.T, seen map[string]int) bool {
 	ok := true
-	for _, algo := range builtinAlgorithms() {
+	algos := builtinAlgorithms
+	if s.algos != nil {
+		algos = s.algos
+	}
+	for _, algo := range algos() {
 		w := randomWorkload(t, s.seed, 30)
 		if s.deps {
 			for i, j := range w.Jobs {

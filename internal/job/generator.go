@@ -221,10 +221,8 @@ func interArrival(rng *des.RNG, a Arrival) float64 {
 		return rng.Weibull(a.Shape, a.Scale)
 	case ArrivalUniform:
 		return 1 / a.Rate
-	case ArrivalAll, "":
+	default: // ArrivalAll or unset; NewStream refuses every other kind
 		return 0
-	default:
-		panic(fmt.Sprintf("job: unknown arrival kind %q", a.Kind))
 	}
 }
 

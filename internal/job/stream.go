@@ -59,6 +59,12 @@ func NewStream(cfg Config) (*Stream, error) {
 	if cfg.NodeSpeed <= 0 {
 		return nil, fmt.Errorf("job: node speed must be positive")
 	}
+	switch cfg.Arrival.Kind {
+	case ArrivalPoisson, ArrivalWeibull, ArrivalUniform, ArrivalAll, "":
+	default:
+		return nil, fmt.Errorf("job: unknown arrival kind %q (valid: %s, %s, %s, %s)",
+			cfg.Arrival.Kind, ArrivalPoisson, ArrivalWeibull, ArrivalUniform, ArrivalAll)
+	}
 	if len(cfg.Profiles) == 0 {
 		cfg.Profiles = DefaultProfiles()
 	}

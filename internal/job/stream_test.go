@@ -2,6 +2,7 @@ package job
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -121,6 +122,23 @@ func TestStreamRejectsBadConfig(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := NewStream(cfg); err == nil {
 			t.Errorf("config %d: NewStream accepted invalid config", i)
+		}
+	}
+}
+
+// TestStreamRejectsUnknownArrival: an arrival kind the generator does not
+// know is a configuration error naming the valid kinds, not a panic at the
+// first job.
+func TestStreamRejectsUnknownArrival(t *testing.T) {
+	cfg := streamTestConfig()
+	cfg.Arrival.Kind = "bogus"
+	_, err := NewStream(cfg)
+	if err == nil {
+		t.Fatal("NewStream accepted arrival kind \"bogus\"")
+	}
+	for _, want := range []string{`"bogus"`, "poisson", "weibull", "uniform", "all"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
 		}
 	}
 }

@@ -51,26 +51,40 @@ func decodeInvocation(s *byteSource) *Invocation {
 		inv.Running = append(inv.Running, v)
 	}
 	for i, n := 0, s.next()%12; i < n; i++ {
-		var wall float64
-		switch k := s.next(); k % 5 {
-		case 0: // no walltime: +Inf duration
-		case 1:
-			wall = 1e-9 // vanishes next to a large Now
-		case 2:
-			wall = 0.5 + float64(k%7)
-		default:
-			wall = 10 * float64(1+k%6)
-		}
-		v := mkPending(100+i, 1+s.next()%(inv.TotalNodes+4), wall)
-		if m := s.next(); m%4 == 0 {
-			v.Job.Type = job.Malleable
-			v.Job.NumNodesMin = 1 + m%5
-			v.Job.NumNodesMax = v.Job.NumNodesMin + s.next()%40
-			syncView(v)
-		}
-		inv.Pending = append(inv.Pending, v)
+		inv.Pending = append(inv.Pending, decodePending(s, job.ID(100+i), inv.TotalNodes))
 	}
 	return inv
+}
+
+// decodePending builds one pending view for decodeInvocation: a rigid or
+// malleable job, possibly above total nodes, with a walltime that may be
+// absent or vanish next to a large Now.
+func decodePending(s *byteSource, id job.ID, total int) *JobView {
+	var wall float64
+	switch k := s.next(); k % 5 {
+	case 0: // no walltime: +Inf duration
+	case 1:
+		wall = 1e-9 // vanishes next to a large Now
+	case 2:
+		wall = 0.5 + float64(k%7)
+	default:
+		wall = 10 * float64(1+k%6)
+	}
+	v := mkPending(int(id), 1+s.next()%(total+4), wall)
+	if m := s.next(); m%4 == 0 {
+		v.Job.Type = job.Malleable
+		v.Job.NumNodesMin = 1 + m%5
+		v.Job.NumNodesMax = v.Job.NumNodesMin + s.next()%40
+		syncView(v)
+	}
+	return v
+}
+
+// newProfile is the profile a full pass on inv starts from.
+func newProfile(inv *Invocation) profile {
+	var p profile
+	p.reset(inv.Now, inv.FreeNodes, appendReleases(nil, inv.Running), 0)
+	return p
 }
 
 // checkAgainstReference runs Conservative and refConservative on the
@@ -187,27 +201,290 @@ func deepQueueInvocation() *Invocation {
 	return inv
 }
 
+// submitOnly returns n+1 snapshots of the same backlogged machine: the
+// first is deepQueueInvocation with the starts of a pass on it applied,
+// and each later one adds one more job to the queue, too wide to start.
+// Each snapshot is the one before it advanced by a pass's own starts (none),
+// so a kept pass on snapshot k serves snapshot k+1 by reserving one job.
+func submitOnly(n int) []*Invocation {
+	inv := deepQueueInvocation()
+	started := map[job.ID]bool{}
+	for _, d := range (&Conservative{}).Schedule(inv) {
+		started[d.Job] = true
+	}
+	base := *inv
+	base.Pending = nil
+	for _, v := range inv.Pending {
+		if !started[v.ID] {
+			base.Pending = append(base.Pending, v)
+			continue
+		}
+		v.State, v.Nodes, v.StartTime, v.ExpectedEnd = StateRunning, v.ReqNodes, inv.Now, inv.Now+v.WallTime
+		base.Running = append(base.Running, v)
+		base.FreeNodes -= v.ReqNodes
+	}
+	queue := base.Pending
+	for i := 0; i < n; i++ {
+		queue = append(queue, mkPending(1000+i, base.FreeNodes+1, float64(60+i)))
+	}
+	out := make([]*Invocation, n+1)
+	for k := range out {
+		snap := base
+		snap.Pending = queue[:len(base.Pending)+k]
+		out[k] = &snap
+	}
+	return out
+}
+
 func TestConservativeScheduleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
 	}
-	inv := deepQueueInvocation()
-	c := &Conservative{}
 	// The O(P·B²) profile made 31 allocations here: slices grown by
 	// insertion, a heap-allocated profile and sort.Slice's reflect swapper.
-	// Now: the presized times and free, the releases, and three for the
-	// decisions slice growing by append.
-	if got := testing.AllocsPerRun(20, func() { c.Schedule(inv) }); got != 6 {
-		t.Errorf("Schedule allocates %v times per call, want 6", got)
+	// The one-pass sweep made 6: the presized profile, the releases and
+	// the decisions. A warmed Conservative makes none: every buffer is
+	// its own, reused by the next call.
+	inv := deepQueueInvocation()
+	c := &Conservative{}
+	if len(c.Schedule(inv)) == 0 {
+		t.Fatal("nothing started, so the next call could reuse the pass")
+	}
+	if c.extends(inv) >= 0 {
+		t.Fatal("a snapshot that still queues the started jobs reuses the pass")
+	}
+	if got := testing.AllocsPerRun(20, func() { c.Schedule(inv) }); got != 0 {
+		t.Errorf("a full pass allocates %v times per call, want 0", got)
+	}
+
+	const calls = 20
+	seq := submitOnly(calls + 1) // AllocsPerRun makes one warm-up call
+	for _, snap := range seq {   // grow every buffer to the last call's size
+		c.Schedule(snap)
+	}
+	c.Schedule(seq[0])
+	for k := 1; k < len(seq); k++ {
+		if c.extends(seq[k]) < 0 {
+			t.Fatalf("submit-only call %d does not reuse the pass", k)
+		}
+		c.Schedule(seq[k])
+	}
+	c.Schedule(seq[0])
+	k := 0
+	if got := testing.AllocsPerRun(calls, func() { k++; c.Schedule(seq[k]) }); got != 0 {
+		t.Errorf("a submit-only call allocates %v times per call, want 0", got)
 	}
 }
 
+// BenchmarkConservativeSchedule times a full pass at deep_queue's shape
+// and a call on the same queue that only adds one job to it.
 func BenchmarkConservativeSchedule(b *testing.B) {
-	inv := deepQueueInvocation()
-	c := &Conservative{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Schedule(inv)
+	b.Run("full", func(b *testing.B) {
+		inv := deepQueueInvocation()
+		c := &Conservative{}
+		if len(c.Schedule(inv)) == 0 {
+			b.Fatal("nothing started, so every call after the first would reuse the pass")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Schedule(inv)
+		}
+	})
+	b.Run("submit", func(b *testing.B) {
+		seq := submitOnly(64)
+		c := &Conservative{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := 1 + i%(len(seq)-1)
+			if k == 1 { // start the sequence over with an untimed full pass
+				b.StopTimer()
+				c.Schedule(seq[0])
+				b.StartTimer()
+			}
+			c.Schedule(seq[k])
+		}
+	})
+}
+
+// checkSequence drives a kept Conservative through snapshots decoded from
+// data, each the one before it advanced as an engine might advance it (see
+// sequence.advance), and after every call compares the kept value with a
+// fresh Conservative that scheduled the same snapshot: the decisions, the
+// profile, the reservations, and what each expects of the next snapshot.
+// It returns how many calls reused the kept pass.
+func checkSequence(t *testing.T, data []byte) (reused int) {
+	t.Helper()
+	s := &byteSource{b: data}
+	inv := decodeInvocation(s)
+	seq := &sequence{inv: inv, nextID: 1000}
+	kept := &Conservative{}
+	for call := 1; call <= 48; call++ {
+		if kept.extends(inv) >= 0 {
+			reused++
+		}
+		got := kept.Schedule(inv)
+		fresh := &Conservative{}
+		want := fresh.Schedule(inv)
+		if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d at Now=%v: kept pass decided %v, fresh pass %v", call, inv.Now, got, want)
+		}
+		if msg := diffPass(kept, fresh); msg != "" {
+			t.Fatalf("call %d at Now=%v: %s", call, inv.Now, msg)
+		}
+		if s.i >= len(s.b) {
+			break
+		}
+		seq.advance(s, got)
 	}
+	return reused
+}
+
+// diffPass describes the first difference between two Conservatives' kept
+// passes, or returns "".
+func diffPass(a, b *Conservative) string {
+	switch {
+	case !slices.Equal(a.prof.times, b.prof.times) || !slices.Equal(a.prof.free, b.prof.free):
+		return fmt.Sprintf("kept profile (%v, %v), fresh (%v, %v)", a.prof.times, a.prof.free, b.prof.times, b.prof.free)
+	case !slices.Equal(a.queue, b.queue):
+		return fmt.Sprintf("kept reservations %v, fresh %v", a.queue, b.queue)
+	case a.now != b.now || a.free != b.free || !slices.Equal(a.rels, b.rels):
+		return fmt.Sprintf("kept pass expects Now=%v, %d free, releases %v; fresh Now=%v, %d free, releases %v",
+			a.now, a.free, a.rels, b.now, b.free, b.rels)
+	}
+	return ""
+}
+
+// sequence is the snapshot checkSequence advances between calls.
+type sequence struct {
+	inv    *Invocation
+	down   int    // failed nodes, which leave the free count
+	nextID job.ID // the ID of the next submitted job
+}
+
+// advance applies the starts ds to the snapshot as the engine would, then
+// lets the input choose what happens before the next call: the engine
+// rejects a start; jobs are submitted; a job completes early or is
+// requeued; a free node fails or is repaired; a node under a running job
+// fails, which shrinks the job or kills it; or nothing happens. Then Now
+// stays, moves a little, passes a release the engine has not processed,
+// or jumps to where short walltimes vanish.
+func (q *sequence) advance(s *byteSource, ds []Decision) {
+	inv := q.inv
+	op := s.next()
+	sizes := map[job.ID]int{}
+	for i, d := range ds {
+		if i == 0 && op%8 == 0 {
+			continue // the engine rejects the first start
+		}
+		sizes[d.Job] = d.NumNodes
+	}
+	var pending []*JobView
+	for _, v := range inv.Pending {
+		n, ok := sizes[v.ID]
+		if !ok {
+			pending = append(pending, v)
+			continue
+		}
+		v.State, v.Nodes, v.StartTime, v.ExpectedEnd = StateRunning, n, inv.Now, inv.Now+v.WallTime
+		inv.Running = append(inv.Running, v)
+		inv.FreeNodes -= n
+	}
+	inv.Pending = pending
+
+	pick := func() int { return s.next() % len(inv.Running) }
+	switch ev := op / 8 % 8; {
+	case ev <= 1 || ev == 3 && inv.FreeNodes == 0 || ev == 4 && q.down == 0:
+		for i := 0; i <= ev%2; i++ {
+			q.submit(s)
+		}
+	case ev == 2 && len(inv.Running) > 0: // completes early
+		i := pick()
+		inv.FreeNodes += inv.Running[i].Nodes
+		inv.Running = slices.Delete(inv.Running, i, i+1)
+	case ev == 3: // a free node fails
+		inv.FreeNodes--
+		q.down++
+		q.submit(s)
+	case ev == 4: // a failed node is repaired
+		inv.FreeNodes++
+		q.down--
+		q.submit(s)
+	case ev == 5 && len(inv.Running) > 0: // a node under a running job fails
+		i := pick()
+		q.down++
+		if v := inv.Running[i]; v.Nodes > 1 {
+			v.Nodes--
+		} else {
+			inv.FreeNodes += v.Nodes - 1
+			inv.Running = slices.Delete(inv.Running, i, i+1)
+		}
+	case ev == 7 && len(inv.Running) > 0: // a running job is requeued
+		i := pick()
+		v := inv.Running[i]
+		inv.FreeNodes += v.Nodes
+		inv.Running = slices.Delete(inv.Running, i, i+1)
+		v.State, v.Nodes, v.StartTime, v.ExpectedEnd = StatePending, 0, 0, 0
+		inv.Pending = append(inv.Pending, v)
+	}
+
+	switch s.next() % 6 {
+	case 0, 1: // Now stays
+	case 2:
+		inv.Now += float64(1 + s.next()%20)
+	case 3: // past the earliest release still running
+		next := math.Inf(1)
+		for _, v := range inv.Running {
+			if v.ExpectedEnd > inv.Now {
+				next = min(next, v.ExpectedEnd)
+			}
+		}
+		if !math.IsInf(next, 1) {
+			inv.Now = next + float64(s.next()%3)
+		}
+	case 4:
+		inv.Now += 100
+	case 5:
+		inv.Now = max(inv.Now, 1e16)
+	}
+}
+
+// submit appends one decoded job to the queue.
+func (q *sequence) submit(s *byteSource) {
+	q.inv.Pending = append(q.inv.Pending, decodePending(s, q.nextID, q.inv.TotalNodes))
+	q.nextID++
+}
+
+// sequenceSeeds are fixed-seed random inputs for checkSequence.
+func sequenceSeeds() [][]byte {
+	r := rand.New(rand.NewSource(2))
+	seeds := make([][]byte, 600)
+	for i := range seeds {
+		seeds[i] = make([]byte, 30+r.Intn(200))
+		r.Read(seeds[i])
+	}
+	return seeds
+}
+
+// TestConservativeSequence runs checkSequence on the fixed seeds, and
+// requires that the kept pass was reused often enough for the comparison
+// to mean something.
+func TestConservativeSequence(t *testing.T) {
+	calls, reused := 0, 0
+	for _, b := range sequenceSeeds() {
+		reused += checkSequence(t, b)
+		calls++
+	}
+	if reused < calls {
+		t.Errorf("the kept pass served %d calls over %d sequences", reused, calls)
+	}
+	t.Logf("the kept pass served %d calls over %d sequences", reused, calls)
+}
+
+func FuzzConservativeSequence(f *testing.F) {
+	for _, b := range sequenceSeeds()[:20] {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkSequence(t, data) })
 }

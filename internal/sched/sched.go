@@ -231,9 +231,11 @@ type Algorithm interface {
 	// and must not be retained: the views are the engine's own per-job
 	// state, updated in place and handed to every later invocation, and
 	// the slices are reused. An algorithm that needs different values
-	// (planned sizes, a sorted order) works on copies. The engine does
-	// not keep the returned slice past the call, so an algorithm may
-	// reuse it on the next one.
+	// (planned sizes, a sorted order) works on copies. It may keep its
+	// own copies between calls (FairShare its usage, FirstFit its
+	// decisions buffer, Conservative its last pass); such a value serves
+	// one run at a time. The engine does not keep the returned slice past
+	// the call, so an algorithm may reuse it on the next one.
 	Schedule(inv *Invocation) []Decision
 }
 
