@@ -173,8 +173,8 @@ func (k *Kernel) ScheduleTransientAfter(d Time, p Priority, fn Handler) {
 // schedule is the one enqueue path; seq is the event's tie-breaking
 // insertion number, freshly reserved or handed back by ScheduleReserved.
 func (k *Kernel) schedule(t Time, p Priority, seq uint64, fn Handler, transient bool) *Event {
-	if t < k.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, k.now))
+	if !(t >= k.now) { // not t < k.now: a NaN time compares false both ways
+		panic(fmt.Sprintf("des: scheduling event at %v, not at or after now %v", t, k.now))
 	}
 	if fn == nil {
 		panic("des: nil event handler")

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -304,6 +305,34 @@ func TestKernelSchedulePastPanics(t *testing.T) {
 		k.Schedule(1, PriorityDefault, func() {})
 	})
 	drain(k)
+}
+
+// TestKernelNaNTimePanics: a NaN time is neither before nor after now, so
+// a check for "before now" alone let it in and the clock ran 5 → NaN → 5.
+// Every scheduling entry point must refuse it, naming the NaN.
+func TestKernelNaNTimePanics(t *testing.T) {
+	nan := Time(math.NaN())
+	k := NewKernel()
+	k.Advance(5, math.MaxInt)
+	for name, f := range map[string]func(){
+		"Schedule":               func() { k.Schedule(nan, PriorityDefault, func() {}) },
+		"ScheduleAfter":          func() { k.ScheduleAfter(nan, PriorityDefault, func() {}) },
+		"ScheduleTransient":      func() { k.ScheduleTransient(nan, PriorityDefault, func() {}) },
+		"ScheduleTransientAfter": func() { k.ScheduleTransientAfter(nan, PriorityDefault, func() {}) },
+		"ScheduleReserved":       func() { k.ScheduleReserved(nan, PriorityDefault, k.ReserveSeq(), func() {}) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "NaN") {
+					t.Errorf("%s at NaN: recovered %v, want a panic naming the NaN", name, r)
+				}
+			}()
+			f()
+		}()
+	}
+	if st := k.Stats(); st.Pending != 0 || k.Now() != 5 {
+		t.Errorf("after refusing NaN: %d events pending, now %v; want 0 and 5", st.Pending, k.Now())
+	}
 }
 
 func TestKernelRunUntil(t *testing.T) {

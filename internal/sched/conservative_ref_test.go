@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -138,4 +139,57 @@ func (p *refProfile) reserve(start, duration float64, n int) {
 		p.addStep(end)
 	}
 	p.apply(start, end, -n)
+}
+
+// The profile's sweep as it was before place fused it with the
+// reservation, kept verbatim as place's oracle: earliest from now, then
+// reserve, which finds both ends of the window again by binary search.
+// checkAgainstReference holds them to refProfile, and TestPlaceMatchesSweep
+// holds place to them.
+
+// addStep makes t a breakpoint and returns its index. A t before now is
+// clamped to now: index 0.
+func (p *profile) addStep(t float64) int {
+	// sort.SearchFloat64s, not slices.BinarySearch: the latter's NaN-aware
+	// float compare made a deep_queue-shaped pass ~20 % slower.
+	i := sort.SearchFloat64s(p.times, t)
+	if i == 0 || i < len(p.times) && p.times[i] == t {
+		return i
+	}
+	p.times = slices.Insert(p.times, i, t)
+	p.free = slices.Insert(p.free, i, p.free[i-1])
+	return i
+}
+
+// earliest finds the first breakpoint >= now from which n nodes stay free
+// for the whole duration, or +Inf. It sweeps the breakpoints once: a
+// segment with fewer than n free nodes rules out the candidate and every
+// later one whose window still covers it, so the sweep may skip straight
+// to the breakpoint after that segment.
+func (p *profile) earliest(now float64, n int, duration float64) float64 {
+	c := sort.SearchFloat64s(p.times, now)
+	for i := c; c < len(p.times); i++ {
+		if i == len(p.times) || p.times[i] >= p.times[c]+duration {
+			return p.times[c]
+		}
+		if p.free[i] < n {
+			c = i + 1
+		}
+	}
+	return math.Inf(1)
+}
+
+// reserve claims n nodes on [start, start+duration).
+func (p *profile) reserve(start, duration float64, n int) {
+	if math.IsInf(start, 1) {
+		return
+	}
+	from := p.addStep(start)
+	to := len(p.times)
+	if end := start + duration; !math.IsInf(end, 1) {
+		to = p.addStep(end)
+	}
+	for i := from; i < to; i++ {
+		p.free[i] -= n
+	}
 }

@@ -201,11 +201,6 @@ func Gantt(w io.Writer, entries []metrics.GanttEntry, outages []metrics.Outage, 
 	laneH := plotH / float64(totalNodes)
 
 	// Assign lanes: sweep events in time order, lowest-free-first.
-	type ev struct {
-		t     float64
-		end   bool
-		order int
-	}
 	sorted := append([]metrics.GanttEntry(nil), entries...)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		if sorted[i].Start != sorted[j].Start {
