@@ -228,6 +228,10 @@ func run(ctx context.Context) error {
 	fmt.Printf("makespan      %.1f s (%s)\n", s.Makespan, unit.FormatSeconds(s.Makespan))
 	fmt.Printf("utilization   %.1f%%\n", s.Utilization*100)
 	fmt.Printf("completed     %d (killed %d)\n", s.Completed, s.Killed)
+	if res.Abort != elastisim.AbortDrained {
+		fmt.Printf("stopped       %s with %d of %d jobs unfinished\n",
+			res.Abort, len(wl.Jobs)-s.Completed-s.Killed, len(wl.Jobs))
+	}
 	if s.Killed > 0 {
 		fmt.Printf("  walltime %d, by scheduler %d, node failure %d\n",
 			s.KilledWalltime, s.KilledByScheduler, s.FailedNode)

@@ -41,7 +41,7 @@ func TestOnlyUnknownIDIsUsageError(t *testing.T) {
 	if !errors.Is(err, cli.ErrUsage) {
 		t.Fatalf("error %v, want a usage error", err)
 	}
-	for _, want := range []string{`"E11"`, "E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,A1,A2,A3,A4,A5"} {
+	for _, want := range []string{`"E11"`, "E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,A1,A2,A3,A4"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %s", err, want)
 		}

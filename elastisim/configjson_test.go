@@ -221,7 +221,7 @@ func TestParseConfigErrors(t *testing.T) {
 		// The reference solver and event queue are test oracles, not options.
 		{"force_full_solve", fullConfigSnippet(`"options": {"force_full_solve": true}`), `unknown field "force_full_solve"`},
 		{"force_heap_queue", fullConfigSnippet(`"options": {"force_heap_queue": false}`), `unknown field "force_heap_queue"`},
-		// The fast-path switch is Go-only: results are identical either way.
+		// Job-private work has one model, its closed forms: no switch.
 		{"disable_fast_path", fullConfigSnippet(`"options": {"disable_fast_path": true}`), `unknown field "disable_fast_path"`},
 		{"periodic-only without interval", fullConfigSnippet(`"options": {"disable_event_driven": true}`), "disable_event_driven without a positive invocation_interval"},
 	}

@@ -13,7 +13,8 @@
 // once the context fires). Exit codes follow shell conventions:
 //
 //	0   success
-//	1   error (printed to stderr as "tool: error")
+//	1   error (printed to stderr as "tool: error", with no second prefix
+//	    when the error already begins "tool: ")
 //	2   usage error (run returned ErrUsage, after printing usage itself)
 //	130 cancelled by signal (128 + SIGINT)
 package cli
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 )
 
@@ -69,14 +71,24 @@ func Run(tool string, run func(ctx context.Context) error) int {
 		return ExitOK
 	case errors.Is(err, ErrUsage):
 		if err != ErrUsage {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+			report(tool, err)
 		}
 		return ExitUsage
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		fmt.Fprintf(os.Stderr, "%s: cancelled\n", tool)
 		return ExitCancelled
 	default:
-		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		report(tool, err)
 		return ExitError
 	}
+}
+
+// report prints err to stderr as "tool: err". An error that already names
+// the tool, as the library's errors name "elastisim", keeps its one prefix.
+func report(tool string, err error) {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, tool+": ") {
+		msg = tool + ": " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -32,6 +34,51 @@ func TestRunExitCodes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunPrefixesOnce: Run prints an error as "tool: error", but an error
+// that already begins with "tool: ", as the elastisim library's errors do,
+// keeps its one prefix.
+func TestRunPrefixesOnce(t *testing.T) {
+	cases := []struct {
+		err  error
+		want string
+	}{
+		{errors.New("boom"), "test: boom\n"},
+		{errors.New("test: internal error at sim time 0"), "test: internal error at sim time 0\n"},
+		{fmt.Errorf("test: decoding config: %w", errors.New("EOF")), "test: decoding config: EOF\n"},
+		{errors.New("testing: not this tool"), "test: testing: not this tool\n"},
+		{Usagef("test: bad flag"), "test: bad flag\n"},
+	}
+	for _, tc := range cases {
+		got := captureStderr(t, func() { Run("test", func(ctx context.Context) error { return tc.err }) })
+		if got != tc.want {
+			t.Errorf("Run(%q) printed %q, want %q", tc.err, got, tc.want)
+		}
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected to a file and returns
+// what f wrote there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stderr")
+	w, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = stderr }()
+	f()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestUsagefMatchesErrUsage(t *testing.T) {

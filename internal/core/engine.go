@@ -61,14 +61,6 @@ type Options struct {
 	TraceTasks bool
 	// Horizon aborts the simulation at this virtual time (0 = none).
 	Horizon float64
-	// DisableFastPath forces every task through the fluid solver, even
-	// work on job-private resources (own nodes, own links) that cannot
-	// contend and whose duration is therefore a closed form. The fast
-	// path is exactly equivalent and much cheaper on large machines. Its
-	// only setters are ablation A5 (internal/experiments) and the
-	// fast-path equivalence tests (hetero_test.go, invariants_test.go);
-	// the config document has no key for it.
-	DisableFastPath bool
 	// Telemetry attaches the observability layer (nil = disabled, the
 	// zero-overhead default). Spans for jobs, nodes, and the scheduler
 	// stream to the tracer's sinks; an attached audit log records every

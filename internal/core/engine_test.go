@@ -647,7 +647,7 @@ func TestRunLabelFormattedOnce(t *testing.T) {
 	for i, j := range jobs {
 		j.SubmitTime = float64(i) * 3
 	}
-	rec, _ := runSim(t, testPlatform(4), jobs, &sched.Adaptive{}, Options{DisableFastPath: true})
+	rec, _ := runSim(t, testPlatform(4), jobs, &sched.Adaptive{}, Options{})
 	names := map[job.ID]string{}
 	for _, j := range jobs {
 		names[j.ID] = j.Label()

@@ -14,8 +14,8 @@ func TestHeterogeneousComputeBoundBySlowest(t *testing.T) {
 	spec := &platform.Spec{
 		Name: "hetero",
 		Nodes: []platform.NodeGroupSpec{
-			{Count: 4, Speed: 1e9, NamePrefix: "slow"},
-			{Count: 4, Speed: 4e9, NamePrefix: "fast"},
+			{Count: 4, Speed: 1e9},
+			{Count: 4, Speed: 4e9},
 		},
 		Network: platform.NetworkSpec{LinkBandwidth: 1e9},
 		PFS:     &platform.StorageSpec{ReadBandwidth: 2e9, WriteBandwidth: 2e9},
@@ -40,53 +40,6 @@ func TestHeterogeneousComputeBoundBySlowest(t *testing.T) {
 	jf := computeJob(0, 4, 4e10)
 	recFast, _ := runSim(t, spec, []*job.Job{jf}, pinner, Options{})
 	wantClose(t, "fast-node compute", record(recFast, 0).Runtime(), 2.5)
-}
-
-func TestHeterogeneousFastPathEquivalence(t *testing.T) {
-	spec := &platform.Spec{
-		Name: "hetero",
-		Nodes: []platform.NodeGroupSpec{
-			{Count: 8, Speed: 1e9},
-			{Count: 8, Speed: 3e9},
-		},
-		Network: platform.NetworkSpec{LinkBandwidth: 1e9},
-		PFS:     &platform.StorageSpec{ReadBandwidth: 2e9, WriteBandwidth: 2e9},
-	}
-	gen := func() *job.Workload {
-		w, err := job.Generate(job.Config{
-			Seed: 3, Count: 20,
-			Arrival:      job.Arrival{Kind: job.ArrivalPoisson, Rate: 0.05},
-			Nodes:        [2]int{1, 8},
-			MachineNodes: 16,
-			NodeSpeed:    1e9,
-			TypeShares:   map[job.Type]float64{job.Rigid: 1, job.Malleable: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	run := func(disable bool) []float64 {
-		e, err := New(spec, gen(), &sched.Adaptive{}, Options{DisableFastPath: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ends []float64
-		for _, r := range rec.Records() {
-			ends = append(ends, r.End)
-		}
-		return ends
-	}
-	fast, slow := run(false), run(true)
-	for i := range fast {
-		if diff := fast[i] - slow[i]; diff > 1e-6 || diff < -1e-6 {
-			t.Errorf("job %d end diverged: %v vs %v", i, fast[i], slow[i])
-		}
-	}
 }
 
 func TestLatencyWithFastPath(t *testing.T) {

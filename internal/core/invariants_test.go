@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/metrics"
-	"repro/internal/platform"
 	"repro/internal/sched"
 )
 
@@ -318,87 +317,3 @@ type algoFunc func(inv *sched.Invocation) []sched.Decision
 
 func (algoFunc) Name() string                                      { return "func" }
 func (f algoFunc) Schedule(inv *sched.Invocation) []sched.Decision { return f(inv) }
-
-// The dedicated-resource fast path must be EXACTLY equivalent to running
-// everything through the fluid solver: same per-job starts, ends, and
-// allocations on arbitrary workloads, platforms with and without
-// backbones and burst buffers.
-func TestFastPathEquivalence(t *testing.T) {
-	specs := map[string]func() *platform.Spec{
-		"star": func() *platform.Spec { return testPlatform(16) },
-		"backbone": func() *platform.Spec {
-			s := testPlatform(16)
-			s.Network.Topology = platform.TopologyBackbone
-			s.Network.BackboneBandwidth = 5e9
-			return s
-		},
-		"node-local-bb": func() *platform.Spec {
-			s := testPlatform(16)
-			s.BurstBuffer = &platform.BurstBufferSpec{
-				Kind: platform.BBNodeLocal, ReadBandwidth: 2e9, WriteBandwidth: 2e9,
-			}
-			return s
-		},
-		"tree": func() *platform.Spec {
-			s := testPlatform(16)
-			s.Network.Topology = platform.TopologyTree
-			s.Network.GroupSize = 4
-			s.Network.UplinkBandwidth = 2e9
-			s.Network.BackboneBandwidth = 6e9
-			return s
-		},
-		"shared-bb": func() *platform.Spec {
-			s := testPlatform(16)
-			s.BurstBuffer = &platform.BurstBufferSpec{
-				Kind: platform.BBShared, ReadBandwidth: 8e9, WriteBandwidth: 8e9,
-			}
-			return s
-		},
-	}
-	gen := func(seed uint64, bb bool) *job.Workload {
-		target := job.TargetPFS
-		if bb {
-			target = job.TargetBB
-		}
-		w, err := job.Generate(job.Config{
-			Seed: seed, Count: 25,
-			Arrival:          job.Arrival{Kind: job.ArrivalPoisson, Rate: 0.03},
-			Nodes:            [2]int{1, 8},
-			MachineNodes:     16,
-			NodeSpeed:        100e9,
-			TypeShares:       map[job.Type]float64{job.Rigid: 1, job.Malleable: 1, job.Evolving: 1},
-			CheckpointTarget: target,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	for name, mk := range specs {
-		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 4; seed++ {
-				bb := name == "node-local-bb" || name == "shared-bb"
-				run := func(disable bool) []*metrics.JobRecord {
-					e, err := New(mk(), gen(seed, bb), &sched.Adaptive{}, Options{DisableFastPath: disable})
-					if err != nil {
-						t.Fatal(err)
-					}
-					rec, err := e.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					return rec.Records()
-				}
-				fast, slow := run(false), run(true)
-				for i := range fast {
-					f, s := fast[i], slow[i]
-					if math.Abs(f.Start-s.Start) > 1e-6 || math.Abs(f.End-s.End) > 1e-6 ||
-						f.InitialNodes != s.InitialNodes || f.PeakNodes != s.PeakNodes ||
-						f.Reconfigs != s.Reconfigs || f.Killed != s.Killed {
-						t.Errorf("seed %d job %d diverged:\nfast %+v\nslow %+v", seed, i, f, s)
-					}
-				}
-			}
-		})
-	}
-}

@@ -256,18 +256,8 @@ func (e *Engine) startTask(jr *jobRun) {
 	switch t.Kind {
 	case job.TaskCompute:
 		// Nodes are exclusively allocated, so compute never contends: the
-		// duration is magnitude over the slowest node's speed. The fluid
-		// path below realizes exactly the same value.
-		if !e.opts.DisableFastPath {
-			e.completeAfter(jr, magnitude/e.minSpeed(jr), done)
-			return
-		}
-		a := jr.newActivity("compute", magnitude, done)
-		for _, id := range jr.nodes {
-			a.AddUsage(e.plat.Compute(id), 1)
-		}
-		jr.activity = a
-		e.pool.Start(a)
+		// duration is magnitude over the slowest node's speed.
+		e.completeAfter(jr, magnitude/e.minSpeed(jr), done)
 	case job.TaskDelay:
 		jr.timer = e.kernel.ScheduleAfter(des.Time(magnitude), des.PriorityEngine, done)
 	case job.TaskComm:
@@ -295,22 +285,13 @@ func (e *Engine) startComm(jr *jobRun, t *job.Task, payload float64, done func()
 		return
 	}
 	linkW, rootW, backboneW := job.CommWeights(t.Pattern, n)
-	// The slowest participant's link bounds the operation: the maximum of
-	// weight/capacity over participants is the per-payload-byte time.
-	linkBound := 0.0 // seconds per payload byte
-	for i, id := range jr.nodes {
-		w := linkW
-		if i == 0 {
-			w = rootW
-		}
-		if b := w / e.plat.Link(id).Capacity(); b > linkBound {
-			linkBound = b
-		}
-	}
+	// The most loaded participant's link bounds the operation: every link
+	// has the same bandwidth, so the per-payload-byte time is the larger
+	// of the root's and the other participants' weights over it.
+	linkBound := math.Max(linkW, rootW) / e.plat.LinkBandwidth() // seconds per payload byte
 	// Collect the SHARED resources this collective crosses: per-group
 	// uplinks and the core (tree), or the backbone. The job's private
-	// links are handled either as explicit usages (full-fluid mode) or as
-	// a rate cap (fast path).
+	// links become a rate cap.
 	type sharedUsage struct {
 		res    *fluid.Resource
 		weight float64
@@ -333,7 +314,7 @@ func (e *Engine) startComm(jr *jobRun, t *job.Task, payload float64, done func()
 	} else if backbone != nil && backboneW > 0 {
 		shared = append(shared, sharedUsage{backbone, backboneW})
 	}
-	if !e.opts.DisableFastPath && len(shared) == 0 {
+	if len(shared) == 0 {
 		// Only the job's own links are involved — no cross-job
 		// contention, closed-form duration.
 		e.completeAfter(jr, e.plat.Latency()+payload*linkBound, done)
@@ -344,18 +325,7 @@ func (e *Engine) startComm(jr *jobRun, t *job.Task, payload float64, done func()
 		for _, u := range shared {
 			a.AddUsage(u.res, u.weight)
 		}
-		if !e.opts.DisableFastPath {
-			// The private links become a rate cap.
-			a.SetMaxRate(1 / linkBound)
-		} else {
-			for i, id := range jr.nodes {
-				w := linkW
-				if i == 0 {
-					w = rootW
-				}
-				a.AddUsage(e.plat.Link(id), w)
-			}
-		}
+		a.SetMaxRate(1 / linkBound)
 		jr.activity = a
 		e.pool.Start(a)
 	}
@@ -371,8 +341,8 @@ func (e *Engine) startComm(jr *jobRun, t *job.Task, payload float64, done func()
 }
 
 // completeAfter finishes the current task after a closed-form duration.
-// The timer runs at activity priority so intra-timestamp ordering matches
-// the fluid path.
+// The timer runs at activity priority, so it orders among same-timestamp
+// events as a fluid activity's completion would.
 func (e *Engine) completeAfter(jr *jobRun, seconds float64, done func()) {
 	if seconds < 0 {
 		seconds = 0
@@ -382,86 +352,55 @@ func (e *Engine) completeAfter(jr *jobRun, seconds float64, done func()) {
 
 // minSpeed returns the slowest allocated node's compute speed.
 func (e *Engine) minSpeed(jr *jobRun) float64 {
-	speed := e.plat.Node(jr.nodes[0]).Speed
+	speed := e.plat.Speed(jr.nodes[0])
 	for _, id := range jr.nodes[1:] {
-		if s := e.plat.Node(id).Speed; s < speed {
+		if s := e.plat.Speed(id); s < speed {
 			speed = s
 		}
 	}
 	return speed
 }
 
-// minLinkCap returns the slowest allocated node's link bandwidth.
-func (e *Engine) minLinkCap(jr *jobRun) float64 {
-	cap0 := e.plat.Link(jr.nodes[0]).Capacity()
-	for _, id := range jr.nodes[1:] {
-		if c := e.plat.Link(id).Capacity(); c < cap0 {
-			cap0 = c
-		}
-	}
-	return cap0
-}
-
 // startIO models a parallel read/write of `total` bytes striped over the
 // allocation. PFS and shared burst buffers are single contended resources;
-// node-local burst buffers drain independently per node. PFS traffic also
-// loads each node's injection link with its 1/n share.
+// node-local burst buffers drain independently per node. PFS and shared
+// burst-buffer traffic also loads each node's injection link with its 1/n
+// share.
 func (e *Engine) startIO(jr *jobRun, t *job.Task, total float64, done func()) {
 	n := len(jr.nodes)
 	if total <= 0 {
 		jr.timer = e.kernel.ScheduleAfter(0, des.PriorityEngine, done)
 		return
 	}
-	fast := !e.opts.DisableFastPath
-	share := 1 / float64(n)
-	a := jr.newActivity(string(t.Kind), total, done)
-	switch t.Target {
-	case job.TargetPFS:
-		var res *fluid.Resource
-		if t.Kind == job.TaskRead {
-			res = e.plat.PFSRead()
-		} else {
-			res = e.plat.PFSWrite()
+	read := t.Kind == job.TaskRead
+	var res *fluid.Resource
+	switch {
+	case t.Target == job.TargetPFS && read:
+		res = e.plat.PFSRead()
+	case t.Target == job.TargetPFS:
+		res = e.plat.PFSWrite()
+	case e.plat.BurstBufferKind() == platform.BBNodeLocal:
+		// Node-local buffers are private to the allocation: every node
+		// drains its 1/n share independently at the platform's buffer
+		// bandwidth. No cross-job contention is possible.
+		bb := e.plat.Spec().BurstBuffer
+		bw := float64(bb.WriteBandwidth)
+		if read {
+			bw = float64(bb.ReadBandwidth)
 		}
-		a.AddUsage(res, 1)
-		e.addTreeIOUsages(a, jr)
-		if fast {
-			// Each node moves a 1/n share through its private link:
-			// aggregate cap n * slowest link.
-			a.SetMaxRate(float64(n) * e.minLinkCap(jr))
-		} else {
-			for _, id := range jr.nodes {
-				a.AddUsage(e.plat.Link(id), share)
-			}
-		}
-	case job.TargetBB:
-		if e.plat.BurstBufferKind() == platform.BBNodeLocal {
-			// Node-local buffers are private to the allocation: every node
-			// drains its 1/n share independently; the slowest bounds the
-			// task. No cross-job contention is possible, so the fluid
-			// solver is only needed when the fast path is disabled.
-			if fast {
-				minBB := e.minBBCap(jr, t.Kind == job.TaskRead)
-				e.completeAfter(jr, total/(float64(n)*minBB), done)
-				return
-			}
-			for _, id := range jr.nodes {
-				a.AddUsage(e.bbResource(id, t.Kind == job.TaskRead), share)
-			}
-		} else {
-			// Shared (network-attached) burst buffer: contended across
-			// jobs; traffic also crosses the private links.
-			a.AddUsage(e.bbResource(jr.nodes[0], t.Kind == job.TaskRead), 1)
-			e.addTreeIOUsages(a, jr)
-			if fast {
-				a.SetMaxRate(float64(n) * e.minLinkCap(jr))
-			} else {
-				for _, id := range jr.nodes {
-					a.AddUsage(e.plat.Link(id), share)
-				}
-			}
-		}
+		e.completeAfter(jr, total/(float64(n)*bw), done)
+		return
+	case read:
+		res = e.plat.BBRead()
+	default:
+		res = e.plat.BBWrite()
 	}
+	a := jr.newActivity(string(t.Kind), total, done)
+	a.AddUsage(res, 1)
+	e.addTreeIOUsages(a, jr)
+	// Each node moves a 1/n share through its private link: aggregate cap
+	// n times the link bandwidth.
+	a.SetMaxRate(float64(n) * e.plat.LinkBandwidth())
 	jr.activity = a
 	e.pool.Start(a)
 }
@@ -486,24 +425,6 @@ func (e *Engine) addTreeIOUsages(a *fluid.Activity, jr *jobRun) {
 	if core := e.plat.Backbone(); core != nil {
 		a.AddUsage(core, 1)
 	}
-}
-
-func (e *Engine) bbResource(id platform.NodeID, read bool) *fluid.Resource {
-	if read {
-		return e.plat.BBRead(id)
-	}
-	return e.plat.BBWrite(id)
-}
-
-// minBBCap returns the slowest allocated node's burst-buffer bandwidth.
-func (e *Engine) minBBCap(jr *jobRun, read bool) float64 {
-	cap0 := e.bbResource(jr.nodes[0], read).Capacity()
-	for _, id := range jr.nodes[1:] {
-		if c := e.bbResource(id, read).Capacity(); c < cap0 {
-			cap0 = c
-		}
-	}
-	return cap0
 }
 
 // registerEvolvingRequest records the application's desired size and pokes

@@ -110,7 +110,6 @@ type KernelStats struct {
 	Cancelled uint64 // events removed before firing
 	Recycled  uint64 // Schedule calls served from the free list
 	PeakQueue int    // high-water mark of live events queued
-	Pending   int    // live events still queued at sample time
 }
 
 // Stats samples the kernel's counters.
@@ -121,7 +120,6 @@ func (k *Kernel) Stats() KernelStats {
 		Cancelled: k.cancelled,
 		Recycled:  k.recycled,
 		PeakQueue: k.peakQueue,
-		Pending:   k.Pending(),
 	}
 }
 

@@ -127,8 +127,8 @@ func (o *orderOracle) drained(k *Kernel) {
 		o.t.Fatalf("%d events never fired; first #%d %+v", len(o.pending), o.pending[0].n, o.pending[0].key)
 	}
 	st := k.Stats()
-	if st.Scheduled != o.seq || st.Fired != o.fired || st.Cancelled != o.cancels || st.Pending != 0 {
-		o.t.Fatalf("kernel stats %+v, model scheduled %d fired %d cancelled %d", st, o.seq, o.fired, o.cancels)
+	if st.Scheduled != o.seq || st.Fired != o.fired || st.Cancelled != o.cancels || k.Pending() != 0 {
+		o.t.Fatalf("kernel stats %+v with %d pending, model scheduled %d fired %d cancelled %d", st, k.Pending(), o.seq, o.fired, o.cancels)
 	}
 }
 

@@ -204,49 +204,3 @@ var a4 = Experiment{
 		t.AddNote("fair share pushes the light users' waits well below the hog's (ratio falls)")
 	},
 }
-
-var a5Arms = []struct {
-	scale
-	fullFluid bool
-}{
-	{scale{256, 200}, false}, {scale{256, 200}, true},
-	{scale{1024, 400}, false}, {scale{1024, 400}, true},
-}
-
-// a5 measures the dedicated-resource fast path: work on job-private
-// resources (own nodes, links, node-local buffers) has a closed-form
-// duration and can bypass the fluid solver without changing any result
-// (equivalence is proven by the engine's property tests). The table
-// reports simulator wall-clock with the fast path on and off.
-var a5 = Experiment{
-	ID:     "A5",
-	Title:  "ablation: dedicated-resource fast path (simulator performance)",
-	Header: []string{"nodes", "jobs", "mode", "wall_ms", "events_per_s", "sim_makespan"},
-	Configs: func(seed uint64, _ int) ([]elastisim.Config, error) {
-		return each(len(a5Arms), func(i int) (elastisim.Config, error) {
-			c := a5Arms[i]
-			wl, err := perfWorkload("fp", seed, c.nodes, c.jobs)
-			return elastisim.Config{
-				Platform:  StandardPlatform(c.nodes),
-				Workload:  wl,
-				Algorithm: elastisim.NewAdaptive(),
-				Options:   elastisim.Options{DisableFastPath: c.fullFluid},
-			}, err
-		})
-	},
-	Rows: func(t *Table, res []*elastisim.Result) {
-		for i, r := range res {
-			c := a5Arms[i]
-			mode := "fast-path"
-			if c.fullFluid {
-				mode = "full-fluid"
-			}
-			t.AddRow(fmt.Sprintf("%d", c.nodes), fmt.Sprintf("%d", c.jobs), mode,
-				wallMillis(r.WallClock),
-				fmt.Sprintf("%.0f", float64(r.Events)/r.WallClock.Seconds()),
-				f1(r.Summary.Makespan))
-		}
-		t.AddNote("identical simulation results (see TestFastPathEquivalence); only wall-clock differs")
-	},
-	timed: true,
-}

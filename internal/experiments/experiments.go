@@ -32,7 +32,7 @@ type Experiment struct {
 const timedReps = 5
 
 // All lists every table of the evaluation in report order.
-var All = []Experiment{e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, a1, a2, a3, a4, a5}
+var All = []Experiment{e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, a1, a2, a3, a4}
 
 // Run builds and runs the experiment's simulations and returns its table
 // and the results in Configs order. Untimed tables run their simulations

@@ -1,5 +1,5 @@
 // Package experiments defines every table of the reconstructed evaluation
-// (E1–E10 and the ablations A1–A5, indexed in DESIGN.md §3) as data in
+// (E1–E10 and the ablations A1–A4, indexed in DESIGN.md §3) as data in
 // All, each run by Experiment.Run, plus the parameter sweeps and their
 // journaled grids. `cmd/expreport` and the root-level benchmarks loop over
 // All, so the numbers in EXPERIMENTS.md are reproducible with either tool.

@@ -9,7 +9,7 @@ import (
 // benchPool builds a pool with n long-running background activities. When
 // shared is true they all contend on one global resource (one connected
 // component); otherwise each runs on a private resource (n singleton
-// components — the job-private case the fast-path ablation exploits).
+// components — the shape job-private work would take if it were fluid).
 func benchPool(b testing.TB, n int, shared bool) (*des.Kernel, *Pool, *Resource) {
 	b.Helper()
 	k := des.NewKernel()

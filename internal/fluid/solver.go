@@ -89,12 +89,11 @@ type actRef struct {
 	ui  int
 }
 
-// Resource is a capacity-limited entity: a node's compute capability
-// (flops/s), a link (bytes/s), or a storage target (bytes/s).
+// Resource is a capacity-limited entity that activities share: a network
+// link or switch uplink (bytes/s), or a storage target (bytes/s).
 type Resource struct {
 	name     string
 	capacity float64
-	id       int
 
 	// acts lists the active activities using this resource (the resource
 	// side of the component graph's adjacency).
@@ -110,9 +109,6 @@ type Resource struct {
 
 // Name returns the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
-
-// Capacity returns the resource's capacity in units per second.
-func (r *Resource) Capacity() float64 { return r.capacity }
 
 // usage couples an activity to a resource with a consumption weight.
 type usage struct {
@@ -248,7 +244,7 @@ func (p *Pool) NewResource(name string, capacity float64) *Resource {
 	if capacity <= 0 || math.IsNaN(capacity) {
 		panic(fmt.Sprintf("fluid: invalid capacity %v for resource %s", capacity, name))
 	}
-	r := &Resource{name: name, capacity: capacity, id: len(p.resources)}
+	r := &Resource{name: name, capacity: capacity}
 	p.resources = append(p.resources, r)
 	return r
 }

@@ -483,8 +483,8 @@ func TestAccessors(t *testing.T) {
 	k := des.NewKernel()
 	p := NewPool(k)
 	r := p.NewResource("disk", 42)
-	if r.Name() != "disk" || r.Capacity() != 42 {
-		t.Errorf("resource accessors: %q %v", r.Name(), r.Capacity())
+	if r.Name() != "disk" || r.capacity != 42 {
+		t.Errorf("resource accessors: %q %v", r.Name(), r.capacity)
 	}
 	a := NewActivity("job.read", 10, nil)
 	a.AddUsage(r, 1)

@@ -9,27 +9,15 @@ import (
 // NodeID identifies a compute node. IDs are dense, starting at zero.
 type NodeID int
 
-// Node is a runtime compute node.
-type Node struct {
-	// ID is the node's index in the platform.
-	ID NodeID
-	// Name is the node's human-readable name.
-	Name string
-	// Speed is the node's compute capability in flops/s.
-	Speed float64
-
-	compute *fluid.Resource
-	link    *fluid.Resource
-	bbRead  *fluid.Resource // node-local burst buffer, nil otherwise
-	bbWrite *fluid.Resource
-}
-
-// Platform is an instantiated cluster whose components are fluid resources.
-// It is created from a Spec via Build.
+// Platform is an instantiated cluster. It is created from a Spec via
+// Build. A job's own nodes, injection links and node-local burst buffers
+// cannot contend with other jobs, so the engine gives work on them closed
+// forms from the spec's rates; only the resources jobs share are fluid
+// resources.
 type Platform struct {
-	spec  *Spec
-	pool  *fluid.Pool
-	nodes []*Node
+	spec   *Spec
+	pool   *fluid.Pool
+	speeds []float64 // per node, flops/s
 
 	backbone     *fluid.Resource   // nil for star topology (optional core for tree)
 	uplinks      []*fluid.Resource // per-group uplinks (tree topology)
@@ -39,40 +27,22 @@ type Platform struct {
 	sharedBBWr   *fluid.Resource
 }
 
-// Build instantiates the spec's resources into the pool.
+// Build instantiates the spec's shared resources into the pool.
 func Build(spec *Spec, pool *fluid.Pool) (*Platform, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Platform{spec: spec, pool: pool}
-	id := NodeID(0)
+	p := &Platform{spec: spec, pool: pool, speeds: make([]float64, 0, spec.TotalNodes())}
 	for _, g := range spec.Nodes {
-		prefix := g.NamePrefix
-		if prefix == "" {
-			prefix = "node"
-		}
 		for i := 0; i < g.Count; i++ {
-			name := fmt.Sprintf("%s%d", prefix, int(id))
-			n := &Node{
-				ID:      id,
-				Name:    name,
-				Speed:   float64(g.Speed),
-				compute: pool.NewResource(name+".cpu", float64(g.Speed)),
-				link:    pool.NewResource(name+".link", float64(spec.Network.LinkBandwidth)),
-			}
-			if bb := spec.BurstBuffer; bb != nil && bb.Kind == BBNodeLocal {
-				n.bbRead = pool.NewResource(name+".bb.read", float64(bb.ReadBandwidth))
-				n.bbWrite = pool.NewResource(name+".bb.write", float64(bb.WriteBandwidth))
-			}
-			p.nodes = append(p.nodes, n)
-			id++
+			p.speeds = append(p.speeds, float64(g.Speed))
 		}
 	}
 	if spec.Network.Topology == TopologyBackbone {
 		p.backbone = pool.NewResource("backbone", float64(spec.Network.BackboneBandwidth))
 	}
 	if spec.Network.Topology == TopologyTree {
-		groups := (len(p.nodes) + spec.Network.GroupSize - 1) / spec.Network.GroupSize
+		groups := (len(p.speeds) + spec.Network.GroupSize - 1) / spec.Network.GroupSize
 		for g := 0; g < groups; g++ {
 			p.uplinks = append(p.uplinks,
 				pool.NewResource(fmt.Sprintf("uplink%d", g), float64(spec.Network.UplinkBandwidth)))
@@ -99,24 +69,21 @@ func (p *Platform) Spec() *Spec { return p.spec }
 func (p *Platform) Pool() *fluid.Pool { return p.pool }
 
 // NumNodes returns the machine size.
-func (p *Platform) NumNodes() int { return len(p.nodes) }
+func (p *Platform) NumNodes() int { return len(p.speeds) }
 
-// Node returns the node with the given ID.
-func (p *Platform) Node(id NodeID) *Node {
-	if int(id) < 0 || int(id) >= len(p.nodes) {
-		panic(fmt.Sprintf("platform: node %d out of range [0,%d)", id, len(p.nodes)))
+// Speed returns a node's compute capability in flops/s.
+func (p *Platform) Speed(id NodeID) float64 {
+	if int(id) < 0 || int(id) >= len(p.speeds) {
+		panic(fmt.Sprintf("platform: node %d out of range [0,%d)", id, len(p.speeds)))
 	}
-	return p.nodes[id]
+	return p.speeds[id]
 }
+
+// LinkBandwidth returns every node's injection bandwidth in bytes/s.
+func (p *Platform) LinkBandwidth() float64 { return float64(p.spec.Network.LinkBandwidth) }
 
 // Latency returns the per-operation network latency in seconds.
 func (p *Platform) Latency() float64 { return float64(p.spec.Network.Latency) }
-
-// Compute returns the compute resource of a node.
-func (p *Platform) Compute(id NodeID) *fluid.Resource { return p.Node(id).compute }
-
-// Link returns the injection-link resource of a node.
-func (p *Platform) Link(id NodeID) *fluid.Resource { return p.Node(id).link }
 
 // Backbone returns the shared core resource, or nil for star topologies
 // (and trees with a non-blocking core).
@@ -169,19 +136,10 @@ func (p *Platform) BurstBufferKind() BurstBufferKind {
 	return p.spec.BurstBuffer.Kind
 }
 
-// BBRead returns the burst-buffer read resource serving the given node:
-// the node-local resource or the shared pool. Nil when no burst buffer.
-func (p *Platform) BBRead(id NodeID) *fluid.Resource {
-	if p.sharedBBRead != nil {
-		return p.sharedBBRead
-	}
-	return p.Node(id).bbRead
-}
+// BBRead returns the shared burst buffer's read-bandwidth resource; nil
+// unless the burst buffer is of kind BBShared.
+func (p *Platform) BBRead() *fluid.Resource { return p.sharedBBRead }
 
-// BBWrite returns the burst-buffer write resource serving the given node.
-func (p *Platform) BBWrite(id NodeID) *fluid.Resource {
-	if p.sharedBBWr != nil {
-		return p.sharedBBWr
-	}
-	return p.Node(id).bbWrite
-}
+// BBWrite returns the shared burst buffer's write-bandwidth resource; nil
+// unless the burst buffer is of kind BBShared.
+func (p *Platform) BBWrite() *fluid.Resource { return p.sharedBBWr }

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -128,12 +129,30 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// wantCapacity checks r's capacity: the rate at which one activity alone
+// on it progresses.
+func wantCapacity(t *testing.T, k *des.Kernel, pool *fluid.Pool, what string, r *fluid.Resource, want float64) {
+	t.Helper()
+	start, end := k.Now(), des.Time(-1)
+	a := fluid.NewActivity(what, 1, func() { end = k.Now() })
+	a.AddUsage(r, 1)
+	pool.Start(a)
+	for k.Step() {
+	}
+	if got := 1 / float64(end-start); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("%s capacity %v, want %v", what, got, want)
+	}
+}
+
 func TestBuild(t *testing.T) {
+	// The document names its second group's nodes with the retired
+	// "name_prefix" key: platform documents decode leniently, so it loads.
 	s, err := ParseSpec([]byte(testSpecJSON()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := fluid.NewPool(des.NewKernel())
+	k := des.NewKernel()
+	pool := fluid.NewPool(k)
 	p, err := Build(s, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -141,33 +160,27 @@ func TestBuild(t *testing.T) {
 	if p.NumNodes() != 6 {
 		t.Fatalf("NumNodes = %d", p.NumNodes())
 	}
-	if p.Node(0).Name != "node0" || p.Node(4).Name != "fat4" {
-		t.Errorf("node names: %q, %q", p.Node(0).Name, p.Node(4).Name)
-	}
-	if p.Node(4).Speed != 200e9 {
-		t.Errorf("fat node speed %v", p.Node(4).Speed)
+	if p.Speed(0) != 100e9 || p.Speed(4) != 200e9 {
+		t.Errorf("node speeds %v, %v", p.Speed(0), p.Speed(4))
 	}
 	if p.Backbone() == nil {
-		t.Error("backbone missing")
+		t.Fatal("backbone missing")
 	}
-	if p.Backbone().Capacity() != 25e9 {
-		t.Errorf("backbone capacity %v", p.Backbone().Capacity())
+	wantCapacity(t, k, pool, "backbone", p.Backbone(), 25e9)
+	if !p.HasPFS() {
+		t.Fatal("pfs missing")
 	}
-	if !p.HasPFS() || p.PFSRead().Capacity() != 80e9 || p.PFSWrite().Capacity() != 40e9 {
-		t.Error("pfs resources wrong")
-	}
+	wantCapacity(t, k, pool, "pfs read", p.PFSRead(), 80e9)
+	wantCapacity(t, k, pool, "pfs write", p.PFSWrite(), 40e9)
 	if !p.HasBurstBuffer() || p.BurstBufferKind() != BBNodeLocal {
 		t.Error("burst buffer missing")
 	}
-	// Node-local burst buffers are per node and distinct.
-	if p.BBRead(0) == nil || p.BBRead(0) == p.BBRead(1) {
-		t.Error("node-local BB not distinct per node")
+	// Node-local burst buffers are private to a job: no fluid resource.
+	if p.BBRead() != nil || p.BBWrite() != nil {
+		t.Error("node-local burst buffer has a shared resource")
 	}
-	if p.Compute(0).Capacity() != 100e9 {
-		t.Errorf("compute capacity %v", p.Compute(0).Capacity())
-	}
-	if p.Link(0).Capacity() != 10e9 {
-		t.Errorf("link capacity %v", p.Link(0).Capacity())
+	if p.LinkBandwidth() != 10e9 {
+		t.Errorf("link bandwidth %v", p.LinkBandwidth())
 	}
 	if p.Latency() != 1e-6 {
 		t.Errorf("latency %v", p.Latency())
@@ -177,16 +190,17 @@ func TestBuild(t *testing.T) {
 func TestBuildSharedBB(t *testing.T) {
 	s := Homogeneous("x", 2, 1e9, 1e9, 1e9, 1e9)
 	s.BurstBuffer = &BurstBufferSpec{Kind: BBShared, ReadBandwidth: 5e9, WriteBandwidth: 3e9}
-	p, err := Build(s, fluid.NewPool(des.NewKernel()))
+	k := des.NewKernel()
+	pool := fluid.NewPool(k)
+	p, err := Build(s, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.BBRead(0) != p.BBRead(1) {
-		t.Error("shared BB should be one resource for all nodes")
+	if p.BBRead() == nil || p.BBRead() == p.BBWrite() {
+		t.Fatal("shared BB needs distinct read and write resources")
 	}
-	if p.BBWrite(0).Capacity() != 3e9 {
-		t.Errorf("shared BB write capacity %v", p.BBWrite(0).Capacity())
-	}
+	wantCapacity(t, k, pool, "shared BB read", p.BBRead(), 5e9)
+	wantCapacity(t, k, pool, "shared BB write", p.BBWrite(), 3e9)
 }
 
 func TestBuildStarHasNoBackbone(t *testing.T) {
@@ -201,7 +215,7 @@ func TestBuildStarHasNoBackbone(t *testing.T) {
 	if p.HasBurstBuffer() {
 		t.Error("no burst buffer configured")
 	}
-	if p.BBRead(0) != nil {
+	if p.BBRead() != nil {
 		t.Error("BBRead should be nil without burst buffer")
 	}
 }
@@ -367,7 +381,9 @@ func TestTreeTopologySpec(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("valid tree rejected: %v", err)
 	}
-	p, err := Build(s, fluid.NewPool(des.NewKernel()))
+	k := des.NewKernel()
+	pool := fluid.NewPool(k)
+	p, err := Build(s, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,9 +396,7 @@ func TestTreeTopologySpec(t *testing.T) {
 	if p.Uplink(0) == p.Uplink(1) {
 		t.Error("uplinks not distinct")
 	}
-	if p.Uplink(0).Capacity() != 2e9 {
-		t.Errorf("uplink capacity %v", p.Uplink(0).Capacity())
-	}
+	wantCapacity(t, k, pool, "uplink", p.Uplink(0), 2e9)
 	// No core configured: Backbone nil.
 	if p.Backbone() != nil {
 		t.Error("unexpected core resource")

@@ -54,8 +54,6 @@ type NodeGroupSpec struct {
 	Count int `json:"count"`
 	// Speed is the compute capability of each node in flops/s.
 	Speed Quantity `json:"speed"`
-	// NamePrefix names nodes "<prefix><index>"; defaults to "node".
-	NamePrefix string `json:"name_prefix,omitempty"`
 }
 
 // NetworkSpec describes the interconnect.
