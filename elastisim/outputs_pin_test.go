@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -18,7 +19,9 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/outputs_pin.txt from the current code")
 
 // outputsPinPath holds one line per pinned run: the row name, then the
-// SHA-256 of its Result JSON, jobs CSV and scheduler audit JSONL.
+// SHA-256 of its Result JSON, jobs CSV, scheduler audit JSONL, event log
+// as elastisim -trace prints it, event log as the daemon's trace.json
+// encodes it, and JSONL span trace.
 const outputsPinPath = "testdata/outputs_pin.txt"
 
 // pinRow is one run whose exported bytes the table pins.
@@ -133,14 +136,19 @@ func heteroPinConfig(t *testing.T) Config {
 	return Config{Platform: spec, Workload: wl, Algorithm: NewAdaptive()}
 }
 
-// pinDigests runs cfg with a scheduler audit attached, as elastisim
-// -audit-out does, and hashes the three exported documents.
-func pinDigests(t *testing.T, cfg Config) [3]string {
+// pinArtifacts names the documents pinDigests hashes, in column order.
+var pinArtifacts = [...]string{"Result JSON", "jobs CSV", "audit JSONL", "trace lines", "trace JSON", "span JSONL"}
+
+// pinDigests runs cfg with the event log (task events included), a JSONL
+// span sink and a scheduler audit attached, as elastisim -trace
+// -trace-jsonl -audit-out does, and hashes the six exported documents.
+func pinDigests(t *testing.T, cfg Config) [len(pinArtifacts)]string {
 	t.Helper()
-	var audit bytes.Buffer
+	var audit, spans bytes.Buffer
 	log := NewAuditLog(&audit)
-	tracer := NewTracer().SetAudit(log)
+	tracer := NewTracer(NewJSONLTraceSink(&spans)).SetAudit(log)
 	cfg.Options.Telemetry = tracer
+	cfg.Options.Trace, cfg.Options.TraceTasks = true, true
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -151,22 +159,31 @@ func pinDigests(t *testing.T, cfg Config) [3]string {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var doc, csv bytes.Buffer
+	var doc, csv, lines, events bytes.Buffer
 	if err := res.WriteJSON(&doc); err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Recorder.WriteJobsCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	var out [3]string
-	for i, b := range [][]byte{doc.Bytes(), csv.Bytes(), audit.Bytes()} {
+	for _, ev := range res.Trace {
+		fmt.Fprintln(&lines, ev)
+	}
+	enc := json.NewEncoder(&events)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res.Trace); err != nil {
+		t.Fatal(err)
+	}
+	var out [len(pinArtifacts)]string
+	for i, b := range [][]byte{doc.Bytes(), csv.Bytes(), audit.Bytes(), lines.Bytes(), events.Bytes(), spans.Bytes()} {
 		out[i] = fmt.Sprintf("%x", sha256.Sum256(b))
 	}
 	return out
 }
 
 // TestOutputsPinned pins the bytes a run exports — the Result JSON, the
-// jobs CSV and the scheduler audit — for every row of pinRows. A change
+// jobs CSV, the scheduler audit, the event log in both its text and JSON
+// forms, and the span trace — for every row of pinRows. A change
 // meant to keep every simulated outcome must pass it unedited; a change
 // that moves outputs on purpose regenerates the table with
 //
@@ -185,7 +202,7 @@ func TestOutputsPinned(t *testing.T) {
 		var b strings.Builder
 		for _, r := range rows {
 			d := pinDigests(t, r.cfg(t))
-			fmt.Fprintf(&b, "%s %s %s %s\n", r.name, d[0], d[1], d[2])
+			fmt.Fprintf(&b, "%s %s\n", r.name, strings.Join(d[:], " "))
 		}
 		if err := os.WriteFile(outputsPinPath, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -196,7 +213,6 @@ func TestOutputsPinned(t *testing.T) {
 	if len(want) != len(rows) {
 		t.Errorf("%s has %d rows, the table %d; regenerate it with -update", outputsPinPath, len(want), len(rows))
 	}
-	artifacts := [3]string{"Result JSON", "jobs CSV", "audit JSONL"}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			w, ok := want[r.name]
@@ -206,28 +222,30 @@ func TestOutputsPinned(t *testing.T) {
 			got := pinDigests(t, r.cfg(t))
 			for i := range got {
 				if got[i] != w[i] {
-					t.Errorf("%s digest %s, pinned %s", artifacts[i], got[i], w[i])
+					t.Errorf("%s digest %s, pinned %s", pinArtifacts[i], got[i], w[i])
 				}
 			}
 		})
 	}
 }
 
-func readPins(t *testing.T) map[string][3]string {
+func readPins(t *testing.T) map[string][len(pinArtifacts)]string {
 	t.Helper()
 	f, err := os.Open(outputsPinPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	pins := map[string][3]string{}
+	pins := map[string][len(pinArtifacts)]string{}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
-		if len(fields) != 4 {
+		if len(fields) != 1+len(pinArtifacts) {
 			t.Fatalf("%s: malformed line %q", outputsPinPath, sc.Text())
 		}
-		pins[fields[0]] = [3]string{fields[1], fields[2], fields[3]}
+		var d [len(pinArtifacts)]string
+		copy(d[:], fields[1:])
+		pins[fields[0]] = d
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
