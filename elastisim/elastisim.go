@@ -109,7 +109,10 @@ type (
 	Recorder = metrics.Recorder
 	// Timeline is a step function of time (busy nodes, utilization).
 	Timeline = metrics.Timeline
-	// TraceEvent is one entry of the engine's optional event log.
+	// TraceEvent is one entry of the engine's optional event log: a typed
+	// record whose payload fields depend on its Kind. Its Detail method
+	// formats that payload; String gives the line elastisim -trace prints
+	// and MarshalJSON the {"T","Kind","Job","Node","Detail"} form.
 	TraceEvent = core.TraceEvent
 
 	// Tracer is the telemetry fan-out; attach one via Options.Telemetry to

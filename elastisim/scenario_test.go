@@ -68,7 +68,7 @@ func dumpRun(t *testing.T, res *Result) (string, []byte) {
 		if ev.Job == NoJob {
 			subject = fmt.Sprintf("node%d", ev.Node)
 		}
-		fmt.Fprintf(&trace, "%b %s %s %s\n", ev.T, ev.Kind, subject, ev.Detail)
+		fmt.Fprintf(&trace, "%b %s %s %s\n", ev.T, ev.Kind, subject, ev.Detail())
 	}
 	var csv bytes.Buffer
 	if err := res.Recorder.WriteJobsCSV(&csv); err != nil {

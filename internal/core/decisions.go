@@ -129,9 +129,7 @@ func (e *Engine) applyGrant(jr *jobRun, n int) error {
 	// The request is answered: clear it so later invocations do not see a
 	// stale outstanding request (and grant it twice).
 	jr.view.EvolvingRequest = 0
-	if e.tracing() {
-		e.traceEvent(EvGranted, j.ID, fmt.Sprintf("target=%d", n))
-	}
+	e.emit(jr, TraceEvent{Kind: EvGranted, To: n})
 	// If the job is paused at a scheduling point right now, the pending
 	// resume event will pick the grant up at this timestamp.
 	return nil
@@ -146,7 +144,7 @@ func (e *Engine) applyDeny(jr *jobRun) error {
 	}
 	jr.view.EvolvingRequest = 0
 	jr.grantedTarget = 0
-	e.traceEvent(EvDenied, jr.view.Job.ID, "")
+	e.emit(jr, TraceEvent{Kind: EvDenied})
 	return nil
 }
 
@@ -158,7 +156,7 @@ func (e *Engine) applyKill(jr *jobRun) error {
 		}
 		jr.setState(stateDone)
 		e.rec.JobAbandoned(jr.rec, e.Now())
-		e.traceEvent(EvFinish, jr.view.Job.ID, "killed-pending")
+		e.emit(jr, TraceEvent{Kind: EvFinish, Status: metrics.StatusKilledScheduler, Pending: true})
 		e.outstanding--
 		e.markFinished(jr.view.Job.ID)
 		return nil

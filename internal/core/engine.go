@@ -371,9 +371,7 @@ func (e *Engine) submit(j *job.Job) {
 	}
 	jr.setState(statePending)
 	jr.rec = e.rec.JobSubmitted(j, jr.label(), e.Now())
-	if e.tracing() {
-		e.traceEvent(EvSubmit, j.ID, fmt.Sprintf("type=%s", j.Type))
-	}
+	e.emit(jr, TraceEvent{Kind: EvSubmit, JobType: j.Type})
 	// "afterany" semantics: completed and killed dependencies both count as
 	// finished; one that was never submitted does not.
 	for _, dep := range j.Dependencies {
@@ -384,9 +382,7 @@ func (e *Engine) submit(j *job.Job) {
 	}
 	if jr.depsLeft > 0 {
 		jr.setState(stateHeld)
-		if e.tracing() {
-			e.traceEvent(EvHeld, j.ID, fmt.Sprintf("deps=%d", jr.depsLeft))
-		}
+		e.emit(jr, TraceEvent{Kind: EvHeld, Deps: jr.depsLeft})
 		return
 	}
 	e.queue.add(jr)
@@ -401,7 +397,7 @@ func (e *Engine) markFinished(id job.ID) {
 		if jr.depsLeft == 0 && jr.state == stateHeld {
 			jr.setState(statePending)
 			e.queue.add(jr)
-			e.traceEvent(EvReleased, jr.view.Job.ID, "")
+			e.emit(jr, TraceEvent{Kind: EvReleased})
 			e.requestInvocation(sched.ReasonSubmit)
 		}
 	}

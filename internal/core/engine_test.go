@@ -584,8 +584,8 @@ func TestTaskTracing(t *testing.T) {
 			starts++
 		case EvTaskEnd:
 			ends++
-			if !strings.Contains(ev.Detail, "dur=") {
-				t.Errorf("task-end without duration: %s", ev.Detail)
+			if !strings.Contains(ev.Detail(), "dur=") {
+				t.Errorf("task-end without duration: %s", ev.Detail())
 			}
 		}
 	}
@@ -675,8 +675,8 @@ func TestRunLabelFormattedOnce(t *testing.T) {
 // TestUntracedRunFormatsNothing bounds heap allocations per job on the
 // default path — no Options.Trace, no tracer — for the rigid periodic
 // shape cmd/bench's rigid_xl runs, at a sustainable load (about 150 of the
-// 4000 jobs live at once). Every trace call site formats its detail only
-// when a consumer is attached, so submit, start and finish cost no
+// 4000 jobs live at once). Trace call sites build typed records that emit
+// drops when no consumer is attached, so submit, start and finish cost no
 // fmt.Sprintf, and task models evaluate in the engine's one environment.
 // The run makes 4.07 mallocs and 624 bytes per job, engine construction
 // included (4.14 and 685 under -race); the bounds are 1.2 times that.
@@ -702,13 +702,45 @@ func TestUntracedRunFormatsNothing(t *testing.T) {
 	bytesPerJob := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(jobs))
 	t.Logf("%.2f mallocs and %.0f bytes per job; %d run slots carved for a peak of %d live runs", perJob, bytesPerJob, e.runs.slots, e.runs.peak)
 	if perJob > 4.9 {
-		t.Errorf("%.2f mallocs per job with tracing off, want at most 4.9: is a trace detail or a job label formatted outside an e.tracing() guard, does validation allocate again, or is a record or closure allocated per job?", perJob)
+		t.Errorf("%.2f mallocs per job with tracing off, want at most 4.9: is a trace detail or a job label formatted on the untraced path, does validation allocate again, or is a record or closure allocated per job?", perJob)
 	}
 	if bytesPerJob > 750 {
 		t.Errorf("%.0f bytes per job, want at most 750: does a finished run keep its slot, or does the recorder grow its records, Gantt or busy timeline by append again?", bytesPerJob)
 	}
 	if e.runs.slots > e.runs.peak+runChunk {
 		t.Errorf("%d run slots carved for a peak of %d live runs, want at most %d more: are finished runs released?", e.runs.slots, e.runs.peak, runChunk)
+	}
+}
+
+// TestTracedRunFormatsNothing pins the event log's cost: a rigid run with
+// Options.Trace set and no tracer stores one typed record per event and
+// formats nothing, so it allocates only what the untraced run does plus
+// the log's growth by append (13 reallocations for its 3,000 records).
+// The bound is 64 mallocs over the untraced run for the whole run; a
+// detail string formatted per event adds thousands.
+func TestTracedRunFormatsNothing(t *testing.T) {
+	jobs := make([]*job.Job, 1000)
+	for i := range jobs {
+		jobs[i] = computeJob(i, 1+i%4, float64(10+i%60)*speed)
+		jobs[i].SubmitTime = float64(i) / 4
+	}
+	mallocs := func(opts Options) (uint64, *Engine) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, e := runSim(t, testPlatform(512), jobs, &sched.FirstFit{}, opts)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, e
+	}
+	opts := Options{InvocationInterval: 30, DisableEventDriven: true}
+	untraced, _ := mallocs(opts)
+	opts.Trace = true
+	traced, e := mallocs(opts)
+	t.Logf("%d events logged; %d mallocs traced, %d untraced", len(e.Trace()), traced, untraced)
+	if len(e.Trace()) < 3*len(jobs) {
+		t.Fatalf("%d events logged for %d jobs, want submit, start and finish of each", len(e.Trace()), len(jobs))
+	}
+	if traced > untraced+64 {
+		t.Errorf("traced run made %d mallocs, the untraced one %d: want at most 64 more (the log's growth); is a detail formatted when an event is emitted?", traced, untraced)
 	}
 }
 

@@ -45,7 +45,7 @@ func (e *Engine) nodeFail(node int, up float64) {
 	i, _ := slices.BinarySearch(e.down, node)
 	e.down = slices.Insert(e.down, i, node)
 	e.rec.NodeDown(node, now)
-	e.traceNodeEvent(EvNodeDown, node, "")
+	e.emit(nil, TraceEvent{Kind: EvNodeDown, Job: NoJob, Node: node})
 	e.requestInvocation(sched.ReasonNodeDown)
 	e.kernel.ScheduleTransient(des.Time(up), des.PriorityEngine, func() {
 		e.nodeRepair(node)
@@ -63,7 +63,7 @@ func (e *Engine) nodeRepair(node int) {
 	i, _ := slices.BinarySearch(e.down, node)
 	e.down = slices.Delete(e.down, i, i+1)
 	e.rec.NodeUp(node, now)
-	e.traceNodeEvent(EvNodeUp, node, "")
+	e.emit(nil, TraceEvent{Kind: EvNodeUp, Job: NoJob, Node: node})
 	e.requestInvocation(sched.ReasonNodeUp)
 	if e.outstanding > 0 {
 		e.scheduleOutage(node, now)
@@ -121,11 +121,8 @@ func (e *Engine) shrinkThroughFailure(jr *jobRun, id platform.NodeID) {
 	if err := e.alloc.Release(jr.owner, []platform.NodeID{id}); err != nil {
 		panic(fmt.Sprintf("core: releasing failed node %d of %s: %v", int(id), jr.label(), err))
 	}
-	e.telNodesReleased(jr, []platform.NodeID{id})
 	e.rec.JobReconfigured(jr.rec, now, len(jr.nodes))
-	if e.tracing() {
-		e.traceEvent(EvFailShrink, jr.view.Job.ID, fmt.Sprintf("%d->%d node=%d", oldSize, len(jr.nodes), int(id)))
-	}
+	e.emit(jr, TraceEvent{Kind: EvFailShrink, From: oldSize, To: len(jr.nodes), FailedNode: int(id)})
 	if jr.state == stateAtSchedPoint {
 		// The pending resume event charges the reconfiguration cost; no
 		// iteration was in flight, so nothing is redone.
@@ -156,8 +153,6 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 	if err := e.alloc.Release(jr.owner, jr.nodes); err != nil {
 		panic(fmt.Sprintf("core: releasing %s: %v", jr.label(), err))
 	}
-	e.telNodesReleased(jr, jr.nodes)
-	jr.nodes = nil
 	e.running.remove(jr)
 	e.rec.JobFailed(jr.rec, now, lost)
 	if requeue && int(jr.requeues) < e.injector.Spec().EffectiveMaxRequeues() {
@@ -165,15 +160,15 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 		jr.setState(statePending) // also clears the outstanding evolving request
 		jr.grantedTarget, jr.pendingResize = 0, 0
 		e.rec.JobRequeued(jr.rec)
-		if e.tracing() {
-			e.traceEvent(EvRequeued, jr.view.Job.ID, fmt.Sprintf("requeue=%d ckpt=%d/%d", jr.requeues, jr.ckptPhase, jr.ckptIter))
-		}
+		e.emit(jr, TraceEvent{Kind: EvRequeued, Requeues: jr.requeues, Phase: jr.ckptPhase, Iter: jr.ckptIter})
+		jr.nodes = nil
 		e.queue.add(jr)
 		return
 	}
 	jr.setState(stateDone)
 	e.rec.JobFinished(jr.rec, now, metrics.StatusFailedNode)
-	e.traceEvent(EvFinish, jr.view.Job.ID, "status=failed-node")
+	e.emit(jr, TraceEvent{Kind: EvFinish, Status: metrics.StatusFailedNode})
+	jr.nodes = nil
 	e.outstanding--
 	e.markFinished(jr.view.Job.ID)
 }
@@ -198,7 +193,5 @@ func (e *Engine) maybeCheckpoint(jr *jobRun) {
 	}
 	jr.ckptPhase, jr.ckptIter = jr.phaseIdx, jr.iter
 	jr.lastCkpt = now
-	if e.tracing() {
-		e.traceEvent(EvCheckpoint, jr.view.Job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
-	}
+	e.emit(jr, TraceEvent{Kind: EvCheckpoint, Phase: jr.phaseIdx, Iter: jr.iter})
 }

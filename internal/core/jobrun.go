@@ -210,14 +210,7 @@ func (e *Engine) start(jr *jobRun, nodes []platform.NodeID) {
 	jr.lastCkpt = now
 	e.running.add(jr)
 	e.rec.JobStarted(jr.rec, now, len(nodes))
-	if e.tracing() {
-		detail := fmt.Sprintf("nodes=%d", len(nodes))
-		if jr.requeues > 0 {
-			detail += fmt.Sprintf(" restart=%d ckpt=%d/%d", jr.requeues, jr.ckptPhase, jr.ckptIter)
-		}
-		e.traceEvent(EvStart, jr.view.Job.ID, detail)
-	}
-	e.telNodesAllocated(jr, jr.nodes)
+	e.emit(jr, TraceEvent{Kind: EvStart, Nodes: len(nodes), Requeues: jr.requeues, Phase: jr.ckptPhase, Iter: jr.ckptIter})
 	if jr.view.Job.WallTimeLimit > 0 {
 		jr.killEvent = e.kernel.Schedule(des.Time(now+jr.view.Job.WallTimeLimit), des.PriorityEngine, func() {
 			e.kill(jr, metrics.StatusKilledWalltime)
@@ -245,11 +238,12 @@ func (e *Engine) startTask(jr *jobRun) {
 	done := jr.onTaskDone
 	if e.opts.TraceTasks && e.tracing() {
 		began := e.Now()
-		detail := fmt.Sprintf("phase=%d iter=%d task=%d kind=%s", jr.phaseIdx, jr.iter, jr.taskIdx, t.Kind)
-		e.traceEvent(EvTaskStart, jr.view.Job.ID, detail)
+		ev := TraceEvent{Kind: EvTaskStart, Phase: jr.phaseIdx, Iter: jr.iter, Task: jr.taskIdx, TaskKind: t.Kind}
+		e.emit(jr, ev)
 		inner := done
 		done = func() {
-			e.traceEvent(EvTaskEnd, jr.view.Job.ID, fmt.Sprintf("%s dur=%.6f", detail, e.Now()-began))
+			ev.Kind, ev.Dur = EvTaskEnd, e.Now()-began
+			e.emit(jr, ev)
 			inner()
 		}
 	}
@@ -445,9 +439,7 @@ func (e *Engine) registerEvolvingRequest(jr *jobRun, desired float64) {
 		return // already outstanding or already granted
 	}
 	jr.view.EvolvingRequest = want
-	if e.tracing() {
-		e.traceEvent(EvEvolvingRequest, jr.view.Job.ID, fmt.Sprintf("want=%d have=%d", want, len(jr.nodes)))
-	}
+	e.emit(jr, TraceEvent{Kind: EvEvolvingRequest, From: len(jr.nodes), To: want})
 	e.requestInvocation(sched.ReasonEvolvingRequest)
 }
 
@@ -508,9 +500,7 @@ func (e *Engine) taskDone(jr *jobRun) {
 func (e *Engine) enterSchedulingPoint(jr *jobRun) {
 	jr.setState(stateAtSchedPoint)
 	jr.pendingResize = 0
-	if e.tracing() {
-		e.traceEvent(EvSchedulingPoint, jr.view.Job.ID, fmt.Sprintf("phase=%d iter=%d", jr.phaseIdx, jr.iter))
-	}
+	e.emit(jr, TraceEvent{Kind: EvSchedulingPoint, Phase: jr.phaseIdx, Iter: jr.iter})
 	e.requestInvocation(sched.ReasonSchedulingPoint)
 	id := jr.view.Job.ID
 	e.kernel.ScheduleTransientAfter(0, PriorityResume, func() {
@@ -541,9 +531,7 @@ func (e *Engine) resumeFromSchedulingPoint(jr *jobRun) {
 		jr.grantedTarget = 0
 		jr.view.EvolvingRequest = 0
 		if target != 0 && target != cur {
-			if e.tracing() {
-				e.traceEvent(EvGrantApplied, jr.view.Job.ID, fmt.Sprintf("target=%d", target))
-			}
+			e.emit(jr, TraceEvent{Kind: EvGrantApplied, To: target})
 			e.adjustAllocation(jr, target)
 			oldSize = cur
 		}
@@ -557,33 +545,28 @@ func (e *Engine) resumeFromSchedulingPoint(jr *jobRun) {
 }
 
 // adjustAllocation grows or shrinks a paused job's node set immediately.
-// Precondition: target is feasible (enough free nodes for growth).
+// Precondition: target is feasible (enough free nodes for growth). The
+// released nodes stay in jr.nodes until the event is out, so its span
+// adapter finds every node the change touched.
 func (e *Engine) adjustAllocation(jr *jobRun, target int) {
-	now := e.Now()
 	cur := len(jr.nodes)
-	owner := jr.owner
 	if target > cur {
-		added, err := e.alloc.Allocate(owner, target-cur)
+		added, err := e.alloc.Allocate(jr.owner, target-cur)
 		if err != nil {
 			panic(fmt.Sprintf("core: validated expand of %s failed: %v", jr.label(), err))
 		}
 		jr.nodes = append(jr.nodes, added...)
-		e.telNodesAllocated(jr, added)
 	} else {
 		// Release the highest-numbered nodes.
 		platform.SortNodeIDs(jr.nodes)
-		released := jr.nodes[target:]
-		jr.nodes = jr.nodes[:target]
-		if err := e.alloc.Release(owner, released); err != nil {
+		if err := e.alloc.Release(jr.owner, jr.nodes[target:]); err != nil {
 			panic(fmt.Sprintf("core: inconsistent allocation for %s: %v", jr.label(), err))
 		}
-		e.telNodesReleased(jr, released)
 	}
-	jr.view.Nodes = len(jr.nodes)
-	e.rec.JobReconfigured(jr.rec, now, len(jr.nodes))
-	if e.tracing() {
-		e.traceEvent(EvReconfigured, jr.view.Job.ID, fmt.Sprintf("%d->%d", cur, target))
-	}
+	jr.view.Nodes = target
+	e.rec.JobReconfigured(jr.rec, e.Now(), target)
+	e.emit(jr, TraceEvent{Kind: EvReconfigured, From: cur, To: target})
+	jr.nodes = jr.nodes[:target]
 }
 
 // chargeReconfiguration pays the job's reconfiguration cost (if any) and
@@ -632,13 +615,10 @@ func (e *Engine) finish(jr *jobRun, status metrics.JobStatus) {
 	if err := e.alloc.Release(jr.owner, jr.nodes); err != nil {
 		panic(fmt.Sprintf("core: releasing %s: %v", jr.label(), err))
 	}
-	e.telNodesReleased(jr, jr.nodes)
-	jr.nodes = nil
 	e.running.remove(jr)
 	e.rec.JobFinished(jr.rec, now, status)
-	if e.tracing() {
-		e.traceEvent(EvFinish, jr.view.Job.ID, fmt.Sprintf("status=%s", status))
-	}
+	e.emit(jr, TraceEvent{Kind: EvFinish, Status: status})
+	jr.nodes = nil
 	e.outstanding--
 	e.markFinished(jr.view.Job.ID)
 	e.requestInvocation(sched.ReasonCompletion)

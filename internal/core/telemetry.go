@@ -2,9 +2,7 @@ package core
 
 import (
 	"runtime"
-	"strings"
 
-	"repro/internal/job"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -19,62 +17,67 @@ import (
 // releases a node (span end) before the node's outage span begins, and a
 // finishing job closes its open task/reconfigure spans first.
 
-// telJobEvent maps one job-level trace event onto the job's span track.
-// Only called with telemetry enabled.
-func (e *Engine) telJobEvent(kind TraceEventKind, id job.ID, detail string) {
+// telEvent maps one engine event onto span tracks: a job event onto the
+// job's track and onto the tracks of the nodes it gives or takes (at every
+// event that moves nodes jr.nodes still holds all of them), a node event
+// onto the node's outage span. Only called with telemetry enabled.
+func (e *Engine) telEvent(jr *jobRun, ev TraceEvent) {
 	tel := e.opts.Telemetry
-	tr := telemetry.JobTrack(int(id))
-	now := e.Now()
-	switch kind {
+	tr, now := telemetry.JobTrack(int(ev.Job)), ev.T
+	switch ev.Kind {
+	case EvNodeDown:
+		tel.Begin(telemetry.NodeTrack(ev.Node), "outage", now)
+	case EvNodeUp:
+		tel.End(telemetry.NodeTrack(ev.Node), "outage", now)
 	case EvSubmit:
-		tel.Begin(tr, "wait", now, telemetry.Arg{Key: "type", Value: strings.TrimPrefix(detail, "type=")})
+		tel.Begin(tr, "wait", now, telemetry.Arg{Key: "type", Value: string(ev.JobType)})
 	case EvStart:
 		tel.End(tr, "wait", now)
-		nodes := 0
-		if jr := e.runs.get(id); jr != nil {
-			nodes = len(jr.nodes)
-		}
-		tel.Begin(tr, "run", now, telemetry.Arg{Key: "nodes", Value: nodes})
-	case EvFinish:
-		if detail == "killed-pending" {
+		tel.Begin(tr, "run", now, telemetry.Arg{Key: "nodes", Value: ev.Nodes})
+		e.telNodeSpans(jr, jr.nodes, true)
+	case EvFinish, EvRequeued:
+		if ev.Pending {
 			tel.End(tr, "wait", now)
 			return
 		}
-		e.telCloseNested(id)
-		tel.End(tr, "run", now, telemetry.Arg{Key: "status", Value: strings.TrimPrefix(detail, "status=")})
-	case EvRequeued:
-		e.telCloseNested(id)
-		tel.End(tr, "run", now)
-		tel.Begin(tr, "wait", now, telemetry.Arg{Key: "detail", Value: detail})
-	case EvTaskStart:
-		tel.Begin(tr, "task", now, telemetry.Arg{Key: "detail", Value: detail})
-		if jr := e.runs.get(id); jr != nil {
-			jr.telTaskOpen = true
-		}
-	case EvTaskEnd:
-		tel.End(tr, "task", now)
-		if jr := e.runs.get(id); jr != nil {
-			jr.telTaskOpen = false
-		}
-	default:
-		// Everything else is a point event on the job's track.
-		if detail == "" {
-			tel.Instant(tr, string(kind), now)
+		e.telNodeSpans(jr, jr.nodes, false)
+		e.telCloseTask(jr)
+		e.telEndReconfig(jr)
+		if ev.Kind == EvFinish {
+			tel.End(tr, "run", now, telemetry.Arg{Key: "status", Value: string(ev.Status)})
 			return
 		}
-		tel.Instant(tr, string(kind), now, telemetry.Arg{Key: "detail", Value: detail})
+		tel.End(tr, "run", now)
+		tel.Begin(tr, "wait", now, telemetry.Arg{Key: "detail", Value: ev.Detail()})
+	case EvReconfigured:
+		e.telNodeSpans(jr, jr.nodes[min(ev.From, ev.To):max(ev.From, ev.To)], ev.To > ev.From)
+		tel.Instant(tr, string(ev.Kind), now, telemetry.Arg{Key: "detail", Value: ev.Detail()})
+	case EvFailShrink:
+		tel.End(telemetry.NodeTrack(ev.FailedNode), jr.label(), now)
+		tel.Instant(tr, string(ev.Kind), now, telemetry.Arg{Key: "detail", Value: ev.Detail()})
+	case EvTaskStart:
+		tel.Begin(tr, "task", now, telemetry.Arg{Key: "detail", Value: ev.Detail()})
+		jr.telTaskOpen = true
+	case EvTaskEnd:
+		tel.End(tr, "task", now)
+		jr.telTaskOpen = false
+	case EvReleased, EvDenied:
+		tel.Instant(tr, string(ev.Kind), now)
+	default:
+		// Everything else is a point event on the job's track.
+		tel.Instant(tr, string(ev.Kind), now, telemetry.Arg{Key: "detail", Value: ev.Detail()})
 	}
 }
 
-// telCloseNested ends any task/reconfigure span still open when a job's
-// run span closes (kill, walltime, node failure), keeping spans nested.
-func (e *Engine) telCloseNested(id job.ID) {
-	jr := e.runs.get(id)
-	if jr == nil {
-		return
+// telNodeSpans opens (begin) or closes the job's span on each node's track.
+func (e *Engine) telNodeSpans(jr *jobRun, nodes []platform.NodeID, begin bool) {
+	ph, label := telemetry.PhaseEnd, jr.label()
+	if begin {
+		ph = telemetry.PhaseBegin
 	}
-	e.telCloseTask(jr)
-	e.telEndReconfig(jr)
+	for _, n := range nodes {
+		e.opts.Telemetry.Emit(telemetry.Event{T: e.Now(), Phase: ph, Track: telemetry.NodeTrack(int(n)), Name: label})
+	}
 }
 
 // telCloseTask ends the job's open task span, if any (tasks cancelled by
@@ -86,45 +89,6 @@ func (e *Engine) telCloseTask(jr *jobRun) {
 	}
 	tel.End(telemetry.JobTrack(int(jr.view.Job.ID)), "task", e.Now())
 	jr.telTaskOpen = false
-}
-
-// telNodeEvent maps node failures and repairs onto outage spans on the
-// node's track. Only called with telemetry enabled.
-func (e *Engine) telNodeEvent(kind TraceEventKind, node int) {
-	tel := e.opts.Telemetry
-	tr := telemetry.NodeTrack(node)
-	switch kind {
-	case EvNodeDown:
-		tel.Begin(tr, "outage", e.Now())
-	case EvNodeUp:
-		tel.End(tr, "outage", e.Now())
-	}
-}
-
-// telNodesAllocated opens a job span on each newly allocated node's track.
-func (e *Engine) telNodesAllocated(jr *jobRun, nodes []platform.NodeID) {
-	tel := e.opts.Telemetry
-	if !tel.Enabled() {
-		return
-	}
-	now := e.Now()
-	label := jr.label()
-	for _, n := range nodes {
-		tel.Begin(telemetry.NodeTrack(int(n)), label, now)
-	}
-}
-
-// telNodesReleased closes the job span on each released node's track.
-func (e *Engine) telNodesReleased(jr *jobRun, nodes []platform.NodeID) {
-	tel := e.opts.Telemetry
-	if !tel.Enabled() {
-		return
-	}
-	now := e.Now()
-	label := jr.label()
-	for _, n := range nodes {
-		tel.End(telemetry.NodeTrack(int(n)), label, now)
-	}
 }
 
 // telBeginReconfig opens the job's reconfigure span (cost charging).

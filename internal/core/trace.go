@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/job"
+	"repro/internal/metrics"
 )
 
 // TraceEventKind labels entries of the engine's event log.
@@ -40,14 +42,70 @@ const NoJob job.ID = -1
 // NoNode is the Node value of job-level trace events.
 const NoNode = -1
 
-// TraceEvent is one entry of the optional event log.
+// TraceEvent is one entry of the optional event log: a typed record of one
+// lifecycle transition. T, Kind, Job and Node say when, what and to whom;
+// the payload fields an event sets depend on its Kind. The engine formats
+// nothing: Detail, String and MarshalJSON render a record when it is read.
 type TraceEvent struct {
 	T    float64
 	Kind TraceEventKind
 	Job  job.ID // NoJob for machine-level events
 	// Node is the affected node for machine-level events, NoNode otherwise.
-	Node   int
-	Detail string
+	Node int
+
+	JobType job.Type // submit
+	Deps    int32    // held: unfinished dependencies
+	Nodes   int      // start: the allocation's size
+	// From and To: old and new size (reconfigured, shrink-on-failure), held
+	// and wanted size (evolving-request), target (To: granted, grant-applied).
+	From, To   int
+	FailedNode int // shrink-on-failure
+	// Phase, Iter and Task: the position of a scheduling point, checkpoint
+	// or task; at requeued and a restart's start, the checkpoint resumed.
+	Phase, Iter, Task int32
+	Requeues          int32             // requeued, and start after a requeue
+	TaskKind          job.TaskKind      // task-start, task-end
+	Dur               float64           // task-end: the task's duration
+	Status            metrics.JobStatus // finish
+	Pending           bool              // finish: killed before it started
+}
+
+// Detail formats the payload as the text and JSON forms of the log show it
+// ("" for events that carry none).
+func (ev TraceEvent) Detail() string {
+	switch ev.Kind {
+	case EvSubmit:
+		return "type=" + string(ev.JobType)
+	case EvHeld:
+		return fmt.Sprintf("deps=%d", ev.Deps)
+	case EvStart:
+		if ev.Requeues == 0 {
+			return fmt.Sprintf("nodes=%d", ev.Nodes)
+		}
+		return fmt.Sprintf("nodes=%d restart=%d ckpt=%d/%d", ev.Nodes, ev.Requeues, ev.Phase, ev.Iter)
+	case EvFinish:
+		if ev.Pending {
+			return "killed-pending"
+		}
+		return "status=" + string(ev.Status)
+	case EvRequeued:
+		return fmt.Sprintf("requeue=%d ckpt=%d/%d", ev.Requeues, ev.Phase, ev.Iter)
+	case EvSchedulingPoint, EvCheckpoint:
+		return fmt.Sprintf("phase=%d iter=%d", ev.Phase, ev.Iter)
+	case EvTaskStart:
+		return fmt.Sprintf("phase=%d iter=%d task=%d kind=%s", ev.Phase, ev.Iter, ev.Task, ev.TaskKind)
+	case EvTaskEnd:
+		return fmt.Sprintf("phase=%d iter=%d task=%d kind=%s dur=%.6f", ev.Phase, ev.Iter, ev.Task, ev.TaskKind, ev.Dur)
+	case EvEvolvingRequest:
+		return fmt.Sprintf("want=%d have=%d", ev.To, ev.From)
+	case EvGranted, EvGrantApplied:
+		return fmt.Sprintf("target=%d", ev.To)
+	case EvReconfigured:
+		return fmt.Sprintf("%d->%d", ev.From, ev.To)
+	case EvFailShrink:
+		return fmt.Sprintf("%d->%d node=%d", ev.From, ev.To, ev.FailedNode)
+	}
+	return ""
 }
 
 func (ev TraceEvent) String() string {
@@ -55,37 +113,45 @@ func (ev TraceEvent) String() string {
 	if ev.Job == NoJob {
 		subject = fmt.Sprintf("node%d", ev.Node)
 	}
-	if ev.Detail == "" {
-		return fmt.Sprintf("%.3f %s %s", ev.T, ev.Kind, subject)
+	if detail := ev.Detail(); detail != "" {
+		return fmt.Sprintf("%.3f %s %s %s", ev.T, ev.Kind, subject, detail)
 	}
-	return fmt.Sprintf("%.3f %s %s %s", ev.T, ev.Kind, subject, ev.Detail)
+	return fmt.Sprintf("%.3f %s %s", ev.T, ev.Kind, subject)
 }
 
-// tracing reports whether any consumer of traceEvent is attached. Call
-// sites that format a detail string check it first, so a run with neither
-// Options.Trace nor a tracer formats (and allocates) nothing per event.
+// MarshalJSON encodes the record in the log's JSON form, with the payload
+// rendered by Detail.
+func (ev TraceEvent) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		T      float64
+		Kind   TraceEventKind
+		Job    job.ID
+		Node   int
+		Detail string
+	}{ev.T, ev.Kind, ev.Job, ev.Node, ev.Detail()})
+}
+
+// tracing reports whether any consumer of emit is attached.
 func (e *Engine) tracing() bool { return e.opts.Trace || e.opts.Telemetry.Enabled() }
 
-// traceEvent is the unified event hook: the in-memory TraceEvent log and
-// the telemetry span adapter are both consumers, so either can be enabled
-// without the other and the log stays bit-identical when telemetry is off.
-func (e *Engine) traceEvent(kind TraceEventKind, id job.ID, detail string) {
-	if e.opts.Telemetry.Enabled() {
-		e.telJobEvent(kind, id, detail)
-	}
-	if !e.opts.Trace {
+// emit is the engine's one event hook. It stamps ev with the time and,
+// for a job event, the job of jr (nil for machine-level events), then
+// hands it to each attached consumer: the telemetry span adapter and the
+// in-memory log. Call sites build ev on the stack and format nothing, so
+// a run with neither consumer pays one check per event, and either can be
+// enabled without the other.
+func (e *Engine) emit(jr *jobRun, ev TraceEvent) {
+	if !e.tracing() {
 		return
 	}
-	e.trace = append(e.trace, TraceEvent{T: e.Now(), Kind: kind, Job: id, Node: NoNode, Detail: detail})
-}
-
-// traceNodeEvent is traceEvent for machine-level events (node down/up).
-func (e *Engine) traceNodeEvent(kind TraceEventKind, node int, detail string) {
+	ev.T = e.Now()
+	if jr != nil {
+		ev.Job, ev.Node = jr.view.Job.ID, NoNode
+	}
 	if e.opts.Telemetry.Enabled() {
-		e.telNodeEvent(kind, node)
+		e.telEvent(jr, ev)
 	}
-	if !e.opts.Trace {
-		return
+	if e.opts.Trace {
+		e.trace = append(e.trace, ev)
 	}
-	e.trace = append(e.trace, TraceEvent{T: e.Now(), Kind: kind, Job: NoJob, Node: node, Detail: detail})
 }

@@ -295,7 +295,7 @@ func (s viewScenario) run(t *testing.T, seen map[string]int) bool {
 		for _, ev := range e.Trace() {
 			seen[string(ev.Kind)]++
 			if ev.Kind == EvFinish {
-				seen[ev.Detail]++
+				seen[ev.Detail()]++
 			}
 			if ev.Kind == EvStart && w.Jobs[ev.Job].Type == job.Moldable {
 				seen["moldable-start"]++

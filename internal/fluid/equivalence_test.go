@@ -86,7 +86,7 @@ func runEquivalence(t *testing.T, check bool) equivalenceRun {
 		if ev.Job == core.NoJob {
 			subject = fmt.Sprintf("node%d", ev.Node)
 		}
-		fmt.Fprintf(&trace, "%b %s %s %s\n", ev.T, ev.Kind, subject, ev.Detail)
+		fmt.Fprintf(&trace, "%b %s %s %s\n", ev.T, ev.Kind, subject, ev.Detail())
 	}
 	var csv bytes.Buffer
 	if err := rec.WriteJobsCSV(&csv); err != nil {
