@@ -108,7 +108,6 @@ func (n *condNode) eval(env Env) float64 {
 }
 
 type callNode struct {
-	name string
 	fn   builtin
 	args []node
 }
@@ -392,7 +391,7 @@ func (p *parser) parseAtom() (node, error) {
 		if err := fn.checkArity(len(args)); err != "" {
 			return nil, p.errorf(pos, "%s: %s", name, err)
 		}
-		return &callNode{name: name, fn: fn.impl, args: args}, nil
+		return &callNode{fn: fn.impl, args: args}, nil
 	}
 	return nil, p.errorf(p.tok.pos, "expected value, found %q", p.tok.String())
 }

@@ -8,12 +8,12 @@ import (
 
 // benchPool builds a pool with n long-running background activities. When
 // shared is true they all contend on one global resource (one connected
-// component); otherwise each runs on a private resource (n singleton
-// components — the shape job-private work would take if it were fluid).
-func benchPool(b testing.TB, n int, shared bool) (*des.Kernel, *Pool, *Resource) {
+// component), which it returns; otherwise each runs on a private resource
+// (n singleton components — the shape job-private work would take if it
+// were fluid), and it returns a fresh resource no activity uses.
+func benchPool(b testing.TB, n int, shared bool) (*Pool, *Resource) {
 	b.Helper()
-	k := des.NewKernel()
-	p := NewPool(k)
+	p := NewPool(des.NewKernel())
 	var global *Resource
 	if shared {
 		global = p.NewResource("global", float64(n))
@@ -27,8 +27,10 @@ func benchPool(b testing.TB, n int, shared bool) (*des.Kernel, *Pool, *Resource)
 		}
 		p.Start(a)
 	}
-	extra := p.NewResource("extra", 100)
-	return k, p, extra
+	if shared {
+		return p, global
+	}
+	return p, p.NewResource("extra", 100)
 }
 
 // BenchmarkSolveDisjoint measures one Start+Cancel cycle of an activity
@@ -36,7 +38,7 @@ func benchPool(b testing.TB, n int, shared bool) (*des.Kernel, *Pool, *Resource)
 // incremental solver only touches the one-activity component; the full
 // solver re-solves all 257.
 func BenchmarkSolveDisjoint(b *testing.B) {
-	_, p, extra := benchPool(b, 256, false)
+	p, extra := benchPool(b, 256, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -52,8 +54,7 @@ func BenchmarkSolveDisjoint(b *testing.B) {
 // component is the whole pool and incrementality cannot help. It bounds
 // the overhead of the component machinery.
 func BenchmarkSolveShared(b *testing.B) {
-	_, p, _ := benchPool(b, 256, true)
-	shared := p.resources[0]
+	p, shared := benchPool(b, 256, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -104,8 +105,7 @@ func TestSolveSharedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	_, p, _ := benchPool(t, 256, true)
-	shared := p.resources[0]
+	p, shared := benchPool(t, 256, true)
 	allocs := testing.AllocsPerRun(200, func() {
 		a := NewActivity("probe", 1e18, nil)
 		a.AddUsage(shared, 1)

@@ -192,9 +192,8 @@ func (a *Activity) Active() bool { return a.index >= 0 }
 // Pool manages the set of running activities on top of a DES kernel. All
 // methods must be called from the kernel's event loop (single-threaded).
 type Pool struct {
-	kernel    *des.Kernel
-	fairness  Fairness
-	resources []*Resource
+	kernel   *des.Kernel
+	fairness Fairness
 	// active lists the running activities in start order. Removal leaves
 	// a nil tombstone, and the list compacts in place, keeping the order,
 	// once tombstones outnumber live entries; live counts the non-nil
@@ -239,14 +238,13 @@ func (p *Pool) Solves() uint64 { return p.solves }
 // through the solver — the work metric incremental solving reduces.
 func (p *Pool) SolvedActivities() uint64 { return p.solvedActs }
 
-// NewResource registers a resource with the pool.
+// NewResource makes a resource for the pool's activities. The pool keeps
+// no list of its resources: one lives as long as something refers to it.
 func (p *Pool) NewResource(name string, capacity float64) *Resource {
 	if capacity <= 0 || math.IsNaN(capacity) {
 		panic(fmt.Sprintf("fluid: invalid capacity %v for resource %s", capacity, name))
 	}
-	r := &Resource{name: name, capacity: capacity}
-	p.resources = append(p.resources, r)
-	return r
+	return &Resource{name: name, capacity: capacity}
 }
 
 // Start registers the activity and recomputes rates in its component.
