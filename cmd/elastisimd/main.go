@@ -123,10 +123,11 @@ func run(ctx context.Context) error {
 		queue.Close()
 		return err
 	}
-	// A client that never finishes its request headers is dropped rather
-	// than holding a connection forever. There is no WriteTimeout: SSE
-	// streams stay open for the whole run.
-	httpSrv := &http.Server{Handler: server.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	// A client that never finishes its request headers, or leaves a
+	// keep-alive connection idle between requests, is dropped rather than
+	// holding a connection forever. There is no WriteTimeout: SSE streams
+	// stay open for the whole run.
+	httpSrv := &http.Server{Handler: server.Handler(), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -292,9 +292,10 @@ func runCoordinator(ctx context.Context, addr, path string, cfg experiments.Swee
 		grid.Close()
 		return nil, err
 	}
-	// A client that never finishes its request headers is dropped rather
-	// than holding a connection forever.
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	// A client that never finishes its request headers, or leaves a
+	// keep-alive connection idle between requests, is dropped rather than
+	// holding a connection forever.
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "sweep: coordinator listening on %s (%d cells)\n", ln.Addr(), grid.Size())
