@@ -161,14 +161,14 @@ func (e *Engine) killByNodeFailure(jr *jobRun, requeue bool) {
 		jr.grantedTarget, jr.pendingResize = 0, 0
 		e.rec.JobRequeued(jr.rec)
 		e.emit(jr, TraceEvent{Kind: EvRequeued, Requeues: jr.requeues, Phase: jr.ckptPhase, Iter: jr.ckptIter})
-		jr.nodes = nil
+		jr.nodes = nil // only now: the emit closes each node's span
 		e.queue.add(jr)
 		return
 	}
 	jr.setState(stateDone)
 	e.rec.JobFinished(jr.rec, now, metrics.StatusFailedNode)
 	e.emit(jr, TraceEvent{Kind: EvFinish, Status: metrics.StatusFailedNode})
-	jr.nodes = nil
+	jr.nodes = nil // only now: the emit closes each node's span
 	e.outstanding--
 	e.markFinished(jr.view.Job.ID)
 }

@@ -210,7 +210,7 @@ func (e *Engine) start(jr *jobRun, nodes []platform.NodeID) {
 	jr.lastCkpt = now
 	e.running.add(jr)
 	e.rec.JobStarted(jr.rec, now, len(nodes))
-	e.emit(jr, TraceEvent{Kind: EvStart, Nodes: len(nodes), Requeues: jr.requeues, Phase: jr.ckptPhase, Iter: jr.ckptIter})
+	e.emit(jr, TraceEvent{Kind: EvStart, To: len(nodes), Requeues: jr.requeues, Phase: jr.ckptPhase, Iter: jr.ckptIter})
 	if jr.view.Job.WallTimeLimit > 0 {
 		jr.killEvent = e.kernel.Schedule(des.Time(now+jr.view.Job.WallTimeLimit), des.PriorityEngine, func() {
 			e.kill(jr, metrics.StatusKilledWalltime)
@@ -618,7 +618,7 @@ func (e *Engine) finish(jr *jobRun, status metrics.JobStatus) {
 	e.running.remove(jr)
 	e.rec.JobFinished(jr.rec, now, status)
 	e.emit(jr, TraceEvent{Kind: EvFinish, Status: status})
-	jr.nodes = nil
+	jr.nodes = nil // only now: the emit closes each node's span
 	e.outstanding--
 	e.markFinished(jr.view.Job.ID)
 	e.requestInvocation(sched.ReasonCompletion)

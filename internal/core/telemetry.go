@@ -33,7 +33,7 @@ func (e *Engine) telEvent(jr *jobRun, ev TraceEvent) {
 		tel.Begin(tr, "wait", now, telemetry.Arg{Key: "type", Value: string(ev.JobType)})
 	case EvStart:
 		tel.End(tr, "wait", now)
-		tel.Begin(tr, "run", now, telemetry.Arg{Key: "nodes", Value: ev.Nodes})
+		tel.Begin(tr, "run", now, telemetry.Arg{Key: "nodes", Value: ev.To})
 		e.telNodeSpans(jr, jr.nodes, true)
 	case EvFinish, EvRequeued:
 		if ev.Pending {

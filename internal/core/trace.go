@@ -53,21 +53,21 @@ type TraceEvent struct {
 	// Node is the affected node for machine-level events, NoNode otherwise.
 	Node int
 
-	JobType job.Type // submit
-	Deps    int32    // held: unfinished dependencies
-	Nodes   int      // start: the allocation's size
-	// From and To: old and new size (reconfigured, shrink-on-failure), held
-	// and wanted size (evolving-request), target (To: granted, grant-applied).
+	JobType  job.Type          // submit
+	TaskKind job.TaskKind      // task-start, task-end
+	Status   metrics.JobStatus // finish
+	Dur      float64           // task-end: the task's duration
+	// From and To: the job's size before and after (start, reconfigured,
+	// shrink-on-failure), held and wanted (evolving-request), the target
+	// (To: granted, grant-applied).
 	From, To   int
-	FailedNode int // shrink-on-failure
+	FailedNode int   // shrink-on-failure
+	Deps       int32 // held: unfinished dependencies
 	// Phase, Iter and Task: the position of a scheduling point, checkpoint
 	// or task; at requeued and a restart's start, the checkpoint resumed.
 	Phase, Iter, Task int32
-	Requeues          int32             // requeued, and start after a requeue
-	TaskKind          job.TaskKind      // task-start, task-end
-	Dur               float64           // task-end: the task's duration
-	Status            metrics.JobStatus // finish
-	Pending           bool              // finish: killed before it started
+	Requeues          int32 // requeued, and start after a requeue
+	Pending           bool  // finish: killed before it started
 }
 
 // Detail formats the payload as the text and JSON forms of the log show it
@@ -80,9 +80,9 @@ func (ev TraceEvent) Detail() string {
 		return fmt.Sprintf("deps=%d", ev.Deps)
 	case EvStart:
 		if ev.Requeues == 0 {
-			return fmt.Sprintf("nodes=%d", ev.Nodes)
+			return fmt.Sprintf("nodes=%d", ev.To)
 		}
-		return fmt.Sprintf("nodes=%d restart=%d ckpt=%d/%d", ev.Nodes, ev.Requeues, ev.Phase, ev.Iter)
+		return fmt.Sprintf("nodes=%d restart=%d ckpt=%d/%d", ev.To, ev.Requeues, ev.Phase, ev.Iter)
 	case EvFinish:
 		if ev.Pending {
 			return "killed-pending"
@@ -134,16 +134,18 @@ func (ev TraceEvent) MarshalJSON() ([]byte, error) {
 // tracing reports whether any consumer of emit is attached.
 func (e *Engine) tracing() bool { return e.opts.Trace || e.opts.Telemetry.Enabled() }
 
-// emit is the engine's one event hook. It stamps ev with the time and,
-// for a job event, the job of jr (nil for machine-level events), then
-// hands it to each attached consumer: the telemetry span adapter and the
-// in-memory log. Call sites build ev on the stack and format nothing, so
-// a run with neither consumer pays one check per event, and either can be
-// enabled without the other.
+// emit is the engine's one event hook. Call sites build ev on the stack
+// and format nothing; emit is small enough to inline, so a run with
+// neither consumer attached pays one check per event.
 func (e *Engine) emit(jr *jobRun, ev TraceEvent) {
-	if !e.tracing() {
-		return
+	if e.tracing() {
+		e.record(jr, ev)
 	}
+}
+
+// record stamps ev with the time and jr's job (jr is nil for node events)
+// and hands it to each attached consumer, the span adapter and the log.
+func (e *Engine) record(jr *jobRun, ev TraceEvent) {
 	ev.T = e.Now()
 	if jr != nil {
 		ev.Job, ev.Node = jr.view.Job.ID, NoNode
