@@ -100,10 +100,11 @@ func (b *svgBuilder) finish(w io.Writer) error {
 
 type point struct{ x, y float64 }
 
-func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// xmlEscaper is built once: a Replacer compiles its lookup on first use
+// and is safe for concurrent use.
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func escape(s string) string { return xmlEscaper.Replace(s) }
 
 // jobColor returns a stable pastel color for a job index (golden-angle
 // hue walk keeps neighbouring jobs distinguishable).
