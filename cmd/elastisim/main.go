@@ -25,6 +25,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -66,7 +67,7 @@ func run(ctx context.Context) error {
 		utilSVG      = flag.String("util-svg", "", "write an SVG utilization plot to this path")
 		swfOut       = flag.String("swf-out", "", "export per-job results as an SWF trace to this path")
 		swfOutCores  = flag.Int("swf-out-cores", 1, "cores per node for -swf-out processor counts")
-		trace        = flag.Bool("trace", false, "print the engine event log")
+		trace        = flag.Bool("trace", false, "print the engine event log as the run writes it, one line per event, ahead of the summary (also on for a -config document with \"trace\": true)")
 		traceOut     = flag.String("trace-out", "", "write a Chrome trace_event JSON span trace to this path")
 		traceJSONL   = flag.String("trace-jsonl", "", "write a JSONL span trace to this path")
 		auditOut     = flag.String("audit-out", "", "write the scheduler decision audit (JSONL) to this path")
@@ -110,7 +111,6 @@ func run(ctx context.Context) error {
 			return perr
 		}
 		spec, wl, algo, failures, opts = cfg.Platform, cfg.Workload, cfg.Algorithm, cfg.Failures, cfg.Options
-		opts.Trace = opts.Trace || *trace
 	} else {
 		spec, err = elastisim.LoadPlatform(*platformPath)
 		if err != nil {
@@ -133,7 +133,6 @@ func run(ctx context.Context) error {
 		opts = elastisim.Options{
 			InvocationInterval: *interval,
 			DisableEventDriven: *periodicOnly,
-			Trace:              *trace,
 		}
 	}
 	if *external != "" {
@@ -165,6 +164,16 @@ func run(ctx context.Context) error {
 		return err
 	}
 	opts.Telemetry = tracer
+	// The event log streams to stdout as the run writes it; nothing keeps
+	// it, and a run that fails still shows the events up to the failure.
+	var eventLog *bufio.Writer
+	if *trace || opts.Trace != nil {
+		eventLog = bufio.NewWriter(os.Stdout)
+		opts.Trace = func(ev elastisim.TraceEvent) {
+			eventLog.WriteString(ev.String())
+			eventLog.WriteByte('\n')
+		}
+	}
 	session, err := elastisim.NewSession(elastisim.Config{
 		Platform:  spec,
 		Workload:  wl,
@@ -182,6 +191,13 @@ func run(ctx context.Context) error {
 	}
 	res, err := session.Run(ctx)
 	stopProgress()
+	if eventLog != nil {
+		// A blank line sets the events apart from the summary.
+		eventLog.WriteByte('\n')
+		if ferr := eventLog.Flush(); ferr != nil && err == nil {
+			err = ferr
+		}
+	}
 	// On Ctrl-C the session returns the partial result alongside ctx.Err():
 	// flush every requested artifact from it, then exit 130.
 	var cancelErr error
@@ -253,12 +269,6 @@ func run(ctx context.Context) error {
 		fmt.Println()
 		if err := res.Recorder.WriteJobsCSV(os.Stdout); err != nil {
 			return err
-		}
-	}
-	if *trace {
-		fmt.Println()
-		for _, ev := range res.Trace {
-			fmt.Println(ev)
 		}
 	}
 	for _, w := range res.Warnings {

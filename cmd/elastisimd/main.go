@@ -12,8 +12,10 @@
 // State lives under -data: jobs/journal.jsonl, one file, records every
 // job transition (a restarted daemon recovers queued and completed jobs
 // from it, re-running only work that was interrupted), and jobs/<id>/
-// holds each job's artifacts (result.json, gantt.svg, trace.json). A
-// journal an older build split across several files is refused at start.
+// holds each job's artifacts (result.json, gantt.svg, and trace.json,
+// streamed there while a traced config runs and renamed into place with
+// the others). A journal an older build split across several files is
+// refused at start.
 //
 // Observability (see README "Monitoring elastisimd"):
 //
@@ -41,7 +43,7 @@
 //	POST /v1/sessions/{id}/pause   POST /v1/sessions/{id}/resume
 //	POST /v1/sessions/{id}/step    POST /v1/sessions/{id}/cancel
 //	GET  /v1/sessions/{id}/result  GET /v1/sessions/{id}/gantt.svg
-//	GET  /v1/sessions/{id}/trace
+//	GET  /v1/sessions/{id}/trace   (a traced config's event log)
 package main
 
 import (

@@ -41,7 +41,10 @@ type configOptions struct {
 	DisableEventDriven bool     `json:"disable_event_driven,omitempty"`
 	// Fairness is "max-min" (default) or "equal-split".
 	Fairness string `json:"fairness,omitempty"`
-	Trace    bool   `json:"trace,omitempty"`
+	// Trace asks for the event log. The document cannot carry a consumer:
+	// ParseConfig sets Options.Trace to one that discards every record,
+	// and the host running the config swaps in its own sink.
+	Trace bool `json:"trace,omitempty"`
 	// TraceTasks implies per-task log volume; it requires Trace (or a
 	// telemetry tracer) to have any effect, exactly as in Options.
 	TraceTasks bool     `json:"trace_tasks,omitempty"`
@@ -104,9 +107,11 @@ func ParseConfig(data []byte) (Config, error) {
 		cfg.Options = Options{
 			InvocationInterval: float64(o.InvocationInterval),
 			DisableEventDriven: o.DisableEventDriven,
-			Trace:              o.Trace,
 			TraceTasks:         o.TraceTasks,
 			Horizon:            float64(o.Horizon),
+		}
+		if o.Trace {
+			cfg.Options.Trace = discardTrace
 		}
 		if o.Fairness != "" {
 			f, ok := fairnessNames[o.Fairness]
@@ -139,10 +144,15 @@ func algorithmKey(a Algorithm) (string, error) {
 	return "", fmt.Errorf("elastisim: algorithm %q is not a built-in and cannot be serialized", name)
 }
 
+// discardTrace is the event-log consumer a document's "trace": true parses
+// to: it marks the log as asked for until a host swaps in its own sink.
+func discardTrace(TraceEvent) {}
+
 // MarshalConfig serializes a Config into the combined document form.
 // Custom (non-built-in) algorithms cannot be serialized and return an
 // error; host-side attachments in Options (telemetry, progress) are not
-// part of the document and are ignored.
+// part of the document and are ignored, and an event-log consumer is
+// written as "trace": true.
 func MarshalConfig(cfg Config) ([]byte, error) {
 	if cfg.Platform == nil || cfg.Workload == nil {
 		return nil, fmt.Errorf("elastisim: config needs a platform and a workload")
@@ -164,7 +174,7 @@ func MarshalConfig(cfg Config) ([]byte, error) {
 	co := configOptions{
 		InvocationInterval: Quantity(o.InvocationInterval),
 		DisableEventDriven: o.DisableEventDriven,
-		Trace:              o.Trace,
+		Trace:              o.Trace != nil,
 		TraceTasks:         o.TraceTasks,
 		Horizon:            Quantity(o.Horizon),
 	}

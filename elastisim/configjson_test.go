@@ -123,8 +123,14 @@ func TestConfigRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(cfg1.Failures, cfg2.Failures) {
 		t.Errorf("failure override changed across round-trip:\n%+v\n%+v", cfg1.Failures, cfg2.Failures)
 	}
-	if cfg1.Options != cfg2.Options {
-		t.Errorf("options changed across round-trip:\n%+v\n%+v", cfg1.Options, cfg2.Options)
+	// The event-log consumer is a func: compare whether it is set.
+	o1, o2 := cfg1.Options, cfg2.Options
+	if o1.Trace == nil || o2.Trace == nil {
+		t.Errorf("trace lost across round-trip: %v, %v", o1.Trace != nil, o2.Trace != nil)
+	}
+	o1.Trace, o2.Trace = nil, nil
+	if !reflect.DeepEqual(o1, o2) {
+		t.Errorf("options changed across round-trip:\n%+v\n%+v", o1, o2)
 	}
 	if cfg1.Algorithm.Name() != cfg2.Algorithm.Name() {
 		t.Errorf("algorithm changed: %q vs %q", cfg1.Algorithm.Name(), cfg2.Algorithm.Name())

@@ -26,6 +26,7 @@ func runHash(t *testing.T) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var log []TraceEvent
 	res, err := Run(Config{
 		Platform:  HomogeneousPlatform("det", 32, 100e9, 10e9, 40e9, 40e9),
 		Workload:  wl,
@@ -34,7 +35,7 @@ func runHash(t *testing.T) uint64 {
 			Model: FailureExponential, Seed: 5,
 			MTBF: 20000, MTTR: 300,
 		},
-		Options: Options{Trace: true},
+		Options: Options{Trace: collect(&log)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +44,7 @@ func runHash(t *testing.T) uint64 {
 		t.Fatal("scenario injected no failures; the test is vacuous")
 	}
 	h := fnv.New64a()
-	for _, ev := range res.Trace {
+	for _, ev := range log {
 		fmt.Fprintln(h, ev.String())
 	}
 	var csv bytes.Buffer

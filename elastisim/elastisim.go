@@ -99,7 +99,8 @@ type (
 	// Decision is one scheduling action.
 	Decision = sched.Decision
 
-	// Options tunes engine behaviour (invocation interval, tracing, ...).
+	// Options tunes engine behaviour (invocation interval, the event-log
+	// consumer Trace, telemetry, ...).
 	Options = core.Options
 	// Summary aggregates a finished run.
 	Summary = metrics.Summary
@@ -110,9 +111,12 @@ type (
 	// Timeline is a step function of time (busy nodes, utilization).
 	Timeline = metrics.Timeline
 	// TraceEvent is one entry of the engine's optional event log: a typed
-	// record whose payload fields depend on its Kind. Its Detail method
-	// formats that payload; String gives the line elastisim -trace prints
-	// and MarshalJSON the {"T","Kind","Job","Node","Detail"} form.
+	// record whose payload fields depend on its Kind. The engine hands each
+	// record to Options.Trace as it is written and keeps none; a Session
+	// calls the consumer with its lock held, so the consumer must not call
+	// back into the Session. Its Detail method formats the payload; String
+	// gives the line elastisim -trace prints and MarshalJSON the
+	// {"T","Kind","Job","Node","Detail"} form.
 	TraceEvent = core.TraceEvent
 
 	// Tracer is the telemetry fan-out; attach one via Options.Telemetry to
@@ -232,8 +236,6 @@ type Result struct {
 	SolvedActivities uint64
 	// Warnings lists rejected decisions and other anomalies.
 	Warnings []string
-	// Trace is the event log (when Options.Trace was set).
-	Trace []TraceEvent
 	// Telemetry is the run's self-profiling snapshot: kernel, solver, and
 	// scheduler counters (always deterministic) plus wall-clock and heap
 	// measurements (machine-dependent; see TelemetrySnapshot.StripWall).

@@ -29,16 +29,17 @@ func scrape(t *testing.T, reg *MetricsRegistry) string {
 // outputs — exact-float trace, jobs CSV, summary — to the bare run. The
 // obs layer only ever reads counters the run already maintains.
 func TestObsDoesNotChangeOutputs(t *testing.T) {
-	_, bareTrace, bareCSV := equivalenceRunOpts(t, Options{Trace: true})
+	_, bareTrace, bareCSV := equivalenceRunOpts(t, Options{})
 
-	cfg := equivalenceConfig(t, Options{Trace: true})
+	var log []TraceEvent
+	cfg := equivalenceConfig(t, Options{Trace: collect(&log)})
 	cfg.Metrics = NewMetricsRegistry()
 	cfg.Flight = NewFlightRecorder(128)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obsTrace, obsCSV := dumpRun(t, res)
+	obsTrace, obsCSV := dumpRun(t, log, res)
 
 	if bareTrace != obsTrace {
 		t.Errorf("trace diverges with obs attached:\n%s", firstDiff(bareTrace, obsTrace))

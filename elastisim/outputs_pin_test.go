@@ -148,7 +148,8 @@ func pinDigests(t *testing.T, cfg Config) [len(pinArtifacts)]string {
 	log := NewAuditLog(&audit)
 	tracer := NewTracer(NewJSONLTraceSink(&spans)).SetAudit(log)
 	cfg.Options.Telemetry = tracer
-	cfg.Options.Trace, cfg.Options.TraceTasks = true, true
+	var events []TraceEvent
+	cfg.Options.Trace, cfg.Options.TraceTasks = collect(&events), true
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -159,23 +160,23 @@ func pinDigests(t *testing.T, cfg Config) [len(pinArtifacts)]string {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var doc, csv, lines, events bytes.Buffer
+	var doc, csv, lines, eventsJSON bytes.Buffer
 	if err := res.WriteJSON(&doc); err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Recorder.WriteJobsCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range res.Trace {
+	for _, ev := range events {
 		fmt.Fprintln(&lines, ev)
 	}
-	enc := json.NewEncoder(&events)
+	enc := json.NewEncoder(&eventsJSON)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(res.Trace); err != nil {
+	if err := enc.Encode(events); err != nil {
 		t.Fatal(err)
 	}
 	var out [len(pinArtifacts)]string
-	for i, b := range [][]byte{doc.Bytes(), csv.Bytes(), audit.Bytes(), lines.Bytes(), events.Bytes(), spans.Bytes()} {
+	for i, b := range [][]byte{doc.Bytes(), csv.Bytes(), audit.Bytes(), lines.Bytes(), eventsJSON.Bytes(), spans.Bytes()} {
 		out[i] = fmt.Sprintf("%x", sha256.Sum256(b))
 	}
 	return out

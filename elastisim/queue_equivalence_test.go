@@ -15,11 +15,13 @@ import (
 // Result JSON document.
 func queueDump(t *testing.T, cfg Config) [3][]byte {
 	t.Helper()
+	var log []TraceEvent
+	cfg.Options.Trace = collect(&log)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, csv := dumpRun(t, res)
+	trace, csv := dumpRun(t, log, res)
 	var doc bytes.Buffer
 	if err := res.WriteJSON(&doc); err != nil {
 		t.Fatal(err)
@@ -132,7 +134,7 @@ func TestLadderHeapQueueEquivalence(t *testing.T) {
 	artifacts := [3]string{"trace", "jobs CSV", "Result JSON"}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			got := queueDump(t, sc.cfg(t, Options{Trace: true}))
+			got := queueDump(t, sc.cfg(t, Options{}))
 			for i, b := range got {
 				if d := fmt.Sprintf("%x", sha256.Sum256(b)); d != sc.want[i] {
 					t.Errorf("%s digest %s, want %s (the ladder queue's)", artifacts[i], d, sc.want[i])

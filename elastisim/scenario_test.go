@@ -12,12 +12,15 @@ import (
 // equivalenceRunOpts executes one fixed-seed simulation of a mixed
 // rigid/moldable/malleable/evolving workload with checkpointing and node
 // failures — every code path that starts, cancels, grows, shrinks, or
-// kills fluid activities — under the given engine options, and returns
-// the result plus byte-exact dumps of the trace and the per-job CSV.
+// kills fluid activities — under the given engine options with the event
+// log collected, and returns the result plus byte-exact dumps of the
+// trace and the per-job CSV.
 // Trace times are formatted with %b (exact binary float), so even a
 // one-ulp divergence fails a comparison.
 func equivalenceRunOpts(t *testing.T, opts Options) (*Result, string, []byte) {
 	t.Helper()
+	var log []TraceEvent
+	opts.Trace = collect(&log)
 	res, err := Run(equivalenceConfig(t, opts))
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +28,7 @@ func equivalenceRunOpts(t *testing.T, opts Options) (*Result, string, []byte) {
 	if res.Summary.NodeFailures == 0 {
 		t.Fatal("scenario injected no failures; the test is vacuous")
 	}
-	trace, csv := dumpRun(t, res)
+	trace, csv := dumpRun(t, log, res)
 	return res, trace, csv
 }
 
@@ -58,12 +61,17 @@ func equivalenceConfig(t *testing.T, opts Options) Config {
 	}
 }
 
-// dumpRun renders a result's trace (%b exact binary floats) and per-job
-// CSV for byte-exact comparison.
-func dumpRun(t *testing.T, res *Result) (string, []byte) {
+// collect returns an event-log consumer that appends each record to *log.
+func collect(log *[]TraceEvent) func(TraceEvent) {
+	return func(ev TraceEvent) { *log = append(*log, ev) }
+}
+
+// dumpRun renders a run's collected event log (%b exact binary floats)
+// and its result's per-job CSV for byte-exact comparison.
+func dumpRun(t *testing.T, log []TraceEvent, res *Result) (string, []byte) {
 	t.Helper()
 	var trace strings.Builder
-	for _, ev := range res.Trace {
+	for _, ev := range log {
 		subject := fmt.Sprintf("job%d", ev.Job)
 		if ev.Job == NoJob {
 			subject = fmt.Sprintf("node%d", ev.Node)

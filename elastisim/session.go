@@ -151,8 +151,8 @@ const sliceEvents = 1024
 //
 // On completion it returns the full Result (with Abort == AbortDrained,
 // or AbortHorizon when Options.Horizon cut the run short) and a nil
-// error. On cancellation it returns BOTH a partial Result — the metrics,
-// trace, and telemetry accumulated so far, with Abort recording why —
+// error. On cancellation it returns BOTH a partial Result — the metrics
+// and telemetry accumulated so far, with Abort recording why —
 // and ctx.Err(), so callers can flush partial outputs before unwinding.
 // The session stays resumable after a cancelled Run: calling Run again
 // continues exactly where it stopped. Concurrent Runs on one session
@@ -340,7 +340,6 @@ func (s *Session) resultLocked(reason AbortReason) (res *Result, err error) {
 			Solves:           tel.Solver.Solves,
 			SolvedActivities: tel.Solver.SolvedActivities,
 			Warnings:         s.eng.Warnings(),
-			Trace:            s.eng.Trace(),
 			Telemetry:        tel,
 			WallClock:        s.wall,
 			Abort:            reason,

@@ -95,12 +95,13 @@ func TestSessionPeekDuringRun(t *testing.T) {
 // run, both resumed Runs must return the one cached Result, and the
 // session must count as finished exactly once.
 func TestSessionConcurrentDrivers(t *testing.T) {
-	ref, refTrace, refCSV := equivalenceRunOpts(t, Options{Trace: true})
+	ref, refTrace, refCSV := equivalenceRunOpts(t, Options{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	reg := NewMetricsRegistry()
-	cfg := equivalenceConfig(t, Options{Trace: true})
+	var log []TraceEvent
+	cfg := equivalenceConfig(t, Options{Trace: collect(&log)})
 	cfg.Algorithm = &hookAlgo{Algorithm: cfg.Algorithm, at: 5, hook: cancel}
 	cfg.Metrics = reg
 	s, err := NewSession(cfg)
@@ -170,7 +171,7 @@ func TestSessionConcurrentDrivers(t *testing.T) {
 	if res.Abort != AbortDrained || res.Events != ref.Events {
 		t.Errorf("resumed run = {Abort: %v, Events: %d}, want drained after %d", res.Abort, res.Events, ref.Events)
 	}
-	trace, csv := dumpRun(t, res)
+	trace, csv := dumpRun(t, log, res)
 	if trace != refTrace {
 		t.Errorf("trace diverges from an uninterrupted run:\n%s", firstDiff(refTrace, trace))
 	}

@@ -17,9 +17,10 @@ import (
 // exact float precision, per-job CSV, summary — on the mixed workload
 // with failures and telemetry counters.
 func TestSessionRunMatchesRun(t *testing.T) {
-	ref, refTrace, refCSV := equivalenceRunOpts(t, Options{Trace: true})
+	ref, refTrace, refCSV := equivalenceRunOpts(t, Options{})
 
-	s, err := NewSession(equivalenceConfig(t, Options{Trace: true}))
+	var log []TraceEvent
+	s, err := NewSession(equivalenceConfig(t, Options{Trace: collect(&log)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestSessionRunMatchesRun(t *testing.T) {
 	if res.Abort != AbortDrained {
 		t.Errorf("session run aborted with %v, want drained", res.Abort)
 	}
-	trace, csv := dumpRun(t, res)
+	trace, csv := dumpRun(t, log, res)
 	if trace != refTrace {
 		t.Errorf("session trace diverges from Run(cfg):\n%s", firstDiff(refTrace, trace))
 	}
@@ -56,10 +57,11 @@ func TestSessionRunMatchesRun(t *testing.T) {
 // invisible: driving the same simulation by Step batches or by RunUntil
 // increments yields results bit-identical to one uninterrupted Run.
 func TestSessionSlicedExecutionEquivalence(t *testing.T) {
-	_, refTrace, refCSV := equivalenceRunOpts(t, Options{Trace: true})
+	_, refTrace, refCSV := equivalenceRunOpts(t, Options{})
 
 	t.Run("step", func(t *testing.T) {
-		s, err := NewSession(equivalenceConfig(t, Options{Trace: true}))
+		var log []TraceEvent
+		s, err := NewSession(equivalenceConfig(t, Options{Trace: collect(&log)}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +82,7 @@ func TestSessionSlicedExecutionEquivalence(t *testing.T) {
 		if res.Abort != AbortDrained {
 			t.Errorf("stepped session aborted with %v, want drained", res.Abort)
 		}
-		trace, csv := dumpRun(t, res)
+		trace, csv := dumpRun(t, log, res)
 		if trace != refTrace {
 			t.Errorf("stepped trace diverges:\n%s", firstDiff(refTrace, trace))
 		}
@@ -90,7 +92,8 @@ func TestSessionSlicedExecutionEquivalence(t *testing.T) {
 	})
 
 	t.Run("rununtil", func(t *testing.T) {
-		s, err := NewSession(equivalenceConfig(t, Options{Trace: true}))
+		var log []TraceEvent
+		s, err := NewSession(equivalenceConfig(t, Options{Trace: collect(&log)}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +117,7 @@ func TestSessionSlicedExecutionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace, csv := dumpRun(t, res)
+		trace, csv := dumpRun(t, log, res)
 		if trace != refTrace {
 			t.Errorf("RunUntil trace diverges:\n%s", firstDiff(refTrace, trace))
 		}
@@ -128,9 +131,10 @@ func TestSessionSlicedExecutionEquivalence(t *testing.T) {
 // returns the partial metrics accumulated so far plus ctx.Err(), and the
 // session resumes to a result bit-identical to an uninterrupted run.
 func TestSessionCancellation(t *testing.T) {
-	ref, refTrace, refCSV := equivalenceRunOpts(t, Options{Trace: true})
+	ref, refTrace, refCSV := equivalenceRunOpts(t, Options{})
 
-	s, err := NewSession(equivalenceConfig(t, Options{Trace: true}))
+	var log []TraceEvent
+	s, err := NewSession(equivalenceConfig(t, Options{Trace: collect(&log)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +184,7 @@ func TestSessionCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, csv := dumpRun(t, res)
+	trace, csv := dumpRun(t, log, res)
 	if trace != refTrace {
 		t.Errorf("resumed trace diverges:\n%s", firstDiff(refTrace, trace))
 	}
@@ -345,7 +349,7 @@ func concurrentConfig(t *testing.T, i int, algo Algorithm) Config {
 		Platform:  HomogeneousPlatform(fmt.Sprintf("c%d", i), 16, 100e9, 10e9, 40e9, 40e9),
 		Workload:  wl,
 		Algorithm: algo,
-		Options:   Options{Trace: true},
+		Options:   Options{Trace: discardTrace},
 	}
 	if i%2 == 0 {
 		cfg.Failures = &FailureSpec{Model: FailureExponential, Seed: uint64(i + 1), MTBF: 30000, MTTR: 200}

@@ -18,10 +18,7 @@ func telemetryRun(t *testing.T) (*Result, string, []byte, *bytes.Buffer, *bytes.
 	auditLog := NewAuditLog(&audit)
 	tracer.SetAudit(auditLog)
 
-	res, trace, csv := equivalenceRunOpts(t, Options{
-		Trace:     true,
-		Telemetry: tracer,
-	})
+	res, trace, csv := equivalenceRunOpts(t, Options{Telemetry: tracer})
 	if err := tracer.Close(); err != nil {
 		t.Fatalf("closing tracer: %v", err)
 	}
@@ -36,7 +33,7 @@ func telemetryRun(t *testing.T) (*Result, string, []byte, *bytes.Buffer, *bytes.
 // byte. The trace is compared at exact float precision (%b), so even a
 // one-ulp divergence fails.
 func TestTelemetryDoesNotChangeOutputs(t *testing.T) {
-	_, offTrace, offCSV := equivalenceRunOpts(t, Options{Trace: true})
+	_, offTrace, offCSV := equivalenceRunOpts(t, Options{})
 	_, onTrace, onCSV, _, _, _ := telemetryRun(t)
 
 	if offTrace != onTrace {
@@ -172,7 +169,7 @@ func TestAuditLogRecordsDecisions(t *testing.T) {
 // TestSnapshotIsPopulated checks the self-profiling artifact of a real run
 // carries all counter groups.
 func TestSnapshotIsPopulated(t *testing.T) {
-	res, _, _ := equivalenceRunOpts(t, Options{Trace: true})
+	res, _, _ := equivalenceRunOpts(t, Options{})
 	s := res.Telemetry
 	if s.Runs != 1 || s.Jobs != 60 {
 		t.Errorf("runs/jobs: %d/%d", s.Runs, s.Jobs)

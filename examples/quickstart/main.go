@@ -73,7 +73,9 @@ func main() {
 	workload := &elastisim.Workload{Name: "quickstart", Jobs: []*elastisim.Job{solver, batch}}
 	workload.Sort()
 
-	opts := elastisim.Options{Trace: true}
+	// The event log streams to stdout as the run writes it.
+	fmt.Println("event log:")
+	opts := elastisim.Options{Trace: func(ev elastisim.TraceEvent) { fmt.Println(" ", ev) }}
 	var traceFile *os.File
 	var tracer *elastisim.Tracer
 	if *traceOut != "" {
@@ -112,17 +114,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s (load in Perfetto or chrome://tracing)\n", *traceOut)
 	}
 
-	fmt.Printf("makespan     %.1f s\n", result.Summary.Makespan)
+	fmt.Printf("\nmakespan     %.1f s\n", result.Summary.Makespan)
 	fmt.Printf("utilization  %.1f%%\n", result.Summary.Utilization*100)
 	fmt.Printf("reconfigs    %d\n\n", result.Summary.Reconfigs)
 	for _, r := range result.Records {
 		fmt.Printf("%-8s wait %6.1f s  runtime %7.1f s  nodes %d->%d (peak %d, %d reconfigs)\n",
 			r.Name, r.Wait(), r.Runtime(), r.InitialNodes, r.FinalNodes, r.PeakNodes, r.Reconfigs)
-	}
-
-	fmt.Println("\nevent log:")
-	for _, ev := range result.Trace {
-		fmt.Println(" ", ev)
 	}
 
 	fmt.Println("\nallocation timeline (busy nodes):")

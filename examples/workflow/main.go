@@ -85,26 +85,27 @@ func main() {
 	workload := &elastisim.Workload{Name: "pipeline", Jobs: jobs}
 	workload.Sort()
 
+	// The event log streams to stdout as the run writes it.
+	fmt.Println("event log (held/released entries show the dependency gating):")
+	logEvent := func(ev elastisim.TraceEvent) {
+		if ev.Kind == "held" || ev.Kind == "released" || ev.Kind == "start" || ev.Kind == "finish" {
+			fmt.Println(" ", ev)
+		}
+	}
 	result, err := elastisim.Run(elastisim.Config{
 		Platform:  spec,
 		Workload:  workload,
 		Algorithm: elastisim.NewPacked(), // locality-aware EASY
-		Options:   elastisim.Options{Trace: true},
+		Options:   elastisim.Options{Trace: logEvent},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("pipeline makespan %.1f s, utilization %.1f%%\n\n",
+	fmt.Printf("\npipeline makespan %.1f s, utilization %.1f%%\n\n",
 		result.Summary.Makespan, result.Summary.Utilization*100)
 	fmt.Println("job      submit   start     end      (held until dependencies finished)")
 	for _, r := range result.Records {
 		fmt.Printf("%-8s %7.1f  %7.1f  %7.1f\n", r.Name, r.Submit, r.Start, r.End)
-	}
-	fmt.Println("\nevent log (held/released entries show the dependency gating):")
-	for _, ev := range result.Trace {
-		if ev.Kind == "held" || ev.Kind == "released" || ev.Kind == "start" || ev.Kind == "finish" {
-			fmt.Println(" ", ev)
-		}
 	}
 }

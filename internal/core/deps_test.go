@@ -17,12 +17,13 @@ func TestDependencyChainSerializes(t *testing.T) {
 		return j
 	}
 	jobs := []*job.Job{mk(0), mk(1, 0), mk(2, 1)}
-	rec, e := runSim(t, testPlatform(8), jobs, &sched.FCFS{}, Options{Trace: true})
+	var log []TraceEvent
+	rec, _ := runSim(t, testPlatform(8), jobs, &sched.FCFS{}, Options{Trace: collect(&log)})
 	wantClose(t, "a start", record(rec, 0).Start, 0)
 	wantClose(t, "b start", record(rec, 1).Start, 10)
 	wantClose(t, "c start", record(rec, 2).Start, 20)
 	held, released := 0, 0
-	for _, ev := range e.Trace() {
+	for _, ev := range log {
 		switch ev.Kind {
 		case EvHeld:
 			held++

@@ -53,11 +53,14 @@ type Options struct {
 	DisableEventDriven bool
 	// Fairness selects the fluid sharing policy (ablation).
 	Fairness fluid.Fairness
-	// Trace enables the event log (memory-proportional to event count).
-	Trace bool
+	// Trace consumes the event log: the engine hands it each record as it
+	// is written and keeps none (nil = no log). It runs on the goroutine
+	// that advances the engine.
+	Trace func(TraceEvent)
 	// TraceTasks additionally logs every task start/end with its phase,
 	// iteration, kind, and duration — the raw material for calibrating
-	// application models. Implies substantial log volume; requires Trace.
+	// application models. Implies substantial log volume; requires Trace
+	// (or a telemetry tracer).
 	TraceTasks bool
 	// Horizon aborts the simulation at this virtual time (0 = none).
 	Horizon float64
@@ -132,7 +135,6 @@ type Engine struct {
 	wallRun           time.Duration
 	wallSched         time.Duration
 	warnings          []string
-	trace             []TraceEvent
 	outstanding       int  // jobs not yet finished
 	started           bool // Start armed the initial events
 	telFinalized      bool // open telemetry spans force-closed after abort
@@ -351,9 +353,6 @@ func (e *Engine) RunningJobs() int { return e.running.count }
 
 // Warnings lists rejected decisions and other non-fatal anomalies.
 func (e *Engine) Warnings() []string { return e.warnings }
-
-// Trace returns the event log (empty unless Options.Trace).
-func (e *Engine) Trace() []TraceEvent { return e.trace }
 
 // Platform exposes the built platform (read-only use).
 func (e *Engine) Platform() *platform.Platform { return e.plat }

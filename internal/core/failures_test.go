@@ -231,9 +231,10 @@ func TestDisabledFailuresBitIdentical(t *testing.T) {
 		}
 		jobs[1].SubmitTime = 30
 		jobs[2].SubmitTime = 60
-		rec, e := runSim(t, withFailures(testPlatform(4), fs), jobs, &sched.FCFS{}, Options{Trace: true})
+		var log []TraceEvent
+		rec, _ := runSim(t, withFailures(testPlatform(4), fs), jobs, &sched.FCFS{}, Options{Trace: collect(&log)})
 		var lines []string
-		for _, ev := range e.Trace() {
+		for _, ev := range log {
 			lines = append(lines, ev.String())
 		}
 		return lines, rec.Summary(), rec.Records()

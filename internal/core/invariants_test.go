@@ -175,9 +175,10 @@ func TestSchedulingPointCountMatchesTrace(t *testing.T) {
 	// declares (iterations-1 interior points + 1 at each phase boundary
 	// following a scheduling-point phase, except at job end).
 	j := malleableJob(0, 2, 8, 2, 5, 1e10)
-	_, e := runSim(t, testPlatform(8), []*job.Job{j}, &sched.FCFS{}, Options{Trace: true})
+	var log []TraceEvent
+	runSim(t, testPlatform(8), []*job.Job{j}, &sched.FCFS{}, Options{Trace: collect(&log)})
 	points := 0
-	for _, ev := range e.Trace() {
+	for _, ev := range log {
 		if ev.Kind == EvSchedulingPoint {
 			points++
 		}

@@ -47,7 +47,8 @@ func TestDecisionsOnFinishedJobRejected(t *testing.T) {
 				}
 				return (&sched.FCFS{}).Schedule(inv)
 			})
-			rec, e := runSim(t, testPlatform(8), []*job.Job{j}, algo, Options{Trace: true})
+			var log []TraceEvent
+			rec, e := runSim(t, testPlatform(8), []*job.Job{j}, algo, Options{Trace: collect(&log)})
 			if r := record(rec, 0); r.Status != metrics.StatusKilledScheduler || r.PeakNodes != 2 {
 				t.Errorf("job ended %q at peak %d nodes, want killed by the scheduler on 2", r.Status, r.PeakNodes)
 			}
@@ -59,7 +60,7 @@ func TestDecisionsOnFinishedJobRejected(t *testing.T) {
 			if e.decisionsRejected != 1 || len(e.Warnings()) != 1 || !strings.Contains(e.Warnings()[0], "job job0 already finished") {
 				t.Errorf("%d rejected, warnings %q; want the %s rejected as naming a finished job", e.decisionsRejected, e.Warnings(), after.Kind)
 			}
-			for _, ev := range e.Trace() {
+			for _, ev := range log {
 				if ev.Kind == EvDenied || ev.Kind == EvGranted {
 					t.Errorf("trace has %s for the killed job", ev.Kind)
 				}
@@ -102,7 +103,8 @@ func TestRecycledRunIsolation(t *testing.T) {
 			return (&sched.FCFS{}).Schedule(inv)
 		})
 		w := &job.Workload{Jobs: []*job.Job{m, p, q}}
-		e, err := New(testPlatform(4), w, algo, Options{Trace: true})
+		var log []TraceEvent
+		e, err := New(testPlatform(4), w, algo, Options{Trace: collect(&log)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +129,7 @@ func TestRecycledRunIsolation(t *testing.T) {
 		if r := record(rec, 2); r.Start != 12 || r.End != 32 || r.Reconfigs != 0 {
 			t.Errorf("job 2 ran %v-%v with %d reconfigurations, want 12-32 with none", r.Start, r.End, r.Reconfigs)
 		}
-		for _, ev := range e.Trace() {
+		for _, ev := range log {
 			if ev.Job == 0 && ev.T > 10 {
 				t.Errorf("job 0 traced %s at %v after its kill", ev.Kind, ev.T)
 			}

@@ -43,9 +43,10 @@ const NoJob job.ID = -1
 const NoNode = -1
 
 // TraceEvent is one entry of the optional event log: a typed record of one
-// lifecycle transition. T, Kind, Job and Node say when, what and to whom;
-// the payload fields an event sets depend on its Kind. The engine formats
-// nothing: Detail, String and MarshalJSON render a record when it is read.
+// lifecycle transition, handed to Options.Trace as it is written. T, Kind,
+// Job and Node say when, what and to whom; the payload fields an event
+// sets depend on its Kind. The engine formats nothing: Detail, String and
+// MarshalJSON render a record when it is read.
 type TraceEvent struct {
 	T    float64
 	Kind TraceEventKind
@@ -132,7 +133,7 @@ func (ev TraceEvent) MarshalJSON() ([]byte, error) {
 }
 
 // tracing reports whether any consumer of emit is attached.
-func (e *Engine) tracing() bool { return e.opts.Trace || e.opts.Telemetry.Enabled() }
+func (e *Engine) tracing() bool { return e.opts.Trace != nil || e.opts.Telemetry.Enabled() }
 
 // emit is the engine's one event hook. Call sites build ev on the stack
 // and format nothing; emit is small enough to inline, so a run with
@@ -144,7 +145,8 @@ func (e *Engine) emit(jr *jobRun, ev TraceEvent) {
 }
 
 // record stamps ev with the time and jr's job (jr is nil for node events)
-// and hands it to each attached consumer, the span adapter and the log.
+// and hands it to each attached consumer, the span adapter and the log's
+// consumer. Nothing keeps the record.
 func (e *Engine) record(jr *jobRun, ev TraceEvent) {
 	ev.T = e.Now()
 	if jr != nil {
@@ -153,7 +155,7 @@ func (e *Engine) record(jr *jobRun, ev TraceEvent) {
 	if e.opts.Telemetry.Enabled() {
 		e.telEvent(jr, ev)
 	}
-	if e.opts.Trace {
-		e.trace = append(e.trace, ev)
+	if e.opts.Trace != nil {
+		e.opts.Trace(ev)
 	}
 }

@@ -75,10 +75,9 @@ type viewChecker struct {
 	// pending queue, so a running job's start time is this value.
 	started map[job.ID]float64
 	// answered holds the jobs whose outstanding request the previous
-	// invocation validly granted or denied; traced counts the trace
-	// events already scanned for new requests.
+	// invocation validly granted or denied and that asked for nothing
+	// since (see observe).
 	answered map[job.ID]bool
-	traced   int
 	failed   bool
 	checked  int
 	rebuilt  sched.JobView
@@ -93,6 +92,14 @@ func newViewChecker(t *testing.T, inner sched.Algorithm, label string) *viewChec
 }
 
 func (c *viewChecker) Name() string { return c.inner.Name() }
+
+// observe reads the event log as it is written: a new evolving request
+// makes its job's answered request stale.
+func (c *viewChecker) observe(ev TraceEvent) {
+	if ev.Kind == EvEvolvingRequest {
+		delete(c.answered, ev.Job)
+	}
+}
 
 // WantsFreeList forwards the wrapped algorithm's sched.FreeListUser answer.
 func (c *viewChecker) WantsFreeList() bool { return wantsFreeList(c.inner) }
@@ -173,15 +180,9 @@ func (c *viewChecker) check(inv *sched.Invocation) {
 		fail("DownNodes %v, open outages %v", inv.DownNodes, down)
 		return
 	}
-	if !c.e.opts.Trace {
+	if c.e.opts.Trace == nil {
 		return
 	}
-	for _, ev := range c.e.trace[c.traced:] {
-		if ev.Kind == EvEvolvingRequest {
-			delete(c.answered, ev.Job)
-		}
-	}
-	c.traced = len(c.e.trace)
 	for _, v := range inv.Running {
 		if c.answered[v.ID] && v.EvolvingRequest != 0 {
 			fail("job %d still shows request %d after it was answered", v.ID, v.EvolvingRequest)
@@ -262,7 +263,9 @@ func (s viewScenario) run(t *testing.T, seen map[string]int) bool {
 		}
 		label := fmt.Sprintf("%s/%s", s.name, algo.Name())
 		c := newViewChecker(t, a, label)
-		opts := Options{Trace: true}
+		var log []TraceEvent
+		collectLog := collect(&log)
+		opts := Options{Trace: func(ev TraceEvent) { c.observe(ev); collectLog(ev) }}
 		spec := testPlatform(16)
 		if s.tree {
 			spec = treePlatform(16, 4, 4*linkBW, 8*linkBW)
@@ -292,7 +295,7 @@ func (s viewScenario) run(t *testing.T, seen map[string]int) bool {
 			t.Errorf("%s: the algorithm was never invoked", label)
 		}
 		ok = ok && !c.failed
-		for _, ev := range e.Trace() {
+		for _, ev := range log {
 			seen[string(ev.Kind)]++
 			if ev.Kind == EvFinish {
 				seen[ev.Detail()]++

@@ -46,10 +46,21 @@ func (x Experiment) Run(seed uint64, jobs int) (*Table, []*elastisim.Result, err
 		reps, workers = timedReps, 1
 	}
 	var res []*elastisim.Result
+	var events []map[string]int
 	for rep := 0; rep < reps; rep++ {
 		cfgs, err := x.Configs(seed, jobs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", x.ID, err)
+		}
+		// A config that asks for the event log gets a consumer counting
+		// its records by kind, for Rows to read from Table.events.
+		events = make([]map[string]int, len(cfgs))
+		for i := range cfgs {
+			if cfgs[i].Options.Trace != nil {
+				counts := map[string]int{}
+				events[i] = counts
+				cfgs[i].Options.Trace = func(ev elastisim.TraceEvent) { counts[string(ev.Kind)]++ }
+			}
 		}
 		round, err := runIndexed(workers, len(cfgs), func(i int) (*elastisim.Result, error) {
 			return elastisim.Run(cfgs[i])
@@ -68,7 +79,7 @@ func (x Experiment) Run(seed uint64, jobs int) (*Table, []*elastisim.Result, err
 			res[i].WallClock = min(res[i].WallClock, r.WallClock)
 		}
 	}
-	t := &Table{ID: x.ID, Title: x.Title, Header: x.Header}
+	t := &Table{ID: x.ID, Title: x.Title, Header: x.Header, events: events}
 	x.Rows(t, res)
 	return t, res, nil
 }
@@ -425,7 +436,8 @@ var e7 = Experiment{
 		return []elastisim.Config{{
 			Platform: StandardPlatform(stdNodes), Workload: wl,
 			Algorithm: elastisim.NewAdaptive(),
-			Options:   elastisim.Options{Trace: true},
+			// Run swaps in a consumer counting the log's kinds.
+			Options: elastisim.Options{Trace: func(elastisim.TraceEvent) {}},
 		}}, nil
 	},
 	Rows: func(t *Table, res []*elastisim.Result) {
@@ -435,20 +447,10 @@ var e7 = Experiment{
 				rec = r
 			}
 		}
-		requests, grants, denies := 0, 0, 0
-		for _, ev := range res[0].Trace {
-			switch ev.Kind {
-			case "evolving-request":
-				requests++
-			case "granted":
-				grants++
-			case "denied":
-				denies++
-			}
-		}
-		t.AddRow("requests issued", fmt.Sprintf("%d", requests))
-		t.AddRow("requests granted", fmt.Sprintf("%d", grants))
-		t.AddRow("requests denied", fmt.Sprintf("%d", denies))
+		events := t.events[0]
+		t.AddRow("requests issued", fmt.Sprintf("%d", events["evolving-request"]))
+		t.AddRow("requests granted", fmt.Sprintf("%d", events["granted"]))
+		t.AddRow("requests denied", fmt.Sprintf("%d", events["denied"]))
 		t.AddRow("initial nodes", fmt.Sprintf("%d", rec.InitialNodes))
 		t.AddRow("peak nodes", fmt.Sprintf("%d", rec.PeakNodes))
 		t.AddRow("final nodes", fmt.Sprintf("%d", rec.FinalNodes))

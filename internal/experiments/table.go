@@ -22,6 +22,9 @@ type Table struct {
 	Rows   [][]string
 	// Notes carry qualitative observations (the "shape" checks).
 	Notes []string
+	// events counts each simulation's event-log records by kind, for
+	// the simulations whose config asked for the log (nil otherwise).
+	events []map[string]int
 }
 
 // AddRow appends a formatted row.

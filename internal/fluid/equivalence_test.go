@@ -56,7 +56,15 @@ func runEquivalence(t *testing.T, check bool) equivalenceRun {
 		Model: failure.ModelExponential, Seed: 5,
 		MTBF: 20000, MTTR: 300,
 	}
-	e, err := core.New(spec, wl, &sched.Adaptive{}, core.Options{Trace: true})
+	var trace strings.Builder
+	logLine := func(ev core.TraceEvent) {
+		subject := fmt.Sprintf("job%d", ev.Job)
+		if ev.Job == core.NoJob {
+			subject = fmt.Sprintf("node%d", ev.Node)
+		}
+		fmt.Fprintf(&trace, "%b %s %s %s\n", ev.T, ev.Kind, subject, ev.Detail())
+	}
+	e, err := core.New(spec, wl, &sched.Adaptive{}, core.Options{Trace: logLine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +87,6 @@ func runEquivalence(t *testing.T, check bool) equivalenceRun {
 	sum := rec.Summary()
 	if sum.NodeFailures == 0 {
 		t.Fatal("scenario injected no failures; the test is vacuous")
-	}
-	var trace strings.Builder
-	for _, ev := range e.Trace() {
-		subject := fmt.Sprintf("job%d", ev.Job)
-		if ev.Job == core.NoJob {
-			subject = fmt.Sprintf("node%d", ev.Node)
-		}
-		fmt.Fprintf(&trace, "%b %s %s %s\n", ev.T, ev.Kind, subject, ev.Detail())
 	}
 	var csv bytes.Buffer
 	if err := rec.WriteJobsCSV(&csv); err != nil {

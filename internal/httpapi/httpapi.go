@@ -13,7 +13,7 @@
 //	POST /v1/sessions/{id}/step?n=   execute n events while paused
 //	POST /v1/sessions/{id}/cancel    stop the run, keeping partial artifacts
 //	GET  /v1/sessions/{id}/result    canonical result JSON
-//	GET  /v1/sessions/{id}/trace     event trace (when the config enabled it)
+//	GET  /v1/sessions/{id}/trace     event log, streamed to disk while the run goes (when the config enabled it)
 //	GET  /v1/sessions/{id}/gantt.svg allocation Gantt chart
 package httpapi
 

@@ -1,6 +1,8 @@
 package httpapi
 
 import (
+	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -64,6 +66,15 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 	}
 	cfg.Metrics = s.reg
 	cfg.Flight = s.flight
+	// A traced config streams its event log into the job directory.
+	var tf *traceFile
+	if cfg.Options.Trace != nil {
+		if tf, err = createTraceFile(filepath.Join(s.dataDir, "jobs", job.ID)); err != nil {
+			return "", err
+		}
+		defer tf.close(false) // a run that fails keeps no half array
+		cfg.Options.Trace = tf.add
+	}
 	session, err := elastisim.NewSession(cfg)
 	if err != nil {
 		return "", err
@@ -94,7 +105,7 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 		}
 		if lr.cancel {
 			lr.fan.Done()
-			dir, werr := s.writeArtifacts(job.ID, session, cfg)
+			dir, werr := s.writeArtifacts(job.ID, session, tf)
 			if werr != nil {
 				dir = ""
 			}
@@ -109,7 +120,7 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 			// interrupted run; a restart re-runs the job from scratch.
 			p := session.Peek()
 			lr.fan.Done()
-			_, _ = s.writeArtifacts(job.ID, session, cfg)
+			_, _ = s.writeArtifacts(job.ID, session, tf)
 			return "", fmt.Errorf("interrupted at sim t=%.3fs after %d events (%d/%d jobs): %w",
 				p.Now, p.Events, p.Completed, p.Total, jobqueue.ErrInterrupted)
 		}
@@ -140,7 +151,7 @@ func (s *Server) RunJob(ctx context.Context, q *jobqueue.Queue, job jobqueue.Job
 		return "", err
 	}
 	lr.fan.Done()
-	return s.writeArtifacts(job.ID, session, cfg)
+	return s.writeArtifacts(job.ID, session, tf)
 }
 
 // step advances the session by up to n events and, when any fired, ticks
@@ -214,10 +225,10 @@ func (lr *liveRun) apply(q *jobqueue.Queue, job jobqueue.Job, msg ctrlMsg) {
 
 // writeArtifacts flushes the session's current result to
 // dataDir/jobs/<id>/: result.json always, gantt.svg always, and
-// trace.json when the config enabled event tracing. It returns the
-// artifact directory. Called both at completion and — with a partial
-// result — on cancel and shutdown.
-func (s *Server) writeArtifacts(id string, session *elastisim.Session, cfg elastisim.Config) (string, error) {
+// trace.json when the config enabled event tracing (tf, which it
+// closes). It returns the artifact directory. Called both at completion
+// and — with a partial result — on cancel and shutdown.
+func (s *Server) writeArtifacts(id string, session *elastisim.Session, tf *traceFile) (string, error) {
 	res, err := session.Result()
 	if err != nil {
 		return "", err
@@ -234,16 +245,70 @@ func (s *Server) writeArtifacts(id string, session *elastisim.Session, cfg elast
 	}); err != nil {
 		return "", err
 	}
-	if cfg.Options.Trace && len(res.Trace) > 0 {
-		if err := writeFile(filepath.Join(dir, "trace.json"), func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(res.Trace)
-		}); err != nil {
-			return "", err
-		}
+	if err := tf.close(true); err != nil {
+		return "", err
 	}
 	return dir, nil
+}
+
+// traceFile streams a run's event log into its job directory as the JSON
+// array json.Encoder with SetIndent("", "  ") makes of the records. It
+// writes under a temporary name that close renames to trace.json, so
+// GET .../trace never serves half an array.
+type traceFile struct {
+	f   *os.File // nil once closed
+	w   *bufio.Writer
+	n   int   // records written
+	err error // first encoding error
+}
+
+// createTraceFile opens the temporary file in dir, truncating what an
+// interrupted earlier run left there.
+func createTraceFile(dir string) (*traceFile, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	f, err := os.Create(filepath.Join(dir, "trace.json.part"))
+	if err != nil {
+		return nil, err
+	}
+	return &traceFile{f: f, w: bufio.NewWriter(f)}, nil
+}
+
+// add is the run's Options.Trace: it writes one record.
+func (t *traceFile) add(ev elastisim.TraceEvent) {
+	b, err := json.MarshalIndent(ev, "  ", "  ")
+	if err != nil {
+		t.err = cmp.Or(t.err, err)
+		return
+	}
+	if t.n == 0 {
+		t.w.WriteString("[\n  ")
+	} else {
+		t.w.WriteString(",\n  ")
+	}
+	t.w.Write(b) // the writer keeps its first error for Flush
+	t.n++
+}
+
+// close ends the array and closes the file. With keep it renames the
+// file to trace.json; otherwise, or when the run logged nothing, it
+// removes it. A nil or closed traceFile does nothing.
+func (t *traceFile) close(keep bool) error {
+	if t == nil || t.f == nil {
+		return nil
+	}
+	tmp := t.f.Name()
+	if t.n > 0 {
+		t.w.WriteString("\n]\n")
+	}
+	err := cmp.Or(t.err, t.w.Flush(), t.f.Close())
+	t.f = nil
+	if !keep || t.n == 0 || err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return os.Rename(tmp, filepath.Join(filepath.Dir(tmp), "trace.json"))
 }
 
 func writeFile(path string, write func(io.Writer) error) error {
